@@ -107,28 +107,10 @@ def build_adjacency(mesh: TriangleMesh) -> AdjacencyIndex:
     return idx
 
 
-def k_ring_vertices(adjacency: AdjacencyIndex, v: int, k: int) -> np.ndarray:
-    """Vertices at one-ring graph distance <= k from v, ascending, incl. v."""
+def k_ring_vertices_multi(adjacency: AdjacencyIndex, sources, k: int) -> set:
+    """Vertices at one-ring graph distance <= k from any source, sources incl."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    seen = {int(v)}
-    frontier = [int(v)]
-    for _ in range(k):
-        nxt = []
-        for u in frontier:
-            for w in adjacency.vertex_neighbors(u):
-                w = int(w)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    return np.asarray(sorted(seen), dtype=np.int64)
-
-
-def k_ring_vertices_multi(adjacency: AdjacencyIndex, sources, k: int) -> set:
-    """Union of k-ring neighborhoods of several source vertices."""
     seen = {int(s) for s in sources}
     frontier = list(seen)
     for _ in range(k):
@@ -143,6 +125,35 @@ def k_ring_vertices_multi(adjacency: AdjacencyIndex, sources, k: int) -> set:
             break
         frontier = nxt
     return seen
+
+
+def segment_index(adjacency: AdjacencyIndex, face_segment, n_segments: int):
+    """Edge sides, faces and cut edges of a face segmentation.
+
+    Returns ``(edge_side, faces, cuts)``. ``edge_side`` (E, 2) holds the
+    segment on each side of every edge: -1 for an unsegmented face, -2 for
+    the open side of a border edge. An edge is cut when its two sides
+    differ; it then belongs to the cut list of every segment on either
+    side. ``faces[k]`` and ``cuts[k]`` are the ascending face ids and cut
+    edge ids of segment k.
+    """
+    seg = np.asarray(face_segment).reshape(-1)
+    f0 = adjacency.edge_faces[:, 0]
+    f1 = adjacency.edge_faces[:, 1]
+    edge_side = np.column_stack(
+        [seg[f0], np.where(f1 >= 0, seg[np.maximum(f1, 0)], -2)])
+
+    def per_segment(owner, ids):
+        ends = np.cumsum(np.bincount(owner, minlength=n_segments))
+        return np.split(ids[np.lexsort((ids, owner))], ends)[:n_segments]
+
+    member = np.flatnonzero(seg >= 0)
+    cut = np.flatnonzero(edge_side[:, 0] != edge_side[:, 1])
+    owner = edge_side[cut].T.ravel()
+    eids = np.tile(cut, 2)
+    keep = owner >= 0
+    return (edge_side, per_segment(seg[member], member),
+            per_segment(owner[keep], eids[keep]))
 
 
 def face_connected_components(mesh: TriangleMesh, adjacency: AdjacencyIndex,

@@ -189,14 +189,9 @@ def inmat_radii(mesh: TriangleMesh, params: FaceFeatureParams) -> np.ndarray:
     return out
 
 
-def compute_face_features(mesh: TriangleMesh, adjacency=None, spatial_index=None,
+def compute_face_features(mesh: TriangleMesh,
                           params: FaceFeatureParams | None = None) -> FaceFeatures:
-    """Fixed-layout per-face feature table; see module docstring for channels.
-
-    ``spatial_index``, when given, must be a SpatialIndex over the face
-    centroids; it is rebuilt otherwise. ``adjacency`` is accepted for
-    interface symmetry and not needed by the current channels.
-    """
+    """Fixed-layout per-face feature table; see module docstring for channels."""
     params = params or FaceFeatureParams()
     names = face_channel_names(params)
     nf = mesh.n_faces
@@ -206,7 +201,7 @@ def compute_face_features(mesh: TriangleMesh, adjacency=None, spatial_index=None
 
     cent = mesh.face_centroid
     areas = mesh.face_area
-    tree = spatial_index.tree if spatial_index is not None else cKDTree(cent)
+    tree = cKDTree(cent)
 
     col = 0
     flagged = np.zeros(nf, dtype=bool)

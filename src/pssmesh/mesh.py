@@ -1,11 +1,10 @@
-"""Triangle mesh container with derived per-face caches and a k-d tree wrapper."""
+"""Triangle mesh container with derived per-face caches."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 
 class MeshError(ValueError):
@@ -129,34 +128,3 @@ class TriangleMesh:
             extra_face_props={k: np.array(v) for k, v in self.extra_face_props.items()},
         )
 
-
-class SpatialIndex:
-    """k-d tree over a 3D (or 2D) point set; nearest and radius queries."""
-
-    def __init__(self, points: np.ndarray):
-        self.points = np.ascontiguousarray(points, dtype=np.float64)
-        self._tree = cKDTree(self.points)
-
-    def __len__(self):
-        return len(self.points)
-
-    def nearest(self, query, k=1):
-        """Distances and indices of the k nearest points to each query."""
-        return self._tree.query(np.asarray(query, dtype=np.float64), k=k)
-
-    def radius(self, query, r):
-        """Indices of points within distance r of a single query point."""
-        return np.array(sorted(self._tree.query_ball_point(np.asarray(query, dtype=np.float64), r)), dtype=np.int64)
-
-    def radius_count(self, queries, r):
-        """Number of points within r of each query (vectorized)."""
-        return self._tree.query_ball_point(np.asarray(queries, dtype=np.float64), r, return_length=True)
-
-    def radius_batch(self, queries, r):
-        """List of index arrays within r of each query row."""
-        out = self._tree.query_ball_point(np.asarray(queries, dtype=np.float64), r)
-        return [np.asarray(ix, dtype=np.int64) for ix in out]
-
-    @property
-    def tree(self) -> cKDTree:
-        return self._tree

@@ -322,16 +322,28 @@ def load_mesh(path, format=None) -> TriangleMesh:
 
     ``format`` defaults to the file extension. Per-face ``label`` and
     ``red/green/blue`` PLY properties map to ``face_label``/``face_color``.
+    Bad input, non-finite vertex coordinates included, raises
+    MeshParseError with the path in front of the message.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"mesh file not found: {path}")
     fmt = (format or path.suffix.lstrip(".")).lower()
-    if fmt == "ply":
-        return _load_ply(path)
-    if fmt == "obj":
-        return _load_obj(path)
-    raise ValueError(f"unsupported mesh format {fmt!r} (expected ply or obj)")
+    try:
+        if fmt == "ply":
+            mesh = _load_ply(path)
+        elif fmt == "obj":
+            mesh = _load_obj(path)
+        else:
+            raise MeshParseError(
+                f"unsupported mesh format {fmt!r} (expected ply or obj)")
+        bad = ~np.isfinite(mesh.vertices).all(axis=1)
+        if bad.any():
+            raise MeshParseError(
+                f"vertex {int(np.argmax(bad))}: non-finite coordinate")
+    except MeshParseError as exc:
+        raise MeshParseError(f"{path}: {exc}") from None
+    return mesh
 
 
 def _ascii_scalar(v, dtype):

@@ -10,8 +10,8 @@ Unary cost for joining uses the distance from the face's farthest vertex to
 the region plane, optionally relaxed by the non-planar probability prior when
 both the face and the region are non-planar. Because each frontier face
 couples only to the fixed region node, the exact optimum decomposes per face
-into a closed-form rule; a generic min-cut solve over the star graph is kept
-as an alternative route and yields identical labels.
+into a closed-form rule. The tests check it against enumeration and against
+``mincut.min_cut_binary`` on the star graph.
 
 Faces labeled 1 are "visited" for the current region only and reconsidered by
 later regions. The region plane refits after every accepted face from an
@@ -26,7 +26,6 @@ import numpy as np
 
 from .mesh import TriangleMesh
 from .adjacency import AdjacencyIndex
-from .mincut import min_cut_binary
 
 PLANAR, NONPLANAR = 0, 1
 
@@ -89,9 +88,6 @@ class Segmentation:
     @property
     def n_segments(self):
         return len(self.segment_type)
-
-    def faces_of(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.face_segment == k)
 
 
 def refit_plane(region: RegionState) -> None:
@@ -161,8 +157,7 @@ def frontier_decision(cost0, cost1, phi, params: GrowthParams) -> np.ndarray:
 
 
 def label_frontier(region: RegionState, frontier, mesh: TriangleMesh,
-                   probmap, params: GrowthParams,
-                   method: str = "direct") -> np.ndarray:
+                   probmap, params: GrowthParams) -> np.ndarray:
     """Binary labels for the frontier faces (0 = join the region)."""
     frontier = list(frontier)
     if not frontier:
@@ -173,23 +168,12 @@ def label_frontier(region: RegionState, frontier, mesh: TriangleMesh,
     for i, f in enumerate(frontier):
         cost0[i], cost1[i] = unary_cost(f, region, mesh, probmap, params)
         phi[i] = pairwise_cost(f, region, mesh)
-    if method == "direct":
-        return frontier_decision(cost0, cost1, phi, params)
-    if method == "mincut":
-        # star graph: frontier nodes + one region node pinned to label 0
-        n = len(frontier)
-        u0 = np.append(params.lambda_d * cost0, 0.0)
-        u1 = np.append(params.lambda_d * cost1, np.inf)
-        edges = np.column_stack([np.arange(n), np.full(n, n)])
-        labels = min_cut_binary(u0, u1, edges, params.lambda_m * phi)
-        return labels[:n]
-    raise ValueError(f"unknown labeling method {method!r}")
+    return frontier_decision(cost0, cost1, phi, params)
 
 
 def grow_region(seed: int, mesh: TriangleMesh, adjacency: AdjacencyIndex,
                 probmap, params: GrowthParams,
-                assigned=None, region_id: int = 0,
-                method: str = "direct") -> RegionState:
+                assigned=None, region_id: int = 0) -> RegionState:
     """Grow one region from a seed face until a step adds nothing."""
     region = RegionState(region_id=region_id,
                          region_type=int(probmap.label[seed]))
@@ -213,7 +197,7 @@ def grow_region(seed: int, mesh: TriangleMesh, adjacency: AdjacencyIndex,
         frontier = sorted(cand)
         if not frontier:
             break
-        labels = label_frontier(region, frontier, mesh, probmap, params, method)
+        labels = label_frontier(region, frontier, mesh, probmap, params)
         added = []
         for f, lab in zip(frontier, labels):
             if lab == 0:
@@ -226,8 +210,7 @@ def grow_region(seed: int, mesh: TriangleMesh, adjacency: AdjacencyIndex,
 
 
 def oversegment(mesh: TriangleMesh, adjacency: AdjacencyIndex, probmap,
-                params: GrowthParams | None = None,
-                method: str = "direct") -> Segmentation:
+                params: GrowthParams | None = None) -> Segmentation:
     """Segment every face; seeds are picked by descending planar probability."""
     params = params or GrowthParams()
     nf = mesh.n_faces
@@ -241,7 +224,7 @@ def oversegment(mesh: TriangleMesh, adjacency: AdjacencyIndex, probmap,
         if assigned[seed]:
             continue
         region = grow_region(int(seed), mesh, adjacency, probmap, params,
-                             assigned=assigned, region_id=k, method=method)
+                             assigned=assigned, region_id=k)
         for f in region.members:
             face_segment[f] = k
             assigned[f] = True

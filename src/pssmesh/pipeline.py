@@ -272,7 +272,7 @@ def run_pipeline(config: PipelineConfig, mesh=None,
 
         if "face_features" in wanted:
             tick("face_features")
-            feats = compute_face_features(mesh2, adjacency,
+            feats = compute_face_features(mesh2,
                                           params=config.face_feature_params())
             result.face_features = feats
             emit("face_features.csv", feats.to_csv)
@@ -431,7 +431,7 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
         welded, _ = weld_vertices(mesh, config.weld_epsilon)
         mesh2, _ = repair_nonmanifold(welded)
         adjacency = build_adjacency(mesh2)
-        feats = compute_face_features(mesh2, adjacency,
+        feats = compute_face_features(mesh2,
                                       params=config.face_feature_params())
         y = np.isin(mesh2.face_label, config.nonplanar_classes)
         prepared.append((mesh2, adjacency, feats))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import AdjacencyIndex
+from .adjacency import AdjacencyIndex, segment_index
 from .features import FaceFeatures
 from .mesh import TriangleMesh
 
@@ -64,16 +64,16 @@ def segment_circumference(adjacency: AdjacencyIndex, face_segment,
     An edge counts for a segment when its other side is a different segment,
     an unsegmented face, or the mesh border.
     """
-    seg = np.asarray(face_segment).reshape(-1)
+    edge_side = segment_index(adjacency, face_segment, n_segments)[0]
+    return _circumference(edge_side, adjacency.edge_length, n_segments)
+
+
+def _circumference(edge_side, edge_length, n_segments):
+    cut = edge_side[:, 0] != edge_side[:, 1]
+    length = edge_length[cut]
     out = np.zeros(n_segments, dtype=np.float64)
-    f0 = adjacency.edge_faces[:, 0]
-    f1 = adjacency.edge_faces[:, 1]
-    s0 = seg[f0]
-    s1 = np.where(f1 >= 0, seg[np.maximum(f1, 0)], -2)
-    cross = s0 != s1
-    for side in (s0, s1):
-        sel = cross & (side >= 0)
-        np.add.at(out, side[sel], adjacency.edge_length[sel])
+    for side in edge_side[cut].T:
+        np.add.at(out, side[side >= 0], length[side >= 0])
     return out
 
 
@@ -164,30 +164,16 @@ def compute_segment_features(mesh: TriangleMesh, adjacency: AdjacencyIndex,
         var = np.bincount(s, weights=w * diff * diff, minlength=n_seg) / wsum
         stds[:, c] = np.sqrt(np.maximum(var, 0.0))
 
-    circumference = segment_circumference(adjacency, face_segment, n_seg)
-
-    # boundary loops per segment for the straightness descriptor
-    f0 = adjacency.edge_faces[:, 0]
-    f1 = adjacency.edge_faces[:, 1]
-    s0 = face_segment[f0]
-    s1 = np.where(f1 >= 0, face_segment[np.maximum(f1, 0)], -2)
-    cross = s0 != s1
-    seg_edges = [[] for _ in range(n_seg)]
-    for eid in np.flatnonzero(cross):
-        u, v = (int(a) for a in adjacency.edge_vertices[eid])
-        for side in (int(s0[eid]), int(s1[eid])):
-            if side >= 0:
-                seg_edges[side].append((u, v))
-
+    edge_side, seg_faces, seg_cuts = segment_index(adjacency, face_segment,
+                                                   n_seg)
+    circumference = _circumference(edge_side, adjacency.edge_length, n_seg)
     straightness = np.zeros(n_seg)
     plane_dist = np.zeros(n_seg)
     vertical = np.zeros(n_seg)
     for k in range(n_seg):
-        faces_k = np.flatnonzero(face_segment == k)
-        vids = np.unique(mesh.faces[faces_k])
-        pts = mesh.vertices[vids]
-        straightness[k] = _straightness(
-            _boundary_loops(seg_edges[k], mesh.vertices))
+        pts = mesh.vertices[np.unique(mesh.faces[seg_faces[k]])]
+        straightness[k] = _straightness(_boundary_loops(
+            adjacency.edge_vertices[seg_cuts[k]].tolist(), mesh.vertices))
         plane_dist[k] = _plane_fit_distance(pts)
         vertical[k] = float(pts[:, 2].max() - pts[:, 2].min())
 
@@ -200,18 +186,16 @@ def compute_segment_features(mesh: TriangleMesh, adjacency: AdjacencyIndex,
 
     hist = np.zeros((n_seg, HIST_BINS ** 3))
     if not face_features.color_missing:
-        h = face_features.channel("color_h")[assigned]
-        sat = face_features.channel("color_s")[assigned]
-        val = face_features.channel("color_v")[assigned]
+        h = face_features.channel("color_h")
+        sat = face_features.channel("color_s")
+        val = face_features.channel("color_v")
         hb = np.minimum((h / 360.0 * HIST_BINS).astype(np.int64), HIST_BINS - 1)
         sb = np.minimum((sat * HIST_BINS).astype(np.int64), HIST_BINS - 1)
         vb = np.minimum((val * HIST_BINS).astype(np.int64), HIST_BINS - 1)
         flat = (hb * HIST_BINS + sb) * HIST_BINS + vb
-        for k in range(n_seg):
-            sel = s == k
-            if sel.any():
-                hist[k] = np.bincount(flat[sel], weights=w[sel],
-                                      minlength=HIST_BINS ** 3)
+        for k, fk in enumerate(seg_faces):
+            hist[k] = np.bincount(flat[fk], weights=areas[fk],
+                                  minlength=HIST_BINS ** 3)
         sums = hist.sum(axis=1, keepdims=True)
         hist = np.divide(hist, sums, out=np.zeros_like(hist),
                          where=sums > 0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
-from .adjacency import AdjacencyIndex
+from .adjacency import AdjacencyIndex, segment_index
 from .medial import shrinking_ball_transform
 from .mesh import TriangleMesh
 from .overseg import PLANAR
@@ -106,42 +106,25 @@ class SegmentGraph:
 # ------------------------------------------------------------- construction
 
 
-def _segment_vertex_ids(mesh, face_segment, n_seg):
-    out = []
-    for k in range(n_seg):
-        faces_k = np.flatnonzero(face_segment == k)
-        out.append(np.unique(mesh.faces[faces_k]))
-    return out
+def _probe_vertex_ids(mesh, adjacency, seg_faces, seg_cuts):
+    """Vertices on each segment's cut edges, ascending.
 
-
-def _boundary_vertex_ids(adjacency, face_segment, n_seg):
-    """Vertices on each segment's circumference edges."""
-    f0 = adjacency.edge_faces[:, 0]
-    f1 = adjacency.edge_faces[:, 1]
-    s0 = face_segment[f0]
-    s1 = np.where(f1 >= 0, face_segment[np.maximum(f1, 0)], -2)
-    cross = s0 != s1
-    acc = [[] for _ in range(n_seg)]
-    for eid in np.flatnonzero(cross):
-        u, v = adjacency.edge_vertices[eid]
-        for side in (int(s0[eid]), int(s1[eid])):
-            if side >= 0:
-                acc[side].append(int(u))
-                acc[side].append(int(v))
-    return [np.unique(np.asarray(a, dtype=np.int64)) for a in acc]
+    Boundary-free (closed) segments fall back to all their vertices.
+    """
+    return [np.unique(adjacency.edge_vertices[cuts]) if len(cuts)
+            else np.unique(mesh.faces[faces])
+            for faces, cuts in zip(seg_faces, seg_cuts)]
 
 
 def build_nodes(mesh: TriangleMesh, segmentation,
-                seg_features: SegmentFeatures) -> list:
-    face_segment = np.asarray(segmentation.face_segment).reshape(-1)
-    n_seg = segmentation.n_segments
+                seg_features: SegmentFeatures, seg_faces) -> list:
+    """One node per segment; ``seg_faces[k]`` lists segment k's face ids."""
     areas = mesh.face_area
     cent = mesh.face_centroid
     nodes = []
-    for k in range(n_seg):
-        sel = face_segment == k
-        w = areas[sel]
-        c = (cent[sel] * w[:, None]).sum(axis=0) / max(w.sum(), 1e-300)
+    for k, faces in enumerate(seg_faces):
+        w = areas[faces]
+        c = (cent[faces] * w[:, None]).sum(axis=0) / max(w.sum(), 1e-300)
         nodes.append(GraphNode(
             node_id=k,
             segment_type=int(segmentation.segment_type[k]),
@@ -184,21 +167,13 @@ def connecting_ground_edges(graph: SegmentGraph, mesh: TriangleMesh,
     ``radius`` in xy of any boundary vertex of the segment. Segments with no
     candidate are recorded in metadata as groundless.
     """
-    face_segment = np.asarray(segmentation.face_segment).reshape(-1)
     n_seg = segmentation.n_segments
-    areas = mesh.face_area
-    cent = mesh.face_centroid
-    mean_z = np.zeros(n_seg)
-    seg_area = np.zeros(n_seg)
-    for k in range(n_seg):
-        sel = face_segment == k
-        mean_z[k] = cent[sel, 2].mean()
-        seg_area[k] = areas[sel].sum()
-
-    vertex_ids = _segment_vertex_ids(mesh, face_segment, n_seg)
-    boundary = _boundary_vertex_ids(adjacency, face_segment, n_seg)
-    # fall back to all segment vertices for boundary-free (closed) segments
-    probes = [b if len(b) else v for b, v in zip(boundary, vertex_ids)]
+    _, seg_faces, seg_cuts = segment_index(
+        adjacency, segmentation.face_segment, n_seg)
+    cent_z = mesh.face_centroid[:, 2]
+    mean_z = np.array([cent_z[faces].mean() for faces in seg_faces])
+    seg_area = np.array([mesh.face_area[faces].sum() for faces in seg_faces])
+    probes = _probe_vertex_ids(mesh, adjacency, seg_faces, seg_cuts)
 
     planar_ids = [n.node_id for n in graph.nodes if n.segment_type == PLANAR]
     if not planar_ids:
@@ -207,7 +182,7 @@ def connecting_ground_edges(graph: SegmentGraph, mesh: TriangleMesh,
     tagged_xy = []
     tags = []
     for k in planar_ids:
-        xy = mesh.vertices[vertex_ids[k], :2]
+        xy = mesh.vertices[np.unique(mesh.faces[seg_faces[k]]), :2]
         tagged_xy.append(xy)
         tags.append(np.full(len(xy), k))
     tree = cKDTree(np.concatenate(tagged_xy))
@@ -394,14 +369,12 @@ def compute_edge_features(graph: SegmentGraph, mesh: TriangleMesh,
     vertex of the lower-id segment to the higher-id segment's boundary,
     falling back to all segment vertices for boundary-free segments.
     """
-    face_segment = np.asarray(segmentation.face_segment).reshape(-1)
-    n_seg = segmentation.n_segments
     feats, shifted = shifted_feature_matrix(graph)
     if shifted:
         graph.metadata["shifted_channels"] = shifted
-    vertex_ids = _segment_vertex_ids(mesh, face_segment, n_seg)
-    boundary = _boundary_vertex_ids(adjacency, face_segment, n_seg)
-    probes = [b if len(b) else v for b, v in zip(boundary, vertex_ids)]
+    _, seg_faces, seg_cuts = segment_index(
+        adjacency, segmentation.face_segment, segmentation.n_segments)
+    probes = _probe_vertex_ids(mesh, adjacency, seg_faces, seg_cuts)
     trees = {}
 
     def tree_of(k):
@@ -423,7 +396,10 @@ def build_segment_graph(mesh: TriangleMesh, adjacency: AdjacencyIndex,
                         params: GraphParams | None = None) -> SegmentGraph:
     """Run all four edge constructors and the edge feature pass."""
     params = params or GraphParams()
-    graph = SegmentGraph(nodes=build_nodes(mesh, segmentation, seg_features),
+    seg_faces = segment_index(adjacency, segmentation.face_segment,
+                              segmentation.n_segments)[1]
+    graph = SegmentGraph(nodes=build_nodes(mesh, segmentation, seg_features,
+                                           seg_faces),
                          edges={},
                          channel_names=list(seg_features.channel_names))
     parallelism_edges(graph, params.parallel_angle_deg)

@@ -289,9 +289,14 @@ def test_criterion_04_energy_optimality():
         bits = bit_rows(len(frontier))
         table = np.where(bits == 0, join, stay).sum(axis=1)
         best = table.min()
-        for method in ("direct", "mincut"):
-            lab = label_frontier(region, frontier, mesh, pm, params,
-                                 method=method)
+        direct = label_frontier(region, frontier, mesh, pm, params)
+        # star graph: frontier faces plus the region node, pinned to label 0
+        n = len(frontier)
+        star = min_cut_binary(np.append(params.lambda_d * cost0, 0.0),
+                              np.append(params.lambda_d * cost1, np.inf),
+                              np.column_stack([np.arange(n), np.full(n, n)]),
+                              params.lambda_m * phi)[:n]
+        for lab in (direct, star):
             row = int((lab.astype(np.int64)
                        << np.arange(len(frontier))).sum())
             if table[row] != best:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pssmesh.mesh import TriangleMesh
-from pssmesh.adjacency import (build_adjacency, k_ring_vertices,
-                               face_connected_components)
+from pssmesh.adjacency import (build_adjacency, k_ring_vertices_multi,
+                               face_connected_components, segment_index)
 
 from conftest import (grid_mesh, icosahedron, two_triangle_strip,
                       brute_force_adjacency, adjacency_pairs, bfs_k_ring)
@@ -49,7 +49,9 @@ def test_edge_lengths(quad_grid):
 
 def test_k_ring_zero_is_self(ico):
     adj = build_adjacency(ico)
-    assert k_ring_vertices(adj, 4, 0).tolist() == [4]
+    assert sorted(k_ring_vertices_multi(adj, [4], 0)) == [4]
+    with pytest.raises(ValueError):
+        k_ring_vertices_multi(adj, [4], -1)
 
 
 def test_k_ring_path():
@@ -59,21 +61,21 @@ def test_k_ring_path():
     faces = np.array([[0, 1, 4], [1, 2, 5], [2, 3, 6]], dtype=np.int32)
     m = TriangleMesh(vertices=verts, faces=faces)
     adj = build_adjacency(m)
-    ring = set(k_ring_vertices(adj, 0, 2).tolist())
+    ring = k_ring_vertices_multi(adj, [0], 2)
     assert {0, 1, 2} <= ring
     assert 3 not in ring
 
 
 def test_k_ring_icosahedron_one_ring(ico):
     adj = build_adjacency(ico)
-    assert len(k_ring_vertices(adj, 0, 1)) == 6    # v plus its 5 neighbors
+    assert len(k_ring_vertices_multi(adj, [0], 1)) == 6    # v plus its 5 neighbors
 
 
 def test_k_ring_matches_bfs(ico):
     adj = build_adjacency(ico)
     for v in range(ico.n_vertices):
         for k in range(4):
-            assert set(k_ring_vertices(adj, v, k).tolist()) == bfs_k_ring(adj, v, k)
+            assert k_ring_vertices_multi(adj, [v], k) == bfs_k_ring(adj, v, k)
 
 
 def test_k_ring_matches_bfs_grid():
@@ -82,7 +84,33 @@ def test_k_ring_matches_bfs_grid():
     rng = np.random.default_rng(5)
     for v in rng.integers(0, m.n_vertices, 20):
         for k in (0, 1, 2, 3):
-            assert set(k_ring_vertices(adj, int(v), k).tolist()) == bfs_k_ring(adj, int(v), k)
+            assert k_ring_vertices_multi(adj, [int(v)], k) == bfs_k_ring(adj, int(v), k)
+
+
+def test_segment_index_matches_brute_force():
+    # open grid (border edges, one unsegmented face) plus a closed
+    # icosahedron that forms one segment without cut edges
+    grid, ico = grid_mesh(5, 4), icosahedron()
+    m = TriangleMesh(vertices=np.vstack([grid.vertices, ico.vertices + 10.0]),
+                     faces=np.vstack([grid.faces, ico.faces + grid.n_vertices]))
+    rng = np.random.default_rng(3)
+    seg = np.concatenate([rng.integers(0, 4, grid.n_faces),
+                          np.full(ico.n_faces, 4)])
+    seg[7] = -1
+    adj = build_adjacency(m)
+    edge_side, faces, cuts = segment_index(adj, seg, 5)
+
+    f0, f1 = adj.edge_faces[:, 0], adj.edge_faces[:, 1]
+    s0 = seg[f0]
+    s1 = np.where(f1 >= 0, seg[np.maximum(f1, 0)], -2)
+    assert np.array_equal(edge_side, np.column_stack([s0, s1]))
+    assert {-1, -2} <= set(edge_side.ravel().tolist())
+    assert len(faces) == len(cuts) == 5
+    for k in range(5):
+        assert np.array_equal(faces[k], np.flatnonzero(seg == k))
+        want = np.flatnonzero((s0 != s1) & ((s0 == k) | (s1 == k)))
+        assert np.array_equal(cuts[k], want)
+    assert len(cuts[4]) == 0
 
 
 def test_components_single_label(quad_grid):

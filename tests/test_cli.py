@@ -248,3 +248,16 @@ def test_bad_config_file_exit_2(tmp_path, capsys):
                  "--input", "x", "--out", "y"])
     assert code == 2
     assert "JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, text", [
+    ("nan.obj", "v 0 0 0\nv nan 0 0\nv 0 1 0\nf 1 2 3\n"),
+    ("tri.stl", "solid tri\nendsolid tri\n"),
+], ids=["non-finite-vertex", "stl"])
+def test_bad_mesh_input_exit_2(tmp_path, capsys, name, text):
+    bad = tmp_path / name
+    bad.write_text(text)
+    code = main(["preprocess", "--input", str(bad),
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert str(bad) in capsys.readouterr().err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pssmesh.mesh import TriangleMesh, SpatialIndex
+from pssmesh.mesh import TriangleMesh
 from pssmesh.features import (FaceFeatureParams, compute_face_features,
                               face_channel_names, eigen_shape_features,
                               elevation_context, cylinder_min_z, rgb_to_hsv_deg)
@@ -195,14 +195,6 @@ def test_density_channels():
     # all 3 vertices and the single centroid lie within 1 m of the centroid
     assert ff.channel("vertex_density")[0] == pytest.approx(3 / np.pi)
     assert ff.channel("face_density")[0] == pytest.approx(1 / np.pi)
-
-
-def test_spatial_index_argument_used():
-    m = grid_mesh(4, 4)
-    idx = SpatialIndex(m.face_centroid)
-    a = compute_face_features(m, spatial_index=idx)
-    b = compute_face_features(m)
-    assert np.array_equal(a.values, b.values)
 
 
 def test_csv_export(tmp_path):

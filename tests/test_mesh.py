@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pssmesh.mesh import TriangleMesh, MeshError, SpatialIndex
+from pssmesh.mesh import TriangleMesh, MeshError
 
 from conftest import grid_mesh, two_triangle_strip
 
@@ -66,24 +66,3 @@ def test_copy_is_deep():
     c.face_label[0] = 7
     assert m.vertices[0, 0] == 0.0
     assert m.face_label[0] == 1
-
-
-def test_spatial_index_matches_brute_force():
-    rng = np.random.default_rng(7)
-    pts = rng.random((200, 3)) * 10
-    idx = SpatialIndex(pts)
-    for qi in range(10):
-        q = rng.random(3) * 10
-        d = np.linalg.norm(pts - q, axis=1)
-        assert int(idx.nearest(q)[1]) == int(np.argmin(d))
-        r = 2.0
-        got = idx.radius(q, r)
-        want = np.flatnonzero(d <= r)
-        assert np.array_equal(np.sort(got), want)
-
-
-def test_spatial_index_radius_count_batch():
-    pts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [5, 0, 0]], dtype=float)
-    idx = SpatialIndex(pts)
-    counts = idx.radius_count(pts, 1.5)
-    assert counts.tolist() == [2, 3, 2, 1]

@@ -148,3 +148,25 @@ def test_obj_rejects_quads(tmp_path):
 def test_missing_file():
     with pytest.raises(FileNotFoundError):
         load_mesh("/nonexistent/mesh.ply")
+
+
+def test_non_finite_vertex_rejected(tmp_path):
+    p = tmp_path / "nan.ply"
+    p.write_text(SINGLE_TRI_PLY.replace("1 0 0", "nan 0 0"))
+    with pytest.raises(MeshParseError, match="vertex 1: non-finite"):
+        load_mesh(p)
+
+
+def test_unsupported_extension_is_parse_error(tmp_path):
+    p = tmp_path / "tri.stl"
+    p.write_text("solid tri\nendsolid tri\n")
+    with pytest.raises(MeshParseError, match="unsupported mesh format 'stl'"):
+        load_mesh(p)
+
+
+def test_parse_error_names_file(tmp_path):
+    p = tmp_path / "short.ply"
+    p.write_text("ply\nformat ascii 1.0\n")
+    with pytest.raises(MeshParseError) as exc:
+        load_mesh(p)
+    assert str(exc.value) == f"{p}: unexpected end of file inside PLY header"

@@ -4,6 +4,7 @@ import pytest
 from pssmesh.mesh import TriangleMesh
 from pssmesh.adjacency import build_adjacency
 from pssmesh.forest import ProbabilityMap
+from pssmesh.mincut import min_cut_binary
 from pssmesh.repair import weld_vertices
 from pssmesh.overseg import (GrowthParams, RegionState, PlaneAccumulator,
                              Segmentation, refit_plane, unary_cost,
@@ -150,10 +151,18 @@ def test_label_frontier_direct_equals_mincut():
     region = RegionState(region_id=0, region_type=0)
     _add_face(region, m, 30)
     frontier = sorted(int(x) for x in adj.face_neighbors(30))
+    n = len(frontier)
     for lm in (0.0, 0.1, 1.0):
         params = GrowthParams(lambda_m=lm)
-        a = label_frontier(region, frontier, m, pm, params, method="direct")
-        b = label_frontier(region, frontier, m, pm, params, method="mincut")
+        cost0, cost1 = np.array([unary_cost(f, region, m, pm, params)
+                                 for f in frontier]).T
+        phi = np.array([pairwise_cost(f, region, m) for f in frontier])
+        a = label_frontier(region, frontier, m, pm, params)
+        # star graph: frontier faces plus the region node, pinned to label 0
+        b = min_cut_binary(np.append(params.lambda_d * cost0, 0.0),
+                           np.append(params.lambda_d * cost1, np.inf),
+                           np.column_stack([np.arange(n), np.full(n, n)]),
+                           params.lambda_m * phi)[:n]
         assert np.array_equal(a, b)
 
 
@@ -268,7 +277,7 @@ def test_oversegment_partition_and_connectivity():
     assert seg.n_segments == seg.face_segment.max() + 1
     # every segment edge-connected
     for k in range(seg.n_segments):
-        faces = seg.faces_of(k)
+        faces = np.flatnonzero(seg.face_segment == k)
         seen = {int(faces[0])}
         stack = [int(faces[0])]
         while stack:

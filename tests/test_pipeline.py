@@ -219,11 +219,10 @@ def test_train_report_contents(trained):
 
 def test_trained_planarity_generalizes(trained):
     mesh = synth_tile(HELD_OUT)
-    from pssmesh.adjacency import build_adjacency
     from pssmesh.repair import repair_nonmanifold, weld_vertices
     mesh, _ = weld_vertices(mesh, 1e-6)
     mesh, _ = repair_nonmanifold(mesh)
-    feats = compute_face_features(mesh, build_adjacency(mesh))
+    feats = compute_face_features(mesh)
     pm = planarity_map(trained["result"].planarity, feats)
     truth = np.isin(mesh.face_label, (2,)).astype(np.int64)
     accuracy = float(np.mean(pm.label == truth))
