@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .mesh import TriangleMesh, MeshError
 
@@ -21,6 +23,39 @@ def _csr(pairs, n):
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return offsets, b.astype(np.int32)
+
+
+def label_components(n: int, i, j) -> np.ndarray:
+    """Connected components of the undirected graph on nodes 0..n-1.
+
+    ``i`` and ``j`` hold the two ends of each edge. Every node gets the
+    lowest node id of its component, so isolated nodes label themselves.
+    """
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    graph = coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+    _, comp = connected_components(graph, directed=False)
+    # np.unique's first index of a component is its lowest member
+    _, lowest = np.unique(comp, return_index=True)
+    return lowest[comp]
+
+
+def face_edges(faces):
+    """Sorted vertex pairs of the edges of every non-collapsed face.
+
+    Returns ``(edges, owner)``: rows 3k, 3k+1, 3k+2 of ``edges`` (3F', 2)
+    are the corner pairs (0, 1), (1, 2), (2, 0) of the k-th face with three
+    distinct vertices, ascending within each row; ``owner`` holds that
+    face's id. Collapsed faces (repeated indices) have no edges.
+    """
+    faces = np.asarray(faces).reshape(-1, 3)
+    keep = np.flatnonzero((faces[:, 0] != faces[:, 1])
+                          & (faces[:, 1] != faces[:, 2])
+                          & (faces[:, 0] != faces[:, 2]))
+    f = faces[keep]
+    e = np.stack([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=1).reshape(-1, 2)
+    e.sort(axis=1)
+    return e, np.repeat(keep, 3)
 
 
 @dataclass
@@ -61,22 +96,15 @@ def build_adjacency(mesh: TriangleMesh) -> AdjacencyIndex:
     Collapsed faces (repeated indices) contribute no edges and get empty
     neighbor lists.
     """
-    faces = mesh.faces
     nf, nv = mesh.n_faces, mesh.n_vertices
-    real = ((faces[:, 0] != faces[:, 1]) & (faces[:, 1] != faces[:, 2])
-            & (faces[:, 0] != faces[:, 2]))
-    keep = np.flatnonzero(real)
-    if len(keep) == 0:
+    e, owner = face_edges(mesh.faces)
+    if len(e) == 0:
         empty = np.zeros((0, 2), dtype=np.int32)
         idx = AdjacencyIndex(nf, nv, empty, empty.copy(), np.zeros(0))
         idx._face_off, idx._face_flat = _csr(empty, nf)
         idx._vert_off, idx._vert_flat = _csr(empty, nv)
         return idx
 
-    f = faces[keep]
-    e = np.stack([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=1).reshape(-1, 2)
-    e.sort(axis=1)
-    owner = np.repeat(keep, 3)
     uniq, inverse, counts = np.unique(e, axis=0, return_inverse=True, return_counts=True)
     if counts.max(initial=0) > 2:
         bad = uniq[int(np.argmax(counts > 2))]
@@ -160,26 +188,19 @@ def face_connected_components(mesh: TriangleMesh, adjacency: AdjacencyIndex,
                               labels: np.ndarray) -> np.ndarray:
     """Components of same-label faces linked through shared edges.
 
-    Faces labeled -1 get component -1. Component ids are assigned in order of
-    each component's lowest face id, starting at 0.
+    An interior edge links its two faces when they carry the same label.
+    Faces labeled below zero get component -1. Component ids are assigned
+    in order of each component's lowest face id, starting at 0.
     """
     labels = np.asarray(labels).reshape(-1)
     if len(labels) != mesh.n_faces:
         raise ValueError("labels length does not match face count")
+    f0 = adjacency.edge_faces[:, 0]
+    f1 = adjacency.edge_faces[:, 1]
+    interior = f1 >= 0
+    link = interior & (labels[f0] == labels[np.where(interior, f1, 0)])
+    root = label_components(mesh.n_faces, f0[link], f1[link])
     comp = np.full(mesh.n_faces, -1, dtype=np.int32)
-    next_id = 0
-    for start in range(mesh.n_faces):
-        if comp[start] >= 0 or labels[start] < 0:
-            continue
-        lab = labels[start]
-        comp[start] = next_id
-        stack = [start]
-        while stack:
-            fc = stack.pop()
-            for nb in adjacency.face_neighbors(fc):
-                nb = int(nb)
-                if comp[nb] < 0 and labels[nb] == lab:
-                    comp[nb] = next_id
-                    stack.append(nb)
-        next_id += 1
+    member = labels >= 0
+    comp[member] = np.unique(root[member], return_inverse=True)[1]
     return comp

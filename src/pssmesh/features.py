@@ -16,7 +16,7 @@ the disc area pi. Color channels use the face color (HSV hue in degrees).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -42,7 +42,6 @@ class FaceFeatures:
     values: np.ndarray                 # (F, C) float64
     channel_names: list
     layout_version: str = LAYOUT_FACE_V1
-    eigen_flagged: np.ndarray = field(default=None)    # (F,) bool
     color_missing: bool = False
 
     def channel(self, name: str) -> np.ndarray:
@@ -70,7 +69,7 @@ def face_channel_names(params: FaceFeatureParams) -> list:
     return names
 
 
-def eigen_shape_features(centroids, areas, normals, tree, radius):
+def eigen_shape_features(centroids, areas, tree, radius):
     """(F, 5) eigen channels + flag for neighborhoods with <3 points.
 
     Channels per face: linearity, planarity, sphericity, curvature and
@@ -197,18 +196,15 @@ def compute_face_features(mesh: TriangleMesh,
     nf = mesh.n_faces
     vals = np.zeros((nf, len(names)))
     if nf == 0:
-        return FaceFeatures(vals, names, eigen_flagged=np.zeros(0, dtype=bool))
+        return FaceFeatures(vals, names)
 
     cent = mesh.face_centroid
     areas = mesh.face_area
     tree = cKDTree(cent)
 
     col = 0
-    flagged = np.zeros(nf, dtype=bool)
     for r in params.eigen_radii:
-        eig, flag = eigen_shape_features(cent, areas, mesh.face_normal, tree, r)
-        vals[:, col:col + 5] = eig
-        flagged |= flag
+        vals[:, col:col + 5] = eigen_shape_features(cent, areas, tree, r)[0]
         col += 5
 
     z = cent[:, 2]
@@ -250,5 +246,4 @@ def compute_face_features(mesh: TriangleMesh,
         vals[:, col + 2] = v
         col += 3
 
-    return FaceFeatures(vals, names, eigen_flagged=flagged,
-                        color_missing=color_missing)
+    return FaceFeatures(vals, names, color_missing=color_missing)

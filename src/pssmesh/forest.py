@@ -1,8 +1,8 @@
 """Extremely randomized trees for face planarity and segment classification.
 
-Each node draws k candidate features, one uniform random threshold per
-candidate inside the node's value range, and keeps the candidate with the
-best weighted information gain. Trees see the full sample (no bootstrap).
+Each node draws k = ceil(sqrt(d)) of the d features as candidates, one
+uniform random threshold per candidate inside the node's value range, and
+keeps the candidate with the best weighted information gain. Trees see the full sample (no bootstrap).
 Per-tree randomness derives from ``seed ^ tree_index``, so training is
 reproducible bit for bit.
 
@@ -25,7 +25,6 @@ MODEL_VERSION = 1
 @dataclass
 class ForestParams:
     trees: int = 100
-    k_features: int | None = None      # None -> ceil(sqrt(d))
     min_leaf: int = 5
     max_depth: int = 40
 
@@ -70,7 +69,6 @@ class ForestPrediction:
     proba: np.ndarray              # (N, C) renormalized geometric mean
     geometric: np.ndarray          # (N, C) before renormalization, in [0,1]
     log_average: np.ndarray        # (N, C) mean of log(max(p_t, eps))
-    per_tree: np.ndarray | None    # (T, N, C) when requested
 
 
 @dataclass
@@ -101,8 +99,7 @@ def _entropy(wcounts: np.ndarray) -> float:
 
 
 def _build_tree(X, y, sw, n_classes, params: ForestParams, rng) -> Tree:
-    k = params.k_features or int(np.ceil(np.sqrt(X.shape[1])))
-    k = min(k, X.shape[1])
+    k = int(np.ceil(np.sqrt(X.shape[1])))
     feature, threshold, left, right, proba = [], [], [], [], []
 
     def new_node():
@@ -220,23 +217,18 @@ def train_forest(samples: np.ndarray, labels: np.ndarray,
                        layout_version, seed)
 
 
-def predict_proba(model: ForestModel, samples: np.ndarray,
-                  per_tree: bool = False) -> ForestPrediction:
+def predict_proba(model: ForestModel, samples: np.ndarray) -> ForestPrediction:
     X = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if X.shape[1] != model.n_features:
         raise ValueError(f"expected {model.n_features} features, got {X.shape[1]}")
     T = len(model.trees)
     logsum = np.zeros((len(X), model.n_classes))
-    raw = np.zeros((T, len(X), model.n_classes)) if per_tree else None
-    for t, tree in enumerate(model.trees):
-        p = tree.predict(X)
-        if per_tree:
-            raw[t] = p
-        logsum += np.log(np.maximum(p, PROB_EPS))
+    for tree in model.trees:
+        logsum += np.log(np.maximum(tree.predict(X), PROB_EPS))
     log_avg = logsum / T
     geo = np.exp(log_avg)
     proba = geo / geo.sum(axis=1, keepdims=True)
-    return ForestPrediction(proba, geo, log_avg, raw)
+    return ForestPrediction(proba, geo, log_avg)
 
 
 def planarity_map(model: ForestModel, face_features) -> ProbabilityMap:

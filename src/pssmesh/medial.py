@@ -10,7 +10,7 @@ keeping the last accepted radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -26,11 +26,6 @@ class MedialBalls:
     touch_index: np.ndarray            # (N,) index of touching point, -1 = none
     converged: np.ndarray              # (N,) bool
     discarded: np.ndarray              # (N,) bool, denoised away
-    surface_index: np.ndarray = field(default=None)   # (N,) original ids
-
-    def __post_init__(self):
-        if self.surface_index is None:
-            self.surface_index = np.arange(len(self.radii), dtype=np.int64)
 
     @property
     def kept(self) -> np.ndarray:

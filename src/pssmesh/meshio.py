@@ -317,10 +317,10 @@ def _load_obj(path: Path) -> TriangleMesh:
     return TriangleMesh(vertices=v, faces=f.astype(np.int32))
 
 
-def load_mesh(path, format=None) -> TriangleMesh:
+def load_mesh(path) -> TriangleMesh:
     """Load a PLY (ascii or binary little-endian) or OBJ triangle mesh.
 
-    ``format`` defaults to the file extension. Per-face ``label`` and
+    The file extension picks the format. Per-face ``label`` and
     ``red/green/blue`` PLY properties map to ``face_label``/``face_color``.
     Bad input, non-finite vertex coordinates included, raises
     MeshParseError with the path in front of the message.
@@ -328,7 +328,7 @@ def load_mesh(path, format=None) -> TriangleMesh:
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"mesh file not found: {path}")
-    fmt = (format or path.suffix.lstrip(".")).lower()
+    fmt = path.suffix.lstrip(".").lower()
     try:
         if fmt == "ply":
             mesh = _load_ply(path)
@@ -352,13 +352,11 @@ def _ascii_scalar(v, dtype):
     return str(int(v))
 
 
-def save_mesh(mesh: TriangleMesh, path, format="ply", binary=True):
+def save_mesh(mesh: TriangleMesh, path, binary=True):
     """Write a mesh as PLY; ``load_mesh(save_mesh(m))`` reproduces the content.
 
     Colors/labels/extra face properties are emitted only when present.
     """
-    if format != "ply":
-        raise ValueError("only PLY output is supported")
     path = Path(path)
 
     face_props = []          # (name, dtype, column)

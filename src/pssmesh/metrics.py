@@ -182,6 +182,21 @@ def match_boundaries(candidates: BoundarySet, reference: BoundarySet,
     return matched
 
 
+def _matched_score(candidates: BoundarySet, reference: BoundarySet,
+                   adjacency: AdjacencyIndex, rings: int, recall: bool):
+    """(length fraction of candidates near reference, matched length).
+
+    Empty-set conventions: empty truth gives BR = 1; an empty prediction
+    gives BP = 1 against an empty truth and 0 otherwise.
+    """
+    if len(candidates) == 0:
+        return (1.0 if recall or len(reference) == 0 else 0.0), 0.0
+    lengths = candidates.lengths[
+        match_boundaries(candidates, reference, adjacency, rings)]
+    return (float(lengths.sum() / candidates.lengths.sum()),
+            float(lengths.sum()))
+
+
 def boundary_precision(pred: BoundarySet, gt: BoundarySet,
                        adjacency: AdjacencyIndex, rings: int = 2) -> float:
     """Length fraction of predicted boundary edges near a true boundary.
@@ -189,10 +204,7 @@ def boundary_precision(pred: BoundarySet, gt: BoundarySet,
     Both sets empty -> 1 by convention; empty prediction against a nonempty
     truth -> 0.
     """
-    if len(pred) == 0:
-        return 1.0 if len(gt) == 0 else 0.0
-    matched = match_boundaries(pred, gt, adjacency, rings)
-    return float(pred.lengths[matched].sum() / pred.lengths.sum())
+    return _matched_score(pred, gt, adjacency, rings, recall=False)[0]
 
 
 def boundary_recall(pred: BoundarySet, gt: BoundarySet,
@@ -201,10 +213,7 @@ def boundary_recall(pred: BoundarySet, gt: BoundarySet,
 
     Empty truth -> 1 by convention.
     """
-    if len(gt) == 0:
-        return 1.0
-    matched = match_boundaries(gt, pred, adjacency, rings)
-    return float(gt.lengths[matched].sum() / gt.lengths.sum())
+    return _matched_score(gt, pred, adjacency, rings, recall=True)[0]
 
 
 def overseg_report(mesh: TriangleMesh, adjacency: AdjacencyIndex, face_segment,
@@ -225,15 +234,10 @@ def overseg_report(mesh: TriangleMesh, adjacency: AdjacencyIndex, face_segment,
         flags.append("empty_gt_boundary")
     if (face_segment < 0).any():
         flags.append("unsegmented_faces")
-    matched_pred = 0.0
-    matched_gt = 0.0
-    if len(pred_b) and len(gt_b):
-        matched_pred = float(
-            pred_b.lengths[match_boundaries(pred_b, gt_b, adjacency, rings)].sum())
-        matched_gt = float(
-            gt_b.lengths[match_boundaries(gt_b, pred_b, adjacency, rings)].sum())
-    bp = boundary_precision(pred_b, gt_b, adjacency, rings)
-    br = boundary_recall(pred_b, gt_b, adjacency, rings)
+    bp, matched_pred = _matched_score(pred_b, gt_b, adjacency, rings,
+                                      recall=False)
+    br, matched_gt = _matched_score(gt_b, pred_b, adjacency, rings,
+                                    recall=True)
     n_segments = len(np.unique(face_segment[face_segment >= 0]))
     return OversegReport(op=op, bp=bp, br=br, n_segments=n_segments,
                          matched_pred_length=matched_pred,

@@ -35,7 +35,6 @@ class GrowthParams:
     lambda_d: float = 1.2
     lambda_m: float = 0.1
     lambda_g: float = 0.9
-    use_log_prior: bool = False     # feed log-average G instead of exp(G)
 
     def __post_init__(self):
         if min(self.lambda_d, self.lambda_m, self.lambda_g) < 0:
@@ -133,8 +132,7 @@ def unary_cost(face: int, region: RegionState, mesh: TriangleMesh,
     d = float(region.plane_distance(mesh.vertices[mesh.faces[face]]).max())
     ci = np.inf
     if probmap.label[face] == NONPLANAR and region.region_type == NONPLANAR:
-        prior = probmap.g_log[face] if params.use_log_prior else probmap.g_hat[face]
-        ci = 1.0 - params.lambda_g * float(prior)
+        ci = 1.0 - params.lambda_g * float(probmap.g_hat[face])
     cost0 = min(d, ci)
     return cost0, 1.0 - cost0
 

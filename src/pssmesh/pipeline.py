@@ -113,15 +113,37 @@ def save_segmentation(segmentation: Segmentation, path) -> None:
 
 
 def load_segmentation(path) -> Segmentation:
+    """Read a segmentation file written by ``save_segmentation``.
+
+    Bad content (invalid JSON, a missing key, another version, ids that are
+    not integers) raises ConfigError with the path in front of the message.
+    """
+    def bad(message):
+        return ConfigError(f"{path}: {message}")
+
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:           # invalid JSON or text encoding
+            raise bad(exc) from None
+    if not isinstance(doc, dict):
+        raise bad("not a JSON object")
     if doc.get("version") != 1:
-        raise ValueError(
-            f"unsupported segmentation file version {doc.get('version')}")
-    return Segmentation(
-        face_segment=np.asarray(doc["face_segment"], dtype=np.int32),
-        segment_type=np.asarray(doc["segment_type"], dtype=np.int8),
-        planes=np.asarray(doc["planes"], dtype=np.float64).reshape(-1, 4))
+        raise bad(f"unsupported segmentation file version {doc.get('version')}")
+    for key in ("face_segment", "segment_type", "planes"):
+        if key not in doc:
+            raise bad(f"missing key {key!r}")
+    for key in ("face_segment", "segment_type"):
+        if not (isinstance(doc[key], list)
+                and all(type(i) is int for i in doc[key])):
+            raise bad(f"{key} must be a list of integers")
+    try:
+        return Segmentation(
+            face_segment=np.asarray(doc["face_segment"], dtype=np.int32),
+            segment_type=np.asarray(doc["segment_type"], dtype=np.int8),
+            planes=np.asarray(doc["planes"], dtype=np.float64).reshape(-1, 4))
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise bad(exc) from None
 
 
 def save_planarity(probmap, path) -> None:

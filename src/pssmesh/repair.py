@@ -4,6 +4,10 @@ Both passes keep every face (faces are never deleted, only reindexed), so
 per-face labels survive repair unchanged. Faces collapsed by welding end up
 with repeated vertex indices and zero area; they are counted in the report
 and flagged through ``TriangleMesh.degenerate_faces``.
+
+Welding and the bow-tie split are both connected-component labelings
+(``adjacency.label_components``): of vertex pairs within epsilon, and of
+face corners that share an edge through their vertex.
 """
 
 from __future__ import annotations
@@ -11,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
+from scipy.spatial import cKDTree
 
+from .adjacency import face_edges, label_components
 from .mesh import TriangleMesh
 
 
@@ -37,63 +43,21 @@ class RepairReport:
         )
 
 
-def _real_faces(faces):
-    """Mask of faces with three distinct indices (collapsed faces have none)."""
-    return ((faces[:, 0] != faces[:, 1]) & (faces[:, 1] != faces[:, 2])
-            & (faces[:, 0] != faces[:, 2]))
-
-
-def _sorted_edges(faces):
-    """(3F', 2) sorted vertex pairs over non-collapsed faces + face ids."""
-    keep = np.flatnonzero(_real_faces(faces))
-    f = faces[keep]
-    e = np.stack([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=1).reshape(-1, 2)
-    e.sort(axis=1)
-    owner = np.repeat(keep, 3)
-    return e, owner
-
-
 def count_nonmanifold_edges(mesh_or_faces) -> int:
     faces = mesh_or_faces.faces if isinstance(mesh_or_faces, TriangleMesh) else mesh_or_faces
-    if len(faces) == 0:
-        return 0
-    e, _ = _sorted_edges(faces)
+    e, _ = face_edges(faces)
     if len(e) == 0:
         return 0
     _, counts = np.unique(e, axis=0, return_counts=True)
     return int((counts > 2).sum())
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = np.arange(n, dtype=np.int64)
-
-    def find(self, i):
-        p = self.parent
-        root = i
-        while p[root] != root:
-            root = p[root]
-        while p[i] != root:
-            p[i], i = root, p[i]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        # use the lower id as root so representatives are deterministic
-        if ra < rb:
-            self.parent[rb] = ra
-        else:
-            self.parent[ra] = rb
-
-
 def weld_vertices(mesh: TriangleMesh, epsilon: float) -> tuple[TriangleMesh, RepairReport]:
-    """Merge vertices within ``epsilon`` meters (grid buckets + union-find).
+    """Merge vertices within ``epsilon`` meters of each other, transitively.
 
-    The surviving vertex of each merged group is its lowest-index member;
-    vertex order is otherwise preserved. ``epsilon == 0`` merges exact
-    duplicates only.
+    Each group of vertices chained by distances <= ``epsilon`` merges into
+    its lowest-index member; surviving vertices keep their relative order.
+    ``epsilon == 0`` merges exact duplicates only.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
@@ -104,48 +68,16 @@ def weld_vertices(mesh: TriangleMesh, epsilon: float) -> tuple[TriangleMesh, Rep
         rep = RepairReport(nonmanifold_edges_before=nm_before)
         return mesh.copy(), rep
 
-    uf = _UnionFind(n)
-    if epsilon == 0.0:
-        _, first, inverse = np.unique(V, axis=0, return_index=True, return_inverse=True)
-        for i, g in enumerate(inverse):
-            uf.union(int(first[g]), i)
-    else:
-        cells = np.floor(V / epsilon).astype(np.int64)
-        buckets: dict[tuple, np.ndarray] = {}
-        keys = [tuple(c) for c in cells]
-        order = {}
-        for i, k in enumerate(keys):
-            order.setdefault(k, []).append(i)
-        buckets = {k: np.asarray(v, dtype=np.int64) for k, v in order.items()}
-        eps2 = epsilon * epsilon
-        offsets = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
-        for key, members in buckets.items():
-            pm = V[members]
-            for off in offsets:
-                nk = (key[0] + off[0], key[1] + off[1], key[2] + off[2])
-                if nk < key:       # each unordered cell pair visited once
-                    continue
-                cand = buckets.get(nk)
-                if cand is None:
-                    continue
-                d2 = ((pm[:, None, :] - V[cand][None, :, :]) ** 2).sum(axis=2)
-                ii, jj = np.nonzero(d2 <= eps2)
-                for a, b in zip(members[ii], cand[jj]):
-                    if a != b:
-                        uf.union(int(a), int(b))
-
-    roots = np.fromiter((uf.find(i) for i in range(n)), dtype=np.int64, count=n)
-    reps = np.unique(roots)
-    new_id = np.empty(n, dtype=np.int64)
-    lookup = {int(r): i for i, r in enumerate(reps)}
-    for i in range(n):
-        new_id[i] = lookup[int(roots[i])]
+    pairs = cKDTree(V).query_pairs(epsilon, output_type="ndarray")
+    roots = label_components(n, pairs[:, 0], pairs[:, 1])
+    reps = np.flatnonzero(roots == np.arange(n))
+    new_id = np.searchsorted(reps, roots)
 
     out = TriangleMesh(
-        vertices=V[reps].copy(),
+        vertices=V[reps],
         faces=new_id[mesh.faces].astype(np.int32),
         face_color=None if mesh.face_color is None else mesh.face_color.copy(),
-        vertex_color=None if mesh.vertex_color is None else mesh.vertex_color[reps].copy(),
+        vertex_color=None if mesh.vertex_color is None else mesh.vertex_color[reps],
         face_label=None if mesh.face_label is None else mesh.face_label.copy(),
         extra_face_props={k: np.array(v) for k, v in mesh.extra_face_props.items()},
     )
@@ -160,11 +92,35 @@ def weld_vertices(mesh: TriangleMesh, epsilon: float) -> tuple[TriangleMesh, Rep
 
 def _edge_face_lists(faces):
     """dict sorted-vertex-pair -> ascending face ids, skipping collapsed faces."""
-    e, owner = _sorted_edges(faces)
+    e, owner = face_edges(faces)
     out: dict[tuple, list] = {}
     for (u, v), f in zip(map(tuple, e.tolist()), owner.tolist()):
         out.setdefault((u, v), []).append(f)
     return out
+
+
+def _fan_corners(faces):
+    """Corner ids of non-collapsed faces and the lowest corner of each fan.
+
+    Corner 3k + j is position j of the k-th face with three distinct
+    vertices. Two corners of the same vertex share a fan when their faces
+    share an edge through that vertex; fans are the connected groups.
+    Returns ``(face, vertex, fan)`` per corner, ``fan`` being the group's
+    lowest corner id, i.e. the corner in the fan's lowest face.
+    """
+    e, owner = face_edges(faces)
+    f = faces[owner[::3]]
+    order = np.lexsort((e[:, 1], e[:, 0]))
+    same = (e[order[1:]] == e[order[:-1]]).all(axis=1)
+    p, q = order[:-1][same], order[1:][same]     # face-edges of one edge
+
+    def corner(r, x):
+        k = r // 3
+        return 3 * k + np.argmax(f[k] == x[:, None], axis=1)
+
+    i = np.concatenate([corner(p, e[p, 0]), corner(p, e[p, 1])])
+    j = np.concatenate([corner(q, e[q, 0]), corner(q, e[q, 1])])
+    return owner, f.ravel(), label_components(len(e), i, j)
 
 
 def repair_nonmanifold(mesh: TriangleMesh) -> tuple[TriangleMesh, RepairReport]:
@@ -176,8 +132,7 @@ def repair_nonmanifold(mesh: TriangleMesh) -> tuple[TriangleMesh, RepairReport]:
     No face is deleted.
     """
     nm_before = count_nonmanifold_edges(mesh)
-    verts = [v for v in mesh.vertices]
-    vcols = None if mesh.vertex_color is None else [c for c in mesh.vertex_color]
+    source = list(range(mesh.n_vertices))      # vertex id -> original vertex
     faces = mesh.faces.copy()
 
     if nm_before:
@@ -191,57 +146,30 @@ def repair_nonmanifold(mesh: TriangleMesh) -> tuple[TriangleMesh, RepairReport]:
                     for old in (u, v):
                         key = (f, old)
                         if key not in dup:
-                            dup[key] = len(verts)
-                            verts.append(verts[old].copy())
-                            if vcols is not None:
-                                vcols.append(vcols[old].copy())
+                            dup[key] = len(source)
+                            source.append(source[old])
                         fi = dup[key]
                         faces[f][faces[f] == old] = fi
 
-    # bow-tie split: group each vertex's incident faces into edge-connected fans
-    nv = len(verts)
-    incident: dict[int, list] = {}
-    real = _real_faces(faces)
-    for f in np.flatnonzero(real):
-        for v in faces[f]:
-            incident.setdefault(int(v), []).append(int(f))
-    split_count = 0
-    for v in sorted(incident):
-        fs = incident[v]
-        if len(fs) < 2:
-            continue
-        # connect faces sharing an edge through v, keyed by the other endpoint
-        uf = _UnionFind(len(fs))
-        pos = {f: i for i, f in enumerate(fs)}
-        by_other: dict[int, int] = {}
-        for f in fs:
-            tri = faces[f]
-            others = [int(w) for w in tri if int(w) != v]
-            for w in others:
-                if w in by_other:
-                    uf.union(pos[f], by_other[w])
-                else:
-                    by_other[w] = pos[f]
-        comps: dict[int, list] = {}
-        for i, f in enumerate(fs):
-            comps.setdefault(uf.find(i), []).append(f)
-        if len(comps) < 2:
-            continue
-        split_count += 1
-        groups = sorted(comps.values(), key=min)
-        for grp in groups[1:]:           # first fan keeps the original vertex
-            nid = len(verts)
-            verts.append(verts[v].copy())
-            if vcols is not None:
-                vcols.append(vcols[v].copy())
-            for f in grp:
-                faces[f][faces[f] == v] = nid
+    # bow-tie split: every fan but the one in a vertex's lowest face gets a
+    # new vertex, numbered in (vertex, lowest face of the fan) order
+    face, vertex, fan = _fan_corners(faces)
+    fans = np.unique(fan)
+    fans = fans[np.argsort(vertex[fans], kind="stable")]
+    moved = fans[1:][vertex[fans[1:]] == vertex[fans[:-1]]]
+    split_count = len(np.unique(vertex[moved]))
+    new_id = np.full(len(fan), -1, dtype=np.int64)
+    new_id[moved] = len(source) + np.arange(len(moved))
+    c = np.flatnonzero(new_id[fan] >= 0)
+    faces[face[c], c % 3] = new_id[fan[c]]
+    source = np.asarray(source, dtype=np.int64)
+    source = np.concatenate([source, source[vertex[moved]]])
 
     out = TriangleMesh(
-        vertices=np.asarray(verts, dtype=np.float64).reshape(-1, 3),
+        vertices=mesh.vertices[source],
         faces=faces,
         face_color=None if mesh.face_color is None else mesh.face_color.copy(),
-        vertex_color=None if vcols is None else np.asarray(vcols, dtype=np.uint8).reshape(-1, 3),
+        vertex_color=None if mesh.vertex_color is None else mesh.vertex_color[source],
         face_label=None if mesh.face_label is None else mesh.face_label.copy(),
         extra_face_props={k: np.array(v) for k, v in mesh.extra_face_props.items()},
     )

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import AdjacencyIndex, segment_index
+from .adjacency import AdjacencyIndex, label_components, segment_index
 from .features import FaceFeatures
 from .mesh import TriangleMesh
 
@@ -77,30 +77,21 @@ def _circumference(edge_side, edge_length, n_segments):
     return out
 
 
-def _boundary_loops(edge_list, vertices):
-    """Split boundary edges into connected chains of vertex positions."""
-    from collections import defaultdict
-    graph = defaultdict(list)
-    for u, v in edge_list:
-        graph[u].append(v)
-        graph[v].append(u)
-    seen = set()
-    loops = []
-    for start in graph:
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        chain = []
-        while stack:
-            u = stack.pop()
-            chain.append(u)
-            for w in graph[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        loops.append(vertices[np.asarray(sorted(chain))])
-    return loops
+def _boundary_loops(edges, vertices):
+    """Split boundary edges into connected chains of vertex positions.
+
+    ``edges`` holds rows of the adjacency edge table in ascending order, so
+    ordering the chains by their lowest vertex orders them by the first
+    appearance of any of their vertices. Vertices within a chain ascend.
+    """
+    if len(edges) == 0:
+        return []
+    ids, local = np.unique(edges, return_inverse=True)
+    local = local.reshape(-1, 2)
+    root = label_components(len(ids), local[:, 0], local[:, 1])
+    order = np.argsort(root, kind="stable")
+    return np.split(vertices[ids[order]],
+                    np.flatnonzero(np.diff(root[order])) + 1)
 
 
 def _straightness(loops) -> float:
@@ -173,7 +164,7 @@ def compute_segment_features(mesh: TriangleMesh, adjacency: AdjacencyIndex,
     for k in range(n_seg):
         pts = mesh.vertices[np.unique(mesh.faces[seg_faces[k]])]
         straightness[k] = _straightness(_boundary_loops(
-            adjacency.edge_vertices[seg_cuts[k]].tolist(), mesh.vertices))
+            adjacency.edge_vertices[seg_cuts[k]], mesh.vertices))
         plane_dist[k] = _plane_fit_distance(pts)
         vertical[k] = float(pts[:, 2].max() - pts[:, 2].min())
 

@@ -97,11 +97,6 @@ class SegmentGraph:
             self.edges[(a, b)] = edge
         edge.types.add(edge_type)
 
-    def neighbor_ids(self, node_id: int) -> list:
-        out = [b if a == node_id else a
-               for (a, b) in self.edges if node_id in (a, b)]
-        return sorted(out)
-
 
 # ------------------------------------------------------------- construction
 

@@ -3,7 +3,8 @@ import pytest
 
 from pssmesh.mesh import TriangleMesh
 from pssmesh.adjacency import (build_adjacency, k_ring_vertices_multi,
-                               face_connected_components, segment_index)
+                               face_connected_components, label_components,
+                               segment_index)
 
 from conftest import (grid_mesh, icosahedron, two_triangle_strip,
                       brute_force_adjacency, adjacency_pairs, bfs_k_ring)
@@ -198,3 +199,49 @@ def test_components_permutation_invariant_partition():
         members = np.flatnonzero(comp == c)
         mapped = {int(comp2[np.flatnonzero(perm == f)[0]]) for f in members}
         assert len(mapped) == 1
+
+
+def bfs_components(n, pairs, labels):
+    """Plain BFS over linked same-label nodes; -1 for labels below zero."""
+    nbrs = [[] for _ in range(n)]
+    for a, b in pairs:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    comp = [-1] * n
+    next_id = 0
+    for s in range(n):
+        if comp[s] >= 0 or labels[s] < 0:
+            continue
+        comp[s] = next_id
+        queue = [s]
+        for u in queue:
+            for w in nbrs[u]:
+                if comp[w] < 0 and labels[w] == labels[s]:
+                    comp[w] = next_id
+                    queue.append(w)
+        next_id += 1
+    return np.array(comp)
+
+
+def test_label_components_matches_bfs():
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        n = int(rng.integers(1, 30))
+        i, j = rng.integers(0, n, (2, int(rng.integers(0, 2 * n))))
+        comp = bfs_components(n, zip(i.tolist(), j.tolist()), np.zeros(n))
+        lowest = np.array([np.flatnonzero(comp == c)[0] for c in comp])
+        assert np.array_equal(label_components(n, i, j), lowest)
+    assert len(label_components(0, [], [])) == 0
+
+
+def test_components_match_bfs_with_unlabeled():
+    rng = np.random.default_rng(32)
+    for _ in range(40):
+        m = grid_mesh(int(rng.integers(1, 8)), int(rng.integers(1, 8)))
+        perm = rng.permutation(m.n_faces)     # face order decides the ids
+        m = TriangleMesh(vertices=m.vertices, faces=m.faces[perm])
+        labels = rng.integers(-1, int(rng.integers(1, 4)), m.n_faces)
+        comp = face_connected_components(m, build_adjacency(m), labels)
+        want = bfs_components(m.n_faces, brute_force_adjacency(m), labels)
+        assert np.array_equal(comp, want)
+        assert comp.dtype == np.int32

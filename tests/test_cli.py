@@ -261,3 +261,20 @@ def test_bad_mesh_input_exit_2(tmp_path, capsys, name, text):
                  "--out", str(tmp_path / "run")])
     assert code == 2
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval-overseg", "upper-bound"])
+@pytest.mark.parametrize("text", [
+    '{"version": 1, "face_segment": [0, 1',
+    '{"version": 1, "segment_type": [0], "planes": [[0, 0, 1, 0]]}',
+    '{"version": 2, "face_segment": [0], "segment_type": [0], "planes": []}',
+    '{"version": 1, "face_segment": [0, 0.5], "segment_type": [0], '
+    '"planes": [[0, 0, 1, 0]]}',
+], ids=["truncated", "missing-key", "version", "non-integer"])
+def test_bad_segmentation_exit_2(ws, tmp_path, capsys, command, text):
+    bad = tmp_path / "seg.json"
+    bad.write_text(text)
+    code = main([command, "--input", str(ws["tile"]),
+                 "--segmentation", str(bad), "--out", str(tmp_path / "ev")])
+    assert code == 2
+    assert str(bad) in capsys.readouterr().err

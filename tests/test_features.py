@@ -66,7 +66,7 @@ def test_eigen_matches_brute_force_covariance():
     areas = rng.random(40) + 0.1
     tree = cKDTree(cent)
     radius = 0.9
-    out, flagged = eigen_shape_features(cent, areas, None, tree, radius)
+    out, flagged = eigen_shape_features(cent, areas, tree, radius)
     for i in range(40):
         d = np.linalg.norm(cent - cent[i], axis=1)
         nb = np.flatnonzero(d <= radius)
@@ -94,7 +94,7 @@ def test_hemisphere_sphericity():
     v[:, 2] = np.abs(v[:, 2])
     areas = np.ones(n)
     tree = cKDTree(v)
-    out, _ = eigen_shape_features(v, areas, None, tree, 3.0)
+    out, _ = eigen_shape_features(v, areas, tree, 3.0)
     assert out[:, 2].min() > 0.2      # sphericity
     assert out[:, 0].max() < 0.3      # linearity
 
@@ -103,7 +103,7 @@ def test_small_neighborhood_flagged():
     cent = np.array([[0, 0, 0], [10, 0, 0], [20, 0, 0]], dtype=float)
     areas = np.ones(3)
     tree = cKDTree(cent)
-    out, flagged = eigen_shape_features(cent, areas, None, tree, 0.5)
+    out, flagged = eigen_shape_features(cent, areas, tree, 0.5)
     assert flagged.all()
     assert np.all(out == 0)
 

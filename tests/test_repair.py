@@ -128,3 +128,98 @@ def test_adjacency_rejects_nonmanifold():
         raised = True
         assert "repair_nonmanifold" in str(e)
     assert raised
+
+
+
+def weld_oracle(V, eps):
+    """Vertices chained by pairwise distance <= eps form one group, O(n^2).
+
+    Returns the lowest member of every group, ascending, and the new id of
+    each vertex.
+    """
+    n = len(V)
+    near = ((V[:, None, :] - V[None, :, :]) ** 2).sum(axis=2) <= eps * eps
+    group = list(range(n))
+    for s in range(n):
+        if group[s] != s:
+            continue
+        todo = [s]
+        while todo:
+            u = todo.pop()
+            for w in np.flatnonzero(near[u]):
+                if w > s and group[w] == w:
+                    group[w] = s
+                    todo.append(w)
+    reps = sorted(set(group))
+    return reps, np.array([reps.index(g) for g in group])
+
+
+def test_weld_matches_pairwise_oracle():
+    # coordinates on a 1/8 grid make every squared distance exact, so the
+    # eps = 0.125 runs test the inclusive "<= eps" rule
+    rng = np.random.default_rng(21)
+    for trial in range(40):
+        n = int(rng.integers(2, 40))
+        V = rng.integers(0, 5, (n, 3)) * 0.125
+        faces = rng.integers(0, n, (n, 3)).astype(np.int32)
+        colors = rng.integers(0, 256, (n, 3))
+        m = TriangleMesh(vertices=V, faces=faces, vertex_color=colors)
+        for eps in (0.0, 0.1, 0.125, 0.2):
+            out, rep = weld_vertices(m, eps)
+            reps, new_id = weld_oracle(m.vertices, eps)
+            assert np.array_equal(out.vertices, m.vertices[reps])
+            assert np.array_equal(out.vertex_color, m.vertex_color[reps])
+            assert np.array_equal(out.faces, new_id[m.faces])
+            assert rep.welded_vertices == n - len(reps)
+
+
+def bowtie_oracle(n_vertices, faces):
+    """Split each vertex into its fans: faces linked by edges through it.
+
+    Returns the new faces, the original vertex of every output vertex and
+    the number of split vertices. The fan holding the vertex's lowest face
+    keeps it; every other fan gets a new vertex, numbered in (vertex,
+    lowest face of the fan) order.
+    """
+    faces = faces.copy()
+    source = list(range(n_vertices))
+    split = 0
+    for v in range(n_vertices):
+        left = [f for f in range(len(faces))
+                if v in faces[f] and len(set(faces[f].tolist())) == 3]
+        fans = []
+        while left:
+            fan, todo = [], [left[0]]
+            while todo:
+                f = todo.pop()
+                if f not in fan:
+                    fan.append(f)
+                    todo += [g for g in left if g not in fan and len(
+                        set(faces[f].tolist()) & set(faces[g].tolist())) >= 2]
+            left = [f for f in left if f not in fan]
+            fans.append(fan)
+        split += len(fans) > 1
+        for fan in fans[1:]:
+            source.append(v)
+            for f in fan:
+                faces[f][faces[f] == v] = len(source) - 1
+    return faces, source, split
+
+
+def test_bowtie_split_matches_fan_oracle():
+    rng = np.random.default_rng(22)
+    checked = 0
+    while checked < 300:
+        nv = int(rng.integers(3, 9))
+        faces = rng.integers(0, nv, (int(rng.integers(1, 9)), 3)).astype(np.int32)
+        if count_nonmanifold_edges(faces):
+            continue
+        m = TriangleMesh(vertices=rng.standard_normal((nv, 3)), faces=faces,
+                         vertex_color=rng.integers(0, 256, (nv, 3)))
+        out, rep = repair_nonmanifold(m)
+        want_faces, source, split = bowtie_oracle(nv, faces)
+        assert np.array_equal(out.faces, want_faces)
+        assert np.array_equal(out.vertices, m.vertices[source])
+        assert np.array_equal(out.vertex_color, m.vertex_color[source])
+        assert rep.split_vertices == split
+        checked += 1

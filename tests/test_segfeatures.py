@@ -8,6 +8,8 @@ from pssmesh.features import FaceFeatureParams, FaceFeatures, face_channel_names
 from pssmesh.mesh import TriangleMesh
 from pssmesh.segfeatures import (
     HIST_BINS,
+    _boundary_loops,
+    _straightness,
     compute_segment_features,
     segment_channel_names,
     segment_circumference,
@@ -164,6 +166,48 @@ def test_straightness_orders_loop_shapes():
             square[2 * c + 1] = 0
     sf_square = compute_segment_features(mesh, adj, square, feats)
     assert sf_thin.channel("straightness")[0] < sf_square.channel("straightness")[0]
+
+
+def merge_chains(edges):
+    """Vertex sets of edge-connected chains, in order of first appearance.
+
+    Each edge joins the chains holding its ends; the merged chain takes the
+    place of the earliest of them.
+    """
+    chains = []
+    for u, v in edges:
+        hit = [c for c in chains if u in c or v in c]
+        merged = set((u, v)).union(*hit)
+        at = chains.index(hit[0]) if hit else len(chains)
+        chains = [c for c in chains if c not in hit]
+        chains.insert(at, merged)
+    return [sorted(c) for c in chains]
+
+
+def test_boundary_loops_and_straightness_match_oracle():
+    rng = np.random.default_rng(41)
+    mesh = grid_mesh(10, 10)
+    mesh = TriangleMesh(vertices=mesh.vertices
+                        + rng.normal(0, 0.3, mesh.vertices.shape),
+                        faces=mesh.faces)
+    adj = build_adjacency(mesh)
+    feats = fake_face_features(mesh)
+    f0, f1 = adj.edge_faces.T
+    for _ in range(5):
+        raw = rng.integers(-1, 30, mesh.n_faces)
+        seg = np.full(mesh.n_faces, -1)
+        seg[raw >= 0] = np.unique(raw[raw >= 0], return_inverse=True)[1]
+        sf = compute_segment_features(mesh, adj, seg, feats)
+        side1 = np.where(f1 >= 0, seg[f1], -2)
+        for k in range(sf.n_segments):
+            cut = ((seg[f0] == k) | (side1 == k)) & (seg[f0] != side1)
+            edges = adj.edge_vertices[cut].tolist()
+            loops = _boundary_loops(adj.edge_vertices[cut], mesh.vertices)
+            want = [mesh.vertices[c] for c in merge_chains(edges)]
+            assert len(loops) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(loops, want))
+            assert sf.channel("straightness")[k] == _straightness(want)
+    assert _boundary_loops(adj.edge_vertices[:0], mesh.vertices) == []
 
 
 def test_vertical_extent_on_wall():
