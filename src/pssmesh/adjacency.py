@@ -58,6 +58,17 @@ def face_edges(faces):
     return e, np.repeat(keep, 3)
 
 
+def pair_keys(pairs, n):
+    """One int64 key ``u * n + v`` per row (u, v) of ids in [0, n).
+
+    The keys sort in the rows' lexicographic order, so a 1-D ``np.unique``
+    over them stands in for ``np.unique(axis=0)``; ``np.divmod(key, n)``
+    gives the rows back.
+    """
+    pairs = np.asarray(pairs).reshape(-1, 2)
+    return pairs[:, 0].astype(np.int64) * n + pairs[:, 1]
+
+
 @dataclass
 class AdjacencyIndex:
     """Symmetric face adjacency over shared edges plus the edge table itself.
@@ -105,7 +116,9 @@ def build_adjacency(mesh: TriangleMesh) -> AdjacencyIndex:
         idx._vert_off, idx._vert_flat = _csr(empty, nv)
         return idx
 
-    uniq, inverse, counts = np.unique(e, axis=0, return_inverse=True, return_counts=True)
+    keys, inverse, counts = np.unique(pair_keys(e, nv), return_inverse=True,
+                                      return_counts=True)
+    uniq = np.column_stack(np.divmod(keys, nv))
     if counts.max(initial=0) > 2:
         bad = uniq[int(np.argmax(counts > 2))]
         raise MeshError(

@@ -322,8 +322,8 @@ def load_mesh(path) -> TriangleMesh:
 
     The file extension picks the format. Per-face ``label`` and
     ``red/green/blue`` PLY properties map to ``face_label``/``face_color``.
-    Bad input, non-finite vertex coordinates included, raises
-    MeshParseError with the path in front of the message.
+    Bad input, non-finite vertex coordinates and a mesh without faces
+    included, raises MeshParseError with the path in front of the message.
     """
     path = Path(path)
     if not path.is_file():
@@ -341,6 +341,8 @@ def load_mesh(path) -> TriangleMesh:
         if bad.any():
             raise MeshParseError(
                 f"vertex {int(np.argmax(bad))}: non-finite coordinate")
+        if mesh.n_faces == 0:
+            raise MeshParseError("no faces")
     except MeshParseError as exc:
         raise MeshParseError(f"{path}: {exc}") from None
     return mesh

@@ -174,13 +174,30 @@ def save_face_predictions(face_classes, path) -> None:
 
 
 def load_face_predictions(path) -> np.ndarray:
+    """Read a face prediction table written by ``save_face_predictions``.
+
+    A wrong header, a cell that is not an integer, and a face id outside
+    [0, rows) or listed twice raise ConfigError naming the path and row.
+    """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0][:2] != ["face", "class"]:
-        raise ValueError(f"{path} is not a face prediction table")
+        raise ConfigError(f"{path} is not a face prediction table")
     out = np.full(len(rows) - 1, -1, dtype=np.int64)
-    for face, cls in (r[:2] for r in rows[1:]):
-        out[int(face)] = int(cls)
+    seen = np.zeros(len(out), dtype=bool)
+    for line, cells in enumerate(rows[1:], start=2):
+        try:
+            face, cls = (int(c) for c in cells[:2])
+        except ValueError:
+            raise ConfigError(f"{path}: row {line}: expected integer face "
+                              f"and class, got {cells!r}") from None
+        if not 0 <= face < len(out):
+            raise ConfigError(f"{path}: row {line}: face id {face} outside "
+                              f"[0, {len(out)})")
+        if seen[face]:
+            raise ConfigError(f"{path}: row {line}: face id {face} repeated")
+        seen[face] = True
+        out[face] = cls
     return out
 
 

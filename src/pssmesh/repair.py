@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .adjacency import face_edges, label_components
+from .adjacency import face_edges, label_components, pair_keys
 from .mesh import TriangleMesh
 
 
@@ -48,7 +48,7 @@ def count_nonmanifold_edges(mesh_or_faces) -> int:
     e, _ = face_edges(faces)
     if len(e) == 0:
         return 0
-    _, counts = np.unique(e, axis=0, return_counts=True)
+    _, counts = np.unique(pair_keys(e, int(e.max()) + 1), return_counts=True)
     return int((counts > 2).sum())
 
 

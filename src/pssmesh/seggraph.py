@@ -2,10 +2,12 @@
 
 Nodes are segments with their feature vectors; edges come from four
 independent constructors: near-parallel planar pairs, segment-to-local-ground
-links, exterior medial-ball bridges, and spatial proximity. Several
-constructors can connect the same pair; the edge record keeps the set of
-contributing types. Edge features are elementwise log-ratios of the two node
-feature vectors plus boundary offset statistics.
+links, exterior medial-ball bridges, and spatial proximity. Each constructor
+computes its segment pairs as one (M, 2) id array and records them with
+``SegmentGraph.add_pairs``. Several constructors can connect the same pair;
+the edge record keeps the set of contributing types. Edge features are
+elementwise log-ratios of the two node feature vectors plus boundary offset
+statistics.
 """
 
 import json
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
-from .adjacency import AdjacencyIndex, segment_index
+from .adjacency import AdjacencyIndex, pair_keys, segment_index
 from .medial import shrinking_ball_transform
 from .mesh import TriangleMesh
 from .overseg import PLANAR
@@ -84,18 +86,23 @@ class SegmentGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def add_pair(self, a: int, b: int, edge_type: str):
-        """Record one typed link; parallel discoveries accumulate."""
-        a, b = int(a), int(b)
-        if a == b:
-            raise ValueError(f"self-edge on node {a}")
-        if a > b:
-            a, b = b, a
-        edge = self.edges.get((a, b))
-        if edge is None:
-            edge = GraphEdge(a=a, b=b)
-            self.edges[(a, b)] = edge
-        edge.types.add(edge_type)
+    def add_pairs(self, pairs, edge_type: str) -> int:
+        """Record one typed link per row of an (M, 2) node id array.
+
+        Row order does not matter; each distinct pair is stored once under
+        (lower, higher) and accumulates the types that found it. Returns M.
+        """
+        pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
+                        axis=1)
+        loops = pairs[:, 0] == pairs[:, 1]
+        if loops.any():
+            raise ValueError(f"self-edge on node {pairs[np.argmax(loops), 0]}")
+        for a, b in np.unique(pairs, axis=0).tolist():
+            edge = self.edges.get((a, b))
+            if edge is None:
+                edge = self.edges[(a, b)] = GraphEdge(a=a, b=b)
+            edge.types.add(edge_type)
+        return len(pairs)
 
 
 # ------------------------------------------------------------- construction
@@ -142,14 +149,11 @@ def parallelism_edges(graph: SegmentGraph,
     normals = np.array([n.plane[:3] for n in planar])
     ids = np.array([n.node_id for n in planar])
     cos_thresh = np.cos(np.radians(angle_deg))
-    added = 0
     dots = np.abs(normals @ normals.T)
     iu, ju = np.triu_indices(len(planar), k=1)
     hits = dots[iu, ju] > cos_thresh
-    for i, j in zip(iu[hits], ju[hits]):
-        graph.add_pair(ids[i], ids[j], EDGE_PARALLEL)
-        added += 1
-    return added
+    return graph.add_pairs(np.column_stack([ids[iu[hits]], ids[ju[hits]]]),
+                           EDGE_PARALLEL)
 
 
 def connecting_ground_edges(graph: SegmentGraph, mesh: TriangleMesh,
@@ -157,10 +161,11 @@ def connecting_ground_edges(graph: SegmentGraph, mesh: TriangleMesh,
                             radius: float = 30.0) -> int:
     """Link every segment to its local ground plane.
 
-    The local ground is the planar segment with the lowest mean face-centroid
-    z (ties to the larger area) among segments with any vertex within
-    ``radius`` in xy of any boundary vertex of the segment. Segments with no
-    candidate are recorded in metadata as groundless.
+    The candidates of a segment are the other planar segments with any
+    vertex within ``radius`` (inclusive) in xy of any boundary vertex of the
+    segment. Its local ground is the candidate with the lowest mean
+    face-centroid z, then the larger area, then the lower id. Segments with
+    no candidate are recorded in metadata as groundless.
     """
     n_seg = segmentation.n_segments
     _, seg_faces, seg_cuts = segment_index(
@@ -169,44 +174,26 @@ def connecting_ground_edges(graph: SegmentGraph, mesh: TriangleMesh,
     mean_z = np.array([cent_z[faces].mean() for faces in seg_faces])
     seg_area = np.array([mesh.face_area[faces].sum() for faces in seg_faces])
     probes = _probe_vertex_ids(mesh, adjacency, seg_faces, seg_cuts)
+    probe_seg = np.repeat(np.arange(n_seg), [len(p) for p in probes])
+    probe_xy = mesh.vertices[np.concatenate([np.zeros(0, np.int64), *probes]),
+                             :2]
 
-    planar_ids = [n.node_id for n in graph.nodes if n.segment_type == PLANAR]
-    if not planar_ids:
-        graph.metadata["groundless"] = sorted(range(n_seg))
-        return 0
-    tagged_xy = []
-    tags = []
-    for k in planar_ids:
-        xy = mesh.vertices[np.unique(mesh.faces[seg_faces[k]]), :2]
-        tagged_xy.append(xy)
-        tags.append(np.full(len(xy), k))
-    tree = cKDTree(np.concatenate(tagged_xy))
-    tags = np.concatenate(tags)
-
-    groundless = []
-    added = 0
-    for k in range(n_seg):
-        probe_xy = mesh.vertices[probes[k], :2]
-        hits = tree.query_ball_point(probe_xy, radius)
-        cand = set()
-        for h in hits:
-            cand.update(int(tags[i]) for i in h)
-        cand.discard(k)
-        if not cand:
-            groundless.append(k)
-            continue
-        cands = sorted(cand)
-        zs = mean_z[cands]
-        best = np.flatnonzero(zs == zs.min())
-        if len(best) > 1:
-            byarea = seg_area[np.asarray(cands)[best]]
-            ground = cands[best[int(np.argmax(byarea))]]
-        else:
-            ground = cands[best[0]]
-        graph.add_pair(k, ground, EDGE_GROUND)
-        added += 1
-    graph.metadata["groundless"] = groundless
-    return added
+    planar = np.array([n.node_id for n in graph.nodes
+                       if n.segment_type == PLANAR], dtype=np.int64)
+    ground = np.full(n_seg, -1, dtype=np.int64)
+    # visit the planar segments in preference order; the first hit wins
+    for g in planar[np.lexsort((planar, -seg_area[planar], mean_z[planar]))]:
+        open_ = (ground[probe_seg] < 0) & (probe_seg != g)
+        if not open_.any():
+            break
+        tree = cKDTree(mesh.vertices[np.unique(mesh.faces[seg_faces[g]]), :2])
+        near = tree.query_ball_point(probe_xy[open_], radius,
+                                     return_length=True) > 0
+        ground[probe_seg[open_][near]] = g
+    linked = np.flatnonzero(ground >= 0)
+    graph.metadata["groundless"] = np.flatnonzero(ground < 0).tolist()
+    return graph.add_pairs(np.column_stack([linked, ground[linked]]),
+                           EDGE_GROUND)
 
 
 def exmat_edges(graph: SegmentGraph, mesh: TriangleMesh, segmentation,
@@ -224,78 +211,65 @@ def exmat_edges(graph: SegmentGraph, mesh: TriangleMesh, segmentation,
         return 0
     norms = np.linalg.norm(sample.normals, axis=1)
     ok = norms > 0.5       # degenerate source faces give zero normals
-    pts = sample.positions[ok]
-    balls = shrinking_ball_transform(pts, sample.normals[ok],
+    balls = shrinking_ball_transform(sample.positions[ok], sample.normals[ok],
                                      orientation="exterior",
                                      denoise_angle=denoise_angle)
-    src = sample.source_face[ok]
-    added = 0
-    for i in np.flatnonzero(balls.kept):
-        j = int(balls.touch_index[i])
-        if j < 0:
-            continue
-        sa = int(face_segment[src[i]])
-        sb = int(face_segment[src[j]])
-        if sa != sb and sa >= 0 and sb >= 0:
-            graph.add_pair(sa, sb, EDGE_EXMAT)
-            added += 1
-    return added
+    point_seg = face_segment[sample.source_face[ok]]
+    i = np.flatnonzero(balls.kept & (balls.touch_index >= 0))
+    pairs = np.column_stack([point_seg[i], point_seg[balls.touch_index[i]]])
+    keep = (pairs[:, 0] != pairs[:, 1]) & (pairs >= 0).all(axis=1)
+    return graph.add_pairs(pairs[keep], EDGE_EXMAT)
 
 
 def _proximity_points(mesh, face_segment):
     """Vertices plus face centroids, each tagged with one segment id."""
-    n_v = mesh.n_vertices
-    vert_tag = np.full(n_v, -1, dtype=np.int64)
-    # a vertex takes the segment of its lowest-id incident face
-    for f in range(mesh.n_faces - 1, -1, -1):
-        if face_segment[f] >= 0:
-            vert_tag[mesh.faces[f]] = face_segment[f]
+    # a vertex takes the segment of its lowest-id segmented face; the
+    # sentinel id n_faces tags vertices without one as -1
+    segmented = np.flatnonzero(face_segment >= 0)
+    first_face = np.full(mesh.n_vertices, mesh.n_faces, dtype=np.int64)
+    np.minimum.at(first_face, mesh.faces[segmented].ravel(),
+                  np.repeat(segmented, 3))
+    vert_tag = np.append(face_segment, -1)[first_face]
     points = np.vstack([mesh.vertices, mesh.face_centroid])
     tags = np.concatenate([vert_tag, face_segment])
     keep = tags >= 0
     return points[keep], tags[keep]
 
 
-def _pairs_to_edges(graph, tags, pairs, edge_type):
-    added = 0
-    for i, j in pairs:
-        a, b = int(tags[i]), int(tags[j])
-        if a != b:
-            graph.add_pair(a, b, edge_type)
-            added += 1
-    return added
+def _unique_pairs(i, j, n):
+    """Distinct (min, max) rows of the index pairs (i, j), ascending."""
+    key = np.unique(pair_keys(np.sort(np.column_stack([i, j]), axis=1), n))
+    return np.column_stack(np.divmod(key, n))
 
 
-def delaunay_pairs(points) -> set:
+def delaunay_pairs(points) -> np.ndarray:
     """Point index pairs connected in the 3D Delaunay triangulation.
 
-    Raises QhullError (or ValueError) for inputs Qhull cannot triangulate.
+    Returns the distinct pairs as an ascending (M, 2) int64 array, each row
+    (lower, higher). Raises QhullError (or ValueError) for inputs Qhull
+    cannot triangulate.
     """
-    tri = Delaunay(np.asarray(points, dtype=np.float64),
-                   qhull_options="QJ")
-    pairs = set()
-    for simplex in tri.simplices:
-        s = sorted(int(x) for x in simplex)
-        for x in range(len(s)):
-            for y in range(x + 1, len(s)):
-                pairs.add((s[x], s[y]))
-    return pairs
+    points = np.asarray(points, dtype=np.float64)
+    tri = Delaunay(points, qhull_options="QJ")
+    iu, ju = np.triu_indices(tri.simplices.shape[1], k=1)
+    return _unique_pairs(tri.simplices[:, iu].ravel(),
+                         tri.simplices[:, ju].ravel(), len(points))
 
 
-def knn_pairs(points, k: int = 16, cutoff_factor: float = 16.0) -> set:
-    """Symmetric k-nearest-neighbor pairs within a spacing-scaled cutoff."""
+def knn_pairs(points, k: int = 16, cutoff_factor: float = 16.0) -> np.ndarray:
+    """Symmetric k-nearest-neighbor pairs within a spacing-scaled cutoff.
+
+    Returns the distinct pairs as an ascending (M, 2) int64 array, each row
+    (lower, higher).
+    """
     points = np.asarray(points, dtype=np.float64)
     tree = cKDTree(points)
     kq = min(k + 1, len(points))
     dist, idx = tree.query(points, k=kq)
     cutoff = cutoff_factor * float(np.median(dist[:, 1]))
-    pairs = set()
-    for i in range(len(points)):
-        for col in range(1, kq):
-            j = int(idx[i, col])
-            if dist[i, col] <= cutoff:
-                pairs.add((min(i, j), max(i, j)))
-    return pairs
+    near = dist[:, 1:] <= cutoff
+    rows = np.broadcast_to(np.arange(len(points))[:, None], near.shape)
+    return _unique_pairs(rows[near], idx[:, 1:][near], len(points))
 
 
 def proximity_edges(graph: SegmentGraph, mesh: TriangleMesh, segmentation,
@@ -322,13 +296,12 @@ def proximity_edges(graph: SegmentGraph, mesh: TriangleMesh, segmentation,
             warnings.warn("degenerate input for 3D Delaunay; "
                           "falling back to knn proximity")
             mode = "knn"
-        else:
-            graph.metadata["proximity_mode"] = "delaunay"
-            return _pairs_to_edges(graph, tags, sorted(pairs),
-                                   EDGE_PROXIMITY)
-    graph.metadata["proximity_mode"] = "knn"
-    pairs = knn_pairs(points, k, cutoff_factor)
-    return _pairs_to_edges(graph, tags, sorted(pairs), EDGE_PROXIMITY)
+    if mode == "knn":
+        pairs = knn_pairs(points, k, cutoff_factor)
+    graph.metadata["proximity_mode"] = mode
+    seg_pairs = tags[pairs]
+    return graph.add_pairs(seg_pairs[seg_pairs[:, 0] != seg_pairs[:, 1]],
+                           EDGE_PROXIMITY)
 
 
 # ------------------------------------------------------------ edge features

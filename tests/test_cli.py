@@ -2,11 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from pssmesh.cli import main
 from pssmesh.config import PipelineConfig
-from pssmesh.meshio import load_mesh
+from pssmesh.mesh import TriangleMesh
+from pssmesh.meshio import load_mesh, save_mesh
 from pssmesh.pipeline import load_manifest, run_pipeline
 
 
@@ -253,7 +255,8 @@ def test_bad_config_file_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("name, text", [
     ("nan.obj", "v 0 0 0\nv nan 0 0\nv 0 1 0\nf 1 2 3\n"),
     ("tri.stl", "solid tri\nendsolid tri\n"),
-], ids=["non-finite-vertex", "stl"])
+    ("verts.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\n"),
+], ids=["non-finite-vertex", "stl", "no-faces"])
 def test_bad_mesh_input_exit_2(tmp_path, capsys, name, text):
     bad = tmp_path / name
     bad.write_text(text)
@@ -278,3 +281,18 @@ def test_bad_segmentation_exit_2(ws, tmp_path, capsys, command, text):
                  "--segmentation", str(bad), "--out", str(tmp_path / "ev")])
     assert code == 2
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", [
+    "0,1\n-1,3\n", "0,1\n2,3\n", "0,1\n0,3\n", "0,1\n1,x\n",
+], ids=["negative-id", "out-of-range-id", "repeated-id", "non-integer"])
+def test_bad_face_predictions_exit_2(tmp_path, capsys, rows):
+    gt = tmp_path / "gt.ply"
+    save_mesh(TriangleMesh(vertices=np.eye(4, 3), faces=[[0, 1, 2], [1, 3, 2]],
+                           face_label=np.array([1, 3], dtype=np.int32)), gt)
+    pred = tmp_path / "pred.csv"
+    pred.write_text("face,class\n" + rows)
+    code = main(["eval-semantic", "--pred", str(pred), "--gt", str(gt),
+                 "--out", str(tmp_path / "ev")])
+    assert code == 2
+    assert f"{pred}: row 3" in capsys.readouterr().err

@@ -20,6 +20,7 @@ from pssmesh.seggraph import (
     GraphNode,
     GraphParams,
     SegmentGraph,
+    _proximity_points,
     build_segment_graph,
     compute_edge_features,
     connecting_ground_edges,
@@ -173,6 +174,102 @@ def test_groundless_when_no_planar_candidates():
     assert g.metadata["groundless"] == [0, 1]
 
 
+def square(x, y, z, size):
+    """Two-face axis-aligned square with its own four vertices."""
+    verts = [[x, y, z], [x + size, y, z], [x, y + size, z],
+             [x + size, y + size, z]]
+    return np.array(verts, dtype=float), np.array([[0, 1, 2], [1, 3, 2]])
+
+
+def ground_layout(rng):
+    """Randomly labeled 6x6 grid plus loose squares; returns mesh and labels.
+
+    Squares sit on integer xy corners at z 0, 1 or 2 with side 1 or 2, so
+    mean z and area tie exactly between segments. The last two squares,
+    far from the rest, have corners exactly 5 apart in xy (a 3-4-5 step).
+    """
+    grid = grid_mesh(6, 6)
+    verts, faces = [grid.vertices], [grid.faces]
+    labels = [rng.integers(-1, 4, grid.n_faces)]
+    n_seg = 4
+    pieces = [(*rng.integers(-8, 14, 2), rng.integers(0, 3),
+               rng.integers(1, 3)) for _ in range(int(rng.integers(4, 10)))]
+    pieces += [(99, 99, 0, 1), (103, 104, int(rng.integers(0, 3)), 1)]
+    base = grid.n_vertices
+    for x, y, z, size in pieces:
+        v, f = square(x, y, z, size)
+        verts.append(v)
+        faces.append(f + base)
+        labels.append(np.full(2, n_seg))
+        base += 4
+        n_seg += 1
+    mesh = TriangleMesh(vertices=np.vstack(verts),
+                        faces=np.vstack(faces).astype(np.int32))
+    return mesh, np.concatenate(labels).astype(np.int32), n_seg
+
+
+def brute_ground(mesh, adj, face_segment, planar, radius):
+    """Ground of every segment (-1: none) by O(n^2) xy distances."""
+    n_seg = len(planar)
+    faces = [np.flatnonzero(face_segment == k) for k in range(n_seg)]
+    verts = [set(mesh.faces[f].ravel().tolist()) for f in faces]
+    probes = [set() for _ in range(n_seg)]
+    for (u, v), (f0, f1) in zip(adj.edge_vertices.tolist(),
+                                adj.edge_faces.tolist()):
+        sides = {face_segment[f0], face_segment[f1] if f1 >= 0 else -2}
+        if len(sides) == 2:
+            for k in sides:
+                if k >= 0:
+                    probes[k].update((u, v))
+    xy = mesh.vertices[:, :2]
+    mean_z = [mesh.face_centroid[f, 2].mean() for f in faces]
+    area = [mesh.face_area[f].sum() for f in faces]
+    ground = []
+    ties = set()            # "z": mean z decided by area, "area": by id
+    for k in range(n_seg):
+        p = xy[sorted(probes[k] or verts[k])]
+        cands = [c for c in range(n_seg) if planar[c] and c != k
+                 and (np.linalg.norm(p[:, None] - xy[sorted(verts[c])][None],
+                                     axis=2) <= radius).any()]
+        best = min(cands, key=lambda c: (mean_z[c], -area[c], c),
+                   default=-1)
+        ground.append(best)
+        level = [c for c in cands if mean_z[c] == mean_z[best]]
+        if len(level) > 1:
+            ties.add("z")
+        if sum(area[c] == area[best] for c in level) > 1:
+            ties.add("area")
+    return ground, ties
+
+
+def test_ground_matches_brute_force():
+    rng = np.random.default_rng(5)
+    ties = set()
+    for trial in range(40):
+        mesh, face_segment, n_seg = ground_layout(rng)
+        adj = build_adjacency(mesh)
+        planar = rng.random(n_seg) < 0.7
+        planar[-1] = True           # the far end of the 3-4-5 step
+        seg = Segmentation(face_segment=face_segment,
+                           segment_type=np.where(planar, PLANAR, NONPLANAR),
+                           planes=np.zeros((n_seg, 4)))
+        g = SegmentGraph(nodes=[GraphNode(k, int(seg.segment_type[k]),
+                                          np.zeros(3), np.zeros(4),
+                                          np.ones(2)) for k in range(n_seg)],
+                         edges={})
+        added = connecting_ground_edges(g, mesh, adj, seg, radius=5.0)
+        ground, t = brute_ground(mesh, adj, face_segment, planar, 5.0)
+        ties |= t
+        expect = {(min(k, c), max(k, c)) for k, c in enumerate(ground)
+                  if c >= 0}
+        assert set(g.edges) == expect, trial
+        assert added == sum(c >= 0 for c in ground)
+        assert g.metadata["groundless"] == [k for k, c in enumerate(ground)
+                                            if c < 0]
+        assert ground[n_seg - 2] == n_seg - 1   # found exactly at radius
+    assert ties == {"z", "area"}
+
+
 # ------------------------------------------------------------------- exmat
 
 
@@ -308,7 +405,8 @@ def test_delaunay_matches_brute_force_small_sets():
     for _ in range(50):
         n = int(rng.integers(5, 9))
         pts = rng.random((n, 3)) * 10.0
-        assert delaunay_pairs(pts) == brute_delaunay_pairs(pts)
+        assert set(map(tuple, delaunay_pairs(pts).tolist())) \
+            == brute_delaunay_pairs(pts)
 
 
 def test_proximity_shared_edge_both_modes():
@@ -354,7 +452,43 @@ def test_knn_pairs_symmetric():
     rng = np.random.default_rng(2)
     pts = rng.random((40, 3))
     pairs = knn_pairs(pts, k=4)
-    assert all(a < b for a, b in pairs)
+    assert all(a < b for a, b in pairs.tolist())
+
+
+def test_knn_pairs_match_distance_matrix():
+    rng = np.random.default_rng(4)
+    for n, k, factor in [(40, 4, 1.5), (41, 6, 3.0), (9, 16, 16.0),
+                         (60, 3, 1.2)]:
+        pts = rng.random((n, 3)) * [8.0, 8.0, 2.0]
+        d = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+        order = np.argsort(d, axis=1)[:, 1:k + 1]    # column 0 is the point
+        cutoff = factor * np.median(np.sort(d, axis=1)[:, 1])
+        expect = {(min(i, j), max(i, j)) for i in range(n)
+                  for j in order[i].tolist() if d[i, j] <= cutoff}
+        pairs = knn_pairs(pts, k=k, cutoff_factor=factor)
+        assert pairs.dtype == np.int64 and pairs.shape[1] == 2
+        assert set(map(tuple, pairs.tolist())) == expect
+        assert len(expect) == len(pairs)                 # rows are distinct
+        assert (np.diff(pairs[:, 0] * n + pairs[:, 1]) > 0).all()
+
+
+def test_proximity_points_take_lowest_segmented_face():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        mesh = grid_mesh(5, 4)
+        mesh.faces = mesh.faces[rng.permutation(mesh.n_faces)]
+        face_segment = rng.integers(-1, 4, mesh.n_faces).astype(np.int32)
+        points, tags = _proximity_points(mesh, face_segment)
+        vert_tag = []
+        for v in range(mesh.n_vertices):
+            segmented = [f for f in range(mesh.n_faces)
+                         if v in mesh.faces[f] and face_segment[f] >= 0]
+            vert_tag.append(face_segment[min(segmented)] if segmented else -1)
+        all_tags = np.concatenate([vert_tag, face_segment])
+        keep = all_tags >= 0
+        all_points = np.vstack([mesh.vertices, mesh.face_centroid])
+        assert (tags == all_tags[keep]).all()
+        assert (points == all_points[keep]).all()
 
 
 # ----------------------------------------------------------- edge features
@@ -381,7 +515,7 @@ def test_edge_features_log_ratio_and_offsets():
         GraphNode(0, PLANAR, np.zeros(3), seg.planes[0], np.array([2.0, 1.0])),
         GraphNode(1, PLANAR, np.zeros(3), seg.planes[1], np.array([1.0, 1.0])),
     ], edges={}, channel_names=["alpha", "beta"])
-    g.add_pair(0, 1, EDGE_PROXIMITY)
+    g.add_pairs([[0, 1]], EDGE_PROXIMITY)
     compute_edge_features(g, mesh, adj, seg)
     e = g.edges[(0, 1)]
     assert abs(e.log_ratio[0] - np.log((2.0 + 1e-6) / (1.0 + 1e-6))) < 1e-12
@@ -395,7 +529,7 @@ def test_edge_offset_zero_for_enclosed_segment():
         GraphNode(0, PLANAR, np.zeros(3), seg.planes[0], np.ones(2)),
         GraphNode(1, PLANAR, np.zeros(3), seg.planes[1], np.ones(2)),
     ], edges={})
-    g.add_pair(1, 0, EDGE_PROXIMITY)      # order normalized to (0 -> 1)? no:
+    g.add_pairs([[1, 0]], EDGE_PROXIMITY)  # order normalized to (0 -> 1)? no:
     # the pair key is (min, max); offsets run from segment 1's boundary,
     # which is entirely shared with segment 0, only when 1 is the lower id.
     # Here the lower id is 0, whose boundary includes the outer border.
@@ -406,7 +540,7 @@ def test_edge_offset_zero_for_enclosed_segment():
     seg2 = Segmentation(face_segment=(1 - seg.face_segment).astype(np.int32),
                         segment_type=seg.segment_type, planes=seg.planes)
     g2 = SegmentGraph(nodes=g.nodes, edges={})
-    g2.add_pair(0, 1, EDGE_PROXIMITY)
+    g2.add_pairs([[0, 1]], EDGE_PROXIMITY)
     compute_edge_features(g2, mesh, adj, seg2)
     assert g2.edges[(0, 1)].offset_mean == 0.0
     assert g2.edges[(0, 1)].offset_std == 0.0
@@ -418,7 +552,7 @@ def test_negative_channel_shifted_and_flagged():
         GraphNode(0, PLANAR, np.zeros(3), seg.planes[0], np.array([-0.5, 1.0])),
         GraphNode(1, PLANAR, np.zeros(3), seg.planes[1], np.array([0.5, 2.0])),
     ], edges={}, channel_names=["mean_greenness", "area"])
-    g.add_pair(0, 1, EDGE_PROXIMITY)
+    g.add_pairs([[0, 1]], EDGE_PROXIMITY)
     compute_edge_features(g, mesh, adj, seg)
     assert g.metadata["shifted_channels"] == ["mean_greenness"]
     e = g.edges[(0, 1)]
@@ -430,7 +564,7 @@ def test_negative_channel_shifted_and_flagged():
 def test_self_edge_rejected():
     g = SegmentGraph(nodes=[plane_node(0, [0, 0, 1])], edges={})
     with pytest.raises(ValueError, match="self-edge"):
-        g.add_pair(0, 0, EDGE_PARALLEL)
+        g.add_pairs([[0, 0]], EDGE_PARALLEL)
 
 
 # ----------------------------------------------------------------- export
@@ -474,8 +608,8 @@ def test_export_roundtrip(tmp_path):
         GraphNode(1, NONPLANAR, np.array([1.0, 2.0, 3.0]), seg.planes[1],
                   np.array([1.0, 4.0])),
     ], edges={}, channel_names=["alpha", "beta"])
-    g.add_pair(0, 1, EDGE_PROXIMITY)
-    g.add_pair(0, 1, EDGE_PARALLEL)
+    g.add_pairs([[0, 1]], EDGE_PROXIMITY)
+    g.add_pairs([[0, 1]], EDGE_PARALLEL)
     compute_edge_features(g, mesh, adj, seg)
     path = tmp_path / "graph.json"
     export_graph(g, path)

@@ -3,14 +3,67 @@
 import importlib.util
 from pathlib import Path
 
+from pssmesh import pipeline
+from pssmesh.adjacency import build_adjacency
+from pssmesh.segfeatures import compute_segment_features
+from pssmesh.seggraph import (GraphParams, SegmentGraph,
+                              connecting_ground_edges, exmat_edges,
+                              parallelism_edges, proximity_edges)
+from pssmesh.synth import TileParams, synth_tile
+
+from test_seggraph import components_segmentation, fake_features
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_traced_call_site_resolves():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_call_site_resolves():
+    tracing = load_tracing()
     assert tracing.CALL_SITES
     for module, path, _, _ in tracing.CALL_SITES:
         owner, attr = tracing.resolve(module, path)
         assert callable(getattr(owner, attr, None)), f"{module}.{path}"
+
+
+def test_traced_graph_counts_match_graph():
+    tracing = load_tracing()
+    mesh = synth_tile(TileParams(seed=1, ground_res=16, n_boxes=2, n_trees=1,
+                                 n_vehicles=1))
+    adj = build_adjacency(mesh)
+    seg = components_segmentation(mesh, adj)
+    feats = compute_segment_features(mesh, adj, seg, fake_features(mesh))
+    params = GraphParams(exmat_density=2.0)
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        graph = pipeline.build_segment_graph(mesh, adj, seg, feats, params)
+    finally:
+        restore()
+    spans = {s[0] for s in tracer.spans}
+    assert {"seggraph.total", "seggraph.nodes", "seggraph.parallel",
+            "seggraph.ground", "seggraph.exmat", "seggraph.proximity",
+            "seggraph.edge_features"} <= spans
+    c = tracer.counts
+    assert c["seggraph.edges"] == graph.n_edges > 0
+    for family in tracing.EDGE_FAMILIES:
+        n = sum(family in e.types for e in graph.edges.values())
+        assert c[f"seggraph.edges.{family}"] == n > 0, family
+    assert c["seggraph.groundless"] == len(graph.metadata["groundless"])
+
+    fresh = SegmentGraph(nodes=graph.nodes, edges={})
+    added = (parallelism_edges(fresh, params.parallel_angle_deg)
+             + connecting_ground_edges(fresh, mesh, adj, seg,
+                                       params.ground_radius)
+             + exmat_edges(fresh, mesh, seg, params.exmat_density,
+                           params.exmat_denoise_angle, params.seed)
+             + proximity_edges(fresh, mesh, seg, params.proximity_mode,
+                               params.knn_k, params.knn_cutoff_factor))
+    assert c["seggraph.added"] == added
+    assert {k: e.types for k, e in fresh.edges.items()} \
+        == {k: e.types for k, e in graph.edges.items()}
