@@ -7,10 +7,14 @@ Channel layout "face-v1" (27 channels, order fixed):
     inmat_radius, vertex_density, face_density, greenness, color_h/_s/_v
 
 Eigen channels come from the area-weighted covariance of face centroids in a
-ball around each face. ``elevation_rel`` is relative to the scene-wide lowest
-centroid; the _rNN variants subtract the lowest centroid inside a vertical
-cylinder of that radius. Densities are counts within a 1 m ball divided by
-the disc area pi. Color channels use the face color (HSV hue in degrees).
+ball around each face (``dx*dx + dy*dy + dz*dz <= r*r``, the face itself
+included). One ``query_pairs`` at the largest radius finds the neighbours of
+every radius; each face's neighbours are summed in ascending index order.
+``elevation_rel`` is relative to the scene-wide lowest centroid; the _rNN
+variants subtract the lowest centroid inside a vertical cylinder of that
+radius, found exactly on an xy grid of per-cell minima (``cylinder_min_z``).
+Densities are counts within a 1 m ball divided by the disc area pi. Color
+channels use the face color (HSV hue in degrees).
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from .medial import shrinking_ball_transform
 
 EIGEN_NAMES = ("linearity", "planarity", "sphericity", "curvature", "verticality")
 LAYOUT_FACE_V1 = "face-v1"
+EIGEN_FACE_BLOCK = 256          # faces whose neighbourhoods are summed at once
+CELLS_PER_RADIUS = 8            # cylinder_min_z grid cells per radius
 
 
 @dataclass
@@ -69,44 +75,113 @@ def face_channel_names(params: FaceFeatureParams) -> list:
     return names
 
 
-def eigen_shape_features(centroids, areas, tree, radius):
-    """(F, 5) eigen channels + flag for neighborhoods with <3 points.
+def eigen_shape_features(centroids, areas, tree, radii):
+    """(F, 5 * len(radii)) eigen channels and (F, len(radii)) flags.
 
-    Channels per face: linearity, planarity, sphericity, curvature and
-    verticality (1 - |z| of the neighborhood's least eigenvector), computed
-    from the area-weighted covariance of the centroids within ``radius``.
+    Channels per face and radius, five per radius in the order of
+    ``radii``: linearity, planarity, sphericity, curvature and verticality
+    (1 - |z| of the neighbourhood's least eigenvector), computed from the
+    area-weighted covariance of the centroids within the radius. A face is
+    flagged (and its channels are 0) when fewer than 3 centroids or no
+    spread lie in its ball.
+
+    The neighbours come from one ``tree.query_pairs(max(radii))``. Face j
+    is a neighbour of face i at radius r when dx*dx + dy*dy + dz*dz <= r*r
+    (the rule ``cKDTree`` applies itself); every face is its own neighbour.
+    Each face's neighbours are summed in ascending index order, the order
+    ``query_ball_point`` lists them in, and faces are processed in blocks
+    of ``EIGEN_FACE_BLOCK`` so the temporaries stay small.
     """
     nf = len(centroids)
-    groups = tree.query_ball_point(centroids, radius)
-    counts = np.fromiter((len(g) for g in groups), dtype=np.int64, count=nf)
-    flat = np.concatenate([np.asarray(g, dtype=np.int64) for g in groups]) \
-        if counts.sum() else np.zeros(0, dtype=np.int64)
-    owner = np.repeat(np.arange(nf), counts)
+    xyz = [np.ascontiguousarray(centroids[:, a], dtype=np.float64)
+           for a in range(3)]
+    keys = _neighbour_keys(tree, nf, max(radii))
+    cov = np.zeros((len(radii), nf, 3, 3))
+    counts = np.zeros((len(radii), nf), dtype=np.int64)
+    for f0 in range(0, nf, EIGEN_FACE_BLOCK):
+        f1 = min(f0 + EIGEN_FACE_BLOCK, nf)
+        lo, hi = np.searchsorted(keys, (f0 * nf, f1 * nf))
+        owner, nb = np.divmod(keys[lo:hi], nf)
+        d2 = _squared_distances(xyz, owner, nb)
+        owner -= f0
+        for j, r in enumerate(radii):
+            near = d2 <= r * r
+            cov[j, f0:f1], counts[j, f0:f1] = _weighted_covariance(
+                owner[near], nb[near], xyz, areas, f1 - f0)
+    out = np.zeros((nf, 5 * len(radii)))
+    flagged = np.zeros((nf, len(radii)), dtype=bool)
+    for j in range(len(radii)):
+        out[:, 5 * j:5 * j + 5], flagged[:, j] = _shape_channels(cov[j],
+                                                                 counts[j])
+    return out, flagged
 
-    w = areas[flat]
-    wsum = np.bincount(owner, weights=w, minlength=nf)
-    mean = np.column_stack([
-        np.bincount(owner, weights=w * centroids[flat, a], minlength=nf)
-        for a in range(3)])
+
+def _neighbour_keys(tree, nf, radius):
+    """Ascending ``owner * nf + neighbour`` keys of every face's ball.
+
+    Both directions of each ``query_pairs`` pair plus the self pair, so
+    each owner's neighbours come out in ascending order.
+    """
+    pairs = tree.query_pairs(radius, output_type="ndarray")
+    m = len(pairs)
+    keys = np.empty(2 * m + nf, dtype=np.int64)
+    np.multiply(pairs[:, 0], nf, out=keys[:m])
+    keys[:m] += pairs[:, 1]
+    np.multiply(pairs[:, 1], nf, out=keys[m:2 * m])
+    keys[m:2 * m] += pairs[:, 0]
+    del pairs
+    keys[2 * m:] = np.arange(nf, dtype=np.int64) * (nf + 1)
+    keys.sort()
+    return keys
+
+
+def _squared_distances(xyz, i, j):
+    """dx*dx + dy*dy + dz*dz between points i and j, summed left to right."""
+    d2 = xyz[0][i] - xyz[0][j]
+    d2 *= d2
+    for c in xyz[1:]:
+        t = c[i] - c[j]
+        t *= t
+        d2 += t
+    return d2
+
+
+def _weighted_covariance(owner, nb, xyz, areas, n):
+    """(n, 3, 3) area-weighted covariance per owner and the ball sizes.
+
+    Two passes (weighted mean, then centred products) with ``bincount``,
+    which sums each owner's entries in array order.
+    """
+    w = areas[nb]
+    wsum = np.bincount(owner, weights=w, minlength=n)
     ok = wsum > 0
-    mean[ok] /= wsum[ok, None]
-
-    d = centroids[flat] - mean[owner]
-    cov = np.zeros((nf, 3, 3))
+    dev = []
+    for c in xyz:
+        col = c[nb]
+        mean = np.bincount(owner, weights=w * col, minlength=n)
+        mean[ok] /= wsum[ok]
+        col -= mean[owner]
+        dev.append(col)
+    cov = np.empty((n, 3, 3))
     for a in range(3):
+        wd = w * dev[a]
         for b in range(a, 3):
-            cab = np.bincount(owner, weights=w * d[:, a] * d[:, b], minlength=nf)
+            cab = np.bincount(owner, weights=wd * dev[b], minlength=n)
             cov[:, a, b] = cab
             cov[:, b, a] = cab
     cov[ok] /= wsum[ok][:, None, None]
+    return cov, np.bincount(owner, minlength=n)
 
+
+def _shape_channels(cov, counts):
+    """(F, 5) eigen channels and flags from per-face covariances."""
     evals, evecs = np.linalg.eigh(cov)          # ascending
     evals = np.clip(evals, 0.0, None)
     l1, l2, l3 = evals[:, 2], evals[:, 1], evals[:, 0]
     flagged = (counts < 3) | (l1 <= 1e-18)
     safe1 = np.where(l1 > 0, l1, 1.0)
     total = l1 + l2 + l3
-    out = np.zeros((nf, 5))
+    out = np.zeros((len(cov), 5))
     out[:, 0] = (l1 - l2) / safe1
     out[:, 1] = (l2 - l3) / safe1
     out[:, 2] = l3 / safe1
@@ -119,29 +194,82 @@ def eigen_shape_features(centroids, areas, tree, radius):
 def cylinder_min_z(points_xy, points_z, query_xy, radius):
     """Exact min z among points whose XY distance to each query is <= radius.
 
-    Scans points in ascending z in blocks, so most queries resolve after a
-    few blocks (any low ground point inside the cylinder ends the search).
-    Queries with no point in range yield +inf.
+    A point is in range when dx*dx + dy*dy <= radius*radius, with dx and dy
+    the query's minus the point's coordinates. Queries with no point in
+    range yield +inf.
+
+    Points are binned into square cells of side ``radius /
+    CELLS_PER_RADIUS`` (coarser when the points are sparse, so there are at
+    most about sqrt(n) cells along either axis), and each cell keeps its
+    lowest z. A cell that lies inside the disc wherever a query sits in its
+    own cell answers with that minimum. A cell that may cross the circle is
+    checked point by point, nearest cells first, and only when its minimum
+    is below the lowest z found so far.
     """
-    points_xy = np.asarray(points_xy, dtype=np.float64)
-    points_z = np.asarray(points_z, dtype=np.float64)
-    query_xy = np.asarray(query_xy, dtype=np.float64)
-    order = np.argsort(points_z, kind="stable")
-    out = np.full(len(query_xy), np.inf)
-    unresolved = np.arange(len(query_xy))
+    pxy = np.asarray(points_xy, dtype=np.float64)
+    pz = np.asarray(points_z, dtype=np.float64)
+    qxy = np.asarray(query_xy, dtype=np.float64)
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"cylinder radius must be finite and > 0: {radius}")
+    out = np.full(len(qxy), np.inf)
+    if len(pz) == 0 or len(qxy) == 0:
+        return out
     r2 = radius * radius
-    block = 256
-    for start in range(0, len(order), block):
-        if len(unresolved) == 0:
-            break
-        blk = order[start:start + block]
-        d2 = ((query_xy[unresolved][:, None, :] - points_xy[blk][None, :, :]) ** 2).sum(axis=2)
-        hit = d2 <= r2
-        has = hit.any(axis=1)
-        if has.any():
-            first = np.argmax(hit[has], axis=1)     # blocks are z-ascending
-            out[unresolved[has]] = points_z[blk[first]]
-            unresolved = unresolved[~has]
+    lo = pxy.min(axis=0)
+    cell = max(radius / CELLS_PER_RADIUS,
+               float((pxy.max(axis=0) - lo).max()) / np.sqrt(len(pz)))
+    # no point in range lies more than `reach` cells from the query's cell;
+    # a `pad` of empty cells keeps every looked-up cell inside the grid
+    reach = int(np.ceil(radius / cell)) + 1
+    pad = 2 * reach
+    # slack for rounding in the cell assignment and in the distances
+    tol = 1e-9 * (radius + float(np.abs(pxy).max()))
+
+    pc = np.floor((pxy - lo) / cell).astype(np.int64) + pad
+    shape = pc.max(axis=0) + pad + 1
+    cid = pc[:, 0] * shape[1] + pc[:, 1]
+    order = np.lexsort((pz, cid))               # by cell, then by z
+    cid = cid[order]
+    px, py, pz = pxy[order, 0], pxy[order, 1], pz[order]
+    start = np.searchsorted(cid, np.arange(shape[0] * shape[1] + 1))
+    cell_min = np.full(shape[0] * shape[1], np.inf)
+    filled = np.flatnonzero(start[1:] > start[:-1])
+    cell_min[filled] = pz[start[filled]]
+
+    qf = np.floor((qxy - lo) / cell) + pad
+    valid = np.flatnonzero(((qf >= reach) & (qf < shape - reach)).all(axis=1))
+    qc = qf[valid].astype(np.int64)
+    qcell = qc[:, 0] * shape[1] + qc[:, 1]
+    qx, qy = qxy[valid, 0], qxy[valid, 1]
+
+    # per-axis distance bounds between points of two cells `a` cells apart
+    a = np.abs(np.arange(-reach, reach + 1))
+    far = (a + 1) * cell + tol
+    near = np.maximum((a - 1) * cell - tol, 0.0)
+    inside = far[:, None] ** 2 + far[None, :] ** 2 <= r2
+    gap2 = near[:, None] ** 2 + near[None, :] ** 2
+    rim = (gap2 <= r2) & ~inside
+    step = np.add.outer(np.arange(-reach, reach + 1) * shape[1],
+                        np.arange(-reach, reach + 1))
+
+    best = np.full(len(valid), np.inf)
+    for off in step[inside]:
+        np.minimum(best, cell_min[qcell + off], out=best)
+    for off in step[rim][np.argsort(gap2[rim], kind="stable")]:
+        t = qcell + off
+        sel = np.flatnonzero(cell_min[t] < best)
+        if len(sel) == 0:
+            continue
+        first = start[t[sel]]
+        cnt = start[t[sel] + 1] - first
+        group = np.cumsum(cnt) - cnt
+        q = np.repeat(sel, cnt)
+        p = np.repeat(first - group, cnt) + np.arange(int(cnt.sum()))
+        dx = qx[q] - px[p]
+        dy = qy[q] - py[p]
+        z = np.where(dx * dx + dy * dy <= r2, pz[p], np.inf)
+        best[sel] = np.minimum(best[sel], np.minimum.reduceat(z, group))
+    out[valid] = best
     return out
 
 
@@ -202,10 +330,9 @@ def compute_face_features(mesh: TriangleMesh,
     areas = mesh.face_area
     tree = cKDTree(cent)
 
-    col = 0
-    for r in params.eigen_radii:
-        vals[:, col:col + 5] = eigen_shape_features(cent, areas, tree, r)[0]
-        col += 5
+    col = 5 * len(params.eigen_radii)
+    vals[:, :col] = eigen_shape_features(cent, areas, tree,
+                                         params.eigen_radii)[0]
 
     z = cent[:, 2]
     vals[:, col] = z

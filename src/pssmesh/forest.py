@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ConfigError
+
 PROB_EPS = 1e-6
 MODEL_MAGIC = b"PSSF"
 MODEL_VERSION = 1
@@ -282,32 +284,56 @@ def save_model(model: ForestModel, path):
 
 
 def load_model(path) -> ForestModel:
+    """Read a model written by ``save_model``.
+
+    Bad content (bad magic, another version, a file that ends early, bytes
+    after the last tree) raises ConfigError naming the path and the byte
+    offset of the bad field.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
+    pos = 0
+
+    def bad(message, at):
+        return ConfigError(f"{path}: {message} at byte offset {at}")
+
+    def take(dtype, count=1):
+        nonlocal pos
+        dtype = np.dtype(dtype)
+        end = pos + dtype.itemsize * count
+        if end > len(buf):
+            raise bad(f"file ends early ({len(buf)} bytes, field needs "
+                      f"{end})", pos)
+        arr = np.frombuffer(buf, dtype=dtype, count=count, offset=pos).copy()
+        pos = end
+        return arr
+
     if buf[:4] != MODEL_MAGIC:
-        raise ValueError("not a forest model file (bad magic)")
+        raise bad("not a forest model file (bad magic)", 0)
     pos = 4
-    (version,) = struct.unpack_from("<I", buf, pos); pos += 4
+    version = int(take("<u4")[0])
     if version != MODEL_VERSION:
-        raise ValueError(f"unsupported model file version {version}")
-    (nlay,) = struct.unpack_from("<I", buf, pos); pos += 4
-    layout = buf[pos:pos + nlay].decode("utf-8"); pos += nlay
-    (seed,) = struct.unpack_from("<q", buf, pos); pos += 8
-    (ncls,) = struct.unpack_from("<I", buf, pos); pos += 4
-    classes = np.frombuffer(buf, dtype="<i4", count=ncls, offset=pos).copy(); pos += 4 * ncls
-    (nfeat,) = struct.unpack_from("<I", buf, pos); pos += 4
-    (ntrees,) = struct.unpack_from("<I", buf, pos); pos += 4
+        raise bad(f"unsupported model file version {version}", 4)
+    nlay = int(take("<u4")[0])
+    try:
+        layout = take("u1", nlay).tobytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise bad("layout name is not UTF-8", pos - nlay) from None
+    seed = int(take("<i8")[0])
+    ncls = int(take("<u4")[0])
+    classes = take("<i4", ncls)
+    nfeat = int(take("<u4")[0])
+    ntrees = int(take("<u4")[0])
     trees = []
     for _ in range(ntrees):
-        (n,) = struct.unpack_from("<I", buf, pos); pos += 4
-        feature = np.frombuffer(buf, dtype="<i4", count=n, offset=pos).copy(); pos += 4 * n
-        thresh = np.frombuffer(buf, dtype="<f8", count=n, offset=pos).copy(); pos += 8 * n
-        left = np.frombuffer(buf, dtype="<i4", count=n, offset=pos).copy(); pos += 4 * n
-        right = np.frombuffer(buf, dtype="<i4", count=n, offset=pos).copy(); pos += 4 * n
-        proba = np.frombuffer(buf, dtype="<f8", count=n * ncls,
-                              offset=pos).copy().reshape(n, ncls); pos += 8 * n * ncls
+        n = int(take("<u4")[0])
+        feature = take("<i4", n)
+        thresh = take("<f8", n)
+        left = take("<i4", n)
+        right = take("<i4", n)
+        proba = take("<f8", n * ncls).reshape(n, ncls)
         trees.append(Tree(feature.astype(np.int32), thresh,
                           left.astype(np.int32), right.astype(np.int32), proba))
     if pos != len(buf):
-        raise ValueError(f"trailing bytes in model file at offset {pos}")
-    return ForestModel(trees, classes.astype(np.int32), int(nfeat), layout, int(seed))
+        raise bad("trailing bytes after the last tree", pos)
+    return ForestModel(trees, classes.astype(np.int32), nfeat, layout, seed)

@@ -124,26 +124,33 @@ def _add_face(region: RegionState, mesh: TriangleMesh, face: int) -> None:
     refit_plane(region)
 
 
-def unary_cost(face: int, region: RegionState, mesh: TriangleMesh,
+def unary_cost(face, region: RegionState, mesh: TriangleMesh,
                probmap, params: GrowthParams) -> tuple:
-    """(cost for joining, cost for staying out) of one frontier face."""
+    """(cost for joining, cost for staying out) of frontier faces.
+
+    ``face`` is one face id or an array of them; the costs have its shape.
+    """
     if not region.members:
         raise ValueError("region has no member faces")
-    d = float(region.plane_distance(mesh.vertices[mesh.faces[face]]).max())
-    ci = np.inf
-    if probmap.label[face] == NONPLANAR and region.region_type == NONPLANAR:
-        ci = 1.0 - params.lambda_g * float(probmap.g_hat[face])
-    cost0 = min(d, ci)
+    face = np.asarray(face)
+    d = region.plane_distance(mesh.vertices[mesh.faces[face]]).max(axis=-1)
+    relaxed = ((probmap.label[face] == NONPLANAR)
+               & (region.region_type == NONPLANAR))
+    ci = np.where(relaxed, 1.0 - params.lambda_g * probmap.g_hat[face],
+                  np.inf)
+    cost0 = np.minimum(d, ci)
     return cost0, 1.0 - cost0
 
 
-def pairwise_cost(face: int, region: RegionState, mesh: TriangleMesh) -> float:
-    """Normal angle to the region plane in units of pi (0 when degenerate)."""
-    n_i = mesh.face_normal[face]
-    if not np.any(n_i):
-        return 0.0
-    cosang = float(np.clip(n_i @ region.normal, -1.0, 1.0))
-    return float(np.arccos(cosang) / np.pi)
+def pairwise_cost(face, region: RegionState, mesh: TriangleMesh):
+    """Normal angle to the region plane in units of pi (0 when degenerate).
+
+    ``face`` is one face id or an array of them; the cost has its shape.
+    """
+    n_i = mesh.face_normal[np.asarray(face)]
+    # one (1, 3) @ (3,) product per face: the arithmetic of n_i @ normal
+    cosang = np.clip((n_i[..., None, :] @ region.normal)[..., 0], -1.0, 1.0)
+    return np.where(n_i.any(axis=-1), np.arccos(cosang) / np.pi, 0.0)
 
 
 def frontier_decision(cost0, cost1, phi, params: GrowthParams) -> np.ndarray:
@@ -157,15 +164,11 @@ def frontier_decision(cost0, cost1, phi, params: GrowthParams) -> np.ndarray:
 def label_frontier(region: RegionState, frontier, mesh: TriangleMesh,
                    probmap, params: GrowthParams) -> np.ndarray:
     """Binary labels for the frontier faces (0 = join the region)."""
-    frontier = list(frontier)
-    if not frontier:
+    frontier = np.asarray(frontier, dtype=np.int64)
+    if len(frontier) == 0:
         return np.zeros(0, dtype=np.uint8)
-    cost0 = np.empty(len(frontier))
-    cost1 = np.empty(len(frontier))
-    phi = np.empty(len(frontier))
-    for i, f in enumerate(frontier):
-        cost0[i], cost1[i] = unary_cost(f, region, mesh, probmap, params)
-        phi[i] = pairwise_cost(f, region, mesh)
+    cost0, cost1 = unary_cost(frontier, region, mesh, probmap, params)
+    phi = pairwise_cost(frontier, region, mesh)
     return frontier_decision(cost0, cost1, phi, params)
 
 

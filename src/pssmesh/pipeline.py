@@ -246,7 +246,8 @@ def run_pipeline(config: PipelineConfig, mesh=None,
     ``mesh`` bypasses the input file; ``stop_after`` names the last stage to
     run. The planarity model is required from the oversegmentation stage on;
     the semantic model and ground-truth labels are optional and their stages
-    are skipped with a manifest note when absent.
+    are skipped with a manifest note when absent. Both models are read before
+    the first stage, so a bad model file raises ConfigError and writes nothing.
     """
     if stop_after is not None and stop_after not in STAGES:
         raise ValueError(f"unknown stage {stop_after!r}")
@@ -265,6 +266,11 @@ def run_pipeline(config: PipelineConfig, mesh=None,
             and not Path(config.semantic_model).is_file():
         raise FileNotFoundError(
             f"semantic model not found: {config.semantic_model}")
+    model = sem_model = None
+    if "planarity" in wanted and config.planarity_model:
+        model = load_model(config.planarity_model)
+    if "classify" in wanted and config.semantic_model is not None:
+        sem_model = load_model(config.semantic_model)
 
     input_sha = None
     if mesh is None:
@@ -319,8 +325,6 @@ def run_pipeline(config: PipelineConfig, mesh=None,
 
         if "planarity" in wanted:
             tick("planarity")
-            model = load_model(config.planarity_model) \
-                if config.planarity_model else None
             if model is None:
                 notes.append("planarity skipped: no model")
             else:
@@ -355,10 +359,9 @@ def run_pipeline(config: PipelineConfig, mesh=None,
 
         if "classify" in wanted:
             tick("classify")
-            if config.semantic_model is None:
+            if sem_model is None:
                 notes.append("classification skipped: no semantic model")
             else:
-                sem_model = load_model(config.semantic_model)
                 cls, proba = classify_segments(sem_model,
                                                result.segment_features)
                 result.segment_classes = cls

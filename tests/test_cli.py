@@ -86,14 +86,33 @@ def test_required_flag_named_in_error(ws, tmp_path, capsys):
     assert "--planarity-model" in capsys.readouterr().err
 
 
-def test_broken_model_is_internal_error(ws, tmp_path, capsys):
+BAD_MODELS = {
+    "bad-magic": lambda good: b"junk",
+    "empty": lambda good: b"",
+    "truncated": lambda good: good[:len(good) // 2],
+    "wrong-version": lambda good: good[:4] + (99).to_bytes(4, "little")
+    + good[8:],
+    "trailing-bytes": lambda good: good + b"\x00",
+}
+
+
+@pytest.mark.parametrize("which", ["planarity", "semantic"])
+@pytest.mark.parametrize("kind", list(BAD_MODELS))
+def test_bad_model_exit_2(ws, tmp_path, capsys, kind, which):
+    models = {name: ws["models"] / f"{name}.model"
+              for name in ("planarity", "semantic")}
     bad = tmp_path / "bad.model"
-    bad.write_bytes(b"junk")
-    code = main(["segment", "--input", str(ws["tile"]),
+    bad.write_bytes(BAD_MODELS[kind](models[which].read_bytes()))
+    models[which] = bad
+    code = main(["pipeline", "--input", str(ws["tile"]),
                  "--out", str(tmp_path / "run"),
-                 "--planarity-model", str(bad)])
-    assert code == 1
-    assert "planarity" in capsys.readouterr().err
+                 "--planarity-model", str(models["planarity"]),
+                 "--semantic-model", str(models["semantic"]),
+                 "--threads", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "byte offset" in err
+    assert not (tmp_path / "run").exists()      # no stage ran
 
 
 def test_preprocess_manifold_unchanged(ws, tmp_path, capsys):

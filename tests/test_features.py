@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pssmesh import features
 from pssmesh.mesh import TriangleMesh
 from pssmesh.features import (FaceFeatureParams, compute_face_features,
                               face_channel_names, eigen_shape_features,
@@ -66,7 +67,9 @@ def test_eigen_matches_brute_force_covariance():
     areas = rng.random(40) + 0.1
     tree = cKDTree(cent)
     radius = 0.9
-    out, flagged = eigen_shape_features(cent, areas, tree, radius)
+    out, flagged = eigen_shape_features(cent, areas, tree, (radius,))
+    assert out.shape == (40, 5) and flagged.shape == (40, 1)
+    flagged = flagged[:, 0]
     for i in range(40):
         d = np.linalg.norm(cent - cent[i], axis=1)
         nb = np.flatnonzero(d <= radius)
@@ -86,6 +89,78 @@ def test_eigen_matches_brute_force_covariance():
         assert out[i, 4] == pytest.approx(1 - abs(evec[2, 0]), abs=1e-9)
 
 
+def eigen_reference(cent, areas, tree, radius):
+    """One radius from ``query_ball_point`` lists, summed per face in list
+    order: the definition ``eigen_shape_features`` must match bit for bit."""
+    nf = len(cent)
+    groups = tree.query_ball_point(cent, radius)
+    counts = np.array([len(g) for g in groups])
+    flat = np.concatenate([np.asarray(g, dtype=np.int64) for g in groups])
+    owner = np.repeat(np.arange(nf), counts)
+    w = areas[flat]
+    wsum = np.bincount(owner, weights=w, minlength=nf)
+    mean = np.column_stack([
+        np.bincount(owner, weights=w * cent[flat, a], minlength=nf)
+        for a in range(3)])
+    ok = wsum > 0
+    mean[ok] /= wsum[ok, None]
+    d = cent[flat] - mean[owner]
+    cov = np.zeros((nf, 3, 3))
+    for a in range(3):
+        for b in range(a, 3):
+            cov[:, a, b] = cov[:, b, a] = np.bincount(
+                owner, weights=w * d[:, a] * d[:, b], minlength=nf)
+    cov[ok] /= wsum[ok][:, None, None]
+    evals, evecs = np.linalg.eigh(cov)
+    evals = np.clip(evals, 0.0, None)
+    l1, l2, l3 = evals[:, 2], evals[:, 1], evals[:, 0]
+    flagged = (counts < 3) | (l1 <= 1e-18)
+    safe1 = np.where(l1 > 0, l1, 1.0)
+    total = l1 + l2 + l3
+    out = np.zeros((nf, 5))
+    out[:, 0] = (l1 - l2) / safe1
+    out[:, 1] = (l2 - l3) / safe1
+    out[:, 2] = l3 / safe1
+    out[:, 3] = np.where(total > 0, l3 / np.where(total > 0, total, 1.0), 0.0)
+    out[:, 4] = 1.0 - np.abs(evecs[:, 2, 0])
+    out[flagged] = 0.0
+    return out, flagged
+
+
+def lattice_cloud():
+    """0.5 m lattice: many neighbours lie exactly at 0.5, 1 and 2 m."""
+    g = np.arange(10) * 0.5
+    cent = np.array(np.meshgrid(g, g, g[:4], indexing="ij")).reshape(3, -1).T
+    areas = np.random.default_rng(8).random(len(cent)) + 0.1
+    return np.ascontiguousarray(cent), areas
+
+
+def random_cloud():
+    rng = np.random.default_rng(9)
+    cent = rng.random((700, 3)) * np.array([6.0, 6.0, 2.0])
+    cent[::50] = cent[1::50]                # coincident centroids
+    return cent, rng.random(700) + 0.1
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("cloud", [lattice_cloud, random_cloud],
+                         ids=["lattice", "random"])
+def test_eigen_matches_query_ball_point_reference(cloud, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(features, "EIGEN_FACE_BLOCK", block)
+    cent, areas = cloud()
+    tree = cKDTree(cent)
+    radii = (0.5, 1.0, 2.0)
+    out, flagged = eigen_shape_features(cent, areas, tree, radii)
+    assert out.shape == (len(cent), 15) and flagged.shape == (len(cent), 3)
+    for j, r in enumerate(radii):
+        ref, ref_flagged = eigen_reference(cent, areas, tree, r)
+        assert out[:, 5 * j:5 * j + 5].tobytes() == ref.tobytes(), r
+        assert np.array_equal(flagged[:, j], ref_flagged), r
+        if cloud is lattice_cloud:          # neighbours exactly at r exist
+            assert len(tree.query_pairs(r)) > len(tree.query_pairs(r * 0.999))
+
+
 def test_hemisphere_sphericity():
     rng = np.random.default_rng(1)
     n = 400
@@ -94,7 +169,7 @@ def test_hemisphere_sphericity():
     v[:, 2] = np.abs(v[:, 2])
     areas = np.ones(n)
     tree = cKDTree(v)
-    out, _ = eigen_shape_features(v, areas, tree, 3.0)
+    out, _ = eigen_shape_features(v, areas, tree, (3.0,))
     assert out[:, 2].min() > 0.2      # sphericity
     assert out[:, 0].max() < 0.3      # linearity
 
@@ -103,7 +178,7 @@ def test_small_neighborhood_flagged():
     cent = np.array([[0, 0, 0], [10, 0, 0], [20, 0, 0]], dtype=float)
     areas = np.ones(3)
     tree = cKDTree(cent)
-    out, flagged = eigen_shape_features(cent, areas, tree, 0.5)
+    out, flagged = eigen_shape_features(cent, areas, tree, (0.5,))
     assert flagged.all()
     assert np.all(out == 0)
 
@@ -133,6 +208,74 @@ def test_cylinder_min_z_exact():
     for i, q in enumerate(queries):
         mask = np.linalg.norm(pts[:, :2] - q, axis=1) <= r
         assert got[i] == pts[mask, 2].min()
+
+
+def cylinder_oracle(pxy, pz, qxy, radius):
+    """O(n * q) definition: lowest z with dx*dx + dy*dy <= radius**2."""
+    out = np.full(len(qxy), np.inf)
+    for i, q in enumerate(qxy):
+        dx = q[0] - pxy[:, 0]
+        dy = q[1] - pxy[:, 1]
+        hit = dx * dx + dy * dy <= radius * radius
+        if hit.any():
+            out[i] = pz[hit].min()
+    return out
+
+
+def hilly_cloud(n=3000, size=30.0, seed=4):
+    rng = np.random.default_rng(seed)
+    xy = rng.random((n, 2)) * size
+    z = (3 * np.sin(xy[:, 0] / 4) + 2 * np.cos(xy[:, 1] / 3)
+         + 0.05 * xy[:, 0] + 0.3 * rng.random(n))
+    return xy, z
+
+
+@pytest.mark.parametrize("radius", [0.4, 1.0, 3.0, 10.0, 45.0, 400.0])
+@pytest.mark.parametrize("shift", [0.0, 4.0e6], ids=["local", "far-origin"])
+def test_cylinder_min_z_matches_oracle(radius, shift):
+    xy, z = hilly_cloud()
+    rng = np.random.default_rng(int(radius * 10))
+    # input points, free positions inside the tile and around it
+    free = rng.random((300, 2)) * 50.0 - 10.0
+    queries = np.vstack([xy[::7], free, [[-200.0, 5.0], [15.0, 900.0]]])
+    xy, queries = xy + shift, queries + shift
+    got = cylinder_min_z(xy, z, queries, radius)
+    want = cylinder_oracle(xy, z, queries, radius)
+    assert got.tobytes() == want.tobytes()
+    if radius < 30:
+        assert np.isinf(want).any() and np.isfinite(want).any()
+
+
+def test_cylinder_min_z_sparse_and_empty_discs():
+    rng = np.random.default_rng(6)
+    xy = rng.random((40, 2)) * 200.0        # about 30 m between points
+    z = rng.random(40)
+    queries = rng.random((500, 2)) * 240.0 - 20.0
+    for radius in (2.0, 15.0, 60.0):
+        got = cylinder_min_z(xy, z, queries, radius)
+        want = cylinder_oracle(xy, z, queries, radius)
+        assert got.tobytes() == want.tobytes()
+    assert np.isinf(cylinder_min_z(xy, z, queries, 2.0)).sum() > 400
+    assert np.all(cylinder_min_z(xy[:0], z[:0], queries, 5.0) == np.inf)
+    assert cylinder_min_z(xy, z, queries[:0], 5.0).shape == (0,)
+
+
+def test_cylinder_min_z_point_exactly_at_radius():
+    # (3, 4) is exactly 5 m from (0, 0) and from (6, 8); the point 1e-9 m
+    # above it is just outside the first disc and just inside the second
+    pxy = np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 4.0 + 1e-9]])
+    pz = np.array([5.0, -1.0, -2.0])
+    q = np.array([[0.0, 0.0], [6.0, 8.0], [0.0, 10.0]])
+    assert cylinder_min_z(pxy, pz, q, 5.0).tolist() == [-1.0, -2.0, np.inf]
+    assert cylinder_min_z(pxy, pz, q, 5.0 - 1e-12).tolist() \
+        == [5.0, -2.0, np.inf]
+
+
+def test_cylinder_min_z_rejects_bad_radius():
+    for radius in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="radius"):
+            cylinder_min_z(np.zeros((1, 2)), np.zeros(1), np.zeros((1, 2)),
+                           radius)
 
 
 def test_elevation_roof():

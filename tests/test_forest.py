@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pssmesh.config import ConfigError
 from pssmesh.forest import (ForestParams, ForestModel, Tree, train_forest,
                             predict_proba, planarity_map, classify_segments,
                             class_weights, save_model, load_model, PROB_EPS)
@@ -188,6 +189,21 @@ def test_unsupported_version(tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="version 99"):
         load_model(p)
+
+
+def test_every_cut_or_extended_model_names_file_and_offset(tmp_path):
+    X, y = separable_data(seed=13)
+    model = train_forest(X, y, ForestParams(trees=2, min_leaf=20), seed=0,
+                         layout_version="face-v1")
+    p = tmp_path / "m.bin"
+    save_model(model, p)
+    good = p.read_bytes()
+    bad = tmp_path / "bad.bin"
+    for raw in [good[:n] for n in range(len(good))] + [good + b"\x00"]:
+        bad.write_bytes(raw)
+        with pytest.raises(ConfigError, match="byte offset") as info:
+            load_model(bad)
+        assert str(info.value).startswith(f"{bad}: ")
 
 
 def test_planarity_map_requires_binary():

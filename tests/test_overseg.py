@@ -166,6 +166,63 @@ def test_label_frontier_direct_equals_mincut():
         assert np.array_equal(a, b)
 
 
+def frontier_reference(region, frontier, mesh, probmap, params):
+    """Per-face costs and labels, written out one face at a time; also
+    which faces the non-planar prior made cheaper than the plane distance."""
+    cost0, phi, labels, prior = [], [], [], []
+    for f in frontier:
+        d = float(np.abs(mesh.vertices[mesh.faces[f]] @ region.normal
+                         + region.offset).max())
+        ci = np.inf
+        if probmap.label[f] == 1 and region.region_type == 1:
+            ci = 1.0 - params.lambda_g * float(probmap.g_hat[f])
+        c0 = min(d, ci)
+        prior.append(ci < d)
+        n = mesh.face_normal[f]
+        p = 0.0 if not np.any(n) else float(
+            np.arccos(np.clip(n @ region.normal, -1.0, 1.0)) / np.pi)
+        join = params.lambda_d * c0 <= (params.lambda_d * (1.0 - c0)
+                                        + params.lambda_m * p)
+        cost0.append(c0)
+        phi.append(p)
+        labels.append(0 if join else 1)
+    return (np.array(cost0), np.array(phi), np.array(labels, dtype=np.uint8),
+            np.array(prior))
+
+
+def test_label_frontier_matches_per_face_definition():
+    rng = np.random.default_rng(12)
+    m = grid_mesh(10, 10, dx=0.5)
+    m.vertices = m.vertices + rng.standard_normal(m.vertices.shape) * 0.2
+    m.faces[::9, 2] = m.faces[::9, 1]           # collapsed: zero normal
+    m._face_area = m._face_centroid = m._face_normal = None
+    g = rng.random(m.n_faces)
+    label = (rng.random(m.n_faces) < 0.5).astype(np.int32)
+    pm = ProbabilityMap(g_log=np.log(g), g_hat=g, label=label,
+                        planar_prob=1.0 - g)
+    frontier = sorted(rng.choice(m.n_faces, 120, replace=False).tolist())
+    relaxed = degenerate = 0
+    for trial in range(20):
+        region = RegionState(region_id=0, region_type=trial % 2)
+        for f in rng.choice(m.n_faces, 4, replace=False):
+            _add_face(region, m, int(f))
+        params = GrowthParams(lambda_d=rng.uniform(0.5, 2.0),
+                              lambda_m=rng.uniform(0.0, 1.0),
+                              lambda_g=rng.uniform(0.0, 1.0))
+        cost0, phi, labels, prior = frontier_reference(region, frontier, m,
+                                                       pm, params)
+        got0, got1 = unary_cost(frontier, region, m, pm, params)
+        assert got0.tobytes() == cost0.tobytes()
+        assert got1.tobytes() == (1.0 - cost0).tobytes()
+        assert pairwise_cost(frontier, region, m).tobytes() == phi.tobytes()
+        assert np.array_equal(label_frontier(region, frontier, m, pm, params),
+                              labels)
+        relaxed += int(prior.sum())
+        degenerate += int((~m.face_normal[frontier].any(axis=1)).sum())
+    assert relaxed > 0 and degenerate > 0
+    assert len(label_frontier(region, [], m, pm, params)) == 0
+
+
 def test_refit_three_points_exact():
     r = RegionState(region_id=0, region_type=0)
     r.acc.add(np.array([[0, 0, 1], [1, 0, 1], [0, 1, 1]], dtype=float))

@@ -139,10 +139,9 @@ def test_two_runs_identical_hashes(tile_path, trained, tmp_path):
 
 
 def test_stage_failure_keeps_partials(tile_path, trained, tmp_path):
-    bad = tmp_path / "bad.model"
-    bad.write_bytes(b"not a model")
+    # a readable model of the wrong kind fails inside the planarity stage
     cfg = make_config(tile_path, trained, tmp_path / "run",
-                      planarity_model=str(bad))
+                      planarity_model=str(trained["semantic"]))
     with pytest.raises(StageError) as err:
         run_pipeline(cfg)
     assert err.value.stage == "planarity"

@@ -67,3 +67,23 @@ def test_traced_graph_counts_match_graph():
     assert c["seggraph.added"] == added
     assert {k: e.types for k, e in fresh.edges.items()} \
         == {k: e.types for k, e in graph.edges.items()}
+
+
+def test_traced_face_features_spans():
+    tracing = load_tracing()
+    mesh = synth_tile(TileParams(seed=2, ground_res=12, n_boxes=1, n_trees=1,
+                                 n_vehicles=0))
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        feats = pipeline.compute_face_features(mesh)
+    finally:
+        restore()
+    spans = tracer.spans
+    total = [i for i, s in enumerate(spans) if s[0] == "features.total"]
+    assert len(total) == 1
+    for name in ("features.eigen", "features.elevation"):
+        inner = [s for s in spans if s[0] == name]
+        assert len(inner) == 1, name
+        assert inner[0][3] == total[0], name
+    assert tracer.counts["features.faces"] == mesh.n_faces == len(feats)
