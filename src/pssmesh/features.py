@@ -32,6 +32,7 @@ EIGEN_NAMES = ("linearity", "planarity", "sphericity", "curvature", "verticality
 LAYOUT_FACE_V1 = "face-v1"
 EIGEN_FACE_BLOCK = 256          # faces whose neighbourhoods are summed at once
 CELLS_PER_RADIUS = 8            # cylinder_min_z grid cells per radius
+RIM_BATCH = 1 << 18             # cylinder_min_z point checks held at once
 
 
 @dataclass
@@ -199,78 +200,107 @@ def cylinder_min_z(points_xy, points_z, query_xy, radius):
     range yield +inf.
 
     Points are binned into square cells of side ``radius /
-    CELLS_PER_RADIUS`` (coarser when the points are sparse, so there are at
-    most about sqrt(n) cells along either axis), and each cell keeps its
-    lowest z. A cell that lies inside the disc wherever a query sits in its
-    own cell answers with that minimum. A cell that may cross the circle is
-    checked point by point, nearest cells first, and only when its minimum
-    is below the lowest z found so far.
+    CELLS_PER_RADIUS``; only non-empty cells are indexed, as sorted int64
+    cell keys with each cell's points in ascending z, so memory follows the
+    number of points however far apart they lie. A cell that lies inside
+    the disc wherever a query sits in its own cell answers with its lowest
+    z: per column of the stencil those cells form one key range, read with
+    one range minimum. A cell that may cross the circle is visited nearest
+    first, and only its points below the lowest z found so far are checked
+    point by point, in batches of about ``RIM_BATCH`` point checks. Points
+    and queries spread over more than 2**62 cells (2.7e6 km square at
+    radius 10) raise ValueError.
     """
     pxy = np.asarray(points_xy, dtype=np.float64)
     pz = np.asarray(points_z, dtype=np.float64)
     qxy = np.asarray(query_xy, dtype=np.float64)
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"cylinder radius must be finite and > 0: {radius}")
-    out = np.full(len(qxy), np.inf)
     if len(pz) == 0 or len(qxy) == 0:
-        return out
+        return np.full(len(qxy), np.inf)
     r2 = radius * radius
-    lo = pxy.min(axis=0)
-    cell = max(radius / CELLS_PER_RADIUS,
-               float((pxy.max(axis=0) - lo).max()) / np.sqrt(len(pz)))
-    # no point in range lies more than `reach` cells from the query's cell;
-    # a `pad` of empty cells keeps every looked-up cell inside the grid
+    cell = radius / CELLS_PER_RADIUS
+    # no point in range lies more than `reach` cells from the query's cell
     reach = int(np.ceil(radius / cell)) + 1
-    pad = 2 * reach
+    lo = np.minimum(pxy.min(axis=0), qxy.min(axis=0))
+    pc = np.floor((pxy - lo) / cell) + reach
+    qc = np.floor((qxy - lo) / cell) + reach
+    nx, ny = np.maximum(pc.max(axis=0), qc.max(axis=0)) + reach + 1
+    if nx * ny >= 2.0 ** 62:
+        raise ValueError(f"points and queries span too many cells of "
+                         f"radius / {CELLS_PER_RADIUS} for radius {radius}")
+    ny = int(ny)
     # slack for rounding in the cell assignment and in the distances
-    tol = 1e-9 * (radius + float(np.abs(pxy).max()))
+    tol = 1e-9 * (radius + max(float(np.abs(pxy).max()),
+                               float(np.abs(qxy).max())))
 
-    pc = np.floor((pxy - lo) / cell).astype(np.int64) + pad
-    shape = pc.max(axis=0) + pad + 1
-    cid = pc[:, 0] * shape[1] + pc[:, 1]
-    order = np.lexsort((pz, cid))               # by cell, then by z
-    cid = cid[order]
+    # key x * ny + y: the cells of one stencil column are one key range
+    pkey = pc[:, 0].astype(np.int64) * ny + pc[:, 1].astype(np.int64)
+    order = np.lexsort((pz, pkey))              # by cell, then by z
+    pkey = pkey[order]
     px, py, pz = pxy[order, 0], pxy[order, 1], pz[order]
-    start = np.searchsorted(cid, np.arange(shape[0] * shape[1] + 1))
-    cell_min = np.full(shape[0] * shape[1], np.inf)
-    filled = np.flatnonzero(start[1:] > start[:-1])
-    cell_min[filled] = pz[start[filled]]
+    keys, start = np.unique(pkey, return_index=True)
+    start = np.append(start, len(pz))
+    cell_min = np.append(pz[start[:-1]], np.inf)
+    # `rank` grows along the sorted points, so one search finds the points
+    # of a cell below a given z: cell index * (n + 1) + points with lower z
+    zs = np.sort(pz)
+    rank = (np.repeat(np.arange(len(keys)), np.diff(start)) * (len(pz) + 1)
+            + np.searchsorted(zs, pz))
 
-    qf = np.floor((qxy - lo) / cell) + pad
-    valid = np.flatnonzero(((qf >= reach) & (qf < shape - reach)).all(axis=1))
-    qc = qf[valid].astype(np.int64)
-    qcell = qc[:, 0] * shape[1] + qc[:, 1]
-    qx, qy = qxy[valid, 0], qxy[valid, 1]
+    qkey = qc[:, 0].astype(np.int64) * ny + qc[:, 1].astype(np.int64)
+    qcells, qinv = np.unique(qkey, return_inverse=True)
 
     # per-axis distance bounds between points of two cells `a` cells apart
-    a = np.abs(np.arange(-reach, reach + 1))
-    far = (a + 1) * cell + tol
-    near = np.maximum((a - 1) * cell - tol, 0.0)
+    a = np.arange(-reach, reach + 1)
+    far = (np.abs(a) + 1) * cell + tol
+    near = np.maximum((np.abs(a) - 1) * cell - tol, 0.0)
     inside = far[:, None] ** 2 + far[None, :] ** 2 <= r2
     gap2 = near[:, None] ** 2 + near[None, :] ** 2
     rim = (gap2 <= r2) & ~inside
-    step = np.add.outer(np.arange(-reach, reach + 1) * shape[1],
-                        np.arange(-reach, reach + 1))
 
-    best = np.full(len(valid), np.inf)
-    for off in step[inside]:
-        np.minimum(best, cell_min[qcell + off], out=best)
-    for off in step[rim][np.argsort(gap2[rim], kind="stable")]:
-        t = qcell + off
+    cell_best = np.full(len(qcells), np.inf)
+    for col, n_inside in zip(a, inside.sum(axis=1)):
+        if n_inside == 0:
+            continue
+        half = n_inside // 2                    # inside: |row| <= half
+        base = qcells + col * ny
+        i0 = np.searchsorted(keys, base - half)
+        i1 = np.searchsorted(keys, base + half, side="right")
+        span = np.minimum.reduceat(cell_min, np.column_stack((i0, i1)).ravel())
+        np.minimum(cell_best, np.where(i1 > i0, span[::2], np.inf),
+                   out=cell_best)
+    best = cell_best[qinv]
+
+    rim_offsets = (a[:, None] * ny + a[None, :])[rim]
+    for off in rim_offsets[np.argsort(gap2[rim], kind="stable")]:
+        want = qcells + off
+        t = np.searchsorted(keys, want)
+        t[keys[np.minimum(t, len(keys) - 1)] != want] = len(keys)  # empty
+        t = t[qinv]
         sel = np.flatnonzero(cell_min[t] < best)
         if len(sel) == 0:
             continue
-        first = start[t[sel]]
-        cnt = start[t[sel] + 1] - first
-        group = np.cumsum(cnt) - cnt
-        q = np.repeat(sel, cnt)
-        p = np.repeat(first - group, cnt) + np.arange(int(cnt.sum()))
-        dx = qx[q] - px[p]
-        dy = qy[q] - py[p]
-        z = np.where(dx * dx + dy * dy <= r2, pz[p], np.inf)
-        best[sel] = np.minimum(best[sel], np.minimum.reduceat(z, group))
-    out[valid] = best
-    return out
+        t = t[sel]
+        first = start[t]
+        below = np.searchsorted(zs, best[sel])
+        cnt = np.searchsorted(rank, t * (len(pz) + 1) + below) - first
+        ends = np.cumsum(cnt)
+        i = 0
+        while i < len(sel):
+            j = max(i + 1, int(np.searchsorted(
+                ends, ends[i] - cnt[i] + RIM_BATCH, side="right")))
+            c = cnt[i:j]
+            group = np.cumsum(c) - c
+            q = np.repeat(sel[i:j], c)
+            p = np.repeat(first[i:j] - group, c) + np.arange(int(c.sum()))
+            dx = qxy[q, 0] - px[p]
+            dy = qxy[q, 1] - py[p]
+            z = np.where(dx * dx + dy * dy <= r2, pz[p], np.inf)
+            best[sel[i:j]] = np.minimum(best[sel[i:j]],
+                                        np.minimum.reduceat(z, group))
+            i = j
+    return best
 
 
 def rgb_to_hsv_deg(rgb: np.ndarray):

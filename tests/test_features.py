@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -258,6 +261,39 @@ def test_cylinder_min_z_sparse_and_empty_discs():
     assert np.isinf(cylinder_min_z(xy, z, queries, 2.0)).sum() > 400
     assert np.all(cylinder_min_z(xy[:0], z[:0], queries, 5.0) == np.inf)
     assert cylinder_min_z(xy, z, queries[:0], 5.0).shape == (0,)
+
+
+@pytest.mark.parametrize("radius", [1.0, 10.0, 40.0])
+def test_cylinder_min_z_far_outlier_keeps_cells_small(radius):
+    # one face 10 km from a dense tile must not coarsen the grid: the cells
+    # stay radius / 8 and only non-empty ones are stored
+    xy, z = hilly_cloud(n=4000)
+    xy = np.vstack([xy, [[1.0e4, 12.0]]])
+    z = np.append(z, -50.0)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    got = cylinder_min_z(xy, z, xy, radius)
+    seconds = time.perf_counter() - t0
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert got.tobytes() == cylinder_oracle(xy, z, xy, radius).tobytes()
+    assert got[-1] == -50.0 and np.all(got[:-1] > -50.0)
+    assert peak < 32 * 2 ** 20
+    assert seconds < 10.0
+
+
+def test_cylinder_min_z_rim_batches(monkeypatch):
+    # batches of a few point checks give the same minima as one batch
+    xy, z = hilly_cloud(n=1500, size=12.0)
+    want = cylinder_oracle(xy, z, xy, 2.5)
+    monkeypatch.setattr(features, "RIM_BATCH", 5)
+    assert cylinder_min_z(xy, z, xy, 2.5).tobytes() == want.tobytes()
+
+
+def test_cylinder_min_z_rejects_unbounded_grid():
+    xy = np.array([[0.0, 0.0], [1.0e20, 1.0e20]])
+    with pytest.raises(ValueError, match="cells"):
+        cylinder_min_z(xy, np.zeros(2), xy, 1.0)
 
 
 def test_cylinder_min_z_point_exactly_at_radius():
