@@ -287,8 +287,10 @@ def load_model(path) -> ForestModel:
     """Read a model written by ``save_model``.
 
     Bad content (bad magic, another version, a file that ends early, bytes
-    after the last tree) raises ConfigError naming the path and the byte
-    offset of the bad field.
+    after the last tree, a tree without nodes, an internal node whose
+    feature id is not in [0, n_features) or whose child ids do not lie after
+    it inside the tree, a leaf whose ids are not all -1) raises ConfigError
+    naming the path, the tree and the byte offset of the bad field.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -325,13 +327,32 @@ def load_model(path) -> ForestModel:
     nfeat = int(take("<u4")[0])
     ntrees = int(take("<u4")[0])
     trees = []
-    for _ in range(ntrees):
+    for t in range(ntrees):
         n = int(take("<u4")[0])
+        if n == 0:
+            raise bad(f"tree {t} has no nodes", pos - 4)
+        start = pos
         feature = take("<i4", n)
         thresh = take("<f8", n)
         left = take("<i4", n)
         right = take("<i4", n)
         proba = take("<f8", n * ncls).reshape(n, ncls)
+        # children always follow their parent, so prediction cannot cycle
+        node = np.arange(n)
+        inner = feature >= 0
+        for name, values, at, ok in (
+                ("feature id", feature, start,
+                 (feature >= -1) & (feature < nfeat)),
+                ("left child id", left, start + 12 * n,
+                 np.where(inner, (left > node) & (left < n), left == -1)),
+                ("right child id", right, start + 16 * n,
+                 np.where(inner, (right > node) & (right < n), right == -1))):
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise bad(f"tree {t} node {i}: bad {name} {int(values[i])} "
+                          f"(internal nodes: features in [0, {nfeat}), "
+                          f"children in ({i}, {n}); leaves: all -1)",
+                          at + 4 * i)
         trees.append(Tree(feature.astype(np.int32), thresh,
                           left.astype(np.int32), right.astype(np.int32), proba))
     if pos != len(buf):

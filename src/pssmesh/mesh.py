@@ -60,6 +60,19 @@ class TriangleMesh:
         if self.vertex_color is not None and len(self.vertex_color) != nv:
             raise MeshError("vertex_color length does not match vertex count")
 
+    def check_usable(self):
+        """Reject a mesh no stage can use: a non-finite vertex or no faces.
+
+        ``validate`` allows both. ``load_mesh``, ``run_pipeline`` and
+        ``train_models`` call this before they write anything.
+        """
+        bad = ~np.isfinite(self.vertices).all(axis=1)
+        if bad.any():
+            raise MeshError(
+                f"vertex {int(np.argmax(bad))}: non-finite coordinate")
+        if self.n_faces == 0:
+            raise MeshError("no faces")
+
     # -- derived caches ----------------------------------------------------
 
     def _compute_derived(self):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import TriangleMesh
+from .mesh import MeshError, TriangleMesh
 
 
 class MeshParseError(ValueError):
@@ -337,13 +337,8 @@ def load_mesh(path) -> TriangleMesh:
         else:
             raise MeshParseError(
                 f"unsupported mesh format {fmt!r} (expected ply or obj)")
-        bad = ~np.isfinite(mesh.vertices).all(axis=1)
-        if bad.any():
-            raise MeshParseError(
-                f"vertex {int(np.argmax(bad))}: non-finite coordinate")
-        if mesh.n_faces == 0:
-            raise MeshParseError("no faces")
-    except MeshParseError as exc:
+        mesh.check_usable()
+    except (MeshParseError, MeshError) as exc:
         raise MeshParseError(f"{path}: {exc}") from None
     return mesh
 

@@ -5,7 +5,9 @@ artifact under a single run directory with fixed filenames. The manifest
 records a config snapshot, the input content hash, per-stage wall times, and
 a content hash per output file, so two runs can be compared file by file.
 On a stage failure the artifacts written so far are renamed with a
-``.partial`` suffix and the error names the failing stage.
+``.partial`` suffix and the error names the failing stage. A rerun into the
+same directory first deletes the earlier manifest and the outputs it lists,
+so no manifest is left beside files it does not describe.
 """
 
 import csv
@@ -219,6 +221,26 @@ def save_json(data: dict, path) -> None:
 # ------------------------------------------------------------------- runner
 
 
+def clear_previous_run(run_dir: Path) -> None:
+    """Delete an earlier run's manifest and the outputs it lists.
+
+    The manifest goes first, so it can never describe files that are gone.
+    Only plain file names inside ``run_dir`` are deleted.
+    """
+    path = run_dir / "manifest.json"
+    if not path.is_file():
+        return
+    try:
+        names = list(json.loads(path.read_text())["outputs"])
+    except (ValueError, KeyError, TypeError):
+        names = []
+    path.unlink()
+    for name in names:
+        if isinstance(name, str) and name == Path(name).name \
+                and (run_dir / name).is_file():
+            (run_dir / name).unlink()
+
+
 @dataclass
 class PipelineResult:
     config: PipelineConfig
@@ -243,11 +265,13 @@ def run_pipeline(config: PipelineConfig, mesh=None,
                  stop_after: str | None = None) -> PipelineResult:
     """Execute the staged pipeline; see the module docstring.
 
-    ``mesh`` bypasses the input file; ``stop_after`` names the last stage to
-    run. The planarity model is required from the oversegmentation stage on;
-    the semantic model and ground-truth labels are optional and their stages
-    are skipped with a manifest note when absent. Both models are read before
-    the first stage, so a bad model file raises ConfigError and writes nothing.
+    ``mesh`` bypasses the input file but not the input checks;
+    ``stop_after`` names the last stage to run. The planarity model is
+    required from the oversegmentation stage on; the semantic model and
+    ground-truth labels are optional and their stages are skipped with a
+    manifest note when absent. Both models and the mesh are checked before
+    the first stage, so a bad model file or mesh raises ConfigError,
+    MeshParseError or MeshError and writes nothing.
     """
     if stop_after is not None and stop_after not in STAGES:
         raise ValueError(f"unknown stage {stop_after!r}")
@@ -281,9 +305,12 @@ def run_pipeline(config: PipelineConfig, mesh=None,
             raise FileNotFoundError(f"input mesh not found: {path}")
         input_sha = file_sha256(path)
         mesh = load_mesh(path)
+    else:
+        mesh.check_usable()
 
     run_dir = Path(config.output_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
+    clear_previous_run(run_dir)
     result = PipelineResult(config=config, run_dir=run_dir)
     written = []
     stage_seconds = {}
@@ -454,7 +481,9 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
     """
     loaded = []
     for m in meshes:
-        if not hasattr(m, "faces"):
+        if hasattr(m, "faces"):
+            m.check_usable()
+        else:
             path = Path(m)
             if not path.is_file():
                 raise FileNotFoundError(f"training mesh not found: {path}")

@@ -7,7 +7,14 @@ computes its segment pairs as one (M, 2) id array and records them with
 ``SegmentGraph.add_pairs``. Several constructors can connect the same pair;
 the edge record keeps the set of contributing types. Edge features are
 elementwise log-ratios of the two node feature vectors plus boundary offset
-statistics.
+statistics; ``fill_log_ratios`` is the one place the log-ratios are computed.
+
+``export_graph`` writes version 2 of ``graph.json``: a top-level ``channels``
+list names the feature channels once; each node holds ``id``, ``type``,
+``centroid``, ``plane`` and ``features`` (a plain list in channel order); each
+edge holds only ``a``, ``b``, ``types``, ``offset_mean`` and ``offset_std``;
+``metadata`` holds the graph's metadata. Log-ratios are not stored, since the
+node features determine them: ``import_graph`` recomputes them.
 """
 
 import json
@@ -18,6 +25,7 @@ import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .adjacency import AdjacencyIndex, pair_keys, segment_index
+from .config import ConfigError
 from .medial import shrinking_ball_transform
 from .mesh import TriangleMesh
 from .overseg import PLANAR
@@ -328,18 +336,35 @@ def shifted_feature_matrix(graph: SegmentGraph):
     return feats, shifted
 
 
-def compute_edge_features(graph: SegmentGraph, mesh: TriangleMesh,
-                          adjacency: AdjacencyIndex, segmentation) -> None:
-    """Fill per-edge log-ratio vectors and boundary offset statistics.
+def fill_log_ratios(graph: SegmentGraph) -> None:
+    """Set every edge's log-ratio vector from the node features.
 
-    Ratios divide the lower-id node by the higher-id node, with a small
-    epsilon guard; offsets are closest-point distances from each boundary
-    vertex of the lower-id segment to the higher-id segment's boundary,
-    falling back to all segment vertices for boundary-free segments.
+    Ratios divide the lower-id node's row of ``shifted_feature_matrix`` by
+    the higher-id node's row, each with a small epsilon guard. Records the
+    shifted channels in metadata.
     """
     feats, shifted = shifted_feature_matrix(graph)
     if shifted:
         graph.metadata["shifted_channels"] = shifted
+    keys = sorted(graph.edges)
+    if not keys:
+        return
+    a, b = np.array(keys).T
+    ratios = np.log((feats[a] + RATIO_EPS) / (feats[b] + RATIO_EPS))
+    for key, row in zip(keys, ratios):
+        graph.edges[key].log_ratio = row
+
+
+def compute_edge_features(graph: SegmentGraph, mesh: TriangleMesh,
+                          adjacency: AdjacencyIndex, segmentation) -> None:
+    """Fill per-edge log-ratio vectors and boundary offset statistics.
+
+    Log-ratios come from ``fill_log_ratios``; offsets are closest-point
+    distances from each boundary vertex of the lower-id segment to the
+    higher-id segment's boundary, falling back to all segment vertices for
+    boundary-free segments.
+    """
+    fill_log_ratios(graph)
     _, seg_faces, seg_cuts = segment_index(
         adjacency, segmentation.face_segment, segmentation.n_segments)
     probes = _probe_vertex_ids(mesh, adjacency, seg_faces, seg_cuts)
@@ -351,8 +376,6 @@ def compute_edge_features(graph: SegmentGraph, mesh: TriangleMesh,
         return trees[k]
 
     for (a, b), edge in sorted(graph.edges.items()):
-        edge.log_ratio = np.log((feats[a] + RATIO_EPS)
-                                / (feats[b] + RATIO_EPS))
         dists, _ = tree_of(b).query(mesh.vertices[probes[a]])
         dists = np.atleast_1d(dists)
         edge.offset_mean = float(dists.mean())
@@ -385,65 +408,67 @@ def build_segment_graph(mesh: TriangleMesh, adjacency: AdjacencyIndex,
 
 
 def export_graph(graph: SegmentGraph, path) -> None:
-    """Serialize to JSON with deterministic ordering; see import_graph."""
-    doc = {"version": 1, "nodes": [], "edges": []}
+    """Write graph.json version 2 (module docstring); see import_graph."""
+    doc = {"version": 2, "channels": list(graph.channel_names),
+           "nodes": [{"id": n.node_id, "type": n.segment_type,
+                      "centroid": [float(x) for x in n.centroid],
+                      "plane": [float(x) for x in n.plane],
+                      "features": [float(x) for x in n.features]}
+                     for n in sorted(graph.nodes, key=lambda n: n.node_id)],
+           "edges": [{"a": a, "b": b, "types": sorted(e.types),
+                      "offset_mean": float(e.offset_mean),
+                      "offset_std": float(e.offset_std)}
+                     for (a, b), e in sorted(graph.edges.items())]}
     if graph.metadata:
-        doc["metadata"] = {k: graph.metadata[k]
-                           for k in sorted(graph.metadata)}
-    names = graph.channel_names
-    for n in sorted(graph.nodes, key=lambda n: n.node_id):
-        doc["nodes"].append({
-            "id": n.node_id,
-            "type": n.segment_type,
-            "centroid": [float(x) for x in n.centroid],
-            "plane": [float(x) for x in n.plane],
-            "features": {names[i] if names else str(i): float(v)
-                         for i, v in enumerate(n.features)},
-        })
-    for (a, b) in sorted(graph.edges):
-        e = graph.edges[(a, b)]
-        entry = {"a": a, "b": b, "types": sorted(e.types),
-                 "features": {"offset_mean": e.offset_mean,
-                              "offset_std": e.offset_std}}
-        if e.log_ratio is not None:
-            entry["features"].update(
-                {f"log_ratio_{names[i] if names else i}": float(v)
-                 for i, v in enumerate(e.log_ratio)})
-        doc["edges"].append(entry)
+        doc["metadata"] = dict(sorted(graph.metadata.items()))
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 
 def import_graph(path) -> SegmentGraph:
-    """Rebuild a graph exported by export_graph."""
+    """Rebuild a graph written by export_graph; log-ratios are recomputed.
+
+    Bad content (invalid JSON, not an object, another version, a missing
+    key, malformed values, node ids out of order, an edge that is not a
+    (lower, higher) pair of node ids) raises ConfigError with the path in
+    front of the message.
+    """
+    def bad(message):
+        return ConfigError(f"{path}: {message}")
+
     with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("version") != 1:
-        raise ValueError(f"unsupported graph file version {doc.get('version')}")
-    names = None
-    nodes = []
-    for n in doc["nodes"]:
-        feat_names = list(n["features"].keys())
-        if names is None:
-            names = feat_names
-        nodes.append(GraphNode(
-            node_id=int(n["id"]), segment_type=int(n["type"]),
-            centroid=np.asarray(n["centroid"], dtype=np.float64),
-            plane=np.asarray(n["plane"], dtype=np.float64),
-            features=np.asarray([n["features"][k] for k in feat_names])))
-    edges = {}
-    for e in doc["edges"]:
-        a, b = int(e["a"]), int(e["b"])
-        feats = dict(e["features"])
-        mean = feats.pop("offset_mean")
-        std = feats.pop("offset_std")
-        ratio = np.asarray(list(feats.values()), dtype=np.float64) \
-            if feats else None
-        edges[(a, b)] = GraphEdge(a=a, b=b, types=set(e["types"]),
-                                  log_ratio=ratio,
-                                  offset_mean=float(mean),
-                                  offset_std=float(std))
-    return SegmentGraph(nodes=nodes, edges=edges,
-                        channel_names=names or [],
-                        metadata=doc.get("metadata", {}))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:           # invalid JSON or text encoding
+            raise bad(exc) from None
+    if not isinstance(doc, dict):
+        raise bad("not a JSON object")
+    if doc.get("version") != 2:
+        raise bad(f"unsupported graph file version {doc.get('version')}")
+    try:
+        graph = SegmentGraph(
+            nodes=[GraphNode(node_id=int(n["id"]), segment_type=int(n["type"]),
+                             centroid=np.asarray(n["centroid"], np.float64),
+                             plane=np.asarray(n["plane"], np.float64),
+                             features=np.asarray(n["features"], np.float64))
+                   for n in doc["nodes"]],
+            edges={(int(e["a"]), int(e["b"])): GraphEdge(
+                       a=int(e["a"]), b=int(e["b"]), types=set(e["types"]),
+                       offset_mean=float(e["offset_mean"]),
+                       offset_std=float(e["offset_std"]))
+                   for e in doc["edges"]},
+            channel_names=list(doc["channels"]),
+            metadata=dict(doc.get("metadata", {})))
+        if [n.node_id for n in graph.nodes] != list(range(graph.n_nodes)):
+            raise ValueError("node ids are not 0, 1, 2, ... in order")
+        for a, b in graph.edges:
+            if not 0 <= a < b < graph.n_nodes:
+                raise ValueError(f"edge ({a}, {b}) is not (lower, higher) "
+                                 f"node ids in [0, {graph.n_nodes})")
+        fill_log_ratios(graph)
+    except KeyError as exc:
+        raise bad(f"missing key {exc}") from None
+    except (TypeError, ValueError, IndexError) as exc:
+        raise bad(exc) from None
+    return graph

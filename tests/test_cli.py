@@ -86,7 +86,24 @@ def test_required_flag_named_in_error(ws, tmp_path, capsys):
     assert "--planarity-model" in capsys.readouterr().err
 
 
+def tree0_field(good, field):
+    """Byte offset of field ("feature" or "left") of node 0 of tree 0."""
+    nlay = int.from_bytes(good[8:12], "little")
+    ncls = int.from_bytes(good[20 + nlay:24 + nlay], "little")
+    tree0 = 24 + nlay + 4 * ncls + 8
+    n = int.from_bytes(good[tree0:tree0 + 4], "little")
+    return tree0 + 4 + {"feature": 0, "left": 12 * n}[field]
+
+
+def set_tree0(good, field, value):
+    at = tree0_field(good, field)
+    return good[:at] + value.to_bytes(4, "little", signed=True) + good[at + 4:]
+
+
 BAD_MODELS = {
+    "child-out-of-tree": lambda good: set_tree0(good, "left", 10**6),
+    "feature-out-of-range": lambda good: set_tree0(good, "feature", 10**6),
+    "bad-leaf-mark": lambda good: set_tree0(good, "feature", -2),
     "bad-magic": lambda good: b"junk",
     "empty": lambda good: b"",
     "truncated": lambda good: good[:len(good) // 2],

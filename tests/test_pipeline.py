@@ -8,6 +8,7 @@ import pytest
 from pssmesh.config import ConfigError, PipelineConfig, override_config
 from pssmesh.features import compute_face_features
 from pssmesh.forest import planarity_map, save_model
+from pssmesh.mesh import MeshError, TriangleMesh
 from pssmesh.meshio import load_mesh, save_mesh
 from pssmesh.pipeline import (
     STAGES,
@@ -22,7 +23,10 @@ from pssmesh.pipeline import (
     save_segmentation,
     train_models,
 )
+from pssmesh.seggraph import import_graph
 from pssmesh.synth import TileParams, synth_tile
+
+from test_seggraph import graphs_equal
 
 SMALL = TileParams(seed=0, ground_res=16, n_boxes=2, n_trees=1, n_vehicles=1)
 HELD_OUT = TileParams(seed=1, ground_res=16, n_boxes=2, n_trees=1,
@@ -151,6 +155,74 @@ def test_stage_failure_keeps_partials(tile_path, trained, tmp_path):
     assert (run_dir / "face_features.csv.partial").is_file()
     assert not (run_dir / "repaired.ply").exists()
     assert not (run_dir / "manifest.json").exists()
+
+
+def test_rerun_failure_leaves_no_stale_manifest(tile_path, trained,
+                                                 tmp_path):
+    run_dir = tmp_path / "run"
+    first = run_pipeline(make_config(tile_path, trained, run_dir))
+    (run_dir / "notes.txt").write_text("not an artifact")
+    cfg = make_config(tile_path, trained, run_dir,
+                      planarity_model=str(trained["semantic"]))
+    with pytest.raises(StageError):
+        run_pipeline(cfg)
+    names = sorted(p.name for p in run_dir.iterdir())
+    assert names == ["face_features.csv.partial", "notes.txt",
+                     "repair_report.json.partial", "repaired.ply.partial"]
+    assert set(first.manifest.outputs) == set(FULL_RUN_FILES)
+
+
+def test_rerun_deletes_only_plain_names(tile_path, trained, tmp_path):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    outside = tmp_path / "keep.txt"
+    outside.write_text("outside the run directory")
+    (run_dir / "sub").mkdir()
+    (run_dir / "sub" / "keep.txt").write_text("in a subdirectory")
+    (run_dir / "manifest.json").write_text(json.dumps({"outputs": {
+        "../keep.txt": "", "sub/keep.txt": "", "sub": "", "old.csv": ""}}))
+    (run_dir / "old.csv").write_text("stale")
+    cfg = make_config(tile_path, trained, run_dir,
+                      planarity_model=None, semantic_model=None)
+    run_pipeline(cfg, stop_after="preprocess")
+    assert outside.is_file() and (run_dir / "sub" / "keep.txt").is_file()
+    assert not (run_dir / "old.csv").exists()
+    assert json.loads((run_dir / "manifest.json").read_text())["outputs"] \
+        .keys() == {"repaired.ply", "repair_report.json"}
+
+
+def unusable_meshes():
+    nan = synth_tile(SMALL)
+    nan.vertices[3, 1] = np.nan
+    empty = TriangleMesh(vertices=np.zeros((3, 3)), faces=np.zeros((0, 3)),
+                         face_label=np.zeros(0, dtype=np.int32))
+    return {"non-finite-vertex": (nan, "vertex 3: non-finite"),
+            "no-faces": (empty, "no faces")}
+
+
+@pytest.mark.parametrize("kind", ["non-finite-vertex", "no-faces"])
+def test_run_pipeline_checks_mesh_object(tile_path, trained, tmp_path, kind):
+    mesh, message = unusable_meshes()[kind]
+    cfg = make_config(tile_path, trained, tmp_path / "run", input_path=None)
+    with pytest.raises(MeshError, match=message):
+        run_pipeline(cfg, mesh=mesh)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("kind", ["non-finite-vertex", "no-faces"])
+def test_train_models_checks_mesh_object(kind):
+    mesh, message = unusable_meshes()[kind]
+    with pytest.raises(MeshError, match=message):
+        train_models(PipelineConfig(trees=5), [mesh])
+
+
+def test_graph_file_round_trip(tile_path, trained, tmp_path):
+    result = run_pipeline(make_config(tile_path, trained, tmp_path / "run"),
+                          stop_after="graph")
+    path = result.run_dir / "graph.json"
+    assert "log_ratio" not in path.read_text()
+    assert result.graph.n_edges > 0 and result.graph.channel_names
+    assert graphs_equal(result.graph, import_graph(path))
 
 
 def test_unlabeled_mesh_skips_metrics(tile_path, trained, tmp_path):

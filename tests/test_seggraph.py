@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pssmesh.adjacency import build_adjacency, face_connected_components
+from pssmesh.config import ConfigError
 from pssmesh.features import FaceFeatureParams, FaceFeatures, face_channel_names
 from pssmesh.mesh import TriangleMesh
 from pssmesh.overseg import NONPLANAR, PLANAR, Segmentation
@@ -575,7 +576,13 @@ def test_export_empty_graph(tmp_path):
     export_graph(SegmentGraph(nodes=[], edges={}), path)
     with open(path) as fh:
         doc = json.load(fh)
-    assert doc == {"version": 1, "nodes": [], "edges": []}
+    assert doc == {"version": 2, "channels": [], "nodes": [], "edges": []}
+
+
+def same_floats(x, y):
+    """Bit-for-bit equality of two float64 arrays, shape included."""
+    x, y = np.asarray(x, np.float64), np.asarray(y, np.float64)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def graphs_equal(g1, g2):
@@ -584,9 +591,9 @@ def graphs_equal(g1, g2):
     for a, b in zip(g1.nodes, g2.nodes):
         if a.node_id != b.node_id or a.segment_type != b.segment_type:
             return False
-        if not ((a.centroid == b.centroid).all()
-                and (a.plane == b.plane).all()
-                and (a.features == b.features).all()):
+        if not (same_floats(a.centroid, b.centroid)
+                and same_floats(a.plane, b.plane)
+                and same_floats(a.features, b.features)):
             return False
     for key in g1.edges:
         e1, e2 = g1.edges[key], g2.edges[key]
@@ -595,9 +602,9 @@ def graphs_equal(g1, g2):
             return False
         r1 = e1.log_ratio if e1.log_ratio is not None else np.zeros(0)
         r2 = e2.log_ratio if e2.log_ratio is not None else np.zeros(0)
-        if len(r1) != len(r2) or not (r1 == r2).all():
+        if not same_floats(r1, r2):
             return False
-    return g1.metadata == g2.metadata
+    return g1.metadata == g2.metadata and g1.channel_names == g2.channel_names
 
 
 def test_export_roundtrip(tmp_path):
@@ -614,6 +621,46 @@ def test_export_roundtrip(tmp_path):
     path = tmp_path / "graph.json"
     export_graph(g, path)
     assert graphs_equal(g, import_graph(path))
+    doc = json.loads(path.read_text())
+    assert doc["channels"] == ["alpha", "beta"]
+    assert doc["nodes"][1]["features"] == [1.0, 4.0]
+    assert set(doc["edges"][0]) == {"a", "b", "types", "offset_mean",
+                                    "offset_std"}
+
+
+GOOD_GRAPH = {"version": 2, "channels": ["alpha"],
+              "nodes": [{"id": 0, "type": 0, "centroid": [0, 0, 0],
+                         "plane": [0, 0, 1, 0], "features": [1.0]}],
+              "edges": []}
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({**GOOD_GRAPH, "version": 1}),
+    json.dumps(GOOD_GRAPH)[:40],
+    json.dumps([GOOD_GRAPH]),
+    json.dumps({k: v for k, v in GOOD_GRAPH.items() if k != "channels"}),
+    json.dumps({**GOOD_GRAPH, "edges": [{"a": 0, "b": 1}]}),
+    json.dumps({**GOOD_GRAPH, "edges": [
+        {"a": -1, "b": 0, "types": [EDGE_PARALLEL], "offset_mean": 0.0,
+         "offset_std": 0.0}]}),
+    json.dumps({**GOOD_GRAPH, "nodes": [
+        {**GOOD_GRAPH["nodes"][0], "id": 3}]}),
+], ids=["version-1", "truncated", "not-an-object", "missing-channels",
+        "missing-edge-key", "edge-id-out-of-range", "node-id-out-of-order"])
+def test_import_graph_rejects_bad_file(tmp_path, text):
+    path = tmp_path / "graph.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        import_graph(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def test_import_graph_reads_good_file(tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(GOOD_GRAPH))
+    graph = import_graph(path)
+    assert graph.channel_names == ["alpha"] and graph.n_edges == 0
+    assert same_floats(graph.nodes[0].features, [1.0])
 
 
 def test_graph_counts_on_tile():
