@@ -35,6 +35,18 @@ CELLS_PER_RADIUS = 8            # cylinder_min_z grid cells per radius
 RIM_BATCH = 1 << 18             # cylinder_min_z point checks held at once
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a table with the bytes ``csv.writer`` gives it.
+
+    ``rows`` yields sequences of Python ints and floats (``ndarray.tolist()``
+    gives them); each value is written as its ``repr``, joined by commas
+    with a ``\r\n`` line end. None of these needs quoting.
+    """
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+
+
 @dataclass
 class FaceFeatureParams:
     eigen_radii: tuple = (0.5, 1.0, 2.0)
@@ -55,11 +67,9 @@ class FaceFeatures:
         return self.values[:, self.channel_names.index(name)]
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["face"] + list(self.channel_names))
-            for i, row in enumerate(self.values):
-                w.writerow([i] + [repr(float(x)) for x in row])
+        write_csv(path, ["face"] + list(self.channel_names),
+                  ([i, *row] for i, row in
+                   enumerate(np.asarray(self.values, np.float64).tolist())))
 
     def __len__(self):
         return len(self.values)

@@ -11,11 +11,16 @@ the region plane, optionally relaxed by the non-planar probability prior when
 both the face and the region are non-planar. Because each frontier face
 couples only to the fixed region node, the exact optimum decomposes per face
 into a closed-form rule. The tests check it against enumeration and against
-``mincut.min_cut_binary`` on the star graph.
+an exact max-flow min-cut on the star graph.
 
 Faces labeled 1 are "visited" for the current region only and reconsidered by
-later regions. The region plane refits after every accepted face from an
-incremental second-moment accumulator over the region's unique vertices.
+later regions. The region plane comes from an incremental second-moment
+accumulator over the region's unique vertices. Only the frontier labeling
+reads it, so it is refit once after the seed and once after each step that
+accepted faces. That equals a refit after every accepted face bit for bit: a
+step whose final refit is degenerate is replayed face by face, because a
+degenerate refit keeps the last good plane, which an intermediate refit of
+that step may have set.
 """
 
 from __future__ import annotations
@@ -54,6 +59,12 @@ class PlaneAccumulator:
         self.n += len(points)
         self.sum_p += points.sum(axis=0)
         self.sum_pp += points.T @ points
+
+    def copy(self) -> "PlaneAccumulator":
+        other = PlaneAccumulator()
+        other.n, other.sum_p, other.sum_pp = \
+            self.n, self.sum_p.copy(), self.sum_pp.copy()
+        return other
 
     def scatter(self):
         mu = self.sum_p / self.n
@@ -113,15 +124,38 @@ def refit_plane(region: RegionState) -> None:
     region.plane_degenerate = False
 
 
-def _add_face(region: RegionState, mesh: TriangleMesh, face: int) -> None:
+def _accumulate(region: RegionState, mesh: TriangleMesh, face: int,
+                fresh: list) -> None:
+    """Add a face's new vertices and its area-weighted normal to the sums."""
+    if fresh:
+        region.acc.add(mesh.vertices[fresh])
+    region.normal_sum = region.normal_sum + mesh.face_area[face] * mesh.face_normal[face]
+
+
+def _add_face(region: RegionState, mesh: TriangleMesh, face: int) -> list:
+    """Make ``face`` a member; returns its vertices new to the region.
+
+    The plane is not refit; call ``refit_plane`` for that.
+    """
     region.members.append(face)
     region.member_set.add(face)
     fresh = [v for v in map(int, mesh.faces[face]) if v not in region.vertex_set]
-    if fresh:
-        region.vertex_set.update(fresh)
-        region.acc.add(mesh.vertices[fresh])
-    region.normal_sum = region.normal_sum + mesh.face_area[face] * mesh.face_normal[face]
-    refit_plane(region)
+    region.vertex_set.update(fresh)
+    _accumulate(region, mesh, face, fresh)
+    return fresh
+
+
+def _replay_refits(region: RegionState, mesh: TriangleMesh, start: tuple,
+                   faces: list, fresh: list) -> None:
+    """Redo one step's sums from ``start`` with a refit after every face.
+
+    ``start`` is the (accumulator, normal sum) before the step; the sums end
+    where they were, and the plane is the last non-degenerate refit's.
+    """
+    region.acc, region.normal_sum = start
+    for face, new in zip(faces, fresh):
+        _accumulate(region, mesh, face, new)
+        refit_plane(region)
 
 
 def unary_cost(face, region: RegionState, mesh: TriangleMesh,
@@ -179,6 +213,7 @@ def grow_region(seed: int, mesh: TriangleMesh, adjacency: AdjacencyIndex,
     region = RegionState(region_id=region_id,
                          region_type=int(probmap.label[seed]))
     _add_face(region, mesh, seed)
+    refit_plane(region)
     if region.plane_degenerate:
         # collapsed/collinear seed: fall back to the face's own plane
         n = mesh.face_normal[seed]
@@ -199,13 +234,19 @@ def grow_region(seed: int, mesh: TriangleMesh, adjacency: AdjacencyIndex,
         if not frontier:
             break
         labels = label_frontier(region, frontier, mesh, probmap, params)
+        start = (region.acc.copy(), region.normal_sum)
         added = []
+        fresh = []
         for f, lab in zip(frontier, labels):
             if lab == 0:
-                _add_face(region, mesh, f)
+                fresh.append(_add_face(region, mesh, f))
                 added.append(f)
             else:
                 region.visited.add(f)
+        if added:
+            refit_plane(region)
+            if region.plane_degenerate:
+                _replay_refits(region, mesh, start, added, fresh)
         front = added
     return region
 

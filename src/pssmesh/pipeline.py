@@ -7,7 +7,8 @@ a content hash per output file, so two runs can be compared file by file.
 On a stage failure the artifacts written so far are renamed with a
 ``.partial`` suffix and the error names the failing stage. A rerun into the
 same directory first deletes the earlier manifest and the outputs it lists,
-so no manifest is left beside files it does not describe.
+and deletes ``<name>.partial`` before it writes ``<name>``, so no manifest is
+left beside files it does not describe.
 """
 
 import csv
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__
 from .adjacency import build_adjacency
 from .config import ConfigError, PipelineConfig
-from .features import compute_face_features
+from .features import compute_face_features, write_csv
 from .forest import (ForestModel, classify_segments, load_model,
                      planarity_map, train_forest)
 from .meshio import load_mesh, save_mesh
@@ -104,11 +105,19 @@ def load_manifest(path) -> RunManifest:
 # ----------------------------------------------------------- artifact files
 
 
+def _floats(values) -> list:
+    return np.asarray(values, dtype=np.float64).tolist()
+
+
+def _ints(values) -> list:
+    return np.asarray(values, dtype=np.int64).tolist()
+
+
 def save_segmentation(segmentation: Segmentation, path) -> None:
     doc = {"version": 1,
-           "face_segment": [int(s) for s in segmentation.face_segment],
-           "segment_type": [int(t) for t in segmentation.segment_type],
-           "planes": [[float(x) for x in row] for row in segmentation.planes]}
+           "face_segment": _ints(segmentation.face_segment),
+           "segment_type": _ints(segmentation.segment_type),
+           "planes": _floats(segmentation.planes)}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
@@ -149,30 +158,20 @@ def load_segmentation(path) -> Segmentation:
 
 
 def save_planarity(probmap, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["face", "planar_prob", "nonplanar_geo", "label"])
-        for i in range(len(probmap.label)):
-            w.writerow([i, repr(float(probmap.planar_prob[i])),
-                        repr(float(probmap.g_hat[i])),
-                        int(probmap.label[i])])
+    label = _ints(probmap.label)
+    write_csv(path, ["face", "planar_prob", "nonplanar_geo", "label"],
+              zip(range(len(label)), _floats(probmap.planar_prob),
+                  _floats(probmap.g_hat), label))
 
 
 def save_segment_predictions(classes, proba, class_ids, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["segment", "class"] + [f"p_{c}" for c in class_ids])
-        for k in range(len(classes)):
-            w.writerow([k, int(classes[k])]
-                       + [repr(float(p)) for p in proba[k]])
+    write_csv(path, ["segment", "class"] + [f"p_{c}" for c in class_ids],
+              ([k, c, *p] for k, (c, p) in
+               enumerate(zip(_ints(classes), _floats(proba)))))
 
 
 def save_face_predictions(face_classes, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["face", "class"])
-        for i, c in enumerate(face_classes):
-            w.writerow([i, int(c)])
+    write_csv(path, ["face", "class"], enumerate(_ints(face_classes)))
 
 
 def load_face_predictions(path) -> np.ndarray:
@@ -319,6 +318,7 @@ def run_pipeline(config: PipelineConfig, mesh=None,
 
     def emit(name, writer):
         path = run_dir / name
+        path.with_name(name + ".partial").unlink(missing_ok=True)
         writer(path)
         written.append(path)
 

@@ -6,13 +6,12 @@ distance), global size measures, and an area-weighted HSV color histogram.
 The layout is fixed and versioned so downstream models can detect drift.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adjacency import AdjacencyIndex, label_components, segment_index
-from .features import FaceFeatures
+from .features import FaceFeatures, write_csv
 from .mesh import TriangleMesh
 
 LAYOUT_SEGMENT_V1 = "segment-v1"
@@ -36,11 +35,9 @@ class SegmentFeatures:
         return self.values[:, self.channel_names.index(name)]
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["segment"] + list(self.channel_names))
-            for k, row in enumerate(self.values):
-                w.writerow([k] + [repr(float(x)) for x in row])
+        write_csv(path, ["segment"] + list(self.channel_names),
+                  ([k, *row] for k, row in
+                   enumerate(np.asarray(self.values, np.float64).tolist())))
 
 
 def segment_channel_names(face_channel_names) -> list:

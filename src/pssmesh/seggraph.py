@@ -116,14 +116,18 @@ class SegmentGraph:
 # ------------------------------------------------------------- construction
 
 
-def _probe_vertex_ids(mesh, adjacency, seg_faces, seg_cuts):
-    """Vertices on each segment's cut edges, ascending.
+def segment_probes(mesh, adjacency, segmentation) -> tuple:
+    """(face ids, probe vertex ids) of every segment, from one segment index.
 
-    Boundary-free (closed) segments fall back to all their vertices.
+    A segment's probes are the vertices on its cut edges, ascending;
+    boundary-free (closed) segments fall back to all their vertices.
     """
-    return [np.unique(adjacency.edge_vertices[cuts]) if len(cuts)
-            else np.unique(mesh.faces[faces])
-            for faces, cuts in zip(seg_faces, seg_cuts)]
+    _, seg_faces, seg_cuts = segment_index(
+        adjacency, segmentation.face_segment, segmentation.n_segments)
+    probes = [np.unique(adjacency.edge_vertices[cuts]) if len(cuts)
+              else np.unique(mesh.faces[faces])
+              for faces, cuts in zip(seg_faces, seg_cuts)]
+    return seg_faces, probes
 
 
 def build_nodes(mesh: TriangleMesh, segmentation,
@@ -165,23 +169,20 @@ def parallelism_edges(graph: SegmentGraph,
 
 
 def connecting_ground_edges(graph: SegmentGraph, mesh: TriangleMesh,
-                            adjacency: AdjacencyIndex, segmentation,
-                            radius: float = 30.0) -> int:
+                            seg_faces, probes, radius: float = 30.0) -> int:
     """Link every segment to its local ground plane.
 
-    The candidates of a segment are the other planar segments with any
-    vertex within ``radius`` (inclusive) in xy of any boundary vertex of the
-    segment. Its local ground is the candidate with the lowest mean
+    ``seg_faces`` and ``probes`` are ``segment_probes``' lists. The
+    candidates of a segment are the other planar segments with any vertex
+    within ``radius`` (inclusive) in xy of any probe (boundary vertex) of
+    the segment. Its local ground is the candidate with the lowest mean
     face-centroid z, then the larger area, then the lower id. Segments with
     no candidate are recorded in metadata as groundless.
     """
-    n_seg = segmentation.n_segments
-    _, seg_faces, seg_cuts = segment_index(
-        adjacency, segmentation.face_segment, n_seg)
+    n_seg = len(seg_faces)
     cent_z = mesh.face_centroid[:, 2]
     mean_z = np.array([cent_z[faces].mean() for faces in seg_faces])
     seg_area = np.array([mesh.face_area[faces].sum() for faces in seg_faces])
-    probes = _probe_vertex_ids(mesh, adjacency, seg_faces, seg_cuts)
     probe_seg = np.repeat(np.arange(n_seg), [len(p) for p in probes])
     probe_xy = mesh.vertices[np.concatenate([np.zeros(0, np.int64), *probes]),
                              :2]
@@ -356,18 +357,15 @@ def fill_log_ratios(graph: SegmentGraph) -> None:
 
 
 def compute_edge_features(graph: SegmentGraph, mesh: TriangleMesh,
-                          adjacency: AdjacencyIndex, segmentation) -> None:
+                          probes) -> None:
     """Fill per-edge log-ratio vectors and boundary offset statistics.
 
     Log-ratios come from ``fill_log_ratios``; offsets are closest-point
-    distances from each boundary vertex of the lower-id segment to the
-    higher-id segment's boundary, falling back to all segment vertices for
-    boundary-free segments.
+    distances from each probe of the lower-id segment to the higher-id
+    segment's probes (``segment_probes``: its boundary vertices, or all its
+    vertices when it has no boundary).
     """
     fill_log_ratios(graph)
-    _, seg_faces, seg_cuts = segment_index(
-        adjacency, segmentation.face_segment, segmentation.n_segments)
-    probes = _probe_vertex_ids(mesh, adjacency, seg_faces, seg_cuts)
     trees = {}
 
     def tree_of(k):
@@ -387,20 +385,19 @@ def build_segment_graph(mesh: TriangleMesh, adjacency: AdjacencyIndex,
                         params: GraphParams | None = None) -> SegmentGraph:
     """Run all four edge constructors and the edge feature pass."""
     params = params or GraphParams()
-    seg_faces = segment_index(adjacency, segmentation.face_segment,
-                              segmentation.n_segments)[1]
+    seg_faces, probes = segment_probes(mesh, adjacency, segmentation)
     graph = SegmentGraph(nodes=build_nodes(mesh, segmentation, seg_features,
                                            seg_faces),
                          edges={},
                          channel_names=list(seg_features.channel_names))
     parallelism_edges(graph, params.parallel_angle_deg)
-    connecting_ground_edges(graph, mesh, adjacency, segmentation,
+    connecting_ground_edges(graph, mesh, seg_faces, probes,
                             params.ground_radius)
     exmat_edges(graph, mesh, segmentation, params.exmat_density,
                 params.exmat_denoise_angle, params.seed)
     proximity_edges(graph, mesh, segmentation, params.proximity_mode,
                     params.knn_k, params.knn_cutoff_factor)
-    compute_edge_features(graph, mesh, adjacency, segmentation)
+    compute_edge_features(graph, mesh, probes)
     return graph
 
 

@@ -25,7 +25,6 @@ from pssmesh.metrics import (
     overseg_report,
     semantic_metrics,
 )
-from pssmesh.mincut import binary_energy, min_cut_binary
 from pssmesh.overseg import (
     GrowthParams,
     PlaneAccumulator,
@@ -34,6 +33,7 @@ from pssmesh.overseg import (
     label_frontier,
     oversegment,
     pairwise_cost,
+    refit_plane,
     unary_cost,
 )
 from pssmesh.pipeline import run_pipeline, train_models
@@ -47,6 +47,7 @@ from pssmesh.synth import (
 )
 
 from conftest import grid_mesh
+from mincut import binary_energy, min_cut_binary
 
 
 def verdict(n, checks):
@@ -271,6 +272,7 @@ def test_criterion_04_energy_optimality():
         for nb in map(int, adj.face_neighbors(seed)):
             if len(region.members) < 3 and rng.random() < 0.5:
                 _add_face(region, mesh, nb)
+        refit_plane(region)
         frontier = sorted({int(x) for f in region.members
                            for x in adj.face_neighbors(f)}
                           - region.member_set)[:12]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pssmesh.mincut import min_cut_binary, binary_energy
+from mincut import min_cut_binary, binary_energy
 
 
 def enumerate_energies(unary0, unary1, edges, weights):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from pssmesh import overseg
 from pssmesh.mesh import TriangleMesh
 from pssmesh.adjacency import build_adjacency
 from pssmesh.forest import ProbabilityMap
-from pssmesh.mincut import min_cut_binary
 from pssmesh.repair import weld_vertices
 from pssmesh.overseg import (GrowthParams, RegionState, PlaneAccumulator,
                              Segmentation, refit_plane, unary_cost,
@@ -12,6 +12,7 @@ from pssmesh.overseg import (GrowthParams, RegionState, PlaneAccumulator,
                              grow_region, oversegment, _add_face)
 
 from conftest import grid_mesh
+from mincut import min_cut_binary
 
 
 def flat_probmap(n, planar=True, g_hat=0.5):
@@ -150,6 +151,7 @@ def test_label_frontier_direct_equals_mincut():
     pm = flat_probmap(m.n_faces)
     region = RegionState(region_id=0, region_type=0)
     _add_face(region, m, 30)
+    refit_plane(region)
     frontier = sorted(int(x) for x in adj.face_neighbors(30))
     n = len(frontier)
     for lm in (0.0, 0.1, 1.0):
@@ -206,6 +208,7 @@ def test_label_frontier_matches_per_face_definition():
         region = RegionState(region_id=0, region_type=trial % 2)
         for f in rng.choice(m.n_faces, 4, replace=False):
             _add_face(region, m, int(f))
+        refit_plane(region)
         params = GrowthParams(lambda_d=rng.uniform(0.5, 2.0),
                               lambda_m=rng.uniform(0.0, 1.0),
                               lambda_g=rng.uniform(0.0, 1.0))
@@ -344,6 +347,118 @@ def test_oversegment_partition_and_connectivity():
                     seen.add(int(nb))
                     stack.append(int(nb))
         assert seen == set(faces.tolist())
+
+
+def grow_region_per_face_refit(seed, mesh, adjacency, probmap, params,
+                               assigned=None, region_id=0):
+    """``grow_region`` with the plane refit after every accepted face."""
+    region = RegionState(region_id=region_id,
+                         region_type=int(probmap.label[seed]))
+    _add_face(region, mesh, seed)
+    refit_plane(region)
+    if region.plane_degenerate:
+        n = mesh.face_normal[seed]
+        if np.any(n):
+            region.normal = n.copy()
+            region.offset = -float(n @ mesh.face_centroid[seed])
+    front = [seed]
+    while front:
+        cand = {int(nb) for f in front for nb in adjacency.face_neighbors(f)}
+        cand -= region.member_set | region.visited
+        if assigned is not None:
+            cand = {f for f in cand if not assigned[f]}
+        frontier = sorted(cand)
+        if not frontier:
+            break
+        labels = label_frontier(region, frontier, mesh, probmap, params)
+        front = []
+        for f, lab in zip(frontier, labels):
+            if lab == 0:
+                _add_face(region, mesh, f)
+                refit_plane(region)
+                front.append(f)
+            else:
+                region.visited.add(f)
+    return region
+
+
+def same_segmentation(a, b):
+    return all(x.dtype == y.dtype and x.shape == y.shape
+               and x.tobytes() == y.tobytes()
+               for x, y in ((a.face_segment, b.face_segment),
+                            (a.segment_type, b.segment_type),
+                            (a.planes, b.planes)))
+
+
+def collinear_strips(rng, n_strips):
+    """Chains of zero-area faces on random lines about 1 km to 10 km out.
+
+    The cancellation in the far-off scatter makes a refit degenerate or not
+    almost at random, so steps that end degenerate after a good
+    intermediate refit occur.
+    """
+    verts, faces = [], []
+    for _ in range(n_strips):
+        n = int(rng.integers(5, 9))
+        d = rng.standard_normal(3)
+        t = np.sort(rng.uniform(0.0, 10.0, n))
+        base = sum(len(v) for v in verts)
+        verts.append(rng.uniform(-1.0, 1.0, 3) * 10.0 ** rng.uniform(3, 4)
+                     + t[:, None] * d / np.linalg.norm(d))
+        i = np.arange(n - 2) + base
+        faces.append(np.column_stack([i, i + 1, i + 2]))
+    return TriangleMesh(vertices=np.vstack(verts),
+                        faces=np.vstack(faces).astype(np.int32))
+
+
+def test_step_refit_equals_per_face_refit_on_noisy_grids(monkeypatch):
+    rng = np.random.default_rng(21)
+    for trial in range(8):
+        m = grid_mesh(9, 7, dx=0.5)
+        m.vertices = m.vertices + rng.standard_normal(m.vertices.shape) \
+            * rng.choice([0.01, 0.05, 0.2])
+        adj = build_adjacency(m)
+        g = rng.random(m.n_faces)
+        pm = ProbabilityMap(g_log=np.log(np.maximum(g, 1e-6)), g_hat=g,
+                            label=(g > 0.5).astype(np.int32),
+                            planar_prob=1.0 - g)
+        params = GrowthParams(lambda_d=rng.uniform(0.5, 3.0),
+                              lambda_m=rng.uniform(0.0, 0.5))
+        got = oversegment(m, adj, pm, params)
+        with monkeypatch.context() as mp:
+            mp.setattr(overseg, "grow_region", grow_region_per_face_refit)
+            want = oversegment(m, adj, pm, params)
+        assert same_segmentation(got, want)
+        assert got.n_segments < m.n_faces
+
+
+def test_step_refit_replays_degenerate_steps(monkeypatch):
+    rng = np.random.default_rng(3)
+    m = collinear_strips(rng, 150)
+    adj = build_adjacency(m)
+    nf = m.n_faces
+    # non-planar faces and prior: every face joins whatever the plane is;
+    # seeds inside a strip grow both ways, two faces per step
+    pm = ProbabilityMap(g_log=np.zeros(nf), g_hat=np.ones(nf),
+                        label=np.ones(nf, dtype=np.int32),
+                        planar_prob=rng.random(nf))
+    replays = []
+    replay = overseg._replay_refits
+    with monkeypatch.context() as mp:
+        mp.setattr(overseg, "_replay_refits",
+                   lambda *a: replays.append(1) or replay(*a))
+        got = oversegment(m, adj, pm)
+    with monkeypatch.context() as mp:
+        mp.setattr(overseg, "grow_region", grow_region_per_face_refit)
+        want = oversegment(m, adj, pm)
+    with monkeypatch.context() as mp:
+        mp.setattr(overseg, "_replay_refits", lambda *a: None)
+        naive = oversegment(m, adj, pm)
+    assert got.n_segments == 150
+    assert same_segmentation(got, want)
+    # the strips reach the replay, and a refit at step ends alone is wrong
+    assert replays
+    assert not same_segmentation(naive, want)
 
 
 def test_oversegment_deterministic():

@@ -1,13 +1,14 @@
 """Staged pipeline runner, artifact files, manifest, and training tests."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from pssmesh.config import ConfigError, PipelineConfig, override_config
-from pssmesh.features import compute_face_features
-from pssmesh.forest import planarity_map, save_model
+from pssmesh.features import FaceFeatures, compute_face_features
+from pssmesh.forest import ProbabilityMap, planarity_map, save_model
 from pssmesh.mesh import MeshError, TriangleMesh
 from pssmesh.meshio import load_mesh, save_mesh
 from pssmesh.pipeline import (
@@ -20,9 +21,13 @@ from pssmesh.pipeline import (
     resolve_threads,
     run_pipeline,
     save_face_predictions,
+    save_planarity,
+    save_segment_predictions,
     save_segmentation,
     train_models,
 )
+from pssmesh.overseg import Segmentation
+from pssmesh.segfeatures import SegmentFeatures
 from pssmesh.seggraph import import_graph
 from pssmesh.synth import TileParams, synth_tile
 
@@ -172,6 +177,19 @@ def test_rerun_failure_leaves_no_stale_manifest(tile_path, trained,
     assert set(first.manifest.outputs) == set(FULL_RUN_FILES)
 
 
+def test_successful_rerun_leaves_no_partials(tile_path, trained, tmp_path):
+    run_dir = tmp_path / "run"
+    run_pipeline(make_config(tile_path, trained, run_dir))
+    with pytest.raises(StageError):
+        run_pipeline(make_config(tile_path, trained, run_dir,
+                                 planarity_model=str(trained["semantic"])))
+    assert (run_dir / "face_features.csv.partial").is_file()
+    result = run_pipeline(make_config(tile_path, trained, run_dir))
+    assert sorted(p.name for p in run_dir.iterdir()) \
+        == sorted(FULL_RUN_FILES + ["manifest.json"])
+    assert set(result.manifest.outputs) == set(FULL_RUN_FILES)
+
+
 def test_rerun_deletes_only_plain_names(tile_path, trained, tmp_path):
     run_dir = tmp_path / "run"
     run_dir.mkdir()
@@ -257,6 +275,80 @@ def test_face_predictions_round_trip(tmp_path):
     path = tmp_path / "pred.csv"
     save_face_predictions(np.array([3, 1, 0, 2]), path)
     assert (load_face_predictions(path) == [3, 1, 0, 2]).all()
+
+
+SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-05, 1e16, 0.1,
+                  1.0 / 3.0, -2.5e-300, 5e-324, 1.7976931348623157e308]
+
+
+def csv_reference(path, header, rows):
+    """The tables as ``csv.writer`` wrote them, cell by cell."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow(row)
+    return path.read_bytes()
+
+
+def odd_floats(rng, shape, dtype=np.float64):
+    """Values of every magnitude with each special float planted."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 18, shape)
+    flat = x.reshape(-1)
+    flat[:len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
+    with np.errstate(over="ignore"):        # float32: large values to inf
+        return x.astype(dtype)
+
+
+def test_table_writers_match_csv_writer(tmp_path):
+    rng = np.random.default_rng(9)
+    names = [f"c{i}_r0.5" for i in range(7)]
+    got, want = tmp_path / "got", tmp_path / "want"
+
+    values = odd_floats(rng, (40, 7))
+    FaceFeatures(values=values, channel_names=names).to_csv(got)
+    assert got.read_bytes() == csv_reference(
+        want, ["face"] + names,
+        ([i] + [repr(float(x)) for x in row] for i, row in enumerate(values)))
+
+    SegmentFeatures(values=values, channel_names=names,
+                    layout_version="segment-v1").to_csv(got)
+    assert got.read_bytes() == csv_reference(
+        want, ["segment"] + names,
+        ([k] + [repr(float(x)) for x in row] for k, row in enumerate(values)))
+
+    pp, g = odd_floats(rng, 30), odd_floats(rng, 30, np.float32)
+    label = rng.integers(0, 2, 30).astype(np.int32)
+    save_planarity(ProbabilityMap(g_log=np.zeros(30), g_hat=g,
+                                  label=label, planar_prob=pp), got)
+    assert got.read_bytes() == csv_reference(
+        want, ["face", "planar_prob", "nonplanar_geo", "label"],
+        ([i, repr(float(pp[i])), repr(float(g[i])), int(label[i])]
+         for i in range(30)))
+
+    classes = np.array([3, 0, 7, 1, 2, 2, 5, 0, 1, 6, 4, 3])
+    proba = odd_floats(rng, (12, 4))
+    save_segment_predictions(classes, proba, [0, 1, 3, 7], got)
+    assert got.read_bytes() == csv_reference(
+        want, ["segment", "class", "p_0", "p_1", "p_3", "p_7"],
+        ([k, int(classes[k])] + [repr(float(p)) for p in proba[k]]
+         for k in range(12)))
+
+    face_classes = rng.integers(-1, 9, 25).astype(np.int32)
+    save_face_predictions(face_classes, got)
+    assert got.read_bytes() == csv_reference(
+        want, ["face", "class"],
+        ([i, int(c)] for i, c in enumerate(face_classes)))
+
+    seg = Segmentation(face_segment=rng.integers(-1, 5, 20).astype(np.int32),
+                       segment_type=rng.integers(0, 2, 5).astype(np.int8),
+                       planes=odd_floats(rng, (5, 4)))
+    save_segmentation(seg, got)
+    doc = {"version": 1,
+           "face_segment": [int(k) for k in seg.face_segment],
+           "segment_type": [int(t) for t in seg.segment_type],
+           "planes": [[float(x) for x in row] for row in seg.planes]}
+    assert got.read_text() == json.dumps(doc, indent=1) + "\n"
 
 
 def test_face_predictions_header_check(tmp_path):

@@ -32,6 +32,7 @@ from pssmesh.seggraph import (
     knn_pairs,
     parallelism_edges,
     proximity_edges,
+    segment_probes,
 )
 from pssmesh.synth import TileParams, synth_tile
 
@@ -132,7 +133,8 @@ def test_box_links_to_ground():
     g = SegmentGraph(nodes=[GraphNode(k, PLANAR, np.zeros(3), seg.planes[k],
                                       np.ones(2))
                             for k in range(seg.n_segments)], edges={})
-    added = connecting_ground_edges(g, mesh, adj, seg, radius=30.0)
+    added = connecting_ground_edges(g, mesh, *segment_probes(mesh, adj, seg),
+                                    radius=30.0)
     assert added >= 1
     assert (0, 1) in g.edges and EDGE_GROUND in g.edges[(0, 1)].types
     assert g.metadata["groundless"] == []
@@ -160,7 +162,8 @@ def test_stacked_slabs_pick_lowest():
     g = SegmentGraph(nodes=[GraphNode(k, PLANAR, np.zeros(3), seg.planes[k],
                                       np.ones(2))
                             for k in range(seg.n_segments)], edges={})
-    connecting_ground_edges(g, mesh, adj, seg, radius=30.0)
+    connecting_ground_edges(g, mesh, *segment_probes(mesh, adj, seg),
+                            radius=30.0)
     # the top slab must attach to the lowest slab, not the middle one
     assert (0, 2) in g.edges
     assert (1, 2) not in g.edges
@@ -171,7 +174,8 @@ def test_groundless_when_no_planar_candidates():
     nodes = [GraphNode(k, NONPLANAR, np.zeros(3), seg.planes[k], np.ones(2))
              for k in range(seg.n_segments)]
     g = SegmentGraph(nodes=nodes, edges={})
-    assert connecting_ground_edges(g, mesh, adj, seg) == 0
+    assert connecting_ground_edges(g, mesh,
+                                   *segment_probes(mesh, adj, seg)) == 0
     assert g.metadata["groundless"] == [0, 1]
 
 
@@ -258,7 +262,9 @@ def test_ground_matches_brute_force():
                                           np.zeros(3), np.zeros(4),
                                           np.ones(2)) for k in range(n_seg)],
                          edges={})
-        added = connecting_ground_edges(g, mesh, adj, seg, radius=5.0)
+        added = connecting_ground_edges(g, mesh,
+                                        *segment_probes(mesh, adj, seg),
+                                        radius=5.0)
         ground, t = brute_ground(mesh, adj, face_segment, planar, 5.0)
         ties |= t
         expect = {(min(k, c), max(k, c)) for k, c in enumerate(ground)
@@ -517,7 +523,7 @@ def test_edge_features_log_ratio_and_offsets():
         GraphNode(1, PLANAR, np.zeros(3), seg.planes[1], np.array([1.0, 1.0])),
     ], edges={}, channel_names=["alpha", "beta"])
     g.add_pairs([[0, 1]], EDGE_PROXIMITY)
-    compute_edge_features(g, mesh, adj, seg)
+    compute_edge_features(g, mesh, segment_probes(mesh, adj, seg)[1])
     e = g.edges[(0, 1)]
     assert abs(e.log_ratio[0] - np.log((2.0 + 1e-6) / (1.0 + 1e-6))) < 1e-12
     assert e.log_ratio[1] == 0.0
@@ -534,7 +540,7 @@ def test_edge_offset_zero_for_enclosed_segment():
     # the pair key is (min, max); offsets run from segment 1's boundary,
     # which is entirely shared with segment 0, only when 1 is the lower id.
     # Here the lower id is 0, whose boundary includes the outer border.
-    compute_edge_features(g, mesh, adj, seg)
+    compute_edge_features(g, mesh, segment_probes(mesh, adj, seg)[1])
     assert g.edges[(0, 1)].offset_mean > 0.0
 
     # flip roles: make the enclosed cell the lower id
@@ -542,7 +548,7 @@ def test_edge_offset_zero_for_enclosed_segment():
                         segment_type=seg.segment_type, planes=seg.planes)
     g2 = SegmentGraph(nodes=g.nodes, edges={})
     g2.add_pairs([[0, 1]], EDGE_PROXIMITY)
-    compute_edge_features(g2, mesh, adj, seg2)
+    compute_edge_features(g2, mesh, segment_probes(mesh, adj, seg2)[1])
     assert g2.edges[(0, 1)].offset_mean == 0.0
     assert g2.edges[(0, 1)].offset_std == 0.0
 
@@ -554,7 +560,7 @@ def test_negative_channel_shifted_and_flagged():
         GraphNode(1, PLANAR, np.zeros(3), seg.planes[1], np.array([0.5, 2.0])),
     ], edges={}, channel_names=["mean_greenness", "area"])
     g.add_pairs([[0, 1]], EDGE_PROXIMITY)
-    compute_edge_features(g, mesh, adj, seg)
+    compute_edge_features(g, mesh, segment_probes(mesh, adj, seg)[1])
     assert g.metadata["shifted_channels"] == ["mean_greenness"]
     e = g.edges[(0, 1)]
     expected = np.log((0.0 + 1e-6 + 1e-6) / (1.0 + 1e-6 + 1e-6))
@@ -617,7 +623,7 @@ def test_export_roundtrip(tmp_path):
     ], edges={}, channel_names=["alpha", "beta"])
     g.add_pairs([[0, 1]], EDGE_PROXIMITY)
     g.add_pairs([[0, 1]], EDGE_PARALLEL)
-    compute_edge_features(g, mesh, adj, seg)
+    compute_edge_features(g, mesh, segment_probes(mesh, adj, seg)[1])
     path = tmp_path / "graph.json"
     export_graph(g, path)
     assert graphs_equal(g, import_graph(path))

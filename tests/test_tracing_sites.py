@@ -8,7 +8,8 @@ from pssmesh.adjacency import build_adjacency
 from pssmesh.segfeatures import compute_segment_features
 from pssmesh.seggraph import (GraphParams, SegmentGraph,
                               connecting_ground_edges, exmat_edges,
-                              parallelism_edges, proximity_edges)
+                              parallelism_edges, proximity_edges,
+                              segment_probes)
 from pssmesh.synth import TileParams, synth_tile
 
 from test_seggraph import components_segmentation, fake_features
@@ -58,7 +59,8 @@ def test_traced_graph_counts_match_graph():
 
     fresh = SegmentGraph(nodes=graph.nodes, edges={})
     added = (parallelism_edges(fresh, params.parallel_angle_deg)
-             + connecting_ground_edges(fresh, mesh, adj, seg,
+             + connecting_ground_edges(fresh, mesh,
+                                       *segment_probes(mesh, adj, seg),
                                        params.ground_radius)
              + exmat_edges(fresh, mesh, seg, params.exmat_density,
                            params.exmat_denoise_angle, params.seed)
