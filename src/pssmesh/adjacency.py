@@ -1,4 +1,4 @@
-"""Face adjacency, edge lists, vertex one-rings and related graph queries."""
+"""Face adjacency, edge lists, segment indexes and connected components."""
 
 from __future__ import annotations
 
@@ -84,21 +84,9 @@ class AdjacencyIndex:
     edge_length: np.ndarray            # (E,) float64 meters
     _face_off: np.ndarray = field(repr=False, default=None)
     _face_flat: np.ndarray = field(repr=False, default=None)
-    _vert_off: np.ndarray = field(repr=False, default=None)
-    _vert_flat: np.ndarray = field(repr=False, default=None)
 
     def face_neighbors(self, f: int) -> np.ndarray:
         return self._face_flat[self._face_off[f]:self._face_off[f + 1]]
-
-    def vertex_neighbors(self, v: int) -> np.ndarray:
-        return self._vert_flat[self._vert_off[v]:self._vert_off[v + 1]]
-
-    @property
-    def border_edge_mask(self) -> np.ndarray:
-        return self.edge_faces[:, 1] < 0
-
-    def face_degree(self) -> np.ndarray:
-        return np.diff(self._face_off)
 
 
 def build_adjacency(mesh: TriangleMesh) -> AdjacencyIndex:
@@ -109,13 +97,6 @@ def build_adjacency(mesh: TriangleMesh) -> AdjacencyIndex:
     """
     nf, nv = mesh.n_faces, mesh.n_vertices
     e, owner = face_edges(mesh.faces)
-    if len(e) == 0:
-        empty = np.zeros((0, 2), dtype=np.int32)
-        idx = AdjacencyIndex(nf, nv, empty, empty.copy(), np.zeros(0))
-        idx._face_off, idx._face_flat = _csr(empty, nf)
-        idx._vert_off, idx._vert_flat = _csr(empty, nv)
-        return idx
-
     keys, inverse, counts = np.unique(pair_keys(e, nv), return_inverse=True,
                                       return_counts=True)
     uniq = np.column_stack(np.divmod(keys, nv))
@@ -125,47 +106,19 @@ def build_adjacency(mesh: TriangleMesh) -> AdjacencyIndex:
             f"non-manifold edge ({bad[0]}, {bad[1]}) with "
             f"{int(counts.max())} incident faces; run repair_nonmanifold first")
 
-    ne = len(uniq)
-    edge_faces = np.full((ne, 2), -1, dtype=np.int32)
-    order = np.argsort(inverse, kind="stable")
-    ei = inverse[order]
-    fo = owner[order]
-    starts = np.searchsorted(ei, np.arange(ne))
-    edge_faces[:, 0] = fo[starts]
+    # owners ascend, so a stable sort lists each edge's faces low to high
+    fo = owner[np.argsort(inverse, kind="stable")]
+    starts = np.cumsum(counts) - counts
     second = counts == 2
+    edge_faces = np.full((len(uniq), 2), -1, dtype=np.int32)
+    edge_faces[:, 0] = fo[starts]
     edge_faces[second, 1] = fo[starts[second] + 1]
-    lo = np.minimum(edge_faces[:, 0], np.where(second, edge_faces[:, 1], edge_faces[:, 0]))
-    hi = np.maximum(edge_faces[:, 0], edge_faces[:, 1])
-    edge_faces = np.column_stack([lo, np.where(second, hi, -1)]).astype(np.int32)
 
     length = np.linalg.norm(mesh.vertices[uniq[:, 1]] - mesh.vertices[uniq[:, 0]], axis=1)
 
     idx = AdjacencyIndex(nf, nv, uniq.astype(np.int32), edge_faces, length)
-    pair_mask = second
-    face_pairs = edge_faces[pair_mask]
-    idx._face_off, idx._face_flat = _csr(face_pairs, nf)
-    idx._vert_off, idx._vert_flat = _csr(uniq, nv)
+    idx._face_off, idx._face_flat = _csr(edge_faces[second], nf)
     return idx
-
-
-def k_ring_vertices_multi(adjacency: AdjacencyIndex, sources, k: int) -> set:
-    """Vertices at one-ring graph distance <= k from any source, sources incl."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    seen = {int(s) for s in sources}
-    frontier = list(seen)
-    for _ in range(k):
-        nxt = []
-        for u in frontier:
-            for w in adjacency.vertex_neighbors(u):
-                w = int(w)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    return seen
 
 
 def segment_index(adjacency: AdjacencyIndex, face_segment, n_segments: int):

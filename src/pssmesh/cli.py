@@ -10,6 +10,7 @@ error.
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .adjacency import build_adjacency
@@ -23,11 +24,8 @@ from .pipeline import (StageError, file_sha256, load_face_predictions,
                        save_metrics_row, train_models)
 from .synth import TileParams, expected_component_count, synth_tile
 
-_CONFIG_DESTS = ("input_path", "output_dir", "planarity_model",
-                 "semantic_model", "weld_epsilon", "trees", "min_leaf",
-                 "max_depth", "lambda_d", "lambda_m", "lambda_g",
-                 "parallel_angle_deg", "ground_radius", "proximity_mode",
-                 "sampling_density", "boundary_rings", "seed", "threads")
+# flags whose argparse dest is a config field override that field
+_CONFIG_DESTS = tuple(f.name for f in fields(PipelineConfig))
 
 
 def resolved_config(args) -> PipelineConfig:
@@ -205,15 +203,20 @@ def _load_coindexed(mesh_path, n_expected=None):
     return mesh
 
 
-def cmd_eval_overseg(args) -> int:
-    cfg = resolved_config(args)
-    _require(cfg, "input_path", "output_dir")
-    mesh = _load_coindexed(cfg.input_path)
-    seg = load_segmentation(args.segmentation)
+def _load_coindexed_segmentation(path, mesh):
+    seg = load_segmentation(path)
     if len(seg.face_segment) != mesh.n_faces:
         raise ConfigError("meshes not co-indexed: "
                           f"{len(seg.face_segment)} segment entries vs "
                           f"{mesh.n_faces} faces")
+    return seg
+
+
+def cmd_eval_overseg(args) -> int:
+    cfg = resolved_config(args)
+    _require(cfg, "input_path", "output_dir")
+    mesh = _load_coindexed(cfg.input_path)
+    seg = _load_coindexed_segmentation(args.segmentation, mesh)
     adjacency = build_adjacency(mesh)
     report = overseg_report(mesh, adjacency, seg.face_segment,
                             mesh.face_label, rings=cfg.boundary_rings)
@@ -253,11 +256,7 @@ def cmd_upper_bound(args) -> int:
     cfg = resolved_config(args)
     _require(cfg, "input_path", "output_dir")
     mesh = _load_coindexed(cfg.input_path)
-    seg = load_segmentation(args.segmentation)
-    if len(seg.face_segment) != mesh.n_faces:
-        raise ConfigError("meshes not co-indexed: "
-                          f"{len(seg.face_segment)} segment entries vs "
-                          f"{mesh.n_faces} faces")
+    seg = _load_coindexed_segmentation(args.segmentation, mesh)
     report, _ = max_achievable(seg.face_segment, mesh.face_label,
                                mesh.face_area)
     out = Path(cfg.output_dir)

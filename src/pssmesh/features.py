@@ -13,8 +13,11 @@ every radius; each face's neighbours are summed in ascending index order.
 ``elevation_rel`` is relative to the scene-wide lowest centroid; the _rNN
 variants subtract the lowest centroid inside a vertical cylinder of that
 radius, found exactly on an xy grid of per-cell minima (``cylinder_min_z``).
-Densities are counts within a 1 m ball divided by the disc area pi. Color
-channels use the face color (HSV hue in degrees).
+``inmat_radius`` is the interior shrinking-ball radius of each face centroid
+(``medial``, with its fixed denoise angle and the bounding-box diagonal as
+the first radius). Densities are vertex and centroid counts within a
+``DENSITY_RADIUS`` (1 m) ball divided by the disc area pi. Color channels
+use the face color (HSV hue in degrees).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ LAYOUT_FACE_V1 = "face-v1"
 EIGEN_FACE_BLOCK = 256          # faces whose neighbourhoods are summed at once
 CELLS_PER_RADIUS = 8            # cylinder_min_z grid cells per radius
 RIM_BATCH = 1 << 18             # cylinder_min_z point checks held at once
+DENSITY_RADIUS = 1.0            # metres, ball of the two density channels
 
 
 def write_csv(path, header, rows) -> None:
@@ -51,9 +55,6 @@ def write_csv(path, header, rows) -> None:
 class FaceFeatureParams:
     eigen_radii: tuple = (0.5, 1.0, 2.0)
     elevation_radii: tuple = (10.0, 20.0, 40.0)
-    density_radius: float = 1.0
-    mat_denoise_angle: float = 30.0
-    mat_init_radius: float | None = None
 
 
 @dataclass
@@ -343,15 +344,14 @@ def elevation_context(mesh: TriangleMesh, radii) -> np.ndarray:
     return out
 
 
-def inmat_radii(mesh: TriangleMesh, params: FaceFeatureParams) -> np.ndarray:
+def inmat_radii(mesh: TriangleMesh) -> np.ndarray:
     """Interior shrinking-ball radius per face (0 for degenerate faces)."""
     good = ~mesh.degenerate_faces
     out = np.zeros(mesh.n_faces)
     if good.sum() >= 2:
         balls = shrinking_ball_transform(
             mesh.face_centroid[good], mesh.face_normal[good],
-            orientation="interior", init_radius=params.mat_init_radius,
-            denoise_angle=params.mat_denoise_angle)
+            orientation="interior")
         out[np.flatnonzero(good)] = balls.radii
     return out
 
@@ -382,35 +382,24 @@ def compute_face_features(mesh: TriangleMesh,
     vals[:, col:col + len(params.elevation_radii)] = elevation_context(mesh, params.elevation_radii)
     col += len(params.elevation_radii)
 
-    vals[:, col] = inmat_radii(mesh, params)
+    vals[:, col] = inmat_radii(mesh)
     col += 1
     vtree = cKDTree(mesh.vertices)
-    disc_area = np.pi * params.density_radius ** 2
-    vals[:, col] = vtree.query_ball_point(cent, params.density_radius,
+    disc_area = np.pi * DENSITY_RADIUS ** 2
+    vals[:, col] = vtree.query_ball_point(cent, DENSITY_RADIUS,
                                           return_length=True) / disc_area
     col += 1
-    vals[:, col] = tree.query_ball_point(cent, params.density_radius,
+    vals[:, col] = tree.query_ball_point(cent, DENSITY_RADIUS,
                                          return_length=True) / disc_area
     col += 1
 
-    color_missing = False
+    rgb = None
     if mesh.face_color is not None:
         rgb = mesh.face_color.astype(np.float64)
     elif mesh.vertex_color is not None:
         rgb = mesh.vertex_color[mesh.faces].astype(np.float64).mean(axis=1)
-    else:
-        rgb = None
-        color_missing = True
-    if rgb is None:
-        col += 4
-    else:
+    if rgb is not None:                 # else the four color channels stay 0
         r8, g8, b8 = rgb[:, 0], rgb[:, 1], rgb[:, 2]
         vals[:, col] = np.clip((2.0 * g8 - r8 - b8) / 510.0, -1.0, 1.0)
-        col += 1
-        h, s, v = rgb_to_hsv_deg(rgb)
-        vals[:, col] = h
-        vals[:, col + 1] = s
-        vals[:, col + 2] = v
-        col += 3
-
-    return FaceFeatures(vals, names, color_missing=color_missing)
+        vals[:, col + 1:col + 4] = np.column_stack(rgb_to_hsv_deg(rgb))
+    return FaceFeatures(vals, names, color_missing=rgb is None)

@@ -6,6 +6,11 @@ the surface point, until the radius settles. Interior balls are pushed along
 -normal, exterior along +normal. Balls whose final touching pair subtends a
 small angle at the center are noise (near-tangent contacts) and get discarded,
 keeping the last accepted radius.
+
+Fixed settings: a ball is noise when its touching pair subtends less than
+``DENOISE_ANGLE_DEG`` (30 degrees); a radius has settled when one step
+changes it by less than ``REL_TOL`` (1e-4) of itself; a ball still moving
+after ``MAX_ITER`` (30) steps keeps its last radius and stays unconverged.
 """
 
 from __future__ import annotations
@@ -14,6 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+DENOISE_ANGLE_DEG = 30.0
+MAX_ITER = 30
+REL_TOL = 1e-4
 
 
 @dataclass
@@ -38,14 +47,11 @@ class MedialBalls:
 
 def shrinking_ball_transform(points: np.ndarray, normals: np.ndarray,
                              orientation: str = "interior",
-                             init_radius: float | None = None,
-                             denoise_angle: float = 30.0,
-                             max_iter: int = 30,
-                             rel_tol: float = 1e-4) -> MedialBalls:
+                             init_radius: float | None = None) -> MedialBalls:
     """Medial ball per oriented point; see module docstring.
 
     ``init_radius`` defaults to the bounding-box diagonal of ``points``.
-    ``denoise_angle`` is in degrees. Normals must be unit length.
+    Normals must be unit length.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     normals = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
@@ -70,7 +76,7 @@ def shrinking_ball_transform(points: np.ndarray, normals: np.ndarray,
         if init_radius <= 0:
             init_radius = 1.0
     direction = normals if orientation == "exterior" else -normals
-    cos_limit = np.cos(np.deg2rad(denoise_angle))
+    cos_limit = np.cos(np.deg2rad(DENOISE_ANGLE_DEG))
 
     tree = cKDTree(points)
     radii = np.full(n, float(init_radius))
@@ -79,7 +85,7 @@ def shrinking_ball_transform(points: np.ndarray, normals: np.ndarray,
     discarded = np.zeros(n, dtype=bool)
     active = np.arange(n)
 
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if len(active) == 0:
             break
         p = points[active]
@@ -120,7 +126,7 @@ def shrinking_ball_transform(points: np.ndarray, normals: np.ndarray,
 
         accept = live & ~noisy
         acc_ids = active[accept]
-        settled = np.abs(r_new[accept] - r[accept]) < rel_tol * r[accept]
+        settled = np.abs(r_new[accept] - r[accept]) < REL_TOL * r[accept]
         radii[acc_ids] = r_new[accept]
         touch[acc_ids] = q_idx[accept]
         converged[acc_ids[settled]] = True

@@ -118,19 +118,6 @@ class TriangleMesh:
     def n_faces(self) -> int:
         return len(self.faces)
 
-    def total_area(self) -> float:
-        return float(np.sum(self.face_area))
-
-    def bounding_box(self):
-        if not len(self.vertices):
-            z = np.zeros(3)
-            return z, z
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
-
-    def bbox_diagonal(self) -> float:
-        lo, hi = self.bounding_box()
-        return float(np.linalg.norm(hi - lo))
-
     def copy(self) -> "TriangleMesh":
         return TriangleMesh(
             vertices=self.vertices.copy(),

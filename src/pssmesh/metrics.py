@@ -9,12 +9,12 @@ All area accounting excludes faces whose ground-truth label is negative;
 reports carry flags naming every fallback convention that fired.
 """
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from .adjacency import AdjacencyIndex, face_connected_components, k_ring_vertices_multi
+from .adjacency import AdjacencyIndex, face_connected_components
 from .mesh import TriangleMesh
 
 
@@ -160,25 +160,35 @@ def match_boundaries(candidates: BoundarySet, reference: BoundarySet,
     A candidate edge matches when some reference edge has both endpoints
     inside the union of the two endpoint rings-neighborhoods of the
     candidate. rings=0 demands the exact same vertex pair.
+
+    The zones are one sparse bool (vertex, candidate) matrix, seeded with
+    each candidate's two endpoints and grown one ring at a time by a
+    product with the vertex adjacency plus self loops.
     """
     if rings < 0:
         raise ValueError("rings must be >= 0")
     matched = np.zeros(len(candidates), dtype=bool)
     if len(candidates) == 0 or len(reference) == 0:
         return matched
-    incident = defaultdict(list)
-    for j, (a, b) in enumerate(reference.vertices):
-        incident[int(a)].append(j)
-        incident[int(b)].append(j)
-    ref_u = reference.vertices[:, 0]
-    ref_v = reference.vertices[:, 1]
-    for i, (u, v) in enumerate(candidates.vertices):
-        zone = k_ring_vertices_multi(adjacency, (int(u), int(v)), rings)
-        near = set()
-        for w in zone:
-            near.update(incident.get(w, ()))
-        matched[i] = any(int(ref_u[j]) in zone and int(ref_v[j]) in zone
-                         for j in near)
+    nv, n = adjacency.n_vertices, len(candidates)
+
+    def bool_matrix(rows, cols, shape):
+        return csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)),
+                          shape=shape)
+
+    e = adjacency.edge_vertices
+    loops = np.arange(nv)
+    step = bool_matrix(np.concatenate([e[:, 0], e[:, 1], loops]),
+                       np.concatenate([e[:, 1], e[:, 0], loops]), (nv, nv))
+    zone = bool_matrix(candidates.vertices.T.ravel(), np.tile(np.arange(n), 2),
+                       (nv, n))
+    for _ in range(rings):
+        zone = step @ zone
+    # row j: the candidates whose zone holds both ends of reference edge j
+    both = zone[reference.vertices[:, 0]].multiply(
+        zone[reference.vertices[:, 1]]).tocsr()
+    both.eliminate_zeros()
+    matched[both.indices] = True
     return matched
 
 

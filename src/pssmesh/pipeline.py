@@ -6,9 +6,9 @@ records a config snapshot, the input content hash, per-stage wall times, and
 a content hash per output file, so two runs can be compared file by file.
 On a stage failure the artifacts written so far are renamed with a
 ``.partial`` suffix and the error names the failing stage. A rerun into the
-same directory first deletes the earlier manifest and the outputs it lists,
-and deletes ``<name>.partial`` before it writes ``<name>``, so no manifest is
-left beside files it does not describe.
+same directory first deletes the earlier manifest, the outputs it lists and
+the ``<name>.partial`` of every name in ``ARTIFACTS``, so no manifest is left
+beside files it does not describe.
 """
 
 import csv
@@ -37,6 +37,13 @@ from .seggraph import build_segment_graph, export_graph
 
 STAGES = ("preprocess", "face_features", "planarity", "oversegment",
           "segment_features", "graph", "classify", "metrics")
+
+# every file name a run writes, in stage order
+ARTIFACTS = ("repaired.ply", "repair_report.json", "face_features.csv",
+             "planarity.csv", "segmentation.json", "segment_features.csv",
+             "graph.json", "segment_predictions.csv", "face_predictions.csv",
+             "labeled.ply", "overseg_metrics.json", "metrics_row.csv",
+             "upper_bound.json", "semantic_metrics.json")
 
 
 class StageError(RuntimeError):
@@ -204,11 +211,8 @@ def load_face_predictions(path) -> np.ndarray:
 
 def save_metrics_row(n_segments: int, report, path) -> None:
     """One CSV row for segment-count curves: count and the three scores."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["segments", "op", "bp", "br"])
-        w.writerow([int(n_segments), repr(report.op), repr(report.bp),
-                    repr(report.br)])
+    write_csv(path, ["segments", "op", "bp", "br"],
+              [[int(n_segments), report.op, report.bp, report.br]])
 
 
 def save_json(data: dict, path) -> None:
@@ -221,23 +225,33 @@ def save_json(data: dict, path) -> None:
 
 
 def clear_previous_run(run_dir: Path) -> None:
-    """Delete an earlier run's manifest and the outputs it lists.
+    """Delete an earlier run's manifest, its outputs and every ``.partial``.
 
     The manifest goes first, so it can never describe files that are gone.
-    Only plain file names inside ``run_dir`` are deleted.
+    Only plain file names inside ``run_dir`` are deleted: the names the
+    manifest lists and ``<name>.partial`` for each name in ``ARTIFACTS``.
     """
     path = run_dir / "manifest.json"
-    if not path.is_file():
-        return
-    try:
-        names = list(json.loads(path.read_text())["outputs"])
-    except (ValueError, KeyError, TypeError):
-        names = []
-    path.unlink()
+    names = []
+    if path.is_file():
+        try:
+            names = list(json.loads(path.read_text())["outputs"])
+        except (ValueError, KeyError, TypeError):
+            pass
+        path.unlink()
+    names += [name + ".partial" for name in ARTIFACTS]
     for name in names:
         if isinstance(name, str) and name == Path(name).name \
                 and (run_dir / name).is_file():
             (run_dir / name).unlink()
+
+
+def _check_classes(ids, config: PipelineConfig, source, what) -> None:
+    """ConfigError naming ``source`` unless every id is in config.classes."""
+    unknown = sorted(set(ids) - set(config.classes))
+    if unknown:
+        raise ConfigError(f"{source}: {what} {unknown[0]} is not in the "
+                          f"config's classes {sorted(config.classes)}")
 
 
 @dataclass
@@ -270,7 +284,9 @@ def run_pipeline(config: PipelineConfig, mesh=None,
     ground-truth labels are optional and their stages are skipped with a
     manifest note when absent. Both models and the mesh are checked before
     the first stage, so a bad model file or mesh raises ConfigError,
-    MeshParseError or MeshError and writes nothing.
+    MeshParseError or MeshError and writes nothing. A semantic model class
+    outside ``config.classes`` is such an input error, and so is a
+    ground-truth label >= 0 outside it when the semantic metrics will run.
     """
     if stop_after is not None and stop_after not in STAGES:
         raise ValueError(f"unknown stage {stop_after!r}")
@@ -294,18 +310,22 @@ def run_pipeline(config: PipelineConfig, mesh=None,
         model = load_model(config.planarity_model)
     if "classify" in wanted and config.semantic_model is not None:
         sem_model = load_model(config.semantic_model)
+        _check_classes(sem_model.classes.tolist(), config,
+                       config.semantic_model, "model class")
 
     input_sha = None
     if mesh is None:
         if config.input_path is None:
             raise ConfigError("input_path is required")
-        path = Path(config.input_path)
-        if not path.is_file():
-            raise FileNotFoundError(f"input mesh not found: {path}")
-        input_sha = file_sha256(path)
-        mesh = load_mesh(path)
+        mesh = load_mesh(config.input_path)
+        input_sha = file_sha256(config.input_path)
     else:
         mesh.check_usable()
+    if sem_model is not None and "metrics" in wanted \
+            and mesh.face_label is not None:
+        _check_classes(mesh.face_label[mesh.face_label >= 0].tolist(), config,
+                       config.input_path if input_sha else "input mesh",
+                       "ground-truth label")
 
     run_dir = Path(config.output_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -318,7 +338,6 @@ def run_pipeline(config: PipelineConfig, mesh=None,
 
     def emit(name, writer):
         path = run_dir / name
-        path.with_name(name + ".partial").unlink(missing_ok=True)
         writer(path)
         written.append(path)
 
@@ -484,10 +503,7 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
         if hasattr(m, "faces"):
             m.check_usable()
         else:
-            path = Path(m)
-            if not path.is_file():
-                raise FileNotFoundError(f"training mesh not found: {path}")
-            m = load_mesh(path)
+            m = load_mesh(m)
         if m.face_label is None:
             raise ConfigError("training mesh has no ground-truth labels")
         loaded.append(m)

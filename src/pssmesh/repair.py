@@ -73,30 +73,30 @@ def weld_vertices(mesh: TriangleMesh, epsilon: float) -> tuple[TriangleMesh, Rep
     reps = np.flatnonzero(roots == np.arange(n))
     new_id = np.searchsorted(reps, roots)
 
+    return _rebuilt(mesh, reps, new_id[mesh.faces].astype(np.int32),
+                    nm_before, welded_vertices=n - len(reps))
+
+
+def _rebuilt(mesh, source, faces, nm_before, **counts):
+    """Mesh on vertices ``mesh.vertices[source]`` with ``faces``, and its report.
+
+    Face data is copied unchanged; vertex colors follow ``source``.
+    """
     out = TriangleMesh(
-        vertices=V[reps],
-        faces=new_id[mesh.faces].astype(np.int32),
+        vertices=mesh.vertices[source],
+        faces=faces,
         face_color=None if mesh.face_color is None else mesh.face_color.copy(),
-        vertex_color=None if mesh.vertex_color is None else mesh.vertex_color[reps],
+        vertex_color=None if mesh.vertex_color is None else mesh.vertex_color[source],
         face_label=None if mesh.face_label is None else mesh.face_label.copy(),
         extra_face_props={k: np.array(v) for k, v in mesh.extra_face_props.items()},
     )
     rep = RepairReport(
-        welded_vertices=n - len(reps),
         nonmanifold_edges_before=nm_before,
         nonmanifold_edges_after=count_nonmanifold_edges(out),
         degenerate_faces=int(out.degenerate_faces.sum()),
+        **counts,
     )
     return out, rep
-
-
-def _edge_face_lists(faces):
-    """dict sorted-vertex-pair -> ascending face ids, skipping collapsed faces."""
-    e, owner = face_edges(faces)
-    out: dict[tuple, list] = {}
-    for (u, v), f in zip(map(tuple, e.tolist()), owner.tolist()):
-        out.setdefault((u, v), []).append(f)
-    return out
 
 
 def _fan_corners(faces):
@@ -126,30 +126,31 @@ def _fan_corners(faces):
 def repair_nonmanifold(mesh: TriangleMesh) -> tuple[TriangleMesh, RepairReport]:
     """Detach extra faces from over-shared edges and split bow-tie vertices.
 
-    Edges with more than two incident faces keep their first two faces; every
-    further face gets private copies of the edge's vertices. Afterwards a
-    vertex whose incident fan is disconnected is split, one copy per fan.
-    No face is deleted.
+    The faces of an edge rank by ascending face id. Every face after the
+    first two gets private copies of the edge's two vertices: one copy per
+    distinct (face, vertex), numbered in order of first appearance along
+    the over-shared edges in ascending vertex-pair order. Copies are
+    private to their face, so this one pass leaves no over-shared edge.
+    Afterwards a vertex whose incident fan is disconnected is split, one
+    copy per fan. No face is deleted.
     """
-    nm_before = count_nonmanifold_edges(mesh)
-    source = list(range(mesh.n_vertices))      # vertex id -> original vertex
+    nv = mesh.n_vertices
     faces = mesh.faces.copy()
-
-    if nm_before:
-        for _ in range(10):
-            bad = {e: fs for e, fs in _edge_face_lists(faces).items() if len(fs) > 2}
-            if not bad:
-                break
-            dup: dict[tuple, int] = {}      # (face, old vertex) -> new vertex id
-            for (u, v) in sorted(bad):
-                for f in bad[(u, v)][2:]:
-                    for old in (u, v):
-                        key = (f, old)
-                        if key not in dup:
-                            dup[key] = len(source)
-                            source.append(source[old])
-                        fi = dup[key]
-                        faces[f][faces[f] == old] = fi
+    e, owner = face_edges(faces)
+    keys = pair_keys(e, nv)
+    order = np.argsort(keys, kind="stable")     # faces ascend within an edge
+    rank = np.arange(len(order)) - np.searchsorted(keys[order], keys[order])
+    nm_before = int((rank == 2).sum())
+    rows = order[rank >= 2]
+    face = np.repeat(owner[rows], 2)
+    old = e[rows].ravel()
+    _, first = np.unique(face * nv + old, return_index=True)
+    first.sort()
+    face, old = face[first], old[first]
+    corner = np.argmax(mesh.faces[face] == old[:, None], axis=1)
+    faces[face, corner] = nv + np.arange(len(old))
+    # vertex id -> original vertex
+    source = np.concatenate([np.arange(nv, dtype=np.int64), old])
 
     # bow-tie split: every fan but the one in a vertex's lowest face gets a
     # new vertex, numbered in (vertex, lowest face of the fan) order
@@ -162,21 +163,6 @@ def repair_nonmanifold(mesh: TriangleMesh) -> tuple[TriangleMesh, RepairReport]:
     new_id[moved] = len(source) + np.arange(len(moved))
     c = np.flatnonzero(new_id[fan] >= 0)
     faces[face[c], c % 3] = new_id[fan[c]]
-    source = np.asarray(source, dtype=np.int64)
     source = np.concatenate([source, source[vertex[moved]]])
 
-    out = TriangleMesh(
-        vertices=mesh.vertices[source],
-        faces=faces,
-        face_color=None if mesh.face_color is None else mesh.face_color.copy(),
-        vertex_color=None if mesh.vertex_color is None else mesh.vertex_color[source],
-        face_label=None if mesh.face_label is None else mesh.face_label.copy(),
-        extra_face_props={k: np.array(v) for k, v in mesh.extra_face_props.items()},
-    )
-    rep = RepairReport(
-        split_vertices=split_count,
-        nonmanifold_edges_before=nm_before,
-        nonmanifold_edges_after=count_nonmanifold_edges(out),
-        degenerate_faces=int(out.degenerate_faces.sum()),
-    )
-    return out, rep
+    return _rebuilt(mesh, source, faces, nm_before, split_vertices=split_count)

@@ -1,4 +1,8 @@
-"""Seeded area-uniform point sampling over triangle meshes."""
+"""Seeded area-uniform point sampling over triangle meshes.
+
+A sample holds each point's position, source face and that face's normal:
+the exterior medial balls of ``seggraph.exmat_edges`` need nothing else.
+"""
 
 from __future__ import annotations
 
@@ -14,7 +18,6 @@ class PointSample:
     positions: np.ndarray            # (N, 3) float64
     source_face: np.ndarray          # (N,) int64
     normals: np.ndarray              # (N, 3) float64, face normal of source
-    colors: np.ndarray | None        # (N, 3) uint8 when the mesh has color
 
     def __len__(self):
         return len(self.positions)
@@ -52,9 +55,7 @@ def sample_points(mesh: TriangleMesh, density: float, seed: int) -> PointSample:
     n_total = int(round(total_area * density))
     if n_total == 0:
         empty3 = np.zeros((0, 3))
-        return PointSample(empty3, np.zeros(0, dtype=np.int64), empty3.copy(),
-                           None if mesh.face_color is None and mesh.vertex_color is None
-                           else np.zeros((0, 3), dtype=np.uint8))
+        return PointSample(empty3, np.zeros(0, dtype=np.int64), empty3.copy())
 
     quota = _apportion(areas, n_total)
     src = np.repeat(np.arange(mesh.n_faces, dtype=np.int64), quota)
@@ -68,16 +69,4 @@ def sample_points(mesh: TriangleMesh, density: float, seed: int) -> PointSample:
            + r[:, :1] * (tri[:, 1] - tri[:, 0])
            + r[:, 1:2] * (tri[:, 2] - tri[:, 0]))
     normals = mesh.face_normal[src]
-
-    colors = None
-    if mesh.face_color is not None:
-        colors = mesh.face_color[src].copy()
-    elif mesh.vertex_color is not None:
-        vc = mesh.vertex_color[mesh.faces[src]].astype(np.float64)
-        w0 = 1.0 - r[:, 0] - r[:, 1]
-        blend = (vc[:, 0] * w0[:, None]
-                 + vc[:, 1] * r[:, 0][:, None]
-                 + vc[:, 2] * r[:, 1][:, None])
-        colors = np.clip(np.rint(blend), 0, 255).astype(np.uint8)
-
-    return PointSample(pos, src, normals, colors)
+    return PointSample(pos, src, normals)

@@ -54,26 +54,6 @@ def segment_channel_names(face_channel_names) -> list:
     return names
 
 
-def segment_circumference(adjacency: AdjacencyIndex, face_segment,
-                          n_segments: int) -> np.ndarray:
-    """Boundary length per segment.
-
-    An edge counts for a segment when its other side is a different segment,
-    an unsegmented face, or the mesh border.
-    """
-    edge_side = segment_index(adjacency, face_segment, n_segments)[0]
-    return _circumference(edge_side, adjacency.edge_length, n_segments)
-
-
-def _circumference(edge_side, edge_length, n_segments):
-    cut = edge_side[:, 0] != edge_side[:, 1]
-    length = edge_length[cut]
-    out = np.zeros(n_segments, dtype=np.float64)
-    for side in edge_side[cut].T:
-        np.add.at(out, side[side >= 0], length[side >= 0])
-    return out
-
-
 def _boundary_loops(edges, vertices):
     """Split boundary edges into connected chains of vertex positions.
 
@@ -154,7 +134,13 @@ def compute_segment_features(mesh: TriangleMesh, adjacency: AdjacencyIndex,
 
     edge_side, seg_faces, seg_cuts = segment_index(adjacency, face_segment,
                                                    n_seg)
-    circumference = _circumference(edge_side, adjacency.edge_length, n_seg)
+    # boundary length: a cut edge counts for the segment on each side, the
+    # other side being another segment, an unsegmented face or the border
+    cut = edge_side[:, 0] != edge_side[:, 1]
+    length = adjacency.edge_length[cut]
+    circumference = np.zeros(n_seg)
+    for side in edge_side[cut].T:
+        np.add.at(circumference, side[side >= 0], length[side >= 0])
     straightness = np.zeros(n_seg)
     plane_dist = np.zeros(n_seg)
     vertical = np.zeros(n_seg)

@@ -50,7 +50,6 @@ class GraphParams:
     knn_k: int = 16
     knn_cutoff_factor: float = 16.0      # times the median neighbor spacing
     exmat_density: float = 10.0          # sample points per square metre
-    exmat_denoise_angle: float = 30.0
     seed: int = 0
 
     def __post_init__(self):
@@ -206,8 +205,7 @@ def connecting_ground_edges(graph: SegmentGraph, mesh: TriangleMesh,
 
 
 def exmat_edges(graph: SegmentGraph, mesh: TriangleMesh, segmentation,
-                density: float = 10.0, denoise_angle: float = 30.0,
-                seed: int = 0) -> int:
+                density: float = 10.0, seed: int = 0) -> int:
     """Link segments bridged by exterior medial balls.
 
     The mesh is point-sampled, exterior shrinking balls are grown along the
@@ -221,8 +219,7 @@ def exmat_edges(graph: SegmentGraph, mesh: TriangleMesh, segmentation,
     norms = np.linalg.norm(sample.normals, axis=1)
     ok = norms > 0.5       # degenerate source faces give zero normals
     balls = shrinking_ball_transform(sample.positions[ok], sample.normals[ok],
-                                     orientation="exterior",
-                                     denoise_angle=denoise_angle)
+                                     orientation="exterior")
     point_seg = face_segment[sample.source_face[ok]]
     i = np.flatnonzero(balls.kept & (balls.touch_index >= 0))
     pairs = np.column_stack([point_seg[i], point_seg[balls.touch_index[i]]])
@@ -393,8 +390,7 @@ def build_segment_graph(mesh: TriangleMesh, adjacency: AdjacencyIndex,
     parallelism_edges(graph, params.parallel_angle_deg)
     connecting_ground_edges(graph, mesh, seg_faces, probes,
                             params.ground_radius)
-    exmat_edges(graph, mesh, segmentation, params.exmat_density,
-                params.exmat_denoise_angle, params.seed)
+    exmat_edges(graph, mesh, segmentation, params.exmat_density, params.seed)
     proximity_edges(graph, mesh, segmentation, params.proximity_mode,
                     params.knn_k, params.knn_cutoff_factor)
     compute_edge_features(graph, mesh, probes)

@@ -82,30 +82,10 @@ class _Builder:
                             face_color=colors, face_label=labels)
 
 
-def _rect_grid(origin, u_vec, v_vec, nu, nv):
-    """Triangulated nu*nv grid spanning origin + [0,1]u + [0,1]v."""
-    origin = np.asarray(origin, dtype=np.float64)
-    u_vec = np.asarray(u_vec, dtype=np.float64)
-    v_vec = np.asarray(v_vec, dtype=np.float64)
-    su = np.linspace(0.0, 1.0, nu + 1)
-    sv = np.linspace(0.0, 1.0, nv + 1)
-    verts = (origin[None, None]
-             + su[:, None, None] * u_vec[None, None]
-             + sv[None, :, None] * v_vec[None, None]).reshape(-1, 3)
-    faces = []
-    for i in range(nu):
-        for j in range(nv):
-            a = i * (nv + 1) + j
-            b = (i + 1) * (nv + 1) + j
-            faces.append([a, b, b + 1])
-            faces.append([a, b + 1, a + 1])
-    return verts, np.asarray(faces, dtype=np.int64)
-
-
 def ground_grid(size, res, z=0.0):
-    """Flat square ground sheet in the z-plane."""
-    return _rect_grid([0.0, 0.0, z], [size, 0.0, 0.0], [0.0, size, 0.0],
-                      res, res)
+    """Flat square ground sheet of res x res quads in the z-plane."""
+    side = np.linspace(0.0, 1.0, res + 1) * size
+    return _sheet(side, side, z, "abc")
 
 
 def _sheet(avals, bvals, cval, order):
@@ -120,15 +100,14 @@ def _sheet(avals, bvals, cval, order):
     verts = np.column_stack([slot[order[0]].ravel(),
                              slot[order[1]].ravel(),
                              slot[order[2]].ravel()])
-    nu, nv = len(avals) - 1, len(bvals) - 1
-    faces = []
-    for i in range(nu):
-        for j in range(nv):
-            a = i * (nv + 1) + j
-            b = (i + 1) * (nv + 1) + j
-            faces.append([a, b, b + 1])
-            faces.append([a, b + 1, a + 1])
-    return verts, np.asarray(faces, dtype=np.int64)
+    # quad (i, j) has corners a = i * (nv + 1) + j and b = a + nv + 1 and
+    # splits into triangles (a, b, b + 1) and (a, b + 1, a + 1)
+    nv = len(bvals) - 1
+    a = (np.arange(len(avals) - 1)[:, None] * (nv + 1)
+         + np.arange(nv)[None, :]).ravel()
+    b = a + nv + 1
+    faces = np.column_stack([a, b, b + 1, a, b + 1, a + 1]).reshape(-1, 3)
+    return verts, faces.astype(np.int64)
 
 
 def box_shell(center_xy, size_xyz, z0=0.0, cell=1.0):
@@ -264,10 +243,3 @@ def synth_tile(params: TileParams | None = None, **kw) -> TriangleMesh:
 def expected_component_count(params: TileParams) -> int:
     """Ground-truth components a tile should decompose into."""
     return 1 + params.n_boxes + params.n_trees + params.n_vehicles
-
-
-def planarity_labels(mesh: TriangleMesh) -> np.ndarray:
-    """0 for faces of planar-surface classes, 1 for curved vegetation."""
-    if mesh.face_label is None:
-        raise ValueError("mesh has no face labels")
-    return (mesh.face_label == CLASS_VEGETATION).astype(np.int64)

@@ -78,20 +78,6 @@ def adjacency_pairs(adj):
     return pairs
 
 
-def bfs_k_ring(adj, v, k):
-    seen = {int(v)}
-    frontier = {int(v)}
-    for _ in range(k):
-        nxt = set()
-        for u in frontier:
-            for w in adj.vertex_neighbors(u):
-                if int(w) not in seen:
-                    nxt.add(int(w))
-        seen |= nxt
-        frontier = nxt
-    return seen
-
-
 @pytest.fixture
 def quad_grid():
     return grid_mesh(2, 2)

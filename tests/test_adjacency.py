@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from pssmesh.mesh import TriangleMesh
-from pssmesh.adjacency import (build_adjacency, k_ring_vertices_multi,
-                               face_connected_components, label_components,
-                               segment_index)
+from pssmesh.adjacency import (build_adjacency, face_connected_components,
+                               label_components, segment_index)
+from pssmesh.metrics import BoundarySet, match_boundaries
 
 from conftest import (grid_mesh, icosahedron, two_triangle_strip,
-                      brute_force_adjacency, adjacency_pairs, bfs_k_ring)
+                      brute_force_adjacency, adjacency_pairs)
+from oracles import bfs_rings, vertex_neighbors
 
 
 def test_single_face_empty_adjacency():
@@ -15,12 +16,16 @@ def test_single_face_empty_adjacency():
     adj = build_adjacency(m)
     assert adj.face_neighbors(0).size == 0
     assert len(adj.edge_vertices) == 3
-    assert adj.border_edge_mask.all()
+    assert (adj.edge_faces[:, 1] < 0).all()
+
+
+def face_degrees(adj):
+    return np.array([len(adj.face_neighbors(f)) for f in range(adj.n_faces)])
 
 
 def test_quad_grid_interior_face_has_3_neighbors(quad_grid):
     adj = build_adjacency(quad_grid)
-    degrees = adj.face_degree()
+    degrees = face_degrees(adj)
     assert degrees.max() == 3
     assert sorted(degrees.tolist()).count(3) >= 2
 
@@ -37,8 +42,8 @@ def test_matches_brute_force_on_random_meshes():
 def test_matches_brute_force_on_icosahedron(ico):
     adj = build_adjacency(ico)
     assert adjacency_pairs(adj) == brute_force_adjacency(ico)
-    assert not adj.border_edge_mask.any()
-    assert np.all(adj.face_degree() == 3)
+    assert (adj.edge_faces[:, 1] >= 0).all()
+    assert np.all(face_degrees(adj) == 3)
 
 
 def test_edge_lengths(quad_grid):
@@ -48,11 +53,38 @@ def test_edge_lengths(quad_grid):
         assert ln == pytest.approx(np.linalg.norm(v[a] - v[b]))
 
 
+# Vertex rings live in metrics.match_boundaries: the zone of a candidate
+# edge is the k-ring of its two ends, and a reference edge matches when
+# both of its ends lie in that zone.
+
+def edges_of(adj, ids):
+    ids = np.asarray(ids, dtype=np.int64)
+    return BoundarySet(ids, adj.edge_vertices[ids], adj.edge_length[ids])
+
+
+def edge_id(adj, a, b):
+    return int(np.flatnonzero((adj.edge_vertices == sorted((a, b))).all(1))[0])
+
+
+def ring_matches(adj, k, refs):
+    """(len(refs), E) bool: each row the edges whose k zone holds that ref."""
+    every = edges_of(adj, np.arange(len(adj.edge_vertices)))
+    return np.array([match_boundaries(every, edges_of(adj, [j]), adj, k)
+                     for j in refs])
+
+
+def bfs_ring_matches(adj, k, refs):
+    nbrs = vertex_neighbors(adj)
+    zones = [bfs_rings(nbrs, uv, k) for uv in adj.edge_vertices.tolist()]
+    return np.array([[a in z and b in z for z in zones]
+                     for a, b in adj.edge_vertices[refs].tolist()])
+
+
 def test_k_ring_zero_is_self(ico):
     adj = build_adjacency(ico)
-    assert sorted(k_ring_vertices_multi(adj, [4], 0)) == [4]
+    assert np.array_equal(ring_matches(adj, 0, range(30)), np.eye(30, dtype=bool))
     with pytest.raises(ValueError):
-        k_ring_vertices_multi(adj, [4], -1)
+        match_boundaries(edges_of(adj, [0]), edges_of(adj, [0]), adj, -1)
 
 
 def test_k_ring_path():
@@ -62,30 +94,35 @@ def test_k_ring_path():
     faces = np.array([[0, 1, 4], [1, 2, 5], [2, 3, 6]], dtype=np.int32)
     m = TriangleMesh(vertices=verts, faces=faces)
     adj = build_adjacency(m)
-    ring = k_ring_vertices_multi(adj, [0], 2)
-    assert {0, 1, 2} <= ring
-    assert 3 not in ring
+    cand = edges_of(adj, [edge_id(adj, 0, 4)])
+    near = edges_of(adj, [edge_id(adj, 1, 2)])        # both ends 2 rings away
+    far = edges_of(adj, [edge_id(adj, 2, 3)])         # vertex 3 is 3 away
+    assert match_boundaries(cand, near, adj, 2).all()
+    assert not match_boundaries(cand, near, adj, 1).any()
+    assert not match_boundaries(cand, far, adj, 2).any()
+    assert match_boundaries(cand, far, adj, 3).all()
 
 
 def test_k_ring_icosahedron_one_ring(ico):
+    # one ring around an edge: its 8 triangles hold 15 of the 30 edges
     adj = build_adjacency(ico)
-    assert len(k_ring_vertices_multi(adj, [0], 1)) == 6    # v plus its 5 neighbors
+    assert np.all(ring_matches(adj, 1, range(30)).sum(axis=0) == 15)
 
 
 def test_k_ring_matches_bfs(ico):
     adj = build_adjacency(ico)
-    for v in range(ico.n_vertices):
-        for k in range(4):
-            assert k_ring_vertices_multi(adj, [v], k) == bfs_k_ring(adj, v, k)
+    for k in range(4):
+        assert np.array_equal(ring_matches(adj, k, range(30)),
+                              bfs_ring_matches(adj, k, range(30)))
 
 
 def test_k_ring_matches_bfs_grid():
     m = grid_mesh(8, 8)
     adj = build_adjacency(m)
-    rng = np.random.default_rng(5)
-    for v in rng.integers(0, m.n_vertices, 20):
-        for k in (0, 1, 2, 3):
-            assert k_ring_vertices_multi(adj, [int(v)], k) == bfs_k_ring(adj, int(v), k)
+    refs = np.random.default_rng(5).integers(0, len(adj.edge_vertices), 20)
+    for k in (0, 1, 2, 3):
+        assert np.array_equal(ring_matches(adj, k, refs),
+                              bfs_ring_matches(adj, k, refs))
 
 
 def test_segment_index_matches_brute_force():

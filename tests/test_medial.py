@@ -84,8 +84,7 @@ def test_denoise_discards_grazing_contact():
     # second point nearly in the surface plane: tiny separation angle
     pts = np.array([[0, 0, 0], [0.1, 0, 0.001], [50, 50, 50]])
     nrm = np.tile([0.0, 0.0, 1.0], (3, 1))
-    balls = shrinking_ball_transform(pts, nrm, "exterior", init_radius=200.0,
-                                     denoise_angle=30.0)
+    balls = shrinking_ball_transform(pts, nrm, "exterior", init_radius=200.0)
     assert balls.discarded[0]
     # shrank once onto the far point (r=75), then hit the grazing contact:
     # reported radius is the last accepted one, not the noisy candidate

@@ -49,13 +49,9 @@ def test_label_length_mismatch():
                      face_label=np.array([1, 2]))
 
 
-def test_total_area_and_bbox():
+def test_face_area_sum():
     m = grid_mesh(4, 2, dx=0.5)
-    assert m.total_area() == pytest.approx(4 * 2 * 0.25)
-    lo, hi = m.bounding_box()
-    assert np.allclose(lo, [0, 0, 0])
-    assert np.allclose(hi, [2.0, 1.0, 0])
-    assert m.bbox_diagonal() == pytest.approx(np.sqrt(5.0))
+    assert m.face_area.sum() == 4 * 2 * 0.25
 
 
 def test_copy_is_deep():

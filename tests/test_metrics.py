@@ -19,7 +19,9 @@ from pssmesh.metrics import (
     semantic_metrics,
 )
 
-from conftest import grid_mesh
+from conftest import grid_mesh, icosahedron
+from oracles import bfs_match_boundaries
+from pssmesh.mesh import TriangleMesh
 
 
 def brute_purity(seg, comp, areas):
@@ -206,6 +208,39 @@ def test_match_rings_monotone():
         bp = boundary_precision(ba, bb, adj, rings)
         assert bp >= prev
         prev = bp
+
+
+def open_mesh_with_collapsed_faces(rng):
+    """Perturbed open grid plus a closed icosahedron, some faces collapsed."""
+    grid = grid_mesh(int(rng.integers(2, 9)), int(rng.integers(1, 7)))
+    ico = icosahedron()
+    faces = np.vstack([grid.faces, ico.faces + grid.n_vertices])
+    for f in rng.choice(len(faces), 3, replace=False):
+        faces[f, 2] = faces[f, int(rng.integers(0, 2))]
+    verts = np.vstack([grid.vertices, ico.vertices + 20.0])
+    verts += rng.normal(0.0, 0.05, verts.shape)
+    return TriangleMesh(vertices=verts, faces=faces)
+
+
+def test_match_equals_bfs_oracle():
+    rng = np.random.default_rng(12)
+    checked = 0
+    for _ in range(25):
+        mesh = open_mesh_with_collapsed_faces(rng)
+        adj = build_adjacency(mesh)
+        assert (adj.edge_faces[:, 1] < 0).any()             # border edges
+        assert mesh.degenerate_faces.sum() == 3
+        pred = rng.integers(0, int(rng.integers(2, 6)), mesh.n_faces)
+        gt = rng.integers(-1, int(rng.integers(2, 5)), mesh.n_faces)
+        bp = boundary_set(adj, pred)
+        bg = boundary_set(adj, gt, skip_unlabeled=True)
+        for rings in (0, 1, 2, 3):
+            for cand, ref in ((bp, bg), (bg, bp)):
+                got = match_boundaries(cand, ref, adj, rings)
+                want = bfs_match_boundaries(cand, ref, adj, rings)
+                assert np.array_equal(got, want), rings
+                checked += int(want.sum()) * int((~want).sum()) > 0
+    assert checked > 50      # most cases hold matched and unmatched edges
 
 
 def test_bp_br_conventions():

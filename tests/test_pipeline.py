@@ -12,6 +12,7 @@ from pssmesh.forest import ProbabilityMap, planarity_map, save_model
 from pssmesh.mesh import MeshError, TriangleMesh
 from pssmesh.meshio import load_mesh, save_mesh
 from pssmesh.pipeline import (
+    ARTIFACTS,
     STAGES,
     StageError,
     file_sha256,
@@ -21,11 +22,13 @@ from pssmesh.pipeline import (
     resolve_threads,
     run_pipeline,
     save_face_predictions,
+    save_metrics_row,
     save_planarity,
     save_segment_predictions,
     save_segmentation,
     train_models,
 )
+from pssmesh.metrics import OversegReport
 from pssmesh.overseg import Segmentation
 from pssmesh.segfeatures import SegmentFeatures
 from pssmesh.seggraph import import_graph
@@ -190,6 +193,64 @@ def test_successful_rerun_leaves_no_partials(tile_path, trained, tmp_path):
     assert set(result.manifest.outputs) == set(FULL_RUN_FILES)
 
 
+def test_shorter_rerun_deletes_partials_it_does_not_write(tile_path, trained,
+                                                         tmp_path):
+    run_dir = tmp_path / "run"
+    with pytest.raises(StageError):
+        run_pipeline(make_config(tile_path, trained, run_dir,
+                                 planarity_model=str(trained["semantic"])))
+    assert (run_dir / "face_features.csv.partial").is_file()
+    run_pipeline(make_config(tile_path, trained, run_dir),
+                 stop_after="preprocess")
+    assert sorted(p.name for p in run_dir.iterdir()) \
+        == ["manifest.json", "repair_report.json", "repaired.ply"]
+
+
+def test_every_written_name_is_listed(tile_path, trained, tmp_path):
+    result = run_pipeline(make_config(tile_path, trained, tmp_path / "run"))
+    assert list(result.manifest.outputs) == sorted(FULL_RUN_FILES)
+    assert set(FULL_RUN_FILES) <= set(ARTIFACTS)
+    assert len(set(ARTIFACTS)) == len(ARTIFACTS)
+
+
+@pytest.fixture(scope="module")
+def vehicles_as_4(tmp_path_factory):
+    """A tile whose vehicles carry class 4 and a semantic model trained on it."""
+    out = tmp_path_factory.mktemp("class4")
+    mesh = synth_tile(SMALL)
+    mesh.face_label[mesh.face_label == 3] = 4
+    save_mesh(mesh, out / "tile4.ply")
+    result = train_models(PipelineConfig(trees=5, threads=1), [mesh])
+    assert 4 in result.semantic.classes
+    save_model(result.semantic, out / "semantic4.model")
+    return {"tile": out / "tile4.ply", "semantic": out / "semantic4.model"}
+
+
+def test_model_class_outside_config_is_input_error(tile_path, trained,
+                                                   vehicles_as_4, tmp_path):
+    model = str(vehicles_as_4["semantic"])
+    cfg = make_config(tile_path, trained, tmp_path / "run",
+                      semantic_model=model)
+    with pytest.raises(ConfigError, match=f"{model}: model class 4 "):
+        run_pipeline(cfg)
+    assert not (tmp_path / "run").exists()
+
+
+def test_truth_label_outside_config_is_input_error(trained, vehicles_as_4,
+                                                   tmp_path):
+    tile = str(vehicles_as_4["tile"])
+    cfg = make_config(tile, trained, tmp_path / "run")
+    with pytest.raises(ConfigError, match=f"{tile}: ground-truth label 4 "):
+        run_pipeline(cfg)
+    assert not (tmp_path / "run").exists()
+    with pytest.raises(ConfigError, match="^input mesh: ground-truth label 4 "):
+        run_pipeline(cfg, mesh=load_mesh(tile))
+    assert not (tmp_path / "run").exists()
+    # without the semantic metrics the labels are never scored
+    result = run_pipeline(cfg, stop_after="classify")
+    assert result.face_classes is not None
+
+
 def test_rerun_deletes_only_plain_names(tile_path, trained, tmp_path):
     run_dir = tmp_path / "run"
     run_dir.mkdir()
@@ -333,6 +394,15 @@ def test_table_writers_match_csv_writer(tmp_path):
         want, ["segment", "class", "p_0", "p_1", "p_3", "p_7"],
         ([k, int(classes[k])] + [repr(float(p)) for p in proba[k]]
          for k in range(12)))
+
+    report = OversegReport(op=float(rng.random()), bp=1.0, br=0.0,
+                           n_segments=0, matched_pred_length=0.0,
+                           matched_gt_length=0.0, pred_boundary_length=0.0,
+                           gt_boundary_length=0.0)
+    save_metrics_row(17, report, got)
+    assert got.read_bytes() == csv_reference(
+        want, ["segments", "op", "bp", "br"],
+        [[17, repr(report.op), "1.0", "0.0"]])
 
     face_classes = rng.integers(-1, 9, 25).astype(np.int32)
     save_face_predictions(face_classes, got)

@@ -5,6 +5,7 @@ from pssmesh.repair import weld_vertices, repair_nonmanifold, count_nonmanifold_
 from pssmesh.adjacency import build_adjacency
 
 from conftest import grid_mesh, brute_force_adjacency, adjacency_pairs
+from oracles import dict_detach_overshared
 
 
 def test_weld_two_coincident_vertices():
@@ -60,7 +61,7 @@ def test_weld_area_invariant():
     verts = np.vstack([m.vertices, dup])
     faces = np.vstack([m.faces, m.faces + m.n_vertices]).astype(np.int32)
     mm = TriangleMesh(vertices=verts, faces=faces)
-    area_before = mm.total_area()
+    area_before = mm.face_area.sum()
     out, rep = weld_vertices(mm, 1e-6)
     keep = ~out.degenerate_faces
     assert rep.welded_vertices == m.n_vertices
@@ -221,5 +222,52 @@ def test_bowtie_split_matches_fan_oracle():
         assert np.array_equal(out.faces, want_faces)
         assert np.array_equal(out.vertices, m.vertices[source])
         assert np.array_equal(out.vertex_color, m.vertex_color[source])
+        assert rep.split_vertices == split
+        checked += 1
+
+
+def overshared_faces(rng):
+    """Fans of 3 to 6 faces on random edges plus random faces, shuffled.
+
+    The random faces may collapse or share edges with the fans; every face
+    starts at a random corner, so fan edges sit at any corner pair.
+    """
+    nv = int(rng.integers(6, 12))
+    faces = []
+    for _ in range(int(rng.integers(1, 4))):
+        u, v = rng.choice(nv, 2, replace=False)
+        rest = np.setdiff1d(np.arange(nv), [u, v])
+        for w in rng.choice(rest, min(len(rest), int(rng.integers(3, 7))),
+                            replace=False):
+            faces.append([u, v, w] if rng.random() < 0.5 else [v, u, w])
+    faces += rng.integers(0, nv, (int(rng.integers(0, 6)), 3)).tolist()
+    faces = np.array(faces)[rng.permutation(len(faces))]
+    shift = rng.integers(0, 3, len(faces))
+    faces = np.array([np.roll(f, s) for f, s in zip(faces, shift)])
+    return nv, faces.astype(np.int32)
+
+
+def test_repair_matches_dict_detach_oracle():
+    rng = np.random.default_rng(23)
+    checked = 0
+    while checked < 300:
+        nv, faces = overshared_faces(rng)
+        before = count_nonmanifold_edges(faces)
+        if before == 0:
+            continue
+        m = TriangleMesh(vertices=rng.standard_normal((nv, 3)), faces=faces,
+                         vertex_color=rng.integers(0, 256, (nv, 3)),
+                         face_label=np.arange(len(faces)))
+        out, rep = repair_nonmanifold(m)
+        detached, source = dict_detach_overshared(faces, nv)
+        assert count_nonmanifold_edges(detached) == 0
+        want_faces, fan_source, split = bowtie_oracle(len(source), detached)
+        source = source[fan_source]
+        assert np.array_equal(out.faces, want_faces)
+        assert np.array_equal(out.vertices, m.vertices[source])
+        assert np.array_equal(out.vertex_color, m.vertex_color[source])
+        assert np.array_equal(out.face_label, m.face_label)
+        assert rep.nonmanifold_edges_before == before
+        assert rep.nonmanifold_edges_after == 0
         assert rep.split_vertices == split
         checked += 1

@@ -16,7 +16,7 @@ def test_count_area_times_density():
 def test_small_face_rounding():
     v = np.array([[0, 0, 0], [0.2, 0, 0], [0, 1, 0]], dtype=float)
     m = TriangleMesh(vertices=v, faces=np.array([[0, 1, 2]]))
-    assert m.total_area() == pytest.approx(0.1)
+    assert m.face_area.sum() == pytest.approx(0.1)
     s = sample_points(m, 10.0, seed=1)
     assert len(s) == 1
 
@@ -78,11 +78,3 @@ def test_zero_area_mesh_empty():
     m = TriangleMesh(vertices=v, faces=np.array([[0, 1, 2]]))
     s = sample_points(m, 10.0, seed=0)
     assert len(s) == 0
-
-
-def test_face_color_carried():
-    m = grid_mesh(2, 2)
-    m.face_color = np.arange(m.n_faces * 3).reshape(-1, 3).astype(np.uint8)
-    s = sample_points(m, 5.0, seed=0)
-    assert s.colors is not None
-    assert np.array_equal(s.colors, m.face_color[s.source_face])

@@ -12,7 +12,6 @@ from pssmesh.segfeatures import (
     _straightness,
     compute_segment_features,
     segment_channel_names,
-    segment_circumference,
 )
 
 from conftest import grid_mesh, two_triangle_strip
@@ -81,9 +80,9 @@ def test_circumference_counts_cross_and_border():
     mesh = grid_mesh(2, 1)
     adj = build_adjacency(mesh)
     seg = np.array([0, 0, 1, 1])
-    c = segment_circumference(adj, seg, 2)
+    sf = compute_segment_features(mesh, adj, seg, fake_face_features(mesh))
     # each unit cell: 3 border edges plus the shared cross edge
-    assert c[0] == 4.0 and c[1] == 4.0
+    assert sf.channel("circumference").tolist() == [4.0, 4.0]
 
 
 def test_aggregation_matches_brute_force():

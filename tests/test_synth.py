@@ -12,10 +12,12 @@ from pssmesh.synth import (
     CLASS_VEHICLE,
     TileParams,
     expected_component_count,
+    ground_grid,
     icosphere,
-    planarity_labels,
     synth_tile,
 )
+
+from conftest import grid_mesh
 
 
 def test_tile_deterministic():
@@ -70,15 +72,6 @@ def test_gt_components_score_perfectly():
     assert rep.op == 1.0 and rep.bp == 1.0 and rep.br == 1.0
 
 
-def test_planarity_labels():
-    mesh = synth_tile(TileParams(seed=0, ground_res=16, n_boxes=1, n_trees=1,
-                                 n_vehicles=1))
-    pl = planarity_labels(mesh)
-    assert set(np.unique(pl)) == {0, 1}
-    assert (pl[mesh.face_label == CLASS_VEGETATION] == 1).all()
-    assert (pl[mesh.face_label != CLASS_VEGETATION] == 0).all()
-
-
 def test_icosphere_radius():
     verts, faces = icosphere(radius=2.5, subdivisions=2, center=(1.0, 2.0, 3.0))
     r = np.linalg.norm(verts - np.array([1.0, 2.0, 3.0]), axis=1)
@@ -93,3 +86,11 @@ def test_bad_params_rejected():
         TileParams(noise_sigma=-0.1)
     with pytest.raises(TypeError):
         synth_tile(TileParams(), seed=1)
+
+
+def test_ground_grid_triangulation():
+    verts, faces = ground_grid(4.0, 4, z=1.5)
+    ref = grid_mesh(4, 4, dx=1.0, z=1.5)
+    assert np.array_equal(faces, ref.faces)
+    assert np.array_equal(verts, ref.vertices)
+    assert faces.dtype == np.int64

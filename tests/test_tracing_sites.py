@@ -63,7 +63,7 @@ def test_traced_graph_counts_match_graph():
                                        *segment_probes(mesh, adj, seg),
                                        params.ground_radius)
              + exmat_edges(fresh, mesh, seg, params.exmat_density,
-                           params.exmat_denoise_angle, params.seed)
+                           params.seed)
              + proximity_edges(fresh, mesh, seg, params.proximity_mode,
                                params.knn_k, params.knn_cutoff_factor))
     assert c["seggraph.added"] == added
