@@ -26,6 +26,8 @@ from .synth import TileParams, expected_component_count, synth_tile
 
 # flags whose argparse dest is a config field override that field
 _CONFIG_DESTS = tuple(f.name for f in fields(PipelineConfig))
+# synth flags named after a TileParams field set it; unset ones keep its default
+_TILE_FIELDS = tuple(f.name for f in fields(TileParams))
 
 
 def resolved_config(args) -> PipelineConfig:
@@ -73,7 +75,7 @@ def _add_graph(p):
     p.add_argument("--ground-radius-m", dest="ground_radius", type=float,
                    help="search radius for the local ground link")
     p.add_argument("--proximity", dest="proximity_mode",
-                   choices=("knn", "delaunay"))
+                   help="knn or delaunay")
     p.add_argument("--sampling-density", dest="sampling_density", type=float,
                    help="surface samples per square metre")
 
@@ -106,12 +108,8 @@ def _print_semantic(tag, report):
 def cmd_synth(args) -> int:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    params = TileParams(ground_size=args.ground_size,
-                        ground_res=args.ground_res,
-                        n_boxes=args.boxes, n_trees=args.trees,
-                        n_vehicles=args.vehicles,
-                        noise_sigma=args.noise_sigma,
-                        seed=args.seed if args.seed is not None else 0)
+    params = TileParams(**{name: getattr(args, name) for name in _TILE_FIELDS
+                           if getattr(args, name) is not None})
     mesh = synth_tile(params)
     path = out / args.name
     save_mesh(mesh, path)
@@ -280,12 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="output_dir", required=True)
     p.add_argument("--name", default="tile.ply")
     p.add_argument("--seed", type=int)
-    p.add_argument("--ground-size", type=float, default=32.0)
-    p.add_argument("--ground-res", type=int, default=64)
-    p.add_argument("--boxes", type=int, default=6)
-    p.add_argument("--trees", type=int, default=6)
-    p.add_argument("--vehicles", type=int, default=3)
-    p.add_argument("--noise-sigma", type=float, default=0.08)
+    p.add_argument("--ground-size", type=float)
+    p.add_argument("--ground-res", type=int)
+    p.add_argument("--boxes", dest="n_boxes", type=int)
+    p.add_argument("--trees", dest="n_trees", type=int)
+    p.add_argument("--vehicles", dest="n_vehicles", type=int)
+    p.add_argument("--noise-sigma", type=float)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("preprocess", help="weld and repair a mesh")

@@ -2,7 +2,9 @@
 
 A config file may set any subset of the fields below; unknown keys are
 rejected so typos fail loudly instead of silently using a default. All
-randomness in a run flows from the single ``seed`` field.
+randomness in a run flows from the single ``seed`` field. Every stage
+function takes the ``PipelineConfig`` itself (``None`` means the defaults),
+so each setting's default and range check is written once, here.
 """
 
 import json
@@ -15,6 +17,26 @@ DEFAULT_CLASSES = {0: "terrain", 1: "building",
 
 class ConfigError(ValueError):
     """Bad configuration content; maps to the usage-error exit code."""
+
+
+def load_versioned_json(path, version: int, kind: str) -> dict:
+    """The JSON object in ``path``, whose ``version`` must be ``version``.
+
+    Invalid JSON or text encoding, a value that is not an object and another
+    version raise ConfigError with the path in front of the message; ``kind``
+    names the file in the version message.
+    """
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:           # invalid JSON or text encoding
+            raise ConfigError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: not a JSON object")
+    if doc.get("version") != version:
+        raise ConfigError(f"{path}: unsupported {kind} file version "
+                          f"{doc.get('version')}")
+    return doc
 
 
 @dataclass
@@ -80,31 +102,6 @@ class PipelineConfig:
         d["nonplanar_classes"] = list(self.nonplanar_classes)
         d["classes"] = {str(k): v for k, v in sorted(self.classes.items())}
         return d
-
-    def face_feature_params(self):
-        from .features import FaceFeatureParams
-        return FaceFeatureParams(eigen_radii=self.eigen_radii,
-                                 elevation_radii=self.elevation_radii)
-
-    def forest_params(self):
-        from .forest import ForestParams
-        return ForestParams(trees=self.trees, min_leaf=self.min_leaf,
-                            max_depth=self.max_depth)
-
-    def growth_params(self):
-        from .overseg import GrowthParams
-        return GrowthParams(lambda_d=self.lambda_d, lambda_m=self.lambda_m,
-                            lambda_g=self.lambda_g)
-
-    def graph_params(self):
-        from .seggraph import GraphParams
-        return GraphParams(parallel_angle_deg=self.parallel_angle_deg,
-                           ground_radius=self.ground_radius,
-                           proximity_mode=self.proximity_mode,
-                           knn_k=self.knn_k,
-                           knn_cutoff_factor=self.knn_cutoff_factor,
-                           exmat_density=self.sampling_density,
-                           seed=self.seed)
 
 
 _FIELD_NAMES = {f.name for f in fields(PipelineConfig)}

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .mesh import TriangleMesh
+from .config import PipelineConfig
 from .medial import shrinking_ball_transform
+from .mesh import TriangleMesh
 
 EIGEN_NAMES = ("linearity", "planarity", "sphericity", "curvature", "verticality")
 LAYOUT_FACE_V1 = "face-v1"
@@ -52,12 +53,6 @@ def write_csv(path, header, rows) -> None:
 
 
 @dataclass
-class FaceFeatureParams:
-    eigen_radii: tuple = (0.5, 1.0, 2.0)
-    elevation_radii: tuple = (10.0, 20.0, 40.0)
-
-
-@dataclass
 class FaceFeatures:
     values: np.ndarray                 # (F, C) float64
     channel_names: list
@@ -76,12 +71,14 @@ class FaceFeatures:
         return len(self.values)
 
 
-def face_channel_names(params: FaceFeatureParams) -> list:
+def face_channel_names(config: PipelineConfig | None = None) -> list:
+    """Channel names for ``config.eigen_radii`` and ``elevation_radii``."""
+    config = config or PipelineConfig()
     names = []
-    for r in params.eigen_radii:
+    for r in config.eigen_radii:
         names += [f"{n}_r{r:g}" for n in EIGEN_NAMES]
     names += ["elevation_abs", "elevation_rel"]
-    names += [f"elevation_rel_r{r:g}" for r in params.elevation_radii]
+    names += [f"elevation_rel_r{r:g}" for r in config.elevation_radii]
     names += ["inmat_radius", "vertex_density", "face_density",
               "greenness", "color_h", "color_s", "color_v"]
     return names
@@ -357,10 +354,10 @@ def inmat_radii(mesh: TriangleMesh) -> np.ndarray:
 
 
 def compute_face_features(mesh: TriangleMesh,
-                          params: FaceFeatureParams | None = None) -> FaceFeatures:
+                          config: PipelineConfig | None = None) -> FaceFeatures:
     """Fixed-layout per-face feature table; see module docstring for channels."""
-    params = params or FaceFeatureParams()
-    names = face_channel_names(params)
+    config = config or PipelineConfig()
+    names = face_channel_names(config)
     nf = mesh.n_faces
     vals = np.zeros((nf, len(names)))
     if nf == 0:
@@ -370,17 +367,18 @@ def compute_face_features(mesh: TriangleMesh,
     areas = mesh.face_area
     tree = cKDTree(cent)
 
-    col = 5 * len(params.eigen_radii)
+    col = 5 * len(config.eigen_radii)
     vals[:, :col] = eigen_shape_features(cent, areas, tree,
-                                         params.eigen_radii)[0]
+                                         config.eigen_radii)[0]
 
     z = cent[:, 2]
     vals[:, col] = z
     col += 1
     vals[:, col] = z - z.min()
     col += 1
-    vals[:, col:col + len(params.elevation_radii)] = elevation_context(mesh, params.elevation_radii)
-    col += len(params.elevation_radii)
+    n_elev = len(config.elevation_radii)
+    vals[:, col:col + n_elev] = elevation_context(mesh, config.elevation_radii)
+    col += n_elev
 
     vals[:, col] = inmat_radii(mesh)
     col += 1

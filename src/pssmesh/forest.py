@@ -17,18 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, PipelineConfig
 
 PROB_EPS = 1e-6
 MODEL_MAGIC = b"PSSF"
 MODEL_VERSION = 1
-
-
-@dataclass
-class ForestParams:
-    trees: int = 100
-    min_leaf: int = 5
-    max_depth: int = 40
 
 
 @dataclass
@@ -100,7 +93,7 @@ def _entropy(wcounts: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def _build_tree(X, y, sw, n_classes, params: ForestParams, rng) -> Tree:
+def _build_tree(X, y, sw, n_classes, config: PipelineConfig, rng) -> Tree:
     k = int(np.ceil(np.sqrt(X.shape[1])))
     feature, threshold, left, right, proba = [], [], [], [], []
 
@@ -121,7 +114,7 @@ def _build_tree(X, y, sw, n_classes, params: ForestParams, rng) -> Tree:
     while stack:
         idx, depth, node = stack.pop()
         classes_here = np.unique(y[idx])
-        if (depth >= params.max_depth or len(idx) < 2 * params.min_leaf
+        if (depth >= config.max_depth or len(idx) < 2 * config.min_leaf
                 or len(classes_here) == 1):
             make_leaf(node, idx)
             continue
@@ -140,7 +133,7 @@ def _build_tree(X, y, sw, n_classes, params: ForestParams, rng) -> Tree:
             t = rng.uniform(lo, hi)
             go_left = col <= t
             nl = int(go_left.sum())
-            if nl < params.min_leaf or len(idx) - nl < params.min_leaf:
+            if nl < config.min_leaf or len(idx) - nl < config.min_leaf:
                 continue
             wl = np.bincount(y[idx[go_left]], weights=sw[idx[go_left]],
                              minlength=n_classes)
@@ -173,12 +166,13 @@ def _build_tree(X, y, sw, n_classes, params: ForestParams, rng) -> Tree:
 
 
 def train_forest(samples: np.ndarray, labels: np.ndarray,
-                 params: ForestParams | None = None,
+                 config: PipelineConfig | None = None,
                  weights: np.ndarray | None = None,
-                 seed: int = 0,
                  layout_version: str = "",
                  n_jobs: int = 1) -> ForestModel:
     """Train an extremely randomized forest; see module docstring.
+
+    ``config`` gives ``trees``, ``min_leaf``, ``max_depth`` and ``seed``.
 
     ``weights`` are per-class (ordered like np.unique(labels)) and default to
     sqrt(N/n_c). Raises on single-class input and on NaN features.
@@ -203,20 +197,20 @@ def train_forest(samples: np.ndarray, labels: np.ndarray,
         raise ValueError("one weight per class required")
     sw = weights[y]
 
-    params = params or ForestParams()
+    config = config or PipelineConfig()
 
     def build(t):
-        rng = np.random.default_rng(seed ^ t)
-        return _build_tree(X, y, sw, len(classes), params, rng)
+        rng = np.random.default_rng(config.seed ^ t)
+        return _build_tree(X, y, sw, len(classes), config, rng)
 
     if n_jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            trees = list(pool.map(build, range(params.trees)))
+            trees = list(pool.map(build, range(config.trees)))
     else:
-        trees = [build(t) for t in range(params.trees)]
+        trees = [build(t) for t in range(config.trees)]
     return ForestModel(trees, classes.astype(np.int32), X.shape[1],
-                       layout_version, seed)
+                       layout_version, config.seed)
 
 
 def predict_proba(model: ForestModel, samples: np.ndarray) -> ForestPrediction:

@@ -154,7 +154,7 @@ def boundary_set(adjacency: AdjacencyIndex, labels, *, skip_unlabeled=False,
 
 
 def match_boundaries(candidates: BoundarySet, reference: BoundarySet,
-                     adjacency: AdjacencyIndex, rings: int = 2) -> np.ndarray:
+                     adjacency: AdjacencyIndex, rings: int) -> np.ndarray:
     """Boolean mask: candidate edges with a reference edge nearby.
 
     A candidate edge matches when some reference edge has both endpoints
@@ -208,7 +208,7 @@ def _matched_score(candidates: BoundarySet, reference: BoundarySet,
 
 
 def boundary_precision(pred: BoundarySet, gt: BoundarySet,
-                       adjacency: AdjacencyIndex, rings: int = 2) -> float:
+                       adjacency: AdjacencyIndex, rings: int) -> float:
     """Length fraction of predicted boundary edges near a true boundary.
 
     Both sets empty -> 1 by convention; empty prediction against a nonempty
@@ -218,7 +218,7 @@ def boundary_precision(pred: BoundarySet, gt: BoundarySet,
 
 
 def boundary_recall(pred: BoundarySet, gt: BoundarySet,
-                    adjacency: AdjacencyIndex, rings: int = 2) -> float:
+                    adjacency: AdjacencyIndex, rings: int) -> float:
     """Length fraction of true boundary edges near a predicted one.
 
     Empty truth -> 1 by convention.
@@ -227,7 +227,7 @@ def boundary_recall(pred: BoundarySet, gt: BoundarySet,
 
 
 def overseg_report(mesh: TriangleMesh, adjacency: AdjacencyIndex, face_segment,
-                   gt_labels, rings: int = 2) -> OversegReport:
+                   gt_labels, rings: int) -> OversegReport:
     """Full over-segmentation scorecard for one segmentation."""
     face_segment = np.asarray(face_segment).reshape(-1)
     gt_labels = np.asarray(gt_labels).reshape(-1)

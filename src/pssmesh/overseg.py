@@ -29,21 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import TriangleMesh
 from .adjacency import AdjacencyIndex
+from .config import PipelineConfig
+from .mesh import TriangleMesh
 
 PLANAR, NONPLANAR = 0, 1
-
-
-@dataclass
-class GrowthParams:
-    lambda_d: float = 1.2
-    lambda_m: float = 0.1
-    lambda_g: float = 0.9
-
-    def __post_init__(self):
-        if min(self.lambda_d, self.lambda_m, self.lambda_g) < 0:
-            raise ValueError("growth weights must be >= 0")
 
 
 class PlaneAccumulator:
@@ -159,18 +149,19 @@ def _replay_refits(region: RegionState, mesh: TriangleMesh, start: tuple,
 
 
 def unary_cost(face, region: RegionState, mesh: TriangleMesh,
-               probmap, params: GrowthParams) -> tuple:
+               probmap, config: PipelineConfig | None = None) -> tuple:
     """(cost for joining, cost for staying out) of frontier faces.
 
     ``face`` is one face id or an array of them; the costs have its shape.
     """
     if not region.members:
         raise ValueError("region has no member faces")
+    config = config or PipelineConfig()
     face = np.asarray(face)
     d = region.plane_distance(mesh.vertices[mesh.faces[face]]).max(axis=-1)
     relaxed = ((probmap.label[face] == NONPLANAR)
                & (region.region_type == NONPLANAR))
-    ci = np.where(relaxed, 1.0 - params.lambda_g * probmap.g_hat[face],
+    ci = np.where(relaxed, 1.0 - config.lambda_g * probmap.g_hat[face],
                   np.inf)
     cost0 = np.minimum(d, ci)
     return cost0, 1.0 - cost0
@@ -187,27 +178,29 @@ def pairwise_cost(face, region: RegionState, mesh: TriangleMesh):
     return np.where(n_i.any(axis=-1), np.arccos(cosang) / np.pi, 0.0)
 
 
-def frontier_decision(cost0, cost1, phi, params: GrowthParams) -> np.ndarray:
+def frontier_decision(cost0, cost1, phi,
+                      config: PipelineConfig | None = None) -> np.ndarray:
     """Vectorized closed-form optimum: join (0) iff it is at least as cheap."""
+    config = config or PipelineConfig()
     cost0 = np.asarray(cost0, dtype=np.float64)
-    join = params.lambda_d * cost0 <= (params.lambda_d * np.asarray(cost1)
-                                       + params.lambda_m * np.asarray(phi))
+    join = config.lambda_d * cost0 <= (config.lambda_d * np.asarray(cost1)
+                                       + config.lambda_m * np.asarray(phi))
     return np.where(join, 0, 1).astype(np.uint8)
 
 
 def label_frontier(region: RegionState, frontier, mesh: TriangleMesh,
-                   probmap, params: GrowthParams) -> np.ndarray:
+                   probmap, config: PipelineConfig | None = None) -> np.ndarray:
     """Binary labels for the frontier faces (0 = join the region)."""
     frontier = np.asarray(frontier, dtype=np.int64)
     if len(frontier) == 0:
         return np.zeros(0, dtype=np.uint8)
-    cost0, cost1 = unary_cost(frontier, region, mesh, probmap, params)
+    cost0, cost1 = unary_cost(frontier, region, mesh, probmap, config)
     phi = pairwise_cost(frontier, region, mesh)
-    return frontier_decision(cost0, cost1, phi, params)
+    return frontier_decision(cost0, cost1, phi, config)
 
 
 def grow_region(seed: int, mesh: TriangleMesh, adjacency: AdjacencyIndex,
-                probmap, params: GrowthParams,
+                probmap, config: PipelineConfig | None = None,
                 assigned=None, region_id: int = 0) -> RegionState:
     """Grow one region from a seed face until a step adds nothing."""
     region = RegionState(region_id=region_id,
@@ -233,7 +226,7 @@ def grow_region(seed: int, mesh: TriangleMesh, adjacency: AdjacencyIndex,
         frontier = sorted(cand)
         if not frontier:
             break
-        labels = label_frontier(region, frontier, mesh, probmap, params)
+        labels = label_frontier(region, frontier, mesh, probmap, config)
         start = (region.acc.copy(), region.normal_sum)
         added = []
         fresh = []
@@ -252,9 +245,13 @@ def grow_region(seed: int, mesh: TriangleMesh, adjacency: AdjacencyIndex,
 
 
 def oversegment(mesh: TriangleMesh, adjacency: AdjacencyIndex, probmap,
-                params: GrowthParams | None = None) -> Segmentation:
-    """Segment every face; seeds are picked by descending planar probability."""
-    params = params or GrowthParams()
+                config: PipelineConfig | None = None) -> Segmentation:
+    """Segment every face; seeds are picked by descending planar probability.
+
+    The growth weights ``lambda_d``, ``lambda_m`` and ``lambda_g`` come from
+    ``config``.
+    """
+    config = config or PipelineConfig()
     nf = mesh.n_faces
     face_segment = np.full(nf, -1, dtype=np.int32)
     assigned = np.zeros(nf, dtype=bool)
@@ -265,7 +262,7 @@ def oversegment(mesh: TriangleMesh, adjacency: AdjacencyIndex, probmap,
     for seed in order:
         if assigned[seed]:
             continue
-        region = grow_region(int(seed), mesh, adjacency, probmap, params,
+        region = grow_region(int(seed), mesh, adjacency, probmap, config,
                              assigned=assigned, region_id=k)
         for f in region.members:
             face_segment[f] = k

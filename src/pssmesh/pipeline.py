@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .adjacency import build_adjacency
-from .config import ConfigError, PipelineConfig
+from .config import ConfigError, PipelineConfig, load_versioned_json
 from .features import compute_face_features, write_csv
 from .forest import (ForestModel, classify_segments, load_model,
                      planarity_map, train_forest)
@@ -139,15 +139,7 @@ def load_segmentation(path) -> Segmentation:
     def bad(message):
         return ConfigError(f"{path}: {message}")
 
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:           # invalid JSON or text encoding
-            raise bad(exc) from None
-    if not isinstance(doc, dict):
-        raise bad("not a JSON object")
-    if doc.get("version") != 1:
-        raise bad(f"unsupported segmentation file version {doc.get('version')}")
+    doc = load_versioned_json(path, 1, "segmentation")
     for key in ("face_segment", "segment_type", "planes"):
         if key not in doc:
             raise bad(f"missing key {key!r}")
@@ -363,8 +355,7 @@ def run_pipeline(config: PipelineConfig, mesh=None,
 
         if "face_features" in wanted:
             tick("face_features")
-            feats = compute_face_features(mesh2,
-                                          params=config.face_feature_params())
+            feats = compute_face_features(mesh2, config)
             result.face_features = feats
             emit("face_features.csv", feats.to_csv)
             tock("face_features")
@@ -381,8 +372,7 @@ def run_pipeline(config: PipelineConfig, mesh=None,
 
         if "oversegment" in wanted:
             tick("oversegment")
-            seg = oversegment(mesh2, adjacency, result.probmap,
-                              config.growth_params())
+            seg = oversegment(mesh2, adjacency, result.probmap, config)
             result.segmentation = seg
             emit("segmentation.json", lambda p: save_segmentation(seg, p))
             tock("oversegment")
@@ -398,7 +388,7 @@ def run_pipeline(config: PipelineConfig, mesh=None,
         if "graph" in wanted:
             tick("graph")
             graph = build_segment_graph(mesh2, adjacency, result.segmentation,
-                                        sf, config.graph_params())
+                                        sf, config)
             result.graph = graph
             emit("graph.json", lambda p: export_graph(graph, p))
             tock("graph")
@@ -496,16 +486,22 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
     ``config.nonplanar_classes`` form the non-planar planarity class. The
     segment classifier trains on segments produced by running the freshly
     fitted planarity model through oversegmentation, labeled by area
-    majority.
+    majority. A label >= 0 outside ``config.classes`` raises ConfigError
+    naming the mesh file (``training mesh <i>`` for an in-memory mesh)
+    before the first fit.
     """
     loaded = []
-    for m in meshes:
+    for i, m in enumerate(meshes):
         if hasattr(m, "faces"):
             m.check_usable()
+            source = f"training mesh {i}"
         else:
+            source = m
             m = load_mesh(m)
         if m.face_label is None:
-            raise ConfigError("training mesh has no ground-truth labels")
+            raise ConfigError(f"{source}: no ground-truth labels")
+        _check_classes(m.face_label[m.face_label >= 0].tolist(), config,
+                       source, "training label")
         loaded.append(m)
     if not loaded:
         raise ConfigError("no training meshes given")
@@ -518,8 +514,7 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
         welded, _ = weld_vertices(mesh, config.weld_epsilon)
         mesh2, _ = repair_nonmanifold(welded)
         adjacency = build_adjacency(mesh2)
-        feats = compute_face_features(mesh2,
-                                      params=config.face_feature_params())
+        feats = compute_face_features(mesh2, config)
         y = np.isin(mesh2.face_label, config.nonplanar_classes)
         prepared.append((mesh2, adjacency, feats))
         face_rows.append(feats.values)
@@ -528,9 +523,8 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
     X_face = np.vstack(face_rows)
     y_face = np.concatenate(face_labels)
     layout_face = prepared[0][2].layout_version
-    planarity = train_forest(X_face, y_face, config.forest_params(),
-                             seed=config.seed, layout_version=layout_face,
-                             n_jobs=n_jobs)
+    planarity = train_forest(X_face, y_face, config,
+                             layout_version=layout_face, n_jobs=n_jobs)
 
     seg_rows = []
     seg_labels = []
@@ -538,7 +532,7 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
     layout_seg = ""
     for mesh2, adjacency, feats in prepared:
         probmap = planarity_map(planarity, feats)
-        seg = oversegment(mesh2, adjacency, probmap, config.growth_params())
+        seg = oversegment(mesh2, adjacency, probmap, config)
         sf = compute_segment_features(mesh2, adjacency, seg, feats)
         layout_seg = sf.layout_version
         n_segments += seg.n_segments
@@ -549,9 +543,8 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
 
     X_seg = np.vstack(seg_rows)
     y_seg = np.concatenate(seg_labels)
-    semantic = train_forest(X_seg, y_seg, config.forest_params(),
-                            seed=config.seed, layout_version=layout_seg,
-                            n_jobs=n_jobs)
+    semantic = train_forest(X_seg, y_seg, config,
+                            layout_version=layout_seg, n_jobs=n_jobs)
 
     report = {"n_meshes": len(loaded),
               "n_face_samples": int(len(y_face)),

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .adjacency import AdjacencyIndex, pair_keys, segment_index
-from .config import ConfigError
+from .config import ConfigError, PipelineConfig, load_versioned_json
 from .medial import shrinking_ball_transform
 from .mesh import TriangleMesh
 from .overseg import PLANAR
@@ -38,25 +38,6 @@ EDGE_PARALLEL = "parallelism"
 EDGE_GROUND = "connecting_ground"
 EDGE_EXMAT = "exmat"
 EDGE_PROXIMITY = "spatial_proximity"
-
-
-@dataclass
-class GraphParams:
-    """Thresholds of the four edge constructors."""
-
-    parallel_angle_deg: float = 5.0
-    ground_radius: float = 30.0
-    proximity_mode: str = "knn"          # "knn" or "delaunay"
-    knn_k: int = 16
-    knn_cutoff_factor: float = 16.0      # times the median neighbor spacing
-    exmat_density: float = 10.0          # sample points per square metre
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.proximity_mode not in ("knn", "delaunay"):
-            raise ValueError(f"unknown proximity mode {self.proximity_mode!r}")
-        if self.parallel_angle_deg <= 0 or self.ground_radius <= 0:
-            raise ValueError("thresholds must be positive")
 
 
 @dataclass
@@ -147,8 +128,7 @@ def build_nodes(mesh: TriangleMesh, segmentation,
     return nodes
 
 
-def parallelism_edges(graph: SegmentGraph,
-                      angle_deg: float = 5.0) -> int:
+def parallelism_edges(graph: SegmentGraph, angle_deg: float) -> int:
     """Link planar segment pairs whose planes are nearly parallel.
 
     The inter-normal angle is folded into [0, 90] degrees first, so an
@@ -168,7 +148,7 @@ def parallelism_edges(graph: SegmentGraph,
 
 
 def connecting_ground_edges(graph: SegmentGraph, mesh: TriangleMesh,
-                            seg_faces, probes, radius: float = 30.0) -> int:
+                            seg_faces, probes, radius: float) -> int:
     """Link every segment to its local ground plane.
 
     ``seg_faces`` and ``probes`` are ``segment_probes``' lists. The
@@ -205,7 +185,7 @@ def connecting_ground_edges(graph: SegmentGraph, mesh: TriangleMesh,
 
 
 def exmat_edges(graph: SegmentGraph, mesh: TriangleMesh, segmentation,
-                density: float = 10.0, seed: int = 0) -> int:
+                density: float, seed: int) -> int:
     """Link segments bridged by exterior medial balls.
 
     The mesh is point-sampled, exterior shrinking balls are grown along the
@@ -262,7 +242,7 @@ def delaunay_pairs(points) -> np.ndarray:
                          tri.simplices[:, ju].ravel(), len(points))
 
 
-def knn_pairs(points, k: int = 16, cutoff_factor: float = 16.0) -> np.ndarray:
+def knn_pairs(points, k: int, cutoff_factor: float) -> np.ndarray:
     """Symmetric k-nearest-neighbor pairs within a spacing-scaled cutoff.
 
     Returns the distinct pairs as an ascending (M, 2) int64 array, each row
@@ -279,18 +259,16 @@ def knn_pairs(points, k: int = 16, cutoff_factor: float = 16.0) -> np.ndarray:
 
 
 def proximity_edges(graph: SegmentGraph, mesh: TriangleMesh, segmentation,
-                    mode: str = "knn", k: int = 16,
-                    cutoff_factor: float = 16.0) -> int:
+                    mode: str, k: int, cutoff_factor: float) -> int:
     """Link segments whose points are spatial neighbors.
 
     The point set is the mesh vertices plus face centroids, each tagged
     with a segment. knn mode joins candidates from a symmetric k-nearest-
     neighbor graph, cut off at ``cutoff_factor`` times the median nearest-
     neighbor spacing. delaunay mode uses the 3D Delaunay edges and falls
-    back to knn (with a warning) on degenerate input.
+    back to knn (with a warning) on degenerate input. ``mode`` is one of the
+    two, as ``PipelineConfig.proximity_mode`` is checked to be.
     """
-    if mode not in ("knn", "delaunay"):
-        raise ValueError(f"unknown proximity mode {mode!r}")
     face_segment = np.asarray(segmentation.face_segment).reshape(-1)
     points, tags = _proximity_points(mesh, face_segment)
     if len(points) < 2:
@@ -379,20 +357,26 @@ def compute_edge_features(graph: SegmentGraph, mesh: TriangleMesh,
 
 def build_segment_graph(mesh: TriangleMesh, adjacency: AdjacencyIndex,
                         segmentation, seg_features: SegmentFeatures,
-                        params: GraphParams | None = None) -> SegmentGraph:
-    """Run all four edge constructors and the edge feature pass."""
-    params = params or GraphParams()
+                        config: PipelineConfig | None = None) -> SegmentGraph:
+    """Run all four edge constructors and the edge feature pass.
+
+    The constructors take their thresholds from ``config``; exmat sampling
+    uses ``config.sampling_density`` points per square metre and
+    ``config.seed``.
+    """
+    config = config or PipelineConfig()
     seg_faces, probes = segment_probes(mesh, adjacency, segmentation)
     graph = SegmentGraph(nodes=build_nodes(mesh, segmentation, seg_features,
                                            seg_faces),
                          edges={},
                          channel_names=list(seg_features.channel_names))
-    parallelism_edges(graph, params.parallel_angle_deg)
+    parallelism_edges(graph, config.parallel_angle_deg)
     connecting_ground_edges(graph, mesh, seg_faces, probes,
-                            params.ground_radius)
-    exmat_edges(graph, mesh, segmentation, params.exmat_density, params.seed)
-    proximity_edges(graph, mesh, segmentation, params.proximity_mode,
-                    params.knn_k, params.knn_cutoff_factor)
+                            config.ground_radius)
+    exmat_edges(graph, mesh, segmentation, config.sampling_density,
+                config.seed)
+    proximity_edges(graph, mesh, segmentation, config.proximity_mode,
+                    config.knn_k, config.knn_cutoff_factor)
     compute_edge_features(graph, mesh, probes)
     return graph
 
@@ -430,15 +414,7 @@ def import_graph(path) -> SegmentGraph:
     def bad(message):
         return ConfigError(f"{path}: {message}")
 
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:           # invalid JSON or text encoding
-            raise bad(exc) from None
-    if not isinstance(doc, dict):
-        raise bad("not a JSON object")
-    if doc.get("version") != 2:
-        raise bad(f"unsupported graph file version {doc.get('version')}")
+    doc = load_versioned_json(path, 2, "graph")
     try:
         graph = SegmentGraph(
             nodes=[GraphNode(node_id=int(n["id"]), segment_type=int(n["type"]),

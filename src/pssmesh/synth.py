@@ -208,12 +208,9 @@ def _place(rng, placed, half_extent, size, margin=1.0, tries=1000):
                        "reduce object counts or grow the tile")
 
 
-def synth_tile(params: TileParams | None = None, **kw) -> TriangleMesh:
+def synth_tile(params: TileParams | None = None) -> TriangleMesh:
     """Build one labeled tile; identical parameters give identical meshes."""
-    if params is None:
-        params = TileParams(**kw)
-    elif kw:
-        raise TypeError("pass either params or keyword overrides, not both")
+    params = params or TileParams()
     rng = np.random.default_rng(params.seed)
     b = _Builder()
     b.add(*ground_grid(params.ground_size, params.ground_res),

@@ -26,7 +26,6 @@ from pssmesh.metrics import (
     semantic_metrics,
 )
 from pssmesh.overseg import (
-    GrowthParams,
     PlaneAccumulator,
     RegionState,
     _add_face,
@@ -182,7 +181,7 @@ def test_criterion_01_metric_identities():
     mesh = synth_tile(TileParams(seed=0))
     adj = build_adjacency(mesh)
     comps = face_connected_components(mesh, adj, mesh.face_label)
-    rep = overseg_report(mesh, adj, comps, mesh.face_label)
+    rep = overseg_report(mesh, adj, comps, mesh.face_label, rings=2)
     ub, _ = max_achievable(comps, mesh.face_label, mesh.face_area)
     secs = time.perf_counter() - t0
     verdict(1, [
@@ -278,26 +277,26 @@ def test_criterion_04_energy_optimality():
                           - region.member_set)[:12]
         if not frontier:
             continue
-        params = GrowthParams(lambda_d=float(rng.choice([0.6, 1.2, 2.4])),
-                              lambda_m=float(rng.choice([0.0, 0.1, 1.0])))
+        cfg = PipelineConfig(lambda_d=float(rng.choice([0.6, 1.2, 2.4])),
+                             lambda_m=float(rng.choice([0.0, 0.1, 1.0])))
         cost0 = np.empty(len(frontier))
         cost1 = np.empty(len(frontier))
         phi = np.empty(len(frontier))
         for i, f in enumerate(frontier):
-            cost0[i], cost1[i] = unary_cost(f, region, mesh, pm, params)
+            cost0[i], cost1[i] = unary_cost(f, region, mesh, pm, cfg)
             phi[i] = pairwise_cost(f, region, mesh)
-        stay = params.lambda_d * cost1 + params.lambda_m * phi
-        join = params.lambda_d * cost0
+        stay = cfg.lambda_d * cost1 + cfg.lambda_m * phi
+        join = cfg.lambda_d * cost0
         bits = bit_rows(len(frontier))
         table = np.where(bits == 0, join, stay).sum(axis=1)
         best = table.min()
-        direct = label_frontier(region, frontier, mesh, pm, params)
+        direct = label_frontier(region, frontier, mesh, pm, cfg)
         # star graph: frontier faces plus the region node, pinned to label 0
         n = len(frontier)
-        star = min_cut_binary(np.append(params.lambda_d * cost0, 0.0),
-                              np.append(params.lambda_d * cost1, np.inf),
+        star = min_cut_binary(np.append(cfg.lambda_d * cost0, 0.0),
+                              np.append(cfg.lambda_d * cost1, np.inf),
                               np.column_stack([np.arange(n), np.full(n, n)]),
-                              params.lambda_m * phi)[:n]
+                              cfg.lambda_m * phi)[:n]
         for lab in (direct, star):
             row = int((lab.astype(np.int64)
                        << np.arange(len(frontier))).sum())
@@ -384,8 +383,9 @@ def test_criterion_07_weight_trends(e2e):
 
     def run(ld, lm):
         seg = oversegment(mesh, adj, pm,
-                          GrowthParams(lambda_d=ld, lambda_m=lm))
-        rep = overseg_report(mesh, adj, seg.face_segment, mesh.face_label)
+                          PipelineConfig(lambda_d=ld, lambda_m=lm))
+        rep = overseg_report(mesh, adj, seg.face_segment, mesh.face_label,
+                             rings=2)
         return seg.n_segments, rep.op
 
     d_counts, d_ops = zip(*(run(ld, 0.1) for ld in (0.6, 1.2, 2.4)))

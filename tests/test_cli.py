@@ -10,6 +10,7 @@ from pssmesh.config import PipelineConfig
 from pssmesh.mesh import TriangleMesh
 from pssmesh.meshio import load_mesh, save_mesh
 from pssmesh.pipeline import load_manifest, run_pipeline
+from pssmesh.synth import TileParams, synth_tile
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,25 @@ def test_synth_reports_tile(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "tile.ply").is_file()
     assert "wrote" in out and "2 ground-truth components" in out
+
+
+def test_synth_unset_flags_keep_tile_defaults(tmp_path):
+    assert main(["synth", "--out", str(tmp_path), "--ground-res", "8",
+                 "--boxes", "1", "--trees", "0", "--vehicles", "0"]) == 0
+    save_mesh(synth_tile(TileParams(ground_res=8, n_boxes=1, n_trees=0,
+                                    n_vehicles=0)), tmp_path / "want.ply")
+    assert (tmp_path / "tile.ply").read_bytes() \
+        == (tmp_path / "want.ply").read_bytes()
+
+
+def test_unknown_proximity_mode_is_usage_error(ws, tmp_path, capsys):
+    code = main(["graph", "--input", str(ws["tile"]), "--out",
+                 str(tmp_path / "run"), "--planarity-model",
+                 str(ws["models"] / "planarity.model"),
+                 "--proximity", "voronoi"])
+    assert code == 2
+    assert "unknown proximity mode 'voronoi'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_help_exits_zero():

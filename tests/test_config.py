@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from pssmesh.adjacency import build_adjacency
 from pssmesh.config import (
     ConfigError,
     PipelineConfig,
@@ -12,6 +14,16 @@ from pssmesh.config import (
     override_config,
     save_config,
 )
+from pssmesh.features import EIGEN_NAMES, face_channel_names
+from pssmesh.forest import train_forest
+from pssmesh.overseg import frontier_decision
+from pssmesh.segfeatures import compute_segment_features
+from pssmesh.seggraph import (EDGE_EXMAT, EDGE_PROXIMITY, SegmentGraph,
+                              build_segment_graph, exmat_edges,
+                              proximity_edges)
+from pssmesh.synth import TileParams, synth_tile
+
+from test_seggraph import components_segmentation, fake_features
 
 
 def test_defaults_round_trip_through_dict():
@@ -97,30 +109,42 @@ def test_validation_rejects(field, value):
         PipelineConfig(**{field: value})
 
 
-def test_growth_params_carry_weights():
-    cfg = PipelineConfig(lambda_d=2.0, lambda_m=0.3, lambda_g=0.7)
-    gp = cfg.growth_params()
-    assert (gp.lambda_d, gp.lambda_m, gp.lambda_g) == (2.0, 0.3, 0.7)
+def test_stages_read_the_config():
+    cfg = PipelineConfig(eigen_radii=(0.5,), elevation_radii=(5.0, 9.0),
+                         trees=3, seed=4, lambda_d=2.0, lambda_m=0.3,
+                         sampling_density=2.0, knn_k=4)
+    names = face_channel_names(cfg)
+    assert names[:5] == [f"{n}_r0.5" for n in EIGEN_NAMES]
+    assert names[5:9] == ["elevation_abs", "elevation_rel",
+                          "elevation_rel_r5", "elevation_rel_r9"]
+    assert len(names) == 16
 
+    X = np.random.default_rng(0).random((60, 3))
+    model = train_forest(X, X[:, 0] > 0.5, cfg)
+    assert len(model.trees) == cfg.trees and model.seed == cfg.seed
+    seed0 = train_forest(X, X[:, 0] > 0.5, override_config(cfg, seed=0))
+    assert model.trees[0].threshold[0] != seed0.trees[0].threshold[0]
 
-def test_graph_params_carry_settings():
-    cfg = PipelineConfig(sampling_density=25.0, seed=4, knn_k=8,
-                         proximity_mode="delaunay")
-    gp = cfg.graph_params()
-    assert gp.exmat_density == 25.0
-    assert gp.seed == 4
-    assert gp.knn_k == 8
-    assert gp.proximity_mode == "delaunay"
+    # join iff lambda_d * 0.6 <= lambda_d * 0.4 + lambda_m * 0.5
+    assert frontier_decision([0.6], [0.4], [0.5], cfg)[0] == 1
+    assert frontier_decision([0.6], [0.4], [0.5],
+                             override_config(cfg, lambda_m=1.0))[0] == 0
 
-
-def test_forest_and_feature_params():
-    cfg = PipelineConfig(trees=9, min_leaf=2, max_depth=6,
-                         eigen_radii=(0.5,), elevation_radii=(5.0, 9.0))
-    fp = cfg.forest_params()
-    assert (fp.trees, fp.min_leaf, fp.max_depth) == (9, 2, 6)
-    ff = cfg.face_feature_params()
-    assert ff.eigen_radii == (0.5,)
-    assert ff.elevation_radii == (5.0, 9.0)
+    mesh = synth_tile(TileParams(seed=1, ground_res=16, n_boxes=2, n_trees=1,
+                                 n_vehicles=1))
+    adj = build_adjacency(mesh)
+    seg = components_segmentation(mesh, adj)
+    feats = compute_segment_features(mesh, adj, seg, fake_features(mesh))
+    graph = build_segment_graph(mesh, adj, seg, feats, cfg)
+    for family, add in ((EDGE_EXMAT, lambda g: exmat_edges(
+                            g, mesh, seg, cfg.sampling_density, cfg.seed)),
+                        (EDGE_PROXIMITY, lambda g: proximity_edges(
+                            g, mesh, seg, cfg.proximity_mode, cfg.knn_k,
+                            cfg.knn_cutoff_factor))):
+        fresh = SegmentGraph(nodes=graph.nodes, edges={})
+        assert add(fresh) > 0
+        assert {k for k, e in graph.edges.items() if family in e.types} \
+            == set(fresh.edges), family
 
 
 def test_as_dict_is_json_safe():

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from pssmesh import features
+from pssmesh.config import PipelineConfig
 from pssmesh.mesh import TriangleMesh
-from pssmesh.features import (FaceFeatureParams, compute_face_features,
+from pssmesh.features import (compute_face_features,
                               face_channel_names, eigen_shape_features,
                               elevation_context, cylinder_min_z, rgb_to_hsv_deg)
 from scipy.spatial import cKDTree
@@ -15,7 +16,7 @@ from conftest import grid_mesh
 
 
 def test_channel_layout_27():
-    names = face_channel_names(FaceFeatureParams())
+    names = face_channel_names(PipelineConfig())
     assert len(names) == 27
     assert names[0] == "linearity_r0.5"
     assert names[14] == "verticality_r2"

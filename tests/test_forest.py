@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pssmesh.config import ConfigError
-from pssmesh.forest import (ForestParams, ForestModel, Tree, train_forest,
+from pssmesh.config import ConfigError, PipelineConfig
+from pssmesh.forest import (ForestModel, Tree, train_forest,
                             predict_proba, planarity_map, classify_segments,
                             class_weights, save_model, load_model, PROB_EPS)
 
@@ -31,7 +31,7 @@ def separable_data(n=200, seed=0):
 
 def test_separable_training_accuracy():
     X, y = separable_data()
-    model = train_forest(X, y, ForestParams(trees=20), seed=1)
+    model = train_forest(X, y, PipelineConfig(trees=20, seed=1))
     pred = predict_proba(model, X)
     acc = (np.argmax(pred.proba, axis=1) == y).mean()
     assert acc == 1.0
@@ -41,10 +41,10 @@ def test_deterministic_model_file(tmp_path):
     X, y = separable_data(seed=3)
     a = tmp_path / "a.bin"
     b = tmp_path / "b.bin"
-    save_model(train_forest(X, y, ForestParams(trees=5), seed=9), a)
-    save_model(train_forest(X, y, ForestParams(trees=5), seed=9), b)
+    save_model(train_forest(X, y, PipelineConfig(trees=5, seed=9)), a)
+    save_model(train_forest(X, y, PipelineConfig(trees=5, seed=9)), b)
     assert a.read_bytes() == b.read_bytes()
-    save_model(train_forest(X, y, ForestParams(trees=5), seed=10), b)
+    save_model(train_forest(X, y, PipelineConfig(trees=5, seed=10)), b)
     assert a.read_bytes() != b.read_bytes()
 
 
@@ -60,9 +60,9 @@ def test_weights_help_minority_recall():
     n0, n1 = 500, 25
     X = np.vstack([rng.normal(0.0, 1.0, (n0, 3)), rng.normal(1.0, 1.0, (n1, 3))])
     y = np.array([0] * n0 + [1] * n1)
-    params = ForestParams(trees=30)
-    flat = train_forest(X, y, params, weights=np.ones(2), seed=0)
-    bal = train_forest(X, y, params, weights=None, seed=0)   # sqrt(N/n_c)
+    cfg = PipelineConfig(trees=30)
+    flat = train_forest(X, y, cfg, weights=np.ones(2))
+    bal = train_forest(X, y, cfg, weights=None)   # sqrt(N/n_c)
     ytest = y
     r_flat = (np.argmax(predict_proba(flat, X).proba, 1)[y == 1] == 1).mean()
     r_bal = (np.argmax(predict_proba(bal, X).proba, 1)[y == 1] == 1).mean()
@@ -91,7 +91,7 @@ def test_certain_class0_floors_at_eps():
 
 def test_proba_normalized_and_finite():
     X, y = separable_data(seed=5)
-    model = train_forest(X, y, ForestParams(trees=7), seed=2)
+    model = train_forest(X, y, PipelineConfig(trees=7, seed=2))
     pred = predict_proba(model, np.random.default_rng(0).random((50, 4)))
     assert np.isfinite(pred.proba).all()
     assert (pred.proba >= 0).all()
@@ -100,7 +100,7 @@ def test_proba_normalized_and_finite():
 
 def test_tree_order_invariance():
     X, y = separable_data(seed=6)
-    model = train_forest(X, y, ForestParams(trees=9), seed=3)
+    model = train_forest(X, y, PipelineConfig(trees=9, seed=3))
     shuffled = ForestModel(model.trees[::-1], model.classes,
                            model.n_features, model.layout_version, model.seed)
     q = np.random.default_rng(1).random((20, 4))
@@ -110,7 +110,7 @@ def test_tree_order_invariance():
 
 def test_argmax_geometric_equals_argmax_log():
     X, y = separable_data(seed=7)
-    model = train_forest(X, y, ForestParams(trees=5), seed=4)
+    model = train_forest(X, y, PipelineConfig(trees=5, seed=4))
     pred = predict_proba(model, np.random.default_rng(2).random((40, 4)))
     assert np.array_equal(np.argmax(pred.geometric, 1), np.argmax(pred.log_average, 1))
 
@@ -121,7 +121,7 @@ def test_depth_monotone_training_accuracy():
     y = ((X[:, 0] > 0.5) ^ (X[:, 1] > 0.5)).astype(int)   # needs depth
     accs = []
     for depth in (2, 6, 40):
-        m = train_forest(X, y, ForestParams(trees=15, max_depth=depth), seed=0)
+        m = train_forest(X, y, PipelineConfig(trees=15, max_depth=depth))
         accs.append((np.argmax(predict_proba(m, X).proba, 1) == y).mean())
     assert accs[0] <= accs[1] <= accs[2]
 
@@ -129,7 +129,8 @@ def test_depth_monotone_training_accuracy():
 def test_min_leaf_respected():
     X, y = separable_data(n=300, seed=9)
     min_leaf = 5
-    model = train_forest(X, y, ForestParams(trees=10, min_leaf=min_leaf), seed=1)
+    model = train_forest(X, y,
+                         PipelineConfig(trees=10, min_leaf=min_leaf, seed=1))
     for tree in model.trees:
         # route the training samples and count arrivals under each split
         def count(node, idx):
@@ -159,7 +160,7 @@ def test_nan_feature_rejected():
 
 def test_model_round_trip(tmp_path):
     X, y = separable_data(seed=11)
-    model = train_forest(X, y, ForestParams(trees=8), seed=5,
+    model = train_forest(X, y, PipelineConfig(trees=8, seed=5),
                          layout_version="face-v1")
     p = tmp_path / "m.bin"
     save_model(model, p)
@@ -181,7 +182,7 @@ def test_corrupt_magic(tmp_path):
 
 def test_unsupported_version(tmp_path):
     X, y = separable_data(seed=12)
-    model = train_forest(X, y, ForestParams(trees=2), seed=0)
+    model = train_forest(X, y, PipelineConfig(trees=2))
     p = tmp_path / "m.bin"
     save_model(model, p)
     raw = bytearray(p.read_bytes())
@@ -193,7 +194,7 @@ def test_unsupported_version(tmp_path):
 
 def test_every_cut_or_extended_model_names_file_and_offset(tmp_path):
     X, y = separable_data(seed=13)
-    model = train_forest(X, y, ForestParams(trees=2, min_leaf=20), seed=0,
+    model = train_forest(X, y, PipelineConfig(trees=2, min_leaf=20),
                          layout_version="face-v1")
     p = tmp_path / "m.bin"
     save_model(model, p)

@@ -174,7 +174,7 @@ def test_match_identity_and_empty():
     assert match_boundaries(b, b, adj, rings=0).all()
     empty = BoundarySet(np.zeros(0, dtype=np.int64),
                         np.zeros((0, 2), dtype=np.int32), np.zeros(0))
-    assert not match_boundaries(b, empty, adj).any()
+    assert not match_boundaries(b, empty, adj, 2).any()
 
 
 def offset_strip(n=10):
@@ -249,10 +249,10 @@ def test_bp_br_conventions():
     empty = BoundarySet(np.zeros(0, dtype=np.int64),
                         np.zeros((0, 2), dtype=np.int32), np.zeros(0))
     some = boundary_set(adj, np.arange(mesh.n_faces))
-    assert boundary_precision(empty, empty, adj) == 1.0
-    assert boundary_precision(empty, some, adj) == 0.0
-    assert boundary_recall(some, empty, adj) == 1.0
-    assert boundary_recall(empty, some, adj) == 0.0
+    assert boundary_precision(empty, empty, adj, 2) == 1.0
+    assert boundary_precision(empty, some, adj, 2) == 0.0
+    assert boundary_recall(some, empty, adj, 2) == 1.0
+    assert boundary_recall(empty, some, adj, 2) == 0.0
 
 
 def test_bp_br_exchange():
@@ -263,7 +263,7 @@ def test_bp_br_exchange():
     lb = rng.integers(0, 3, mesh.n_faces)
     ba = boundary_set(adj, la)
     bb = boundary_set(adj, lb)
-    assert boundary_precision(ba, bb, adj) == boundary_recall(bb, ba, adj)
+    assert boundary_precision(ba, bb, adj, 2) == boundary_recall(bb, ba, adj, 2)
 
 
 def test_superset_precision():
@@ -393,7 +393,7 @@ def test_overseg_report_identity():
     adj = build_adjacency(mesh)
     gt = ((np.arange(mesh.n_faces) // 16) % 2).astype(int)
     comps = face_connected_components(mesh, adj, gt)
-    rep = overseg_report(mesh, adj, comps, gt)
+    rep = overseg_report(mesh, adj, comps, gt, rings=2)
     assert rep.op == 1.0 and rep.bp == 1.0 and rep.br == 1.0
     assert rep.n_segments == len(np.unique(comps))
     assert rep.flags == []
@@ -403,6 +403,7 @@ def test_overseg_report_flags():
     mesh = grid_mesh(3, 3)
     adj = build_adjacency(mesh)
     gt = np.zeros(mesh.n_faces, dtype=int)
-    rep = overseg_report(mesh, adj, np.zeros(mesh.n_faces, dtype=int), gt)
+    rep = overseg_report(mesh, adj, np.zeros(mesh.n_faces, dtype=int), gt,
+                         rings=2)
     assert "empty_gt_boundary" in rep.flags
     assert rep.bp == 1.0 and rep.br == 1.0

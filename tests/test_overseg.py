@@ -6,7 +6,8 @@ from pssmesh.mesh import TriangleMesh
 from pssmesh.adjacency import build_adjacency
 from pssmesh.forest import ProbabilityMap
 from pssmesh.repair import weld_vertices
-from pssmesh.overseg import (GrowthParams, RegionState, PlaneAccumulator,
+from pssmesh.config import PipelineConfig
+from pssmesh.overseg import (RegionState, PlaneAccumulator,
                              Segmentation, refit_plane, unary_cost,
                              pairwise_cost, frontier_decision, label_frontier,
                              grow_region, oversegment, _add_face)
@@ -40,7 +41,7 @@ def test_unary_planar_region():
     m = lifted_face_mesh(0.3)
     region = region_with_plane([0, 0, 1], 0.0, region_type=0)
     pm = flat_probmap(1, planar=False)      # face non-planar, region planar
-    c0, c1 = unary_cost(0, region, m, pm, GrowthParams())
+    c0, c1 = unary_cost(0, region, m, pm, PipelineConfig())
     assert c0 == pytest.approx(0.3)
     assert c1 == pytest.approx(0.7)
 
@@ -49,7 +50,7 @@ def test_unary_nonplanar_prior():
     m = lifted_face_mesh(0.5)
     region = region_with_plane([0, 0, 1], 0.0, region_type=1)
     pm = flat_probmap(1, planar=False, g_hat=0.8)
-    c0, c1 = unary_cost(0, region, m, pm, GrowthParams(lambda_g=0.9))
+    c0, c1 = unary_cost(0, region, m, pm, PipelineConfig(lambda_g=0.9))
     assert c0 == pytest.approx(0.28)        # 1 - 0.9*0.8 beats d=0.5
     assert c1 == pytest.approx(0.72)
 
@@ -58,7 +59,7 @@ def test_unary_coplanar_face():
     m = lifted_face_mesh(0.0)
     region = region_with_plane([0, 0, 1], 0.0)
     pm = flat_probmap(1)
-    c0, c1 = unary_cost(0, region, m, pm, GrowthParams())
+    c0, c1 = unary_cost(0, region, m, pm, PipelineConfig())
     assert c0 == 0.0
     assert c1 == 1.0
 
@@ -67,7 +68,7 @@ def test_unary_requires_member():
     m = lifted_face_mesh(0.0)
     region = RegionState(region_id=0, region_type=0)
     with pytest.raises(ValueError, match="no member"):
-        unary_cost(0, region, m, flat_probmap(1), GrowthParams())
+        unary_cost(0, region, m, flat_probmap(1), PipelineConfig())
 
 
 def test_pairwise_angles():
@@ -88,22 +89,22 @@ def test_pairwise_degenerate_normal_zero():
 
 
 def test_frontier_decision_examples():
-    p = GrowthParams(lambda_d=1.0, lambda_m=0.0)
+    p = PipelineConfig(lambda_d=1.0, lambda_m=0.0)
     assert frontier_decision([0.49], [0.51], [0.3], p)[0] == 0
     assert frontier_decision([0.51], [0.49], [0.3], p)[0] == 1
-    p2 = GrowthParams(lambda_d=1.0, lambda_m=1.0)
+    p2 = PipelineConfig(lambda_d=1.0, lambda_m=1.0)
     assert frontier_decision([0.45], [0.55], [0.5], p2)[0] == 0
     # exact tie joins
     assert frontier_decision([0.5], [0.5], [0.0], p)[0] == 0
 
 
-def frontier_energy_table(c0, c1, phi, params):
+def frontier_energy_table(c0, c1, phi, cfg):
     """Energies of all 2^n frontier labelings (region fixed at 0)."""
     n = len(c0)
     rows = np.arange(2 ** n)
     bits = (rows[:, None] >> np.arange(n)) & 1
-    unary = (params.lambda_d * np.where(bits == 0, c0, c1)).sum(axis=1)
-    pair = (params.lambda_m * (bits * phi)).sum(axis=1)
+    unary = (cfg.lambda_d * np.where(bits == 0, c0, c1)).sum(axis=1)
+    pair = (cfg.lambda_m * (bits * phi)).sum(axis=1)
     return unary + pair, bits
 
 
@@ -117,10 +118,10 @@ def test_frontier_decision_matches_enumeration_exact():
         c0 = rng.choice(grid, n)
         c1 = 1.0 - c0
         phi = rng.choice(grid, n)
-        params = GrowthParams(lambda_d=float(rng.choice([0.5, 1.0, 2.0])),
-                              lambda_m=float(rng.choice([0.0, 0.25, 1.0])))
-        got = frontier_decision(c0, c1, phi, params)
-        table, bits = frontier_energy_table(c0, c1, phi, params)
+        cfg = PipelineConfig(lambda_d=float(rng.choice([0.5, 1.0, 2.0])),
+                             lambda_m=float(rng.choice([0.0, 0.25, 1.0])))
+        got = frontier_decision(c0, c1, phi, cfg)
+        table, bits = frontier_energy_table(c0, c1, phi, cfg)
         row = int((got.astype(np.int64) << np.arange(n)).sum())
         assert table[row] == table.min()
         minimizers = np.flatnonzero(table == table.min())
@@ -135,9 +136,9 @@ def test_frontier_decision_default_weights_near_exact():
         c0 = rng.random(n)
         c1 = 1.0 - c0
         phi = rng.random(n)
-        params = GrowthParams()      # 1.2 / 0.1 / 0.9
-        got = frontier_decision(c0, c1, phi, params)
-        table, _ = frontier_energy_table(c0, c1, phi, params)
+        cfg = PipelineConfig()      # 1.2 / 0.1 / 0.9
+        got = frontier_decision(c0, c1, phi, cfg)
+        table, _ = frontier_energy_table(c0, c1, phi, cfg)
         row = int((got.astype(np.int64) << np.arange(n)).sum())
         assert table[row] <= table.min() + 1e-12
 
@@ -155,20 +156,20 @@ def test_label_frontier_direct_equals_mincut():
     frontier = sorted(int(x) for x in adj.face_neighbors(30))
     n = len(frontier)
     for lm in (0.0, 0.1, 1.0):
-        params = GrowthParams(lambda_m=lm)
-        cost0, cost1 = np.array([unary_cost(f, region, m, pm, params)
+        cfg = PipelineConfig(lambda_m=lm)
+        cost0, cost1 = np.array([unary_cost(f, region, m, pm, cfg)
                                  for f in frontier]).T
         phi = np.array([pairwise_cost(f, region, m) for f in frontier])
-        a = label_frontier(region, frontier, m, pm, params)
+        a = label_frontier(region, frontier, m, pm, cfg)
         # star graph: frontier faces plus the region node, pinned to label 0
-        b = min_cut_binary(np.append(params.lambda_d * cost0, 0.0),
-                           np.append(params.lambda_d * cost1, np.inf),
+        b = min_cut_binary(np.append(cfg.lambda_d * cost0, 0.0),
+                           np.append(cfg.lambda_d * cost1, np.inf),
                            np.column_stack([np.arange(n), np.full(n, n)]),
-                           params.lambda_m * phi)[:n]
+                           cfg.lambda_m * phi)[:n]
         assert np.array_equal(a, b)
 
 
-def frontier_reference(region, frontier, mesh, probmap, params):
+def frontier_reference(region, frontier, mesh, probmap, cfg):
     """Per-face costs and labels, written out one face at a time; also
     which faces the non-planar prior made cheaper than the plane distance."""
     cost0, phi, labels, prior = [], [], [], []
@@ -177,14 +178,14 @@ def frontier_reference(region, frontier, mesh, probmap, params):
                          + region.offset).max())
         ci = np.inf
         if probmap.label[f] == 1 and region.region_type == 1:
-            ci = 1.0 - params.lambda_g * float(probmap.g_hat[f])
+            ci = 1.0 - cfg.lambda_g * float(probmap.g_hat[f])
         c0 = min(d, ci)
         prior.append(ci < d)
         n = mesh.face_normal[f]
         p = 0.0 if not np.any(n) else float(
             np.arccos(np.clip(n @ region.normal, -1.0, 1.0)) / np.pi)
-        join = params.lambda_d * c0 <= (params.lambda_d * (1.0 - c0)
-                                        + params.lambda_m * p)
+        join = cfg.lambda_d * c0 <= (cfg.lambda_d * (1.0 - c0)
+                                     + cfg.lambda_m * p)
         cost0.append(c0)
         phi.append(p)
         labels.append(0 if join else 1)
@@ -209,21 +210,21 @@ def test_label_frontier_matches_per_face_definition():
         for f in rng.choice(m.n_faces, 4, replace=False):
             _add_face(region, m, int(f))
         refit_plane(region)
-        params = GrowthParams(lambda_d=rng.uniform(0.5, 2.0),
-                              lambda_m=rng.uniform(0.0, 1.0),
-                              lambda_g=rng.uniform(0.0, 1.0))
+        cfg = PipelineConfig(lambda_d=rng.uniform(0.5, 2.0),
+                             lambda_m=rng.uniform(0.0, 1.0),
+                             lambda_g=rng.uniform(0.0, 1.0))
         cost0, phi, labels, prior = frontier_reference(region, frontier, m,
-                                                       pm, params)
-        got0, got1 = unary_cost(frontier, region, m, pm, params)
+                                                       pm, cfg)
+        got0, got1 = unary_cost(frontier, region, m, pm, cfg)
         assert got0.tobytes() == cost0.tobytes()
         assert got1.tobytes() == (1.0 - cost0).tobytes()
         assert pairwise_cost(frontier, region, m).tobytes() == phi.tobytes()
-        assert np.array_equal(label_frontier(region, frontier, m, pm, params),
+        assert np.array_equal(label_frontier(region, frontier, m, pm, cfg),
                               labels)
         relaxed += int(prior.sum())
         degenerate += int((~m.face_normal[frontier].any(axis=1)).sum())
     assert relaxed > 0 and degenerate > 0
-    assert len(label_frontier(region, [], m, pm, params)) == 0
+    assert len(label_frontier(region, [], m, pm, cfg)) == 0
 
 
 def test_refit_three_points_exact():
@@ -284,7 +285,7 @@ def test_grow_coplanar_patch():
     m = grid_mesh(5, 1)
     adj = build_adjacency(m)
     pm = flat_probmap(m.n_faces)
-    region = grow_region(0, m, adj, pm, GrowthParams(lambda_m=0.0))
+    region = grow_region(0, m, adj, pm, PipelineConfig(lambda_m=0.0))
     assert len(region.members) == m.n_faces == 10
     d = region.plane_distance(m.vertices)
     assert d.max() < 1e-9
@@ -300,14 +301,15 @@ def test_grow_stops_at_wall():
     m, _ = weld_vertices(TriangleMesh(vertices=verts, faces=faces.astype(np.int32)), 1e-9)
     adj = build_adjacency(m)
     pm = flat_probmap(m.n_faces)
-    region = grow_region(0, m, adj, pm, GrowthParams())
+    region = grow_region(0, m, adj, pm, PipelineConfig())
     ground_faces = set(range(16))
     assert set(region.members) == ground_faces
 
 
 def test_grow_single_face():
     m = TriangleMesh(vertices=np.eye(3), faces=np.array([[0, 1, 2]]))
-    region = grow_region(0, m, build_adjacency(m), flat_probmap(1), GrowthParams())
+    region = grow_region(0, m, build_adjacency(m), flat_probmap(1),
+                         PipelineConfig())
     assert region.members == [0]
 
 
@@ -349,7 +351,7 @@ def test_oversegment_partition_and_connectivity():
         assert seen == set(faces.tolist())
 
 
-def grow_region_per_face_refit(seed, mesh, adjacency, probmap, params,
+def grow_region_per_face_refit(seed, mesh, adjacency, probmap, cfg,
                                assigned=None, region_id=0):
     """``grow_region`` with the plane refit after every accepted face."""
     region = RegionState(region_id=region_id,
@@ -370,7 +372,7 @@ def grow_region_per_face_refit(seed, mesh, adjacency, probmap, params,
         frontier = sorted(cand)
         if not frontier:
             break
-        labels = label_frontier(region, frontier, mesh, probmap, params)
+        labels = label_frontier(region, frontier, mesh, probmap, cfg)
         front = []
         for f, lab in zip(frontier, labels):
             if lab == 0:
@@ -422,12 +424,12 @@ def test_step_refit_equals_per_face_refit_on_noisy_grids(monkeypatch):
         pm = ProbabilityMap(g_log=np.log(np.maximum(g, 1e-6)), g_hat=g,
                             label=(g > 0.5).astype(np.int32),
                             planar_prob=1.0 - g)
-        params = GrowthParams(lambda_d=rng.uniform(0.5, 3.0),
-                              lambda_m=rng.uniform(0.0, 0.5))
-        got = oversegment(m, adj, pm, params)
+        cfg = PipelineConfig(lambda_d=rng.uniform(0.5, 3.0),
+                             lambda_m=rng.uniform(0.0, 0.5))
+        got = oversegment(m, adj, pm, cfg)
         with monkeypatch.context() as mp:
             mp.setattr(overseg, "grow_region", grow_region_per_face_refit)
-            want = oversegment(m, adj, pm, params)
+            want = oversegment(m, adj, pm, cfg)
         assert same_segmentation(got, want)
         assert got.n_segments < m.n_faces
 
@@ -475,8 +477,3 @@ def test_oversegment_deterministic():
     assert np.array_equal(s1.face_segment, s2.face_segment)
     assert np.array_equal(s1.segment_type, s2.segment_type)
     assert np.array_equal(s1.planes, s2.planes)
-
-
-def test_growth_params_validation():
-    with pytest.raises(ValueError):
-        GrowthParams(lambda_d=-0.1)

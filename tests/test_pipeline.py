@@ -2,11 +2,14 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
-from pssmesh.config import ConfigError, PipelineConfig, override_config
+from pssmesh import pipeline
+from pssmesh.config import (DEFAULT_CLASSES, ConfigError, PipelineConfig,
+                            override_config)
 from pssmesh.features import FaceFeatures, compute_face_features
 from pssmesh.forest import ProbabilityMap, planarity_map, save_model
 from pssmesh.mesh import MeshError, TriangleMesh
@@ -220,7 +223,9 @@ def vehicles_as_4(tmp_path_factory):
     mesh = synth_tile(SMALL)
     mesh.face_label[mesh.face_label == 3] = 4
     save_mesh(mesh, out / "tile4.ply")
-    result = train_models(PipelineConfig(trees=5, threads=1), [mesh])
+    cfg = PipelineConfig(trees=5, threads=1,
+                         classes={**DEFAULT_CLASSES, 4: "vehicle_4"})
+    result = train_models(cfg, [mesh])
     assert 4 in result.semantic.classes
     save_model(result.semantic, out / "semantic4.model")
     return {"tile": out / "tile4.ply", "semantic": out / "semantic4.model"}
@@ -475,8 +480,25 @@ def test_train_models_missing_path():
 def test_train_models_requires_labels():
     mesh = synth_tile(SMALL)
     mesh.face_label = None
-    with pytest.raises(ConfigError, match="labels"):
+    with pytest.raises(ConfigError,
+                       match="^training mesh 0: no ground-truth labels"):
         train_models(PipelineConfig(trees=5), [mesh])
+
+
+def test_training_label_outside_config_is_input_error(vehicles_as_4,
+                                                      monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a forest was fitted")
+
+    monkeypatch.setattr(pipeline, "train_forest", no_fit)
+    cfg = PipelineConfig(trees=5, threads=1)
+    tile = str(vehicles_as_4["tile"])
+    with pytest.raises(ConfigError,
+                       match=f"^{re.escape(tile)}: training label 4 "):
+        train_models(cfg, [tile])
+    with pytest.raises(ConfigError,
+                       match="^training mesh 1: training label 4 "):
+        train_models(cfg, [synth_tile(SMALL), load_mesh(tile)])
 
 
 def test_training_deterministic(tile_path, tmp_path):

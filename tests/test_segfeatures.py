@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pssmesh.adjacency import build_adjacency
-from pssmesh.features import FaceFeatureParams, FaceFeatures, face_channel_names
+from pssmesh.config import PipelineConfig
+from pssmesh.features import FaceFeatures, face_channel_names
 from pssmesh.mesh import TriangleMesh
 from pssmesh.segfeatures import (
     HIST_BINS,
@@ -18,7 +19,7 @@ from conftest import grid_mesh, two_triangle_strip
 
 
 def fake_face_features(mesh, rng=None, color_missing=False):
-    names = face_channel_names(FaceFeatureParams())
+    names = face_channel_names(PipelineConfig())
     rng = rng or np.random.default_rng(0)
     vals = rng.random((mesh.n_faces, len(names)))
     h = names.index("color_h")
@@ -28,7 +29,7 @@ def fake_face_features(mesh, rng=None, color_missing=False):
 
 
 def test_channel_layout():
-    names = segment_channel_names(face_channel_names(FaceFeatureParams()))
+    names = segment_channel_names(face_channel_names(PipelineConfig()))
     assert len(names) == 27 * 2 + 7 + 125
     assert names[0] == "mean_linearity_r0.5"
     assert "compactness" in names and "hsv_hist_4_4_4" in names
@@ -107,7 +108,7 @@ def test_aggregation_matches_brute_force():
 def test_histogram_normalized_and_placed():
     mesh = two_triangle_strip()
     adj = build_adjacency(mesh)
-    names = face_channel_names(FaceFeatureParams())
+    names = face_channel_names(PipelineConfig())
     vals = np.zeros((2, len(names)))
     vals[:, names.index("color_h")] = 120.0
     vals[:, names.index("color_s")] = 1.0

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from pssmesh.adjacency import build_adjacency, face_connected_components
-from pssmesh.config import ConfigError
-from pssmesh.features import FaceFeatureParams, FaceFeatures, face_channel_names
+from pssmesh.config import ConfigError, PipelineConfig
+from pssmesh.features import FaceFeatures, face_channel_names
 from pssmesh.mesh import TriangleMesh
 from pssmesh.overseg import NONPLANAR, PLANAR, Segmentation
 from pssmesh.segfeatures import compute_segment_features
@@ -19,7 +19,6 @@ from pssmesh.seggraph import (
     EDGE_PROXIMITY,
     GraphEdge,
     GraphNode,
-    GraphParams,
     SegmentGraph,
     _proximity_points,
     build_segment_graph,
@@ -72,7 +71,7 @@ def plane_node(nid, normal, seg_type=PLANAR, z=0.0):
 
 
 def fake_features(mesh):
-    names = face_channel_names(FaceFeatureParams())
+    names = face_channel_names(PipelineConfig())
     vals = np.random.default_rng(0).random((mesh.n_faces, len(names)))
     return FaceFeatures(values=vals, channel_names=names)
 
@@ -174,8 +173,8 @@ def test_groundless_when_no_planar_candidates():
     nodes = [GraphNode(k, NONPLANAR, np.zeros(3), seg.planes[k], np.ones(2))
              for k in range(seg.n_segments)]
     g = SegmentGraph(nodes=nodes, edges={})
-    assert connecting_ground_edges(g, mesh,
-                                   *segment_probes(mesh, adj, seg)) == 0
+    assert connecting_ground_edges(g, mesh, *segment_probes(mesh, adj, seg),
+                                   radius=30.0) == 0
     assert g.metadata["groundless"] == [0, 1]
 
 
@@ -430,7 +429,7 @@ def test_proximity_shared_edge_both_modes():
         g = SegmentGraph(nodes=[GraphNode(k, PLANAR, np.zeros(3),
                                           seg.planes[k], np.ones(2))
                                 for k in range(2)], edges={})
-        proximity_edges(g, mesh, seg, mode=mode)
+        proximity_edges(g, mesh, seg, mode=mode, k=16, cutoff_factor=16.0)
         assert (0, 1) in g.edges
         assert g.metadata["proximity_mode"] == mode
 
@@ -451,14 +450,14 @@ def test_proximity_knn_cutoff_blocks_distant_clusters():
     g = SegmentGraph(nodes=[GraphNode(k, PLANAR, np.zeros(3), seg.planes[k],
                                       np.ones(2)) for k in range(2)],
                      edges={})
-    proximity_edges(g, mesh, seg, mode="knn")
+    proximity_edges(g, mesh, seg, mode="knn", k=16, cutoff_factor=16.0)
     assert (0, 1) not in g.edges
 
 
 def test_knn_pairs_symmetric():
     rng = np.random.default_rng(2)
     pts = rng.random((40, 3))
-    pairs = knn_pairs(pts, k=4)
+    pairs = knn_pairs(pts, k=4, cutoff_factor=16.0)
     assert all(a < b for a, b in pairs.tolist())
 
 
@@ -682,7 +681,7 @@ def test_graph_counts_on_tile():
     seg = components_segmentation(mesh, adj, planar_mask=planar)
     feats = compute_segment_features(mesh, adj, seg, fake_features(mesh))
     graph = build_segment_graph(mesh, adj, seg, feats,
-                                GraphParams(exmat_density=2.0))
+                                PipelineConfig(sampling_density=2.0))
     assert graph.n_nodes == seg.n_segments
     assert graph.n_edges > 0
     assert all(a < b for (a, b) in graph.edges)

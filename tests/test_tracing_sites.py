@@ -5,8 +5,9 @@ from pathlib import Path
 
 from pssmesh import pipeline
 from pssmesh.adjacency import build_adjacency
+from pssmesh.config import PipelineConfig
 from pssmesh.segfeatures import compute_segment_features
-from pssmesh.seggraph import (GraphParams, SegmentGraph,
+from pssmesh.seggraph import (SegmentGraph,
                               connecting_ground_edges, exmat_edges,
                               parallelism_edges, proximity_edges,
                               segment_probes)
@@ -39,11 +40,11 @@ def test_traced_graph_counts_match_graph():
     adj = build_adjacency(mesh)
     seg = components_segmentation(mesh, adj)
     feats = compute_segment_features(mesh, adj, seg, fake_features(mesh))
-    params = GraphParams(exmat_density=2.0)
+    cfg = PipelineConfig(sampling_density=2.0)
     tracer = tracing.Tracer()
     restore = tracing.install(tracer)
     try:
-        graph = pipeline.build_segment_graph(mesh, adj, seg, feats, params)
+        graph = pipeline.build_segment_graph(mesh, adj, seg, feats, cfg)
     finally:
         restore()
     spans = {s[0] for s in tracer.spans}
@@ -58,14 +59,13 @@ def test_traced_graph_counts_match_graph():
     assert c["seggraph.groundless"] == len(graph.metadata["groundless"])
 
     fresh = SegmentGraph(nodes=graph.nodes, edges={})
-    added = (parallelism_edges(fresh, params.parallel_angle_deg)
+    added = (parallelism_edges(fresh, cfg.parallel_angle_deg)
              + connecting_ground_edges(fresh, mesh,
                                        *segment_probes(mesh, adj, seg),
-                                       params.ground_radius)
-             + exmat_edges(fresh, mesh, seg, params.exmat_density,
-                           params.seed)
-             + proximity_edges(fresh, mesh, seg, params.proximity_mode,
-                               params.knn_k, params.knn_cutoff_factor))
+                                       cfg.ground_radius)
+             + exmat_edges(fresh, mesh, seg, cfg.sampling_density, cfg.seed)
+             + proximity_edges(fresh, mesh, seg, cfg.proximity_mode,
+                               cfg.knn_k, cfg.knn_cutoff_factor))
     assert c["seggraph.added"] == added
     assert {k: e.types for k, e in fresh.edges.items()} \
         == {k: e.types for k, e in graph.edges.items()}
