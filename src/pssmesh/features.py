@@ -8,8 +8,10 @@ Channel layout "face-v1" (27 channels, order fixed):
 
 Eigen channels come from the area-weighted covariance of face centroids in a
 ball around each face (``dx*dx + dy*dy + dz*dz <= r*r``, the face itself
-included). One ``query_pairs`` at the largest radius finds the neighbours of
-every radius; each face's neighbours are summed in ascending index order.
+included). Faces are searched one block at a time, at the largest eigen
+radius or ``DENSITY_RADIUS``, whichever is larger; that one search gives
+every eigen radius and the face density, and each face's neighbours are
+summed in ascending index order.
 ``elevation_rel`` is relative to the scene-wide lowest centroid; the _rNN
 variants subtract the lowest centroid inside a vertical cylinder of that
 radius, found exactly on an xy grid of per-cell minima (``cylinder_min_z``).
@@ -34,7 +36,7 @@ from .mesh import TriangleMesh
 
 EIGEN_NAMES = ("linearity", "planarity", "sphericity", "curvature", "verticality")
 LAYOUT_FACE_V1 = "face-v1"
-EIGEN_FACE_BLOCK = 256          # faces whose neighbourhoods are summed at once
+EIGEN_FACE_BLOCK = 256          # faces searched and summed at once
 CELLS_PER_RADIUS = 8            # cylinder_min_z grid cells per radius
 RIM_BATCH = 1 << 18             # cylinder_min_z point checks held at once
 DENSITY_RADIUS = 1.0            # metres, ball of the two density channels
@@ -85,34 +87,44 @@ def face_channel_names(config: PipelineConfig | None = None) -> list:
 
 
 def eigen_shape_features(centroids, areas, tree, radii):
-    """(F, 5 * len(radii)) eigen channels and (F, len(radii)) flags.
+    """Eigen channels, their flags and ball counts of every face.
 
-    Channels per face and radius, five per radius in the order of
-    ``radii``: linearity, planarity, sphericity, curvature and verticality
-    (1 - |z| of the neighbourhood's least eigenvector), computed from the
-    area-weighted covariance of the centroids within the radius. A face is
-    flagged (and its channels are 0) when fewer than 3 centroids or no
-    spread lie in its ball.
+    Returns (F, 5 * len(radii)) channels, (F, len(radii)) flags and (F,)
+    the number of centroids within ``DENSITY_RADIUS``. Channels per face
+    and radius, five per radius in the order of ``radii``: linearity,
+    planarity, sphericity, curvature and verticality (1 - |z| of the
+    neighbourhood's least eigenvector), computed from the area-weighted
+    covariance of the centroids within the radius. A face is flagged (and
+    its channels are 0) when fewer than 3 centroids or no spread lie in
+    its ball.
 
-    The neighbours come from one ``tree.query_pairs(max(radii))``. Face j
-    is a neighbour of face i at radius r when dx*dx + dy*dy + dz*dz <= r*r
-    (the rule ``cKDTree`` applies itself); every face is its own neighbour.
-    Each face's neighbours are summed in ascending index order, the order
-    ``query_ball_point`` lists them in, and faces are processed in blocks
-    of ``EIGEN_FACE_BLOCK`` so the temporaries stay small.
+    Face j is a neighbour of face i at radius r when dx*dx + dy*dy + dz*dz
+    <= r*r (the rule ``cKDTree`` applies itself); every face is its own
+    neighbour. Faces are processed in blocks of ``EIGEN_FACE_BLOCK``: one
+    ``sparse_distance_matrix`` between the block and ``tree`` at the
+    largest of ``radii`` and ``DENSITY_RADIUS`` finds the block's
+    neighbours, so memory follows the block's pairs, not all pairs. Each
+    face's neighbours are summed in ascending index order, the order
+    ``query_ball_point`` lists them in.
     """
     nf = len(centroids)
     xyz = [np.ascontiguousarray(centroids[:, a], dtype=np.float64)
            for a in range(3)]
-    keys = _neighbour_keys(tree, nf, max(radii))
+    search = max(*radii, DENSITY_RADIUS)
     cov = np.zeros((len(radii), nf, 3, 3))
     counts = np.zeros((len(radii), nf), dtype=np.int64)
+    ball = np.zeros(nf, dtype=np.int64)
     for f0 in range(0, nf, EIGEN_FACE_BLOCK):
         f1 = min(f0 + EIGEN_FACE_BLOCK, nf)
-        lo, hi = np.searchsorted(keys, (f0 * nf, f1 * nf))
-        owner, nb = np.divmod(keys[lo:hi], nf)
-        d2 = _squared_distances(xyz, owner, nb)
-        owner -= f0
+        pairs = cKDTree(centroids[f0:f1]).sparse_distance_matrix(
+            tree, search, output_type="ndarray")
+        keys = pairs["i"] * nf + pairs["j"]
+        del pairs
+        keys.sort()
+        owner, nb = np.divmod(keys, nf)
+        d2 = _squared_distances(xyz, owner + f0, nb)
+        ball[f0:f1] = np.bincount(
+            owner[d2 <= DENSITY_RADIUS * DENSITY_RADIUS], minlength=f1 - f0)
         for j, r in enumerate(radii):
             near = d2 <= r * r
             cov[j, f0:f1], counts[j, f0:f1] = _weighted_covariance(
@@ -122,26 +134,7 @@ def eigen_shape_features(centroids, areas, tree, radii):
     for j in range(len(radii)):
         out[:, 5 * j:5 * j + 5], flagged[:, j] = _shape_channels(cov[j],
                                                                  counts[j])
-    return out, flagged
-
-
-def _neighbour_keys(tree, nf, radius):
-    """Ascending ``owner * nf + neighbour`` keys of every face's ball.
-
-    Both directions of each ``query_pairs`` pair plus the self pair, so
-    each owner's neighbours come out in ascending order.
-    """
-    pairs = tree.query_pairs(radius, output_type="ndarray")
-    m = len(pairs)
-    keys = np.empty(2 * m + nf, dtype=np.int64)
-    np.multiply(pairs[:, 0], nf, out=keys[:m])
-    keys[:m] += pairs[:, 1]
-    np.multiply(pairs[:, 1], nf, out=keys[m:2 * m])
-    keys[m:2 * m] += pairs[:, 0]
-    del pairs
-    keys[2 * m:] = np.arange(nf, dtype=np.int64) * (nf + 1)
-    keys.sort()
-    return keys
+    return out, flagged, ball
 
 
 def _squared_distances(xyz, i, j):
@@ -368,8 +361,8 @@ def compute_face_features(mesh: TriangleMesh,
     tree = cKDTree(cent)
 
     col = 5 * len(config.eigen_radii)
-    vals[:, :col] = eigen_shape_features(cent, areas, tree,
-                                         config.eigen_radii)[0]
+    vals[:, :col], _, ball = eigen_shape_features(cent, areas, tree,
+                                                  config.eigen_radii)
 
     z = cent[:, 2]
     vals[:, col] = z
@@ -387,8 +380,7 @@ def compute_face_features(mesh: TriangleMesh,
     vals[:, col] = vtree.query_ball_point(cent, DENSITY_RADIUS,
                                           return_length=True) / disc_area
     col += 1
-    vals[:, col] = tree.query_ball_point(cent, DENSITY_RADIUS,
-                                         return_length=True) / disc_area
+    vals[:, col] = ball / disc_area
     col += 1
 
     rgb = None

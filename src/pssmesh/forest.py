@@ -13,6 +13,7 @@ trees: g = exp(mean_t log max(p_t, 1e-6)), optionally renormalized.
 from __future__ import annotations
 
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,28 +106,27 @@ def _build_tree(X, y, sw, n_classes, config: PipelineConfig, rng) -> Tree:
         proba.append(None)
         return len(feature) - 1
 
-    def make_leaf(node, idx):
-        w = np.bincount(y[idx], weights=sw[idx], minlength=n_classes)
+    def make_leaf(node, yi, si):
+        w = np.bincount(yi, weights=si, minlength=n_classes)
         proba[node] = w / w.sum()
 
     root = new_node()
     stack = [(np.arange(len(X)), 0, root)]
     while stack:
         idx, depth, node = stack.pop()
-        classes_here = np.unique(y[idx])
+        yi, si = y[idx], sw[idx]
         if (depth >= config.max_depth or len(idx) < 2 * config.min_leaf
-                or len(classes_here) == 1):
-            make_leaf(node, idx)
+                or yi.min() == yi.max()):
+            make_leaf(node, yi, si)
             continue
 
-        Xn = X[idx]
         cand = rng.choice(X.shape[1], size=k, replace=False)
-        parent_w = np.bincount(y[idx], weights=sw[idx], minlength=n_classes)
+        parent_w = np.bincount(yi, weights=si, minlength=n_classes)
         parent_h = _entropy(parent_w)
         parent_sum = parent_w.sum()
         best = None
         for f in cand:
-            col = Xn[:, f]
+            col = X[idx, f]
             lo, hi = col.min(), col.max()
             if hi <= lo:
                 continue
@@ -135,7 +135,7 @@ def _build_tree(X, y, sw, n_classes, config: PipelineConfig, rng) -> Tree:
             nl = int(go_left.sum())
             if nl < config.min_leaf or len(idx) - nl < config.min_leaf:
                 continue
-            wl = np.bincount(y[idx[go_left]], weights=sw[idx[go_left]],
+            wl = np.bincount(yi[go_left], weights=si[go_left],
                              minlength=n_classes)
             wr = parent_w - wl
             gain = parent_h - (wl.sum() * _entropy(wl)
@@ -143,7 +143,7 @@ def _build_tree(X, y, sw, n_classes, config: PipelineConfig, rng) -> Tree:
             if best is None or gain > best[0]:
                 best = (gain, int(f), float(t), go_left)
         if best is None:
-            make_leaf(node, idx)
+            make_leaf(node, yi, si)
             continue
 
         _, f, t, go_left = best
@@ -165,6 +165,20 @@ def _build_tree(X, y, sw, n_classes, config: PipelineConfig, rng) -> Tree:
                 np.asarray(right, dtype=np.int32), pr)
 
 
+def parallel_map(n_jobs: int, fn, items) -> list:
+    """``[fn(x) for x in items]``, run in a pool of ``n_jobs`` threads.
+
+    Results come back in item order whatever the thread count, so callers
+    that combine them in that order get the same output at every count.
+    With one job or one item everything runs in the calling thread.
+    """
+    items = list(items)
+    if n_jobs <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=min(n_jobs, len(items))) as pool:
+        return list(pool.map(fn, items))
+
+
 def train_forest(samples: np.ndarray, labels: np.ndarray,
                  config: PipelineConfig | None = None,
                  weights: np.ndarray | None = None,
@@ -176,9 +190,9 @@ def train_forest(samples: np.ndarray, labels: np.ndarray,
 
     ``weights`` are per-class (ordered like np.unique(labels)) and default to
     sqrt(N/n_c). Raises on single-class input and on NaN features.
-    ``n_jobs`` > 1 builds trees in a thread pool; each tree seeds its own
-    generator and results are combined in tree order, so the model is
-    identical at any thread count.
+    ``n_jobs`` > 1 builds trees in a thread pool (``parallel_map``); each
+    tree seeds its own generator and results are combined in tree order,
+    so the model is identical at any thread count.
     """
     X = np.asarray(samples, dtype=np.float64)
     y_raw = np.asarray(labels).reshape(-1)
@@ -203,12 +217,7 @@ def train_forest(samples: np.ndarray, labels: np.ndarray,
         rng = np.random.default_rng(config.seed ^ t)
         return _build_tree(X, y, sw, len(classes), config, rng)
 
-    if n_jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            trees = list(pool.map(build, range(config.trees)))
-    else:
-        trees = [build(t) for t in range(config.trees)]
+    trees = parallel_map(n_jobs, build, range(config.trees))
     return ForestModel(trees, classes.astype(np.int32), X.shape[1],
                        layout_version, config.seed)
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .adjacency import AdjacencyIndex, face_connected_components
+from .adjacency import (AdjacencyIndex, face_connected_components,
+                        unique_ints)
 from .mesh import TriangleMesh
 
 
@@ -248,7 +249,7 @@ def overseg_report(mesh: TriangleMesh, adjacency: AdjacencyIndex, face_segment,
                                       recall=False)
     br, matched_gt = _matched_score(gt_b, pred_b, adjacency, rings,
                                     recall=True)
-    n_segments = len(np.unique(face_segment[face_segment >= 0]))
+    n_segments = len(unique_ints(face_segment[face_segment >= 0]))
     return OversegReport(op=op, bp=bp, br=br, n_segments=n_segments,
                          matched_pred_length=matched_pred,
                          matched_gt_length=matched_gt,
@@ -278,7 +279,7 @@ def semantic_metrics(pred_labels, gt_labels, face_areas,
     if (labeled & ~valid).any():
         flags.append("unpredicted_faces_dropped")
     if classes is None:
-        classes = np.unique(np.concatenate([gt[valid], pred[valid]])) \
+        classes = unique_ints(np.concatenate([gt[valid], pred[valid]])) \
             if valid.any() else np.zeros(0, dtype=np.int64)
     classes = np.asarray(classes, dtype=np.int64).reshape(-1)
     if valid.any():
@@ -335,7 +336,7 @@ def majority_labels(face_segment, gt_labels, face_areas) -> np.ndarray:
     voting = (seg >= 0) & (gt >= 0)
     if not voting.any():
         return out
-    classes = np.unique(gt[voting])
+    classes = unique_ints(gt[voting])
     cpos = {int(c): i for i, c in enumerate(classes)}
     s = seg[voting].astype(np.int64)
     g = np.array([cpos[int(x)] for x in gt[voting]])

@@ -26,7 +26,7 @@ from .adjacency import build_adjacency
 from .config import ConfigError, PipelineConfig, load_versioned_json
 from .features import compute_face_features, write_csv
 from .forest import (ForestModel, classify_segments, load_model,
-                     planarity_map, train_forest)
+                     parallel_map, planarity_map, train_forest)
 from .meshio import load_mesh, save_mesh
 from .metrics import majority_labels, max_achievable, overseg_report, \
     semantic_metrics
@@ -489,6 +489,12 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
     majority. A label >= 0 outside ``config.classes`` raises ConfigError
     naming the mesh file (``training mesh <i>`` for an in-memory mesh)
     before the first fit.
+
+    The meshes are prepared (weld, repair, adjacency, face features) and,
+    once the planarity forest is fitted, segmented in one
+    ``parallel_map`` pool of ``resolve_threads(config.threads)`` threads,
+    the pool the forests' trees are built in. Results are gathered in mesh
+    order, so the models are the same at every thread count.
     """
     loaded = []
     for i, m in enumerate(meshes):
@@ -507,49 +513,42 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
         raise ConfigError("no training meshes given")
 
     n_jobs = resolve_threads(config.threads)
-    prepared = []
-    face_rows = []
-    face_labels = []
-    for mesh in loaded:
+
+    def prepare(mesh):
         welded, _ = weld_vertices(mesh, config.weld_epsilon)
         mesh2, _ = repair_nonmanifold(welded)
         adjacency = build_adjacency(mesh2)
-        feats = compute_face_features(mesh2, config)
-        y = np.isin(mesh2.face_label, config.nonplanar_classes)
-        prepared.append((mesh2, adjacency, feats))
-        face_rows.append(feats.values)
-        face_labels.append(y.astype(np.int32))
+        return mesh2, adjacency, compute_face_features(mesh2, config)
 
-    X_face = np.vstack(face_rows)
-    y_face = np.concatenate(face_labels)
-    layout_face = prepared[0][2].layout_version
+    prepared = parallel_map(n_jobs, prepare, loaded)
+    X_face = np.vstack([feats.values for _, _, feats in prepared])
+    y_face = np.concatenate([
+        np.isin(mesh2.face_label, config.nonplanar_classes).astype(np.int32)
+        for mesh2, _, _ in prepared])
     planarity = train_forest(X_face, y_face, config,
-                             layout_version=layout_face, n_jobs=n_jobs)
+                             layout_version=prepared[0][2].layout_version,
+                             n_jobs=n_jobs)
 
-    seg_rows = []
-    seg_labels = []
-    n_segments = 0
-    layout_seg = ""
-    for mesh2, adjacency, feats in prepared:
+    def segment(item):
+        mesh2, adjacency, feats = item
         probmap = planarity_map(planarity, feats)
         seg = oversegment(mesh2, adjacency, probmap, config)
         sf = compute_segment_features(mesh2, adjacency, seg, feats)
-        layout_seg = sf.layout_version
-        n_segments += seg.n_segments
         labels = _segment_majority(seg, mesh2.face_label, mesh2.face_area)
         keep = labels >= 0
-        seg_rows.append(sf.values[keep])
-        seg_labels.append(labels[keep])
+        return seg.n_segments, sf.layout_version, sf.values[keep], labels[keep]
 
+    n_segs, layouts, seg_rows, seg_labels = zip(
+        *parallel_map(n_jobs, segment, prepared))
     X_seg = np.vstack(seg_rows)
     y_seg = np.concatenate(seg_labels)
-    semantic = train_forest(X_seg, y_seg, config,
-                            layout_version=layout_seg, n_jobs=n_jobs)
+    semantic = train_forest(X_seg, y_seg, config, layout_version=layouts[0],
+                            n_jobs=n_jobs)
 
     report = {"n_meshes": len(loaded),
               "n_face_samples": int(len(y_face)),
               "n_segment_samples": int(len(y_seg)),
-              "n_segments": int(n_segments),
+              "n_segments": int(sum(n_segs)),
               "planarity_classes": [int(c) for c in planarity.classes],
               "semantic_classes": [int(c) for c in semantic.classes]}
     return TrainResult(planarity=planarity, semantic=semantic, report=report)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .adjacency import face_edges, label_components, pair_keys
+from .adjacency import face_edges, label_components, pair_keys, unique_ints
 from .mesh import TriangleMesh
 
 
@@ -155,10 +155,10 @@ def repair_nonmanifold(mesh: TriangleMesh) -> tuple[TriangleMesh, RepairReport]:
     # bow-tie split: every fan but the one in a vertex's lowest face gets a
     # new vertex, numbered in (vertex, lowest face of the fan) order
     face, vertex, fan = _fan_corners(faces)
-    fans = np.unique(fan)
+    fans = unique_ints(fan)
     fans = fans[np.argsort(vertex[fans], kind="stable")]
     moved = fans[1:][vertex[fans[1:]] == vertex[fans[:-1]]]
-    split_count = len(np.unique(vertex[moved]))
+    split_count = len(unique_ints(vertex[moved]))
     new_id = np.full(len(fan), -1, dtype=np.int64)
     new_id[moved] = len(source) + np.arange(len(moved))
     c = np.flatnonzero(new_id[fan] >= 0)

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import AdjacencyIndex, label_components, segment_index
+from .adjacency import (AdjacencyIndex, label_components, segment_index,
+                        unique_ints)
 from .features import FaceFeatures, write_csv
 from .mesh import TriangleMesh
 
@@ -145,7 +146,7 @@ def compute_segment_features(mesh: TriangleMesh, adjacency: AdjacencyIndex,
     plane_dist = np.zeros(n_seg)
     vertical = np.zeros(n_seg)
     for k in range(n_seg):
-        pts = mesh.vertices[np.unique(mesh.faces[seg_faces[k]])]
+        pts = mesh.vertices[unique_ints(mesh.faces[seg_faces[k]])]
         straightness[k] = _straightness(_boundary_loops(
             adjacency.edge_vertices[seg_cuts[k]], mesh.vertices))
         plane_dist[k] = _plane_fit_distance(pts)

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
-from .adjacency import AdjacencyIndex, pair_keys, segment_index
+from .adjacency import (AdjacencyIndex, pair_keys, segment_index,
+                        unique_ints)
 from .config import ConfigError, PipelineConfig, load_versioned_json
 from .medial import shrinking_ball_transform
 from .mesh import TriangleMesh
@@ -104,8 +105,8 @@ def segment_probes(mesh, adjacency, segmentation) -> tuple:
     """
     _, seg_faces, seg_cuts = segment_index(
         adjacency, segmentation.face_segment, segmentation.n_segments)
-    probes = [np.unique(adjacency.edge_vertices[cuts]) if len(cuts)
-              else np.unique(mesh.faces[faces])
+    probes = [unique_ints(adjacency.edge_vertices[cuts]) if len(cuts)
+              else unique_ints(mesh.faces[faces])
               for faces, cuts in zip(seg_faces, seg_cuts)]
     return seg_faces, probes
 
@@ -174,7 +175,8 @@ def connecting_ground_edges(graph: SegmentGraph, mesh: TriangleMesh,
         open_ = (ground[probe_seg] < 0) & (probe_seg != g)
         if not open_.any():
             break
-        tree = cKDTree(mesh.vertices[np.unique(mesh.faces[seg_faces[g]]), :2])
+        ground_xy = mesh.vertices[unique_ints(mesh.faces[seg_faces[g]]), :2]
+        tree = cKDTree(ground_xy)
         near = tree.query_ball_point(probe_xy[open_], radius,
                                      return_length=True) > 0
         ground[probe_seg[open_][near]] = g
@@ -224,7 +226,7 @@ def _proximity_points(mesh, face_segment):
 
 def _unique_pairs(i, j, n):
     """Distinct (min, max) rows of the index pairs (i, j), ascending."""
-    key = np.unique(pair_keys(np.sort(np.column_stack([i, j]), axis=1), n))
+    key = unique_ints(pair_keys(np.sort(np.column_stack([i, j]), axis=1), n))
     return np.column_stack(np.divmod(key, n))
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from pssmesh.mesh import TriangleMesh
 from pssmesh.adjacency import (build_adjacency, face_connected_components,
-                               label_components, segment_index)
+                               label_components, segment_index, unique_ints)
 from pssmesh.metrics import BoundarySet, match_boundaries
 
 from conftest import (grid_mesh, icosahedron, two_triangle_strip,
@@ -282,3 +282,15 @@ def test_components_match_bfs_with_unlabeled():
         want = bfs_components(m.n_faces, brute_force_adjacency(m), labels)
         assert np.array_equal(comp, want)
         assert comp.dtype == np.int32
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_unique_ints_equals_np_unique(dtype):
+    rng = np.random.default_rng(13)
+    for values in (rng.integers(-5, 5, 1000), rng.integers(0, 10**9, 70000),
+                   rng.integers(0, 50, (40, 3)), np.arange(7)[::-1],
+                   np.full(4, 3), np.zeros(0), np.zeros((0, 2))):
+        values = values.astype(dtype)
+        got, want = unique_ints(values), np.unique(values)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()

@@ -13,6 +13,7 @@ from pssmesh.features import (compute_face_features,
 from scipy.spatial import cKDTree
 
 from conftest import grid_mesh
+from oracles import global_eigen_shape_features
 
 
 def test_channel_layout_27():
@@ -71,7 +72,7 @@ def test_eigen_matches_brute_force_covariance():
     areas = rng.random(40) + 0.1
     tree = cKDTree(cent)
     radius = 0.9
-    out, flagged = eigen_shape_features(cent, areas, tree, (radius,))
+    out, flagged, _ = eigen_shape_features(cent, areas, tree, (radius,))
     assert out.shape == (40, 5) and flagged.shape == (40, 1)
     flagged = flagged[:, 0]
     for i in range(40):
@@ -146,16 +147,28 @@ def random_cloud():
     return cent, rng.random(700) + 0.1
 
 
+def shuffled(cloud):
+    """The cloud in a random face order: blocks are not spatially compact."""
+    def make():
+        cent, areas = cloud()
+        order = np.random.default_rng(10).permutation(len(cent))
+        return np.ascontiguousarray(cent[order]), areas[order]
+    return make
+
+
 @pytest.mark.parametrize("block", [None, 7])
-@pytest.mark.parametrize("cloud", [lattice_cloud, random_cloud],
-                         ids=["lattice", "random"])
+@pytest.mark.parametrize("cloud", [lattice_cloud, random_cloud,
+                                   shuffled(lattice_cloud),
+                                   shuffled(random_cloud)],
+                         ids=["lattice", "random", "lattice-shuffled",
+                              "random-shuffled"])
 def test_eigen_matches_query_ball_point_reference(cloud, block, monkeypatch):
     if block is not None:
         monkeypatch.setattr(features, "EIGEN_FACE_BLOCK", block)
     cent, areas = cloud()
     tree = cKDTree(cent)
     radii = (0.5, 1.0, 2.0)
-    out, flagged = eigen_shape_features(cent, areas, tree, radii)
+    out, flagged, _ = eigen_shape_features(cent, areas, tree, radii)
     assert out.shape == (len(cent), 15) and flagged.shape == (len(cent), 3)
     for j, r in enumerate(radii):
         ref, ref_flagged = eigen_reference(cent, areas, tree, r)
@@ -163,6 +176,59 @@ def test_eigen_matches_query_ball_point_reference(cloud, block, monkeypatch):
         assert np.array_equal(flagged[:, j], ref_flagged), r
         if cloud is lattice_cloud:          # neighbours exactly at r exist
             assert len(tree.query_pairs(r)) > len(tree.query_pairs(r * 0.999))
+    # the kernel that searched all faces at once gives the same bytes
+    want, want_flagged = global_eigen_shape_features(cent, areas, tree, radii)
+    assert out.tobytes() == want.tobytes()
+    assert flagged.tobytes() == want_flagged.tobytes()
+
+
+@pytest.mark.parametrize("radii, count_radius",
+                         [((0.5, 1.0, 2.0), 1.0), ((0.5,), 1.0),
+                          ((0.5, 1.0), 1.5)])
+def test_ball_counts_match_query_ball_point(radii, count_radius,
+                                            monkeypatch):
+    # on the lattice, neighbours lie exactly at the count radius; the count
+    # radius may be inside the eigen radii or beyond them
+    monkeypatch.setattr(features, "DENSITY_RADIUS", count_radius)
+    cent, areas = lattice_cloud()
+    tree = cKDTree(cent)
+    assert len(tree.query_pairs(count_radius)) \
+        > len(tree.query_pairs(count_radius * 0.999))
+    _, _, ball = eigen_shape_features(cent, areas, tree, radii)
+    want = tree.query_ball_point(cent, count_radius, return_length=True)
+    assert ball.astype(np.int64).tobytes() == want.astype(np.int64).tobytes()
+
+
+def test_face_density_matches_query_ball_point():
+    m = grid_mesh(12, 12, dx=0.5)
+    cent = m.face_centroid
+    tree = cKDTree(cent)
+    r = features.DENSITY_RADIUS
+    assert len(tree.query_pairs(r)) > len(tree.query_pairs(r * 0.999))
+    want = tree.query_ball_point(cent, r, return_length=True) / (np.pi * r * r)
+    got = compute_face_features(m).channel("face_density")
+    assert got.tobytes() == want.tobytes()
+
+
+def test_eigen_peak_memory_does_not_follow_pair_count(monkeypatch):
+    # at the larger radius the cloud has about 6x the pairs; one key array
+    # of all pairs alone would add 16 bytes per pair, small blocks add
+    # next to nothing
+    monkeypatch.setattr(features, "EIGEN_FACE_BLOCK", 16)
+    monkeypatch.setattr(features, "DENSITY_RADIUS", 0.5)
+    rng = np.random.default_rng(11)
+    cent = rng.random((6000, 3)) * np.array([10.0, 10.0, 1.0])
+    areas = rng.random(6000) + 0.1
+    tree = cKDTree(cent)
+    peaks, pairs = [], []
+    for radius in (0.5, 1.0):
+        pairs.append(len(tree.query_pairs(radius, output_type="ndarray")))
+        tracemalloc.start()
+        eigen_shape_features(cent, areas, tree, (radius,))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert pairs[1] > 5 * pairs[0]
+    assert peaks[1] - peaks[0] < 2 * (pairs[1] - pairs[0])
 
 
 def test_hemisphere_sphericity():
@@ -173,7 +239,7 @@ def test_hemisphere_sphericity():
     v[:, 2] = np.abs(v[:, 2])
     areas = np.ones(n)
     tree = cKDTree(v)
-    out, _ = eigen_shape_features(v, areas, tree, (3.0,))
+    out, _, _ = eigen_shape_features(v, areas, tree, (3.0,))
     assert out[:, 2].min() > 0.2      # sphericity
     assert out[:, 0].max() < 0.3      # linearity
 
@@ -182,7 +248,7 @@ def test_small_neighborhood_flagged():
     cent = np.array([[0, 0, 0], [10, 0, 0], [20, 0, 0]], dtype=float)
     areas = np.ones(3)
     tree = cKDTree(cent)
-    out, flagged = eigen_shape_features(cent, areas, tree, (0.5,))
+    out, flagged, _ = eigen_shape_features(cent, areas, tree, (0.5,))
     assert flagged.all()
     assert np.all(out == 0)
 

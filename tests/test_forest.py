@@ -4,7 +4,10 @@ import pytest
 from pssmesh.config import ConfigError, PipelineConfig
 from pssmesh.forest import (ForestModel, Tree, train_forest,
                             predict_proba, planarity_map, classify_segments,
-                            class_weights, save_model, load_model, PROB_EPS)
+                            class_weights, save_model, load_model, PROB_EPS,
+                            _build_tree)
+
+from oracles import copy_build_tree
 
 
 def leaf_tree(proba):
@@ -250,3 +253,38 @@ def test_classify_segments_tie_lower_class():
     cls, proba = classify_segments(model, SF())
     assert np.all(cls == 2)
     assert proba.shape == (3, 2)
+
+
+def tree_bytes(tree):
+    return b"".join(a.tobytes() for a in (tree.feature, tree.threshold,
+                                          tree.left, tree.right, tree.proba))
+
+
+def tree_cases():
+    rng = np.random.default_rng(12)
+    X = rng.random((300, 9))
+    X[:, [2, 5]] = 0.25                         # constant columns
+    y = (X[:, 0] + 0.3 * rng.random(300) > 0.6).astype(np.int64)
+    yield "constant columns", X, y
+    ties = rng.integers(0, 3, (300, 9)).astype(np.float64)
+    yield "ties", ties, (ties[:, 1] + ties[:, 4] > 2).astype(np.int64)
+    # class 2 sits apart on column 0, so splits soon leave single-class
+    # nodes; a few rows repeat with another label
+    y3 = np.where(X[:, 0] > 0.8, 2, (X[:, 1] > 0.5).astype(np.int64))
+    X3 = np.vstack([X, X[:10]])
+    yield "single-class nodes", X3, np.append(y3, (y3[:10] + 1) % 3)
+
+
+@pytest.mark.parametrize("min_leaf, max_depth", [(1, 40), (5, 40), (7, 3),
+                                                 (40, 40), (150, 40)])
+def test_build_tree_matches_copy_per_node_reference(min_leaf, max_depth):
+    config = PipelineConfig(min_leaf=min_leaf, max_depth=max_depth)
+    for name, X, y in tree_cases():
+        sw = class_weights(y)[y]
+        n_classes = int(y.max()) + 1
+        for seed in range(3):
+            got = _build_tree(X, y, sw, n_classes, config,
+                              np.random.default_rng(seed))
+            want = copy_build_tree(X, y, sw, n_classes, config,
+                                   np.random.default_rng(seed))
+            assert tree_bytes(got) == tree_bytes(want), (name, seed)

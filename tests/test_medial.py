@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pssmesh import medial
 from pssmesh.medial import shrinking_ball_transform
 
 
@@ -113,3 +114,54 @@ def test_orientation_validated():
     with pytest.raises(ValueError, match="orientation"):
         shrinking_ball_transform(np.zeros((1, 3)), np.array([[0, 0, 1.0]]),
                                  orientation="sideways")
+
+
+def cube_lattice(n=8, spacing=0.5):
+    """Surface points of a cube on an n x n grid per side, outward normals.
+
+    An edge or corner point appears once, with the normal of the first
+    side that holds it. Many balls find several points at exactly the same
+    distance from their centre.
+    """
+    side = (n - 1) * spacing
+    g = np.arange(n) * spacing
+    a, b = (x.ravel() for x in np.meshgrid(g, g, indexing="ij"))
+    pts, nrm = [], []
+    for axis in range(3):
+        u, v = (i for i in range(3) if i != axis)
+        for sign, level in ((-1.0, 0.0), (1.0, side)):
+            p = np.zeros((len(a), 3))
+            p[:, axis], p[:, u], p[:, v] = level, a, b
+            m = np.zeros((len(a), 3))
+            m[:, axis] = sign
+            pts.append(p)
+            nrm.append(m)
+    pts, nrm = np.vstack(pts), np.vstack(nrm)
+    _, first = np.unique(pts, axis=0, return_index=True)
+    first.sort()
+    return pts[first], nrm[first]
+
+
+@pytest.mark.parametrize("orientation", ["interior", "exterior"])
+def test_leaf_size_matches_leafsize_16_on_exact_ties(orientation,
+                                                     monkeypatch):
+    # two cubes 1 m apart: interior balls and exterior balls in the gap
+    # meet points on lattice planes
+    pts, nrm = cube_lattice()
+    pts = np.vstack([pts, pts + [4.5, 0.0, 0.0]])
+    nrm = np.vstack([nrm, nrm])
+    got = shrinking_ball_transform(pts, nrm, orientation)
+    monkeypatch.setattr(medial, "LEAF_SIZE", 16)
+    ref = shrinking_ball_transform(pts, nrm, orientation)
+    for name in ("centers", "radii", "converged", "discarded"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+    # among points exactly as far from the centre, another tree shape may
+    # name another one as the touching point
+    touched = np.flatnonzero(ref.touch_index >= 0)
+    c = ref.centers[touched]
+    d_got = ((pts[got.touch_index[touched]] - c) ** 2).sum(axis=1)
+    d_ref = ((pts[ref.touch_index[touched]] - c) ** 2).sum(axis=1)
+    assert d_got.tobytes() == d_ref.tobytes()
+    # the lattice has such ties: many balls touch several points at once
+    d_all = ((pts[None, :, :] - c[:, None, :]) ** 2).sum(axis=2)
+    assert ((d_all == d_ref[:, None]).sum(axis=1) > 1).sum() > 50

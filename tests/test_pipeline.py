@@ -3,6 +3,8 @@
 import csv
 import json
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -511,6 +513,45 @@ def test_training_deterministic(tile_path, tmp_path):
         save_model(ma, pa)
         save_model(mb, pb)
         assert file_sha256(pa) == file_sha256(pb)
+
+
+def test_training_same_at_every_thread_count(tmp_path, monkeypatch):
+    # three meshes: with 2 threads one worker prepares and segments two,
+    # with 3 each mesh has a worker of its own
+    tiles = [synth_tile(TileParams(seed=s, ground_res=16, n_boxes=1,
+                                   n_trees=1, n_vehicles=1))
+             for s in range(3)]
+    workers = set()
+    features = pipeline.compute_face_features
+
+    def recorded(*args, **kwargs):
+        workers.add(threading.get_ident())
+        return features(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "compute_face_features", recorded)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)         # switch threads often
+    try:
+        for threads in (1, 2, 3):
+            workers.clear()
+            result = train_models(PipelineConfig(trees=5, threads=threads),
+                                  tiles)
+            files = []
+            for model in (result.planarity, result.semantic):
+                path = tmp_path / f"{threads}-{len(files)}.model"
+                save_model(model, path)
+                files.append(path.read_bytes())
+            runs.append((files, result.report))
+            if threads == 1:
+                assert workers == {threading.get_ident()}
+            else:               # prepared in the pool
+                assert threading.get_ident() not in workers
+                assert 1 <= len(workers) <= threads
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert runs[0][1]["n_meshes"] == 3
 
 
 def test_manifest_config_snapshot(tile_path, trained, tmp_path):
