@@ -1,20 +1,23 @@
 """Command-line interface over the library pipeline.
 
-Every subcommand resolves its settings the same way: built-in defaults,
-then an optional JSON config file, then explicit flags. All outputs land
-under the run directory given by ``--out`` with fixed filenames, and every
-result is byte-identical to calling the library directly with the same
-configuration. Exit codes: 0 success, 1 internal error, 2 usage or input
-error.
+Every subcommand but ``synth`` resolves its settings the same way:
+built-in defaults, then an optional JSON config file, then explicit flags.
+Each takes one flag per ``PipelineConfig`` field and ignores those its
+stages never read, as it ignores such keys in a config file. All outputs
+land under the run directory given by ``--out`` with fixed filenames, and
+every result is byte-identical to calling the library directly with the
+same configuration. Exit codes: 0 success, 1 internal error, 2 usage or
+input error.
 """
 
 import argparse
+import json
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from .adjacency import build_adjacency
-from .config import (ConfigError, PipelineConfig, load_config,
+from .config import (DEFAULTS, ConfigError, PipelineConfig, load_config,
                      override_config)
 from .forest import save_model
 from .meshio import MeshParseError, load_mesh, save_mesh
@@ -24,72 +27,55 @@ from .pipeline import (StageError, file_sha256, load_face_predictions,
                        save_metrics_row, train_models)
 from .synth import TileParams, expected_component_count, synth_tile
 
-# flags whose argparse dest is a config field override that field
-_CONFIG_DESTS = tuple(f.name for f in fields(PipelineConfig))
+# config fields whose flag is not "--" plus the field name with dashes
+_FLAG_NAMES = {"input_path": "--input", "output_dir": "--out",
+               "weld_epsilon": "--weld-eps",
+               "ground_radius": "--ground-radius-m",
+               "proximity_mode": "--proximity", "boundary_rings": "--rings"}
 # synth flags named after a TileParams field set it; unset ones keep its default
 _TILE_FIELDS = tuple(f.name for f in fields(TileParams))
 
 
+def _flag(name: str) -> str:
+    return _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+
+
+def _add_config_flags(p) -> None:
+    """``--config`` and a flag per PipelineConfig field, typed by its default.
+
+    A tuple field takes one or more values of its element type, the class
+    table a JSON object; every value is checked by PipelineConfig itself.
+    """
+    p.add_argument("--config", help="JSON config file; flags override it")
+    for name, default in DEFAULTS.items():
+        if isinstance(default, tuple):
+            kind = {"nargs": "+", "type": type(default[0])}
+        elif isinstance(default, dict):
+            kind = {"type": json.loads, "metavar": "JSON"}
+        else:
+            kind = {"type": str if default is None else type(default)}
+        p.add_argument(_flag(name), dest=name, **kind,
+                       help=f"config {name}" + ("" if default is None
+                                                else f" (default {default})"))
+
+
 def resolved_config(args) -> PipelineConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) \
-        else PipelineConfig()
-    overrides = {name: getattr(args, name)
-                 for name in _CONFIG_DESTS
-                 if getattr(args, name, None) is not None}
+    cfg = load_config(args.config) if args.config else PipelineConfig()
+    overrides = {name: getattr(args, name) for name in DEFAULTS
+                 if getattr(args, name) is not None}
     return override_config(cfg, **overrides) if overrides else cfg
 
 
 def _require(cfg: PipelineConfig, *names) -> None:
     for name in names:
         if getattr(cfg, name) is None:
-            flag = {"input_path": "--input", "output_dir": "--out",
-                    "planarity_model": "--planarity-model",
-                    "semantic_model": "--semantic-model"}[name]
-            raise ConfigError(f"{flag} (or config {name}) is required")
+            raise ConfigError(f"{_flag(name)} (or config {name}) is required")
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int,
-                   help="worker threads, 0 = auto (env PSSNET_THREADS)")
-
-
-def _add_io(p):
-    p.add_argument("--input", dest="input_path", help="input mesh (PLY/OBJ)")
-    p.add_argument("--out", dest="output_dir", help="run directory")
-
-
-def _add_growth(p):
-    p.add_argument("--lambda-d", dest="lambda_d", type=float,
-                   help="fitting-cost weight")
-    p.add_argument("--lambda-m", dest="lambda_m", type=float,
-                   help="boundary-smoothness weight")
-    p.add_argument("--lambda-g", dest="lambda_g", type=float,
-                   help="non-planar probability weight")
-
-
-def _add_graph(p):
-    p.add_argument("--parallel-angle-deg", dest="parallel_angle_deg",
-                   type=float, help="max angle for parallel plane edges")
-    p.add_argument("--ground-radius-m", dest="ground_radius", type=float,
-                   help="search radius for the local ground link")
-    p.add_argument("--proximity", dest="proximity_mode",
-                   help="knn or delaunay")
-    p.add_argument("--sampling-density", dest="sampling_density", type=float,
-                   help="surface samples per square metre")
-
-
-def _add_forest(p):
-    p.add_argument("--trees", type=int, help="trees per forest")
-    p.add_argument("--min-leaf", dest="min_leaf", type=int)
-    p.add_argument("--max-depth", dest="max_depth", type=int)
-
-
-def _add_models(p, semantic=True):
-    p.add_argument("--planarity-model", dest="planarity_model")
-    if semantic:
-        p.add_argument("--semantic-model", dest="semantic_model")
+def _out_dir(cfg) -> Path:
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _print_overseg(report, n_segments):
@@ -118,24 +104,11 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_preprocess(args) -> int:
-    cfg = resolved_config(args)
-    _require(cfg, "input_path", "output_dir")
-    result = run_pipeline(cfg, stop_after="preprocess")
-    rep = result.repair_report
-    print(f"welded {rep.welded_vertices} vertices, "
-          f"split {rep.split_vertices}, "
-          f"non-manifold edges {rep.nonmanifold_edges_before} -> "
-          f"{rep.nonmanifold_edges_after}")
-    return 0
-
-
 def cmd_train(args) -> int:
     cfg = resolved_config(args)
     _require(cfg, "output_dir")
     result = train_models(cfg, args.inputs)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     save_model(result.planarity, out / "planarity.model")
     save_model(result.semantic, out / "semantic.model")
     report = dict(result.report)
@@ -148,42 +121,32 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _staged(args, stop_after: str) -> int:
+def cmd_run(args) -> int:
+    """preprocess, segment, graph, classify and pipeline: ``run_pipeline``
+    through ``args.stop_after``, then every part of the result it holds."""
     cfg = resolved_config(args)
-    _require(cfg, "input_path", "output_dir", "planarity_model")
-    result = run_pipeline(cfg, stop_after=stop_after)
-    if result.segmentation is not None:
-        print(f"segments={result.segmentation.n_segments}")
-    if result.graph is not None:
-        print(f"graph: {result.graph.n_nodes} nodes, "
-              f"{result.graph.n_edges} edges")
-    if result.segment_classes is not None:
-        print(f"classified {len(result.segment_classes)} segments")
-    return 0
-
-
-def cmd_segment(args) -> int:
-    return _staged(args, "oversegment")
-
-
-def cmd_graph(args) -> int:
-    return _staged(args, "graph")
-
-
-def cmd_classify(args) -> int:
-    return _staged(args, "classify")
-
-
-def cmd_pipeline(args) -> int:
-    cfg = resolved_config(args)
-    _require(cfg, "input_path", "output_dir", "planarity_model")
-    result = run_pipeline(cfg)
+    _require(cfg, "input_path", "output_dir")
+    if args.stop_after != "preprocess":
+        _require(cfg, "planarity_model")
+    result = run_pipeline(cfg, stop_after=args.stop_after)
+    rep = result.repair_report
+    print(f"welded {rep.welded_vertices} vertices, "
+          f"split {rep.split_vertices}, "
+          f"non-manifold edges {rep.nonmanifold_edges_before} -> "
+          f"{rep.nonmanifold_edges_after}")
     for stage, secs in result.manifest.stage_seconds.items():
         print(f"{stage}: {secs:.2f}s")
     for note in result.manifest.notes:
         print(f"note: {note}")
     if result.overseg is not None:
         _print_overseg(result.overseg, result.segmentation.n_segments)
+    elif result.segmentation is not None:
+        print(f"segments={result.segmentation.n_segments}")
+    if result.graph is not None:
+        print(f"graph: {result.graph.n_nodes} nodes, "
+              f"{result.graph.n_edges} edges")
+    if result.segment_classes is not None:
+        print(f"classified {len(result.segment_classes)} segments")
     if result.upper_bound is not None:
         _print_semantic("upper bound", result.upper_bound)
     if result.semantic is not None:
@@ -191,35 +154,35 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
-def _load_coindexed(mesh_path, n_expected=None):
-    mesh = load_mesh(mesh_path)
+def _load_labeled(path, what="ground-truth"):
+    mesh = load_mesh(path)
     if mesh.face_label is None:
-        raise ConfigError(f"{mesh_path} has no ground-truth labels")
-    if n_expected is not None and mesh.n_faces != n_expected:
-        raise ConfigError("meshes not co-indexed: "
-                          f"{mesh.n_faces} faces vs {n_expected}")
+        raise ConfigError(f"{path} has no {what} labels")
     return mesh
 
 
-def _load_coindexed_segmentation(path, mesh):
-    seg = load_segmentation(path)
-    if len(seg.face_segment) != mesh.n_faces:
-        raise ConfigError("meshes not co-indexed: "
-                          f"{len(seg.face_segment)} segment entries vs "
+def _check_coindexed(n, what, mesh) -> None:
+    if n != mesh.n_faces:
+        raise ConfigError(f"meshes not co-indexed: {n} {what} vs "
                           f"{mesh.n_faces} faces")
-    return seg
+
+
+def _labeled_segmentation(args):
+    """Config, labeled input mesh and the segmentation co-indexed with it."""
+    cfg = resolved_config(args)
+    _require(cfg, "input_path", "output_dir")
+    mesh = _load_labeled(cfg.input_path)
+    seg = load_segmentation(args.segmentation)
+    _check_coindexed(len(seg.face_segment), "segment entries", mesh)
+    return cfg, mesh, seg
 
 
 def cmd_eval_overseg(args) -> int:
-    cfg = resolved_config(args)
-    _require(cfg, "input_path", "output_dir")
-    mesh = _load_coindexed(cfg.input_path)
-    seg = _load_coindexed_segmentation(args.segmentation, mesh)
+    cfg, mesh, seg = _labeled_segmentation(args)
     adjacency = build_adjacency(mesh)
     report = overseg_report(mesh, adjacency, seg.face_segment,
                             mesh.face_label, rings=cfg.boundary_rings)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     save_json(report.as_dict(), out / "overseg_metrics.json")
     save_metrics_row(seg.n_segments, report, out / "metrics_row.csv")
     _print_overseg(report, seg.n_segments)
@@ -229,37 +192,24 @@ def cmd_eval_overseg(args) -> int:
 def cmd_eval_semantic(args) -> int:
     cfg = resolved_config(args)
     _require(cfg, "output_dir")
-    gt = _load_coindexed(args.gt)
-    pred_path = Path(args.pred)
-    if pred_path.suffix == ".csv":
-        pred = load_face_predictions(pred_path)
+    gt = _load_labeled(args.gt)
+    if Path(args.pred).suffix == ".csv":
+        pred = load_face_predictions(args.pred)
     else:
-        pred_mesh = load_mesh(pred_path)
-        if pred_mesh.face_label is None:
-            raise ConfigError(f"{pred_path} has no predicted labels")
-        pred = pred_mesh.face_label
-    if len(pred) != gt.n_faces:
-        raise ConfigError("meshes not co-indexed: "
-                          f"{len(pred)} predictions vs {gt.n_faces} faces")
+        pred = _load_labeled(args.pred, "predicted").face_label
+    _check_coindexed(len(pred), "predictions", gt)
     report = semantic_metrics(pred, gt.face_label, gt.face_area,
                               classes=sorted(cfg.classes))
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_json(report.as_dict(), out / "semantic_metrics.json")
+    save_json(report.as_dict(), _out_dir(cfg) / "semantic_metrics.json")
     _print_semantic("semantic", report)
     return 0
 
 
 def cmd_upper_bound(args) -> int:
-    cfg = resolved_config(args)
-    _require(cfg, "input_path", "output_dir")
-    mesh = _load_coindexed(cfg.input_path)
-    seg = _load_coindexed_segmentation(args.segmentation, mesh)
+    cfg, mesh, seg = _labeled_segmentation(args)
     report, _ = max_achievable(seg.face_segment, mesh.face_label,
                                mesh.face_area)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_json(report.as_dict(), out / "upper_bound.json")
+    save_json(report.as_dict(), _out_dir(cfg) / "upper_bound.json")
     _print_semantic("upper bound", report)
     return 0
 
@@ -286,80 +236,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-sigma", type=float)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("preprocess", help="weld and repair a mesh")
-    _add_common(p)
-    _add_io(p)
-    p.add_argument("--weld-eps", dest="weld_epsilon", type=float)
-    p.set_defaults(func=cmd_preprocess)
+    def config_sub(name, help_, func, **defaults):
+        p = sub.add_parser(name, help=help_)
+        _add_config_flags(p)
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    p = sub.add_parser("train",
-                       help="fit the planarity and segment classifiers")
-    _add_common(p)
-    p.add_argument("--inputs", nargs="+", required=True,
-                   help="labeled training meshes")
-    p.add_argument("--out", dest="output_dir")
-    _add_forest(p)
-    _add_growth(p)
-    p.set_defaults(func=cmd_train)
+    for name, help_, stop_after in (
+            ("preprocess", "weld and repair a mesh", "preprocess"),
+            ("segment", "run through oversegmentation", "oversegment"),
+            ("graph", "run through segment graph export", "graph"),
+            ("classify", "run through segment classification", "classify"),
+            ("pipeline", "run every stage", None)):
+        config_sub(name, help_, cmd_run, stop_after=stop_after)
 
-    p = sub.add_parser("segment", help="run through oversegmentation")
-    _add_common(p)
-    _add_io(p)
-    _add_models(p, semantic=False)
-    _add_growth(p)
-    p.add_argument("--weld-eps", dest="weld_epsilon", type=float)
-    p.set_defaults(func=cmd_segment)
-
-    p = sub.add_parser("graph", help="run through segment graph export")
-    _add_common(p)
-    _add_io(p)
-    _add_models(p, semantic=False)
-    _add_growth(p)
-    _add_graph(p)
-    p.set_defaults(func=cmd_graph)
-
-    p = sub.add_parser("classify", help="run through segment classification")
-    _add_common(p)
-    _add_io(p)
-    _add_models(p)
-    _add_growth(p)
-    _add_graph(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("pipeline", help="run every stage")
-    _add_common(p)
-    _add_io(p)
-    _add_models(p)
-    p.add_argument("--weld-eps", dest="weld_epsilon", type=float)
-    _add_growth(p)
-    _add_graph(p)
-    p.add_argument("--rings", dest="boundary_rings", type=int)
-    p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser("eval-overseg",
-                       help="score a segmentation against ground truth")
-    _add_common(p)
-    _add_io(p)
-    p.add_argument("--segmentation", required=True,
-                   help="segmentation.json from a run")
-    p.add_argument("--rings", dest="boundary_rings", type=int)
-    p.set_defaults(func=cmd_eval_overseg)
-
-    p = sub.add_parser("eval-semantic",
-                       help="score per-face predictions against ground truth")
-    _add_common(p)
+    config_sub("train", "fit the planarity and segment classifiers",
+               cmd_train).add_argument("--inputs", nargs="+", required=True,
+                                       help="labeled training meshes")
+    for name, help_, func in (
+            ("eval-overseg", "score a segmentation against ground truth",
+             cmd_eval_overseg),
+            ("upper-bound", "best labeling reachable from a segmentation",
+             cmd_upper_bound)):
+        config_sub(name, help_, func).add_argument(
+            "--segmentation", required=True,
+            help="segmentation.json from a run")
+    p = config_sub("eval-semantic",
+                   "score per-face predictions against ground truth",
+                   cmd_eval_semantic)
     p.add_argument("--pred", required=True,
                    help="predicted mesh or face_predictions.csv")
     p.add_argument("--gt", required=True, help="ground-truth mesh")
-    p.add_argument("--out", dest="output_dir")
-    p.set_defaults(func=cmd_eval_semantic)
-
-    p = sub.add_parser("upper-bound",
-                       help="best labeling reachable from a segmentation")
-    _add_common(p)
-    _add_io(p)
-    p.add_argument("--segmentation", required=True)
-    p.set_defaults(func=cmd_upper_bound)
 
     return parser
 

@@ -1,14 +1,19 @@
 """Run configuration: one strict JSON document drives every stage.
 
 A config file may set any subset of the fields below; unknown keys are
-rejected so typos fail loudly instead of silently using a default. All
+rejected so typos fail loudly instead of silently using a default. Each
+value must have the type of its field's default: a number for a float
+field (not a bool), an integer for an int field, a list for a tuple and an
+object for the class table; a wrong type is a ConfigError naming the key. All
 randomness in a run flows from the single ``seed`` field. Every stage
 function takes the ``PipelineConfig`` itself (``None`` means the defaults),
 so each setting's default and range check is written once, here.
 """
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+import os
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 DEFAULT_CLASSES = {0: "terrain", 1: "building",
@@ -67,9 +72,8 @@ class PipelineConfig:
     classes: dict = field(default_factory=lambda: dict(DEFAULT_CLASSES))
 
     def __post_init__(self):
-        self.eigen_radii = tuple(float(r) for r in self.eigen_radii)
-        self.elevation_radii = tuple(float(r) for r in self.elevation_radii)
-        self.nonplanar_classes = tuple(int(c) for c in self.nonplanar_classes)
+        for name, default in DEFAULTS.items():
+            setattr(self, name, _typed(name, default, getattr(self, name)))
         for name in ("weld_epsilon", "lambda_d", "lambda_m", "lambda_g"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
@@ -92,7 +96,6 @@ class PipelineConfig:
             raise ConfigError("feature radii must be > 0")
         if not self.classes:
             raise ConfigError("class table must not be empty")
-        self.classes = {int(k): str(v) for k, v in self.classes.items()}
 
     def as_dict(self) -> dict:
         """JSON-safe snapshot; class ids become string keys."""
@@ -104,11 +107,59 @@ class PipelineConfig:
         return d
 
 
-_FIELD_NAMES = {f.name for f in fields(PipelineConfig)}
+# field name -> default value, in field order
+DEFAULTS = {f.name: f.default_factory() if f.default is MISSING else f.default
+            for f in fields(PipelineConfig)}
+
+
+# scalar field type -> (accepted value types, what the error asks for)
+_SCALARS = {float: (Real, "a number"), int: (Integral, "an integer"),
+            str: ((str, os.PathLike), "a string")}
+
+
+def _scalar(name, kind, value):
+    """``value`` as ``kind`` (float, int or str), else a ConfigError."""
+    accepted, want = _SCALARS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{name} must be {want}, got {value!r}")
+    return os.fspath(value) if kind is str else kind(value)
+
+
+def _class_id(name, key):
+    """A class id: an integer or, as JSON keys are, its decimal string."""
+    if isinstance(key, str):
+        try:
+            return int(key)
+        except ValueError:
+            raise ConfigError(f"{name}: class id {key!r} is not an "
+                              "integer") from None
+    return _scalar(name, int, key)
+
+
+def _typed(name, default, value):
+    """``value`` in the type of the field's ``default``; see the docstring.
+
+    A ``None`` default is an optional path, a tuple takes a list of its
+    element type, and the class table maps class ids to name strings.
+    """
+    if default is None:
+        return None if value is None else _scalar(name, str, value)
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return tuple(_scalar(f"{name} entries", type(default[0]), v)
+                     for v in value)
+    if isinstance(default, dict):
+        if not (isinstance(value, dict)
+                and all(isinstance(v, str) for v in value.values())):
+            raise ConfigError(f"{name} must map class ids to names, "
+                              f"got {value!r}")
+        return {_class_id(name, k): v for k, v in value.items()}
+    return _scalar(name, type(default), value)
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
-    unknown = sorted(set(data) - _FIELD_NAMES)
+    unknown = sorted(set(data) - set(DEFAULTS))
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
     return PipelineConfig(**data)
@@ -124,18 +175,15 @@ def load_config(path) -> PipelineConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    return config_from_dict(data)
-
-
-def save_config(config: PipelineConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(config.as_dict(), fh, indent=1)
-        fh.write("\n")
+    try:
+        return config_from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"config {path}: {exc}") from None
 
 
 def override_config(config: PipelineConfig, **changes) -> PipelineConfig:
     """New config with the given fields replaced; unknown names rejected."""
-    unknown = sorted(set(changes) - _FIELD_NAMES)
+    unknown = sorted(set(changes) - set(DEFAULTS))
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
     return replace(config, **changes)

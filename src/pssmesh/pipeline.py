@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .adjacency import build_adjacency
 from .config import ConfigError, PipelineConfig, load_versioned_json
-from .features import compute_face_features, write_csv
+from .features import compute_face_features, face_channel_names, write_csv
 from .forest import (ForestModel, classify_segments, load_model,
                      parallel_map, planarity_map, train_forest)
 from .meshio import load_mesh, save_mesh
@@ -32,7 +32,7 @@ from .metrics import majority_labels, max_achievable, overseg_report, \
     semantic_metrics
 from .overseg import Segmentation, oversegment
 from .repair import repair_nonmanifold, weld_vertices
-from .segfeatures import compute_segment_features
+from .segfeatures import compute_segment_features, segment_channel_names
 from .seggraph import build_segment_graph, export_graph
 
 STAGES = ("preprocess", "face_features", "planarity", "oversegment",
@@ -98,15 +98,6 @@ class RunManifest:
         with open(path, "w") as fh:
             json.dump(self.as_dict(), fh, indent=1)
             fh.write("\n")
-
-
-def load_manifest(path) -> RunManifest:
-    with open(path) as fh:
-        d = json.load(fh)
-    return RunManifest(version=d["version"], config=d["config"],
-                       input_sha256=d["input_sha256"],
-                       stage_seconds=d["stage_seconds"],
-                       outputs=d["outputs"], notes=d.get("notes", []))
 
 
 # ----------------------------------------------------------- artifact files
@@ -246,6 +237,13 @@ def _check_classes(ids, config: PipelineConfig, source, what) -> None:
                           f"config's classes {sorted(config.classes)}")
 
 
+def _check_n_features(model: ForestModel, names, path) -> None:
+    """ConfigError naming ``path`` unless the model reads ``len(names)``."""
+    if model.n_features != len(names):
+        raise ConfigError(f"{path}: model reads {model.n_features} features, "
+                          f"the config's feature radii give {len(names)}")
+
+
 @dataclass
 class PipelineResult:
     config: PipelineConfig
@@ -276,8 +274,9 @@ def run_pipeline(config: PipelineConfig, mesh=None,
     ground-truth labels are optional and their stages are skipped with a
     manifest note when absent. Both models and the mesh are checked before
     the first stage, so a bad model file or mesh raises ConfigError,
-    MeshParseError or MeshError and writes nothing. A semantic model class
-    outside ``config.classes`` is such an input error, and so is a
+    MeshParseError or MeshError and writes nothing. A model whose feature
+    count differs from the config's channel count and a semantic model
+    class outside ``config.classes`` are such input errors, and so is a
     ground-truth label >= 0 outside it when the semantic metrics will run.
     """
     if stop_after is not None and stop_after not in STAGES:
@@ -298,10 +297,14 @@ def run_pipeline(config: PipelineConfig, mesh=None,
         raise FileNotFoundError(
             f"semantic model not found: {config.semantic_model}")
     model = sem_model = None
+    face_names = face_channel_names(config)
     if "planarity" in wanted and config.planarity_model:
         model = load_model(config.planarity_model)
+        _check_n_features(model, face_names, config.planarity_model)
     if "classify" in wanted and config.semantic_model is not None:
         sem_model = load_model(config.semantic_model)
+        _check_n_features(sem_model, segment_channel_names(face_names),
+                          config.semantic_model)
         _check_classes(sem_model.classes.tolist(), config,
                        config.semantic_model, "model class")
 

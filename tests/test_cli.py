@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from pssmesh.cli import main
-from pssmesh.config import PipelineConfig
+from pssmesh.cli import build_parser, main, resolved_config
+from pssmesh.config import DEFAULTS, PipelineConfig
 from pssmesh.mesh import TriangleMesh
 from pssmesh.meshio import load_mesh, save_mesh
-from pssmesh.pipeline import load_manifest, run_pipeline
+from pssmesh.pipeline import run_pipeline
 from pssmesh.synth import TileParams, synth_tile
 
 
@@ -181,8 +181,8 @@ def test_cli_matches_library(ws, tmp_path):
         planarity_model=str(ws["models"] / "planarity.model"),
         semantic_model=str(ws["models"] / "semantic.model"))
     lib = run_pipeline(cfg)
-    cli = load_manifest(ws["run"] / "manifest.json")
-    assert cli.outputs == lib.manifest.outputs
+    cli = json.loads((ws["run"] / "manifest.json").read_text())
+    assert cli["outputs"] == lib.manifest.outputs
 
 
 def test_segment_prints_count(ws, tmp_path, capsys):
@@ -294,9 +294,9 @@ def test_config_file_with_flag_override(ws, tmp_path, capsys):
     code = main(["segment", "--config", str(cfg_path),
                  "--out", str(tmp_path / "run")])
     assert code == 0
-    man = load_manifest(tmp_path / "run" / "manifest.json")
-    assert man.config["lambda_d"] == 0.9
-    assert man.config["output_dir"] == str(tmp_path / "run")
+    man = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert man["config"]["lambda_d"] == 0.9
+    assert man["config"]["output_dir"] == str(tmp_path / "run")
 
 
 def test_bad_config_file_exit_2(tmp_path, capsys):
@@ -306,6 +306,108 @@ def test_bad_config_file_exit_2(tmp_path, capsys):
                  "--input", "x", "--out", "y"])
     assert code == 2
     assert "JSON" in capsys.readouterr().err
+
+
+# field -> (flag and its arguments, the value the config gets)
+FLAG_VALUES = {
+    "input_path": (["--input", "in.ply"], "in.ply"),
+    "output_dir": (["--out", "run"], "run"),
+    "planarity_model": (["--planarity-model", "p.model"], "p.model"),
+    "semantic_model": (["--semantic-model", "s.model"], "s.model"),
+    "weld_epsilon": (["--weld-eps", "2e-5"], 2e-5),
+    "eigen_radii": (["--eigen-radii", "0.25", "4"], (0.25, 4.0)),
+    "elevation_radii": (["--elevation-radii", "5"], (5.0,)),
+    "trees": (["--trees", "7"], 7),
+    "min_leaf": (["--min-leaf", "3"], 3),
+    "max_depth": (["--max-depth", "9"], 9),
+    "lambda_d": (["--lambda-d", "0.7"], 0.7),
+    "lambda_m": (["--lambda-m", "0.3"], 0.3),
+    "lambda_g": (["--lambda-g", "0.4"], 0.4),
+    "parallel_angle_deg": (["--parallel-angle-deg", "7.5"], 7.5),
+    "ground_radius": (["--ground-radius-m", "12"], 12.0),
+    "proximity_mode": (["--proximity", "delaunay"], "delaunay"),
+    "knn_k": (["--knn-k", "8"], 8),
+    "knn_cutoff_factor": (["--knn-cutoff-factor", "4.5"], 4.5),
+    "sampling_density": (["--sampling-density", "3"], 3.0),
+    "boundary_rings": (["--rings", "1"], 1),
+    "nonplanar_classes": (["--nonplanar-classes", "2", "3"], (2, 3)),
+    "seed": (["--seed", "11"], 11),
+    "threads": (["--threads", "2"], 2),
+    "classes": (["--classes", '{"0": "ground", "7": "roof"}'],
+                {0: "ground", 7: "roof"}),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["preprocess"], ["segment"], ["graph"], ["classify"], ["pipeline"],
+    ["train", "--inputs", "a.ply"],
+    ["eval-overseg", "--segmentation", "s.json"],
+    ["eval-semantic", "--pred", "p.csv", "--gt", "g.ply"],
+    ["upper-bound", "--segmentation", "s.json"],
+], ids=lambda c: c[0])
+def test_every_config_field_has_a_flag(command):
+    assert set(FLAG_VALUES) == set(DEFAULTS)
+    argv = command + [a for flag, _ in FLAG_VALUES.values() for a in flag]
+    cfg = resolved_config(build_parser().parse_args(argv))
+    for name, (_, value) in FLAG_VALUES.items():
+        assert getattr(cfg, name) == value, name
+
+
+def run_config(run_dir):
+    return json.loads((run_dir / "manifest.json").read_text())["config"]
+
+
+def test_graph_and_train_take_weld_eps(ws, tmp_path):
+    assert main(["graph", "--input", str(ws["tile"]),
+                 "--out", str(tmp_path / "run"),
+                 "--planarity-model", str(ws["models"] / "planarity.model"),
+                 "--weld-eps", "1e-5"]) == 0
+    assert run_config(tmp_path / "run")["weld_epsilon"] == 1e-5
+    assert main(["train", "--inputs", str(ws["tile"]),
+                 "--out", str(tmp_path / "models"), "--trees", "3",
+                 "--threads", "1", "--weld-eps", "1e-5"]) == 0
+    assert (tmp_path / "models" / "semantic.model").is_file()
+
+
+def test_new_flags_reach_manifest(ws, tmp_path):
+    classes = {"0": "ground", "1": "roof", "2": "tree", "3": "car"}
+    assert main(["pipeline", "--input", str(ws["tile"]),
+                 "--out", str(tmp_path / "run"),
+                 "--planarity-model", str(ws["models"] / "planarity.model"),
+                 "--semantic-model", str(ws["models"] / "semantic.model"),
+                 "--eigen-radii", "0.5", "1", "2", "--knn-k", "8",
+                 "--classes", json.dumps(classes), "--threads", "1"]) == 0
+    cfg = run_config(tmp_path / "run")
+    assert cfg["eigen_radii"] == [0.5, 1.0, 2.0]
+    assert cfg["knn_k"] == 8 and cfg["classes"] == classes
+
+
+def test_model_feature_count_mismatch_exit_2(ws, tmp_path, capsys):
+    code = main(["pipeline", "--input", str(ws["tile"]),
+                 "--out", str(tmp_path / "run"),
+                 "--planarity-model", str(ws["models"] / "planarity.model"),
+                 "--eigen-radii", "1", "2"])
+    assert code == 2
+    assert str(ws["models"] / "planarity.model") in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("trees", "many"), ("trees", 2.5), ("seed", True), ("lambda_d", None),
+    ("lambda_d", False), ("eigen_radii", 2.0), ("eigen_radii", ["a"]),
+    ("nonplanar_classes", [2.5]), ("classes", [1, 2]),
+    ("classes", {"x": "a"}), ("classes", {"1": 2}), ("input_path", 3),
+])
+def test_wrongly_typed_config_value_exit_2(ws, tmp_path, capsys, key, value):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    code = main(["segment", "--config", str(cfg_path),
+                 "--input", str(ws["tile"]), "--out", str(tmp_path / "run"),
+                 "--planarity-model", str(ws["models"] / "planarity.model")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert key in err and str(cfg_path) in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("name, text", [

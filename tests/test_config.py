@@ -12,7 +12,6 @@ from pssmesh.config import (
     config_from_dict,
     load_config,
     override_config,
-    save_config,
 )
 from pssmesh.features import EIGEN_NAMES, face_channel_names
 from pssmesh.forest import train_forest
@@ -36,7 +35,7 @@ def test_save_load_round_trip(tmp_path):
     cfg = PipelineConfig(lambda_d=2.5, trees=7, seed=11,
                          classes={0: "a", 3: "b"})
     path = tmp_path / "run.json"
-    save_config(cfg, path)
+    path.write_text(json.dumps(cfg.as_dict()))
     assert load_config(path) == cfg
 
 
@@ -107,6 +106,12 @@ def test_non_object_json(tmp_path):
 def test_validation_rejects(field, value):
     with pytest.raises(ConfigError):
         PipelineConfig(**{field: value})
+
+
+def test_int_accepted_for_float():
+    cfg = config_from_dict({"lambda_d": 2, "ground_radius": 7})
+    assert type(cfg.lambda_d) is float and cfg.lambda_d == 2.0
+    assert type(cfg.ground_radius) is float
 
 
 def test_stages_read_the_config():

@@ -12,8 +12,10 @@ import pytest
 from pssmesh import pipeline
 from pssmesh.config import (DEFAULT_CLASSES, ConfigError, PipelineConfig,
                             override_config)
-from pssmesh.features import FaceFeatures, compute_face_features
-from pssmesh.forest import ProbabilityMap, planarity_map, save_model
+from pssmesh.features import (FaceFeatures, compute_face_features,
+                              face_channel_names)
+from pssmesh.forest import (ProbabilityMap, planarity_map, save_model,
+                            train_forest)
 from pssmesh.mesh import MeshError, TriangleMesh
 from pssmesh.meshio import load_mesh, save_mesh
 from pssmesh.pipeline import (
@@ -22,7 +24,6 @@ from pssmesh.pipeline import (
     StageError,
     file_sha256,
     load_face_predictions,
-    load_manifest,
     load_segmentation,
     resolve_threads,
     run_pipeline,
@@ -93,8 +94,8 @@ def test_full_run_writes_every_artifact(tile_path, trained, tmp_path):
     assert list(man.stage_seconds) == list(STAGES)
     assert man.notes == []
     assert man.input_sha256 == file_sha256(tile_path)
-    reloaded = load_manifest(run_dir / "manifest.json")
-    assert reloaded.as_dict() == man.as_dict()
+    with open(run_dir / "manifest.json") as fh:
+        assert json.load(fh) == man.as_dict()
 
 
 def test_stop_after_preprocess(tile_path, trained, tmp_path):
@@ -155,10 +156,22 @@ def test_two_runs_identical_hashes(tile_path, trained, tmp_path):
     assert a.manifest.outputs == b.manifest.outputs
 
 
-def test_stage_failure_keeps_partials(tile_path, trained, tmp_path):
-    # a readable model of the wrong kind fails inside the planarity stage
+@pytest.fixture(scope="module")
+def wrong_kind(tmp_path_factory):
+    """A readable model of the wrong kind: three classes over the face
+    channels, so it passes the input checks and fails inside the planarity
+    stage."""
+    X = np.random.default_rng(0).random((60, len(face_channel_names())))
+    path = tmp_path_factory.mktemp("wrong") / "three_class.model"
+    save_model(train_forest(X, np.arange(60) % 3, PipelineConfig(trees=2)),
+               path)
+    return str(path)
+
+
+def test_stage_failure_keeps_partials(tile_path, trained, wrong_kind,
+                                      tmp_path):
     cfg = make_config(tile_path, trained, tmp_path / "run",
-                      planarity_model=str(trained["semantic"]))
+                      planarity_model=wrong_kind)
     with pytest.raises(StageError) as err:
         run_pipeline(cfg)
     assert err.value.stage == "planarity"
@@ -170,13 +183,29 @@ def test_stage_failure_keeps_partials(tile_path, trained, tmp_path):
     assert not (run_dir / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("key, value, bad", [
+    ("eigen_radii", (1.0, 2.0), "planarity"),
+    ("planarity_model", "semantic", "semantic"),
+    ("semantic_model", "planarity", "planarity"),
+], ids=["radii", "semantic-as-planarity", "planarity-as-semantic"])
+def test_model_feature_count_is_input_error(tile_path, trained, tmp_path,
+                                            key, value, bad):
+    if key != "eigen_radii":
+        value = str(trained[value])
+    cfg = make_config(tile_path, trained, tmp_path / "run", **{key: value})
+    with pytest.raises(ConfigError, match="features") as err:
+        run_pipeline(cfg)
+    assert str(trained[bad]) in str(err.value)
+    assert not (tmp_path / "run").exists()
+
+
 def test_rerun_failure_leaves_no_stale_manifest(tile_path, trained,
-                                                 tmp_path):
+                                                 wrong_kind, tmp_path):
     run_dir = tmp_path / "run"
     first = run_pipeline(make_config(tile_path, trained, run_dir))
     (run_dir / "notes.txt").write_text("not an artifact")
     cfg = make_config(tile_path, trained, run_dir,
-                      planarity_model=str(trained["semantic"]))
+                      planarity_model=wrong_kind)
     with pytest.raises(StageError):
         run_pipeline(cfg)
     names = sorted(p.name for p in run_dir.iterdir())
@@ -185,12 +214,13 @@ def test_rerun_failure_leaves_no_stale_manifest(tile_path, trained,
     assert set(first.manifest.outputs) == set(FULL_RUN_FILES)
 
 
-def test_successful_rerun_leaves_no_partials(tile_path, trained, tmp_path):
+def test_successful_rerun_leaves_no_partials(tile_path, trained, wrong_kind,
+                                             tmp_path):
     run_dir = tmp_path / "run"
     run_pipeline(make_config(tile_path, trained, run_dir))
     with pytest.raises(StageError):
         run_pipeline(make_config(tile_path, trained, run_dir,
-                                 planarity_model=str(trained["semantic"])))
+                                 planarity_model=wrong_kind))
     assert (run_dir / "face_features.csv.partial").is_file()
     result = run_pipeline(make_config(tile_path, trained, run_dir))
     assert sorted(p.name for p in run_dir.iterdir()) \
@@ -199,11 +229,12 @@ def test_successful_rerun_leaves_no_partials(tile_path, trained, tmp_path):
 
 
 def test_shorter_rerun_deletes_partials_it_does_not_write(tile_path, trained,
+                                                         wrong_kind,
                                                          tmp_path):
     run_dir = tmp_path / "run"
     with pytest.raises(StageError):
         run_pipeline(make_config(tile_path, trained, run_dir,
-                                 planarity_model=str(trained["semantic"])))
+                                 planarity_model=wrong_kind))
     assert (run_dir / "face_features.csv.partial").is_file()
     run_pipeline(make_config(tile_path, trained, run_dir),
                  stop_after="preprocess")
