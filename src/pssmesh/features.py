@@ -28,6 +28,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.spatial import cKDTree
 
 from .config import PipelineConfig
@@ -122,6 +123,7 @@ def eigen_shape_features(centroids, areas, tree, radii):
         del pairs
         keys.sort()
         owner, nb = np.divmod(keys, nf)
+        del keys
         d2 = _squared_distances(xyz, owner + f0, nb)
         ball[f0:f1] = np.bincount(
             owner[d2 <= DENSITY_RADIUS * DENSITY_RADIUS], minlength=f1 - f0)
@@ -151,28 +153,38 @@ def _squared_distances(xyz, i, j):
 def _weighted_covariance(owner, nb, xyz, areas, n):
     """(n, 3, 3) area-weighted covariance per owner and the ball sizes.
 
-    Two passes (weighted mean, then centred products) with ``bincount``,
-    which sums each owner's entries in array order.
+    ``owner`` is sorted. Two passes (weighted mean, then centred products),
+    each a product with the (n, pairs) matrix that has a 1 at (owner, pair):
+    ``csr_matvec`` sums each owner's entries in array order, starting from
+    0, the additions ``np.bincount`` makes.
     """
+    cnt = np.bincount(owner, minlength=n)
+    # int32 index arrays, which scipy keeps instead of copying; one block
+    # has far fewer than 2**31 pairs
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(cnt, out=indptr[1:])
+    total = csr_array((np.ones(len(owner)),
+                       np.arange(len(owner), dtype=np.int32), indptr),
+                      shape=(n, len(owner)))
     w = areas[nb]
-    wsum = np.bincount(owner, weights=w, minlength=n)
+    wsum = total @ w
     ok = wsum > 0
     dev = []
     for c in xyz:
         col = c[nb]
-        mean = np.bincount(owner, weights=w * col, minlength=n)
+        mean = total @ (w * col)
         mean[ok] /= wsum[ok]
-        col -= mean[owner]
+        col -= np.repeat(mean, cnt)
         dev.append(col)
     cov = np.empty((n, 3, 3))
     for a in range(3):
         wd = w * dev[a]
         for b in range(a, 3):
-            cab = np.bincount(owner, weights=wd * dev[b], minlength=n)
+            cab = total @ (wd * dev[b])
             cov[:, a, b] = cab
             cov[:, b, a] = cab
     cov[ok] /= wsum[ok][:, None, None]
-    return cov, np.bincount(owner, minlength=n)
+    return cov, cnt
 
 
 def _shape_channels(cov, counts):

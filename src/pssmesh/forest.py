@@ -8,12 +8,18 @@ reproducible bit for bit.
 
 Predicted probabilities aggregate as an epsilon-floored geometric mean over
 trees: g = exp(mean_t log max(p_t, 1e-6)), optionally renormalized.
+
+``parallel_map`` is the worker pool of training: trees (and, in
+``pipeline.train_models``, whole training meshes) are built in forked
+worker processes, since tree building is pure-Python recursion that
+threads would only run one at a time under the GIL.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import struct
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,18 +171,46 @@ def _build_tree(X, y, sw, n_classes, config: PipelineConfig, rng) -> Tree:
                 np.asarray(right, dtype=np.int32), pr)
 
 
-def parallel_map(n_jobs: int, fn, items) -> list:
-    """``[fn(x) for x in items]``, run in a pool of ``n_jobs`` threads.
+# (fn, items) of the running parallel_map, inherited by its forked workers;
+# one call runs at a time
+_TASK = None
 
-    Results come back in item order whatever the thread count, so callers
-    that combine them in that order get the same output at every count.
-    With one job or one item everything runs in the calling thread.
+
+def _run_task(i):
+    fn, items = _TASK
+    return fn(items[i])
+
+
+def parallel_map(n_jobs: int, fn, items) -> list:
+    """``[fn(x) for x in items]``, run in up to ``n_jobs`` worker processes.
+
+    The workers are forked, so ``fn`` (a closure is fine) and ``items``
+    reach them as the parent holds them: only an item index is sent to a
+    worker and only ``fn``'s result is pickled back. Results come back in
+    item order whatever the worker count, so callers that combine them in
+    that order get the same output at every count. An exception raised by
+    ``fn`` reaches the caller with its type and message; a worker that
+    dies raises ``BrokenProcessPool``. No worker outlives the call.
+    With one job, one item or no ``fork`` start method everything runs in
+    the calling process.
     """
+    global _TASK
     items = list(items)
-    if n_jobs <= 1 or len(items) <= 1:
+    if (n_jobs <= 1 or len(items) <= 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(n_jobs, len(items))) as pool:
-        return list(pool.map(fn, items))
+    _TASK = (fn, items)
+    workers = min(n_jobs, len(items))
+    pool = ProcessPoolExecutor(max_workers=workers,
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        # about four chunks per worker: each result costs a round trip to
+        # the parent, and small chunks still even out unequal items
+        return list(pool.map(_run_task, range(len(items)),
+                             chunksize=max(1, len(items) // (4 * workers))))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        _TASK = None
 
 
 def train_forest(samples: np.ndarray, labels: np.ndarray,
@@ -190,9 +224,10 @@ def train_forest(samples: np.ndarray, labels: np.ndarray,
 
     ``weights`` are per-class (ordered like np.unique(labels)) and default to
     sqrt(N/n_c). Raises on single-class input and on NaN features.
-    ``n_jobs`` > 1 builds trees in a thread pool (``parallel_map``); each
-    tree seeds its own generator and results are combined in tree order,
-    so the model is identical at any thread count.
+    ``n_jobs`` > 1 builds trees in that many forked worker processes
+    (``parallel_map``); each tree seeds its own generator from
+    ``seed ^ tree_index`` and the trees are combined in tree order, so the
+    model is identical at any worker count.
     """
     X = np.asarray(samples, dtype=np.float64)
     y_raw = np.asarray(labels).reshape(-1)

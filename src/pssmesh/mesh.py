@@ -32,6 +32,7 @@ class TriangleMesh:
     _face_area: np.ndarray | None = field(default=None, repr=False)
     _face_centroid: np.ndarray | None = field(default=None, repr=False)
     _face_normal: np.ndarray | None = field(default=None, repr=False)
+    _face_area_normal: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
@@ -104,6 +105,13 @@ class TriangleMesh:
         if self._face_normal is None:
             self._compute_derived()
         return self._face_normal
+
+    @property
+    def face_area_normal(self) -> np.ndarray:
+        """``face_area[:, None] * face_normal``: area-weighted normals."""
+        if self._face_area_normal is None:
+            self._face_area_normal = self.face_area[:, None] * self.face_normal
+        return self._face_area_normal
 
     @property
     def degenerate_faces(self) -> np.ndarray:

@@ -119,7 +119,7 @@ def _accumulate(region: RegionState, mesh: TriangleMesh, face: int,
     """Add a face's new vertices and its area-weighted normal to the sums."""
     if fresh:
         region.acc.add(mesh.vertices[fresh])
-    region.normal_sum = region.normal_sum + mesh.face_area[face] * mesh.face_normal[face]
+    region.normal_sum = region.normal_sum + mesh.face_area_normal[face]
 
 
 def _add_face(region: RegionState, mesh: TriangleMesh, face: int) -> list:

@@ -494,10 +494,12 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
     before the first fit.
 
     The meshes are prepared (weld, repair, adjacency, face features) and,
-    once the planarity forest is fitted, segmented in one
-    ``parallel_map`` pool of ``resolve_threads(config.threads)`` threads,
-    the pool the forests' trees are built in. Results are gathered in mesh
-    order, so the models are the same at every thread count.
+    once the planarity forest is fitted, segmented by ``parallel_map`` in
+    ``resolve_threads(config.threads)`` forked worker processes, the pool
+    the forests' trees are built in. Each pass hands its inputs to the
+    workers through fork and pickles only its results back; results are
+    gathered in mesh order, so the models are the same at every worker
+    count. No worker is left running when this returns or raises.
     """
     loaded = []
     for i, m in enumerate(meshes):

@@ -6,9 +6,10 @@ once did. ``dict_detach_overshared`` detaches the extra faces of
 over-shared edges round by round through a dict of edge -> faces, as
 ``repair_nonmanifold`` once did. ``global_eigen_shape_features`` finds every
 face's neighbours with one ``query_pairs`` over the whole cloud, as
-``eigen_shape_features`` once did. ``copy_build_tree`` copies all feature
-columns of a node's samples at every node, as ``forest._build_tree`` once
-did.
+``eigen_shape_features`` once did. ``bincount_weighted_covariance`` sums
+each owner's pairs with ``np.bincount``, as ``features._weighted_covariance``
+once did. ``copy_build_tree`` copies all feature columns of a node's samples
+at every node, as ``forest._build_tree`` once did.
 """
 
 from collections import defaultdict
@@ -124,6 +125,30 @@ def global_eigen_shape_features(centroids, areas, tree, radii):
         out[:, 5 * j:5 * j + 5], flagged[:, j] = features._shape_channels(
             cov[j], counts[j])
     return out, flagged
+
+
+def bincount_weighted_covariance(owner, nb, xyz, areas, n):
+    """``features._weighted_covariance`` with one weighted ``bincount`` per
+    sum and ``mean[owner]`` gathers."""
+    w = areas[nb]
+    wsum = np.bincount(owner, weights=w, minlength=n)
+    ok = wsum > 0
+    dev = []
+    for c in xyz:
+        col = c[nb]
+        mean = np.bincount(owner, weights=w * col, minlength=n)
+        mean[ok] /= wsum[ok]
+        col -= mean[owner]
+        dev.append(col)
+    cov = np.empty((n, 3, 3))
+    for a in range(3):
+        wd = w * dev[a]
+        for b in range(a, 3):
+            cab = np.bincount(owner, weights=wd * dev[b], minlength=n)
+            cov[:, a, b] = cab
+            cov[:, b, a] = cab
+    cov[ok] /= wsum[ok][:, None, None]
+    return cov, np.bincount(owner, minlength=n)
 
 
 def copy_build_tree(X, y, sw, n_classes, config, rng):

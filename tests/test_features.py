@@ -13,7 +13,8 @@ from pssmesh.features import (compute_face_features,
 from scipy.spatial import cKDTree
 
 from conftest import grid_mesh
-from oracles import global_eigen_shape_features
+from oracles import (bincount_weighted_covariance,
+                     global_eigen_shape_features)
 
 
 def test_channel_layout_27():
@@ -180,6 +181,31 @@ def test_eigen_matches_query_ball_point_reference(cloud, block, monkeypatch):
     want, want_flagged = global_eigen_shape_features(cent, areas, tree, radii)
     assert out.tobytes() == want.tobytes()
     assert flagged.tobytes() == want_flagged.tobytes()
+
+
+@pytest.mark.parametrize("cloud", [lattice_cloud, random_cloud],
+                         ids=["lattice", "random"])
+def test_weighted_covariance_matches_bincount_reference(cloud):
+    cent, areas = cloud()
+    areas = areas.copy()
+    areas[::7] = 0.0                        # zero-area faces
+    areas[np.linalg.norm(cent - cent[0], axis=1) <= 1.0] = 0.0
+    xyz = [np.ascontiguousarray(cent[:, a]) for a in range(3)]
+    tree = cKDTree(cent)
+    n = 100                                 # owners 0..99 of one block
+    pairs = cKDTree(cent[:n]).sparse_distance_matrix(tree, 1.0,
+                                                     output_type="ndarray")
+    keys = np.sort(pairs["i"] * len(cent) + pairs["j"])
+    owner, nb = np.divmod(keys, len(cent))
+    owner[owner == 3] = 4                   # an owner without pairs
+    got = features._weighted_covariance(owner, nb, xyz, areas, n)
+    want = bincount_weighted_covariance(owner, nb, xyz, areas, n)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[1][0] > 1 and not got[0][0].any()    # a ball of no weight
+    assert got[1][3] == 0
+    empty = features._weighted_covariance(owner[:0], nb[:0], xyz, areas, n)
+    assert not empty[0].any() and not empty[1].any()
 
 
 @pytest.mark.parametrize("radii, count_radius",

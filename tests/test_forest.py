@@ -1,3 +1,10 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +12,7 @@ from pssmesh.config import ConfigError, PipelineConfig
 from pssmesh.forest import (ForestModel, Tree, train_forest,
                             predict_proba, planarity_map, classify_segments,
                             class_weights, save_model, load_model, PROB_EPS,
-                            _build_tree)
+                            _build_tree, parallel_map)
 
 from oracles import copy_build_tree
 
@@ -49,6 +56,86 @@ def test_deterministic_model_file(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     save_model(train_forest(X, y, PipelineConfig(trees=5, seed=10)), b)
     assert a.read_bytes() != b.read_bytes()
+
+
+def test_model_same_at_every_worker_count(tmp_path):
+    X, y = separable_data(seed=4)
+    files = []
+    for n_jobs in (1, 2, 3, 8):             # 8 workers for 5 trees
+        path = tmp_path / f"{n_jobs}.bin"
+        save_model(train_forest(X, y, PipelineConfig(trees=5, seed=9),
+                                n_jobs=n_jobs), path)
+        files.append(path.read_bytes())
+        assert multiprocessing.active_children() == []
+    assert files[1:] == files[:1] * 3
+
+
+def test_parallel_map_runs_items_in_forked_workers():
+    parent = os.getpid()
+    local = {"offset": 100}                 # reaches workers through fork
+
+    def where(x):
+        return x + local["offset"], os.getpid()
+
+    got = parallel_map(3, where, range(7))
+    assert [v for v, _ in got] == list(range(100, 107))
+    pids = {pid for _, pid in got}
+    assert parent not in pids and 1 <= len(pids) <= 3
+    assert multiprocessing.active_children() == []
+    # one job or one item: the calling process does the work
+    assert parallel_map(1, where, range(3)) == [(100, parent), (101, parent),
+                                                (102, parent)]
+    assert parallel_map(4, where, [5]) == [(105, parent)]
+
+
+def test_parallel_map_is_serial_without_fork(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    parent = os.getpid()
+    assert parallel_map(3, lambda x: (x, os.getpid()), range(3)) == [
+        (0, parent), (1, parent), (2, parent)]
+    assert multiprocessing.active_children() == []
+
+
+def test_parallel_map_passes_worker_exception():
+    parent = os.getpid()
+
+    def fail(x):
+        if x == 2:
+            raise ConfigError(f"item {x} failed in {os.getpid()}")
+        return x
+
+    with pytest.raises(ConfigError, match=r"^item 2 failed in \d+$") as info:
+        parallel_map(2, fail, range(5))
+    assert str(info.value) != f"item 2 failed in {parent}"
+    assert multiprocessing.active_children() == []
+
+
+def test_parallel_map_raises_when_a_worker_dies():
+    # a pool that waited for the dead worker's result would hang: run it in
+    # a child interpreter with a timeout
+    code = textwrap.dedent("""
+        import multiprocessing, os
+        from concurrent.futures.process import BrokenProcessPool
+        from pssmesh.forest import parallel_map
+
+        def die(x):
+            if x == 1:
+                os._exit(3)
+            return x
+
+        try:
+            parallel_map(2, die, range(4))
+        except BrokenProcessPool:
+            print("broken", multiprocessing.active_children())
+        """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "broken []"
 
 
 def test_class_weights_formula():

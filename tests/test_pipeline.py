@@ -2,9 +2,9 @@
 
 import csv
 import json
+import multiprocessing
+import os
 import re
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -547,42 +547,60 @@ def test_training_deterministic(tile_path, tmp_path):
 
 
 def test_training_same_at_every_thread_count(tmp_path, monkeypatch):
-    # three meshes: with 2 threads one worker prepares and segments two,
+    # three meshes: with 2 workers one worker prepares and segments two,
     # with 3 each mesh has a worker of its own
     tiles = [synth_tile(TileParams(seed=s, ground_res=16, n_boxes=1,
                                    n_trees=1, n_vehicles=1))
              for s in range(3)]
-    workers = set()
+    # a forked worker cannot add to a set of this process: it appends its
+    # process id to a file
+    log = tmp_path / "pids"
     features = pipeline.compute_face_features
 
     def recorded(*args, **kwargs):
-        workers.add(threading.get_ident())
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
         return features(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "compute_face_features", recorded)
     runs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)         # switch threads often
-    try:
-        for threads in (1, 2, 3):
-            workers.clear()
-            result = train_models(PipelineConfig(trees=5, threads=threads),
-                                  tiles)
-            files = []
-            for model in (result.planarity, result.semantic):
-                path = tmp_path / f"{threads}-{len(files)}.model"
-                save_model(model, path)
-                files.append(path.read_bytes())
-            runs.append((files, result.report))
-            if threads == 1:
-                assert workers == {threading.get_ident()}
-            else:               # prepared in the pool
-                assert threading.get_ident() not in workers
-                assert 1 <= len(workers) <= threads
-    finally:
-        sys.setswitchinterval(interval)
+    for threads in (1, 2, 3):
+        log.write_text("")
+        result = train_models(PipelineConfig(trees=5, threads=threads),
+                              tiles)
+        assert multiprocessing.active_children() == []
+        files = []
+        for model in (result.planarity, result.semantic):
+            path = tmp_path / f"{threads}-{len(files)}.model"
+            save_model(model, path)
+            files.append(path.read_bytes())
+        runs.append((files, result.report))
+        pids = log.read_text().split()
+        assert len(pids) == 3               # once per mesh
+        workers = set(map(int, pids))
+        if threads == 1:
+            assert workers == {os.getpid()}
+        else:               # prepared in the pool
+            assert os.getpid() not in workers
+            assert 1 <= len(workers) <= threads
     assert runs[1] == runs[0] and runs[2] == runs[0]
     assert runs[0][1]["n_meshes"] == 3
+
+
+def test_training_failure_in_a_worker_reaches_the_caller(monkeypatch):
+    tiles = [synth_tile(TileParams(seed=s, ground_res=16, n_boxes=1,
+                                   n_trees=1, n_vehicles=1))
+             for s in range(2)]
+
+    def broken(*args, **kwargs):
+        raise ValueError(f"segment features failed in {os.getpid()}")
+
+    monkeypatch.setattr(pipeline, "compute_segment_features", broken)
+    with pytest.raises(ValueError, match="^segment features failed in ") \
+            as info:
+        train_models(PipelineConfig(trees=3, threads=2), tiles)
+    assert not str(info.value).endswith(f" {os.getpid()}")
+    assert multiprocessing.active_children() == []
 
 
 def test_manifest_config_snapshot(tile_path, trained, tmp_path):
