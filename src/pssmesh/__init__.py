@@ -8,8 +8,10 @@ The package is organized around a linear pipeline:
     -> segfeatures.compute_segment_features -> seggraph.build_segment_graph
     -> metrics (object purity, boundary precision/recall, IoU reports)
 
-Segment features and the segment graph read each segment's faces and cut
-edges from one `adjacency.segment_index`. Each stage is usable on its own;
+A run builds one `adjacency.SegmentIndex` per segmentation, right after
+oversegmentation: segment features and the segment graph both take it and
+read each segment's faces, cut edges and vertices from it, so neither
+derives them again. Each stage is usable on its own;
 the `pipeline` module wires them together and the `cli` module exposes the
 whole chain as subcommands.
 """
@@ -17,6 +19,7 @@ whole chain as subcommands.
 __version__ = "0.1.0"
 
 from .mesh import TriangleMesh
-from .adjacency import AdjacencyIndex, segment_index
+from .adjacency import AdjacencyIndex, SegmentIndex, segment_index
 
-__all__ = ["TriangleMesh", "AdjacencyIndex", "segment_index", "__version__"]
+__all__ = ["TriangleMesh", "AdjacencyIndex", "SegmentIndex", "segment_index",
+           "__version__"]

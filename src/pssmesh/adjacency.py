@@ -1,4 +1,8 @@
-"""Face adjacency, edge lists, segment indexes and connected components."""
+"""Face adjacency, edge lists, segment indexes and connected components.
+
+``segment_index`` derives, once per segmentation, the ``SegmentIndex`` that
+segment features and the segment graph read every per-segment fact from.
+"""
 
 from __future__ import annotations
 
@@ -135,33 +139,61 @@ def build_adjacency(mesh: TriangleMesh) -> AdjacencyIndex:
     return idx
 
 
-def segment_index(adjacency: AdjacencyIndex, face_segment, n_segments: int):
-    """Edge sides, faces and cut edges of a face segmentation.
+def _grouped(owner, ids, n_groups: int, n_ids: int) -> list:
+    """Ascending distinct ``ids`` (< n_ids) of each group ``owner`` (<
+    n_groups), from one sort of the keys ``owner * n_ids + id``."""
+    key = unique_ints(pair_keys(np.column_stack([owner, ids]), n_ids))
+    group, ids = np.divmod(key, n_ids)
+    ends = np.cumsum(np.bincount(group, minlength=n_groups))
+    return np.split(ids, ends)[:n_groups]
 
-    Returns ``(edge_side, faces, cuts)``. ``edge_side`` (E, 2) holds the
-    segment on each side of every edge: -1 for an unsegmented face, -2 for
-    the open side of a border edge. An edge is cut when its two sides
-    differ; it then belongs to the cut list of every segment on either
-    side. ``faces[k]`` and ``cuts[k]`` are the ascending face ids and cut
-    edge ids of segment k.
+
+@dataclass
+class SegmentIndex:
+    """The per-segment facts of one face segmentation.
+
+    ``edge_side`` (E, 2) holds the segment on each side of every edge: -1
+    for an unsegmented face, -2 for the open side of a border edge. An edge
+    is cut when its two sides differ; it is then in the cut list of each
+    segment on either side. ``faces[k]``, ``cuts[k]`` and ``vertices[k]``
+    are segment k's ascending face, cut edge and vertex ids (int64).
     """
+
+    face_segment: np.ndarray           # (F,) segment id per face, -1 none
+    edge_side: np.ndarray              # (E, 2)
+    faces: list
+    cuts: list
+    vertices: list
+
+    @property
+    def n_segments(self) -> int:
+        return len(self.faces)
+
+
+def segment_index(mesh: TriangleMesh, adjacency: AdjacencyIndex, face_segment,
+                  n_segments: int) -> SegmentIndex:
+    """``SegmentIndex`` of ``face_segment`` (one id in [-1, n_segments) per
+    face, -1 unsegmented); raises ValueError for any other length or id."""
     seg = np.asarray(face_segment).reshape(-1)
+    if len(seg) != mesh.n_faces:
+        raise ValueError("face_segment length does not match face count")
+    if len(seg) and not -1 <= seg.min() <= seg.max() < n_segments:
+        raise ValueError(f"segment ids must lie in [-1, {n_segments})")
     f0 = adjacency.edge_faces[:, 0]
     f1 = adjacency.edge_faces[:, 1]
     edge_side = np.column_stack(
         [seg[f0], np.where(f1 >= 0, seg[np.maximum(f1, 0)], -2)])
 
-    def per_segment(owner, ids):
-        ends = np.cumsum(np.bincount(owner, minlength=n_segments))
-        return np.split(ids[np.lexsort((ids, owner))], ends)[:n_segments]
-
     member = np.flatnonzero(seg >= 0)
     cut = np.flatnonzero(edge_side[:, 0] != edge_side[:, 1])
     owner = edge_side[cut].T.ravel()
-    eids = np.tile(cut, 2)
     keep = owner >= 0
-    return (edge_side, per_segment(seg[member], member),
-            per_segment(owner[keep], eids[keep]))
+    return SegmentIndex(
+        seg, edge_side, _grouped(seg[member], member, n_segments, len(seg)),
+        _grouped(owner[keep], np.tile(cut, 2)[keep], n_segments,
+                 len(edge_side)),
+        _grouped(np.repeat(seg[member], 3), mesh.faces[member].ravel(),
+                 n_segments, mesh.n_vertices))
 
 
 def face_connected_components(mesh: TriangleMesh, adjacency: AdjacencyIndex,

@@ -1,6 +1,7 @@
 """Handcrafted per-face features: eigen shape, elevation, density, color, MAT.
 
-Channel layout "face-v1" (27 channels, order fixed):
+Channel layout at the default radii (27 channels, order fixed; models keep
+the names, see ``face_channel_names``):
 
     linearity/planarity/sphericity/curvature/verticality at radii 0.5, 1, 2 m
     elevation_abs, elevation_rel, elevation_rel_r10/_r20/_r40
@@ -36,7 +37,6 @@ from .medial import shrinking_ball_transform
 from .mesh import TriangleMesh
 
 EIGEN_NAMES = ("linearity", "planarity", "sphericity", "curvature", "verticality")
-LAYOUT_FACE_V1 = "face-v1"
 EIGEN_FACE_BLOCK = 256          # faces searched and summed at once
 CELLS_PER_RADIUS = 8            # cylinder_min_z grid cells per radius
 RIM_BATCH = 1 << 18             # cylinder_min_z point checks held at once
@@ -59,7 +59,6 @@ def write_csv(path, header, rows) -> None:
 class FaceFeatures:
     values: np.ndarray                 # (F, C) float64
     channel_names: list
-    layout_version: str = LAYOUT_FACE_V1
     color_missing: bool = False
 
     def channel(self, name: str) -> np.ndarray:

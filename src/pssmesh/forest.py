@@ -21,6 +21,7 @@ import multiprocessing
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .config import ConfigError, PipelineConfig
 
 PROB_EPS = 1e-6
 MODEL_MAGIC = b"PSSF"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass
@@ -57,13 +58,16 @@ class Tree:
 class ForestModel:
     trees: list
     classes: np.ndarray            # (C,) int32 original class ids
-    n_features: int
-    layout_version: str
+    channel_names: list            # the feature columns it reads, in order
     seed: int
 
     @property
     def n_classes(self):
         return len(self.classes)
+
+    @property
+    def n_features(self) -> int:
+        return len(self.channel_names)
 
 
 @dataclass
@@ -213,13 +217,14 @@ def parallel_map(n_jobs: int, fn, items) -> list:
         _TASK = None
 
 
-def train_forest(samples: np.ndarray, labels: np.ndarray,
+def train_forest(samples: np.ndarray, labels: np.ndarray, channel_names,
                  config: PipelineConfig | None = None,
                  weights: np.ndarray | None = None,
-                 layout_version: str = "",
                  n_jobs: int = 1) -> ForestModel:
     """Train an extremely randomized forest; see module docstring.
 
+    ``channel_names`` names the columns of ``samples``; the model keeps
+    them so ``check_channels`` can refuse features in another layout.
     ``config`` gives ``trees``, ``min_leaf``, ``max_depth`` and ``seed``.
 
     ``weights`` are per-class (ordered like np.unique(labels)) and default to
@@ -233,6 +238,10 @@ def train_forest(samples: np.ndarray, labels: np.ndarray,
     y_raw = np.asarray(labels).reshape(-1)
     if X.ndim != 2 or len(X) != len(y_raw):
         raise ValueError("samples must be (N, d) with one label per row")
+    channel_names = list(channel_names)
+    if len(channel_names) != X.shape[1]:
+        raise ValueError(f"{len(channel_names)} channel names for "
+                         f"{X.shape[1]} feature columns")
     nan_rows = np.isnan(X).any(axis=1)
     if nan_rows.any():
         raise ValueError(f"sample {int(np.argmax(nan_rows))} has NaN features")
@@ -253,8 +262,8 @@ def train_forest(samples: np.ndarray, labels: np.ndarray,
         return _build_tree(X, y, sw, len(classes), config, rng)
 
     trees = parallel_map(n_jobs, build, range(config.trees))
-    return ForestModel(trees, classes.astype(np.int32), X.shape[1],
-                       layout_version, config.seed)
+    return ForestModel(trees, classes.astype(np.int32), channel_names,
+                       config.seed)
 
 
 def predict_proba(model: ForestModel, samples: np.ndarray) -> ForestPrediction:
@@ -271,14 +280,20 @@ def predict_proba(model: ForestModel, samples: np.ndarray) -> ForestPrediction:
     return ForestPrediction(proba, geo, log_avg)
 
 
+def check_channels(model: ForestModel, names, source) -> None:
+    """ConfigError naming ``source`` and the first differing channel unless
+    ``model`` reads exactly ``names``, in number and order."""
+    for i, (have, want) in enumerate(zip_longest(model.channel_names, names)):
+        if have != want:
+            raise ConfigError(f"{source}: channel {i} is {have!r} in the "
+                              f"model but {want!r} in the features")
+
+
 def planarity_map(model: ForestModel, face_features) -> ProbabilityMap:
     """Per-face planar(0)/non-planar(1) probabilities for region growing."""
     if model.n_classes != 2:
         raise ValueError("planarity model must be binary (planar/non-planar)")
-    if model.layout_version and model.layout_version != face_features.layout_version:
-        raise ValueError(
-            f"feature layout {face_features.layout_version!r} does not match "
-            f"model layout {model.layout_version!r}")
+    check_channels(model, face_features.channel_names, "planarity model")
     pred = predict_proba(model, face_features.values)
     label = np.argmax(pred.geometric, axis=1).astype(np.int32)
     return ProbabilityMap(g_log=pred.log_average[:, 1],
@@ -289,22 +304,22 @@ def planarity_map(model: ForestModel, face_features) -> ProbabilityMap:
 
 def classify_segments(model: ForestModel, segment_features) -> tuple:
     """(class id per segment, renormalized probabilities). Ties -> lower id."""
-    if model.layout_version and model.layout_version != segment_features.layout_version:
-        raise ValueError(
-            f"feature layout {segment_features.layout_version!r} does not match "
-            f"model layout {model.layout_version!r}")
+    check_channels(model, segment_features.channel_names, "semantic model")
     pred = predict_proba(model, segment_features.values)
     cls = model.classes[np.argmax(pred.proba, axis=1)]
     return cls, pred.proba
 
 
 def save_model(model: ForestModel, path):
-    """Little-endian versioned binary; round-trips exactly."""
+    """Little-endian versioned binary; round-trips exactly. The channel
+    names follow the version as one UTF-8 text, joined by newlines."""
+    if any("\n" in name for name in model.channel_names):
+        raise ValueError("a channel name holds a newline")
     out = bytearray()
     out += MODEL_MAGIC
     out += struct.pack("<I", MODEL_VERSION)
-    layout = model.layout_version.encode("utf-8")
-    out += struct.pack("<I", len(layout)) + layout
+    names = "\n".join(model.channel_names).encode("utf-8")
+    out += struct.pack("<I", len(names)) + names
     out += struct.pack("<q", int(model.seed))
     out += struct.pack("<I", model.n_classes)
     out += model.classes.astype("<i4").tobytes()
@@ -324,11 +339,12 @@ def save_model(model: ForestModel, path):
 def load_model(path) -> ForestModel:
     """Read a model written by ``save_model``.
 
-    Bad content (bad magic, another version, a file that ends early, bytes
-    after the last tree, a tree without nodes, an internal node whose
-    feature id is not in [0, n_features) or whose child ids do not lie after
-    it inside the tree, a leaf whose ids are not all -1) raises ConfigError
-    naming the path, the tree and the byte offset of the bad field.
+    Bad content (bad magic, another version, channel names that are not
+    UTF-8 or not one per feature, a file that ends early, bytes after the
+    last tree, a tree without nodes, an internal node whose feature id is
+    not in [0, n_features) or whose child ids do not lie after it inside
+    the tree, a leaf whose ids are not all -1) raises ConfigError naming
+    the path, the tree and the byte offset of the bad field.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -354,15 +370,20 @@ def load_model(path) -> ForestModel:
     version = int(take("<u4")[0])
     if version != MODEL_VERSION:
         raise bad(f"unsupported model file version {version}", 4)
-    nlay = int(take("<u4")[0])
+    nnames = int(take("<u4")[0])
     try:
-        layout = take("u1", nlay).tobytes().decode("utf-8")
-    except UnicodeDecodeError:
-        raise bad("layout name is not UTF-8", pos - nlay) from None
+        text = take("u1", nnames).tobytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise bad("channel names are not UTF-8",
+                  pos - nnames + exc.start) from None
+    names = text.split("\n") if text else []
     seed = int(take("<i8")[0])
     ncls = int(take("<u4")[0])
     classes = take("<i4", ncls)
     nfeat = int(take("<u4")[0])
+    if nfeat != len(names):
+        raise bad(f"{len(names)} channel names for {nfeat} features",
+                  pos - 4)
     ntrees = int(take("<u4")[0])
     trees = []
     for t in range(ntrees):
@@ -395,4 +416,4 @@ def load_model(path) -> ForestModel:
                           left.astype(np.int32), right.astype(np.int32), proba))
     if pos != len(buf):
         raise bad("trailing bytes after the last tree", pos)
-    return ForestModel(trees, classes.astype(np.int32), nfeat, layout, seed)
+    return ForestModel(trees, classes.astype(np.int32), names, seed)

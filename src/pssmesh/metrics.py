@@ -9,7 +9,7 @@ All area accounting excludes faces whose ground-truth label is negative;
 reports carry flags naming every fallback convention that fired.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -51,15 +51,7 @@ class OversegReport:
     flags: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "op": self.op, "bp": self.bp, "br": self.br,
-            "n_segments": self.n_segments,
-            "matched_pred_length": self.matched_pred_length,
-            "matched_gt_length": self.matched_gt_length,
-            "pred_boundary_length": self.pred_boundary_length,
-            "gt_boundary_length": self.gt_boundary_length,
-            "flags": list(self.flags),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -206,25 +198,6 @@ def _matched_score(candidates: BoundarySet, reference: BoundarySet,
         match_boundaries(candidates, reference, adjacency, rings)]
     return (float(lengths.sum() / candidates.lengths.sum()),
             float(lengths.sum()))
-
-
-def boundary_precision(pred: BoundarySet, gt: BoundarySet,
-                       adjacency: AdjacencyIndex, rings: int) -> float:
-    """Length fraction of predicted boundary edges near a true boundary.
-
-    Both sets empty -> 1 by convention; empty prediction against a nonempty
-    truth -> 0.
-    """
-    return _matched_score(pred, gt, adjacency, rings, recall=False)[0]
-
-
-def boundary_recall(pred: BoundarySet, gt: BoundarySet,
-                    adjacency: AdjacencyIndex, rings: int) -> float:
-    """Length fraction of true boundary edges near a predicted one.
-
-    Empty truth -> 1 by convention.
-    """
-    return _matched_score(gt, pred, adjacency, rings, recall=True)[0]
 
 
 def overseg_report(mesh: TriangleMesh, adjacency: AdjacencyIndex, face_segment,

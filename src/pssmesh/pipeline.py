@@ -16,17 +16,17 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .adjacency import build_adjacency
+from .adjacency import build_adjacency, segment_index
 from .config import ConfigError, PipelineConfig, load_versioned_json
 from .features import compute_face_features, face_channel_names, write_csv
-from .forest import (ForestModel, classify_segments, load_model,
-                     parallel_map, planarity_map, train_forest)
+from .forest import (ForestModel, check_channels, classify_segments,
+                     load_model, parallel_map, planarity_map, train_forest)
 from .meshio import load_mesh, save_mesh
 from .metrics import majority_labels, max_achievable, overseg_report, \
     semantic_metrics
@@ -87,12 +87,7 @@ class RunManifest:
     notes: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {"version": self.version,
-                "config": self.config,
-                "input_sha256": self.input_sha256,
-                "stage_seconds": self.stage_seconds,
-                "outputs": self.outputs,
-                "notes": self.notes}
+        return asdict(self)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -237,13 +232,6 @@ def _check_classes(ids, config: PipelineConfig, source, what) -> None:
                           f"config's classes {sorted(config.classes)}")
 
 
-def _check_n_features(model: ForestModel, names, path) -> None:
-    """ConfigError naming ``path`` unless the model reads ``len(names)``."""
-    if model.n_features != len(names):
-        raise ConfigError(f"{path}: model reads {model.n_features} features, "
-                          f"the config's feature radii give {len(names)}")
-
-
 @dataclass
 class PipelineResult:
     config: PipelineConfig
@@ -274,10 +262,12 @@ def run_pipeline(config: PipelineConfig, mesh=None,
     ground-truth labels are optional and their stages are skipped with a
     manifest note when absent. Both models and the mesh are checked before
     the first stage, so a bad model file or mesh raises ConfigError,
-    MeshParseError or MeshError and writes nothing. A model whose feature
-    count differs from the config's channel count and a semantic model
-    class outside ``config.classes`` are such input errors, and so is a
-    ground-truth label >= 0 outside it when the semantic metrics will run.
+    MeshParseError or MeshError and writes nothing. A model whose channel
+    names differ from the ones the config gives (``check_channels``) and a
+    semantic model class outside ``config.classes`` are such input errors,
+    and so is a ground-truth label >= 0 outside it when the semantic
+    metrics will run. The segment features and the graph read one
+    ``adjacency.segment_index``, built right after oversegmentation.
     """
     if stop_after is not None and stop_after not in STAGES:
         raise ValueError(f"unknown stage {stop_after!r}")
@@ -300,11 +290,11 @@ def run_pipeline(config: PipelineConfig, mesh=None,
     face_names = face_channel_names(config)
     if "planarity" in wanted and config.planarity_model:
         model = load_model(config.planarity_model)
-        _check_n_features(model, face_names, config.planarity_model)
+        check_channels(model, face_names, config.planarity_model)
     if "classify" in wanted and config.semantic_model is not None:
         sem_model = load_model(config.semantic_model)
-        _check_n_features(sem_model, segment_channel_names(face_names),
-                          config.semantic_model)
+        check_channels(sem_model, segment_channel_names(face_names),
+                       config.semantic_model)
         _check_classes(sem_model.classes.tolist(), config,
                        config.semantic_model, "model class")
 
@@ -377,21 +367,22 @@ def run_pipeline(config: PipelineConfig, mesh=None,
             tick("oversegment")
             seg = oversegment(mesh2, adjacency, result.probmap, config)
             result.segmentation = seg
+            index = segment_index(mesh2, adjacency, seg.face_segment,
+                                  seg.n_segments)
             emit("segmentation.json", lambda p: save_segmentation(seg, p))
             tock("oversegment")
 
         if "segment_features" in wanted:
             tick("segment_features")
-            sf = compute_segment_features(mesh2, adjacency,
-                                          result.segmentation, feats)
+            sf = compute_segment_features(mesh2, adjacency, index, feats)
             result.segment_features = sf
             emit("segment_features.csv", sf.to_csv)
             tock("segment_features")
 
         if "graph" in wanted:
             tick("graph")
-            graph = build_segment_graph(mesh2, adjacency, result.segmentation,
-                                        sf, config)
+            graph = build_segment_graph(mesh2, adjacency, seg, index, sf,
+                                        config)
             result.graph = graph
             emit("graph.json", lambda p: export_graph(graph, p))
             tock("graph")
@@ -401,11 +392,10 @@ def run_pipeline(config: PipelineConfig, mesh=None,
             if sem_model is None:
                 notes.append("classification skipped: no semantic model")
             else:
-                cls, proba = classify_segments(sem_model,
-                                               result.segment_features)
+                cls, proba = classify_segments(sem_model, sf)
                 result.segment_classes = cls
                 result.segment_proba = proba
-                face_cls = cls[result.segmentation.face_segment]
+                face_cls = cls[seg.face_segment]
                 result.face_classes = face_cls
                 emit("segment_predictions.csv",
                      lambda p: save_segment_predictions(
@@ -423,7 +413,6 @@ def run_pipeline(config: PipelineConfig, mesh=None,
                 notes.append("metrics skipped: no ground-truth labels")
             else:
                 areas = mesh2.face_area
-                seg = result.segmentation
                 rep = overseg_report(mesh2, adjacency, seg.face_segment,
                                      mesh2.face_label,
                                      rings=config.boundary_rings)
@@ -469,16 +458,6 @@ class TrainResult:
     planarity: ForestModel
     semantic: ForestModel
     report: dict
-
-
-def _segment_majority(segmentation: Segmentation, gt_labels,
-                      areas) -> np.ndarray:
-    induced = majority_labels(segmentation.face_segment, gt_labels, areas)
-    out = np.full(segmentation.n_segments, -1, dtype=np.int64)
-    seg = segmentation.face_segment
-    valid = seg >= 0
-    out[seg[valid]] = induced[valid]
-    return out
 
 
 def train_models(config: PipelineConfig, meshes) -> TrainResult:
@@ -530,25 +509,29 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
     y_face = np.concatenate([
         np.isin(mesh2.face_label, config.nonplanar_classes).astype(np.int32)
         for mesh2, _, _ in prepared])
-    planarity = train_forest(X_face, y_face, config,
-                             layout_version=prepared[0][2].layout_version,
-                             n_jobs=n_jobs)
+    planarity = train_forest(X_face, y_face, prepared[0][2].channel_names,
+                             config, n_jobs=n_jobs)
 
     def segment(item):
         mesh2, adjacency, feats = item
         probmap = planarity_map(planarity, feats)
         seg = oversegment(mesh2, adjacency, probmap, config)
-        sf = compute_segment_features(mesh2, adjacency, seg, feats)
-        labels = _segment_majority(seg, mesh2.face_label, mesh2.face_area)
+        index = segment_index(mesh2, adjacency, seg.face_segment,
+                              seg.n_segments)
+        sf = compute_segment_features(mesh2, adjacency, index, feats)
+        # every face of a segment carries the segment's majority label
+        labels = majority_labels(seg.face_segment, mesh2.face_label,
+                                 mesh2.face_area)[[f[0] for f in index.faces]]
         keep = labels >= 0
-        return seg.n_segments, sf.layout_version, sf.values[keep], labels[keep]
+        return seg.n_segments, sf.values[keep], labels[keep]
 
-    n_segs, layouts, seg_rows, seg_labels = zip(
+    n_segs, seg_rows, seg_labels = zip(
         *parallel_map(n_jobs, segment, prepared))
     X_seg = np.vstack(seg_rows)
     y_seg = np.concatenate(seg_labels)
-    semantic = train_forest(X_seg, y_seg, config, layout_version=layouts[0],
-                            n_jobs=n_jobs)
+    semantic = train_forest(
+        X_seg, y_seg, segment_channel_names(prepared[0][2].channel_names),
+        config, n_jobs=n_jobs)
 
     report = {"n_meshes": len(loaded),
               "n_face_samples": int(len(y_face)),

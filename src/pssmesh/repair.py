@@ -43,8 +43,8 @@ class RepairReport:
         )
 
 
-def count_nonmanifold_edges(mesh_or_faces) -> int:
-    faces = mesh_or_faces.faces if isinstance(mesh_or_faces, TriangleMesh) else mesh_or_faces
+def count_nonmanifold_edges(faces) -> int:
+    """Edges shared by more than two of the non-collapsed ``faces``."""
     e, _ = face_edges(faces)
     if len(e) == 0:
         return 0
@@ -63,7 +63,7 @@ def weld_vertices(mesh: TriangleMesh, epsilon: float) -> tuple[TriangleMesh, Rep
         raise ValueError("epsilon must be >= 0")
     V = mesh.vertices
     n = len(V)
-    nm_before = count_nonmanifold_edges(mesh)
+    nm_before = count_nonmanifold_edges(mesh.faces)
     if n == 0:
         rep = RepairReport(nonmanifold_edges_before=nm_before)
         return mesh.copy(), rep
@@ -92,7 +92,7 @@ def _rebuilt(mesh, source, faces, nm_before, **counts):
     )
     rep = RepairReport(
         nonmanifold_edges_before=nm_before,
-        nonmanifold_edges_after=count_nonmanifold_edges(out),
+        nonmanifold_edges_after=count_nonmanifold_edges(out.faces),
         degenerate_faces=int(out.degenerate_faces.sum()),
         **counts,
     )

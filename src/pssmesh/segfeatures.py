@@ -3,19 +3,20 @@
 Each segment gets area-weighted channel statistics, a handful of shape
 descriptors (compactness, shape index, boundary straightness, plane fit
 distance), global size measures, and an area-weighted HSV color histogram.
-The layout is fixed and versioned so downstream models can detect drift.
+Faces, cut edges and vertices of each segment come from the segmentation's
+``adjacency.SegmentIndex``. The layout is fixed; ``segment_channel_names``
+names its columns, and a model keeps those names so that
+``forest.check_channels`` refuses features in another layout.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import (AdjacencyIndex, label_components, segment_index,
-                        unique_ints)
+from .adjacency import AdjacencyIndex, SegmentIndex, label_components
 from .features import FaceFeatures, write_csv
 from .mesh import TriangleMesh
 
-LAYOUT_SEGMENT_V1 = "segment-v1"
 HIST_BINS = 5
 _EPS = 1e-12
 
@@ -26,7 +27,6 @@ class SegmentFeatures:
 
     values: np.ndarray          # (K, D) float64
     channel_names: list
-    layout_version: str
 
     @property
     def n_segments(self) -> int:
@@ -101,17 +101,18 @@ def _plane_fit_distance(points) -> float:
 
 
 def compute_segment_features(mesh: TriangleMesh, adjacency: AdjacencyIndex,
-                             segmentation, face_features: FaceFeatures
+                             index: SegmentIndex, face_features: FaceFeatures
                              ) -> SegmentFeatures:
-    """Aggregate per-face features and shapes into one row per segment."""
-    face_segment = np.asarray(
-        getattr(segmentation, "face_segment", segmentation)).reshape(-1)
-    if len(face_segment) != mesh.n_faces:
-        raise ValueError("face_segment length does not match face count")
+    """Aggregate per-face features and shapes into one row per segment.
+
+    ``index`` is the segmentation's ``adjacency.segment_index``; every
+    segment in it needs a positive area.
+    """
+    face_segment = index.face_segment
     assigned = face_segment >= 0
     if not assigned.any():
         raise ValueError("segmentation has no assigned faces")
-    n_seg = int(face_segment.max()) + 1
+    n_seg = index.n_segments
     areas = mesh.face_area
     seg_area = np.bincount(face_segment[assigned], weights=areas[assigned],
                            minlength=n_seg)
@@ -133,10 +134,9 @@ def compute_segment_features(mesh: TriangleMesh, adjacency: AdjacencyIndex,
         var = np.bincount(s, weights=w * diff * diff, minlength=n_seg) / wsum
         stds[:, c] = np.sqrt(np.maximum(var, 0.0))
 
-    edge_side, seg_faces, seg_cuts = segment_index(adjacency, face_segment,
-                                                   n_seg)
     # boundary length: a cut edge counts for the segment on each side, the
     # other side being another segment, an unsegmented face or the border
+    edge_side = index.edge_side
     cut = edge_side[:, 0] != edge_side[:, 1]
     length = adjacency.edge_length[cut]
     circumference = np.zeros(n_seg)
@@ -146,9 +146,9 @@ def compute_segment_features(mesh: TriangleMesh, adjacency: AdjacencyIndex,
     plane_dist = np.zeros(n_seg)
     vertical = np.zeros(n_seg)
     for k in range(n_seg):
-        pts = mesh.vertices[unique_ints(mesh.faces[seg_faces[k]])]
+        pts = mesh.vertices[index.vertices[k]]
         straightness[k] = _straightness(_boundary_loops(
-            adjacency.edge_vertices[seg_cuts[k]], mesh.vertices))
+            adjacency.edge_vertices[index.cuts[k]], mesh.vertices))
         plane_dist[k] = _plane_fit_distance(pts)
         vertical[k] = float(pts[:, 2].max() - pts[:, 2].min())
 
@@ -168,7 +168,7 @@ def compute_segment_features(mesh: TriangleMesh, adjacency: AdjacencyIndex,
         sb = np.minimum((sat * HIST_BINS).astype(np.int64), HIST_BINS - 1)
         vb = np.minimum((val * HIST_BINS).astype(np.int64), HIST_BINS - 1)
         flat = (hb * HIST_BINS + sb) * HIST_BINS + vb
-        for k, fk in enumerate(seg_faces):
+        for k, fk in enumerate(index.faces):
             hist[k] = np.bincount(flat[fk], weights=areas[fk],
                                   minlength=HIST_BINS ** 3)
         sums = hist.sum(axis=1, keepdims=True)
@@ -182,5 +182,4 @@ def compute_segment_features(mesh: TriangleMesh, adjacency: AdjacencyIndex,
         hist,
     ])
     names = segment_channel_names(list(face_features.channel_names))
-    return SegmentFeatures(values=values, channel_names=names,
-                           layout_version=LAYOUT_SEGMENT_V1)
+    return SegmentFeatures(values=values, channel_names=names)

@@ -1,13 +1,15 @@
 """Typed relational graph over mesh segments.
 
-Nodes are segments with their feature vectors; edges come from four
-independent constructors: near-parallel planar pairs, segment-to-local-ground
-links, exterior medial-ball bridges, and spatial proximity. Each constructor
-computes its segment pairs as one (M, 2) id array and records them with
-``SegmentGraph.add_pairs``. Several constructors can connect the same pair;
-the edge record keeps the set of contributing types. Edge features are
-elementwise log-ratios of the two node feature vectors plus boundary offset
-statistics; ``fill_log_ratios`` is the one place the log-ratios are computed.
+Nodes are the segments of one ``adjacency.SegmentIndex``; ``SegmentGraph``
+holds them as arrays indexed by segment id (type, plane, centroid, feature
+row). Edges come from four independent constructors: near-parallel planar
+pairs, segment-to-local-ground links, exterior medial-ball bridges, and
+spatial proximity. Each constructor computes its segment pairs as one
+(M, 2) id array and records them with ``SegmentGraph.add_pairs``. Several
+constructors can connect the same pair; the edge record keeps the set of
+contributing types. Edge features are elementwise log-ratios of the two
+node feature vectors plus boundary offset statistics; ``fill_log_ratios``
+is the one place the log-ratios are computed.
 
 ``export_graph`` writes version 2 of ``graph.json``: a top-level ``channels``
 list names the feature channels once; each node holds ``id``, ``type``,
@@ -20,12 +22,12 @@ node features determine them: ``import_graph`` recomputes them.
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
-from .adjacency import (AdjacencyIndex, pair_keys, segment_index,
-                        unique_ints)
+from .adjacency import AdjacencyIndex, SegmentIndex, pair_keys, unique_ints
 from .config import ConfigError, PipelineConfig, load_versioned_json
 from .medial import shrinking_ball_transform
 from .mesh import TriangleMesh
@@ -42,15 +44,6 @@ EDGE_PROXIMITY = "spatial_proximity"
 
 
 @dataclass
-class GraphNode:
-    node_id: int
-    segment_type: int
-    centroid: np.ndarray            # (3,) area-weighted face centroid mean
-    plane: np.ndarray               # (4,) unit normal + offset
-    features: np.ndarray            # (D,) segment feature row
-
-
-@dataclass
 class GraphEdge:
     a: int                          # lower node id
     b: int                          # higher node id
@@ -62,14 +55,19 @@ class GraphEdge:
 
 @dataclass
 class SegmentGraph:
-    nodes: list
-    edges: dict                     # (a, b) -> GraphEdge, a < b
+    """Nodes as arrays over segment ids 0..K-1, edges as typed pairs."""
+
+    segment_type: np.ndarray        # (K,) PLANAR / NONPLANAR
+    planes: np.ndarray              # (K, 4) float64 unit normal + offset
+    centroids: np.ndarray           # (K, 3) float64 area-weighted centroid
+    features: np.ndarray            # (K, D) float64 segment feature rows
+    edges: dict = field(default_factory=dict)   # (a, b) -> GraphEdge, a < b
     channel_names: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.features)
 
     @property
     def n_edges(self) -> int:
@@ -97,36 +95,22 @@ class SegmentGraph:
 # ------------------------------------------------------------- construction
 
 
-def segment_probes(mesh, adjacency, segmentation) -> tuple:
-    """(face ids, probe vertex ids) of every segment, from one segment index.
+def segment_probes(index: SegmentIndex, adjacency: AdjacencyIndex) -> list:
+    """Probe vertex ids of every segment of ``index``, ascending.
 
-    A segment's probes are the vertices on its cut edges, ascending;
-    boundary-free (closed) segments fall back to all their vertices.
+    A segment's probes are the vertices on its cut edges; boundary-free
+    (closed) segments fall back to all their vertices.
     """
-    _, seg_faces, seg_cuts = segment_index(
-        adjacency, segmentation.face_segment, segmentation.n_segments)
-    probes = [unique_ints(adjacency.edge_vertices[cuts]) if len(cuts)
-              else unique_ints(mesh.faces[faces])
-              for faces, cuts in zip(seg_faces, seg_cuts)]
-    return seg_faces, probes
+    return [unique_ints(adjacency.edge_vertices[cuts]) if len(cuts) else v
+            for cuts, v in zip(index.cuts, index.vertices)]
 
 
-def build_nodes(mesh: TriangleMesh, segmentation,
-                seg_features: SegmentFeatures, seg_faces) -> list:
-    """One node per segment; ``seg_faces[k]`` lists segment k's face ids."""
-    areas = mesh.face_area
-    cent = mesh.face_centroid
-    nodes = []
-    for k, faces in enumerate(seg_faces):
-        w = areas[faces]
-        c = (cent[faces] * w[:, None]).sum(axis=0) / max(w.sum(), 1e-300)
-        nodes.append(GraphNode(
-            node_id=k,
-            segment_type=int(segmentation.segment_type[k]),
-            centroid=c,
-            plane=np.asarray(segmentation.planes[k], dtype=np.float64),
-            features=np.asarray(seg_features.values[k], dtype=np.float64)))
-    return nodes
+def build_nodes(mesh: TriangleMesh, index: SegmentIndex) -> np.ndarray:
+    """(K, 3) area-weighted mean face centroid of every segment."""
+    w, cent = mesh.face_area, mesh.face_centroid
+    return np.array([(cent[f] * w[f, None]).sum(axis=0)
+                     / max(w[f].sum(), 1e-300)
+                     for f in index.faces]).reshape(-1, 3)
 
 
 def parallelism_edges(graph: SegmentGraph, angle_deg: float) -> int:
@@ -135,48 +119,47 @@ def parallelism_edges(graph: SegmentGraph, angle_deg: float) -> int:
     The inter-normal angle is folded into [0, 90] degrees first, so an
     opposite-facing pair counts as parallel.
     """
-    planar = [n for n in graph.nodes if n.segment_type == PLANAR]
-    if len(planar) < 2:
+    ids = np.flatnonzero(graph.segment_type == PLANAR)
+    if len(ids) < 2:
         return 0
-    normals = np.array([n.plane[:3] for n in planar])
-    ids = np.array([n.node_id for n in planar])
+    normals = graph.planes[ids, :3]
     cos_thresh = np.cos(np.radians(angle_deg))
     dots = np.abs(normals @ normals.T)
-    iu, ju = np.triu_indices(len(planar), k=1)
+    iu, ju = np.triu_indices(len(ids), k=1)
     hits = dots[iu, ju] > cos_thresh
     return graph.add_pairs(np.column_stack([ids[iu[hits]], ids[ju[hits]]]),
                            EDGE_PARALLEL)
 
 
 def connecting_ground_edges(graph: SegmentGraph, mesh: TriangleMesh,
-                            seg_faces, probes, radius: float) -> int:
+                            index: SegmentIndex, probes,
+                            radius: float) -> int:
     """Link every segment to its local ground plane.
 
-    ``seg_faces`` and ``probes`` are ``segment_probes``' lists. The
-    candidates of a segment are the other planar segments with any vertex
-    within ``radius`` (inclusive) in xy of any probe (boundary vertex) of
-    the segment. Its local ground is the candidate with the lowest mean
-    face-centroid z, then the larger area, then the lower id. Segments with
-    no candidate are recorded in metadata as groundless.
+    ``probes`` are ``segment_probes(index, ...)``. The candidates of a
+    segment are the other planar segments with any vertex within ``radius``
+    (inclusive) in xy of any probe (boundary vertex) of the segment. Its
+    local ground is the candidate with the lowest mean face-centroid z,
+    then the larger area, then the lower id. Segments with no candidate
+    are recorded in metadata as groundless.
     """
-    n_seg = len(seg_faces)
+    n_seg = index.n_segments
     cent_z = mesh.face_centroid[:, 2]
-    mean_z = np.array([cent_z[faces].mean() for faces in seg_faces])
-    seg_area = np.array([mesh.face_area[faces].sum() for faces in seg_faces])
+    mean_z = np.array([cent_z[faces].mean() for faces in index.faces])
+    seg_area = np.array([mesh.face_area[faces].sum()
+                         for faces in index.faces])
     probe_seg = np.repeat(np.arange(n_seg), [len(p) for p in probes])
     probe_xy = mesh.vertices[np.concatenate([np.zeros(0, np.int64), *probes]),
                              :2]
 
-    planar = np.array([n.node_id for n in graph.nodes
-                       if n.segment_type == PLANAR], dtype=np.int64)
+    planar = np.flatnonzero(graph.segment_type == PLANAR)
     ground = np.full(n_seg, -1, dtype=np.int64)
     # visit the planar segments in preference order; the first hit wins
     for g in planar[np.lexsort((planar, -seg_area[planar], mean_z[planar]))]:
         open_ = (ground[probe_seg] < 0) & (probe_seg != g)
         if not open_.any():
             break
-        ground_xy = mesh.vertices[unique_ints(mesh.faces[seg_faces[g]]), :2]
-        tree = cKDTree(ground_xy)
+        tree = cKDTree(mesh.vertices[index.vertices[g], :2])
         near = tree.query_ball_point(probe_xy[open_], radius,
                                      return_length=True) > 0
         ground[probe_seg[open_][near]] = g
@@ -298,7 +281,7 @@ def shifted_feature_matrix(graph: SegmentGraph):
 
     Returns the matrix and the list of shifted channel names.
     """
-    feats = np.array([n.features for n in graph.nodes], dtype=np.float64)
+    feats = np.array(graph.features, dtype=np.float64)
     shifted = []
     if feats.size == 0:
         return feats, shifted
@@ -343,12 +326,7 @@ def compute_edge_features(graph: SegmentGraph, mesh: TriangleMesh,
     vertices when it has no boundary).
     """
     fill_log_ratios(graph)
-    trees = {}
-
-    def tree_of(k):
-        if k not in trees:
-            trees[k] = cKDTree(mesh.vertices[probes[k]])
-        return trees[k]
+    tree_of = cache(lambda k: cKDTree(mesh.vertices[probes[k]]))
 
     for (a, b), edge in sorted(graph.edges.items()):
         dists, _ = tree_of(b).query(mesh.vertices[probes[a]])
@@ -358,23 +336,26 @@ def compute_edge_features(graph: SegmentGraph, mesh: TriangleMesh,
 
 
 def build_segment_graph(mesh: TriangleMesh, adjacency: AdjacencyIndex,
-                        segmentation, seg_features: SegmentFeatures,
+                        segmentation, index: SegmentIndex,
+                        seg_features: SegmentFeatures,
                         config: PipelineConfig | None = None) -> SegmentGraph:
     """Run all four edge constructors and the edge feature pass.
 
-    The constructors take their thresholds from ``config``; exmat sampling
+    ``index`` is the ``adjacency.segment_index`` of ``segmentation``. The
+    constructors take their thresholds from ``config``; exmat sampling
     uses ``config.sampling_density`` points per square metre and
     ``config.seed``.
     """
     config = config or PipelineConfig()
-    seg_faces, probes = segment_probes(mesh, adjacency, segmentation)
-    graph = SegmentGraph(nodes=build_nodes(mesh, segmentation, seg_features,
-                                           seg_faces),
-                         edges={},
-                         channel_names=list(seg_features.channel_names))
+    probes = segment_probes(index, adjacency)
+    graph = SegmentGraph(
+        segment_type=np.asarray(segmentation.segment_type),
+        planes=np.asarray(segmentation.planes, dtype=np.float64),
+        centroids=build_nodes(mesh, index),
+        features=np.asarray(seg_features.values, dtype=np.float64),
+        channel_names=list(seg_features.channel_names))
     parallelism_edges(graph, config.parallel_angle_deg)
-    connecting_ground_edges(graph, mesh, seg_faces, probes,
-                            config.ground_radius)
+    connecting_ground_edges(graph, mesh, index, probes, config.ground_radius)
     exmat_edges(graph, mesh, segmentation, config.sampling_density,
                 config.seed)
     proximity_edges(graph, mesh, segmentation, config.proximity_mode,
@@ -388,12 +369,12 @@ def build_segment_graph(mesh: TriangleMesh, adjacency: AdjacencyIndex,
 
 def export_graph(graph: SegmentGraph, path) -> None:
     """Write graph.json version 2 (module docstring); see import_graph."""
+    rows = zip(np.asarray(graph.segment_type).tolist(),
+               *(np.asarray(a, np.float64).tolist()
+                 for a in (graph.centroids, graph.planes, graph.features)))
     doc = {"version": 2, "channels": list(graph.channel_names),
-           "nodes": [{"id": n.node_id, "type": n.segment_type,
-                      "centroid": [float(x) for x in n.centroid],
-                      "plane": [float(x) for x in n.plane],
-                      "features": [float(x) for x in n.features]}
-                     for n in sorted(graph.nodes, key=lambda n: n.node_id)],
+           "nodes": [{"id": k, "type": t, "centroid": c, "plane": p,
+                      "features": f} for k, (t, c, p, f) in enumerate(rows)],
            "edges": [{"a": a, "b": b, "types": sorted(e.types),
                       "offset_mean": float(e.offset_mean),
                       "offset_std": float(e.offset_std)}
@@ -409,37 +390,42 @@ def import_graph(path) -> SegmentGraph:
     """Rebuild a graph written by export_graph; log-ratios are recomputed.
 
     Bad content (invalid JSON, not an object, another version, a missing
-    key, malformed values, node ids out of order, an edge that is not a
-    (lower, higher) pair of node ids) raises ConfigError with the path in
-    front of the message.
+    key, malformed values, node ids out of order, a node whose centroid,
+    plane or features do not hold 3, 4 or one value per channel, an edge
+    that is not a (lower, higher) pair of node ids) raises ConfigError with
+    the path in front of the message.
     """
-    def bad(message):
-        return ConfigError(f"{path}: {message}")
-
     doc = load_versioned_json(path, 2, "graph")
     try:
+        nodes = doc["nodes"]
+        channels = list(doc["channels"])
+
+        def rows(key, width):
+            return np.array([n[key] for n in nodes],
+                            np.float64).reshape(len(nodes), width)
+
+        if [int(n["id"]) for n in nodes] != list(range(len(nodes))):
+            raise ValueError("node ids are not 0, 1, 2, ... in order")
         graph = SegmentGraph(
-            nodes=[GraphNode(node_id=int(n["id"]), segment_type=int(n["type"]),
-                             centroid=np.asarray(n["centroid"], np.float64),
-                             plane=np.asarray(n["plane"], np.float64),
-                             features=np.asarray(n["features"], np.float64))
-                   for n in doc["nodes"]],
+            segment_type=np.array([int(n["type"]) for n in nodes],
+                                  dtype=np.int64),
+            planes=rows("plane", 4),
+            centroids=rows("centroid", 3),
+            features=rows("features", len(channels)),
             edges={(int(e["a"]), int(e["b"])): GraphEdge(
                        a=int(e["a"]), b=int(e["b"]), types=set(e["types"]),
                        offset_mean=float(e["offset_mean"]),
                        offset_std=float(e["offset_std"]))
                    for e in doc["edges"]},
-            channel_names=list(doc["channels"]),
+            channel_names=channels,
             metadata=dict(doc.get("metadata", {})))
-        if [n.node_id for n in graph.nodes] != list(range(graph.n_nodes)):
-            raise ValueError("node ids are not 0, 1, 2, ... in order")
         for a, b in graph.edges:
             if not 0 <= a < b < graph.n_nodes:
                 raise ValueError(f"edge ({a}, {b}) is not (lower, higher) "
                                  f"node ids in [0, {graph.n_nodes})")
         fill_log_ratios(graph)
     except KeyError as exc:
-        raise bad(f"missing key {exc}") from None
+        raise ConfigError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError, IndexError) as exc:
-        raise bad(exc) from None
+        raise ConfigError(f"{path}: {exc}") from None
     return graph

@@ -136,7 +136,8 @@ def test_segment_index_matches_brute_force():
                           np.full(ico.n_faces, 4)])
     seg[7] = -1
     adj = build_adjacency(m)
-    edge_side, faces, cuts = segment_index(adj, seg, 5)
+    index = segment_index(m, adj, seg, 5)
+    edge_side, faces, cuts = index.edge_side, index.faces, index.cuts
 
     f0, f1 = adj.edge_faces[:, 0], adj.edge_faces[:, 1]
     s0 = seg[f0]
@@ -149,6 +150,40 @@ def test_segment_index_matches_brute_force():
         want = np.flatnonzero((s0 != s1) & ((s0 == k) | (s1 == k)))
         assert np.array_equal(cuts[k], want)
     assert len(cuts[4]) == 0
+    assert index.n_segments == 5 and np.array_equal(index.face_segment, seg)
+
+
+def test_segment_vertices_match_per_segment_unique():
+    # an open grid and a closed icosahedron, some faces collapsed (repeated
+    # corners) and some unsegmented; segment 5 owns no face at all
+    rng = np.random.default_rng(11)
+    grid, ico = grid_mesh(6, 5), icosahedron()
+    faces = np.vstack([grid.faces, ico.faces + grid.n_vertices])
+    for f in rng.choice(len(faces), 6, replace=False):
+        faces[f, 2] = faces[f, int(rng.integers(0, 2))]
+    m = TriangleMesh(vertices=np.vstack([grid.vertices, ico.vertices + 9.0]),
+                     faces=faces)
+    seg = rng.integers(-1, 5, m.n_faces)
+    assert m.degenerate_faces.sum() == 6 and (seg == -1).sum() > 0
+    assert (seg[m.degenerate_faces] >= 0).any()
+    index = segment_index(m, build_adjacency(m), seg, 6)
+    assert len(index.vertices) == 6
+    for k in range(6):
+        want = unique_ints(m.faces[np.flatnonzero(seg == k)])
+        assert index.vertices[k].dtype == np.int64
+        assert np.array_equal(index.vertices[k], want), k
+    assert len(index.vertices[5]) == 0
+
+
+@pytest.mark.parametrize("face_segment, message", [
+    (np.zeros(5, dtype=int), "length"),
+    (np.full(8, 2), r"\[-1, 2\)"),
+    (np.full(8, -2), r"\[-1, 2\)"),
+])
+def test_segment_index_rejects_bad_ids(face_segment, message):
+    m = grid_mesh(2, 2)
+    with pytest.raises(ValueError, match=message):
+        segment_index(m, build_adjacency(m), face_segment, 2)
 
 
 def test_components_single_label(quad_grid):

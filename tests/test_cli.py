@@ -152,6 +152,21 @@ def test_bad_model_exit_2(ws, tmp_path, capsys, kind, which):
     assert not (tmp_path / "run").exists()      # no stage ran
 
 
+def test_model_of_other_radii_exit_2(ws, tmp_path, capsys):
+    # radii (1, 2, 4) give the 27 channels of the default radii, named
+    # otherwise
+    model = ws["models"] / "planarity.model"
+    code = main(["pipeline", "--input", str(ws["tile"]),
+                 "--out", str(tmp_path / "run"),
+                 "--planarity-model", str(model),
+                 "--semantic-model", str(ws["models"] / "semantic.model"),
+                 "--eigen-radii", "1", "2", "4", "--threads", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(model) in err and "'linearity_r1'" in err
+    assert not (tmp_path / "run").exists()      # no stage ran
+
+
 def test_preprocess_manifold_unchanged(ws, tmp_path, capsys):
     code = main(["preprocess", "--input", str(ws["tile"]),
                  "--out", str(tmp_path / "run")])

@@ -22,7 +22,7 @@ from pssmesh.seggraph import (EDGE_EXMAT, EDGE_PROXIMITY, SegmentGraph,
                               proximity_edges)
 from pssmesh.synth import TileParams, synth_tile
 
-from test_seggraph import components_segmentation, fake_features
+from test_seggraph import components_segmentation, fake_features, index_of
 
 
 def test_defaults_round_trip_through_dict():
@@ -125,9 +125,11 @@ def test_stages_read_the_config():
     assert len(names) == 16
 
     X = np.random.default_rng(0).random((60, 3))
-    model = train_forest(X, X[:, 0] > 0.5, cfg)
+    columns = ["c0", "c1", "c2"]
+    model = train_forest(X, X[:, 0] > 0.5, columns, cfg)
     assert len(model.trees) == cfg.trees and model.seed == cfg.seed
-    seed0 = train_forest(X, X[:, 0] > 0.5, override_config(cfg, seed=0))
+    seed0 = train_forest(X, X[:, 0] > 0.5, columns,
+                         override_config(cfg, seed=0))
     assert model.trees[0].threshold[0] != seed0.trees[0].threshold[0]
 
     # join iff lambda_d * 0.6 <= lambda_d * 0.4 + lambda_m * 0.5
@@ -139,14 +141,17 @@ def test_stages_read_the_config():
                                  n_vehicles=1))
     adj = build_adjacency(mesh)
     seg = components_segmentation(mesh, adj)
-    feats = compute_segment_features(mesh, adj, seg, fake_features(mesh))
-    graph = build_segment_graph(mesh, adj, seg, feats, cfg)
+    index = index_of(mesh, adj, seg)
+    feats = compute_segment_features(mesh, adj, index, fake_features(mesh))
+    graph = build_segment_graph(mesh, adj, seg, index, feats, cfg)
     for family, add in ((EDGE_EXMAT, lambda g: exmat_edges(
                             g, mesh, seg, cfg.sampling_density, cfg.seed)),
                         (EDGE_PROXIMITY, lambda g: proximity_edges(
                             g, mesh, seg, cfg.proximity_mode, cfg.knn_k,
                             cfg.knn_cutoff_factor))):
-        fresh = SegmentGraph(nodes=graph.nodes, edges={})
+        fresh = SegmentGraph(segment_type=graph.segment_type,
+                             planes=graph.planes, centroids=graph.centroids,
+                             features=graph.features)
         assert add(fresh) > 0
         assert {k for k, e in graph.edges.items() if family in e.types} \
             == set(fresh.edges), family

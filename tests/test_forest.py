@@ -25,9 +25,15 @@ def leaf_tree(proba):
                 proba=np.array([proba], dtype=float))
 
 
+def names(X):
+    """Channel names of the columns of a sample matrix."""
+    return [f"x{i}" for i in range(np.shape(X)[1])]
+
+
 def make_model(leaves, n_features=3, classes=(0, 1)):
     return ForestModel([leaf_tree(p) for p in leaves],
-                       np.array(classes, dtype=np.int32), n_features, "", 0)
+                       np.array(classes, dtype=np.int32),
+                       names(np.zeros((0, n_features))), 0)
 
 
 def separable_data(n=200, seed=0):
@@ -41,7 +47,7 @@ def separable_data(n=200, seed=0):
 
 def test_separable_training_accuracy():
     X, y = separable_data()
-    model = train_forest(X, y, PipelineConfig(trees=20, seed=1))
+    model = train_forest(X, y, names(X), PipelineConfig(trees=20, seed=1))
     pred = predict_proba(model, X)
     acc = (np.argmax(pred.proba, axis=1) == y).mean()
     assert acc == 1.0
@@ -51,10 +57,13 @@ def test_deterministic_model_file(tmp_path):
     X, y = separable_data(seed=3)
     a = tmp_path / "a.bin"
     b = tmp_path / "b.bin"
-    save_model(train_forest(X, y, PipelineConfig(trees=5, seed=9)), a)
-    save_model(train_forest(X, y, PipelineConfig(trees=5, seed=9)), b)
+    save_model(train_forest(X, y, names(X), PipelineConfig(trees=5, seed=9)),
+               a)
+    save_model(train_forest(X, y, names(X), PipelineConfig(trees=5, seed=9)),
+               b)
     assert a.read_bytes() == b.read_bytes()
-    save_model(train_forest(X, y, PipelineConfig(trees=5, seed=10)), b)
+    save_model(train_forest(X, y, names(X), PipelineConfig(trees=5, seed=10)),
+               b)
     assert a.read_bytes() != b.read_bytes()
 
 
@@ -63,7 +72,8 @@ def test_model_same_at_every_worker_count(tmp_path):
     files = []
     for n_jobs in (1, 2, 3, 8):             # 8 workers for 5 trees
         path = tmp_path / f"{n_jobs}.bin"
-        save_model(train_forest(X, y, PipelineConfig(trees=5, seed=9),
+        save_model(train_forest(X, y, names(X),
+                                PipelineConfig(trees=5, seed=9),
                                 n_jobs=n_jobs), path)
         files.append(path.read_bytes())
         assert multiprocessing.active_children() == []
@@ -151,8 +161,8 @@ def test_weights_help_minority_recall():
     X = np.vstack([rng.normal(0.0, 1.0, (n0, 3)), rng.normal(1.0, 1.0, (n1, 3))])
     y = np.array([0] * n0 + [1] * n1)
     cfg = PipelineConfig(trees=30)
-    flat = train_forest(X, y, cfg, weights=np.ones(2))
-    bal = train_forest(X, y, cfg, weights=None)   # sqrt(N/n_c)
+    flat = train_forest(X, y, names(X), cfg, weights=np.ones(2))
+    bal = train_forest(X, y, names(X), cfg, weights=None)   # sqrt(N/n_c)
     ytest = y
     r_flat = (np.argmax(predict_proba(flat, X).proba, 1)[y == 1] == 1).mean()
     r_bal = (np.argmax(predict_proba(bal, X).proba, 1)[y == 1] == 1).mean()
@@ -181,7 +191,7 @@ def test_certain_class0_floors_at_eps():
 
 def test_proba_normalized_and_finite():
     X, y = separable_data(seed=5)
-    model = train_forest(X, y, PipelineConfig(trees=7, seed=2))
+    model = train_forest(X, y, names(X), PipelineConfig(trees=7, seed=2))
     pred = predict_proba(model, np.random.default_rng(0).random((50, 4)))
     assert np.isfinite(pred.proba).all()
     assert (pred.proba >= 0).all()
@@ -190,9 +200,9 @@ def test_proba_normalized_and_finite():
 
 def test_tree_order_invariance():
     X, y = separable_data(seed=6)
-    model = train_forest(X, y, PipelineConfig(trees=9, seed=3))
+    model = train_forest(X, y, names(X), PipelineConfig(trees=9, seed=3))
     shuffled = ForestModel(model.trees[::-1], model.classes,
-                           model.n_features, model.layout_version, model.seed)
+                           model.channel_names, model.seed)
     q = np.random.default_rng(1).random((20, 4))
     assert np.allclose(predict_proba(model, q).proba,
                        predict_proba(shuffled, q).proba)
@@ -200,7 +210,7 @@ def test_tree_order_invariance():
 
 def test_argmax_geometric_equals_argmax_log():
     X, y = separable_data(seed=7)
-    model = train_forest(X, y, PipelineConfig(trees=5, seed=4))
+    model = train_forest(X, y, names(X), PipelineConfig(trees=5, seed=4))
     pred = predict_proba(model, np.random.default_rng(2).random((40, 4)))
     assert np.array_equal(np.argmax(pred.geometric, 1), np.argmax(pred.log_average, 1))
 
@@ -211,7 +221,8 @@ def test_depth_monotone_training_accuracy():
     y = ((X[:, 0] > 0.5) ^ (X[:, 1] > 0.5)).astype(int)   # needs depth
     accs = []
     for depth in (2, 6, 40):
-        m = train_forest(X, y, PipelineConfig(trees=15, max_depth=depth))
+        m = train_forest(X, y, names(X),
+                         PipelineConfig(trees=15, max_depth=depth))
         accs.append((np.argmax(predict_proba(m, X).proba, 1) == y).mean())
     assert accs[0] <= accs[1] <= accs[2]
 
@@ -219,7 +230,7 @@ def test_depth_monotone_training_accuracy():
 def test_min_leaf_respected():
     X, y = separable_data(n=300, seed=9)
     min_leaf = 5
-    model = train_forest(X, y,
+    model = train_forest(X, y, names(X),
                          PipelineConfig(trees=10, min_leaf=min_leaf, seed=1))
     for tree in model.trees:
         # route the training samples and count arrivals under each split
@@ -237,7 +248,7 @@ def test_min_leaf_respected():
 def test_single_class_rejected():
     X = np.random.default_rng(0).random((20, 3))
     with pytest.raises(ValueError, match="single class"):
-        train_forest(X, np.zeros(20, dtype=int))
+        train_forest(X, np.zeros(20, dtype=int), names(X))
 
 
 def test_nan_feature_rejected():
@@ -245,17 +256,17 @@ def test_nan_feature_rejected():
     X[7, 1] = np.nan
     y = np.arange(20) % 2
     with pytest.raises(ValueError, match="sample 7"):
-        train_forest(X, y)
+        train_forest(X, y, names(X))
 
 
 def test_model_round_trip(tmp_path):
     X, y = separable_data(seed=11)
-    model = train_forest(X, y, PipelineConfig(trees=8, seed=5),
-                         layout_version="face-v1")
+    channels = ["höhe_r0.5", "x1", "", "x3"]        # UTF-8 and empty names
+    model = train_forest(X, y, channels, PipelineConfig(trees=8, seed=5))
     p = tmp_path / "m.bin"
     save_model(model, p)
     loaded = load_model(p)
-    assert loaded.layout_version == "face-v1"
+    assert loaded.channel_names == channels and loaded.n_features == 4
     assert loaded.seed == 5
     assert np.array_equal(loaded.classes, model.classes)
     q = np.random.default_rng(3).random((1000, 4))
@@ -272,7 +283,7 @@ def test_corrupt_magic(tmp_path):
 
 def test_unsupported_version(tmp_path):
     X, y = separable_data(seed=12)
-    model = train_forest(X, y, PipelineConfig(trees=2))
+    model = train_forest(X, y, names(X), PipelineConfig(trees=2))
     p = tmp_path / "m.bin"
     save_model(model, p)
     raw = bytearray(p.read_bytes())
@@ -284,8 +295,8 @@ def test_unsupported_version(tmp_path):
 
 def test_every_cut_or_extended_model_names_file_and_offset(tmp_path):
     X, y = separable_data(seed=13)
-    model = train_forest(X, y, PipelineConfig(trees=2, min_leaf=20),
-                         layout_version="face-v1")
+    model = train_forest(X, y, names(X),
+                         PipelineConfig(trees=2, min_leaf=20))
     p = tmp_path / "m.bin"
     save_model(model, p)
     good = p.read_bytes()
@@ -302,19 +313,23 @@ def test_planarity_map_requires_binary():
 
     class FF:
         values = np.zeros((4, 3))
-        layout_version = ""
+        channel_names = ["x0", "x1", "x2"]
     with pytest.raises(ValueError, match="binary"):
         planarity_map(model, FF())
 
 
-def test_planarity_map_layout_mismatch():
+def test_planarity_map_channel_mismatch():
     model = make_model([[0.5, 0.5]])
-    model.layout_version = "face-v1"
 
     class FF:
         values = np.zeros((4, 3))
-        layout_version = "face-v2"
-    with pytest.raises(ValueError, match="layout"):
+        channel_names = ["x0", "y1", "x2"]
+    with pytest.raises(ConfigError, match="^planarity model: channel 1 is "
+                                          "'x1' in the model but 'y1'"):
+        planarity_map(model, FF())
+    FF.channel_names = ["x0", "x1"]
+    with pytest.raises(ConfigError, match="channel 2 is 'x2' in the model "
+                                          "but None"):
         planarity_map(model, FF())
 
 
@@ -323,7 +338,7 @@ def test_planarity_map_fields():
 
     class FF:
         values = np.zeros((5, 3))
-        layout_version = ""
+        channel_names = ["x0", "x1", "x2"]
     pm = planarity_map(model, FF())
     assert np.allclose(pm.g_hat, 0.3)
     assert np.allclose(np.exp(pm.g_log), pm.g_hat)
@@ -336,10 +351,50 @@ def test_classify_segments_tie_lower_class():
 
     class SF:
         values = np.zeros((3, 3))
-        layout_version = ""
+        channel_names = ["x0", "x1", "x2"]
     cls, proba = classify_segments(model, SF())
     assert np.all(cls == 2)
     assert proba.shape == (3, 2)
+    SF.channel_names = ["x0", "x1", "x2", "x3"]
+    with pytest.raises(ConfigError, match="^semantic model: channel 3 is "
+                                          "None in the model but 'x3'"):
+        classify_segments(model, SF())
+
+
+def test_train_forest_needs_one_name_per_column():
+    X, y = separable_data(seed=14)
+    with pytest.raises(ValueError, match="3 channel names for 4 feature"):
+        train_forest(X, y, names(X)[:3], PipelineConfig(trees=2))
+
+
+@pytest.mark.parametrize("kind", ["not-utf8", "too-few", "too-many",
+                                  "version-1"])
+def test_bad_channel_names_name_file_and_offset(tmp_path, kind):
+    X, y = separable_data(seed=15)
+    p = tmp_path / "m.bin"
+    save_model(train_forest(X, y, names(X), PipelineConfig(trees=2)), p)
+    good = p.read_bytes()
+    # the names follow magic and version as one u32-sized UTF-8 text
+    n = int.from_bytes(good[8:12], "little")
+    assert good[12:12 + n] == b"x0\nx1\nx2\nx3"
+    text = {"not-utf8": b"x0\nx\xff\nx2\nx3", "too-few": b"x0\nx1\nx2",
+            "too-many": b"x0\nx1\nx2\nx3\nx4", "version-1": good[12:12 + n]
+            }[kind]
+    raw = good[:8] + len(text).to_bytes(4, "little") + text + good[12 + n:]
+    # the feature count follows the seed, the class count and two classes
+    count_at = 12 + len(text) + 8 + 4 + 4 * 2
+    message, offset = {
+        "not-utf8": ("channel names are not UTF-8", 12 + 4),
+        "too-few": ("3 channel names for 4 features", count_at),
+        "too-many": ("5 channel names for 4 features", count_at),
+        "version-1": ("unsupported model file version 1", 4),
+    }[kind]
+    if kind == "version-1":
+        raw = raw[:4] + (1).to_bytes(4, "little") + raw[8:]
+    p.write_bytes(raw)
+    with pytest.raises(ConfigError, match=message) as info:
+        load_model(p)
+    assert str(info.value) == f"{p}: {message} at byte offset {offset}"
 
 
 def tree_bytes(tree):

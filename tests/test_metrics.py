@@ -8,8 +8,7 @@ import pytest
 from pssmesh.adjacency import build_adjacency, face_connected_components
 from pssmesh.metrics import (
     BoundarySet,
-    boundary_precision,
-    boundary_recall,
+    _matched_score,
     boundary_set,
     majority_labels,
     match_boundaries,
@@ -194,9 +193,10 @@ def test_match_offset_by_one():
     bb = boundary_set(adj, lb)
     assert match_boundaries(ba, bb, adj, rings=2).all()
     assert not match_boundaries(ba, bb, adj, rings=0).any()
-    assert boundary_precision(ba, bb, adj, rings=2) == 1.0
-    assert boundary_recall(bb, ba, adj, rings=2) == 1.0
-    assert boundary_precision(ba, bb, adj, rings=0) == 0.0
+    # a as the prediction: BP; a as the truth: BR
+    assert _matched_score(ba, bb, adj, 2, recall=False)[0] == 1.0
+    assert _matched_score(ba, bb, adj, 2, recall=True)[0] == 1.0
+    assert _matched_score(ba, bb, adj, 0, recall=False)[0] == 0.0
 
 
 def test_match_rings_monotone():
@@ -205,7 +205,7 @@ def test_match_rings_monotone():
     bb = boundary_set(adj, lb)
     prev = -1.0
     for rings in (0, 1, 2, 3):
-        bp = boundary_precision(ba, bb, adj, rings)
+        bp = _matched_score(ba, bb, adj, rings, recall=False)[0]
         assert bp >= prev
         prev = bp
 
@@ -249,10 +249,11 @@ def test_bp_br_conventions():
     empty = BoundarySet(np.zeros(0, dtype=np.int64),
                         np.zeros((0, 2), dtype=np.int32), np.zeros(0))
     some = boundary_set(adj, np.arange(mesh.n_faces))
-    assert boundary_precision(empty, empty, adj, 2) == 1.0
-    assert boundary_precision(empty, some, adj, 2) == 0.0
-    assert boundary_recall(some, empty, adj, 2) == 1.0
-    assert boundary_recall(empty, some, adj, 2) == 0.0
+    # BP scores the prediction against the truth, BR the truth against it
+    assert _matched_score(empty, empty, adj, 2, recall=False)[0] == 1.0
+    assert _matched_score(empty, some, adj, 2, recall=False)[0] == 0.0
+    assert _matched_score(empty, some, adj, 2, recall=True)[0] == 1.0
+    assert _matched_score(some, empty, adj, 2, recall=True)[0] == 0.0
 
 
 def test_bp_br_exchange():
@@ -261,9 +262,9 @@ def test_bp_br_exchange():
     rng = np.random.default_rng(5)
     la = rng.integers(0, 3, mesh.n_faces)
     lb = rng.integers(0, 3, mesh.n_faces)
-    ba = boundary_set(adj, la)
-    bb = boundary_set(adj, lb)
-    assert boundary_precision(ba, bb, adj, 2) == boundary_recall(bb, ba, adj, 2)
+    ab = overseg_report(mesh, adj, la, lb, rings=2)
+    ba = overseg_report(mesh, adj, lb, la, rings=2)
+    assert ab.bp == ba.br and ab.br == ba.bp
 
 
 def test_superset_precision():
@@ -274,9 +275,9 @@ def test_superset_precision():
     pred = np.array([0, 0, 1, 1, 2, 2, 3, 3])
     bg = boundary_set(adj, gt)
     bs = boundary_set(adj, pred)
-    assert boundary_recall(bs, bg, adj, rings=0) == 1.0
-    bp = boundary_precision(bs, bg, adj, rings=0)
-    assert bp == bg.total_length / bs.total_length < 1.0
+    rep = overseg_report(mesh, adj, pred, gt, rings=0)
+    assert rep.br == 1.0
+    assert rep.bp == bg.total_length / bs.total_length < 1.0
 
 
 # ---------------------------------------------------------------- semantic

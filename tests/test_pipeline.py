@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -161,10 +162,11 @@ def wrong_kind(tmp_path_factory):
     """A readable model of the wrong kind: three classes over the face
     channels, so it passes the input checks and fails inside the planarity
     stage."""
-    X = np.random.default_rng(0).random((60, len(face_channel_names())))
+    names = face_channel_names()
+    X = np.random.default_rng(0).random((60, len(names)))
     path = tmp_path_factory.mktemp("wrong") / "three_class.model"
-    save_model(train_forest(X, np.arange(60) % 3, PipelineConfig(trees=2)),
-               path)
+    save_model(train_forest(X, np.arange(60) % 3, names,
+                            PipelineConfig(trees=2)), path)
     return str(path)
 
 
@@ -197,6 +199,58 @@ def test_model_feature_count_is_input_error(tile_path, trained, tmp_path,
         run_pipeline(cfg)
     assert str(trained[bad]) in str(err.value)
     assert not (tmp_path / "run").exists()
+
+
+def test_model_channel_names_are_input_error(tile_path, trained, tmp_path):
+    # radii (1, 2, 4) give as many face channels as the default (0.5, 1, 2)
+    cfg = make_config(tile_path, trained, tmp_path / "run",
+                      eigen_radii=(1.0, 2.0, 4.0))
+    assert len(face_channel_names(cfg)) \
+        == trained["result"].planarity.n_features
+    with pytest.raises(ConfigError) as err:
+        run_pipeline(cfg)
+    assert str(err.value).startswith(
+        f"{trained['planarity']}: channel 0 is 'linearity_r0.5' in the "
+        f"model but 'linearity_r1' in the features")
+    assert not (tmp_path / "run").exists()
+
+
+def count_segment_index(monkeypatch):
+    """List of the argument tuples of every ``adjacency.segment_index``
+    call, under every name a pssmesh module imported it as."""
+    from pssmesh import adjacency
+    original = adjacency.segment_index
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "pssmesh" \
+                and getattr(module, "segment_index", None) is original:
+            monkeypatch.setattr(module, "segment_index", counted)
+    return calls
+
+
+def test_segment_index_derived_once_per_segmentation(tile_path, trained,
+                                                     tmp_path, monkeypatch):
+    calls = count_segment_index(monkeypatch)
+    result = run_pipeline(make_config(tile_path, trained, tmp_path / "run"),
+                          stop_after="graph")
+    assert result.graph.n_nodes == result.segmentation.n_segments
+    assert len(calls) == 1
+    _, _, face_segment, n_segments = calls[0]
+    assert np.array_equal(face_segment, result.segmentation.face_segment)
+    assert n_segments == result.segmentation.n_segments
+
+    # training segments each mesh once, in this process at threads=1
+    calls.clear()
+    result = train_models(PipelineConfig(trees=3, threads=1),
+                          [synth_tile(SMALL), synth_tile(HELD_OUT)])
+    assert len(calls) == 2
+    assert sum(n_segments for *_, n_segments in calls) \
+        == result.report["n_segments"]
 
 
 def test_rerun_failure_leaves_no_stale_manifest(tile_path, trained,
@@ -410,8 +464,7 @@ def test_table_writers_match_csv_writer(tmp_path):
         want, ["face"] + names,
         ([i] + [repr(float(x)) for x in row] for i, row in enumerate(values)))
 
-    SegmentFeatures(values=values, channel_names=names,
-                    layout_version="segment-v1").to_csv(got)
+    SegmentFeatures(values=values, channel_names=names).to_csv(got)
     assert got.read_bytes() == csv_reference(
         want, ["segment"] + names,
         ([k] + [repr(float(x)) for x in row] for k, row in enumerate(values)))

@@ -88,7 +88,7 @@ def test_repair_three_fan_edge():
     assert rep.nonmanifold_edges_before == 1
     assert rep.nonmanifold_edges_after == 0
     assert out.n_faces == 3
-    assert count_nonmanifold_edges(out) == 0
+    assert count_nonmanifold_edges(out.faces) == 0
     build_adjacency(out)    # must not raise
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pssmesh.adjacency import build_adjacency
+from pssmesh.adjacency import build_adjacency, segment_index
 from pssmesh.config import PipelineConfig
 from pssmesh.features import FaceFeatures, face_channel_names
 from pssmesh.mesh import TriangleMesh
@@ -28,6 +28,13 @@ def fake_face_features(mesh, rng=None, color_missing=False):
                         color_missing=color_missing)
 
 
+def segment_features(mesh, adjacency, face_segment, face_features):
+    """compute_segment_features of a face -> segment id array."""
+    seg = np.asarray(face_segment)
+    index = segment_index(mesh, adjacency, seg, int(seg.max()) + 1)
+    return compute_segment_features(mesh, adjacency, index, face_features)
+
+
 def test_channel_layout():
     names = segment_channel_names(face_channel_names(PipelineConfig()))
     assert len(names) == 27 * 2 + 7 + 125
@@ -38,7 +45,7 @@ def test_channel_layout():
 def test_unit_square_compactness_and_shape_index():
     mesh = two_triangle_strip()
     adj = build_adjacency(mesh)
-    sf = compute_segment_features(mesh, adj, np.zeros(2, dtype=int),
+    sf = segment_features(mesh, adj, np.zeros(2, dtype=int),
                                   fake_face_features(mesh))
     assert sf.channel("area")[0] == 1.0
     assert sf.channel("circumference")[0] == 4.0
@@ -49,7 +56,7 @@ def test_unit_square_compactness_and_shape_index():
 def test_planar_segment_zero_plane_distance():
     mesh = grid_mesh(3, 3)
     adj = build_adjacency(mesh)
-    sf = compute_segment_features(mesh, adj, np.zeros(mesh.n_faces, dtype=int),
+    sf = segment_features(mesh, adj, np.zeros(mesh.n_faces, dtype=int),
                                   fake_face_features(mesh))
     assert sf.channel("plane_fit_distance")[0] == 0.0
     assert sf.channel("vertical_extent")[0] == 0.0
@@ -68,7 +75,7 @@ def test_l_shape_less_compact_than_square():
             c = i * ny + j
             seg[2 * c] = 0
             seg[2 * c + 1] = 0
-        sf = compute_segment_features(mesh, adj, seg, feats)
+        sf = segment_features(mesh, adj, seg, feats)
         assert sf.channel("area")[0] == 4.0
         return sf.channel("compactness")[0]
 
@@ -81,7 +88,7 @@ def test_circumference_counts_cross_and_border():
     mesh = grid_mesh(2, 1)
     adj = build_adjacency(mesh)
     seg = np.array([0, 0, 1, 1])
-    sf = compute_segment_features(mesh, adj, seg, fake_face_features(mesh))
+    sf = segment_features(mesh, adj, seg, fake_face_features(mesh))
     # each unit cell: 3 border edges plus the shared cross edge
     assert sf.channel("circumference").tolist() == [4.0, 4.0]
 
@@ -92,7 +99,7 @@ def test_aggregation_matches_brute_force():
     adj = build_adjacency(mesh)
     feats = fake_face_features(mesh, rng)
     seg = rng.integers(0, 4, mesh.n_faces)
-    sf = compute_segment_features(mesh, adj, seg, feats)
+    sf = segment_features(mesh, adj, seg, feats)
     areas = mesh.face_area
     for k in range(4):
         sel = seg == k
@@ -114,7 +121,7 @@ def test_histogram_normalized_and_placed():
     vals[:, names.index("color_s")] = 1.0
     vals[:, names.index("color_v")] = 1.0
     feats = FaceFeatures(values=vals, channel_names=names)
-    sf = compute_segment_features(mesh, adj, np.zeros(2, dtype=int), feats)
+    sf = segment_features(mesh, adj, np.zeros(2, dtype=int), feats)
     hist = sf.values[0, -HIST_BINS ** 3:]
     assert hist.sum() == 1.0
     assert sf.channel("hsv_hist_1_4_4")[0] == 1.0
@@ -124,7 +131,7 @@ def test_histogram_missing_colors_all_zero():
     mesh = two_triangle_strip()
     adj = build_adjacency(mesh)
     feats = fake_face_features(mesh, color_missing=True)
-    sf = compute_segment_features(mesh, adj, np.zeros(2, dtype=int), feats)
+    sf = segment_features(mesh, adj, np.zeros(2, dtype=int), feats)
     assert (sf.values[0, -HIST_BINS ** 3:] == 0.0).all()
 
 
@@ -134,14 +141,14 @@ def test_histogram_invariant_under_face_reordering():
     adj = build_adjacency(mesh)
     feats = fake_face_features(mesh, rng)
     seg = rng.integers(0, 3, mesh.n_faces)
-    sf1 = compute_segment_features(mesh, adj, seg, feats)
+    sf1 = segment_features(mesh, adj, seg, feats)
 
     perm = rng.permutation(mesh.n_faces)
     mesh2 = TriangleMesh(vertices=mesh.vertices, faces=mesh.faces[perm])
     adj2 = build_adjacency(mesh2)
     feats2 = FaceFeatures(values=feats.values[perm],
                           channel_names=feats.channel_names)
-    sf2 = compute_segment_features(mesh2, adj2, seg[perm], feats2)
+    sf2 = segment_features(mesh2, adj2, seg[perm], feats2)
     np.testing.assert_allclose(sf1.values[:, -HIST_BINS ** 3:],
                                sf2.values[:, -HIST_BINS ** 3:], atol=1e-12)
 
@@ -156,7 +163,7 @@ def test_straightness_orders_loop_shapes():
     for i in range(8):
         thin[2 * (i * ny)] = 0          # the whole bottom row
         thin[2 * (i * ny) + 1] = 0
-    sf_thin = compute_segment_features(mesh, adj, thin, feats)
+    sf_thin = segment_features(mesh, adj, thin, feats)
 
     square = np.ones(mesh.n_faces, dtype=int)
     for i in (0, 1):
@@ -164,7 +171,7 @@ def test_straightness_orders_loop_shapes():
             c = i * ny + j
             square[2 * c] = 0
             square[2 * c + 1] = 0
-    sf_square = compute_segment_features(mesh, adj, square, feats)
+    sf_square = segment_features(mesh, adj, square, feats)
     assert sf_thin.channel("straightness")[0] < sf_square.channel("straightness")[0]
 
 
@@ -197,7 +204,7 @@ def test_boundary_loops_and_straightness_match_oracle():
         raw = rng.integers(-1, 30, mesh.n_faces)
         seg = np.full(mesh.n_faces, -1)
         seg[raw >= 0] = np.unique(raw[raw >= 0], return_inverse=True)[1]
-        sf = compute_segment_features(mesh, adj, seg, feats)
+        sf = segment_features(mesh, adj, seg, feats)
         side1 = np.where(f1 >= 0, seg[f1], -2)
         for k in range(sf.n_segments):
             cut = ((seg[f0] == k) | (side1 == k)) & (seg[f0] != side1)
@@ -215,7 +222,7 @@ def test_vertical_extent_on_wall():
     faces = np.array([[0, 1, 2], [1, 3, 2]], dtype=np.int32)
     mesh = TriangleMesh(vertices=verts, faces=faces)
     adj = build_adjacency(mesh)
-    sf = compute_segment_features(mesh, adj, np.zeros(2, dtype=int),
+    sf = segment_features(mesh, adj, np.zeros(2, dtype=int),
                                   fake_face_features(mesh))
     assert sf.channel("vertical_extent")[0] == 2.0
 
@@ -228,13 +235,13 @@ def test_zero_area_segment_rejected():
     seg = np.zeros(mesh.n_faces, dtype=int)
     seg[-1] = 1
     with pytest.raises(ValueError, match="segment 1 has zero area"):
-        compute_segment_features(mesh, adj, seg, fake_face_features(mesh))
+        segment_features(mesh, adj, seg, fake_face_features(mesh))
 
 
 def test_csv_roundtrip(tmp_path):
     mesh = grid_mesh(2, 2)
     adj = build_adjacency(mesh)
-    sf = compute_segment_features(mesh, adj, np.zeros(mesh.n_faces, dtype=int),
+    sf = segment_features(mesh, adj, np.zeros(mesh.n_faces, dtype=int),
                                   fake_face_features(mesh))
     path = tmp_path / "seg.csv"
     sf.to_csv(path)

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from pssmesh.adjacency import build_adjacency, face_connected_components
+from pssmesh.adjacency import (build_adjacency, face_connected_components,
+                               segment_index)
 from pssmesh.config import ConfigError, PipelineConfig
 from pssmesh.features import FaceFeatures, face_channel_names
 from pssmesh.mesh import TriangleMesh
@@ -18,7 +19,6 @@ from pssmesh.seggraph import (
     EDGE_PARALLEL,
     EDGE_PROXIMITY,
     GraphEdge,
-    GraphNode,
     SegmentGraph,
     _proximity_points,
     build_segment_graph,
@@ -61,13 +61,32 @@ def components_segmentation(mesh, adjacency, planar_mask=None):
                         segment_type=types, planes=planes)
 
 
-def plane_node(nid, normal, seg_type=PLANAR, z=0.0):
+def index_of(mesh, adjacency, seg):
+    """The segment index of a Segmentation."""
+    return segment_index(mesh, adjacency, seg.face_segment, seg.n_segments)
+
+
+def index_and_probes(mesh, adjacency, seg):
+    index = index_of(mesh, adjacency, seg)
+    return index, segment_probes(index, adjacency)
+
+
+def graph_of(nodes, **kwargs):
+    """SegmentGraph whose node k is nodes[k] = (type, centroid, plane,
+    features)."""
+    types, centroids, planes, features = zip(*nodes)
+    return SegmentGraph(segment_type=np.array(types, dtype=np.int64),
+                        planes=np.array(planes, dtype=np.float64),
+                        centroids=np.array(centroids, dtype=np.float64),
+                        features=np.array(features, dtype=np.float64),
+                        **kwargs)
+
+
+def plane_node(normal, seg_type=PLANAR, z=0.0):
     n = np.asarray(normal, dtype=float)
     n = n / np.linalg.norm(n)
-    return GraphNode(node_id=nid, segment_type=seg_type,
-                     centroid=np.array([0.0, 0.0, z]),
-                     plane=np.array([n[0], n[1], n[2], -z * n[2]]),
-                     features=np.ones(3))
+    return (seg_type, np.array([0.0, 0.0, z]),
+            np.array([n[0], n[1], n[2], -z * n[2]]), np.ones(3))
 
 
 def fake_features(mesh):
@@ -80,36 +99,32 @@ def fake_features(mesh):
 
 
 def test_parallel_horizontal_roofs():
-    g = SegmentGraph(nodes=[plane_node(0, [0, 0, 1], z=3.0),
-                            plane_node(1, [0, 0, 1], z=5.0)], edges={})
+    g = graph_of([plane_node([0, 0, 1], z=3.0),
+                  plane_node([0, 0, 1], z=5.0)])
     assert parallelism_edges(g, 5.0) == 1
     assert g.edges[(0, 1)].types == {EDGE_PARALLEL}
 
 
 def test_parallel_threshold_blocks_ten_degrees():
     tilted = [np.sin(np.radians(10.0)), 0.0, np.cos(np.radians(10.0))]
-    g = SegmentGraph(nodes=[plane_node(0, [0, 0, 1]),
-                            plane_node(1, tilted)], edges={})
+    g = graph_of([plane_node([0, 0, 1]), plane_node(tilted)])
     assert parallelism_edges(g, 5.0) == 0
     assert g.n_edges == 0
 
 
 def test_parallel_sign_folding():
-    g = SegmentGraph(nodes=[plane_node(0, [0, 0, 1]),
-                            plane_node(1, [0, 0, -1])], edges={})
+    g = graph_of([plane_node([0, 0, 1]), plane_node([0, 0, -1])])
     assert parallelism_edges(g, 5.0) == 1
 
 
 def test_parallel_skips_nonplanar():
-    g = SegmentGraph(nodes=[plane_node(0, [0, 0, 1]),
-                            plane_node(1, [0, 0, 1], seg_type=NONPLANAR)],
-                     edges={})
+    g = graph_of([plane_node([0, 0, 1]),
+                  plane_node([0, 0, 1], seg_type=NONPLANAR)])
     assert parallelism_edges(g, 5.0) == 0
 
 
 def test_parallel_idempotent():
-    g = SegmentGraph(nodes=[plane_node(0, [0, 0, 1]),
-                            plane_node(1, [0, 0, 1])], edges={})
+    g = graph_of([plane_node([0, 0, 1]), plane_node([0, 0, 1])])
     parallelism_edges(g, 5.0)
     first = {k: set(v.types) for k, v in g.edges.items()}
     parallelism_edges(g, 5.0)
@@ -129,10 +144,10 @@ def box_on_ground_scene():
 
 def test_box_links_to_ground():
     mesh, adj, seg = box_on_ground_scene()
-    g = SegmentGraph(nodes=[GraphNode(k, PLANAR, np.zeros(3), seg.planes[k],
-                                      np.ones(2))
-                            for k in range(seg.n_segments)], edges={})
-    added = connecting_ground_edges(g, mesh, *segment_probes(mesh, adj, seg),
+    g = graph_of([(PLANAR, np.zeros(3), seg.planes[k], np.ones(2))
+                  for k in range(seg.n_segments)])
+    added = connecting_ground_edges(g, mesh,
+                                    *index_and_probes(mesh, adj, seg),
                                     radius=30.0)
     assert added >= 1
     assert (0, 1) in g.edges and EDGE_GROUND in g.edges[(0, 1)].types
@@ -158,10 +173,9 @@ def test_stacked_slabs_pick_lowest():
     mesh = stacked_slab_mesh([(0.0, 4.0), (2.0, 2.0), (5.0, 1.0)])
     adj = build_adjacency(mesh)
     seg = components_segmentation(mesh, adj)
-    g = SegmentGraph(nodes=[GraphNode(k, PLANAR, np.zeros(3), seg.planes[k],
-                                      np.ones(2))
-                            for k in range(seg.n_segments)], edges={})
-    connecting_ground_edges(g, mesh, *segment_probes(mesh, adj, seg),
+    g = graph_of([(PLANAR, np.zeros(3), seg.planes[k], np.ones(2))
+                  for k in range(seg.n_segments)])
+    connecting_ground_edges(g, mesh, *index_and_probes(mesh, adj, seg),
                             radius=30.0)
     # the top slab must attach to the lowest slab, not the middle one
     assert (0, 2) in g.edges
@@ -170,10 +184,11 @@ def test_stacked_slabs_pick_lowest():
 
 def test_groundless_when_no_planar_candidates():
     mesh, adj, seg = box_on_ground_scene()
-    nodes = [GraphNode(k, NONPLANAR, np.zeros(3), seg.planes[k], np.ones(2))
+    nodes = [(NONPLANAR, np.zeros(3), seg.planes[k], np.ones(2))
              for k in range(seg.n_segments)]
-    g = SegmentGraph(nodes=nodes, edges={})
-    assert connecting_ground_edges(g, mesh, *segment_probes(mesh, adj, seg),
+    g = graph_of(nodes)
+    assert connecting_ground_edges(g, mesh,
+                                   *index_and_probes(mesh, adj, seg),
                                    radius=30.0) == 0
     assert g.metadata["groundless"] == [0, 1]
 
@@ -257,12 +272,10 @@ def test_ground_matches_brute_force():
         seg = Segmentation(face_segment=face_segment,
                            segment_type=np.where(planar, PLANAR, NONPLANAR),
                            planes=np.zeros((n_seg, 4)))
-        g = SegmentGraph(nodes=[GraphNode(k, int(seg.segment_type[k]),
-                                          np.zeros(3), np.zeros(4),
-                                          np.ones(2)) for k in range(n_seg)],
-                         edges={})
+        g = graph_of([(int(seg.segment_type[k]), np.zeros(3), np.zeros(4),
+                       np.ones(2)) for k in range(n_seg)])
         added = connecting_ground_edges(g, mesh,
-                                        *segment_probes(mesh, adj, seg),
+                                        *index_and_probes(mesh, adj, seg),
                                         radius=5.0)
         ground, t = brute_ground(mesh, adj, face_segment, planar, 5.0)
         ties |= t
@@ -319,9 +332,8 @@ def test_exmat_bridges_facing_walls():
     mesh = facing_walls()
     adj = build_adjacency(mesh)
     seg = components_segmentation(mesh, adj)
-    g = SegmentGraph(nodes=[GraphNode(k, PLANAR, np.zeros(3), seg.planes[k],
-                                      np.ones(2))
-                            for k in range(seg.n_segments)], edges={})
+    g = graph_of([(PLANAR, np.zeros(3), seg.planes[k], np.ones(2))
+                  for k in range(seg.n_segments)])
     added = exmat_edges(g, mesh, seg, density=10.0, seed=0)
     assert added > 0
     assert (0, 1) in g.edges and EDGE_EXMAT in g.edges[(0, 1)].types
@@ -358,9 +370,8 @@ def test_exmat_isolated_sphere_no_edges():
                        segment_type=np.array([NONPLANAR, NONPLANAR],
                                              dtype=np.int8),
                        planes=np.zeros((2, 4)))
-    g = SegmentGraph(nodes=[GraphNode(k, NONPLANAR, np.zeros(3), np.zeros(4),
-                                      np.ones(2)) for k in range(2)],
-                     edges={})
+    g = graph_of([(NONPLANAR, np.zeros(3), np.zeros(4), np.ones(2))
+                  for k in range(2)])
     exmat_edges(g, mesh, seg, density=10.0, seed=0)
     # exterior balls of a convex body never contact a second surface point,
     # so nothing bridges the two hemispheres
@@ -373,8 +384,7 @@ def test_exmat_single_segment_no_edges():
     seg = Segmentation(face_segment=np.zeros(mesh.n_faces, dtype=np.int32),
                        segment_type=np.array([PLANAR], dtype=np.int8),
                        planes=np.array([[0.0, 0.0, 1.0, 0.0]]))
-    g = SegmentGraph(nodes=[GraphNode(0, PLANAR, np.zeros(3), seg.planes[0],
-                                      np.ones(2))], edges={})
+    g = graph_of([(PLANAR, np.zeros(3), seg.planes[0], np.ones(2))])
     assert exmat_edges(g, mesh, seg, density=10.0, seed=0) == 0
     assert g.n_edges == 0
 
@@ -426,9 +436,8 @@ def test_proximity_shared_edge_both_modes():
                        segment_type=np.zeros(2, dtype=np.int8),
                        planes=np.tile([0.0, 0.0, 1.0, 0.0], (2, 1)))
     for mode in ("knn", "delaunay"):
-        g = SegmentGraph(nodes=[GraphNode(k, PLANAR, np.zeros(3),
-                                          seg.planes[k], np.ones(2))
-                                for k in range(2)], edges={})
+        g = graph_of([(PLANAR, np.zeros(3), seg.planes[k], np.ones(2))
+                      for k in range(2)])
         proximity_edges(g, mesh, seg, mode=mode, k=16, cutoff_factor=16.0)
         assert (0, 1) in g.edges
         assert g.metadata["proximity_mode"] == mode
@@ -447,9 +456,8 @@ def test_proximity_knn_cutoff_blocks_distant_clusters():
                        planes=np.tile([0.0, 0.0, 1.0, 0.0], (2, 1)))
     # each cluster has 10 points, so k=16 reaches across; the spacing
     # cutoff is what must reject the 1 km pairs
-    g = SegmentGraph(nodes=[GraphNode(k, PLANAR, np.zeros(3), seg.planes[k],
-                                      np.ones(2)) for k in range(2)],
-                     edges={})
+    g = graph_of([(PLANAR, np.zeros(3), seg.planes[k], np.ones(2))
+                  for k in range(2)])
     proximity_edges(g, mesh, seg, mode="knn", k=16, cutoff_factor=16.0)
     assert (0, 1) not in g.edges
 
@@ -517,12 +525,12 @@ def surrounded_cell_scene():
 
 def test_edge_features_log_ratio_and_offsets():
     mesh, adj, seg = surrounded_cell_scene()
-    g = SegmentGraph(nodes=[
-        GraphNode(0, PLANAR, np.zeros(3), seg.planes[0], np.array([2.0, 1.0])),
-        GraphNode(1, PLANAR, np.zeros(3), seg.planes[1], np.array([1.0, 1.0])),
-    ], edges={}, channel_names=["alpha", "beta"])
+    g = graph_of([
+        (PLANAR, np.zeros(3), seg.planes[0], np.array([2.0, 1.0])),
+        (PLANAR, np.zeros(3), seg.planes[1], np.array([1.0, 1.0])),
+    ], channel_names=["alpha", "beta"])
     g.add_pairs([[0, 1]], EDGE_PROXIMITY)
-    compute_edge_features(g, mesh, segment_probes(mesh, adj, seg)[1])
+    compute_edge_features(g, mesh, index_and_probes(mesh, adj, seg)[1])
     e = g.edges[(0, 1)]
     assert abs(e.log_ratio[0] - np.log((2.0 + 1e-6) / (1.0 + 1e-6))) < 1e-12
     assert e.log_ratio[1] == 0.0
@@ -531,35 +539,36 @@ def test_edge_features_log_ratio_and_offsets():
 
 def test_edge_offset_zero_for_enclosed_segment():
     mesh, adj, seg = surrounded_cell_scene()
-    g = SegmentGraph(nodes=[
-        GraphNode(0, PLANAR, np.zeros(3), seg.planes[0], np.ones(2)),
-        GraphNode(1, PLANAR, np.zeros(3), seg.planes[1], np.ones(2)),
-    ], edges={})
+    g = graph_of([
+        (PLANAR, np.zeros(3), seg.planes[0], np.ones(2)),
+        (PLANAR, np.zeros(3), seg.planes[1], np.ones(2)),
+    ])
     g.add_pairs([[1, 0]], EDGE_PROXIMITY)  # order normalized to (0 -> 1)? no:
     # the pair key is (min, max); offsets run from segment 1's boundary,
     # which is entirely shared with segment 0, only when 1 is the lower id.
     # Here the lower id is 0, whose boundary includes the outer border.
-    compute_edge_features(g, mesh, segment_probes(mesh, adj, seg)[1])
+    compute_edge_features(g, mesh, index_and_probes(mesh, adj, seg)[1])
     assert g.edges[(0, 1)].offset_mean > 0.0
 
     # flip roles: make the enclosed cell the lower id
     seg2 = Segmentation(face_segment=(1 - seg.face_segment).astype(np.int32),
                         segment_type=seg.segment_type, planes=seg.planes)
-    g2 = SegmentGraph(nodes=g.nodes, edges={})
+    g2 = SegmentGraph(segment_type=g.segment_type, planes=g.planes,
+                      centroids=g.centroids, features=g.features)
     g2.add_pairs([[0, 1]], EDGE_PROXIMITY)
-    compute_edge_features(g2, mesh, segment_probes(mesh, adj, seg2)[1])
+    compute_edge_features(g2, mesh, index_and_probes(mesh, adj, seg2)[1])
     assert g2.edges[(0, 1)].offset_mean == 0.0
     assert g2.edges[(0, 1)].offset_std == 0.0
 
 
 def test_negative_channel_shifted_and_flagged():
     mesh, adj, seg = surrounded_cell_scene()
-    g = SegmentGraph(nodes=[
-        GraphNode(0, PLANAR, np.zeros(3), seg.planes[0], np.array([-0.5, 1.0])),
-        GraphNode(1, PLANAR, np.zeros(3), seg.planes[1], np.array([0.5, 2.0])),
-    ], edges={}, channel_names=["mean_greenness", "area"])
+    g = graph_of([
+        (PLANAR, np.zeros(3), seg.planes[0], np.array([-0.5, 1.0])),
+        (PLANAR, np.zeros(3), seg.planes[1], np.array([0.5, 2.0])),
+    ], channel_names=["mean_greenness", "area"])
     g.add_pairs([[0, 1]], EDGE_PROXIMITY)
-    compute_edge_features(g, mesh, segment_probes(mesh, adj, seg)[1])
+    compute_edge_features(g, mesh, index_and_probes(mesh, adj, seg)[1])
     assert g.metadata["shifted_channels"] == ["mean_greenness"]
     e = g.edges[(0, 1)]
     expected = np.log((0.0 + 1e-6 + 1e-6) / (1.0 + 1e-6 + 1e-6))
@@ -568,7 +577,7 @@ def test_negative_channel_shifted_and_flagged():
 
 
 def test_self_edge_rejected():
-    g = SegmentGraph(nodes=[plane_node(0, [0, 0, 1])], edges={})
+    g = graph_of([plane_node([0, 0, 1])])
     with pytest.raises(ValueError, match="self-edge"):
         g.add_pairs([[0, 0]], EDGE_PARALLEL)
 
@@ -578,7 +587,10 @@ def test_self_edge_rejected():
 
 def test_export_empty_graph(tmp_path):
     path = tmp_path / "g.json"
-    export_graph(SegmentGraph(nodes=[], edges={}), path)
+    export_graph(SegmentGraph(segment_type=np.zeros(0, dtype=np.int64),
+                              planes=np.zeros((0, 4)),
+                              centroids=np.zeros((0, 3)),
+                              features=np.zeros((0, 0))), path)
     with open(path) as fh:
         doc = json.load(fh)
     assert doc == {"version": 2, "channels": [], "nodes": [], "edges": []}
@@ -591,15 +603,14 @@ def same_floats(x, y):
 
 
 def graphs_equal(g1, g2):
-    if len(g1.nodes) != len(g2.nodes) or set(g1.edges) != set(g2.edges):
+    if g1.n_nodes != g2.n_nodes or set(g1.edges) != set(g2.edges):
         return False
-    for a, b in zip(g1.nodes, g2.nodes):
-        if a.node_id != b.node_id or a.segment_type != b.segment_type:
-            return False
-        if not (same_floats(a.centroid, b.centroid)
-                and same_floats(a.plane, b.plane)
-                and same_floats(a.features, b.features)):
-            return False
+    if not np.array_equal(g1.segment_type, g2.segment_type):
+        return False
+    if not (same_floats(g1.centroids, g2.centroids)
+            and same_floats(g1.planes, g2.planes)
+            and same_floats(g1.features, g2.features)):
+        return False
     for key in g1.edges:
         e1, e2 = g1.edges[key], g2.edges[key]
         if e1.types != e2.types or e1.offset_mean != e2.offset_mean \
@@ -614,15 +625,15 @@ def graphs_equal(g1, g2):
 
 def test_export_roundtrip(tmp_path):
     mesh, adj, seg = surrounded_cell_scene()
-    g = SegmentGraph(nodes=[
-        GraphNode(0, PLANAR, np.array([0.1, 0.2, 0.3]), seg.planes[0],
-                  np.array([2.0, 1.0])),
-        GraphNode(1, NONPLANAR, np.array([1.0, 2.0, 3.0]), seg.planes[1],
-                  np.array([1.0, 4.0])),
-    ], edges={}, channel_names=["alpha", "beta"])
+    g = graph_of([
+        (PLANAR, np.array([0.1, 0.2, 0.3]), seg.planes[0],
+         np.array([2.0, 1.0])),
+        (NONPLANAR, np.array([1.0, 2.0, 3.0]), seg.planes[1],
+         np.array([1.0, 4.0])),
+    ], channel_names=["alpha", "beta"])
     g.add_pairs([[0, 1]], EDGE_PROXIMITY)
     g.add_pairs([[0, 1]], EDGE_PARALLEL)
-    compute_edge_features(g, mesh, segment_probes(mesh, adj, seg)[1])
+    compute_edge_features(g, mesh, index_and_probes(mesh, adj, seg)[1])
     path = tmp_path / "graph.json"
     export_graph(g, path)
     assert graphs_equal(g, import_graph(path))
@@ -665,7 +676,7 @@ def test_import_graph_reads_good_file(tmp_path):
     path.write_text(json.dumps(GOOD_GRAPH))
     graph = import_graph(path)
     assert graph.channel_names == ["alpha"] and graph.n_edges == 0
-    assert same_floats(graph.nodes[0].features, [1.0])
+    assert same_floats(graph.features[0], [1.0])
 
 
 def test_graph_counts_on_tile():
@@ -679,8 +690,9 @@ def test_graph_counts_on_tile():
         lab = mesh.face_label[comps == k][0]
         planar.append(lab != CLASS_VEGETATION)
     seg = components_segmentation(mesh, adj, planar_mask=planar)
-    feats = compute_segment_features(mesh, adj, seg, fake_features(mesh))
-    graph = build_segment_graph(mesh, adj, seg, feats,
+    index = index_of(mesh, adj, seg)
+    feats = compute_segment_features(mesh, adj, index, fake_features(mesh))
+    graph = build_segment_graph(mesh, adj, seg, index, feats,
                                 PipelineConfig(sampling_density=2.0))
     assert graph.n_nodes == seg.n_segments
     assert graph.n_edges > 0
@@ -696,8 +708,9 @@ def test_rebuild_after_segment_removal():
                                  n_vehicles=0))
     adj = build_adjacency(mesh)
     seg = components_segmentation(mesh, adj)
-    feats = compute_segment_features(mesh, adj, seg, fake_features(mesh))
-    g_full = build_segment_graph(mesh, adj, seg, feats)
+    index = index_of(mesh, adj, seg)
+    feats = compute_segment_features(mesh, adj, index, fake_features(mesh))
+    g_full = build_segment_graph(mesh, adj, seg, index, feats)
     drop = 2
     keep = seg.face_segment != drop
     sub_faces = mesh.faces[keep]
@@ -709,7 +722,9 @@ def test_rebuild_after_segment_removal():
                          face_label=mesh.face_label[keep])
     adj2 = build_adjacency(mesh2)
     seg2 = components_segmentation(mesh2, adj2)
-    feats2 = compute_segment_features(mesh2, adj2, seg2, fake_features(mesh2))
-    g_sub = build_segment_graph(mesh2, adj2, seg2, feats2)
+    index2 = index_of(mesh2, adj2, seg2)
+    feats2 = compute_segment_features(mesh2, adj2, index2,
+                                      fake_features(mesh2))
+    g_sub = build_segment_graph(mesh2, adj2, seg2, index2, feats2)
     assert g_sub.n_nodes == g_full.n_nodes - 1
     assert all(drop not in key for key in g_sub.edges)

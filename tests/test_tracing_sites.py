@@ -13,7 +13,7 @@ from pssmesh.seggraph import (SegmentGraph,
                               segment_probes)
 from pssmesh.synth import TileParams, synth_tile
 
-from test_seggraph import components_segmentation, fake_features
+from test_seggraph import components_segmentation, fake_features, index_of
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -39,12 +39,14 @@ def test_traced_graph_counts_match_graph():
                                  n_vehicles=1))
     adj = build_adjacency(mesh)
     seg = components_segmentation(mesh, adj)
-    feats = compute_segment_features(mesh, adj, seg, fake_features(mesh))
+    index = index_of(mesh, adj, seg)
+    feats = compute_segment_features(mesh, adj, index, fake_features(mesh))
     cfg = PipelineConfig(sampling_density=2.0)
     tracer = tracing.Tracer()
     restore = tracing.install(tracer)
     try:
-        graph = pipeline.build_segment_graph(mesh, adj, seg, feats, cfg)
+        graph = pipeline.build_segment_graph(mesh, adj, seg, index, feats,
+                                             cfg)
     finally:
         restore()
     spans = {s[0] for s in tracer.spans}
@@ -58,10 +60,11 @@ def test_traced_graph_counts_match_graph():
         assert c[f"seggraph.edges.{family}"] == n > 0, family
     assert c["seggraph.groundless"] == len(graph.metadata["groundless"])
 
-    fresh = SegmentGraph(nodes=graph.nodes, edges={})
+    fresh = SegmentGraph(segment_type=graph.segment_type, planes=graph.planes,
+                         centroids=graph.centroids, features=graph.features)
     added = (parallelism_edges(fresh, cfg.parallel_angle_deg)
-             + connecting_ground_edges(fresh, mesh,
-                                       *segment_probes(mesh, adj, seg),
+             + connecting_ground_edges(fresh, mesh, index,
+                                       segment_probes(index, adj),
                                        cfg.ground_radius)
              + exmat_edges(fresh, mesh, seg, cfg.sampling_density, cfg.seed)
              + proximity_edges(fresh, mesh, seg, cfg.proximity_mode,
