@@ -92,6 +92,8 @@ class PipelineConfig:
             raise ConfigError("threads must be >= 0")
         if self.proximity_mode not in ("knn", "delaunay"):
             raise ConfigError(f"unknown proximity mode {self.proximity_mode!r}")
+        if not self.eigen_radii:
+            raise ConfigError("eigen_radii must not be empty")
         if any(r <= 0 for r in self.eigen_radii + self.elevation_radii):
             raise ConfigError("feature radii must be > 0")
         if not self.classes:

@@ -56,18 +56,34 @@ def write_csv(path, header, rows) -> None:
 
 
 @dataclass
-class FaceFeatures:
-    values: np.ndarray                 # (F, C) float64
+class FeatureTable:
+    """Feature matrix with named columns, one row per item.
+
+    ``to_csv`` writes a header of ``ROW`` and the channel names, then one
+    line per row: its index and its values.
+    """
+
+    ROW = "row"
+
+    values: np.ndarray                 # (N, C) float64
     channel_names: list
-    color_missing: bool = False
 
     def channel(self, name: str) -> np.ndarray:
         return self.values[:, self.channel_names.index(name)]
 
     def to_csv(self, path):
-        write_csv(path, ["face"] + list(self.channel_names),
+        write_csv(path, [self.ROW] + list(self.channel_names),
                   ([i, *row] for i, row in
                    enumerate(np.asarray(self.values, np.float64).tolist())))
+
+
+@dataclass
+class FaceFeatures(FeatureTable):
+    """One row per face."""
+
+    ROW = "face"
+
+    color_missing: bool = False
 
     def __len__(self):
         return len(self.values)

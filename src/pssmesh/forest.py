@@ -74,20 +74,18 @@ class ForestModel:
 class ForestPrediction:
     proba: np.ndarray              # (N, C) renormalized geometric mean
     geometric: np.ndarray          # (N, C) before renormalization, in [0,1]
-    log_average: np.ndarray        # (N, C) mean of log(max(p_t, eps))
 
 
 @dataclass
 class ProbabilityMap:
     """Per-face planarity prediction; index 1 is the non-planar class."""
 
-    g_log: np.ndarray              # (F,) log-average non-planar probability
-    g_hat: np.ndarray              # (F,) exp(g_log), in [0,1]
+    g_hat: np.ndarray              # (F,) non-planar geometric mean, in [0,1]
     label: np.ndarray              # (F,) 0 planar / 1 non-planar
     planar_prob: np.ndarray        # (F,) renormalized planar probability
 
     def __len__(self):
-        return len(self.g_log)
+        return len(self.g_hat)
 
 
 def class_weights(labels: np.ndarray) -> np.ndarray:
@@ -219,7 +217,6 @@ def parallel_map(n_jobs: int, fn, items) -> list:
 
 def train_forest(samples: np.ndarray, labels: np.ndarray, channel_names,
                  config: PipelineConfig | None = None,
-                 weights: np.ndarray | None = None,
                  n_jobs: int = 1) -> ForestModel:
     """Train an extremely randomized forest; see module docstring.
 
@@ -227,8 +224,8 @@ def train_forest(samples: np.ndarray, labels: np.ndarray, channel_names,
     them so ``check_channels`` can refuse features in another layout.
     ``config`` gives ``trees``, ``min_leaf``, ``max_depth`` and ``seed``.
 
-    ``weights`` are per-class (ordered like np.unique(labels)) and default to
-    sqrt(N/n_c). Raises on single-class input and on NaN features.
+    Each sample is weighted by its class's ``class_weights``, sqrt(N/n_c).
+    Raises on single-class input and on NaN features.
     ``n_jobs`` > 1 builds trees in that many forked worker processes
     (``parallel_map``); each tree seeds its own generator from
     ``seed ^ tree_index`` and the trees are combined in tree order, so the
@@ -248,12 +245,7 @@ def train_forest(samples: np.ndarray, labels: np.ndarray, channel_names,
     classes, y = np.unique(y_raw, return_inverse=True)
     if len(classes) < 2:
         raise ValueError("training data contains a single class")
-    if weights is None:
-        weights = class_weights(y_raw)
-    weights = np.asarray(weights, dtype=np.float64)
-    if len(weights) != len(classes):
-        raise ValueError("one weight per class required")
-    sw = weights[y]
+    sw = class_weights(y_raw)[y]
 
     config = config or PipelineConfig()
 
@@ -274,10 +266,9 @@ def predict_proba(model: ForestModel, samples: np.ndarray) -> ForestPrediction:
     logsum = np.zeros((len(X), model.n_classes))
     for tree in model.trees:
         logsum += np.log(np.maximum(tree.predict(X), PROB_EPS))
-    log_avg = logsum / T
-    geo = np.exp(log_avg)
+    geo = np.exp(logsum / T)
     proba = geo / geo.sum(axis=1, keepdims=True)
-    return ForestPrediction(proba, geo, log_avg)
+    return ForestPrediction(proba, geo)
 
 
 def check_channels(model: ForestModel, names, source) -> None:
@@ -296,8 +287,7 @@ def planarity_map(model: ForestModel, face_features) -> ProbabilityMap:
     check_channels(model, face_features.channel_names, "planarity model")
     pred = predict_proba(model, face_features.values)
     label = np.argmax(pred.geometric, axis=1).astype(np.int32)
-    return ProbabilityMap(g_log=pred.log_average[:, 1],
-                          g_hat=pred.geometric[:, 1],
+    return ProbabilityMap(g_hat=pred.geometric[:, 1],
                           label=label,
                           planar_prob=pred.proba[:, 0])
 

@@ -33,7 +33,6 @@ LEAF_SIZE = 64
 class MedialBalls:
     """Per-point shrinking-ball results (arrays indexed by surface point)."""
 
-    orientation: str                   # "interior" or "exterior"
     centers: np.ndarray                # (N, 3)
     radii: np.ndarray                  # (N,)
     touch_index: np.ndarray            # (N,) index of touching point, -1 = none
@@ -67,7 +66,7 @@ def shrinking_ball_transform(points: np.ndarray, normals: np.ndarray,
     if n == 0:
         z3 = np.zeros((0, 3))
         z = np.zeros(0)
-        return MedialBalls(orientation, z3, z, np.zeros(0, dtype=np.int64),
+        return MedialBalls(z3, z, np.zeros(0, dtype=np.int64),
                            np.zeros(0, dtype=bool), np.zeros(0, dtype=bool))
     lens = np.linalg.norm(normals, axis=1)
     if np.abs(lens - 1.0).max() > 1e-6:
@@ -138,4 +137,4 @@ def shrinking_ball_transform(points: np.ndarray, normals: np.ndarray,
         active = acc_ids[~settled]
 
     centers = points + radii[:, None] * direction
-    return MedialBalls(orientation, centers, radii, touch, converged, discarded)
+    return MedialBalls(centers, radii, touch, converged, discarded)

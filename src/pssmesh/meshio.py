@@ -1,6 +1,6 @@
-"""PLY (ascii + binary little-endian) reader/writer and OBJ reader.
+"""PLY reader (ascii and binary little-endian), PLY writer and OBJ reader.
 
-PLY layout used by the writer:
+The writer writes binary little-endian PLY in this layout:
 
     element vertex: double x,y,z [+ uchar red,green,blue]
     element face:   list uchar int vertex_indices [+ uchar red,green,blue]
@@ -343,14 +343,8 @@ def load_mesh(path) -> TriangleMesh:
     return mesh
 
 
-def _ascii_scalar(v, dtype):
-    if np.dtype(dtype).kind == "f":
-        return repr(float(v))
-    return str(int(v))
-
-
-def save_mesh(mesh: TriangleMesh, path, binary=True):
-    """Write a mesh as PLY; ``load_mesh(save_mesh(m))`` reproduces the content.
+def save_mesh(mesh: TriangleMesh, path):
+    """Write a mesh as binary PLY; ``load_mesh`` reads back the same content.
 
     Colors/labels/extra face properties are emitted only when present.
     """
@@ -369,7 +363,7 @@ def save_mesh(mesh: TriangleMesh, path, binary=True):
         face_props.append((name, col.dtype, col))
 
     header = ["ply",
-              f"format {'binary_little_endian' if binary else 'ascii'} 1.0",
+              "format binary_little_endian 1.0",
               f"element vertex {mesh.n_vertices}",
               "property double x", "property double y", "property double z"]
     if mesh.vertex_color is not None:
@@ -380,35 +374,21 @@ def save_mesh(mesh: TriangleMesh, path, binary=True):
         header.append(f"property {_TYPE_NAMES[np.dtype(dt)]} {name}")
     header.append("end_header")
 
-    if binary:
-        out = bytearray("\n".join(header).encode("ascii") + b"\n")
-        vfields = [("x", "<f8"), ("y", "<f8"), ("z", "<f8")]
-        if mesh.vertex_color is not None:
-            vfields += [("red", "u1"), ("green", "u1"), ("blue", "u1")]
-        vrec = np.zeros(mesh.n_vertices, dtype=np.dtype(vfields))
-        vrec["x"], vrec["y"], vrec["z"] = mesh.vertices.T
-        if mesh.vertex_color is not None:
-            vrec["red"], vrec["green"], vrec["blue"] = mesh.vertex_color.T
-        out += vrec.tobytes()
-        ffields = [("_n", "u1"), ("_v", "<i4", (3,))]
-        ffields += [(name, np.dtype(dt).newbyteorder("<")) for name, dt, _ in face_props]
-        frec = np.zeros(mesh.n_faces, dtype=np.dtype(ffields))
-        frec["_n"] = 3
-        frec["_v"] = mesh.faces
-        for name, dt, col in face_props:
-            frec[name] = col
-        out += frec.tobytes()
-        path.write_bytes(bytes(out))
-    else:
-        lines = list(header)
-        for i in range(mesh.n_vertices):
-            row = [repr(float(c)) for c in mesh.vertices[i]]
-            if mesh.vertex_color is not None:
-                row += [str(int(c)) for c in mesh.vertex_color[i]]
-            lines.append(" ".join(row))
-        for i in range(mesh.n_faces):
-            row = ["3"] + [str(int(v)) for v in mesh.faces[i]]
-            for name, dt, col in face_props:
-                row.append(_ascii_scalar(col[i], dt))
-            lines.append(" ".join(row))
-        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    out = bytearray("\n".join(header).encode("ascii") + b"\n")
+    vfields = [("x", "<f8"), ("y", "<f8"), ("z", "<f8")]
+    if mesh.vertex_color is not None:
+        vfields += [("red", "u1"), ("green", "u1"), ("blue", "u1")]
+    vrec = np.zeros(mesh.n_vertices, dtype=np.dtype(vfields))
+    vrec["x"], vrec["y"], vrec["z"] = mesh.vertices.T
+    if mesh.vertex_color is not None:
+        vrec["red"], vrec["green"], vrec["blue"] = mesh.vertex_color.T
+    out += vrec.tobytes()
+    ffields = [("_n", "u1"), ("_v", "<i4", (3,))]
+    ffields += [(name, np.dtype(dt).newbyteorder("<")) for name, dt, _ in face_props]
+    frec = np.zeros(mesh.n_faces, dtype=np.dtype(ffields))
+    frec["_n"] = 3
+    frec["_v"] = mesh.faces
+    for name, dt, col in face_props:
+        frec[name] = col
+    out += frec.tobytes()
+    path.write_bytes(bytes(out))

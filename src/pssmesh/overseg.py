@@ -63,7 +63,6 @@ class PlaneAccumulator:
 
 @dataclass
 class RegionState:
-    region_id: int
     region_type: int                      # PLANAR or NONPLANAR
     members: list = field(default_factory=list)
     member_set: set = field(default_factory=set)
@@ -200,11 +199,14 @@ def label_frontier(region: RegionState, frontier, mesh: TriangleMesh,
 
 
 def grow_region(seed: int, mesh: TriangleMesh, adjacency: AdjacencyIndex,
-                probmap, config: PipelineConfig | None = None,
-                assigned=None, region_id: int = 0) -> RegionState:
-    """Grow one region from a seed face until a step adds nothing."""
-    region = RegionState(region_id=region_id,
-                         region_type=int(probmap.label[seed]))
+                probmap, config: PipelineConfig | None,
+                assigned: np.ndarray) -> RegionState:
+    """Grow one region from a seed face until a step adds nothing.
+
+    Faces set in ``assigned`` (a bool per face) belong to earlier regions
+    and are never frontier faces.
+    """
+    region = RegionState(region_type=int(probmap.label[seed]))
     _add_face(region, mesh, seed)
     refit_plane(region)
     if region.plane_degenerate:
@@ -221,9 +223,7 @@ def grow_region(seed: int, mesh: TriangleMesh, adjacency: AdjacencyIndex,
                 cand.add(int(nb))
         cand -= region.member_set
         cand -= region.visited
-        if assigned is not None:
-            cand = {f for f in cand if not assigned[f]}
-        frontier = sorted(cand)
+        frontier = sorted([f for f in cand if not assigned[f]])
         if not frontier:
             break
         labels = label_frontier(region, frontier, mesh, probmap, config)
@@ -263,7 +263,7 @@ def oversegment(mesh: TriangleMesh, adjacency: AdjacencyIndex, probmap,
         if assigned[seed]:
             continue
         region = grow_region(int(seed), mesh, adjacency, probmap, config,
-                             assigned=assigned, region_id=k)
+                             assigned)
         for f in region.members:
             face_segment[f] = k
             assigned[f] = True

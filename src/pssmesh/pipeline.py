@@ -55,18 +55,8 @@ class StageError(RuntimeError):
 
 
 def resolve_threads(requested: int) -> int:
-    """Worker count: explicit value, else PSSNET_THREADS, else cpu count."""
-    if requested > 0:
-        return requested
-    env = os.environ.get("PSSNET_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(f"PSSNET_THREADS is not an integer: {env!r}")
-        if n > 0:
-            return n
-    return os.cpu_count() or 1
+    """Worker count: ``requested`` if > 0, else the CPU count."""
+    return requested if requested > 0 else os.cpu_count() or 1
 
 
 def file_sha256(path) -> str:
@@ -120,7 +110,9 @@ def load_segmentation(path) -> Segmentation:
     """Read a segmentation file written by ``save_segmentation``.
 
     Bad content (invalid JSON, a missing key, another version, ids that are
-    not integers) raises ConfigError with the path in front of the message.
+    not integers, a ``face_segment`` id outside [-1, K) or a ``planes`` table
+    that is not K rows of 4, for the K entries of ``segment_type``) raises
+    ConfigError with the path in front of the message.
     """
     def bad(message):
         return ConfigError(f"{path}: {message}")
@@ -134,12 +126,19 @@ def load_segmentation(path) -> Segmentation:
                 and all(type(i) is int for i in doc[key])):
             raise bad(f"{key} must be a list of integers")
     try:
-        return Segmentation(
+        seg = Segmentation(
             face_segment=np.asarray(doc["face_segment"], dtype=np.int32),
             segment_type=np.asarray(doc["segment_type"], dtype=np.int8),
             planes=np.asarray(doc["planes"], dtype=np.float64).reshape(-1, 4))
     except (ValueError, TypeError, OverflowError) as exc:
         raise bad(exc) from None
+    k, ids = seg.n_segments, seg.face_segment
+    if len(ids) and not -1 <= ids.min() <= ids.max() < k:
+        raise bad(f"face_segment ids must lie in [-1, {k}) for {k} "
+                  f"segment types")
+    if len(seg.planes) != k:
+        raise bad(f"{len(seg.planes)} planes for {k} segment types")
+    return seg
 
 
 def save_planarity(probmap, path) -> None:
@@ -470,7 +469,10 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
     fitted planarity model through oversegmentation, labeled by area
     majority. A label >= 0 outside ``config.classes`` raises ConfigError
     naming the mesh file (``training mesh <i>`` for an in-memory mesh)
-    before the first fit.
+    before the first fit. So does training data with a single class,
+    before the forest that would need two: every face on one side of
+    ``config.nonplanar_classes``, or one majority label on every kept
+    segment.
 
     The meshes are prepared (weld, repair, adjacency, face features) and,
     once the planarity forest is fitted, segmented by ``parallel_map`` in
@@ -480,7 +482,7 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
     gathered in mesh order, so the models are the same at every worker
     count. No worker is left running when this returns or raises.
     """
-    loaded = []
+    loaded, sources = [], []
     for i, m in enumerate(meshes):
         if hasattr(m, "faces"):
             m.check_usable()
@@ -493,6 +495,7 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
         _check_classes(m.face_label[m.face_label >= 0].tolist(), config,
                        source, "training label")
         loaded.append(m)
+        sources.append(str(source))
     if not loaded:
         raise ConfigError("no training meshes given")
 
@@ -509,6 +512,12 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
     y_face = np.concatenate([
         np.isin(mesh2.face_label, config.nonplanar_classes).astype(np.int32)
         for mesh2, _, _ in prepared])
+    if y_face.min() == y_face.max():
+        side = "non-planar" if y_face[0] else "planar"
+        raise ConfigError(
+            f"{', '.join(sources)}: every face is {side} with "
+            f"nonplanar_classes {list(config.nonplanar_classes)}; the "
+            f"planarity forest needs both")
     planarity = train_forest(X_face, y_face, prepared[0][2].channel_names,
                              config, n_jobs=n_jobs)
 
@@ -529,6 +538,11 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
         *parallel_map(n_jobs, segment, prepared))
     X_seg = np.vstack(seg_rows)
     y_seg = np.concatenate(seg_labels)
+    seg_classes = np.unique(y_seg).tolist()
+    if len(seg_classes) < 2:
+        raise ConfigError(
+            f"{', '.join(sources)}: the kept segments have majority labels "
+            f"{seg_classes}; the semantic forest needs two classes")
     semantic = train_forest(
         X_seg, y_seg, segment_channel_names(prepared[0][2].channel_names),
         config, n_jobs=n_jobs)

@@ -9,36 +9,28 @@ names its columns, and a model keeps those names so that
 ``forest.check_channels`` refuses features in another layout.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .adjacency import AdjacencyIndex, SegmentIndex, label_components
-from .features import FaceFeatures, write_csv
+from .features import FaceFeatures, FeatureTable
 from .mesh import TriangleMesh
 
 HIST_BINS = 5
 _EPS = 1e-12
 
 
-@dataclass
-class SegmentFeatures:
-    """Fixed-layout feature matrix, one row per segment id."""
+class SegmentFeatures(FeatureTable):
+    """Fixed-layout feature matrix, one row per segment id.
 
-    values: np.ndarray          # (K, D) float64
-    channel_names: list
+    A sibling of ``FaceFeatures``, not a subclass, so setting one class's
+    ``to_csv`` never changes the other's.
+    """
+
+    ROW = "segment"
 
     @property
     def n_segments(self) -> int:
         return len(self.values)
-
-    def channel(self, name: str) -> np.ndarray:
-        return self.values[:, self.channel_names.index(name)]
-
-    def to_csv(self, path):
-        write_csv(path, ["segment"] + list(self.channel_names),
-                  ([k, *row] for k, row in
-                   enumerate(np.asarray(self.values, np.float64).tolist())))
 
 
 def segment_channel_names(face_channel_names) -> list:

@@ -8,15 +8,15 @@ spatial proximity. Each constructor computes its segment pairs as one
 (M, 2) id array and records them with ``SegmentGraph.add_pairs``. Several
 constructors can connect the same pair; the edge record keeps the set of
 contributing types. Edge features are elementwise log-ratios of the two
-node feature vectors plus boundary offset statistics; ``fill_log_ratios``
-is the one place the log-ratios are computed.
+node feature vectors, which ``edge_log_ratios`` computes when asked for,
+plus boundary offset statistics, which each edge stores.
 
 ``export_graph`` writes version 2 of ``graph.json``: a top-level ``channels``
 list names the feature channels once; each node holds ``id``, ``type``,
 ``centroid``, ``plane`` and ``features`` (a plain list in channel order); each
 edge holds only ``a``, ``b``, ``types``, ``offset_mean`` and ``offset_std``;
 ``metadata`` holds the graph's metadata. Log-ratios are not stored, since the
-node features determine them: ``import_graph`` recomputes them.
+node features determine them.
 """
 
 import json
@@ -45,10 +45,7 @@ EDGE_PROXIMITY = "spatial_proximity"
 
 @dataclass
 class GraphEdge:
-    a: int                          # lower node id
-    b: int                          # higher node id
     types: set = field(default_factory=set)
-    log_ratio: np.ndarray | None = None
     offset_mean: float = 0.0
     offset_std: float = 0.0
 
@@ -87,7 +84,7 @@ class SegmentGraph:
         for a, b in np.unique(pairs, axis=0).tolist():
             edge = self.edges.get((a, b))
             if edge is None:
-                edge = self.edges[(a, b)] = GraphEdge(a=a, b=b)
+                edge = self.edges[(a, b)] = GraphEdge()
             edge.types.add(edge_type)
         return len(pairs)
 
@@ -297,35 +294,29 @@ def shifted_feature_matrix(graph: SegmentGraph):
     return feats, shifted
 
 
-def fill_log_ratios(graph: SegmentGraph) -> None:
-    """Set every edge's log-ratio vector from the node features.
+def edge_log_ratios(graph: SegmentGraph) -> np.ndarray:
+    """(M, D) log-ratio of every edge, rows in ``sorted(graph.edges)`` order.
 
     Ratios divide the lower-id node's row of ``shifted_feature_matrix`` by
-    the higher-id node's row, each with a small epsilon guard. Records the
-    shifted channels in metadata.
+    the higher-id node's row, each with a small epsilon guard.
     """
-    feats, shifted = shifted_feature_matrix(graph)
-    if shifted:
-        graph.metadata["shifted_channels"] = shifted
-    keys = sorted(graph.edges)
-    if not keys:
-        return
-    a, b = np.array(keys).T
-    ratios = np.log((feats[a] + RATIO_EPS) / (feats[b] + RATIO_EPS))
-    for key, row in zip(keys, ratios):
-        graph.edges[key].log_ratio = row
+    feats, _ = shifted_feature_matrix(graph)
+    a, b = np.array(sorted(graph.edges), dtype=np.int64).reshape(-1, 2).T
+    return np.log((feats[a] + RATIO_EPS) / (feats[b] + RATIO_EPS))
 
 
 def compute_edge_features(graph: SegmentGraph, mesh: TriangleMesh,
                           probes) -> None:
-    """Fill per-edge log-ratio vectors and boundary offset statistics.
+    """Fill per-edge boundary offset statistics.
 
-    Log-ratios come from ``fill_log_ratios``; offsets are closest-point
-    distances from each probe of the lower-id segment to the higher-id
-    segment's probes (``segment_probes``: its boundary vertices, or all its
-    vertices when it has no boundary).
+    Records the channels ``shifted_feature_matrix`` shifts in metadata.
+    Offsets are closest-point distances from each probe of the lower-id
+    segment to the higher-id segment's probes (``segment_probes``: its
+    boundary vertices, or all its vertices when it has no boundary).
     """
-    fill_log_ratios(graph)
+    _, shifted = shifted_feature_matrix(graph)
+    if shifted:
+        graph.metadata["shifted_channels"] = shifted
     tree_of = cache(lambda k: cKDTree(mesh.vertices[probes[k]]))
 
     for (a, b), edge in sorted(graph.edges.items()):
@@ -387,7 +378,7 @@ def export_graph(graph: SegmentGraph, path) -> None:
 
 
 def import_graph(path) -> SegmentGraph:
-    """Rebuild a graph written by export_graph; log-ratios are recomputed.
+    """Rebuild a graph written by export_graph.
 
     Bad content (invalid JSON, not an object, another version, a missing
     key, malformed values, node ids out of order, a node whose centroid,
@@ -413,7 +404,7 @@ def import_graph(path) -> SegmentGraph:
             centroids=rows("centroid", 3),
             features=rows("features", len(channels)),
             edges={(int(e["a"]), int(e["b"])): GraphEdge(
-                       a=int(e["a"]), b=int(e["b"]), types=set(e["types"]),
+                       types=set(e["types"]),
                        offset_mean=float(e["offset_mean"]),
                        offset_std=float(e["offset_std"]))
                    for e in doc["edges"]},
@@ -423,7 +414,6 @@ def import_graph(path) -> SegmentGraph:
             if not 0 <= a < b < graph.n_nodes:
                 raise ValueError(f"edge ({a}, {b}) is not (lower, higher) "
                                  f"node ids in [0, {graph.n_nodes})")
-        fill_log_ratios(graph)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError, IndexError) as exc:

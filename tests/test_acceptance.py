@@ -262,11 +262,11 @@ def test_criterion_04_energy_optimality():
             adj = build_adjacency(mesh)
         n_faces = mesh.n_faces
         g_hat = rng.uniform(0.2, 1.0, n_faces)
-        pm = ProbabilityMap(g_log=np.log(g_hat), g_hat=g_hat,
+        pm = ProbabilityMap(g_hat=g_hat,
                             label=rng.integers(0, 2, n_faces).astype(np.int32),
                             planar_prob=rng.random(n_faces))
         seed = int(rng.integers(0, n_faces))
-        region = RegionState(region_id=0, region_type=int(pm.label[seed]))
+        region = RegionState(region_type=int(pm.label[seed]))
         _add_face(region, mesh, seed)
         for nb in map(int, adj.face_neighbors(seed)):
             if len(region.members) < 3 and rng.random() < 0.5:

@@ -292,12 +292,13 @@ def test_train_requires_inputs():
     assert main(["train", "--inputs"]) == 2
 
 
-def test_threads_env_must_be_integer(ws, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PSSNET_THREADS", "many")
-    code = main(["train", "--inputs", str(ws["micro"]),
-                 "--out", str(tmp_path)])
+def test_single_class_training_data_exit_2(ws, tmp_path, capsys):
+    code = main(["train", "--nonplanar-classes", "9", "--trees", "3",
+                 "--inputs", str(ws["micro"]), "--out", str(tmp_path / "m")])
     assert code == 2
-    assert "PSSNET_THREADS" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(ws["micro"]) in err and "nonplanar_classes [9]" in err
+    assert not (tmp_path / "m").exists()
 
 
 def test_config_file_with_flag_override(ws, tmp_path, capsys):
@@ -412,6 +413,7 @@ def test_model_feature_count_mismatch_exit_2(ws, tmp_path, capsys):
     ("lambda_d", False), ("eigen_radii", 2.0), ("eigen_radii", ["a"]),
     ("nonplanar_classes", [2.5]), ("classes", [1, 2]),
     ("classes", {"x": "a"}), ("classes", {"1": 2}), ("input_path", 3),
+    ("eigen_radii", []),
 ])
 def test_wrongly_typed_config_value_exit_2(ws, tmp_path, capsys, key, value):
     cfg_path = tmp_path / "run.json"
@@ -446,7 +448,12 @@ def test_bad_mesh_input_exit_2(tmp_path, capsys, name, text):
     '{"version": 2, "face_segment": [0], "segment_type": [0], "planes": []}',
     '{"version": 1, "face_segment": [0, 0.5], "segment_type": [0], '
     '"planes": [[0, 0, 1, 0]]}',
-], ids=["truncated", "missing-key", "version", "non-integer"])
+    '{"version": 1, "face_segment": [0, 1, 2, 3, 4], "segment_type": [0, 0], '
+    '"planes": [[0, 0, 1, 0]]}',
+    '{"version": 1, "face_segment": [0, 1], "segment_type": [0, 0], '
+    '"planes": [[0, 0, 1, 0]]}',
+], ids=["truncated", "missing-key", "version", "non-integer",
+        "ids-beyond-types", "planes-not-one-per-type"])
 def test_bad_segmentation_exit_2(ws, tmp_path, capsys, command, text):
     bad = tmp_path / "seg.json"
     bad.write_text(text)

@@ -102,10 +102,15 @@ def test_non_object_json(tmp_path):
     ("proximity_mode", "voronoi"),
     ("eigen_radii", (1.0, -2.0)),
     ("classes", {}),
+    ("eigen_radii", ()),
 ])
 def test_validation_rejects(field, value):
     with pytest.raises(ConfigError):
         PipelineConfig(**{field: value})
+
+
+def test_empty_elevation_radii_allowed():
+    assert PipelineConfig(elevation_radii=()).elevation_radii == ()
 
 
 def test_int_accepted_for_float():

@@ -61,15 +61,14 @@ def test_binary_two_faces_adjacent(tmp_path):
     faces = np.array([[0, 1, 2], [1, 3, 2]], dtype=np.int32)
     m = TriangleMesh(vertices=verts, faces=faces)
     p = tmp_path / "two.ply"
-    save_mesh(m, p, binary=True)
+    save_mesh(m, p)
     m2 = load_mesh(p)
     adj = build_adjacency(m2)
     assert adj.face_neighbors(0).tolist() == [1]
     assert adj.face_neighbors(1).tolist() == [0]
 
 
-@pytest.mark.parametrize("binary", [False, True])
-def test_round_trip_full(tmp_path, binary):
+def test_round_trip_full(tmp_path):
     rng = np.random.default_rng(0)
     m = grid_mesh(8, 8, dx=0.5)
     m.face_label = rng.integers(-1, 5, m.n_faces).astype(np.int32)
@@ -77,16 +76,57 @@ def test_round_trip_full(tmp_path, binary):
     m.vertex_color = rng.integers(0, 256, (m.n_vertices, 3)).astype(np.uint8)
     m.vertices += rng.standard_normal(m.vertices.shape) * 0.01
     p = tmp_path / "rt.ply"
-    save_mesh(m, p, binary=binary)
+    save_mesh(m, p)
     m2 = load_mesh(p)
     assert np.array_equal(m.faces, m2.faces)
     assert np.array_equal(m.face_label, m2.face_label)
     assert np.array_equal(m.face_color, m2.face_color)
     assert np.array_equal(m.vertex_color, m2.vertex_color)
-    if binary:
-        assert np.array_equal(m.vertices, m2.vertices)   # bit-exact
-    else:
-        assert np.allclose(m.vertices, m2.vertices, rtol=0, atol=0)
+    assert np.array_equal(m.vertices, m2.vertices)   # bit-exact
+
+
+ASCII_FULL_PLY = """ply
+format ascii 1.0
+element vertex 4
+property double x
+property double y
+property double z
+property uchar red
+property uchar green
+property uchar blue
+element face 2
+property list uchar int vertex_indices
+property uchar red
+property uchar green
+property uchar blue
+property int label
+end_header
+0.1 0.2 0.30000000000000004 255 0 7
+1 0 0 1 2 3
+0 1 0 4 5 6
+1 1 0.5 7 8 9
+3 0 1 2 10 20 30 -1
+3 1 3 2 40 50 60 4
+"""
+
+
+def test_ascii_full_properties(tmp_path):
+    p = tmp_path / "full.ply"
+    p.write_text(ASCII_FULL_PLY)
+    m = load_mesh(p)
+    assert m.faces.tolist() == [[0, 1, 2], [1, 3, 2]]
+    assert m.face_label.tolist() == [-1, 4]
+    assert m.face_color.tolist() == [[10, 20, 30], [40, 50, 60]]
+    assert m.vertex_color.tolist() == [[255, 0, 7], [1, 2, 3], [4, 5, 6],
+                                       [7, 8, 9]]
+    assert m.vertices.tolist() == [[0.1, 0.2, 0.1 + 0.2], [1, 0, 0],
+                                   [0, 1, 0], [1, 1, 0.5]]
+    # the binary writer keeps everything the ascii file held
+    save_mesh(m, tmp_path / "full_binary.ply")
+    m2 = load_mesh(tmp_path / "full_binary.ply")
+    for name in ("vertices", "faces", "face_label", "face_color",
+                 "vertex_color"):
+        assert np.array_equal(getattr(m, name), getattr(m2, name)), name
 
 
 def test_round_trip_extra_face_props(tmp_path):
@@ -94,7 +134,7 @@ def test_round_trip_extra_face_props(tmp_path):
     m.extra_face_props["segment_id"] = np.arange(m.n_faces, dtype=np.int32)
     m.extra_face_props["segment_type"] = np.zeros(m.n_faces, dtype=np.uint8)
     p = tmp_path / "seg.ply"
-    save_mesh(m, p, binary=True)
+    save_mesh(m, p)
     m2 = load_mesh(p)
     assert np.array_equal(m2.extra_face_props["segment_id"], m.extra_face_props["segment_id"])
     assert m2.extra_face_props["segment_type"].dtype == np.uint8
@@ -103,9 +143,11 @@ def test_round_trip_extra_face_props(tmp_path):
 def test_no_label_omits_property(tmp_path):
     m = grid_mesh(1, 1)
     p = tmp_path / "nolabel.ply"
-    save_mesh(m, p, binary=False)
-    text = p.read_text()
-    assert "label" not in text
+    save_mesh(m, p)
+    assert b"label" not in p.read_bytes().split(b"end_header")[0]
+    assert load_mesh(p).face_label is None
+    p.write_text(SINGLE_TRI_PLY.replace("property int label\n", "")
+                 .replace("3 0 1 2 3", "3 0 1 2"))
     assert load_mesh(p).face_label is None
 
 
@@ -114,20 +156,16 @@ def test_large_label_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     m.face_label = rng.integers(-1, 12, m.n_faces).astype(np.int32)
     p = tmp_path / "big.ply"
-    save_mesh(m, p, binary=True)
+    save_mesh(m, p)
     assert np.array_equal(load_mesh(p).face_label, m.face_label)
 
 
 def test_ascii_round_trip_exact_repr(tmp_path):
-    # repr() emission keeps doubles exact through ascii too
-    m = TriangleMesh(
-        vertices=np.array([[0.1, 0.2, 0.30000000000000004],
-                           [1, 0, 0], [0, 1, 0]]),
-        faces=np.array([[0, 1, 2]], dtype=np.int32))
+    # the repr() text of a double reads back as that same double
     p = tmp_path / "a.ply"
-    save_mesh(m, p, binary=False)
-    m2 = load_mesh(p)
-    assert np.array_equal(m.vertices, m2.vertices)
+    p.write_text(SINGLE_TRI_PLY.replace(
+        "0 0 0\n", f"{0.1!r} {0.2!r} {0.1 + 0.2!r}\n", 1))
+    assert load_mesh(p).vertices[0].tolist() == [0.1, 0.2, 0.1 + 0.2]
 
 
 def test_obj_reader(tmp_path):

@@ -19,12 +19,12 @@ from mincut import min_cut_binary
 def flat_probmap(n, planar=True, g_hat=0.5):
     label = np.zeros(n, dtype=np.int32) if planar else np.ones(n, dtype=np.int32)
     g = np.full(n, g_hat)
-    return ProbabilityMap(g_log=np.log(g), g_hat=g, label=label,
+    return ProbabilityMap(g_hat=g, label=label,
                           planar_prob=np.where(label == 0, 0.9, 0.1))
 
 
 def region_with_plane(normal, offset, region_type=0):
-    r = RegionState(region_id=0, region_type=region_type)
+    r = RegionState(region_type=region_type)
     r.members = [0]
     r.member_set = {0}
     r.normal = np.asarray(normal, dtype=float)
@@ -66,7 +66,7 @@ def test_unary_coplanar_face():
 
 def test_unary_requires_member():
     m = lifted_face_mesh(0.0)
-    region = RegionState(region_id=0, region_type=0)
+    region = RegionState(region_type=0)
     with pytest.raises(ValueError, match="no member"):
         unary_cost(0, region, m, flat_probmap(1), PipelineConfig())
 
@@ -150,7 +150,7 @@ def test_label_frontier_direct_equals_mincut():
     m._face_area = m._face_centroid = m._face_normal = None
     adj = build_adjacency(m)
     pm = flat_probmap(m.n_faces)
-    region = RegionState(region_id=0, region_type=0)
+    region = RegionState(region_type=0)
     _add_face(region, m, 30)
     refit_plane(region)
     frontier = sorted(int(x) for x in adj.face_neighbors(30))
@@ -201,12 +201,11 @@ def test_label_frontier_matches_per_face_definition():
     m._face_area = m._face_centroid = m._face_normal = None
     g = rng.random(m.n_faces)
     label = (rng.random(m.n_faces) < 0.5).astype(np.int32)
-    pm = ProbabilityMap(g_log=np.log(g), g_hat=g, label=label,
-                        planar_prob=1.0 - g)
+    pm = ProbabilityMap(g_hat=g, label=label, planar_prob=1.0 - g)
     frontier = sorted(rng.choice(m.n_faces, 120, replace=False).tolist())
     relaxed = degenerate = 0
     for trial in range(20):
-        region = RegionState(region_id=0, region_type=trial % 2)
+        region = RegionState(region_type=trial % 2)
         for f in rng.choice(m.n_faces, 4, replace=False):
             _add_face(region, m, int(f))
         refit_plane(region)
@@ -228,7 +227,7 @@ def test_label_frontier_matches_per_face_definition():
 
 
 def test_refit_three_points_exact():
-    r = RegionState(region_id=0, region_type=0)
+    r = RegionState(region_type=0)
     r.acc.add(np.array([[0, 0, 1], [1, 0, 1], [0, 1, 1]], dtype=float))
     r.normal_sum = np.array([0, 0, 1.0])
     refit_plane(r)
@@ -256,13 +255,13 @@ def test_refit_incremental_equals_batch():
 
 
 def test_refit_collinear_keeps_previous():
-    r = RegionState(region_id=0, region_type=0)
+    r = RegionState(region_type=0)
     r.acc.add(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float))
     r.normal_sum = np.array([0, 0, 1.0])
     refit_plane(r)
     saved_normal = r.normal.copy()
     saved_offset = r.offset
-    r2 = RegionState(region_id=1, region_type=0)
+    r2 = RegionState(region_type=0)
     r2.normal = saved_normal
     r2.offset = saved_offset
     r2.acc.add(np.array([[0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3]], dtype=float))
@@ -273,7 +272,7 @@ def test_refit_collinear_keeps_previous():
 
 
 def test_refit_orientation_follows_face_normals():
-    r = RegionState(region_id=0, region_type=0)
+    r = RegionState(region_type=0)
     r.acc.add(np.array([[0, 0, 2], [1, 0, 2], [0, 1, 2], [1, 1, 2]], dtype=float))
     r.normal_sum = np.array([0, 0, -3.0])     # faces wound downward
     refit_plane(r)
@@ -285,7 +284,8 @@ def test_grow_coplanar_patch():
     m = grid_mesh(5, 1)
     adj = build_adjacency(m)
     pm = flat_probmap(m.n_faces)
-    region = grow_region(0, m, adj, pm, PipelineConfig(lambda_m=0.0))
+    region = grow_region(0, m, adj, pm, PipelineConfig(lambda_m=0.0),
+                         np.zeros(m.n_faces, bool))
     assert len(region.members) == m.n_faces == 10
     d = region.plane_distance(m.vertices)
     assert d.max() < 1e-9
@@ -301,7 +301,8 @@ def test_grow_stops_at_wall():
     m, _ = weld_vertices(TriangleMesh(vertices=verts, faces=faces.astype(np.int32)), 1e-9)
     adj = build_adjacency(m)
     pm = flat_probmap(m.n_faces)
-    region = grow_region(0, m, adj, pm, PipelineConfig())
+    region = grow_region(0, m, adj, pm, PipelineConfig(),
+                         np.zeros(m.n_faces, bool))
     ground_faces = set(range(16))
     assert set(region.members) == ground_faces
 
@@ -309,7 +310,7 @@ def test_grow_stops_at_wall():
 def test_grow_single_face():
     m = TriangleMesh(vertices=np.eye(3), faces=np.array([[0, 1, 2]]))
     region = grow_region(0, m, build_adjacency(m), flat_probmap(1),
-                         PipelineConfig())
+                         PipelineConfig(), np.zeros(1, bool))
     assert region.members == [0]
 
 
@@ -331,8 +332,7 @@ def test_oversegment_partition_and_connectivity():
     m._face_area = m._face_centroid = m._face_normal = None
     adj = build_adjacency(m)
     g = rng.random(m.n_faces)
-    pm = ProbabilityMap(g_log=np.log(np.maximum(g, 1e-6)), g_hat=g,
-                        label=(g > 0.5).astype(np.int32),
+    pm = ProbabilityMap(g_hat=g, label=(g > 0.5).astype(np.int32),
                         planar_prob=1.0 - g)
     seg = oversegment(m, adj, pm)
     assert (seg.face_segment >= 0).all()
@@ -352,10 +352,9 @@ def test_oversegment_partition_and_connectivity():
 
 
 def grow_region_per_face_refit(seed, mesh, adjacency, probmap, cfg,
-                               assigned=None, region_id=0):
+                               assigned):
     """``grow_region`` with the plane refit after every accepted face."""
-    region = RegionState(region_id=region_id,
-                         region_type=int(probmap.label[seed]))
+    region = RegionState(region_type=int(probmap.label[seed]))
     _add_face(region, mesh, seed)
     refit_plane(region)
     if region.plane_degenerate:
@@ -367,9 +366,7 @@ def grow_region_per_face_refit(seed, mesh, adjacency, probmap, cfg,
     while front:
         cand = {int(nb) for f in front for nb in adjacency.face_neighbors(f)}
         cand -= region.member_set | region.visited
-        if assigned is not None:
-            cand = {f for f in cand if not assigned[f]}
-        frontier = sorted(cand)
+        frontier = sorted([f for f in cand if not assigned[f]])
         if not frontier:
             break
         labels = label_frontier(region, frontier, mesh, probmap, cfg)
@@ -421,8 +418,7 @@ def test_step_refit_equals_per_face_refit_on_noisy_grids(monkeypatch):
             * rng.choice([0.01, 0.05, 0.2])
         adj = build_adjacency(m)
         g = rng.random(m.n_faces)
-        pm = ProbabilityMap(g_log=np.log(np.maximum(g, 1e-6)), g_hat=g,
-                            label=(g > 0.5).astype(np.int32),
+        pm = ProbabilityMap(g_hat=g, label=(g > 0.5).astype(np.int32),
                             planar_prob=1.0 - g)
         cfg = PipelineConfig(lambda_d=rng.uniform(0.5, 3.0),
                              lambda_m=rng.uniform(0.0, 0.5))
@@ -441,7 +437,7 @@ def test_step_refit_replays_degenerate_steps(monkeypatch):
     nf = m.n_faces
     # non-planar faces and prior: every face joins whatever the plane is;
     # seeds inside a strip grow both ways, two faces per step
-    pm = ProbabilityMap(g_log=np.zeros(nf), g_hat=np.ones(nf),
+    pm = ProbabilityMap(g_hat=np.ones(nf),
                         label=np.ones(nf, dtype=np.int32),
                         planar_prob=rng.random(nf))
     replays = []
@@ -470,7 +466,7 @@ def test_oversegment_deterministic():
     m._face_area = m._face_centroid = m._face_normal = None
     adj = build_adjacency(m)
     g = rng.random(m.n_faces)
-    pm = ProbabilityMap(g_log=np.log(np.maximum(g, 1e-6)), g_hat=g,
+    pm = ProbabilityMap(g_hat=g,
                         label=(g > 0.6).astype(np.int32), planar_prob=1.0 - g)
     s1 = oversegment(m, adj, pm)
     s2 = oversegment(m, adj, pm)

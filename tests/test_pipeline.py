@@ -471,7 +471,7 @@ def test_table_writers_match_csv_writer(tmp_path):
 
     pp, g = odd_floats(rng, 30), odd_floats(rng, 30, np.float32)
     label = rng.integers(0, 2, 30).astype(np.int32)
-    save_planarity(ProbabilityMap(g_log=np.zeros(30), g_hat=g,
+    save_planarity(ProbabilityMap(g_hat=g,
                                   label=label, planar_prob=pp), got)
     assert got.read_bytes() == csv_reference(
         want, ["face", "planar_prob", "nonplanar_geo", "label"],
@@ -521,15 +521,10 @@ def test_face_predictions_header_check(tmp_path):
 
 def test_resolve_threads(monkeypatch):
     assert resolve_threads(3) == 3
-    monkeypatch.setenv("PSSNET_THREADS", "5")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
     assert resolve_threads(0) == 5
-    monkeypatch.setenv("PSSNET_THREADS", "0")
-    assert resolve_threads(0) >= 1
-    monkeypatch.setenv("PSSNET_THREADS", "lots")
-    with pytest.raises(ConfigError, match="PSSNET_THREADS"):
-        resolve_threads(0)
-    monkeypatch.delenv("PSSNET_THREADS")
-    assert resolve_threads(0) >= 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)   # unknown count
+    assert resolve_threads(0) == 1
 
 
 def test_train_report_contents(trained):
@@ -585,6 +580,27 @@ def test_training_label_outside_config_is_input_error(vehicles_as_4,
     with pytest.raises(ConfigError,
                        match="^training mesh 1: training label 4 "):
         train_models(cfg, [synth_tile(SMALL), load_mesh(tile)])
+
+
+def test_single_class_training_data_is_input_error(tile_path, monkeypatch):
+    fits = []
+    fit = pipeline.train_forest
+    monkeypatch.setattr(pipeline, "train_forest",
+                        lambda *a, **k: fits.append(1) or fit(*a, **k))
+    cfg = PipelineConfig(trees=3, threads=1, nonplanar_classes=(9,))
+    with pytest.raises(ConfigError, match=(
+            f"^{re.escape(str(tile_path))}: every face is planar with "
+            r"nonplanar_classes \[9\]")):
+        train_models(cfg, [tile_path])
+    assert not fits
+    # only vegetation is labeled, so every kept segment's majority is 2
+    mesh = synth_tile(SMALL)
+    mesh.face_label = np.where(mesh.face_label == 2, 2, -1).astype(np.int32)
+    with pytest.raises(ConfigError, match=(
+            r"^training mesh 0: the kept segments have majority labels "
+            r"\[2\]")):
+        train_models(PipelineConfig(trees=3, threads=1), [mesh])
+    assert len(fits) == 1           # the planarity forest only
 
 
 def test_training_deterministic(tile_path, tmp_path):

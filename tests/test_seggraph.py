@@ -18,13 +18,13 @@ from pssmesh.seggraph import (
     EDGE_GROUND,
     EDGE_PARALLEL,
     EDGE_PROXIMITY,
-    GraphEdge,
     SegmentGraph,
     _proximity_points,
     build_segment_graph,
     compute_edge_features,
     connecting_ground_edges,
     delaunay_pairs,
+    edge_log_ratios,
     exmat_edges,
     export_graph,
     import_graph,
@@ -531,10 +531,10 @@ def test_edge_features_log_ratio_and_offsets():
     ], channel_names=["alpha", "beta"])
     g.add_pairs([[0, 1]], EDGE_PROXIMITY)
     compute_edge_features(g, mesh, index_and_probes(mesh, adj, seg)[1])
-    e = g.edges[(0, 1)]
-    assert abs(e.log_ratio[0] - np.log((2.0 + 1e-6) / (1.0 + 1e-6))) < 1e-12
-    assert e.log_ratio[1] == 0.0
-    assert np.isfinite(e.log_ratio).all() and e.offset_std >= 0.0
+    (ratio,) = edge_log_ratios(g)
+    assert abs(ratio[0] - np.log((2.0 + 1e-6) / (1.0 + 1e-6))) < 1e-12
+    assert ratio[1] == 0.0
+    assert np.isfinite(ratio).all() and g.edges[(0, 1)].offset_std >= 0.0
 
 
 def test_edge_offset_zero_for_enclosed_segment():
@@ -570,10 +570,10 @@ def test_negative_channel_shifted_and_flagged():
     g.add_pairs([[0, 1]], EDGE_PROXIMITY)
     compute_edge_features(g, mesh, index_and_probes(mesh, adj, seg)[1])
     assert g.metadata["shifted_channels"] == ["mean_greenness"]
-    e = g.edges[(0, 1)]
+    (ratio,) = edge_log_ratios(g)
     expected = np.log((0.0 + 1e-6 + 1e-6) / (1.0 + 1e-6 + 1e-6))
-    assert abs(e.log_ratio[0] - expected) < 1e-12
-    assert np.isfinite(e.log_ratio).all()
+    assert abs(ratio[0] - expected) < 1e-12
+    assert np.isfinite(ratio).all()
 
 
 def test_self_edge_rejected():
@@ -616,10 +616,8 @@ def graphs_equal(g1, g2):
         if e1.types != e2.types or e1.offset_mean != e2.offset_mean \
                 or e1.offset_std != e2.offset_std:
             return False
-        r1 = e1.log_ratio if e1.log_ratio is not None else np.zeros(0)
-        r2 = e2.log_ratio if e2.log_ratio is not None else np.zeros(0)
-        if not same_floats(r1, r2):
-            return False
+    if not same_floats(edge_log_ratios(g1), edge_log_ratios(g2)):
+        return False
     return g1.metadata == g2.metadata and g1.channel_names == g2.channel_names
 
 
@@ -677,6 +675,7 @@ def test_import_graph_reads_good_file(tmp_path):
     graph = import_graph(path)
     assert graph.channel_names == ["alpha"] and graph.n_edges == 0
     assert same_floats(graph.features[0], [1.0])
+    assert edge_log_ratios(graph).shape == (0, 1)
 
 
 def test_graph_counts_on_tile():

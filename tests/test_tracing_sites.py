@@ -3,10 +3,13 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from pssmesh import pipeline
 from pssmesh.adjacency import build_adjacency
 from pssmesh.config import PipelineConfig
-from pssmesh.segfeatures import compute_segment_features
+from pssmesh.features import FaceFeatures, FeatureTable
+from pssmesh.segfeatures import SegmentFeatures, compute_segment_features
 from pssmesh.seggraph import (SegmentGraph,
                               connecting_ground_edges, exmat_edges,
                               parallelism_edges, proximity_edges,
@@ -92,3 +95,25 @@ def test_traced_face_features_spans():
         assert len(inner) == 1, name
         assert inner[0][3] == total[0], name
     assert tracer.counts["features.faces"] == mesh.n_faces == len(feats)
+
+
+def test_traced_feature_tables_write_once_each(tmp_path):
+    tracing = load_tracing()
+    tables = [cls(values=np.ones((2, 1)), channel_names=["x"])
+              for cls in (FaceFeatures, SegmentFeatures)]
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        for i, table in enumerate(tables):
+            table.to_csv(tmp_path / f"{i}.csv")
+    finally:
+        restore()
+    writes = [s for s in tracer.spans if s[0] == "pipeline.write"]
+    assert len(writes) == 2
+    assert all(s[3] == -1 for s in writes)         # neither inside another
+    # restoring leaves no wrapper behind on either class
+    assert FaceFeatures.to_csv is SegmentFeatures.to_csv \
+        is FeatureTable.to_csv
+    for i, table in enumerate(tables):
+        header = (tmp_path / f"{i}.csv").read_text().splitlines()[0]
+        assert header == f"{table.ROW},x"
