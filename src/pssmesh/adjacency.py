@@ -157,6 +157,7 @@ class SegmentIndex:
     is cut when its two sides differ; it is then in the cut list of each
     segment on either side. ``faces[k]``, ``cuts[k]`` and ``vertices[k]``
     are segment k's ascending face, cut edge and vertex ids (int64).
+    ``area`` is ``sums(mesh.face_area)``.
     """
 
     face_segment: np.ndarray           # (F,) segment id per face, -1 none
@@ -164,10 +165,18 @@ class SegmentIndex:
     faces: list
     cuts: list
     vertices: list
+    area: np.ndarray = None            # (K,) float64 m^2
 
     @property
     def n_segments(self) -> int:
         return len(self.faces)
+
+    def sums(self, values) -> np.ndarray:
+        """(K,) sum of a per-face value over each segment's faces, in face
+        order; faces without a segment count in no sum."""
+        member = self.face_segment >= 0
+        return np.bincount(self.face_segment[member], minlength=len(self.faces),
+                           weights=np.asarray(values)[member])
 
 
 def segment_index(mesh: TriangleMesh, adjacency: AdjacencyIndex, face_segment,
@@ -188,12 +197,14 @@ def segment_index(mesh: TriangleMesh, adjacency: AdjacencyIndex, face_segment,
     cut = np.flatnonzero(edge_side[:, 0] != edge_side[:, 1])
     owner = edge_side[cut].T.ravel()
     keep = owner >= 0
-    return SegmentIndex(
+    index = SegmentIndex(
         seg, edge_side, _grouped(seg[member], member, n_segments, len(seg)),
         _grouped(owner[keep], np.tile(cut, 2)[keep], n_segments,
                  len(edge_side)),
         _grouped(np.repeat(seg[member], 3), mesh.faces[member].ravel(),
                  n_segments, mesh.n_vertices))
+    index.area = index.sums(mesh.face_area)
+    return index
 
 
 def face_connected_components(mesh: TriangleMesh, adjacency: AdjacencyIndex,

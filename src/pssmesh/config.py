@@ -44,6 +44,13 @@ def load_versioned_json(path, version: int, kind: str) -> dict:
     return doc
 
 
+def save_json(data, path) -> None:
+    """Write ``data`` as JSON, indented by one space, and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=1)
+        fh.write("\n")
+
+
 @dataclass
 class PipelineConfig:
     input_path: str | None = None
@@ -161,10 +168,7 @@ def _typed(name, default, value):
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
-    unknown = sorted(set(data) - set(DEFAULTS))
-    if unknown:
-        raise ConfigError(f"unknown config key {unknown[0]!r}")
-    return PipelineConfig(**data)
+    return override_config(PipelineConfig(), **data)
 
 
 def load_config(path) -> PipelineConfig:

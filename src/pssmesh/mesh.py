@@ -36,14 +36,16 @@ class TriangleMesh:
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
-        self.faces = np.asarray(self.faces, dtype=np.int32).reshape(-1, 3)
         if self.face_color is not None:
             self.face_color = np.asarray(self.face_color, dtype=np.uint8).reshape(-1, 3)
         if self.vertex_color is not None:
             self.vertex_color = np.asarray(self.vertex_color, dtype=np.uint8).reshape(-1, 3)
         if self.face_label is not None:
             self.face_label = np.asarray(self.face_label, dtype=np.int32).reshape(-1)
+        # check the indices as given: the int32 cast wraps silently
+        self.faces = np.asarray(self.faces).reshape(-1, 3)
         self.validate()
+        self.faces = self.faces.astype(np.int32, copy=False)
 
     def validate(self):
         nv = len(self.vertices)

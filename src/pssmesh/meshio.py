@@ -36,12 +36,9 @@ _PLY_TYPES = {
     "double": np.float64, "float64": np.float64,
 }
 
-_TYPE_NAMES = {
-    np.dtype(np.int8): "char", np.dtype(np.uint8): "uchar",
-    np.dtype(np.int16): "short", np.dtype(np.uint16): "ushort",
-    np.dtype(np.int32): "int", np.dtype(np.uint32): "uint",
-    np.dtype(np.float32): "float", np.dtype(np.float64): "double",
-}
+# PLY type -> its short name, which the writer uses
+_TYPE_NAMES = {np.dtype(t): name for name, t in _PLY_TYPES.items()
+               if not name[-1].isdigit()}
 
 
 class _Property:
@@ -77,21 +74,28 @@ def _parse_ply_header(lines):
             if len(tok) != 3:
                 raise MeshParseError(f"line {ln}: malformed element declaration")
             try:
-                elements.append(_Element(tok[1], int(tok[2])))
+                count = int(tok[2])
             except ValueError:
                 raise MeshParseError(f"line {ln}: bad element count {tok[2]!r}") from None
+            if count < 0:
+                raise MeshParseError(f"line {ln}: negative element count {count}")
+            elements.append(_Element(tok[1], count))
         elif tok[0] == "property":
             if not elements:
                 raise MeshParseError(f"line {ln}: property before any element")
-            if tok[1] == "list":
+            if tok[1:2] == ["list"]:
                 if len(tok) != 5 or tok[2] not in _PLY_TYPES or tok[3] not in _PLY_TYPES:
                     raise MeshParseError(f"line {ln}: malformed list property")
-                elements[-1].properties.append(
-                    _Property(tok[4], _PLY_TYPES[tok[3]], is_list=True, count_dtype=_PLY_TYPES[tok[2]]))
+                prop = _Property(tok[4], _PLY_TYPES[tok[3]], is_list=True,
+                                 count_dtype=_PLY_TYPES[tok[2]])
             else:
                 if len(tok) != 3 or tok[1] not in _PLY_TYPES:
                     raise MeshParseError(f"line {ln}: malformed property")
-                elements[-1].properties.append(_Property(tok[2], _PLY_TYPES[tok[1]]))
+                prop = _Property(tok[2], _PLY_TYPES[tok[1]])
+            if any(p.name == prop.name for p in elements[-1].properties):
+                raise MeshParseError(f"line {ln}: repeated property {prop.name!r} "
+                                     f"in element {elements[-1].name!r}")
+            elements[-1].properties.append(prop)
         elif tok[0] == "end_header":
             if fmt is None:
                 raise MeshParseError(f"line {ln}: end_header before format line")
@@ -101,122 +105,120 @@ def _parse_ply_header(lines):
     raise MeshParseError("unexpected end of file inside PLY header")
 
 
-def _read_ascii_element(lines, start_line, element):
-    """Returns (columns dict, list columns dict, next line index)."""
-    scalars = {p.name: [] for p in element.properties if not p.is_list}
-    lists = {p.name: [] for p in element.properties if p.is_list}
-    li = start_line
-    for i in range(element.count):
-        if li >= len(lines):
-            raise MeshParseError(f"line {li + 1}: truncated payload, "
+class _TextCursor:
+    """ASCII payload: each row is one non-empty line, read token by token;
+    an integer in its declared type, a float as float64."""
+
+    def __init__(self, text, first_line):
+        lines = text.splitlines()
+        self.rows = iter([(ln, line.split()) for ln, line
+                          in enumerate(lines, start=first_line) if line.strip()])
+        self.end_line = first_line + len(lines)
+
+    def row(self, element, i):
+        self.line, self.tokens = next(self.rows, (self.end_line, None))
+        if self.tokens is None:
+            raise MeshParseError(f"line {self.line}: truncated payload, "
                                  f"expected {element.count} '{element.name}' rows")
-        tok = lines[li].split()
-        pos = 0
+        self.pos, self.element = 0, element
+
+    def take(self, prop, dtype, n):
+        tokens = self.tokens[self.pos:self.pos + n]
+        self.pos += n
+        try:
+            if n < 0 or len(tokens) != n:
+                raise ValueError
+            if dtype.kind == "f":
+                return np.array([float(t) for t in tokens])
+            values = [int(t) for t in tokens]
+            info = np.iinfo(dtype)
+            if not all(info.min <= v <= info.max for v in values):
+                raise ValueError
+            return np.array(values, dtype=dtype)
+        except ValueError:
+            raise MeshParseError(
+                f"line {self.line}: malformed '{self.element.name}' row "
+                f"(property {prop.name!r})") from None
+
+
+class _ByteCursor:
+    """Binary little-endian payload, read from a byte offset onwards."""
+
+    def __init__(self, buf):
+        self.buf = buf
+        self.pos = 0
+
+    def row(self, element, i):
+        self.element, self.i = element, i
+
+    def take(self, prop, dtype, n):
+        end = self.pos + dtype.itemsize * n
+        if not self.pos <= end <= len(self.buf):      # n < 0 or past the end
+            raise MeshParseError(f"byte {self.pos}: truncated or malformed "
+                                 f"'{self.element.name}' row {self.i} "
+                                 f"(property {prop.name!r})")
+        out = np.frombuffer(self.buf, dtype=dtype.newbyteorder("<"), count=n,
+                            offset=self.pos)
+        self.pos = end
+        return out
+
+
+def _walk_rows(cursor, element, n_rows):
+    """Read ``n_rows`` rows of ``element`` from ``cursor`` one by one.
+
+    Returns {property name: column}: one array of a scalar property's
+    values, one array per row for a list property.
+    """
+    cols = {p.name: [] for p in element.properties}
+    for i in range(n_rows):
+        cursor.row(element, i)
         for p in element.properties:
-            try:
-                if p.is_list:
-                    n = int(tok[pos]); pos += 1
-                    vals = [float(t) if p.dtype.kind == "f" else int(t) for t in tok[pos:pos + n]]
-                    if len(vals) != n:
-                        raise IndexError
-                    pos += n
-                    lists[p.name].append(vals)
-                else:
-                    t = tok[pos]; pos += 1
-                    scalars[p.name].append(float(t) if p.dtype.kind == "f" else int(t))
-            except (IndexError, ValueError):
-                raise MeshParseError(
-                    f"line {li + 1}: malformed '{element.name}' row "
-                    f"(property {p.name!r})") from None
-        li += 1
-    return scalars, lists, li
+            n = int(cursor.take(p, p.count_dtype, 1)[0]) if p.is_list else 1
+            cols[p.name].append(cursor.take(p, p.dtype, n))
+    # the empty array gives the column's type when there are no rows
+    return {p.name: cols[p.name] if p.is_list
+            else np.concatenate([np.zeros(0, p.dtype), *cols[p.name]])
+            for p in element.properties}
 
 
-def _read_binary_element(buf, offset, element):
-    scalars = {}
-    lists = {p.name: [] for p in element.properties if p.is_list}
-    props = element.properties
-    if not any(p.is_list for p in props):
-        rec = np.dtype([(p.name, p.dtype.newbyteorder("<")) for p in props])
-        need = rec.itemsize * element.count
-        if offset + need > len(buf):
-            raise MeshParseError(f"byte {len(buf)}: truncated payload, element "
-                                 f"'{element.name}' needs {need} bytes at byte {offset}")
-        arr = np.frombuffer(buf, dtype=rec, count=element.count, offset=offset)
-        for p in props:
-            scalars[p.name] = np.asarray(arr[p.name])
-        return scalars, lists, offset + need
+def _read_records(cursor, element):
+    """Columns of a binary element, read as one structured array.
 
-    # Fast path: single fixed-count list (triangles) with scalar trailers.
-    list_props = [p for p in props if p.is_list]
-    if len(list_props) == 1 and element.count > 0:
-        lp = list_props[0]
-        first = np.frombuffer(buf, dtype=lp.count_dtype.newbyteorder("<"), count=1, offset=offset)
-        if first.size and int(first[0]) == 3 and props[0] is lp:
-            fields = [("_n", lp.count_dtype.newbyteorder("<")),
-                      ("_v", lp.dtype.newbyteorder("<"), (3,))]
-            fields += [(p.name, p.dtype.newbyteorder("<")) for p in props[1:]]
-            rec = np.dtype(fields)
-            need = rec.itemsize * element.count
-            if offset + need <= len(buf):
-                arr = np.frombuffer(buf, dtype=rec, count=element.count, offset=offset)
-                if (arr["_n"] == 3).all():
-                    lists[lp.name] = np.asarray(arr["_v"])
-                    for p in props[1:]:
-                        scalars[p.name] = np.asarray(arr[p.name])
-                    return scalars, lists, offset + need
-
-    # General sequential path.
-    scalars = {p.name: [] for p in props if not p.is_list}
-    pos = offset
-    for i in range(element.count):
-        for p in props:
-            if p.is_list:
-                csz = p.count_dtype.itemsize
-                if pos + csz > len(buf):
-                    raise MeshParseError(f"byte {pos}: truncated list count in '{element.name}' row {i}")
-                n = int(np.frombuffer(buf, dtype=p.count_dtype.newbyteorder("<"), count=1, offset=pos)[0])
-                pos += csz
-                vsz = p.dtype.itemsize * n
-                if pos + vsz > len(buf):
-                    raise MeshParseError(f"byte {pos}: truncated list payload in '{element.name}' row {i}")
-                lists[p.name].append(np.frombuffer(buf, dtype=p.dtype.newbyteorder("<"), count=n, offset=pos))
-                pos += vsz
-            else:
-                sz = p.dtype.itemsize
-                if pos + sz > len(buf):
-                    raise MeshParseError(f"byte {pos}: truncated '{element.name}' row {i}")
-                scalars[p.name].append(np.frombuffer(buf, dtype=p.dtype.newbyteorder("<"), count=1, offset=pos)[0])
-                pos += sz
-    scalars = {k: np.asarray(v) for k, v in scalars.items()}
-    return scalars, lists, pos
+    Each list property takes its length from the element's first row; a
+    list column is then one (rows, length) array. When a later row's list
+    length differs, ``_walk_rows`` reads the element instead.
+    """
+    start = cursor.pos
+    first = _walk_rows(cursor, element, min(element.count, 1))
+    cursor.pos = start
+    fields = []
+    for p in element.properties:
+        dtype = p.dtype.newbyteorder("<")
+        if p.is_list:
+            n = len(first[p.name][0]) if element.count else 0
+            # property names hold no spaces, so this name is free
+            fields += [(p.name + " n", p.count_dtype.newbyteorder("<")),
+                       (p.name, dtype, (n,))]
+        else:
+            fields.append((p.name, dtype))
+    rec = np.dtype(fields)
+    end = start + rec.itemsize * element.count
+    if end <= len(cursor.buf):
+        arr = np.frombuffer(cursor.buf, dtype=rec, count=element.count,
+                            offset=start)
+        if all((arr[p.name + " n"] == rec[p.name].shape[0]).all()
+               for p in element.properties if p.is_list):
+            cursor.pos = end
+            return {p.name: np.asarray(arr[p.name]) for p in element.properties}
+    return _walk_rows(cursor, element, element.count)
 
 
-def _mesh_from_ply(fmt, elements, payload):
-    vertex_el = next((e for e in elements if e.name == "vertex"), None)
+def _mesh_from_ply(elements, data):
     face_el = next((e for e in elements if e.name == "face"), None)
-    if vertex_el is None:
+    if "vertex" not in data:
         raise MeshParseError("PLY has no 'vertex' element")
 
-    data = {}
-    if fmt == "ascii":
-        lines = payload
-        li = 0
-        for el in elements:
-            scalars, lists, li = _read_ascii_element(lines, li, el)
-            data[el.name] = ({k: np.asarray(v) for k, v in scalars.items()}, lists)
-    else:
-        buf = payload
-        off = 0
-        for el in elements:
-            scalars, lists, off = _read_binary_element(buf, off, el)
-            data[el.name] = (scalars, lists)
-        if off != len(buf):
-            # trailing garbage is tolerated only if whitespace
-            if buf[off:].strip():
-                raise MeshParseError(f"byte {off}: {len(buf) - off} unexpected trailing bytes")
-
-    vs, _ = data["vertex"]
+    vs = data["vertex"]
     for c in ("x", "y", "z"):
         if c not in vs:
             raise MeshParseError(f"vertex element lacks property {c!r}")
@@ -229,36 +231,27 @@ def _mesh_from_ply(fmt, elements, payload):
         faces = np.zeros((0, 3), dtype=np.int32)
         return TriangleMesh(vertices=verts, faces=faces, vertex_color=vertex_color)
 
-    fs, fl = data["face"]
+    fs = data["face"]
     idx_name = next((p.name for p in face_el.properties
                      if p.is_list and p.name in ("vertex_indices", "vertex_index")), None)
     if idx_name is None:
         raise MeshParseError("face element lacks a vertex_indices list property")
-    rows = fl[idx_name]
-    if isinstance(rows, np.ndarray):
-        faces = rows.astype(np.int64)
-    else:
-        for i, r in enumerate(rows):
-            if len(r) != 3:
-                raise MeshParseError(f"face {i}: expected 3 vertices, got {len(r)}")
-        faces = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
-    if faces.size and (faces.min() < 0 or faces.max() >= len(verts)):
-        bad = int(np.argmax((faces < 0).any(axis=1) | (faces >= len(verts)).any(axis=1)))
-        raise MeshParseError(f"face {bad}: vertex index out of range (V={len(verts)})")
+    rows = fs[idx_name]
+    # a record column has every row at the first row's length
+    lengths = [len(r) for r in rows] if isinstance(rows, list) else [rows.shape[1]]
+    for i, n in enumerate(lengths):
+        if n != 3:
+            raise MeshParseError(f"face {i}: expected 3 vertices, got {n}")
 
     face_color = None
     if all(c in fs for c in ("red", "green", "blue")):
         face_color = np.column_stack([fs["red"], fs["green"], fs["blue"]]).astype(np.uint8)
     face_label = fs["label"].astype(np.int32) if "label" in fs else None
 
-    known = {"red", "green", "blue", "label"}
-    extra = {}
-    for p in face_el.properties:
-        if p.is_list or p.name in known:
-            continue
-        extra[p.name] = np.asarray(fs[p.name])
+    extra = {p.name: np.asarray(fs[p.name]) for p in face_el.properties
+             if not p.is_list and p.name not in ("red", "green", "blue", "label")}
 
-    return TriangleMesh(vertices=verts, faces=faces.astype(np.int32),
+    return TriangleMesh(vertices=verts, faces=np.array(rows).reshape(-1, 3),
                         face_color=face_color, vertex_color=vertex_color,
                         face_label=face_label, extra_face_props=extra)
 
@@ -272,13 +265,19 @@ def _load_ply(path: Path) -> TriangleMesh:
     if nl < 0:
         raise MeshParseError(f"byte {len(raw)}: missing newline after end_header")
     header_text = raw[:nl].decode("ascii", errors="replace")
-    fmt, elements, _ = _parse_ply_header(header_text.splitlines())
+    fmt, elements, last = _parse_ply_header(header_text.splitlines())
     body = raw[nl + 1:]
     if fmt == "ascii":
-        lines = [ln for ln in body.decode("ascii", errors="replace").splitlines()
-                 if ln.strip()]
-        return _mesh_from_ply(fmt, elements, lines)
-    return _mesh_from_ply(fmt, elements, body)
+        cursor = _TextCursor(body.decode("ascii", errors="replace"), last + 1)
+        return _mesh_from_ply(elements, {el.name: _walk_rows(cursor, el, el.count)
+                                         for el in elements})
+    cursor = _ByteCursor(body)
+    data = {el.name: _read_records(cursor, el) for el in elements}
+    # trailing garbage is tolerated only if whitespace
+    if body[cursor.pos:].strip():
+        raise MeshParseError(f"byte {cursor.pos}: {len(body) - cursor.pos} "
+                             f"unexpected trailing bytes")
+    return _mesh_from_ply(elements, data)
 
 
 def _load_obj(path: Path) -> TriangleMesh:
@@ -309,12 +308,8 @@ def _load_obj(path: Path) -> TriangleMesh:
                         raise MeshParseError(f"line {ln}: malformed face index {t!r}") from None
                     row.append(i - 1 if i > 0 else len(verts) + i)
                 faces.append(row)
-    v = np.asarray(verts, dtype=np.float64).reshape(-1, 3)
-    f = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-    if f.size and (f.min() < 0 or f.max() >= len(v)):
-        bad = int(np.argmax((f < 0).any(axis=1) | (f >= len(v)).any(axis=1)))
-        raise MeshParseError(f"face {bad}: vertex index out of range (V={len(v)})")
-    return TriangleMesh(vertices=v, faces=f.astype(np.int32))
+    return TriangleMesh(vertices=np.asarray(verts, dtype=np.float64),
+                        faces=np.asarray(faces, dtype=np.int64))
 
 
 def load_mesh(path) -> TriangleMesh:

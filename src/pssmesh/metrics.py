@@ -87,6 +87,24 @@ class SemanticReport:
         }
 
 
+def _area_table(rows, cols, n_rows: int, n_cols: int, areas) -> np.ndarray:
+    """(n_rows, n_cols) sums of ``areas`` per (row, column) id, in face order."""
+    return np.bincount(np.asarray(rows, np.int64) * n_cols + cols,
+                       weights=areas, minlength=n_rows * n_cols
+                       ).reshape(n_rows, n_cols)
+
+
+def _class_columns(labels, classes) -> np.ndarray:
+    """Position of every label in ``classes``; ValueError for a label that
+    is not in it."""
+    known = np.isin(labels, classes)
+    if not known.all():
+        raise ValueError(f"label {labels[np.argmin(known)]} not in class "
+                         f"table")
+    order = np.argsort(classes, kind="stable")
+    return order[np.searchsorted(classes[order], labels)]
+
+
 def object_purity(face_segment, gt_components, face_areas) -> float:
     """Area fraction of each segment lying inside its best ground-truth component.
 
@@ -106,16 +124,12 @@ def object_purity(face_segment, gt_components, face_areas) -> float:
     leftover = float(areas[labeled & (seg < 0)].sum())
     if not both.any():
         return 0.0
-    s = seg[both].astype(np.int64)
-    g = comp[both].astype(np.int64)
-    n_g = int(g.max()) + 1
+    s, g = seg[both], comp[both]
     # per (segment, component) overlap areas, then the best component per
     # segment; the denominator reuses the same bins so that a segmentation
     # equal to the components scores exactly 1
-    keys = s * n_g + g
-    overlap = np.bincount(keys, weights=areas[both])
-    n_s = int(s.max()) + 1
-    overlap = np.pad(overlap, (0, n_s * n_g - len(overlap))).reshape(n_s, n_g)
+    overlap = _area_table(s, g, int(s.max()) + 1, int(g.max()) + 1,
+                          areas[both])
     purity = overlap.max(axis=1).sum()
     total = overlap.sum(axis=1).sum() + leftover
     return float(purity / total)
@@ -255,19 +269,12 @@ def semantic_metrics(pred_labels, gt_labels, face_areas,
         classes = unique_ints(np.concatenate([gt[valid], pred[valid]])) \
             if valid.any() else np.zeros(0, dtype=np.int64)
     classes = np.asarray(classes, dtype=np.int64).reshape(-1)
-    if valid.any():
-        lut = {int(c): i for i, c in enumerate(classes)}
-        try:
-            g = np.array([lut[int(x)] for x in gt[valid]])
-            p = np.array([lut[int(x)] for x in pred[valid]])
-        except KeyError as exc:
-            raise ValueError(f"label {exc.args[0]} not in class table") from None
     n_c = len(classes)
     confusion = np.zeros((n_c, n_c), dtype=np.float64)
-    if valid.any() and n_c:
-        flat = np.bincount(g * n_c + p, weights=areas[valid],
-                           minlength=n_c * n_c)
-        confusion = flat.reshape(n_c, n_c)
+    if valid.any():
+        confusion = _area_table(_class_columns(gt[valid], classes),
+                                _class_columns(pred[valid], classes),
+                                n_c, n_c, areas[valid])
     tp = np.diag(confusion)
     gt_area = confusion.sum(axis=1)
     pred_area = confusion.sum(axis=0)
@@ -310,13 +317,9 @@ def majority_labels(face_segment, gt_labels, face_areas) -> np.ndarray:
     if not voting.any():
         return out
     classes = unique_ints(gt[voting])
-    cpos = {int(c): i for i, c in enumerate(classes)}
-    s = seg[voting].astype(np.int64)
-    g = np.array([cpos[int(x)] for x in gt[voting]])
-    n_c = len(classes)
-    n_s = int(s.max()) + 1
-    votes = np.bincount(s * n_c + g, weights=areas[voting],
-                        minlength=n_s * n_c).reshape(n_s, n_c)
+    s = seg[voting]
+    votes = _area_table(s, np.searchsorted(classes, gt[voting]),
+                        int(s.max()) + 1, len(classes), areas[voting])
     # argmax scans classes in ascending id order, so ties pick the lower id
     best = classes[np.argmax(votes, axis=1)]
     has_vote = votes.sum(axis=1) > 0

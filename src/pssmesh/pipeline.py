@@ -23,7 +23,10 @@ import numpy as np
 
 from . import __version__
 from .adjacency import build_adjacency, segment_index
-from .config import ConfigError, PipelineConfig, load_versioned_json
+from .config import (ConfigError, PipelineConfig, load_versioned_json,
+                     save_json)
+# the writers that a traced run times call the untraced name: one span each
+from .config import save_json as _save_json
 from .features import compute_face_features, face_channel_names, write_csv
 from .forest import (ForestModel, check_channels, classify_segments,
                      load_model, parallel_map, planarity_map, train_forest)
@@ -80,9 +83,7 @@ class RunManifest:
         return asdict(self)
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, indent=1)
-            fh.write("\n")
+        _save_json(self.as_dict(), path)
 
 
 # ----------------------------------------------------------- artifact files
@@ -101,9 +102,7 @@ def save_segmentation(segmentation: Segmentation, path) -> None:
            "face_segment": _ints(segmentation.face_segment),
            "segment_type": _ints(segmentation.segment_type),
            "planes": _floats(segmentation.planes)}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _save_json(doc, path)
 
 
 def load_segmentation(path) -> Segmentation:
@@ -190,12 +189,6 @@ def save_metrics_row(n_segments: int, report, path) -> None:
     """One CSV row for segment-count curves: count and the three scores."""
     write_csv(path, ["segments", "op", "bp", "br"],
               [[int(n_segments), report.op, report.bp, report.br]])
-
-
-def save_json(data: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
 
 
 # ------------------------------------------------------------------- runner
@@ -467,12 +460,13 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
     ``config.nonplanar_classes`` form the non-planar planarity class. The
     segment classifier trains on segments produced by running the freshly
     fitted planarity model through oversegmentation, labeled by area
-    majority. A label >= 0 outside ``config.classes`` raises ConfigError
-    naming the mesh file (``training mesh <i>`` for an in-memory mesh)
-    before the first fit. So does training data with a single class,
-    before the forest that would need two: every face on one side of
-    ``config.nonplanar_classes``, or one majority label on every kept
-    segment.
+    majority. A ``config.nonplanar_classes`` id outside ``config.classes``
+    raises ConfigError naming the key before any mesh is read, and a label
+    >= 0 outside it one naming the mesh file (``training mesh <i>`` for an
+    in-memory mesh) before the first fit. So does training data with a
+    single class, before the forest that would need two: every face on one
+    side of ``config.nonplanar_classes``, or one majority label on every
+    kept segment.
 
     The meshes are prepared (weld, repair, adjacency, face features) and,
     once the planarity forest is fitted, segmented by ``parallel_map`` in
@@ -482,6 +476,8 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
     gathered in mesh order, so the models are the same at every worker
     count. No worker is left running when this returns or raises.
     """
+    _check_classes(config.nonplanar_classes, config, "nonplanar_classes",
+                   "class id")
     loaded, sources = [], []
     for i, m in enumerate(meshes):
         if hasattr(m, "faces"):

@@ -101,29 +101,20 @@ def compute_segment_features(mesh: TriangleMesh, adjacency: AdjacencyIndex,
     segment in it needs a positive area.
     """
     face_segment = index.face_segment
-    assigned = face_segment >= 0
-    if not assigned.any():
+    if not (face_segment >= 0).any():
         raise ValueError("segmentation has no assigned faces")
     n_seg = index.n_segments
     areas = mesh.face_area
-    seg_area = np.bincount(face_segment[assigned], weights=areas[assigned],
-                           minlength=n_seg)
+    seg_area = index.area
     for k in np.flatnonzero(seg_area == 0.0):
         raise ValueError(f"segment {int(k)} has zero area")
 
-    fvals = face_features.values
-    n_chan = fvals.shape[1]
-    w = areas[assigned]
-    s = face_segment[assigned]
-    x = fvals[assigned]
-    wsum = seg_area
-    means = np.zeros((n_seg, n_chan))
-    stds = np.zeros((n_seg, n_chan))
-    for c in range(n_chan):
-        means[:, c] = np.bincount(s, weights=w * x[:, c],
-                                  minlength=n_seg) / wsum
-        diff = x[:, c] - means[s, c]
-        var = np.bincount(s, weights=w * diff * diff, minlength=n_seg) / wsum
+    means = np.zeros((n_seg, face_features.values.shape[1]))
+    stds = np.zeros_like(means)
+    for c, x in enumerate(face_features.values.T):
+        means[:, c] = index.sums(areas * x) / seg_area
+        diff = x - means[face_segment, c]
+        var = index.sums(areas * diff * diff) / seg_area
         stds[:, c] = np.sqrt(np.maximum(var, 0.0))
 
     # boundary length: a cut edge counts for the segment on each side, the

@@ -19,7 +19,6 @@ edge holds only ``a``, ``b``, ``types``, ``offset_mean`` and ``offset_std``;
 node features determine them.
 """
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from functools import cache
@@ -28,7 +27,8 @@ import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .adjacency import AdjacencyIndex, SegmentIndex, pair_keys, unique_ints
-from .config import ConfigError, PipelineConfig, load_versioned_json
+from .config import (ConfigError, PipelineConfig, load_versioned_json,
+                     save_json)
 from .medial import shrinking_ball_transform
 from .mesh import TriangleMesh
 from .overseg import PLANAR
@@ -104,10 +104,9 @@ def segment_probes(index: SegmentIndex, adjacency: AdjacencyIndex) -> list:
 
 def build_nodes(mesh: TriangleMesh, index: SegmentIndex) -> np.ndarray:
     """(K, 3) area-weighted mean face centroid of every segment."""
-    w, cent = mesh.face_area, mesh.face_centroid
-    return np.array([(cent[f] * w[f, None]).sum(axis=0)
-                     / max(w[f].sum(), 1e-300)
-                     for f in index.faces]).reshape(-1, 3)
+    weighted = mesh.face_area[:, None] * mesh.face_centroid
+    sums = np.column_stack([index.sums(w) for w in weighted.T])
+    return sums / np.maximum(index.area, 1e-300)[:, None]
 
 
 def parallelism_edges(graph: SegmentGraph, angle_deg: float) -> int:
@@ -141,10 +140,9 @@ def connecting_ground_edges(graph: SegmentGraph, mesh: TriangleMesh,
     are recorded in metadata as groundless.
     """
     n_seg = index.n_segments
-    cent_z = mesh.face_centroid[:, 2]
-    mean_z = np.array([cent_z[faces].mean() for faces in index.faces])
-    seg_area = np.array([mesh.face_area[faces].sum()
-                         for faces in index.faces])
+    mean_z = (index.sums(mesh.face_centroid[:, 2])
+              / np.maximum([len(f) for f in index.faces], 1))
+    seg_area = index.area
     probe_seg = np.repeat(np.arange(n_seg), [len(p) for p in probes])
     probe_xy = mesh.vertices[np.concatenate([np.zeros(0, np.int64), *probes]),
                              :2]
@@ -372,9 +370,7 @@ def export_graph(graph: SegmentGraph, path) -> None:
                      for (a, b), e in sorted(graph.edges.items())]}
     if graph.metadata:
         doc["metadata"] = dict(sorted(graph.metadata.items()))
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    save_json(doc, path)
 
 
 def import_graph(path) -> SegmentGraph:

@@ -293,11 +293,25 @@ def test_train_requires_inputs():
 
 
 def test_single_class_training_data_exit_2(ws, tmp_path, capsys):
+    # class 9 is in the class table, but no face carries it
+    classes = {**{str(k): v for k, v in DEFAULTS["classes"].items()},
+               "9": "unused"}
     code = main(["train", "--nonplanar-classes", "9", "--trees", "3",
+                 "--classes", json.dumps(classes),
                  "--inputs", str(ws["micro"]), "--out", str(tmp_path / "m")])
     assert code == 2
     err = capsys.readouterr().err
     assert str(ws["micro"]) in err and "nonplanar_classes [9]" in err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("ids", [["2", "9"], ["9"]])
+def test_unknown_nonplanar_class_exit_2(ws, tmp_path, capsys, ids):
+    code = main(["train", "--nonplanar-classes", *ids, "--trees", "3",
+                 "--inputs", str(ws["micro"]), "--out", str(tmp_path / "m")])
+    assert code == 2
+    assert "nonplanar_classes: class id 9 is not in the config's classes" \
+        in capsys.readouterr().err
     assert not (tmp_path / "m").exists()
 
 
@@ -431,7 +445,9 @@ def test_wrongly_typed_config_value_exit_2(ws, tmp_path, capsys, key, value):
     ("nan.obj", "v 0 0 0\nv nan 0 0\nv 0 1 0\nf 1 2 3\n"),
     ("tri.stl", "solid tri\nendsolid tri\n"),
     ("verts.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\n"),
-], ids=["non-finite-vertex", "stl", "no-faces"])
+    ("bare.ply", "ply\nformat ascii 1.0\nelement vertex 3\nproperty\n"
+                 "end_header\n"),
+], ids=["non-finite-vertex", "stl", "no-faces", "bare-property"])
 def test_bad_mesh_input_exit_2(tmp_path, capsys, name, text):
     bad = tmp_path / name
     bad.write_text(text)

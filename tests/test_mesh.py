@@ -62,3 +62,10 @@ def test_copy_is_deep():
     c.face_label[0] = 7
     assert m.vertices[0, 0] == 0.0
     assert m.face_label[0] == 1
+
+
+def test_face_index_checked_before_int32_cast():
+    # 2**32 + 1 wraps to 1 in int32; the check sees the index as given
+    faces = np.array([[0, 1, 2**32 + 1]], dtype=np.int64)
+    with pytest.raises(MeshError, match="face 0: vertex index out of range"):
+        TriangleMesh(vertices=np.zeros((3, 3)), faces=faces)

@@ -1,6 +1,10 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
+from pssmesh import meshio
 from pssmesh.meshio import load_mesh, save_mesh, MeshParseError
 from pssmesh.adjacency import build_adjacency
 from pssmesh.mesh import TriangleMesh
@@ -208,3 +212,156 @@ def test_parse_error_names_file(tmp_path):
     with pytest.raises(MeshParseError) as exc:
         load_mesh(p)
     assert str(exc.value) == f"{p}: unexpected end of file inside PLY header"
+
+
+# ------------------------------------------------------- header and ASCII
+
+
+@pytest.mark.parametrize("fmt, lines, message", [
+    ("binary_little_endian", ["element vertex -1", "property double x"],
+     "line 3: negative element count -1"),
+    ("ascii", ["element vertex 3", "property double x", "property double x"],
+     "line 5: repeated property 'x' in element 'vertex'"),
+    ("ascii", ["element vertex 3", "property"], "line 4: malformed property"),
+], ids=["negative-count", "repeated-property", "bare-property"])
+def test_malformed_header_names_line(tmp_path, fmt, lines, message):
+    p = tmp_path / "bad.ply"
+    p.write_text("\n".join(["ply", f"format {fmt} 1.0", *lines,
+                            "end_header", ""]))
+    with pytest.raises(MeshParseError, match=f"^{p}: {message}$"):
+        load_mesh(p)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("3 0 1 2 10 20 30 -1", "3 0 1 2 10 20 30 99999999999",
+     "line 21: malformed 'face' row (property 'label')"),
+    ("1 0 0 1 2 3", "1 0 0 300 2 3",
+     "line 18: malformed 'vertex' row (property 'red')"),
+    ("1 0 0 1 2 3", "1 0 0 -5 2 3",
+     "line 18: malformed 'vertex' row (property 'red')"),
+], ids=["int-label", "uchar-300", "uchar-minus-5"])
+def test_ascii_integer_outside_its_type_rejected(tmp_path, old, new, message):
+    p = tmp_path / "wrap.ply"
+    p.write_text(ASCII_FULL_PLY.replace(old, new))
+    with pytest.raises(MeshParseError, match=re.escape(message)):
+        load_mesh(p)
+
+
+def test_ascii_columns_keep_declared_type(tmp_path):
+    p = tmp_path / "typed.ply"
+    p.write_text(SINGLE_TRI_PLY.replace(
+        "property int label\n", "property int label\nproperty ushort flag\n"
+        "property float weight\n").replace("3 0 1 2 3", "3 0 1 2 3 65535 0.5"))
+    m = load_mesh(p)
+    assert m.extra_face_props["flag"].dtype == np.uint16
+    assert m.extra_face_props["flag"].tolist() == [65535]
+    assert m.extra_face_props["weight"].dtype == np.float64
+
+
+def test_ascii_error_gives_file_line(tmp_path):
+    # a 9-line header: the second vertex is file line 11
+    text = SINGLE_TRI_PLY.replace("property int label\n", "").replace(
+        "3 0 1 2 3", "3 0 1 2")
+    p = tmp_path / "line.ply"
+    p.write_text(text.replace("1 0 0\n", "1 zero 0\n"))
+    with pytest.raises(MeshParseError, match=(
+            r"line 11: malformed 'vertex' row \(property 'y'\)")):
+        load_mesh(p)
+    # blank lines hold no row but still count
+    p.write_text(text.replace("1 0 0\n", "\n\n1 zero 0\n"))
+    with pytest.raises(MeshParseError, match="line 13: malformed"):
+        load_mesh(p)
+
+
+# ------------------------------------------------------------ binary rows
+
+
+VERTS = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
+VERTEX_HEADER = ["element vertex 4", "property double x", "property double y",
+                 "property double z"]
+
+
+def binary_ply(path, header, payload):
+    """Write a binary PLY whose vertex element holds ``VERTS``."""
+    text = "\n".join(["ply", "format binary_little_endian 1.0",
+                      *VERTEX_HEADER, *header, "end_header", ""])
+    path.write_bytes(text.encode() + VERTS.astype("<f8").tobytes() + payload)
+    return path
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """Row counts of every ``_walk_rows`` call; a record read walks its
+    first row only."""
+    counts = []
+    walk = meshio._walk_rows
+
+    def counting(cursor, element, n_rows):
+        counts.append((element.name, n_rows))
+        return walk(cursor, element, n_rows)
+
+    monkeypatch.setattr(meshio, "_walk_rows", counting)
+    return counts
+
+
+def test_binary_second_face_list_read_as_records(tmp_path, walked):
+    header = ["element face 2", "property list uchar int vertex_indices",
+              "property list uchar float texcoord", "property int label"]
+    uv = [0.0, 0.0, 1.0, 0.0, 0.0, 1.0]
+    payload = (struct.pack("<B3iB6fi", 3, 0, 1, 2, 6, *uv, 7)
+               + struct.pack("<B3iB6fi", 3, 1, 3, 2, 6, *uv, -1))
+    m = load_mesh(binary_ply(tmp_path / "uv.ply", header, payload))
+    assert m.faces.tolist() == [[0, 1, 2], [1, 3, 2]]
+    assert m.face_label.tolist() == [7, -1]
+    assert all(n <= 1 for _, n in walked)
+
+
+def test_binary_scalar_before_index_list(tmp_path, walked):
+    header = ["element face 2", "property uchar flags",
+              "property list uchar int vertex_indices"]
+    payload = (struct.pack("<BB3i", 5, 3, 0, 1, 2)
+               + struct.pack("<BB3i", 6, 3, 1, 3, 2))
+    m = load_mesh(binary_ply(tmp_path / "flags.ply", header, payload))
+    assert m.faces.tolist() == [[0, 1, 2], [1, 3, 2]]
+    assert m.extra_face_props["flags"].tolist() == [5, 6]
+    assert m.extra_face_props["flags"].dtype == np.uint8
+    assert all(n <= 1 for _, n in walked)
+
+
+def test_binary_varying_list_lengths_walked(tmp_path, walked):
+    header = ["element polyline 2", "property list uchar int ids",
+              "element face 1", "property list uchar int vertex_indices"]
+    payload = (struct.pack("<B2i", 2, 0, 1) + struct.pack("<B3i", 3, 1, 2, 3)
+               + struct.pack("<B3i", 3, 0, 1, 2))
+    m = load_mesh(binary_ply(tmp_path / "lines.ply", header, payload))
+    assert m.faces.tolist() == [[0, 1, 2]]
+    assert ("polyline", 2) in walked
+    assert ("face", 1) in walked and ("face", 2) not in walked
+
+
+def test_binary_quad_rejected(tmp_path):
+    header = ["element face 1", "property list uchar int vertex_indices"]
+    p = binary_ply(tmp_path / "quad.ply", header,
+                   struct.pack("<B4i", 4, 0, 1, 3, 2))
+    with pytest.raises(MeshParseError,
+                       match="face 0: expected 3 vertices, got 4"):
+        load_mesh(p)
+
+
+def test_binary_cut_inside_face_rows(tmp_path):
+    header = ["element face 2", "property list uchar int vertex_indices",
+              "property int label"]
+    payload = struct.pack("<B3ii", 3, 0, 1, 2, 0) + struct.pack("<B3i", 3, 1, 3, 2)
+    p = binary_ply(tmp_path / "cut.ply", header, payload)
+    with pytest.raises(MeshParseError,
+                       match="byte 126: truncated or malformed 'face' row 1 "
+                             r"\(property 'label'\)"):
+        load_mesh(p)
+
+
+def test_binary_trailing_bytes_rejected(tmp_path):
+    header = ["element face 1", "property list uchar int vertex_indices"]
+    p = binary_ply(tmp_path / "tail.ply", header,
+                   struct.pack("<B3i", 3, 0, 1, 2) + b"\x01\x02")
+    with pytest.raises(MeshParseError, match="2 unexpected trailing bytes"):
+        load_mesh(p)

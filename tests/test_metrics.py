@@ -341,6 +341,24 @@ def test_semantic_unknown_label_rejected():
         semantic_metrics([0, 5], [0, 1], [1.0, 1.0], classes=[0, 1])
 
 
+def test_semantic_unsorted_class_table_keeps_its_order():
+    rng = np.random.default_rng(8)
+    mesh = grid_mesh(6, 6, dx=0.5)
+    gt = rng.integers(-1, 4, mesh.n_faces)
+    pred = rng.integers(-1, 4, mesh.n_faces)
+    table = [3, 0, 2, 1]
+    rep = semantic_metrics(pred, gt, mesh.face_area, classes=table)
+    assert rep.classes.tolist() == table
+    assert (rep.confusion == brute_confusion(pred, gt, mesh.face_area,
+                                             table)).all()
+    ref = semantic_metrics(pred, gt, mesh.face_area, classes=[0, 1, 2, 3])
+    assert (rep.iou == ref.iou[table]).all()
+    assert rep.miou == pytest.approx(ref.miou)
+    with pytest.raises(ValueError, match="^label 4 not in class table"):
+        semantic_metrics(pred, np.where(gt == 2, 4, gt), mesh.face_area,
+                         classes=table)
+
+
 # ---------------------------------------------------------------- upper bound
 
 

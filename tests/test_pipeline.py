@@ -587,7 +587,9 @@ def test_single_class_training_data_is_input_error(tile_path, monkeypatch):
     fit = pipeline.train_forest
     monkeypatch.setattr(pipeline, "train_forest",
                         lambda *a, **k: fits.append(1) or fit(*a, **k))
-    cfg = PipelineConfig(trees=3, threads=1, nonplanar_classes=(9,))
+    # class 9 is in the class table, but no face carries it
+    cfg = PipelineConfig(trees=3, threads=1, nonplanar_classes=(9,),
+                         classes={**DEFAULT_CLASSES, 9: "unused"})
     with pytest.raises(ConfigError, match=(
             f"^{re.escape(str(tile_path))}: every face is planar with "
             r"nonplanar_classes \[9\]")):
@@ -601,6 +603,19 @@ def test_single_class_training_data_is_input_error(tile_path, monkeypatch):
             r"\[2\]")):
         train_models(PipelineConfig(trees=3, threads=1), [mesh])
     assert len(fits) == 1           # the planarity forest only
+
+
+@pytest.mark.parametrize("ids", [(2, 9), (9,)])
+def test_unknown_nonplanar_class_is_config_error(monkeypatch, ids):
+    def no_prepare(*args, **kwargs):
+        raise AssertionError("a mesh was prepared")
+
+    monkeypatch.setattr(pipeline, "parallel_map", no_prepare)
+    cfg = PipelineConfig(trees=3, threads=1, nonplanar_classes=ids)
+    with pytest.raises(ConfigError, match=(
+            r"^nonplanar_classes: class id 9 is not in the config's "
+            r"classes \[0, 1, 2, 3\]")):
+        train_models(cfg, [synth_tile(SMALL)])
 
 
 def test_training_deterministic(tile_path, tmp_path):

@@ -9,6 +9,7 @@ from pssmesh import pipeline
 from pssmesh.adjacency import build_adjacency
 from pssmesh.config import PipelineConfig
 from pssmesh.features import FaceFeatures, FeatureTable
+from pssmesh.overseg import Segmentation
 from pssmesh.segfeatures import SegmentFeatures, compute_segment_features
 from pssmesh.seggraph import (SegmentGraph,
                               connecting_ground_edges, exmat_edges,
@@ -16,7 +17,8 @@ from pssmesh.seggraph import (SegmentGraph,
                               segment_probes)
 from pssmesh.synth import TileParams, synth_tile
 
-from test_seggraph import components_segmentation, fake_features, index_of
+from test_seggraph import (components_segmentation, fake_features, graph_of,
+                           index_of)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -117,3 +119,27 @@ def test_traced_feature_tables_write_once_each(tmp_path):
     for i, table in enumerate(tables):
         header = (tmp_path / f"{i}.csv").read_text().splitlines()[0]
         assert header == f"{table.ROW},x"
+
+
+def test_traced_json_writers_write_once_each(tmp_path):
+    # the writers share config.save_json; none may call the traced
+    # pipeline.save_json, which would time its write a second time
+    tracing = load_tracing()
+    seg = Segmentation(face_segment=np.array([0, 1], dtype=np.int32),
+                       segment_type=np.zeros(2, dtype=np.int8),
+                       planes=np.zeros((2, 4)))
+    manifest = pipeline.RunManifest(version="0", config={},
+                                    input_sha256=None, stage_seconds={},
+                                    outputs={})
+    graph = graph_of([(0, np.zeros(3), np.zeros(4), np.ones(1))])
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        pipeline.save_segmentation(seg, tmp_path / "segmentation.json")
+        manifest.save(tmp_path / "manifest.json")
+        pipeline.export_graph(graph, tmp_path / "graph.json")
+    finally:
+        restore()
+    writes = [s for s in tracer.spans if s[0] == "pipeline.write"]
+    assert len(writes) == 3
+    assert all(s[3] == -1 for s in writes)         # none inside another
