@@ -55,12 +55,33 @@ def write_csv(path, header, rows) -> None:
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
+def write_npy(path, columns) -> None:
+    """Write named columns as one structured ``.npy`` array.
+
+    ``columns`` yields (name, 1-D array) pairs of equal length; each becomes
+    a field of that name and of the array's dtype, in the order given, so
+    the file's own header holds the column names once. The row number is
+    the row index. Read it back with ``np.load(path, allow_pickle=False)``
+    and a column with ``table[name]``, or the whole table as a matrix with
+    ``numpy.lib.recfunctions.structured_to_unstructured``.
+    """
+    columns = [(name, np.asarray(col)) for name, col in columns]
+    rec = np.empty(len(columns[0][1]),
+                   dtype=[(name, col.dtype) for name, col in columns])
+    for name, col in columns:
+        rec[name] = col
+    with open(path, "wb") as fh:
+        np.save(fh, rec, allow_pickle=False)
+
+
 @dataclass
 class FeatureTable:
     """Feature matrix with named columns, one row per item.
 
     ``to_csv`` writes a header of ``ROW`` and the channel names, then one
-    line per row: its index and its values.
+    line per row: its index and its values; ``segment_features.csv`` is
+    written this way. Face features are written by ``FaceFeatures.to_npy``
+    instead, as one float64 field per channel.
     """
 
     ROW = "row"
@@ -87,6 +108,10 @@ class FaceFeatures(FeatureTable):
 
     def __len__(self):
         return len(self.values)
+
+    def to_npy(self, path):
+        write_npy(path, zip(self.channel_names,
+                            np.asarray(self.values, np.float64).T))
 
 
 def face_channel_names(config: PipelineConfig | None = None) -> list:

@@ -40,12 +40,14 @@ class TriangleMesh:
             self.face_color = np.asarray(self.face_color, dtype=np.uint8).reshape(-1, 3)
         if self.vertex_color is not None:
             self.vertex_color = np.asarray(self.vertex_color, dtype=np.uint8).reshape(-1, 3)
+        # check indices and labels as given: the int32 cast wraps silently
         if self.face_label is not None:
-            self.face_label = np.asarray(self.face_label, dtype=np.int32).reshape(-1)
-        # check the indices as given: the int32 cast wraps silently
+            self.face_label = np.asarray(self.face_label).reshape(-1)
         self.faces = np.asarray(self.faces).reshape(-1, 3)
         self.validate()
         self.faces = self.faces.astype(np.int32, copy=False)
+        if self.face_label is not None:
+            self.face_label = self.face_label.astype(np.int32, copy=False)
 
     def validate(self):
         nv = len(self.vertices)
@@ -56,8 +58,15 @@ class TriangleMesh:
                 raise MeshError(f"face {bad}: vertex index out of range (V={nv})")
             # Faces with repeated indices (e.g. collapsed by vertex welding)
             # are legal: they have zero area and show up in degenerate_faces.
-        if self.face_label is not None and len(self.face_label) != len(f):
-            raise MeshError("face_label length does not match face count")
+        if self.face_label is not None:
+            label = self.face_label
+            if len(label) != len(f):
+                raise MeshError("face_label length does not match face count")
+            i32 = np.iinfo(np.int32)
+            if label.size and (label.min() < i32.min or label.max() > i32.max):
+                bad = int(np.argmax((label < i32.min) | (label > i32.max)))
+                raise MeshError(f"face {bad}: label {label[bad]} outside the "
+                                f"int32 range")
         if self.face_color is not None and len(self.face_color) != len(f):
             raise MeshError("face_color length does not match face count")
         if self.vertex_color is not None and len(self.vertex_color) != nv:

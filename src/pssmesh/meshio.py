@@ -107,7 +107,8 @@ def _parse_ply_header(lines):
 
 class _TextCursor:
     """ASCII payload: each row is one non-empty line, read token by token;
-    an integer in its declared type, a float as float64."""
+    an integer in its declared type, a float as float64. A row must hold
+    exactly its properties' values."""
 
     def __init__(self, text, first_line):
         lines = text.splitlines()
@@ -121,6 +122,12 @@ class _TextCursor:
             raise MeshParseError(f"line {self.line}: truncated payload, "
                                  f"expected {element.count} '{element.name}' rows")
         self.pos, self.element = 0, element
+
+    def end_row(self):
+        if self.pos != len(self.tokens):
+            raise MeshParseError(
+                f"line {self.line}: malformed '{self.element.name}' row "
+                f"(values after its last property)")
 
     def take(self, prop, dtype, n):
         tokens = self.tokens[self.pos:self.pos + n]
@@ -151,6 +158,9 @@ class _ByteCursor:
     def row(self, element, i):
         self.element, self.i = element, i
 
+    def end_row(self):
+        pass                        # a binary row has no end of its own
+
     def take(self, prop, dtype, n):
         end = self.pos + dtype.itemsize * n
         if not self.pos <= end <= len(self.buf):      # n < 0 or past the end
@@ -175,6 +185,7 @@ def _walk_rows(cursor, element, n_rows):
         for p in element.properties:
             n = int(cursor.take(p, p.count_dtype, 1)[0]) if p.is_list else 1
             cols[p.name].append(cursor.take(p, p.dtype, n))
+        cursor.end_row()
     # the empty array gives the column's type when there are no rows
     return {p.name: cols[p.name] if p.is_list
             else np.concatenate([np.zeros(0, p.dtype), *cols[p.name]])
@@ -246,7 +257,8 @@ def _mesh_from_ply(elements, data):
     face_color = None
     if all(c in fs for c in ("red", "green", "blue")):
         face_color = np.column_stack([fs["red"], fs["green"], fs["blue"]]).astype(np.uint8)
-    face_label = fs["label"].astype(np.int32) if "label" in fs else None
+    # a copy in the file's type: TriangleMesh checks its range, then casts
+    face_label = np.array(fs["label"]) if "label" in fs else None
 
     extra = {p.name: np.asarray(fs[p.name]) for p in face_el.properties
              if not p.is_list and p.name not in ("red", "green", "blue", "label")}

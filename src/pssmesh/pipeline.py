@@ -9,6 +9,11 @@ On a stage failure the artifacts written so far are renamed with a
 same directory first deletes the earlier manifest, the outputs it lists and
 the ``<name>.partial`` of every name in ``ARTIFACTS``, so no manifest is left
 beside files it does not describe.
+
+Two face-scale tables no stage reads back, ``face_features.npy`` and
+``planarity.npy``, are binary ``.npy`` files holding one structured array
+with a named field per column (``features.write_npy``); every other table
+is CSV.
 """
 
 import csv
@@ -27,7 +32,8 @@ from .config import (ConfigError, PipelineConfig, load_versioned_json,
                      save_json)
 # the writers that a traced run times call the untraced name: one span each
 from .config import save_json as _save_json
-from .features import compute_face_features, face_channel_names, write_csv
+from .features import (compute_face_features, face_channel_names, write_csv,
+                       write_npy)
 from .forest import (ForestModel, check_channels, classify_segments,
                      load_model, parallel_map, planarity_map, train_forest)
 from .meshio import load_mesh, save_mesh
@@ -42,8 +48,8 @@ STAGES = ("preprocess", "face_features", "planarity", "oversegment",
           "segment_features", "graph", "classify", "metrics")
 
 # every file name a run writes, in stage order
-ARTIFACTS = ("repaired.ply", "repair_report.json", "face_features.csv",
-             "planarity.csv", "segmentation.json", "segment_features.csv",
+ARTIFACTS = ("repaired.ply", "repair_report.json", "face_features.npy",
+             "planarity.npy", "segmentation.json", "segment_features.csv",
              "graph.json", "segment_predictions.csv", "face_predictions.csv",
              "labeled.ply", "overseg_metrics.json", "metrics_row.csv",
              "upper_bound.json", "semantic_metrics.json")
@@ -141,10 +147,12 @@ def load_segmentation(path) -> Segmentation:
 
 
 def save_planarity(probmap, path) -> None:
-    label = _ints(probmap.label)
-    write_csv(path, ["face", "planar_prob", "nonplanar_geo", "label"],
-              zip(range(len(label)), _floats(probmap.planar_prob),
-                  _floats(probmap.g_hat), label))
+    """Fields ``planar_prob`` and ``nonplanar_geo`` (float64) and ``label``
+    (int32), one row per face."""
+    write_npy(path, [
+        ("planar_prob", np.asarray(probmap.planar_prob, np.float64)),
+        ("nonplanar_geo", np.asarray(probmap.g_hat, np.float64)),
+        ("label", np.asarray(probmap.label, np.int32))])
 
 
 def save_segment_predictions(classes, proba, class_ids, path) -> None:
@@ -342,7 +350,7 @@ def run_pipeline(config: PipelineConfig, mesh=None,
             tick("face_features")
             feats = compute_face_features(mesh2, config)
             result.face_features = feats
-            emit("face_features.csv", feats.to_csv)
+            emit("face_features.npy", feats.to_npy)
             tock("face_features")
 
         if "planarity" in wanted:
@@ -351,7 +359,7 @@ def run_pipeline(config: PipelineConfig, mesh=None,
                 notes.append("planarity skipped: no model")
             else:
                 result.probmap = planarity_map(model, feats)
-                emit("planarity.csv",
+                emit("planarity.npy",
                      lambda p: save_planarity(result.probmap, p))
             tock("planarity")
 

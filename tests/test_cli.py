@@ -441,13 +441,23 @@ def test_wrongly_typed_config_value_exit_2(ws, tmp_path, capsys, key, value):
     assert not (tmp_path / "run").exists()
 
 
+TRI_PLY = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty double x\n"
+           "property double y\nproperty double z\nelement face 1\n"
+           "property list uchar int vertex_indices\n{label}end_header\n"
+           "{vertex}\n1 0 0\n0 1 0\n3 0 1 2{face}\n")
+
+
 @pytest.mark.parametrize("name, text", [
     ("nan.obj", "v 0 0 0\nv nan 0 0\nv 0 1 0\nf 1 2 3\n"),
     ("tri.stl", "solid tri\nendsolid tri\n"),
     ("verts.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\n"),
     ("bare.ply", "ply\nformat ascii 1.0\nelement vertex 3\nproperty\n"
                  "end_header\n"),
-], ids=["non-finite-vertex", "stl", "no-faces", "bare-property"])
+    ("extra.ply", TRI_PLY.format(label="", vertex="0 0 0 7 7", face="")),
+    ("uint.ply", TRI_PLY.format(label="property uint label\n",
+                                vertex="0 0 0", face=" 4294967295")),
+], ids=["non-finite-vertex", "stl", "no-faces", "bare-property",
+        "extra-values", "uint-label"])
 def test_bad_mesh_input_exit_2(tmp_path, capsys, name, text):
     bad = tmp_path / name
     bad.write_text(text)

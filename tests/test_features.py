@@ -469,11 +469,12 @@ def test_density_channels():
     assert ff.channel("face_density")[0] == pytest.approx(1 / np.pi)
 
 
-def test_csv_export(tmp_path):
+def test_npy_export(tmp_path):
     m = grid_mesh(2, 2)
     ff = compute_face_features(m)
-    p = tmp_path / "feat.csv"
-    ff.to_csv(p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0].split(",")[1] == "linearity_r0.5"
-    assert len(lines) == m.n_faces + 1
+    p = tmp_path / "face_features.npy"
+    ff.to_npy(p)
+    table = np.load(p, allow_pickle=False)
+    assert table.dtype.names == tuple(face_channel_names())
+    assert table.dtype.names[0] == "linearity_r0.5"
+    assert len(table) == m.n_faces

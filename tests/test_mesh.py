@@ -69,3 +69,22 @@ def test_face_index_checked_before_int32_cast():
     faces = np.array([[0, 1, 2**32 + 1]], dtype=np.int64)
     with pytest.raises(MeshError, match="face 0: vertex index out of range"):
         TriangleMesh(vertices=np.zeros((3, 3)), faces=faces)
+
+
+@pytest.mark.parametrize("label", [2**32 + 3, 2**31, -2**31 - 1],
+                         ids=["wraps-to-3", "int32-max-plus-1",
+                              "int32-min-minus-1"])
+def test_face_label_checked_before_int32_cast(label):
+    with pytest.raises(MeshError,
+                       match=f"face 1: label {label} outside the int32 range"):
+        TriangleMesh(vertices=np.zeros((3, 3)),
+                     faces=np.array([[0, 1, 2], [0, 1, 2]]),
+                     face_label=np.array([0, label], dtype=np.int64))
+
+
+def test_face_label_int32_extremes_kept():
+    m = TriangleMesh(vertices=np.zeros((3, 3)),
+                     faces=np.array([[0, 1, 2], [0, 1, 2]]),
+                     face_label=np.array([2**31 - 1, -2**31], dtype=np.int64))
+    assert m.face_label.dtype == np.int32
+    assert m.face_label.tolist() == [2**31 - 1, -2**31]

@@ -84,6 +84,9 @@ def test_round_trip_full(tmp_path):
     m2 = load_mesh(p)
     assert np.array_equal(m.faces, m2.faces)
     assert np.array_equal(m.face_label, m2.face_label)
+    # labels are their own int32 array, not a view of the file's records
+    assert m2.face_label.dtype == np.int32
+    assert m2.face_label.flags.writeable and m2.face_label.flags.c_contiguous
     assert np.array_equal(m.face_color, m2.face_color)
     assert np.array_equal(m.vertex_color, m2.vertex_color)
     assert np.array_equal(m.vertices, m2.vertices)   # bit-exact
@@ -273,6 +276,20 @@ def test_ascii_error_gives_file_line(tmp_path):
         load_mesh(p)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("1 0 0\n", "1 0 0 7 7\n", "line 12: malformed 'vertex' row"),
+    ("3 0 1 2 3\n", "3 0 1 2 3 5 5\n", "line 14: malformed 'face' row"),
+    ("3 0 1 2 3\n", "3 0 1 2 3 5\n", "line 14: malformed 'face' row"),
+], ids=["vertex", "face", "face-one"])
+def test_ascii_extra_values_in_row_rejected(tmp_path, old, new, message):
+    # a header that omits a property must not drop its column silently
+    p = tmp_path / "extra.ply"
+    p.write_text(SINGLE_TRI_PLY.replace(old, new))
+    with pytest.raises(MeshParseError, match="^" + re.escape(
+            f"{p}: {message} (values after its last property)") + "$"):
+        load_mesh(p)
+
+
 # ------------------------------------------------------------ binary rows
 
 
@@ -356,6 +373,19 @@ def test_binary_cut_inside_face_rows(tmp_path):
     with pytest.raises(MeshParseError,
                        match="byte 126: truncated or malformed 'face' row 1 "
                              r"\(property 'label'\)"):
+        load_mesh(p)
+
+
+def test_binary_uint_label_outside_int32_rejected(tmp_path):
+    # 4294967295 wrapped to -1 (unlabeled) in the int32 cast
+    header = ["element face 2", "property list uchar int vertex_indices",
+              "property uint label"]
+    payload = (struct.pack("<B3iI", 3, 0, 1, 2, 2)
+               + struct.pack("<B3iI", 3, 1, 3, 2, 4294967295))
+    p = binary_ply(tmp_path / "uint.ply", header, payload)
+    with pytest.raises(MeshParseError, match=(
+            f"^{re.escape(str(p))}: face 1: label 4294967295 outside the "
+            f"int32 range$")):
         load_mesh(p)
 
 

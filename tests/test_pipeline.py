@@ -5,10 +5,12 @@ import json
 import multiprocessing
 import os
 import re
+import struct
 import sys
 
 import numpy as np
 import pytest
+from numpy.lib.recfunctions import structured_to_unstructured
 
 from pssmesh import pipeline
 from pssmesh.config import (DEFAULT_CLASSES, ConfigError, PipelineConfig,
@@ -48,8 +50,8 @@ HELD_OUT = TileParams(seed=1, ground_res=16, n_boxes=2, n_trees=1,
                       n_vehicles=1)
 
 FULL_RUN_FILES = [
-    "repaired.ply", "repair_report.json", "face_features.csv",
-    "planarity.csv", "segmentation.json", "segment_features.csv",
+    "repaired.ply", "repair_report.json", "face_features.npy",
+    "planarity.npy", "segmentation.json", "segment_features.csv",
     "graph.json", "segment_predictions.csv", "face_predictions.csv",
     "labeled.ply", "overseg_metrics.json", "metrics_row.csv",
     "upper_bound.json", "semantic_metrics.json",
@@ -155,6 +157,39 @@ def test_two_runs_identical_hashes(tile_path, trained, tmp_path):
     a = run_pipeline(make_config(tile_path, trained, tmp_path / "a"))
     b = run_pipeline(make_config(tile_path, trained, tmp_path / "b"))
     assert a.manifest.outputs == b.manifest.outputs
+    for name in ("face_features.npy", "planarity.npy"):
+        assert (a.run_dir / name).read_bytes() \
+            == (b.run_dir / name).read_bytes()
+
+
+def load_table(path):
+    table = np.load(path, allow_pickle=False)
+    assert table.ndim == 1
+    return table
+
+
+def test_face_tables_hold_the_run_values(tile_path, trained, tmp_path):
+    cfg = make_config(tile_path, trained, tmp_path / "run")
+    result = run_pipeline(cfg, stop_after="planarity")
+    feats = load_table(result.run_dir / "face_features.npy")
+    names = face_channel_names(cfg)
+    assert len(names) == 27
+    assert feats.dtype.names == tuple(names)
+    assert all(feats.dtype[n] == np.float64 for n in names)
+    assert structured_to_unstructured(feats).tobytes() \
+        == result.face_features.values.tobytes()
+
+    plan = load_table(result.run_dir / "planarity.npy")
+    assert plan.dtype == np.dtype([("planar_prob", "<f8"),
+                                   ("nonplanar_geo", "<f8"),
+                                   ("label", "<i4")])
+    pm = result.probmap
+    assert len(plan) == len(pm) == result.mesh.n_faces
+    assert plan["planar_prob"].tobytes() \
+        == np.asarray(pm.planar_prob, np.float64).tobytes()
+    assert plan["nonplanar_geo"].tobytes() \
+        == np.asarray(pm.g_hat, np.float64).tobytes()
+    assert (plan["label"] == pm.label).all()
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +215,7 @@ def test_stage_failure_keeps_partials(tile_path, trained, wrong_kind,
     assert "planarity" in str(err.value)
     run_dir = tmp_path / "run"
     assert (run_dir / "repaired.ply.partial").is_file()
-    assert (run_dir / "face_features.csv.partial").is_file()
+    assert (run_dir / "face_features.npy.partial").is_file()
     assert not (run_dir / "repaired.ply").exists()
     assert not (run_dir / "manifest.json").exists()
 
@@ -263,7 +298,7 @@ def test_rerun_failure_leaves_no_stale_manifest(tile_path, trained,
     with pytest.raises(StageError):
         run_pipeline(cfg)
     names = sorted(p.name for p in run_dir.iterdir())
-    assert names == ["face_features.csv.partial", "notes.txt",
+    assert names == ["face_features.npy.partial", "notes.txt",
                      "repair_report.json.partial", "repaired.ply.partial"]
     assert set(first.manifest.outputs) == set(FULL_RUN_FILES)
 
@@ -275,7 +310,7 @@ def test_successful_rerun_leaves_no_partials(tile_path, trained, wrong_kind,
     with pytest.raises(StageError):
         run_pipeline(make_config(tile_path, trained, run_dir,
                                  planarity_model=wrong_kind))
-    assert (run_dir / "face_features.csv.partial").is_file()
+    assert (run_dir / "face_features.npy.partial").is_file()
     result = run_pipeline(make_config(tile_path, trained, run_dir))
     assert sorted(p.name for p in run_dir.iterdir()) \
         == sorted(FULL_RUN_FILES + ["manifest.json"])
@@ -289,7 +324,7 @@ def test_shorter_rerun_deletes_partials_it_does_not_write(tile_path, trained,
     with pytest.raises(StageError):
         run_pipeline(make_config(tile_path, trained, run_dir,
                                  planarity_model=wrong_kind))
-    assert (run_dir / "face_features.csv.partial").is_file()
+    assert (run_dir / "face_features.npy.partial").is_file()
     run_pipeline(make_config(tile_path, trained, run_dir),
                  stop_after="preprocess")
     assert sorted(p.name for p in run_dir.iterdir()) \
@@ -444,6 +479,15 @@ def csv_reference(path, header, rows):
     return path.read_bytes()
 
 
+def npy_parts(path):
+    """Format version, (shape, fortran order, dtype) and the data bytes of
+    an ``.npy`` file, read by the format's own rules."""
+    with open(path, "rb") as fh:
+        version = np.lib.format.read_magic(fh)
+        header = np.lib.format.read_array_header_1_0(fh)
+        return version, header, fh.read()
+
+
 def odd_floats(rng, shape, dtype=np.float64):
     """Values of every magnitude with each special float planted."""
     x = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 18, shape)
@@ -473,10 +517,12 @@ def test_table_writers_match_csv_writer(tmp_path):
     label = rng.integers(0, 2, 30).astype(np.int32)
     save_planarity(ProbabilityMap(g_hat=g,
                                   label=label, planar_prob=pp), got)
-    assert got.read_bytes() == csv_reference(
-        want, ["face", "planar_prob", "nonplanar_geo", "label"],
-        ([i, repr(float(pp[i])), repr(float(g[i])), int(label[i])]
-         for i in range(30)))
+    assert npy_parts(got) == (
+        (1, 0),
+        ((30,), False, np.dtype([("planar_prob", "<f8"),
+                                 ("nonplanar_geo", "<f8"), ("label", "<i4")])),
+        b"".join(struct.pack("<ddi", pp[i], g[i], label[i])
+                 for i in range(30)))
 
     classes = np.array([3, 0, 7, 1, 2, 2, 5, 0, 1, 6, 4, 3])
     proba = odd_floats(rng, (12, 4))
@@ -510,6 +556,35 @@ def test_table_writers_match_csv_writer(tmp_path):
            "segment_type": [int(t) for t in seg.segment_type],
            "planes": [[float(x) for x in row] for row in seg.planes]}
     assert got.read_text() == json.dumps(doc, indent=1) + "\n"
+
+
+def test_face_tables_round_trip_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(11)
+    names = face_channel_names()
+    values = odd_floats(rng, (50, len(names)))
+    assert np.isnan(values[0, 0]) and np.signbit(values[0, 3])
+    path = tmp_path / "face_features.npy"
+    FaceFeatures(values=values, channel_names=names).to_npy(path)
+    table = load_table(path)
+    assert table.dtype == np.dtype([(n, "<f8") for n in names])
+    assert structured_to_unstructured(table).tobytes() == values.tobytes()
+    assert npy_parts(path) == (
+        (1, 0), ((50,), False, np.dtype([(n, "<f8") for n in names])),
+        b"".join(struct.pack(f"<{len(names)}d", *row) for row in values))
+
+    # a float32 g_hat widens exactly, its own subnormals included
+    g = odd_floats(rng, 40, np.float32)
+    g[-1] = np.finfo(np.float32).smallest_subnormal
+    pp = odd_floats(rng, 40)
+    label = rng.integers(0, 2, 40)
+    save_planarity(ProbabilityMap(g_hat=g, label=label, planar_prob=pp), path)
+    table = load_table(path)
+    assert table.dtype.names == ("planar_prob", "nonplanar_geo", "label")
+    assert table["planar_prob"].tobytes() == pp.tobytes()
+    assert table["nonplanar_geo"].tobytes() == g.astype(np.float64).tobytes()
+    assert table["nonplanar_geo"].astype(np.float32).tobytes() == g.tobytes()
+    assert table["label"].dtype == np.int32
+    assert (table["label"] == label).all()
 
 
 def test_face_predictions_header_check(tmp_path):
