@@ -22,16 +22,15 @@ from .config import (DEFAULTS, ConfigError, PipelineConfig, load_config,
 from .forest import save_model
 from .meshio import MeshParseError, load_mesh, save_mesh
 from .metrics import max_achievable, overseg_report, semantic_metrics
-from .pipeline import (StageError, file_sha256, load_face_predictions,
-                       load_segmentation, run_pipeline, save_json,
-                       save_metrics_row, train_models)
+from .pipeline import (StageError, check_classes, file_sha256,
+                       load_face_predictions, load_segmentation, run_pipeline,
+                       save_json, save_metrics_row, train_models)
 from .synth import TileParams, expected_component_count, synth_tile
 
 # config fields whose flag is not "--" plus the field name with dashes
 _FLAG_NAMES = {"input_path": "--input", "output_dir": "--out",
-               "weld_epsilon": "--weld-eps",
-               "ground_radius": "--ground-radius-m",
-               "proximity_mode": "--proximity", "boundary_rings": "--rings"}
+               "weld_epsilon": "--weld-eps", "boundary_rings": "--rings",
+               "ground_radius": "--ground-radius-m"}
 # synth flags named after a TileParams field set it; unset ones keep its default
 _TILE_FIELDS = tuple(f.name for f in fields(TileParams))
 
@@ -198,6 +197,9 @@ def cmd_eval_semantic(args) -> int:
     else:
         pred = _load_labeled(args.pred, "predicted").face_label
     _check_coindexed(len(pred), "predictions", gt)
+    for path, labels, what in ((args.gt, gt.face_label, "ground-truth label"),
+                               (args.pred, pred, "predicted label")):
+        check_classes(labels[labels >= 0].tolist(), cfg, path, what)
     report = semantic_metrics(pred, gt.face_label, gt.face_area,
                               classes=sorted(cfg.classes))
     save_json(report.as_dict(), _out_dir(cfg) / "semantic_metrics.json")

@@ -68,7 +68,6 @@ class PipelineConfig:
     lambda_g: float = 0.9
     parallel_angle_deg: float = 5.0
     ground_radius: float = 30.0
-    proximity_mode: str = "knn"
     knn_k: int = 16
     knn_cutoff_factor: float = 16.0
     sampling_density: float = 10.0
@@ -97,12 +96,16 @@ class PipelineConfig:
             raise ConfigError("boundary_rings must be >= 0")
         if self.threads < 0:
             raise ConfigError("threads must be >= 0")
-        if self.proximity_mode not in ("knn", "delaunay"):
-            raise ConfigError(f"unknown proximity mode {self.proximity_mode!r}")
         if not self.eigen_radii:
             raise ConfigError("eigen_radii must not be empty")
         if any(r <= 0 for r in self.eigen_radii + self.elevation_radii):
             raise ConfigError("feature radii must be > 0")
+        for name in ("eigen_radii", "elevation_radii"):
+            tags = [radius_tag(r) for r in getattr(self, name)]
+            twice = [t for i, t in enumerate(tags) if t in tags[:i]]
+            if twice:
+                raise ConfigError(f"{name} gives two channels the suffix "
+                                  f"'_{twice[0]}'")
         if not self.classes:
             raise ConfigError("class table must not be empty")
 
@@ -114,6 +117,11 @@ class PipelineConfig:
         d["nonplanar_classes"] = list(self.nonplanar_classes)
         d["classes"] = {str(k): v for k, v in sorted(self.classes.items())}
         return d
+
+
+def radius_tag(radius: float) -> str:
+    """The suffix that names a feature channel of one radius: ``r0.5``."""
+    return f"r{radius:g}"
 
 
 # field name -> default value, in field order

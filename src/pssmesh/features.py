@@ -32,7 +32,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.spatial import cKDTree
 
-from .config import PipelineConfig
+from .config import PipelineConfig, radius_tag
 from .medial import shrinking_ball_transform
 from .mesh import TriangleMesh
 
@@ -119,9 +119,10 @@ def face_channel_names(config: PipelineConfig | None = None) -> list:
     config = config or PipelineConfig()
     names = []
     for r in config.eigen_radii:
-        names += [f"{n}_r{r:g}" for n in EIGEN_NAMES]
+        names += [f"{n}_{radius_tag(r)}" for n in EIGEN_NAMES]
     names += ["elevation_abs", "elevation_rel"]
-    names += [f"elevation_rel_r{r:g}" for r in config.elevation_radii]
+    names += [f"elevation_rel_{radius_tag(r)}"
+              for r in config.elevation_radii]
     names += ["inmat_radius", "vertex_density", "face_density",
               "greenness", "color_h", "color_s", "color_v"]
     return names

@@ -40,7 +40,7 @@ class TriangleMesh:
             self.face_color = np.asarray(self.face_color, dtype=np.uint8).reshape(-1, 3)
         if self.vertex_color is not None:
             self.vertex_color = np.asarray(self.vertex_color, dtype=np.uint8).reshape(-1, 3)
-        # check indices and labels as given: the int32 cast wraps silently
+        # check indices and labels as given: the int32 cast wraps or truncates
         if self.face_label is not None:
             self.face_label = np.asarray(self.face_label).reshape(-1)
         self.faces = np.asarray(self.faces).reshape(-1, 3)
@@ -62,6 +62,12 @@ class TriangleMesh:
             label = self.face_label
             if len(label) != len(f):
                 raise MeshError("face_label length does not match face count")
+            if label.dtype.kind == "f":
+                whole = np.isfinite(label) & (label == np.floor(label))
+                if not whole.all():
+                    bad = int(np.argmin(whole))
+                    raise MeshError(f"face {bad}: label {label[bad]} is not "
+                                    f"an integer")
             i32 = np.iinfo(np.int32)
             if label.size and (label.min() < i32.min or label.max() > i32.max):
                 bad = int(np.argmax((label < i32.min) | (label > i32.max)))

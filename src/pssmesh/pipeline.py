@@ -134,15 +134,18 @@ def load_segmentation(path) -> Segmentation:
         seg = Segmentation(
             face_segment=np.asarray(doc["face_segment"], dtype=np.int32),
             segment_type=np.asarray(doc["segment_type"], dtype=np.int8),
-            planes=np.asarray(doc["planes"], dtype=np.float64).reshape(-1, 4))
+            planes=np.asarray(doc["planes"], dtype=np.float64))
     except (ValueError, TypeError, OverflowError) as exc:
         raise bad(exc) from None
     k, ids = seg.n_segments, seg.face_segment
     if len(ids) and not -1 <= ids.min() <= ids.max() < k:
         raise bad(f"face_segment ids must lie in [-1, {k}) for {k} "
                   f"segment types")
-    if len(seg.planes) != k:
-        raise bad(f"{len(seg.planes)} planes for {k} segment types")
+    if seg.planes.shape == (0,):            # [] is the table of no planes
+        seg.planes = seg.planes.reshape(0, 4)
+    if seg.planes.shape != (k, 4):
+        raise bad(f"planes must be {k} rows of 4 for {k} segment types, "
+                  f"got shape {seg.planes.shape}")
     return seg
 
 
@@ -224,7 +227,7 @@ def clear_previous_run(run_dir: Path) -> None:
             (run_dir / name).unlink()
 
 
-def _check_classes(ids, config: PipelineConfig, source, what) -> None:
+def check_classes(ids, config: PipelineConfig, source, what) -> None:
     """ConfigError naming ``source`` unless every id is in config.classes."""
     unknown = sorted(set(ids) - set(config.classes))
     if unknown:
@@ -295,8 +298,8 @@ def run_pipeline(config: PipelineConfig, mesh=None,
         sem_model = load_model(config.semantic_model)
         check_channels(sem_model, segment_channel_names(face_names),
                        config.semantic_model)
-        _check_classes(sem_model.classes.tolist(), config,
-                       config.semantic_model, "model class")
+        check_classes(sem_model.classes.tolist(), config,
+                      config.semantic_model, "model class")
 
     input_sha = None
     if mesh is None:
@@ -308,9 +311,9 @@ def run_pipeline(config: PipelineConfig, mesh=None,
         mesh.check_usable()
     if sem_model is not None and "metrics" in wanted \
             and mesh.face_label is not None:
-        _check_classes(mesh.face_label[mesh.face_label >= 0].tolist(), config,
-                       config.input_path if input_sha else "input mesh",
-                       "ground-truth label")
+        check_classes(mesh.face_label[mesh.face_label >= 0].tolist(), config,
+                      config.input_path if input_sha else "input mesh",
+                      "ground-truth label")
 
     run_dir = Path(config.output_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -484,8 +487,8 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
     gathered in mesh order, so the models are the same at every worker
     count. No worker is left running when this returns or raises.
     """
-    _check_classes(config.nonplanar_classes, config, "nonplanar_classes",
-                   "class id")
+    check_classes(config.nonplanar_classes, config, "nonplanar_classes",
+                  "class id")
     loaded, sources = [], []
     for i, m in enumerate(meshes):
         if hasattr(m, "faces"):
@@ -496,8 +499,8 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
             m = load_mesh(m)
         if m.face_label is None:
             raise ConfigError(f"{source}: no ground-truth labels")
-        _check_classes(m.face_label[m.face_label >= 0].tolist(), config,
-                       source, "training label")
+        check_classes(m.face_label[m.face_label >= 0].tolist(), config,
+                      source, "training label")
         loaded.append(m)
         sources.append(str(source))
     if not loaded:

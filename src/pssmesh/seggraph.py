@@ -4,12 +4,13 @@ Nodes are the segments of one ``adjacency.SegmentIndex``; ``SegmentGraph``
 holds them as arrays indexed by segment id (type, plane, centroid, feature
 row). Edges come from four independent constructors: near-parallel planar
 pairs, segment-to-local-ground links, exterior medial-ball bridges, and
-spatial proximity. Each constructor computes its segment pairs as one
-(M, 2) id array and records them with ``SegmentGraph.add_pairs``. Several
-constructors can connect the same pair; the edge record keeps the set of
-contributing types. Edge features are elementwise log-ratios of the two
-node feature vectors, which ``edge_log_ratios`` computes when asked for,
-plus boundary offset statistics, which each edge stores.
+spatial proximity (k nearest neighbors, the one proximity rule). Each
+constructor computes its segment pairs as one (M, 2) id array and records
+them with ``SegmentGraph.add_pairs``. Several constructors can connect the
+same pair; the edge record keeps the set of contributing types. Edge
+features are elementwise log-ratios of the two node feature vectors, which
+``edge_log_ratios`` computes when asked for, plus boundary offset
+statistics, which each edge stores.
 
 ``export_graph`` writes version 2 of ``graph.json``: a top-level ``channels``
 list names the feature channels once; each node holds ``id``, ``type``,
@@ -19,12 +20,11 @@ edge holds only ``a``, ``b``, ``types``, ``offset_mean`` and ``offset_std``;
 node features determine them.
 """
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError, cKDTree
+from scipy.spatial import cKDTree
 
 from .adjacency import AdjacencyIndex, SegmentIndex, pair_keys, unique_ints
 from .config import (ConfigError, PipelineConfig, load_versioned_json,
@@ -74,14 +74,17 @@ class SegmentGraph:
         """Record one typed link per row of an (M, 2) node id array.
 
         Row order does not matter; each distinct pair is stored once under
-        (lower, higher) and accumulates the types that found it. Returns M.
+        (lower, higher) and accumulates the types that found it. Ids must
+        lie in [0, n_nodes). Returns M.
         """
-        pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
-                        axis=1)
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         loops = pairs[:, 0] == pairs[:, 1]
         if loops.any():
             raise ValueError(f"self-edge on node {pairs[np.argmax(loops), 0]}")
-        for a, b in np.unique(pairs, axis=0).tolist():
+        if len(pairs) and (pairs.min() < 0 or pairs.max() >= self.n_nodes):
+            raise ValueError(f"node id outside [0, {self.n_nodes})")
+        for a, b in _unique_pairs(pairs[:, 0], pairs[:, 1],
+                                  self.n_nodes).tolist():
             edge = self.edges.get((a, b))
             if edge is None:
                 edge = self.edges[(a, b)] = GraphEdge()
@@ -208,20 +211,6 @@ def _unique_pairs(i, j, n):
     return np.column_stack(np.divmod(key, n))
 
 
-def delaunay_pairs(points) -> np.ndarray:
-    """Point index pairs connected in the 3D Delaunay triangulation.
-
-    Returns the distinct pairs as an ascending (M, 2) int64 array, each row
-    (lower, higher). Raises QhullError (or ValueError) for inputs Qhull
-    cannot triangulate.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    tri = Delaunay(points, qhull_options="QJ")
-    iu, ju = np.triu_indices(tri.simplices.shape[1], k=1)
-    return _unique_pairs(tri.simplices[:, iu].ravel(),
-                         tri.simplices[:, ju].ravel(), len(points))
-
-
 def knn_pairs(points, k: int, cutoff_factor: float) -> np.ndarray:
     """Symmetric k-nearest-neighbor pairs within a spacing-scaled cutoff.
 
@@ -239,30 +228,19 @@ def knn_pairs(points, k: int, cutoff_factor: float) -> np.ndarray:
 
 
 def proximity_edges(graph: SegmentGraph, mesh: TriangleMesh, segmentation,
-                    mode: str, k: int, cutoff_factor: float) -> int:
+                    k: int, cutoff_factor: float) -> int:
     """Link segments whose points are spatial neighbors.
 
     The point set is the mesh vertices plus face centroids, each tagged
-    with a segment. knn mode joins candidates from a symmetric k-nearest-
-    neighbor graph, cut off at ``cutoff_factor`` times the median nearest-
-    neighbor spacing. delaunay mode uses the 3D Delaunay edges and falls
-    back to knn (with a warning) on degenerate input. ``mode`` is one of the
-    two, as ``PipelineConfig.proximity_mode`` is checked to be.
+    with a segment. Candidates come from ``knn_pairs``: a symmetric
+    k-nearest-neighbor graph, cut off at ``cutoff_factor`` times the median
+    nearest-neighbor spacing. Returns the number of cross-segment pairs.
     """
     face_segment = np.asarray(segmentation.face_segment).reshape(-1)
     points, tags = _proximity_points(mesh, face_segment)
     if len(points) < 2:
         return 0
-    if mode == "delaunay":
-        try:
-            pairs = delaunay_pairs(points)
-        except (QhullError, ValueError):
-            warnings.warn("degenerate input for 3D Delaunay; "
-                          "falling back to knn proximity")
-            mode = "knn"
-    if mode == "knn":
-        pairs = knn_pairs(points, k, cutoff_factor)
-    graph.metadata["proximity_mode"] = mode
+    pairs = knn_pairs(points, k, cutoff_factor)
     seg_pairs = tags[pairs]
     return graph.add_pairs(seg_pairs[seg_pairs[:, 0] != seg_pairs[:, 1]],
                            EDGE_PROXIMITY)
@@ -347,8 +325,8 @@ def build_segment_graph(mesh: TriangleMesh, adjacency: AdjacencyIndex,
     connecting_ground_edges(graph, mesh, index, probes, config.ground_radius)
     exmat_edges(graph, mesh, segmentation, config.sampling_density,
                 config.seed)
-    proximity_edges(graph, mesh, segmentation, config.proximity_mode,
-                    config.knn_k, config.knn_cutoff_factor)
+    proximity_edges(graph, mesh, segmentation, config.knn_k,
+                    config.knn_cutoff_factor)
     compute_edge_features(graph, mesh, probes)
     return graph
 

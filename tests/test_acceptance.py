@@ -36,7 +36,7 @@ from pssmesh.overseg import (
     unary_cost,
 )
 from pssmesh.pipeline import run_pipeline, train_models
-from pssmesh.seggraph import EDGE_GROUND, EDGE_PARALLEL, delaunay_pairs
+from pssmesh.seggraph import EDGE_GROUND, EDGE_PARALLEL
 from pssmesh.synth import (
     CLASS_BUILDING,
     CLASS_TERRAIN,
@@ -101,29 +101,6 @@ def brute_miou(conf):
     iou[nz] = tp[nz] / den[nz]
     present = row > 0
     return float(iou[present].mean()) if present.any() else 0.0
-
-
-def brute_delaunay_pairs(points):
-    points = np.asarray(points, dtype=float)
-    n = len(points)
-    pairs = set()
-    for quad in itertools.combinations(range(n), 4):
-        p = points[list(quad)]
-        a = 2.0 * (p[1:] - p[0])
-        rhs = (p[1:] ** 2).sum(axis=1) - (p[0] ** 2).sum()
-        try:
-            center = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        r = np.linalg.norm(p[0] - center)
-        others = [i for i in range(n) if i not in quad]
-        if others:
-            d = np.linalg.norm(points[others] - center, axis=1)
-            if (d < r * (1.0 - 1e-9)).any():
-                continue
-        pairs.update((min(i, j), max(i, j))
-                     for i, j in itertools.combinations(quad, 2))
-    return pairs
 
 
 def fibonacci_sphere(n, radius=1.0):
@@ -468,13 +445,4 @@ def test_criterion_11_graph_correctness(e2e):
                if not has_type(a, b, EDGE_PARALLEL)]
     checks.append((len(roofs) >= 2, f"only {len(roofs)} roof planes"))
     checks.append((not missing, f"roof pairs not linked: {missing}"))
-
-    rng = np.random.default_rng(11)
-    bad = 0
-    for _ in range(100):
-        pts = rng.random((int(rng.integers(5, 9)), 3)) * [4.0, 4.0, 2.0]
-        if set(map(tuple, delaunay_pairs(pts).tolist())) \
-                != brute_delaunay_pairs(pts):
-            bad += 1
-    checks.append((bad == 0, f"{bad} Delaunay mismatches"))
     verdict(11, checks)

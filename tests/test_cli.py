@@ -56,13 +56,20 @@ def test_synth_unset_flags_keep_tile_defaults(tmp_path):
         == (tmp_path / "want.ply").read_bytes()
 
 
-def test_unknown_proximity_mode_is_usage_error(ws, tmp_path, capsys):
-    code = main(["graph", "--input", str(ws["tile"]), "--out",
-                 str(tmp_path / "run"), "--planarity-model",
-                 str(ws["models"] / "planarity.model"),
-                 "--proximity", "voronoi"])
-    assert code == 2
-    assert "unknown proximity mode 'voronoi'" in capsys.readouterr().err
+def test_proximity_flag_and_config_key_are_usage_errors(ws, tmp_path,
+                                                        capsys):
+    # knn is the only proximity rule: no flag or config key picks another
+    argv = ["graph", "--input", str(ws["tile"]), "--out",
+            str(tmp_path / "run"), "--planarity-model",
+            str(ws["models"] / "planarity.model")]
+    assert main(argv + ["--proximity", "knn"]) == 2
+    assert "unrecognized arguments: --proximity knn" \
+        in capsys.readouterr().err
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text('{"proximity_mode": "knn"}')
+    assert main(argv + ["--config", str(cfg_path)]) == 2
+    assert f"config {cfg_path}: unknown config key 'proximity_mode'" \
+        in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -271,6 +278,35 @@ def test_eval_semantic_mesh_pred(ws, tmp_path, capsys):
     assert "mIoU=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("which", ["pred", "gt"])
+def test_eval_semantic_label_outside_classes_exit_2(ws, tmp_path, capsys,
+                                                    which):
+    mesh = load_mesh(ws["tile"])
+    mesh.face_label[5] = 7
+    odd = tmp_path / "odd.ply"
+    save_mesh(mesh, odd)
+    paths = {"pred": ws["tile"], "gt": ws["tile"], which: odd}
+    code = main(["eval-semantic", "--pred", str(paths["pred"]),
+                 "--gt", str(paths["gt"]), "--out", str(tmp_path / "ev")])
+    assert code == 2
+    what = "predicted" if which == "pred" else "ground-truth"
+    assert f"{odd}: {what} label 7 is not in the config's classes" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_eval_semantic_csv_class_outside_classes_exit_2(ws, tmp_path, capsys):
+    pred = tmp_path / "pred.csv"
+    rows = (ws["run"] / "face_predictions.csv").read_text().splitlines()
+    rows[1] = rows[1].split(",")[0] + ",7"
+    pred.write_text("\n".join(rows) + "\n")
+    code = main(["eval-semantic", "--pred", str(pred), "--gt", str(ws["tile"]),
+                 "--out", str(tmp_path / "ev")])
+    assert code == 2
+    assert f"{pred}: predicted label 7 is not in the config's classes" \
+        in capsys.readouterr().err
+
+
 def test_eval_semantic_co_index_error(ws, tmp_path, capsys):
     code = main(["eval-semantic",
                  "--pred", str(ws["run"] / "face_predictions.csv"),
@@ -315,6 +351,18 @@ def test_unknown_nonplanar_class_exit_2(ws, tmp_path, capsys, ids):
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "pipeline"])
+def test_radii_naming_one_channel_twice_exit_2(ws, tmp_path, capsys, command):
+    code = main([command, "--eigen-radii", "1", "1.0000001",
+                 "--inputs" if command == "train" else "--input",
+                 str(ws["micro"]), "--out", str(tmp_path / "run"),
+                 "--planarity-model", str(ws["models"] / "planarity.model")])
+    assert code == 2
+    assert "eigen_radii gives two channels the suffix '_r1'" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_file_with_flag_override(ws, tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({
@@ -355,7 +403,6 @@ FLAG_VALUES = {
     "lambda_g": (["--lambda-g", "0.4"], 0.4),
     "parallel_angle_deg": (["--parallel-angle-deg", "7.5"], 7.5),
     "ground_radius": (["--ground-radius-m", "12"], 12.0),
-    "proximity_mode": (["--proximity", "delaunay"], "delaunay"),
     "knn_k": (["--knn-k", "8"], 8),
     "knn_cutoff_factor": (["--knn-cutoff-factor", "4.5"], 4.5),
     "sampling_density": (["--sampling-density", "3"], 3.0),
@@ -478,8 +525,11 @@ def test_bad_mesh_input_exit_2(tmp_path, capsys, name, text):
     '"planes": [[0, 0, 1, 0]]}',
     '{"version": 1, "face_segment": [0, 1], "segment_type": [0, 0], '
     '"planes": [[0, 0, 1, 0]]}',
+    # 4 rows of 3 hold 12 numbers, as 3 rows of 4 do
+    '{"version": 1, "face_segment": [0, 1, 2], "segment_type": [0, 0, 1], '
+    '"planes": [[0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 0, 1]]}',
 ], ids=["truncated", "missing-key", "version", "non-integer",
-        "ids-beyond-types", "planes-not-one-per-type"])
+        "ids-beyond-types", "planes-not-one-per-type", "planes-rows-of-3"])
 def test_bad_segmentation_exit_2(ws, tmp_path, capsys, command, text):
     bad = tmp_path / "seg.json"
     bad.write_text(text)

@@ -99,7 +99,7 @@ def test_non_object_json(tmp_path):
     ("knn_k", 0),
     ("boundary_rings", -1),
     ("threads", -2),
-    ("proximity_mode", "voronoi"),
+    ("knn_cutoff_factor", 0.0),
     ("eigen_radii", (1.0, -2.0)),
     ("classes", {}),
     ("eigen_radii", ()),
@@ -107,6 +107,19 @@ def test_non_object_json(tmp_path):
 def test_validation_rejects(field, value):
     with pytest.raises(ConfigError):
         PipelineConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,radii,suffix", [
+    ("eigen_radii", (1.0, 1.0), "r1"),
+    ("eigen_radii", (0.5, 1.0, 1.0000001), "r1"),
+    ("elevation_radii", (10.0, 20.0, 10.0), "r10"),
+])
+def test_radii_naming_one_channel_twice_rejected(field, radii, suffix):
+    # both give channels such as linearity_r1 twice, which the face
+    # feature table cannot hold
+    with pytest.raises(ConfigError, match=f"^{field} gives two channels "
+                                          f"the suffix '_{suffix}'$"):
+        PipelineConfig(**{field: radii})
 
 
 def test_empty_elevation_radii_allowed():
@@ -152,7 +165,7 @@ def test_stages_read_the_config():
     for family, add in ((EDGE_EXMAT, lambda g: exmat_edges(
                             g, mesh, seg, cfg.sampling_density, cfg.seed)),
                         (EDGE_PROXIMITY, lambda g: proximity_edges(
-                            g, mesh, seg, cfg.proximity_mode, cfg.knn_k,
+                            g, mesh, seg, cfg.knn_k,
                             cfg.knn_cutoff_factor))):
         fresh = SegmentGraph(segment_type=graph.segment_type,
                              planes=graph.planes, centroids=graph.centroids,

@@ -82,6 +82,24 @@ def test_face_label_checked_before_int32_cast(label):
                      face_label=np.array([0, label], dtype=np.int64))
 
 
+@pytest.mark.parametrize("label", [0.5, np.nan, np.inf],
+                         ids=["fraction", "nan", "inf"])
+def test_float_face_label_must_be_integral(label):
+    with pytest.raises(MeshError, match=f"face 1: label {label} is not an "
+                                        f"integer"):
+        TriangleMesh(vertices=np.zeros((3, 3)),
+                     faces=np.array([[0, 1, 2], [0, 1, 2]]),
+                     face_label=[2.0, label])
+
+
+def test_integral_float_face_labels_kept():
+    m = TriangleMesh(vertices=np.zeros((3, 3)),
+                     faces=np.array([[0, 1, 2], [0, 1, 2]]),
+                     face_label=[2.0, -1.0])
+    assert m.face_label.dtype == np.int32
+    assert m.face_label.tolist() == [2, -1]
+
+
 def test_face_label_int32_extremes_kept():
     m = TriangleMesh(vertices=np.zeros((3, 3)),
                      faces=np.array([[0, 1, 2], [0, 1, 2]]),

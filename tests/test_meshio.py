@@ -389,6 +389,27 @@ def test_binary_uint_label_outside_int32_rejected(tmp_path):
         load_mesh(p)
 
 
+@pytest.mark.parametrize("value", ["2.7", "nan"])
+def test_ascii_float_label_not_integral_rejected(tmp_path, value):
+    # 2.7 truncated to 2 and nan became -2147483648 in the int32 cast
+    p = tmp_path / "flabel.ply"
+    p.write_text(SINGLE_TRI_PLY.replace("property int label",
+                                        "property float label")
+                 .replace("3 0 1 2 3", f"3 0 1 2 {value}"))
+    with pytest.raises(MeshParseError, match=(
+            f"^{re.escape(str(p))}: face 0: label {value} is not an "
+            f"integer$")):
+        load_mesh(p)
+
+
+def test_ascii_float_label_integral_kept(tmp_path):
+    p = tmp_path / "flabel.ply"
+    p.write_text(SINGLE_TRI_PLY.replace("property int label",
+                                        "property float label")
+                 .replace("3 0 1 2 3", "3 0 1 2 2.0"))
+    assert load_mesh(p).face_label.tolist() == [2]
+
+
 def test_binary_trailing_bytes_rejected(tmp_path):
     header = ["element face 1", "property list uchar int vertex_indices"]
     p = binary_ply(tmp_path / "tail.ply", header,

@@ -459,6 +459,14 @@ def test_segmentation_version_check(tmp_path):
         load_segmentation(path)
 
 
+def test_segmentation_of_no_segments_loads(tmp_path):
+    path = tmp_path / "seg.json"
+    path.write_text('{"version": 1, "face_segment": [-1, -1], '
+                    '"segment_type": [], "planes": []}')
+    seg = load_segmentation(path)
+    assert seg.n_segments == 0 and seg.planes.shape == (0, 4)
+
+
 def test_face_predictions_round_trip(tmp_path):
     path = tmp_path / "pred.csv"
     save_face_predictions(np.array([3, 1, 0, 2]), path)

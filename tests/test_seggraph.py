@@ -1,6 +1,5 @@
 """Segment graph construction tests."""
 
-import itertools
 import json
 
 import numpy as np
@@ -23,7 +22,6 @@ from pssmesh.seggraph import (
     build_segment_graph,
     compute_edge_features,
     connecting_ground_edges,
-    delaunay_pairs,
     edge_log_ratios,
     exmat_edges,
     export_graph,
@@ -392,55 +390,19 @@ def test_exmat_single_segment_no_edges():
 # --------------------------------------------------------------- proximity
 
 
-def brute_delaunay_pairs(points):
-    """Delaunay edges of generic points via empty-circumsphere 4-subsets."""
-    points = np.asarray(points, dtype=float)
-    n = len(points)
-    pairs = set()
-    for quad in itertools.combinations(range(n), 4):
-        p = points[list(quad)]
-        a = 2.0 * (p[1:] - p[0])
-        rhs = (p[1:] ** 2).sum(axis=1) - (p[0] ** 2).sum()
-        try:
-            center = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        r = np.linalg.norm(p[0] - center)
-        others = [i for i in range(n) if i not in quad]
-        if others:
-            d = np.linalg.norm(points[others] - center, axis=1)
-            if (d < r * (1.0 - 1e-9)).any():
-                continue
-        pairs.update((min(i, j), max(i, j))
-                     for i, j in itertools.combinations(quad, 2))
-    return pairs
-
-
-def test_delaunay_matches_brute_force_small_sets():
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        n = int(rng.integers(5, 9))
-        pts = rng.random((n, 3)) * 10.0
-        assert set(map(tuple, delaunay_pairs(pts).tolist())) \
-            == brute_delaunay_pairs(pts)
-
-
-def test_proximity_shared_edge_both_modes():
+def test_proximity_shared_edge():
     ny = 2
     mesh = grid_mesh(4, ny)
-    # lift vertices off the common plane so 3D Delaunay has full rank input
-    mesh.vertices[:, 2] = np.random.default_rng(7).random(mesh.n_vertices) * 0.01
     col = (np.arange(mesh.n_faces) // 2) // ny
     labels = (col >= 2).astype(np.int32)
     seg = Segmentation(face_segment=labels,
                        segment_type=np.zeros(2, dtype=np.int8),
                        planes=np.tile([0.0, 0.0, 1.0, 0.0], (2, 1)))
-    for mode in ("knn", "delaunay"):
-        g = graph_of([(PLANAR, np.zeros(3), seg.planes[k], np.ones(2))
-                      for k in range(2)])
-        proximity_edges(g, mesh, seg, mode=mode, k=16, cutoff_factor=16.0)
-        assert (0, 1) in g.edges
-        assert g.metadata["proximity_mode"] == mode
+    g = graph_of([(PLANAR, np.zeros(3), seg.planes[k], np.ones(2))
+                  for k in range(2)])
+    assert proximity_edges(g, mesh, seg, k=16, cutoff_factor=16.0) > 0
+    assert set(g.edges) == {(0, 1)}
+    assert g.metadata == {}
 
 
 def test_proximity_knn_cutoff_blocks_distant_clusters():
@@ -458,7 +420,7 @@ def test_proximity_knn_cutoff_blocks_distant_clusters():
     # cutoff is what must reject the 1 km pairs
     g = graph_of([(PLANAR, np.zeros(3), seg.planes[k], np.ones(2))
                   for k in range(2)])
-    proximity_edges(g, mesh, seg, mode="knn", k=16, cutoff_factor=16.0)
+    proximity_edges(g, mesh, seg, k=16, cutoff_factor=16.0)
     assert (0, 1) not in g.edges
 
 
@@ -580,6 +542,14 @@ def test_self_edge_rejected():
     g = graph_of([plane_node([0, 0, 1])])
     with pytest.raises(ValueError, match="self-edge"):
         g.add_pairs([[0, 0]], EDGE_PARALLEL)
+
+
+@pytest.mark.parametrize("pair", [[0, 2], [-1, 1]])
+def test_node_id_outside_graph_rejected(pair):
+    g = graph_of([plane_node([0, 0, 1]), plane_node([0, 0, 1])])
+    with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+        g.add_pairs([pair], EDGE_PARALLEL)
+    assert g.edges == {}
 
 
 # ----------------------------------------------------------------- export

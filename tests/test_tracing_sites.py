@@ -72,8 +72,8 @@ def test_traced_graph_counts_match_graph():
                                        segment_probes(index, adj),
                                        cfg.ground_radius)
              + exmat_edges(fresh, mesh, seg, cfg.sampling_density, cfg.seed)
-             + proximity_edges(fresh, mesh, seg, cfg.proximity_mode,
-                               cfg.knn_k, cfg.knn_cutoff_factor))
+             + proximity_edges(fresh, mesh, seg, cfg.knn_k,
+                               cfg.knn_cutoff_factor))
     assert c["seggraph.added"] == added
     assert {k: e.types for k, e in fresh.edges.items()} \
         == {k: e.types for k, e in graph.edges.items()}
