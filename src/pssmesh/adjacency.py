@@ -7,6 +7,7 @@ segment features and the segment graph read every per-segment fact from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -87,6 +88,13 @@ def unique_ints(values) -> np.ndarray:
     return values[keep]
 
 
+def area_table(rows, cols, n_rows: int, n_cols: int, areas) -> np.ndarray:
+    """(n_rows, n_cols) sums of ``areas`` per (row, column) id, in face order."""
+    return np.bincount(np.asarray(rows, np.int64) * n_cols + cols,
+                       weights=areas, minlength=n_rows * n_cols
+                       ).reshape(n_rows, n_cols)
+
+
 @dataclass
 class AdjacencyIndex:
     """Symmetric face adjacency over shared edges plus the edge table itself.
@@ -157,7 +165,9 @@ class SegmentIndex:
     is cut when its two sides differ; it is then in the cut list of each
     segment on either side. ``faces[k]``, ``cuts[k]`` and ``vertices[k]``
     are segment k's ascending face, cut edge and vertex ids (int64).
-    ``area`` is ``sums(mesh.face_area)``.
+    ``area`` is ``sums(mesh.face_area)``. ``mean`` weighs each face by
+    ``weight``: its area, or 1 in a segment whose area is 0, so such a
+    segment weighs its faces equally. ``weight_sum`` is ``sums(weight)``.
     """
 
     face_segment: np.ndarray           # (F,) segment id per face, -1 none
@@ -166,6 +176,8 @@ class SegmentIndex:
     cuts: list
     vertices: list
     area: np.ndarray = None            # (K,) float64 m^2
+    weight: np.ndarray = None          # (F,) float64
+    weight_sum: np.ndarray = None      # (K,) float64
 
     @property
     def n_segments(self) -> int:
@@ -177,6 +189,12 @@ class SegmentIndex:
         member = self.face_segment >= 0
         return np.bincount(self.face_segment[member], minlength=len(self.faces),
                            weights=np.asarray(values)[member])
+
+    def mean(self, *factors) -> np.ndarray:
+        """(K,) weighted mean over each segment's faces of the product of
+        the per-face ``factors``, taken as ``weight * factors[0] * ...``."""
+        return (self.sums(reduce(np.multiply, factors, self.weight))
+                / self.weight_sum)
 
 
 def segment_index(mesh: TriangleMesh, adjacency: AdjacencyIndex, face_segment,
@@ -204,6 +222,10 @@ def segment_index(mesh: TriangleMesh, adjacency: AdjacencyIndex, face_segment,
         _grouped(np.repeat(seg[member], 3), mesh.faces[member].ravel(),
                  n_segments, mesh.n_vertices))
     index.area = index.sums(mesh.face_area)
+    # -1, a face without a segment, picks the appended False
+    in_zero = np.append(index.area == 0.0, False)[seg]
+    index.weight = np.where(in_zero, 1.0, mesh.face_area)
+    index.weight_sum = index.sums(index.weight)
     return index
 
 

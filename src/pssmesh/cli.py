@@ -91,11 +91,17 @@ def _print_semantic(tag, report):
 
 
 def cmd_synth(args) -> int:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     params = TileParams(**{name: getattr(args, name) for name in _TILE_FIELDS
                            if getattr(args, name) is not None})
-    mesh = synth_tile(params)
+    try:
+        mesh = synth_tile(params)
+    except RuntimeError:                # synth._place found no free spot
+        raise ConfigError(
+            f"cannot place {params.n_boxes} boxes, {params.n_trees} trees and "
+            f"{params.n_vehicles} vehicles apart on a {params.ground_size:g} "
+            f"m tile; lower the counts or raise --ground-size") from None
+    out = Path(args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / args.name
     save_mesh(mesh, path)
     print(f"wrote {path}: {mesh.n_faces} faces, "

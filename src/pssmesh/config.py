@@ -80,22 +80,19 @@ class PipelineConfig:
     def __post_init__(self):
         for name, default in DEFAULTS.items():
             setattr(self, name, _typed(name, default, getattr(self, name)))
-        for name in ("weld_epsilon", "lambda_d", "lambda_m", "lambda_g"):
+        for name in ("weld_epsilon", "lambda_d", "lambda_m", "lambda_g",
+                     "boundary_rings", "threads"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
-        for name in ("trees", "min_leaf", "max_depth"):
+        for name in ("trees", "min_leaf", "max_depth", "knn_k"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         for name in ("parallel_angle_deg", "ground_radius",
                      "knn_cutoff_factor", "sampling_density"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
-        if self.knn_k < 1:
-            raise ConfigError("knn_k must be >= 1")
-        if self.boundary_rings < 0:
-            raise ConfigError("boundary_rings must be >= 0")
-        if self.threads < 0:
-            raise ConfigError("threads must be >= 0")
+        if not 0 <= self.seed < 2 ** 63:       # model files hold an int64
+            raise ConfigError("seed must lie in [0, 2**63)")
         if not self.eigen_radii:
             raise ConfigError("eigen_radii must not be empty")
         if any(r <= 0 for r in self.eigen_radii + self.elevation_radii):

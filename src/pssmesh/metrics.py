@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .adjacency import (AdjacencyIndex, face_connected_components,
-                        unique_ints)
+from .adjacency import (AdjacencyIndex, area_table,
+                        face_connected_components, unique_ints)
 from .mesh import TriangleMesh
 
 
@@ -87,13 +87,6 @@ class SemanticReport:
         }
 
 
-def _area_table(rows, cols, n_rows: int, n_cols: int, areas) -> np.ndarray:
-    """(n_rows, n_cols) sums of ``areas`` per (row, column) id, in face order."""
-    return np.bincount(np.asarray(rows, np.int64) * n_cols + cols,
-                       weights=areas, minlength=n_rows * n_cols
-                       ).reshape(n_rows, n_cols)
-
-
 def _class_columns(labels, classes) -> np.ndarray:
     """Position of every label in ``classes``; ValueError for a label that
     is not in it."""
@@ -128,8 +121,8 @@ def object_purity(face_segment, gt_components, face_areas) -> float:
     # per (segment, component) overlap areas, then the best component per
     # segment; the denominator reuses the same bins so that a segmentation
     # equal to the components scores exactly 1
-    overlap = _area_table(s, g, int(s.max()) + 1, int(g.max()) + 1,
-                          areas[both])
+    overlap = area_table(s, g, int(s.max()) + 1, int(g.max()) + 1,
+                         areas[both])
     purity = overlap.max(axis=1).sum()
     total = overlap.sum(axis=1).sum() + leftover
     return float(purity / total)
@@ -272,9 +265,9 @@ def semantic_metrics(pred_labels, gt_labels, face_areas,
     n_c = len(classes)
     confusion = np.zeros((n_c, n_c), dtype=np.float64)
     if valid.any():
-        confusion = _area_table(_class_columns(gt[valid], classes),
-                                _class_columns(pred[valid], classes),
-                                n_c, n_c, areas[valid])
+        confusion = area_table(_class_columns(gt[valid], classes),
+                               _class_columns(pred[valid], classes),
+                               n_c, n_c, areas[valid])
     tp = np.diag(confusion)
     gt_area = confusion.sum(axis=1)
     pred_area = confusion.sum(axis=0)
@@ -318,8 +311,8 @@ def majority_labels(face_segment, gt_labels, face_areas) -> np.ndarray:
         return out
     classes = unique_ints(gt[voting])
     s = seg[voting]
-    votes = _area_table(s, np.searchsorted(classes, gt[voting]),
-                        int(s.max()) + 1, len(classes), areas[voting])
+    votes = area_table(s, np.searchsorted(classes, gt[voting]),
+                       int(s.max()) + 1, len(classes), areas[voting])
     # argmax scans classes in ascending id order, so ties pick the lower id
     best = classes[np.argmax(votes, axis=1)]
     has_vote = votes.sum(axis=1) > 0

@@ -249,7 +249,7 @@ def oversegment(mesh: TriangleMesh, adjacency: AdjacencyIndex, probmap,
     """Segment every face; seeds are picked by descending planar probability.
 
     The growth weights ``lambda_d``, ``lambda_m`` and ``lambda_g`` come from
-    ``config``.
+    ``config``. A segment of zero area has no plane, so it is NONPLANAR.
     """
     config = config or PipelineConfig()
     nf = mesh.n_faces
@@ -270,6 +270,7 @@ def oversegment(mesh: TriangleMesh, adjacency: AdjacencyIndex, probmap,
         types.append(region.region_type)
         planes.append(np.append(region.normal, region.offset))
         k += 1
-    return Segmentation(face_segment=face_segment,
-                        segment_type=np.asarray(types, dtype=np.int8),
+    segment_type = np.asarray(types, dtype=np.int8)
+    segment_type[np.bincount(face_segment, mesh.face_area, k) == 0] = NONPLANAR
+    return Segmentation(face_segment=face_segment, segment_type=segment_type,
                         planes=np.asarray(planes, dtype=np.float64).reshape(-1, 4))

@@ -1,9 +1,9 @@
 """Per-segment feature vectors built on top of the per-face features.
 
-Each segment gets area-weighted channel statistics, a handful of shape
+Each segment gets weighted channel statistics, a handful of shape
 descriptors (compactness, shape index, boundary straightness, plane fit
-distance), global size measures, and an area-weighted HSV color histogram.
-Faces, cut edges and vertices of each segment come from the segmentation's
+distance), global size measures, and a weighted HSV color histogram.
+Faces, cut edges, vertices and face weights come from the segmentation's
 ``adjacency.SegmentIndex``. The layout is fixed; ``segment_channel_names``
 names its columns, and a model keeps those names so that
 ``forest.check_channels`` refuses features in another layout.
@@ -11,7 +11,8 @@ names its columns, and a model keeps those names so that
 
 import numpy as np
 
-from .adjacency import AdjacencyIndex, SegmentIndex, label_components
+from .adjacency import (AdjacencyIndex, SegmentIndex, area_table,
+                        label_components)
 from .features import FaceFeatures, FeatureTable
 from .mesh import TriangleMesh
 
@@ -85,11 +86,9 @@ def _plane_fit_distance(points) -> float:
     """Mean absolute distance of points to their total-least-squares plane."""
     if len(points) < 3:
         return 0.0
-    mu = points.mean(axis=0)
-    centered = points - mu
-    evals, evecs = np.linalg.eigh(centered.T @ centered / len(points))
-    normal = evecs[:, 0]
-    return float(np.abs(centered @ normal).mean())
+    centered = points - points.mean(axis=0)
+    _, evecs = np.linalg.eigh(centered.T @ centered / len(points))
+    return float(np.abs(centered @ evecs[:, 0]).mean())
 
 
 def compute_segment_features(mesh: TriangleMesh, adjacency: AdjacencyIndex,
@@ -97,63 +96,51 @@ def compute_segment_features(mesh: TriangleMesh, adjacency: AdjacencyIndex,
                              ) -> SegmentFeatures:
     """Aggregate per-face features and shapes into one row per segment.
 
-    ``index`` is the segmentation's ``adjacency.segment_index``; every
-    segment in it needs a positive area.
+    ``index`` is the segmentation's ``adjacency.segment_index``; channel
+    means, deviations and the color histogram weigh faces by its weight.
     """
     face_segment = index.face_segment
     if not (face_segment >= 0).any():
         raise ValueError("segmentation has no assigned faces")
     n_seg = index.n_segments
-    areas = mesh.face_area
-    seg_area = index.area
-    for k in np.flatnonzero(seg_area == 0.0):
-        raise ValueError(f"segment {int(k)} has zero area")
 
-    means = np.zeros((n_seg, face_features.values.shape[1]))
-    stds = np.zeros_like(means)
-    for c, x in enumerate(face_features.values.T):
-        means[:, c] = index.sums(areas * x) / seg_area
-        diff = x - means[face_segment, c]
-        var = index.sums(areas * diff * diff) / seg_area
-        stds[:, c] = np.sqrt(np.maximum(var, 0.0))
+    x_face = face_features.values
+    means = np.column_stack([index.mean(x) for x in x_face.T])
+    stds = np.column_stack([np.sqrt(np.maximum(index.mean(d, d), 0.0))
+                            for d in (x_face - means[face_segment]).T])
 
     # boundary length: a cut edge counts for the segment on each side, the
     # other side being another segment, an unsegmented face or the border
     edge_side = index.edge_side
-    cut = edge_side[:, 0] != edge_side[:, 1]
-    length = adjacency.edge_length[cut]
-    circumference = np.zeros(n_seg)
-    for side in edge_side[cut].T:
-        np.add.at(circumference, side[side >= 0], length[side >= 0])
-    straightness = np.zeros(n_seg)
-    plane_dist = np.zeros(n_seg)
-    vertical = np.zeros(n_seg)
-    for k in range(n_seg):
-        pts = mesh.vertices[index.vertices[k]]
-        straightness[k] = _straightness(_boundary_loops(
-            adjacency.edge_vertices[index.cuts[k]], mesh.vertices))
-        plane_dist[k] = _plane_fit_distance(pts)
-        vertical[k] = float(pts[:, 2].max() - pts[:, 2].min())
+    cut = np.flatnonzero(edge_side[:, 0] != edge_side[:, 1])
+    side = edge_side[cut].T.ravel()
+    on = side >= 0
+    circumference = np.bincount(
+        side[on], weights=np.tile(adjacency.edge_length[cut], 2)[on],
+        minlength=n_seg)
+    straightness = np.array([_straightness(_boundary_loops(
+        adjacency.edge_vertices[cuts], mesh.vertices)) for cuts in index.cuts])
+    pts = [mesh.vertices[v] for v in index.vertices]
+    plane_dist = np.array([_plane_fit_distance(p) for p in pts])
+    vertical = np.array([np.ptp(p[:, 2]) for p in pts])
 
     # isoperimetric ratio; curved or near-closed segments can exceed the
     # planar bound, so clip into (0, 1] with boundary-free segments maximal
-    compactness = 4.0 * np.pi * seg_area / np.maximum(circumference, _EPS) ** 2
-    compactness = np.minimum(compactness, 1.0)
-    compactness[circumference == 0.0] = 1.0
-    shape_index = circumference / np.maximum(seg_area, _EPS) ** 0.25
+    compactness = np.where(circumference == 0.0, 1.0, np.minimum(
+        4.0 * np.pi * index.area / np.maximum(circumference, _EPS) ** 2, 1.0))
+    shape_index = circumference / np.maximum(index.area, _EPS) ** 0.25
 
     hist = np.zeros((n_seg, HIST_BINS ** 3))
     if not face_features.color_missing:
-        h = face_features.channel("color_h")
-        sat = face_features.channel("color_s")
-        val = face_features.channel("color_v")
-        hb = np.minimum((h / 360.0 * HIST_BINS).astype(np.int64), HIST_BINS - 1)
-        sb = np.minimum((sat * HIST_BINS).astype(np.int64), HIST_BINS - 1)
-        vb = np.minimum((val * HIST_BINS).astype(np.int64), HIST_BINS - 1)
-        flat = (hb * HIST_BINS + sb) * HIST_BINS + vb
-        for k, fk in enumerate(index.faces):
-            hist[k] = np.bincount(flat[fk], weights=areas[fk],
-                                  minlength=HIST_BINS ** 3)
+        flat = 0                        # bin id (h * B + s) * B + v
+        for name, top in (("color_h", 360.0), ("color_s", 1.0),
+                          ("color_v", 1.0)):
+            x = face_features.channel(name) / top * HIST_BINS
+            flat = flat * HIST_BINS + np.minimum(x.astype(np.int64),
+                                                 HIST_BINS - 1)
+        member = face_segment >= 0
+        hist = area_table(face_segment[member], flat[member], n_seg,
+                          HIST_BINS ** 3, index.weight[member])
         sums = hist.sum(axis=1, keepdims=True)
         hist = np.divide(hist, sums, out=np.zeros_like(hist),
                          where=sums > 0)
@@ -161,7 +148,7 @@ def compute_segment_features(mesh: TriangleMesh, adjacency: AdjacencyIndex,
     values = np.column_stack([
         means, stds,
         compactness, shape_index, straightness, plane_dist,
-        seg_area, circumference, vertical,
+        index.area, circumference, vertical,
         hist,
     ])
     names = segment_channel_names(list(face_features.channel_names))

@@ -106,10 +106,9 @@ def segment_probes(index: SegmentIndex, adjacency: AdjacencyIndex) -> list:
 
 
 def build_nodes(mesh: TriangleMesh, index: SegmentIndex) -> np.ndarray:
-    """(K, 3) area-weighted mean face centroid of every segment."""
-    weighted = mesh.face_area[:, None] * mesh.face_centroid
-    sums = np.column_stack([index.sums(w) for w in weighted.T])
-    return sums / np.maximum(index.area, 1e-300)[:, None]
+    """(K, 3) mean face centroid of every segment, weighted as
+    ``SegmentIndex.mean`` weighs faces (by area, or equally if none)."""
+    return np.column_stack([index.mean(c) for c in mesh.face_centroid.T])
 
 
 def parallelism_edges(graph: SegmentGraph, angle_deg: float) -> int:
@@ -119,14 +118,10 @@ def parallelism_edges(graph: SegmentGraph, angle_deg: float) -> int:
     opposite-facing pair counts as parallel.
     """
     ids = np.flatnonzero(graph.segment_type == PLANAR)
-    if len(ids) < 2:
-        return 0
     normals = graph.planes[ids, :3]
     cos_thresh = np.cos(np.radians(angle_deg))
-    dots = np.abs(normals @ normals.T)
-    iu, ju = np.triu_indices(len(ids), k=1)
-    hits = dots[iu, ju] > cos_thresh
-    return graph.add_pairs(np.column_stack([ids[iu[hits]], ids[ju[hits]]]),
+    iu, ju = np.nonzero(np.triu(np.abs(normals @ normals.T) > cos_thresh, 1))
+    return graph.add_pairs(np.column_stack([ids[iu], ids[ju]]),
                            EDGE_PARALLEL)
 
 
@@ -173,17 +168,15 @@ def exmat_edges(graph: SegmentGraph, mesh: TriangleMesh, segmentation,
 
     The mesh is point-sampled, exterior shrinking balls are grown along the
     face normals, and every kept ball whose surface and touching points come
-    from different segments contributes an edge.
+    from different segments contributes an edge. ``sample_points`` gives
+    zero-area faces no samples, so every sample has a unit normal.
     """
-    face_segment = np.asarray(segmentation.face_segment).reshape(-1)
     sample = sample_points(mesh, density, seed)
     if len(sample) < 2:
         return 0
-    norms = np.linalg.norm(sample.normals, axis=1)
-    ok = norms > 0.5       # degenerate source faces give zero normals
-    balls = shrinking_ball_transform(sample.positions[ok], sample.normals[ok],
+    balls = shrinking_ball_transform(sample.positions, sample.normals,
                                      orientation="exterior")
-    point_seg = face_segment[sample.source_face[ok]]
+    point_seg = np.ravel(segmentation.face_segment)[sample.source_face]
     i = np.flatnonzero(balls.kept & (balls.touch_index >= 0))
     pairs = np.column_stack([point_seg[i], point_seg[balls.touch_index[i]]])
     keep = (pairs[:, 0] != pairs[:, 1]) & (pairs >= 0).all(axis=1)

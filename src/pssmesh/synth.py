@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError
 from .mesh import TriangleMesh
 
 CLASS_TERRAIN = 0
@@ -47,11 +48,11 @@ class TileParams:
 
     def __post_init__(self):
         if self.ground_size <= 0 or self.ground_res < 1:
-            raise ValueError("ground_size and ground_res must be positive")
-        if min(self.n_boxes, self.n_trees, self.n_vehicles) < 0:
-            raise ValueError("object counts must be >= 0")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+            raise ConfigError("ground_size and ground_res must be positive")
+        for name in ("n_boxes", "n_trees", "n_vehicles", "noise_sigma",
+                     "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
 
 
 class _Builder:

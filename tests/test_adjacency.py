@@ -175,6 +175,30 @@ def test_segment_vertices_match_per_segment_unique():
     assert len(index.vertices[5]) == 0
 
 
+def test_segment_index_without_segments():
+    m = grid_mesh(2, 2)
+    index = segment_index(m, build_adjacency(m), np.full(m.n_faces, -1), 0)
+    assert index.n_segments == 0
+    assert index.area.shape == index.weight_sum.shape == (0,)
+    assert index.mean(m.face_centroid[:, 2]).shape == (0,)
+
+
+def test_segment_mean_weighs_area_or_one_in_zero_area_segments():
+    # segment 0: faces of area 0.5 and 1.5; face 2 has no segment and
+    # counts in no mean; segment 1: two collapsed faces
+    v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 2, 0], [0, -1, 0]],
+                 dtype=float)
+    m = TriangleMesh(vertices=v, faces=[[0, 1, 2], [1, 3, 2], [0, 4, 1],
+                                        [0, 0, 1], [2, 2, 2]])
+    seg = np.array([0, 0, -1, 1, 1])
+    index = segment_index(m, build_adjacency(m), seg, 2)
+    x = np.array([1.0, 4.0, 100.0, 3.0, 7.0])
+    assert np.array_equal(m.face_area, [0.5, 1.5, 0.5, 0.0, 0.0])
+    assert np.array_equal(index.weight[seg >= 0], [0.5, 1.5, 1.0, 1.0])
+    assert np.array_equal(index.mean(x), [(0.5 + 6.0) / 2.0, 5.0])
+    assert np.array_equal(index.mean(x, x), [(0.5 + 24.0) / 2.0, 29.0])
+
+
 @pytest.mark.parametrize("face_segment, message", [
     (np.zeros(5, dtype=int), "length"),
     (np.full(8, 2), r"\[-1, 2\)"),

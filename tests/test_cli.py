@@ -9,6 +9,7 @@ from pssmesh.cli import build_parser, main, resolved_config
 from pssmesh.config import DEFAULTS, PipelineConfig
 from pssmesh.mesh import TriangleMesh
 from pssmesh.meshio import load_mesh, save_mesh
+from pssmesh.overseg import NONPLANAR
 from pssmesh.pipeline import run_pipeline
 from pssmesh.synth import TileParams, synth_tile
 
@@ -552,3 +553,95 @@ def test_bad_face_predictions_exit_2(tmp_path, capsys, rows):
                  "--out", str(tmp_path / "ev")])
     assert code == 2
     assert f"{pred}: row 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, seed", [
+    ("train", "-1"), ("train", str(2 ** 63)), ("pipeline", "-1"),
+    ("pipeline", str(2 ** 63)), ("synth", "-1"),
+])
+def test_seed_outside_int64_exit_2(ws, tmp_path, capsys, command, seed):
+    # model files hold the seed as an int64, and numpy's generators take no
+    # negative seed; both used to fail deep inside a run, after writing
+    args = {"train": ["--inputs", str(ws["micro"]), "--trees", "3"],
+            "pipeline": ["--input", str(ws["micro"]), "--planarity-model",
+                         str(ws["models"] / "planarity.model")],
+            "synth": ["--ground-res", "8"]}[command]
+    code = main([command, "--seed", seed, "--out", str(tmp_path / "run"),
+                 *args])
+    assert code == 2
+    assert "seed must" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--ground-res", "0"], "ground_size and ground_res must be positive"),
+    (["--ground-size", "8", "--boxes", "20"],
+     "cannot place 20 boxes, 6 trees and 3 vehicles apart on a 8 m tile"),
+], ids=["ground-res-0", "crowded"])
+def test_synth_usage_errors_exit_2(tmp_path, capsys, flags, message):
+    code = main(["synth", "--out", str(tmp_path / "data"), *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    # a usage error, not "error: ValueError: ..." or "RuntimeError: ..."
+    assert message in err and "Error:" not in err
+    assert not (tmp_path / "data").exists()
+
+
+def parallel_edges(run):
+    graph = json.loads((run / "graph.json").read_text())
+    return sum("parallelism" in e["types"] for e in graph["edges"])
+
+
+@pytest.fixture(scope="module")
+def tile16(ws, tmp_path_factory):
+    """The seed-0 16 m tile and the parallelism edges of its pipeline run."""
+    root = tmp_path_factory.mktemp("tile16")
+    mesh = synth_tile(TileParams(ground_size=16.0, ground_res=32, n_boxes=2,
+                                 n_trees=2, n_vehicles=1, seed=0))
+    assert main(["pipeline", "--input", str(save_ply(mesh, root / "t.ply")),
+                 "--out", str(root / "run"), *model_flags(ws),
+                 "--threads", "1"]) == 0
+    return mesh, parallel_edges(root / "run")
+
+
+def save_ply(mesh, path):
+    save_mesh(mesh, path)
+    return path
+
+
+def model_flags(ws):
+    return ["--planarity-model", str(ws["models"] / "planarity.model"),
+            "--semantic-model", str(ws["models"] / "semantic.model")]
+
+
+@pytest.mark.parametrize("case", ["collapsed", "collinear", "weld-collapsed"])
+def test_zero_area_face_runs_through(ws, tile16, tmp_path, case):
+    # one face without area: a repeated corner, three collinear corners,
+    # or two corners that welding joins; it forms a NONPLANAR segment of
+    # its own and adds no parallelism edge
+    mesh, want_parallel = tile16
+    nv = mesh.n_vertices
+    new_vertices, face = {
+        "collapsed": ([], [0, 0, 1]),
+        "collinear": ([[1, 1, 10], [2, 1, 10], [3, 1, 10]],
+                      [nv, nv + 1, nv + 2]),
+        "weld-collapsed": ([[5, 5, 10], [5, 5, 10 + 1e-9], [6, 5, 10]],
+                           [nv, nv + 1, nv + 2]),
+    }[case]
+    bad = TriangleMesh(
+        vertices=np.vstack([mesh.vertices, np.reshape(new_vertices, (-1, 3))]),
+        faces=np.vstack([mesh.faces, face]),
+        face_color=np.vstack([mesh.face_color, [[90, 90, 90]]]),
+        face_label=np.append(mesh.face_label, 0))
+    path = save_ply(bad, tmp_path / "bad.ply")
+    assert main(["train", "--inputs", str(path), "--out",
+                 str(tmp_path / "models"), "--trees", "5",
+                 "--threads", "1"]) == 0
+    run = tmp_path / "run"
+    assert main(["pipeline", "--input", str(path), "--out", str(run),
+                 *model_flags(ws), "--threads", "1"]) == 0
+    seg = json.loads((run / "segmentation.json").read_text())
+    last = seg["face_segment"][-1]
+    assert seg["face_segment"].count(last) == 1
+    assert seg["segment_type"][last] == NONPLANAR
+    assert parallel_edges(run) == want_parallel

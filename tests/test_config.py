@@ -109,6 +109,19 @@ def test_validation_rejects(field, value):
         PipelineConfig(**{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 63, 2 ** 64 + 5])
+def test_seed_outside_int64_rejected(seed):
+    # model files store the seed as an int64, and numpy's generators take
+    # no negative seed
+    with pytest.raises(ConfigError, match=r"^seed must lie in \[0, 2\*\*63\)"):
+        PipelineConfig(seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 63 - 1])
+def test_seed_int64_extremes_kept(seed):
+    assert PipelineConfig(seed=seed).seed == seed
+
+
 @pytest.mark.parametrize("field,radii,suffix", [
     ("eigen_radii", (1.0, 1.0), "r1"),
     ("eigen_radii", (0.5, 1.0, 1.0000001), "r1"),

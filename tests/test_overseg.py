@@ -325,6 +325,21 @@ def test_oversegment_two_parallel_planes():
     assert len(set(seg.face_segment.tolist())) == 2
 
 
+def test_oversegment_zero_area_segment_is_nonplanar():
+    # a collapsed face and an isolated collinear sliver each form a
+    # segment without area, hence without a plane
+    g = grid_mesh(3, 3)
+    nv = g.n_vertices
+    verts = np.vstack([g.vertices, [[0, 0, 5], [1, 0, 5], [2, 0, 5]]])
+    faces = np.vstack([g.faces, [0, 0, 1], [nv, nv + 1, nv + 2]])
+    m = TriangleMesh(vertices=verts, faces=faces)
+    seg = oversegment(m, build_adjacency(m), flat_probmap(m.n_faces))
+    types = seg.segment_type[seg.face_segment]
+    assert (types[:g.n_faces] == overseg.PLANAR).all()
+    assert (types[g.n_faces:] == overseg.NONPLANAR).all()
+    assert seg.n_segments == 3
+
+
 def test_oversegment_partition_and_connectivity():
     rng = np.random.default_rng(2)
     m = grid_mesh(6, 6)

@@ -73,6 +73,28 @@ def test_degenerate_faces_get_no_points():
     assert (s.source_face == 0).all()
 
 
+def test_zero_area_faces_never_sampled_and_normals_unit():
+    # collapsed (repeated corner) and collinear faces mixed into random
+    # meshes: every sample comes from a positive-area face, so every
+    # sample normal is a unit vector
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        nv = int(rng.integers(3, 12))
+        v = rng.uniform(-2.0, 2.0, (nv, 3))
+        f = rng.integers(0, nv, (int(rng.integers(1, 20)), 3))
+        line = rng.random(len(f)) < 0.3
+        v = np.vstack([v, v[0] + np.outer([1.0, 2.0, 3.0], v[1] - v[0])])
+        f[line] = [nv, nv + 1, nv + 2]                # collinear corners
+        collapsed = rng.random(len(f)) < 0.3
+        f[collapsed, 2] = f[collapsed, 0]
+        m = TriangleMesh(vertices=v, faces=f)
+        s = sample_points(m, float(rng.uniform(0.5, 20.0)),
+                          seed=int(rng.integers(1000)))
+        assert (m.face_area[s.source_face] > 0).all()
+        np.testing.assert_allclose(np.linalg.norm(s.normals, axis=1), 1.0,
+                                   rtol=0, atol=1e-12)
+
+
 def test_zero_area_mesh_empty():
     v = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
     m = TriangleMesh(vertices=v, faces=np.array([[0, 1, 2]]))

@@ -227,15 +227,37 @@ def test_vertical_extent_on_wall():
     assert sf.channel("vertical_extent")[0] == 2.0
 
 
-def test_zero_area_segment_rejected():
+def test_zero_area_segment_weighs_faces_equally():
+    # segment 1 holds only collapsed faces: its means, deviations and
+    # histogram weigh its faces equally, while segment 0 stays area-weighted
     base = grid_mesh(2, 2)
-    faces = np.vstack([base.faces, [0, 0, 0]]).astype(np.int32)
+    faces = np.vstack([base.faces, [0, 0, 0], [1, 1, 4], [2, 5, 5]])
     mesh = TriangleMesh(vertices=base.vertices, faces=faces)
     adj = build_adjacency(mesh)
     seg = np.zeros(mesh.n_faces, dtype=int)
-    seg[-1] = 1
-    with pytest.raises(ValueError, match="segment 1 has zero area"):
-        segment_features(mesh, adj, seg, fake_face_features(mesh))
+    seg[-3:] = 1
+    ff = fake_face_features(mesh)
+    sf = segment_features(mesh, adj, seg, ff)
+    n = ff.values.shape[1]
+    zero = ff.values[-3:]
+    np.testing.assert_allclose(sf.values[1, :n], zero.mean(axis=0),
+                               rtol=1e-12)
+    np.testing.assert_allclose(sf.values[1, n:2 * n], zero.std(axis=0),
+                               rtol=1e-9, atol=1e-12)
+    area = mesh.face_area[:-3]
+    np.testing.assert_allclose(
+        sf.values[0, :n], (area[:, None] * ff.values[:-3]).sum(0) / area.sum(),
+        rtol=1e-12)
+    assert sf.channel("area")[1] == 0.0
+    assert np.isfinite(sf.values).all()
+    h, sat, val = (ff.channel(c)[-3:] for c in ("color_h", "color_s",
+                                                   "color_v"))
+    bins = ((np.minimum((h / 360.0 * HIST_BINS).astype(int), HIST_BINS - 1)
+             * HIST_BINS + np.minimum((sat * HIST_BINS).astype(int),
+                                      HIST_BINS - 1)) * HIST_BINS
+            + np.minimum((val * HIST_BINS).astype(int), HIST_BINS - 1))
+    want = np.bincount(bins, minlength=HIST_BINS ** 3) / 3.0
+    np.testing.assert_allclose(sf.values[1, -HIST_BINS ** 3:], want)
 
 
 def test_csv_roundtrip(tmp_path):

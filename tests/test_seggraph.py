@@ -19,6 +19,7 @@ from pssmesh.seggraph import (
     EDGE_PROXIMITY,
     SegmentGraph,
     _proximity_points,
+    build_nodes,
     build_segment_graph,
     compute_edge_features,
     connecting_ground_edges,
@@ -127,6 +128,39 @@ def test_parallel_idempotent():
     first = {k: set(v.types) for k, v in g.edges.items()}
     parallelism_edges(g, 5.0)
     assert {k: set(v.types) for k, v in g.edges.items()} == first
+
+
+def test_parallel_matches_all_pairs():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 30):
+        normals = rng.normal(size=(n, 3))
+        normals[n // 2:] = [0.0, 0.0, 1.0]      # many exactly parallel
+        types = rng.choice([PLANAR, NONPLANAR], n, p=[0.8, 0.2])
+        g = graph_of([plane_node(v, t) for v, t in zip(normals, types)])
+        want = {(a, b) for a in range(n) for b in range(a + 1, n)
+                if types[a] == types[b] == PLANAR
+                and abs(g.planes[a, :3] @ g.planes[b, :3])
+                > np.cos(np.radians(5.0))}
+        assert parallelism_edges(g, 5.0) == len(want)
+        assert set(g.edges) == want
+
+
+# ---------------------------------------------------------------- nodes
+
+
+def test_nodes_of_zero_area_segment_weigh_faces_equally():
+    base = grid_mesh(2, 2)
+    m = TriangleMesh(vertices=base.vertices,
+                     faces=np.vstack([base.faces, [0, 0, 1], [4, 8, 8]]))
+    seg = np.zeros(m.n_faces, dtype=int)
+    seg[-2:] = 1
+    centroids = build_nodes(m, segment_index(m, build_adjacency(m), seg, 2))
+    area = m.face_area[:-2]
+    np.testing.assert_allclose(
+        centroids[0], (area[:, None] * m.face_centroid[:-2]).sum(0)
+        / area.sum())
+    np.testing.assert_allclose(centroids[1],
+                               m.face_centroid[-2:].mean(axis=0))
 
 
 # ------------------------------------------------------- connecting ground

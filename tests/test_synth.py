@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pssmesh.adjacency import build_adjacency, face_connected_components
+from pssmesh.config import ConfigError
 from pssmesh.metrics import overseg_report
 from pssmesh.synth import (
     CLASS_BUILDING,
@@ -84,6 +85,9 @@ def test_bad_params_rejected():
         TileParams(ground_size=-1.0)
     with pytest.raises(ValueError):
         TileParams(noise_sigma=-0.1)
+    for bad in ({"ground_res": 0}, {"n_trees": -1}, {"seed": -1}):
+        with pytest.raises(ConfigError):
+            TileParams(**bad)
     with pytest.raises(TypeError):
         synth_tile(TileParams(), seed=1)
 
