@@ -95,6 +95,19 @@ def area_table(rows, cols, n_rows: int, n_cols: int, areas) -> np.ndarray:
                        ).reshape(n_rows, n_cols)
 
 
+def face_weights(face_segment, face_area, n_segments: int) -> np.ndarray:
+    """(F,) weight of each face in its segment's means and votes: its area,
+    or 1 in a segment whose area is 0, so such a segment weighs its faces
+    equally. ``face_segment`` ids lie in [-1, n_segments), -1 unsegmented."""
+    seg = np.asarray(face_segment).reshape(-1)
+    area = np.asarray(face_area, dtype=np.float64).reshape(-1)
+    member = seg >= 0
+    seg_area = np.bincount(seg[member], weights=area[member],
+                           minlength=n_segments)
+    # -1, a face without a segment, picks the appended False
+    return np.where(np.append(seg_area == 0.0, False)[seg], 1.0, area)
+
+
 @dataclass
 class AdjacencyIndex:
     """Symmetric face adjacency over shared edges plus the edge table itself.
@@ -166,8 +179,7 @@ class SegmentIndex:
     segment on either side. ``faces[k]``, ``cuts[k]`` and ``vertices[k]``
     are segment k's ascending face, cut edge and vertex ids (int64).
     ``area`` is ``sums(mesh.face_area)``. ``mean`` weighs each face by
-    ``weight``: its area, or 1 in a segment whose area is 0, so such a
-    segment weighs its faces equally. ``weight_sum`` is ``sums(weight)``.
+    ``weight``, from ``face_weights``. ``weight_sum`` is ``sums(weight)``.
     """
 
     face_segment: np.ndarray           # (F,) segment id per face, -1 none
@@ -222,9 +234,7 @@ def segment_index(mesh: TriangleMesh, adjacency: AdjacencyIndex, face_segment,
         _grouped(np.repeat(seg[member], 3), mesh.faces[member].ravel(),
                  n_segments, mesh.n_vertices))
     index.area = index.sums(mesh.face_area)
-    # -1, a face without a segment, picks the appended False
-    in_zero = np.append(index.area == 0.0, False)[seg]
-    index.weight = np.where(in_zero, 1.0, mesh.face_area)
+    index.weight = face_weights(seg, mesh.face_area, n_segments)
     index.weight_sum = index.sums(index.weight)
     return index
 

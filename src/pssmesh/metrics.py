@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .adjacency import (AdjacencyIndex, area_table,
-                        face_connected_components, unique_ints)
+from .adjacency import (AdjacencyIndex, area_table, face_connected_components,
+                        face_weights, unique_ints)
 from .mesh import TriangleMesh
 
 
@@ -299,26 +299,27 @@ def semantic_metrics(pred_labels, gt_labels, face_areas,
 def majority_labels(face_segment, gt_labels, face_areas) -> np.ndarray:
     """Per-face labeling giving every segment its area-majority truth label.
 
-    Votes ignore unlabeled faces; a tie goes to the lower class id; segments
-    without any labeled face and faces outside every segment come back -1.
+    Each face votes with its ``face_weights`` weight, so a segment without
+    area takes its faces' plain majority. Votes ignore unlabeled faces; a
+    tie goes to the lower class id; segments without any labeled face and
+    faces outside every segment come back -1.
     """
     seg = np.asarray(face_segment).reshape(-1)
     gt = np.asarray(gt_labels).reshape(-1)
-    areas = np.asarray(face_areas, dtype=np.float64).reshape(-1)
     out = np.full(len(seg), -1, dtype=np.int64)
     voting = (seg >= 0) & (gt >= 0)
     if not voting.any():
         return out
+    n_segments = int(seg.max()) + 1
+    weights = face_weights(seg, face_areas, n_segments)
     classes = unique_ints(gt[voting])
-    s = seg[voting]
-    votes = area_table(s, np.searchsorted(classes, gt[voting]),
-                       int(s.max()) + 1, len(classes), areas[voting])
+    votes = area_table(seg[voting], np.searchsorted(classes, gt[voting]),
+                       n_segments, len(classes), weights[voting])
     # argmax scans classes in ascending id order, so ties pick the lower id
     best = classes[np.argmax(votes, axis=1)]
     has_vote = votes.sum(axis=1) > 0
     inside = seg >= 0
-    picked = seg[inside]
-    out[inside] = np.where(has_vote[picked], best[picked], -1)
+    out[inside] = np.where(has_vote, best, -1)[seg[inside]]
     return out
 
 

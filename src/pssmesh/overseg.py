@@ -15,12 +15,14 @@ an exact max-flow min-cut on the star graph.
 
 Faces labeled 1 are "visited" for the current region only and reconsidered by
 later regions. The region plane comes from an incremental second-moment
-accumulator over the region's unique vertices. Only the frontier labeling
-reads it, so it is refit once after the seed and once after each step that
-accepted faces. That equals a refit after every accepted face bit for bit: a
-step whose final refit is degenerate is replayed face by face, because a
-degenerate refit keeps the last good plane, which an intermediate refit of
-that step may have set.
+accumulator over the region's unique vertices, taken about the first vertex
+added: a georeferenced mesh lies millions of metres from the coordinate
+origin, where raw sums would cancel every digit of the scatter. Only the
+frontier labeling reads the plane, so it is refit once after the seed and
+once after each step that accepted faces. A refit after every accepted face
+would give the same plane up to rounding: a superset's scatter is never
+smaller than a subset's, so, short of a step that lengthens the region a
+millionfold, a step that ends degenerate had no good refit on the way.
 """
 
 from __future__ import annotations
@@ -37,28 +39,29 @@ PLANAR, NONPLANAR = 0, 1
 
 
 class PlaneAccumulator:
-    """Incremental second moments of a growing point set for plane refits."""
+    """Incremental second moments of a growing point set for plane refits.
+
+    The sums are taken about ``origin``, the first point added.
+    """
 
     def __init__(self):
         self.n = 0
+        self.origin = np.zeros(3)
         self.sum_p = np.zeros(3)
         self.sum_pp = np.zeros((3, 3))
 
     def add(self, points: np.ndarray):
         points = np.atleast_2d(points)
+        if self.n == 0 and len(points):
+            self.origin = np.array(points[0], dtype=np.float64)
+        points = points - self.origin
         self.n += len(points)
         self.sum_p += points.sum(axis=0)
         self.sum_pp += points.T @ points
 
-    def copy(self) -> "PlaneAccumulator":
-        other = PlaneAccumulator()
-        other.n, other.sum_p, other.sum_pp = \
-            self.n, self.sum_p.copy(), self.sum_pp.copy()
-        return other
-
     def scatter(self):
         mu = self.sum_p / self.n
-        return self.sum_pp - self.n * np.outer(mu, mu), mu
+        return self.sum_pp - self.n * np.outer(mu, mu), mu + self.origin
 
 
 @dataclass
@@ -105,46 +108,26 @@ def refit_plane(region: RegionState) -> None:
         region.plane_degenerate = True
         return
     n = evecs[:, 0]
-    ref = region.normal_sum
-    if float(ref @ n) < 0:
+    if float(region.normal_sum @ n) < 0:
         n = -n
     region.normal = n
     region.offset = -float(n @ mu)
     region.plane_degenerate = False
 
 
-def _accumulate(region: RegionState, mesh: TriangleMesh, face: int,
-                fresh: list) -> None:
-    """Add a face's new vertices and its area-weighted normal to the sums."""
+def _add_faces(region: RegionState, mesh: TriangleMesh, faces: list) -> None:
+    """Make ``faces`` members; add their vertices new to the region, once
+    each in order of first appearance, to the accumulator in one update and
+    their area-weighted normals face by face. ``refit_plane`` refits."""
+    region.members.extend(faces)
+    region.member_set.update(faces)
+    fresh = [v for v in dict.fromkeys(mesh.faces[faces].ravel().tolist())
+             if v not in region.vertex_set]
     if fresh:
+        region.vertex_set.update(fresh)
         region.acc.add(mesh.vertices[fresh])
-    region.normal_sum = region.normal_sum + mesh.face_area_normal[face]
-
-
-def _add_face(region: RegionState, mesh: TriangleMesh, face: int) -> list:
-    """Make ``face`` a member; returns its vertices new to the region.
-
-    The plane is not refit; call ``refit_plane`` for that.
-    """
-    region.members.append(face)
-    region.member_set.add(face)
-    fresh = [v for v in map(int, mesh.faces[face]) if v not in region.vertex_set]
-    region.vertex_set.update(fresh)
-    _accumulate(region, mesh, face, fresh)
-    return fresh
-
-
-def _replay_refits(region: RegionState, mesh: TriangleMesh, start: tuple,
-                   faces: list, fresh: list) -> None:
-    """Redo one step's sums from ``start`` with a refit after every face.
-
-    ``start`` is the (accumulator, normal sum) before the step; the sums end
-    where they were, and the plane is the last non-degenerate refit's.
-    """
-    region.acc, region.normal_sum = start
-    for face, new in zip(faces, fresh):
-        _accumulate(region, mesh, face, new)
-        refit_plane(region)
+    rows = np.vstack([region.normal_sum, mesh.face_area_normal[faces]])
+    region.normal_sum = np.cumsum(rows, axis=0)[-1]
 
 
 def unary_cost(face, region: RegionState, mesh: TriangleMesh,
@@ -207,7 +190,7 @@ def grow_region(seed: int, mesh: TriangleMesh, adjacency: AdjacencyIndex,
     and are never frontier faces.
     """
     region = RegionState(region_type=int(probmap.label[seed]))
-    _add_face(region, mesh, seed)
+    _add_faces(region, mesh, [seed])
     refit_plane(region)
     if region.plane_degenerate:
         # collapsed/collinear seed: fall back to the face's own plane
@@ -217,30 +200,18 @@ def grow_region(seed: int, mesh: TriangleMesh, adjacency: AdjacencyIndex,
             region.offset = -float(n @ mesh.face_centroid[seed])
     front = [seed]
     while front:
-        cand = set()
-        for f in front:
-            for nb in adjacency.face_neighbors(f):
-                cand.add(int(nb))
-        cand -= region.member_set
-        cand -= region.visited
-        frontier = sorted([f for f in cand if not assigned[f]])
+        cand = {nb for f in front
+                for nb in adjacency.face_neighbors(f).tolist()}
+        frontier = sorted(f for f in cand if f not in region.member_set
+                          and f not in region.visited and not assigned[f])
         if not frontier:
             break
         labels = label_frontier(region, frontier, mesh, probmap, config)
-        start = (region.acc.copy(), region.normal_sum)
-        added = []
-        fresh = []
-        for f, lab in zip(frontier, labels):
-            if lab == 0:
-                fresh.append(_add_face(region, mesh, f))
-                added.append(f)
-            else:
-                region.visited.add(f)
-        if added:
+        front = [f for f, lab in zip(frontier, labels) if lab == 0]
+        region.visited.update(f for f, lab in zip(frontier, labels) if lab)
+        if front:
+            _add_faces(region, mesh, front)
             refit_plane(region)
-            if region.plane_degenerate:
-                _replay_refits(region, mesh, start, added, fresh)
-        front = added
     return region
 
 
@@ -256,21 +227,18 @@ def oversegment(mesh: TriangleMesh, adjacency: AdjacencyIndex, probmap,
     face_segment = np.full(nf, -1, dtype=np.int32)
     assigned = np.zeros(nf, dtype=bool)
     order = np.lexsort((np.arange(nf), -np.asarray(probmap.planar_prob)))
-    types = []
-    planes = []
-    k = 0
+    types, planes = [], []
     for seed in order:
         if assigned[seed]:
             continue
         region = grow_region(int(seed), mesh, adjacency, probmap, config,
                              assigned)
-        for f in region.members:
-            face_segment[f] = k
-            assigned[f] = True
+        face_segment[region.members] = len(types)
+        assigned[region.members] = True
         types.append(region.region_type)
         planes.append(np.append(region.normal, region.offset))
-        k += 1
     segment_type = np.asarray(types, dtype=np.int8)
-    segment_type[np.bincount(face_segment, mesh.face_area, k) == 0] = NONPLANAR
+    area = np.bincount(face_segment, mesh.face_area, len(types))
+    segment_type[area == 0] = NONPLANAR
     return Segmentation(face_segment=face_segment, segment_type=segment_type,
                         planes=np.asarray(planes, dtype=np.float64).reshape(-1, 4))

@@ -204,8 +204,9 @@ def _unique_pairs(i, j, n):
     return np.column_stack(np.divmod(key, n))
 
 
-def knn_pairs(points, k: int, cutoff_factor: float) -> np.ndarray:
-    """Symmetric k-nearest-neighbor pairs within a spacing-scaled cutoff.
+def knn_pairs(points, tags, k: int, cutoff_factor: float) -> np.ndarray:
+    """Symmetric k-nearest-neighbor pairs of points with different ``tags``
+    (an array) within a spacing-scaled cutoff.
 
     Returns the distinct pairs as an ascending (M, 2) int64 array, each row
     (lower, higher).
@@ -215,9 +216,10 @@ def knn_pairs(points, k: int, cutoff_factor: float) -> np.ndarray:
     kq = min(k + 1, len(points))
     dist, idx = tree.query(points, k=kq)
     cutoff = cutoff_factor * float(np.median(dist[:, 1]))
-    near = dist[:, 1:] <= cutoff
+    idx = idx[:, 1:]
+    near = (dist[:, 1:] <= cutoff) & (tags[idx] != tags[:, None])
     rows = np.broadcast_to(np.arange(len(points))[:, None], near.shape)
-    return _unique_pairs(rows[near], idx[:, 1:][near], len(points))
+    return _unique_pairs(rows[near], idx[near], len(points))
 
 
 def proximity_edges(graph: SegmentGraph, mesh: TriangleMesh, segmentation,
@@ -233,10 +235,8 @@ def proximity_edges(graph: SegmentGraph, mesh: TriangleMesh, segmentation,
     points, tags = _proximity_points(mesh, face_segment)
     if len(points) < 2:
         return 0
-    pairs = knn_pairs(points, k, cutoff_factor)
-    seg_pairs = tags[pairs]
-    return graph.add_pairs(seg_pairs[seg_pairs[:, 0] != seg_pairs[:, 1]],
-                           EDGE_PROXIMITY)
+    pairs = knn_pairs(points, tags, k, cutoff_factor)
+    return graph.add_pairs(tags[pairs], EDGE_PROXIMITY)
 
 
 # ------------------------------------------------------------ edge features

@@ -28,7 +28,7 @@ from pssmesh.metrics import (
 from pssmesh.overseg import (
     PlaneAccumulator,
     RegionState,
-    _add_face,
+    _add_faces,
     label_frontier,
     oversegment,
     pairwise_cost,
@@ -244,10 +244,10 @@ def test_criterion_04_energy_optimality():
                             planar_prob=rng.random(n_faces))
         seed = int(rng.integers(0, n_faces))
         region = RegionState(region_type=int(pm.label[seed]))
-        _add_face(region, mesh, seed)
+        _add_faces(region, mesh, [seed])
         for nb in map(int, adj.face_neighbors(seed)):
             if len(region.members) < 3 and rng.random() < 0.5:
-                _add_face(region, mesh, nb)
+                _add_faces(region, mesh, [nb])
         refit_plane(region)
         frontier = sorted({int(x) for f in region.members
                            for x in adj.face_neighbors(f)}
@@ -303,26 +303,38 @@ def test_criterion_04_energy_optimality():
 
 
 def test_criterion_05_incremental_plane_refit():
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(3, 60))
-        scale = [rng.uniform(2.0, 4.0), rng.uniform(0.8, 1.5),
-                 rng.uniform(0.05, 0.3)]
-        pts = rng.standard_normal((n, 3)) * scale + rng.uniform(-5, 5, 3)
-        acc = PlaneAccumulator()
-        for p in pts:
-            acc.add(p)
-        scatter, mu = acc.scatter()
-        batch_mu = pts.mean(axis=0)
-        centered = pts - batch_mu
-        ni = np.linalg.eigh(scatter)[1][:, 0]
-        nb = np.linalg.eigh(centered.T @ centered)[1][:, 0]
-        if ni @ nb < 0.0:
-            nb = -nb
-        worst = max(worst, float(np.abs(ni - nb).max()),
-                    abs(-(ni @ mu) - -(nb @ batch_mu)))
-    verdict(5, [(worst <= 1e-9, f"max deviation {worst:.3e}")])
+    # near the origin and at a georeferenced offset (a national grid puts
+    # a city mesh millions of metres out); far off, the plane offset is
+    # compared relative to the centroid's distance from the origin
+    checks = []
+    for far in (np.zeros(3), np.array([385000.0, 6672000.0, 0.0])):
+        rng = np.random.default_rng(5)
+        worst = angle = 0.0
+        for _ in range(1000):
+            n = int(rng.integers(3, 60))
+            scale = [rng.uniform(2.0, 4.0), rng.uniform(0.8, 1.5),
+                     rng.uniform(0.05, 0.3)]
+            pts = rng.standard_normal((n, 3)) * scale \
+                + rng.uniform(-5, 5, 3) + far
+            acc = PlaneAccumulator()
+            for p in pts:
+                acc.add(p)
+            scatter, mu = acc.scatter()
+            batch_mu = pts.mean(axis=0)
+            centered = pts - batch_mu
+            ni = np.linalg.eigh(scatter)[1][:, 0]
+            nb = np.linalg.eigh(centered.T @ centered)[1][:, 0]
+            if ni @ nb < 0.0:
+                nb = -nb
+            unit = max(1.0, float(np.abs(far).max()))
+            worst = max(worst, float(np.abs(ni - nb).max()),
+                        abs(-(ni @ mu) - -(nb @ batch_mu)) / unit)
+            angle = max(angle, float(np.degrees(np.arctan2(
+                np.linalg.norm(np.cross(ni, nb)), ni @ nb))))
+        where = f"at offset {far.tolist()}"
+        checks += [(worst <= 1e-9, f"max deviation {worst:.3e} {where}"),
+                   (angle <= 1e-6, f"normal angle {angle:.3e} deg {where}")]
+    verdict(5, checks)
 
 
 def test_criterion_06_shrinking_ball_radii():

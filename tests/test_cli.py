@@ -614,12 +614,9 @@ def model_flags(ws):
             "--semantic-model", str(ws["models"] / "semantic.model")]
 
 
-@pytest.mark.parametrize("case", ["collapsed", "collinear", "weld-collapsed"])
-def test_zero_area_face_runs_through(ws, tile16, tmp_path, case):
-    # one face without area: a repeated corner, three collinear corners,
-    # or two corners that welding joins; it forms a NONPLANAR segment of
-    # its own and adds no parallelism edge
-    mesh, want_parallel = tile16
+def with_zero_area_face(mesh, case):
+    """``mesh`` plus one face without area, labelled 0: a repeated corner,
+    three collinear corners, or two corners that welding joins."""
     nv = mesh.n_vertices
     new_vertices, face = {
         "collapsed": ([], [0, 0, 1]),
@@ -628,12 +625,19 @@ def test_zero_area_face_runs_through(ws, tile16, tmp_path, case):
         "weld-collapsed": ([[5, 5, 10], [5, 5, 10 + 1e-9], [6, 5, 10]],
                            [nv, nv + 1, nv + 2]),
     }[case]
-    bad = TriangleMesh(
+    return TriangleMesh(
         vertices=np.vstack([mesh.vertices, np.reshape(new_vertices, (-1, 3))]),
         faces=np.vstack([mesh.faces, face]),
         face_color=np.vstack([mesh.face_color, [[90, 90, 90]]]),
         face_label=np.append(mesh.face_label, 0))
-    path = save_ply(bad, tmp_path / "bad.ply")
+
+
+@pytest.mark.parametrize("case", ["collapsed", "collinear", "weld-collapsed"])
+def test_zero_area_face_runs_through(ws, tile16, tmp_path, case):
+    # the face forms a NONPLANAR segment of its own and adds no
+    # parallelism edge
+    mesh, want_parallel = tile16
+    path = save_ply(with_zero_area_face(mesh, case), tmp_path / "bad.ply")
     assert main(["train", "--inputs", str(path), "--out",
                  str(tmp_path / "models"), "--trees", "5",
                  "--threads", "1"]) == 0
@@ -645,3 +649,14 @@ def test_zero_area_face_runs_through(ws, tile16, tmp_path, case):
     assert seg["face_segment"].count(last) == 1
     assert seg["segment_type"][last] == NONPLANAR
     assert parallel_edges(run) == want_parallel
+
+
+def test_zero_area_segment_is_a_training_sample(tile16, tmp_path):
+    # the collapsed face's segment votes by face count, so it gets its
+    # face's label and training keeps every segment
+    path = save_ply(with_zero_area_face(tile16[0], "collapsed"),
+                    tmp_path / "bad.ply")
+    assert main(["train", "--inputs", str(path), "--out",
+                 str(tmp_path / "models"), "--threads", "1"]) == 0
+    report = json.loads((tmp_path / "models" / "train_report.json").read_text())
+    assert report["n_segment_samples"] == report["n_segments"] == 19

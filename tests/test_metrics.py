@@ -369,6 +369,18 @@ def test_majority_tie_lower_class():
     assert (majority_labels(seg, gt, areas) == 1).all()
 
 
+def test_majority_zero_area_segment_votes_by_count():
+    # segment 0 has area, so its zero-area face has no say; segment 1 has
+    # none, so its faces vote equally; segment 2, the highest id, has no
+    # labeled face
+    seg = np.array([0, 0, 0, 1, 1, 1, 2])
+    gt = np.array([3, 1, 3, 2, 0, 2, -1])
+    areas = np.array([1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+    want = [1, 1, 1, 2, 2, 2, -1]
+    assert majority_labels(seg, gt, areas).tolist() == want
+    assert max_achievable(seg, gt, areas)[1].tolist() == want
+
+
 def test_majority_matches_brute_force_random():
     rng = np.random.default_rng(31)
     mesh = grid_mesh(10, 10, dx=0.5)

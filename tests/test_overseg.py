@@ -10,7 +10,7 @@ from pssmesh.config import PipelineConfig
 from pssmesh.overseg import (RegionState, PlaneAccumulator,
                              Segmentation, refit_plane, unary_cost,
                              pairwise_cost, frontier_decision, label_frontier,
-                             grow_region, oversegment, _add_face)
+                             grow_region, oversegment, _add_faces)
 
 from conftest import grid_mesh
 from mincut import min_cut_binary
@@ -151,7 +151,7 @@ def test_label_frontier_direct_equals_mincut():
     adj = build_adjacency(m)
     pm = flat_probmap(m.n_faces)
     region = RegionState(region_type=0)
-    _add_face(region, m, 30)
+    _add_faces(region, m, [30])
     refit_plane(region)
     frontier = sorted(int(x) for x in adj.face_neighbors(30))
     n = len(frontier)
@@ -206,8 +206,7 @@ def test_label_frontier_matches_per_face_definition():
     relaxed = degenerate = 0
     for trial in range(20):
         region = RegionState(region_type=trial % 2)
-        for f in rng.choice(m.n_faces, 4, replace=False):
-            _add_face(region, m, int(f))
+        _add_faces(region, m, rng.choice(m.n_faces, 4, replace=False).tolist())
         refit_plane(region)
         cfg = PipelineConfig(lambda_d=rng.uniform(0.5, 2.0),
                              lambda_m=rng.uniform(0.0, 1.0),
@@ -236,22 +235,29 @@ def test_refit_three_points_exact():
     assert r.plane_distance(np.array([[5, 5, 1.0]]))[0] < 1e-12
 
 
+FAR = np.array([385000.0, 6672000.0, 0.0])     # a national grid's metres
+
+
 def test_refit_incremental_equals_batch():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        pts = rng.standard_normal((int(rng.integers(3, 40)), 3)) * [3, 2, 0.3]
-        acc = PlaneAccumulator()
-        for p in pts:
-            acc.add(p)
-        scatter, mu = acc.scatter()
-        batch_mu = pts.mean(axis=0)
-        centered = pts - batch_mu
-        batch_scatter = centered.T @ centered
-        assert np.allclose(mu, batch_mu, atol=1e-9)
-        assert np.allclose(scatter, batch_scatter, atol=1e-9)
-        ev_i = np.linalg.eigh(scatter)[1][:, 0]
-        ev_b = np.linalg.eigh(batch_scatter)[1][:, 0]
-        assert abs(abs(ev_i @ ev_b) - 1.0) < 1e-9
+    for far in (np.zeros(3), FAR):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            pts = rng.standard_normal((int(rng.integers(3, 40)), 3)) \
+                * [3, 2, 0.3] + far
+            acc = PlaneAccumulator()
+            for p in pts:
+                acc.add(p)
+            scatter, mu = acc.scatter()
+            batch_mu = pts.mean(axis=0)
+            centered = pts - batch_mu
+            batch_scatter = centered.T @ centered
+            assert np.allclose(mu, batch_mu, atol=1e-9)
+            assert np.allclose(scatter, batch_scatter, atol=1e-9)
+            ev_i = np.linalg.eigh(scatter)[1][:, 0]
+            ev_b = np.linalg.eigh(batch_scatter)[1][:, 0]
+            assert abs(abs(ev_i @ ev_b) - 1.0) < 1e-9
+            # the normals' angle stays below 1e-6 degrees
+            assert np.linalg.norm(np.cross(ev_i, ev_b)) < np.radians(1e-6)
 
 
 def test_refit_collinear_keeps_previous():
@@ -370,7 +376,7 @@ def grow_region_per_face_refit(seed, mesh, adjacency, probmap, cfg,
                                assigned):
     """``grow_region`` with the plane refit after every accepted face."""
     region = RegionState(region_type=int(probmap.label[seed]))
-    _add_face(region, mesh, seed)
+    _add_faces(region, mesh, [seed])
     refit_plane(region)
     if region.plane_degenerate:
         n = mesh.face_normal[seed]
@@ -388,7 +394,7 @@ def grow_region_per_face_refit(seed, mesh, adjacency, probmap, cfg,
         front = []
         for f, lab in zip(frontier, labels):
             if lab == 0:
-                _add_face(region, mesh, f)
+                _add_faces(region, mesh, [f])
                 refit_plane(region)
                 front.append(f)
             else:
@@ -397,19 +403,20 @@ def grow_region_per_face_refit(seed, mesh, adjacency, probmap, cfg,
 
 
 def same_segmentation(a, b):
-    return all(x.dtype == y.dtype and x.shape == y.shape
-               and x.tobytes() == y.tobytes()
-               for x, y in ((a.face_segment, b.face_segment),
-                            (a.segment_type, b.segment_type),
-                            (a.planes, b.planes)))
+    """Equal face segments and types; planes equal up to rounding."""
+    return (all(x.dtype == y.dtype and x.shape == y.shape
+                and x.tobytes() == y.tobytes()
+                for x, y in ((a.face_segment, b.face_segment),
+                             (a.segment_type, b.segment_type)))
+            and a.planes.shape == b.planes.shape
+            and np.allclose(a.planes, b.planes, rtol=0.0, atol=1e-9))
 
 
 def collinear_strips(rng, n_strips):
     """Chains of zero-area faces on random lines about 1 km to 10 km out.
 
-    The cancellation in the far-off scatter makes a refit degenerate or not
-    almost at random, so steps that end degenerate after a good
-    intermediate refit occur.
+    Sums of raw coordinates would cancel in the far-off scatter and make a
+    refit degenerate or not almost at random.
     """
     verts, faces = [], []
     for _ in range(n_strips):
@@ -445,7 +452,7 @@ def test_step_refit_equals_per_face_refit_on_noisy_grids(monkeypatch):
         assert got.n_segments < m.n_faces
 
 
-def test_step_refit_replays_degenerate_steps(monkeypatch):
+def test_step_refit_equals_per_face_refit_on_far_off_strips(monkeypatch):
     rng = np.random.default_rng(3)
     m = collinear_strips(rng, 150)
     adj = build_adjacency(m)
@@ -455,23 +462,31 @@ def test_step_refit_replays_degenerate_steps(monkeypatch):
     pm = ProbabilityMap(g_hat=np.ones(nf),
                         label=np.ones(nf, dtype=np.int32),
                         planar_prob=rng.random(nf))
-    replays = []
-    replay = overseg._replay_refits
-    with monkeypatch.context() as mp:
-        mp.setattr(overseg, "_replay_refits",
-                   lambda *a: replays.append(1) or replay(*a))
-        got = oversegment(m, adj, pm)
+    got = oversegment(m, adj, pm)
     with monkeypatch.context() as mp:
         mp.setattr(overseg, "grow_region", grow_region_per_face_refit)
         want = oversegment(m, adj, pm)
-    with monkeypatch.context() as mp:
-        mp.setattr(overseg, "_replay_refits", lambda *a: None)
-        naive = oversegment(m, adj, pm)
     assert got.n_segments == 150
     assert same_segmentation(got, want)
-    # the strips reach the replay, and a refit at step ends alone is wrong
-    assert replays
-    assert not same_segmentation(naive, want)
+
+
+def test_oversegment_same_at_georeferenced_offset():
+    # the test_step_refit recipe on larger grids, moved to a national
+    # grid's coordinates: the regions must not change
+    rng = np.random.default_rng(21)
+    for trial in range(40):
+        m = grid_mesh(12, 10, dx=0.5)
+        m.vertices = m.vertices + rng.standard_normal(m.vertices.shape) \
+            * rng.choice([0.01, 0.05, 0.2])
+        far = TriangleMesh(vertices=m.vertices + FAR, faces=m.faces)
+        g = rng.random(m.n_faces)
+        pm = ProbabilityMap(g_hat=g, label=(g > 0.5).astype(np.int32),
+                            planar_prob=1.0 - g)
+        cfg = PipelineConfig(lambda_d=rng.uniform(0.5, 3.0),
+                             lambda_m=rng.uniform(0.0, 0.5))
+        near = oversegment(m, build_adjacency(m), pm, cfg)
+        moved = oversegment(far, build_adjacency(far), pm, cfg)
+        assert np.array_equal(near.face_segment, moved.face_segment), trial
 
 
 def test_oversegment_deterministic():

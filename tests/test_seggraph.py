@@ -461,7 +461,7 @@ def test_proximity_knn_cutoff_blocks_distant_clusters():
 def test_knn_pairs_symmetric():
     rng = np.random.default_rng(2)
     pts = rng.random((40, 3))
-    pairs = knn_pairs(pts, k=4, cutoff_factor=16.0)
+    pairs = knn_pairs(pts, np.arange(40), k=4, cutoff_factor=16.0)
     assert all(a < b for a, b in pairs.tolist())
 
 
@@ -475,11 +475,16 @@ def test_knn_pairs_match_distance_matrix():
         cutoff = factor * np.median(np.sort(d, axis=1)[:, 1])
         expect = {(min(i, j), max(i, j)) for i in range(n)
                   for j in order[i].tolist() if d[i, j] <= cutoff}
-        pairs = knn_pairs(pts, k=k, cutoff_factor=factor)
+        pairs = knn_pairs(pts, np.arange(n), k=k, cutoff_factor=factor)
         assert pairs.dtype == np.int64 and pairs.shape[1] == 2
         assert set(map(tuple, pairs.tolist())) == expect
         assert len(expect) == len(pairs)                 # rows are distinct
         assert (np.diff(pairs[:, 0] * n + pairs[:, 1]) > 0).all()
+        # same-tag pairs are dropped, the rest kept in the same order
+        tags = rng.integers(0, 4, n)
+        cross = pairs[tags[pairs[:, 0]] != tags[pairs[:, 1]]]
+        assert knn_pairs(pts, tags, k=k, cutoff_factor=factor).tobytes() \
+            == cross.tobytes()
 
 
 def test_proximity_points_take_lowest_segmented_face():
