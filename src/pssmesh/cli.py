@@ -91,6 +91,8 @@ def _print_semantic(tag, report):
 
 
 def cmd_synth(args) -> int:
+    if Path(args.name).suffix.lower() != ".ply":
+        raise ConfigError(f"--name {args.name}: synth writes .ply only")
     params = TileParams(**{name: getattr(args, name) for name in _TILE_FIELDS
                            if getattr(args, name) is not None})
     try:
@@ -159,10 +161,11 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _load_labeled(path, what="ground-truth"):
+def _load_labeled(path):
+    """The mesh at ``path``, which must have a face label >= 0."""
     mesh = load_mesh(path)
-    if mesh.face_label is None:
-        raise ConfigError(f"{path} has no {what} labels")
+    if not mesh.has_ground_truth:
+        raise ConfigError(f"{path} has no ground-truth labels")
     return mesh
 
 
@@ -201,7 +204,9 @@ def cmd_eval_semantic(args) -> int:
     if Path(args.pred).suffix == ".csv":
         pred = load_face_predictions(args.pred)
     else:
-        pred = _load_labeled(args.pred, "predicted").face_label
+        pred = load_mesh(args.pred).face_label
+        if pred is None:
+            raise ConfigError(f"{args.pred} has no predicted labels")
     _check_coindexed(len(pred), "predictions", gt)
     for path, labels, what in ((args.gt, gt.face_label, "ground-truth label"),
                                (args.pred, pred, "predicted label")):
@@ -234,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a labeled synthetic tile")
     p.add_argument("--out", dest="output_dir", required=True)
-    p.add_argument("--name", default="tile.ply")
+    p.add_argument("--name", default="tile.ply", help="file name, *.ply")
     p.add_argument("--seed", type=int)
     p.add_argument("--ground-size", type=float)
     p.add_argument("--ground-res", type=int)

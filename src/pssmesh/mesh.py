@@ -1,8 +1,9 @@
-"""Triangle mesh container with derived per-face caches."""
+"""Triangle mesh value with derived per-face geometry."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -16,10 +17,13 @@ class TriangleMesh:
     """Indexed triangle surface with optional per-face color and semantic label.
 
     Positions are in meters. ``face_label`` uses -1 for unlabeled faces.
-    Derived caches (areas, centroids, normals) are computed lazily on first
-    access and invalidated never: meshes are treated as immutable once built.
-    Degenerate (zero-area) faces are kept but flagged; their normal is the
-    zero vector.
+    A mesh is a value: no stage writes one of its arrays in place, and a
+    changed mesh is a new one, ``dataclasses.replace(mesh, vertices=...)``,
+    which shares the arrays it does not replace. Face areas, centroids and
+    normals are computed on first access and cached for the mesh's life, so
+    assigning to ``vertices`` or ``faces`` of a mesh whose geometry was
+    read leaves that geometry stale. Degenerate (zero-area) faces are kept
+    but flagged; their normal is the zero vector.
     """
 
     vertices: np.ndarray                       # (V, 3) float64
@@ -28,11 +32,6 @@ class TriangleMesh:
     vertex_color: np.ndarray | None = None     # (V, 3) uint8
     face_label: np.ndarray | None = None       # (F,) int32, -1 = unlabeled
     extra_face_props: dict = field(default_factory=dict)
-
-    _face_area: np.ndarray | None = field(default=None, repr=False)
-    _face_centroid: np.ndarray | None = field(default=None, repr=False)
-    _face_normal: np.ndarray | None = field(default=None, repr=False)
-    _face_area_normal: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
@@ -91,44 +90,40 @@ class TriangleMesh:
         if self.n_faces == 0:
             raise MeshError("no faces")
 
-    # -- derived caches ----------------------------------------------------
+    @property
+    def has_ground_truth(self) -> bool:
+        """A label column with at least one label >= 0 (-1 is unlabeled)."""
+        return self.face_label is not None and bool((self.face_label >= 0).any())
 
-    def _compute_derived(self):
+    # -- derived geometry --------------------------------------------------
+
+    @cached_property
+    def _area_and_normal(self) -> tuple[np.ndarray, np.ndarray]:
         tri = self.vertices[self.faces]                      # (F, 3, 3)
         cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
         norm = np.linalg.norm(cross, axis=1)
-        self._face_area = 0.5 * norm
-        self._face_centroid = tri.mean(axis=1)
         normals = np.zeros_like(cross)
         ok = norm > 0
         normals[ok] = cross[ok] / norm[ok, None]
-        self._face_normal = normals
+        return 0.5 * norm, normals
 
-    @property
+    @cached_property
     def face_area(self) -> np.ndarray:
-        if self._face_area is None:
-            self._compute_derived()
-        return self._face_area
+        return self._area_and_normal[0]
 
-    @property
+    @cached_property
     def face_centroid(self) -> np.ndarray:
-        if self._face_centroid is None:
-            self._compute_derived()
-        return self._face_centroid
+        return self.vertices[self.faces].mean(axis=1)
 
-    @property
+    @cached_property
     def face_normal(self) -> np.ndarray:
         """Unit normals from stored winding; zero vector for degenerate faces."""
-        if self._face_normal is None:
-            self._compute_derived()
-        return self._face_normal
+        return self._area_and_normal[1]
 
-    @property
+    @cached_property
     def face_area_normal(self) -> np.ndarray:
         """``face_area[:, None] * face_normal``: area-weighted normals."""
-        if self._face_area_normal is None:
-            self._face_area_normal = self.face_area[:, None] * self.face_normal
-        return self._face_area_normal
+        return self.face_area[:, None] * self.face_normal
 
     @property
     def degenerate_faces(self) -> np.ndarray:
@@ -142,14 +137,3 @@ class TriangleMesh:
     @property
     def n_faces(self) -> int:
         return len(self.faces)
-
-    def copy(self) -> "TriangleMesh":
-        return TriangleMesh(
-            vertices=self.vertices.copy(),
-            faces=self.faces.copy(),
-            face_color=None if self.face_color is None else self.face_color.copy(),
-            vertex_color=None if self.vertex_color is None else self.vertex_color.copy(),
-            face_label=None if self.face_label is None else self.face_label.copy(),
-            extra_face_props={k: np.array(v) for k, v in self.extra_face_props.items()},
-        )
-

@@ -353,9 +353,14 @@ def load_mesh(path) -> TriangleMesh:
 def save_mesh(mesh: TriangleMesh, path):
     """Write a mesh as binary PLY; ``load_mesh`` reads back the same content.
 
-    Colors/labels/extra face properties are emitted only when present.
+    Colors/labels/extra face properties are emitted only when present. A
+    ``path`` whose suffix is not ``.ply`` (in any case) raises ValueError,
+    as ``load_mesh`` would read such a file as another format.
     """
     path = Path(path)
+    if path.suffix.lower() != ".ply":
+        raise ValueError(f"{path}: save_mesh writes binary PLY; the file "
+                         f"name must end in .ply")
 
     face_props = []          # (name, dtype, column)
     if mesh.face_color is not None:

@@ -21,7 +21,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .forest import (ForestModel, check_channels, classify_segments,
 from .meshio import load_mesh, save_mesh
 from .metrics import majority_labels, max_achievable, overseg_report, \
     semantic_metrics
-from .overseg import Segmentation, oversegment
+from .overseg import NONPLANAR, PLANAR, Segmentation, oversegment
 from .repair import repair_nonmanifold, weld_vertices
 from .segfeatures import compute_segment_features, segment_channel_names
 from .seggraph import build_segment_graph, export_graph
@@ -115,9 +115,10 @@ def load_segmentation(path) -> Segmentation:
     """Read a segmentation file written by ``save_segmentation``.
 
     Bad content (invalid JSON, a missing key, another version, ids that are
-    not integers, a ``face_segment`` id outside [-1, K) or a ``planes`` table
-    that is not K rows of 4, for the K entries of ``segment_type``) raises
-    ConfigError with the path in front of the message.
+    not integers, a ``segment_type`` other than PLANAR or NONPLANAR, a
+    ``face_segment`` id outside [-1, K) or a ``planes`` table that is not K
+    rows of 4, for the K entries of ``segment_type``) raises ConfigError
+    with the path in front of the message.
     """
     def bad(message):
         return ConfigError(f"{path}: {message}")
@@ -130,6 +131,9 @@ def load_segmentation(path) -> Segmentation:
         if not (isinstance(doc[key], list)
                 and all(type(i) is int for i in doc[key])):
             raise bad(f"{key} must be a list of integers")
+    if not set(doc["segment_type"]) <= {PLANAR, NONPLANAR}:
+        raise bad(f"segment_type values must be {PLANAR} (planar) or "
+                  f"{NONPLANAR} (non-planar)")
     try:
         seg = Segmentation(
             face_segment=np.asarray(doc["face_segment"], dtype=np.int32),
@@ -263,9 +267,10 @@ def run_pipeline(config: PipelineConfig, mesh=None,
     ``stop_after`` names the last stage to run. The planarity model is
     required from the oversegmentation stage on; the semantic model and
     ground-truth labels are optional and their stages are skipped with a
-    manifest note when absent. Both models and the mesh are checked before
-    the first stage, so a bad model file or mesh raises ConfigError,
-    MeshParseError or MeshError and writes nothing. A model whose channel
+    manifest note when absent; a label column without a label >= 0 counts
+    as absent (``TriangleMesh.has_ground_truth``). Both models and the mesh
+    are checked before the first stage, so a bad model file or mesh raises
+    ConfigError, MeshParseError or MeshError and writes nothing. A model whose channel
     names differ from the ones the config gives (``check_channels``) and a
     semantic model class outside ``config.classes`` are such input errors,
     and so is a ground-truth label >= 0 outside it when the semantic
@@ -310,7 +315,7 @@ def run_pipeline(config: PipelineConfig, mesh=None,
     else:
         mesh.check_usable()
     if sem_model is not None and "metrics" in wanted \
-            and mesh.face_label is not None:
+            and mesh.has_ground_truth:
         check_classes(mesh.face_label[mesh.face_label >= 0].tolist(), config,
                       config.input_path if input_sha else "input mesh",
                       "ground-truth label")
@@ -405,14 +410,13 @@ def run_pipeline(config: PipelineConfig, mesh=None,
                          cls, proba, sem_model.classes, p))
                 emit("face_predictions.csv",
                      lambda p: save_face_predictions(face_cls, p))
-                labeled = mesh2.copy()
-                labeled.face_label = face_cls.astype(np.int32)
+                labeled = replace(mesh2, face_label=face_cls)
                 emit("labeled.ply", lambda p: save_mesh(labeled, p))
             tock("classify")
 
         if "metrics" in wanted:
             tick("metrics")
-            if mesh2.face_label is None:
+            if not mesh2.has_ground_truth:
                 notes.append("metrics skipped: no ground-truth labels")
             else:
                 areas = mesh2.face_area
@@ -467,11 +471,11 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
     """Fit the planarity forest, then the segment classifier on its output.
 
     ``meshes`` holds TriangleMesh objects or file paths; every mesh must
-    carry ground-truth face labels. Faces of the classes listed in
-    ``config.nonplanar_classes`` form the non-planar planarity class. The
-    segment classifier trains on segments produced by running the freshly
-    fitted planarity model through oversegmentation, labeled by area
-    majority. A ``config.nonplanar_classes`` id outside ``config.classes``
+    carry ground-truth face labels, at least one of them >= 0. Faces of the
+    classes listed in ``config.nonplanar_classes`` form the non-planar
+    planarity class. The segment classifier trains on segments produced by
+    running the freshly fitted planarity model through oversegmentation,
+    labeled by area majority. A ``config.nonplanar_classes`` id outside ``config.classes``
     raises ConfigError naming the key before any mesh is read, and a label
     >= 0 outside it one naming the mesh file (``training mesh <i>`` for an
     in-memory mesh) before the first fit. So does training data with a
@@ -497,7 +501,7 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
         else:
             source = m
             m = load_mesh(m)
-        if m.face_label is None:
+        if not m.has_ground_truth:
             raise ConfigError(f"{source}: no ground-truth labels")
         check_classes(m.face_label[m.face_label >= 0].tolist(), config,
                       source, "training label")

@@ -12,7 +12,7 @@ face corners that share an edge through their vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -66,7 +66,7 @@ def weld_vertices(mesh: TriangleMesh, epsilon: float) -> tuple[TriangleMesh, Rep
     nm_before = count_nonmanifold_edges(mesh.faces)
     if n == 0:
         rep = RepairReport(nonmanifold_edges_before=nm_before)
-        return mesh.copy(), rep
+        return mesh, rep
 
     pairs = cKDTree(V).query_pairs(epsilon, output_type="ndarray")
     roots = label_components(n, pairs[:, 0], pairs[:, 1])
@@ -80,16 +80,11 @@ def weld_vertices(mesh: TriangleMesh, epsilon: float) -> tuple[TriangleMesh, Rep
 def _rebuilt(mesh, source, faces, nm_before, **counts):
     """Mesh on vertices ``mesh.vertices[source]`` with ``faces``, and its report.
 
-    Face data is copied unchanged; vertex colors follow ``source``.
+    Face data is shared with ``mesh``; vertex colors follow ``source``.
     """
-    out = TriangleMesh(
-        vertices=mesh.vertices[source],
-        faces=faces,
-        face_color=None if mesh.face_color is None else mesh.face_color.copy(),
-        vertex_color=None if mesh.vertex_color is None else mesh.vertex_color[source],
-        face_label=None if mesh.face_label is None else mesh.face_label.copy(),
-        extra_face_props={k: np.array(v) for k, v in mesh.extra_face_props.items()},
-    )
+    out = replace(mesh, vertices=mesh.vertices[source], faces=faces,
+                  vertex_color=None if mesh.vertex_color is None
+                  else mesh.vertex_color[source])
     rep = RepairReport(
         nonmanifold_edges_before=nm_before,
         nonmanifold_edges_after=count_nonmanifold_edges(out.faces),

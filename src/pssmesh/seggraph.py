@@ -31,7 +31,7 @@ from .config import (ConfigError, PipelineConfig, load_versioned_json,
                      save_json)
 from .medial import shrinking_ball_transform
 from .mesh import TriangleMesh
-from .overseg import PLANAR
+from .overseg import NONPLANAR, PLANAR
 from .sampling import sample_points
 from .segfeatures import SegmentFeatures
 
@@ -41,6 +41,7 @@ EDGE_PARALLEL = "parallelism"
 EDGE_GROUND = "connecting_ground"
 EDGE_EXMAT = "exmat"
 EDGE_PROXIMITY = "spatial_proximity"
+EDGE_FAMILIES = (EDGE_PARALLEL, EDGE_GROUND, EDGE_EXMAT, EDGE_PROXIMITY)
 
 
 @dataclass
@@ -348,10 +349,12 @@ def import_graph(path) -> SegmentGraph:
     """Rebuild a graph written by export_graph.
 
     Bad content (invalid JSON, not an object, another version, a missing
-    key, malformed values, node ids out of order, a node whose centroid,
-    plane or features do not hold 3, 4 or one value per channel, an edge
-    that is not a (lower, higher) pair of node ids) raises ConfigError with
-    the path in front of the message.
+    key, malformed values, node ids out of order, a node type other than
+    PLANAR or NONPLANAR, a node whose centroid, plane or features do not
+    hold 3, 4 or one value per channel, an edge that is not a (lower,
+    higher) pair of node ids or is listed twice, edge types that are not a
+    non-empty list of distinct ``EDGE_FAMILIES`` names) raises ConfigError
+    with the path in front of the message.
     """
     doc = load_versioned_json(path, 2, "graph")
     try:
@@ -364,17 +367,29 @@ def import_graph(path) -> SegmentGraph:
 
         if [int(n["id"]) for n in nodes] != list(range(len(nodes))):
             raise ValueError("node ids are not 0, 1, 2, ... in order")
+        node_types = [int(n["type"]) for n in nodes]
+        if not set(node_types) <= {PLANAR, NONPLANAR}:
+            raise ValueError(f"node types must be {PLANAR} (planar) or "
+                             f"{NONPLANAR} (non-planar)")
+        edges = {}
+        for e in doc["edges"]:
+            pair, families = (int(e["a"]), int(e["b"])), e["types"]
+            if pair in edges:
+                raise ValueError(f"edge {pair} is listed twice")
+            if not (isinstance(families, list) and families
+                    and len(set(families)) == len(families)
+                    and set(families) <= set(EDGE_FAMILIES)):
+                raise ValueError(f"edge {pair}: types must be a non-empty "
+                                 f"list of distinct names of {EDGE_FAMILIES}")
+            edges[pair] = GraphEdge(types=set(families),
+                                    offset_mean=float(e["offset_mean"]),
+                                    offset_std=float(e["offset_std"]))
         graph = SegmentGraph(
-            segment_type=np.array([int(n["type"]) for n in nodes],
-                                  dtype=np.int64),
+            segment_type=np.array(node_types, dtype=np.int64),
             planes=rows("plane", 4),
             centroids=rows("centroid", 3),
             features=rows("features", len(channels)),
-            edges={(int(e["a"]), int(e["b"])): GraphEdge(
-                       types=set(e["types"]),
-                       offset_mean=float(e["offset_mean"]),
-                       offset_std=float(e["offset_std"]))
-                   for e in doc["edges"]},
+            edges=edges,
             channel_names=channels,
             metadata=dict(doc.get("metadata", {})))
         for a, b in graph.edges:

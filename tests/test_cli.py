@@ -1,6 +1,7 @@
 """Command-line interface tests; every call runs in-process via main()."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -325,6 +326,42 @@ def test_upper_bound_cmd(ws, tmp_path, capsys):
     assert (tmp_path / "upper_bound.json").is_file()
 
 
+@pytest.fixture(scope="module")
+def unlabeled_tile(ws):
+    """The workspace tile with every face labeled -1."""
+    mesh = load_mesh(ws["tile"])
+    path = ws["root"] / "unlabeled.ply"
+    save_mesh(replace(mesh, face_label=np.full(mesh.n_faces, -1)), path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["eval-overseg", "upper-bound",
+                                     "eval-semantic", "train"])
+def test_all_unlabeled_ground_truth_exit_2(ws, unlabeled_tile, tmp_path,
+                                           capsys, command):
+    seg = ["--input", str(unlabeled_tile),
+           "--segmentation", str(ws["run"] / "segmentation.json")]
+    args = {"eval-overseg": seg, "upper-bound": seg,
+            "eval-semantic": ["--gt", str(unlabeled_tile), "--pred",
+                              str(ws["run"] / "face_predictions.csv")],
+            "train": ["--inputs", str(unlabeled_tile), "--trees", "5"]}
+    code = main([command, *args[command], "--out", str(tmp_path / "ev")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(unlabeled_tile) in err and "no ground-truth labels" in err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_all_unlabeled_prediction_scores(ws, unlabeled_tile, tmp_path,
+                                         capsys):
+    # a predicted mesh may label no face: it scores, it is no input error
+    code = main(["eval-semantic", "--pred", str(unlabeled_tile),
+                 "--gt", str(ws["tile"]), "--out", str(tmp_path)])
+    assert code == 0
+    assert json.loads((tmp_path / "semantic_metrics.json").read_text())[
+        "miou"] == 0.0
+
+
 def test_train_requires_inputs():
     assert main(["train", "--inputs"]) == 2
 
@@ -529,8 +566,11 @@ def test_bad_mesh_input_exit_2(tmp_path, capsys, name, text):
     # 4 rows of 3 hold 12 numbers, as 3 rows of 4 do
     '{"version": 1, "face_segment": [0, 1, 2], "segment_type": [0, 0, 1], '
     '"planes": [[0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 0, 1]]}',
+    '{"version": 1, "face_segment": [0, 1], "segment_type": [0, 2], '
+    '"planes": [[0, 0, 1, 0], [0, 0, 1, 0]]}',
 ], ids=["truncated", "missing-key", "version", "non-integer",
-        "ids-beyond-types", "planes-not-one-per-type", "planes-rows-of-3"])
+        "ids-beyond-types", "planes-not-one-per-type", "planes-rows-of-3",
+        "segment-type-2"])
 def test_bad_segmentation_exit_2(ws, tmp_path, capsys, command, text):
     bad = tmp_path / "seg.json"
     bad.write_text(text)
@@ -577,7 +617,8 @@ def test_seed_outside_int64_exit_2(ws, tmp_path, capsys, command, seed):
     (["--ground-res", "0"], "ground_size and ground_res must be positive"),
     (["--ground-size", "8", "--boxes", "20"],
      "cannot place 20 boxes, 6 trees and 3 vehicles apart on a 8 m tile"),
-], ids=["ground-res-0", "crowded"])
+    (["--name", "tile.obj"], "--name tile.obj: synth writes .ply only"),
+], ids=["ground-res-0", "crowded", "obj-name"])
 def test_synth_usage_errors_exit_2(tmp_path, capsys, flags, message):
     code = main(["synth", "--out", str(tmp_path / "data"), *flags])
     assert code == 2

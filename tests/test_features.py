@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -288,9 +289,7 @@ def test_eigen_invariance_under_z_rotation_and_translation():
     th = 0.7
     R = np.array([[np.cos(th), -np.sin(th), 0],
                   [np.sin(th), np.cos(th), 0], [0, 0, 1.0]])
-    m2 = m.copy()
-    m2.vertices = m.vertices @ R.T + np.array([3.0, -2.0, 5.0])
-    m2._face_area = m2._face_centroid = m2._face_normal = None
+    m2 = replace(m, vertices=m.vertices @ R.T + np.array([3.0, -2.0, 5.0]))
     rot = compute_face_features(m2).values[:, :15]
     assert np.abs(base - rot).max() < 1e-6
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -54,14 +56,23 @@ def test_face_area_sum():
     assert m.face_area.sum() == 4 * 2 * 0.25
 
 
-def test_copy_is_deep():
+GEOMETRY = ("face_area", "face_centroid", "face_normal", "face_area_normal")
+
+
+def test_replace_reports_new_geometry_and_keeps_old():
+    # geometry is cached per mesh, so a moved mesh is a new mesh: reading
+    # the old one first must neither leak into the new one nor change
     m = two_triangle_strip()
-    m.face_label = np.array([1, 2], dtype=np.int32)
-    c = m.copy()
-    c.vertices[0, 0] = 99.0
-    c.face_label[0] = 7
-    assert m.vertices[0, 0] == 0.0
-    assert m.face_label[0] == 1
+    old = {name: getattr(m, name).copy() for name in GEOMETRY}
+    # stand the strip up in the x-z plane, twice as large, shifted
+    moved = m.vertices[:, [0, 2, 1]] * 2.0 + [5.0, 0.0, 1.0]
+    m2 = replace(m, vertices=moved)
+    fresh = TriangleMesh(vertices=moved, faces=m.faces)
+    for name in GEOMETRY:
+        assert np.array_equal(getattr(m2, name), getattr(fresh, name)), name
+        assert not np.array_equal(getattr(m2, name), old[name]), name
+        assert np.array_equal(getattr(m, name), old[name]), name
+    assert np.shares_memory(m2.faces, m.faces)
 
 
 def test_face_index_checked_before_int32_cast():

@@ -147,6 +147,17 @@ def test_round_trip_extra_face_props(tmp_path):
     assert m2.extra_face_props["segment_type"].dtype == np.uint8
 
 
+def test_save_mesh_writes_ply_names_only(tmp_path):
+    m = grid_mesh(1, 1)
+    for name in ("tile.obj", "tile.ply.txt", "tile"):
+        path = tmp_path / name
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ")):
+            save_mesh(m, path)
+        assert not path.exists()
+    save_mesh(m, tmp_path / "TILE.PLY")
+    assert load_mesh(tmp_path / "TILE.PLY").n_faces == 2
+
+
 def test_no_label_omits_property(tmp_path):
     m = grid_mesh(1, 1)
     p = tmp_path / "nolabel.ply"

@@ -147,7 +147,6 @@ def test_label_frontier_direct_equals_mincut():
     rng = np.random.default_rng(5)
     m = grid_mesh(6, 6)
     m.vertices += rng.standard_normal(m.vertices.shape) * 0.15
-    m._face_area = m._face_centroid = m._face_normal = None
     adj = build_adjacency(m)
     pm = flat_probmap(m.n_faces)
     region = RegionState(region_type=0)
@@ -198,7 +197,6 @@ def test_label_frontier_matches_per_face_definition():
     m = grid_mesh(10, 10, dx=0.5)
     m.vertices = m.vertices + rng.standard_normal(m.vertices.shape) * 0.2
     m.faces[::9, 2] = m.faces[::9, 1]           # collapsed: zero normal
-    m._face_area = m._face_centroid = m._face_normal = None
     g = rng.random(m.n_faces)
     label = (rng.random(m.n_faces) < 0.5).astype(np.int32)
     pm = ProbabilityMap(g_hat=g, label=label, planar_prob=1.0 - g)
@@ -350,7 +348,6 @@ def test_oversegment_partition_and_connectivity():
     rng = np.random.default_rng(2)
     m = grid_mesh(6, 6)
     m.vertices[:, 2] = 0.3 * np.sin(m.vertices[:, 0]) * np.cos(m.vertices[:, 1])
-    m._face_area = m._face_centroid = m._face_normal = None
     adj = build_adjacency(m)
     g = rng.random(m.n_faces)
     pm = ProbabilityMap(g_hat=g, label=(g > 0.5).astype(np.int32),
@@ -493,7 +490,6 @@ def test_oversegment_deterministic():
     m = grid_mesh(5, 5)
     rng = np.random.default_rng(0)
     m.vertices[:, 2] = rng.random(m.n_vertices) * 0.3
-    m._face_area = m._face_centroid = m._face_normal = None
     adj = build_adjacency(m)
     g = rng.random(m.n_faces)
     pm = ProbabilityMap(g_hat=g,

@@ -7,6 +7,7 @@ import os
 import re
 import struct
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -431,15 +432,24 @@ def test_graph_file_round_trip(tile_path, trained, tmp_path):
     assert graphs_equal(result.graph, import_graph(path))
 
 
+def unlabeled(mesh):
+    """``mesh`` without a label column, and with every face labeled -1."""
+    return [replace(mesh, face_label=label)
+            for label in (None, np.full(mesh.n_faces, -1))]
+
+
 def test_unlabeled_mesh_skips_metrics(tile_path, trained, tmp_path):
-    mesh = synth_tile(SMALL)
-    mesh.face_label = None
-    cfg = make_config(tile_path, trained, tmp_path / "run", input_path=None)
-    result = run_pipeline(cfg, mesh=mesh)
-    assert any("no ground-truth labels" in n for n in result.manifest.notes)
-    assert not (result.run_dir / "overseg_metrics.json").exists()
-    assert result.manifest.input_sha256 is None
-    assert (result.run_dir / "labeled.ply").is_file()
+    for i, mesh in enumerate(unlabeled(synth_tile(SMALL))):
+        cfg = make_config(tile_path, trained, tmp_path / f"run{i}",
+                          input_path=None)
+        result = run_pipeline(cfg, mesh=mesh)
+        assert "metrics skipped: no ground-truth labels" \
+            in result.manifest.notes
+        assert not (result.run_dir / "overseg_metrics.json").exists()
+        assert not list(result.run_dir.glob("*.partial"))
+        assert (result.run_dir / "manifest.json").is_file()
+        assert result.manifest.input_sha256 is None
+        assert (result.run_dir / "labeled.ply").is_file()
 
 
 def test_segmentation_round_trip(tile_path, trained, tmp_path):
@@ -642,11 +652,10 @@ def test_train_models_missing_path():
 
 
 def test_train_models_requires_labels():
-    mesh = synth_tile(SMALL)
-    mesh.face_label = None
-    with pytest.raises(ConfigError,
-                       match="^training mesh 0: no ground-truth labels"):
-        train_models(PipelineConfig(trees=5), [mesh])
+    for mesh in unlabeled(synth_tile(SMALL)):
+        with pytest.raises(ConfigError,
+                           match="^training mesh 0: no ground-truth labels"):
+            train_models(PipelineConfig(trees=5), [mesh])
 
 
 def test_training_label_outside_config_is_input_error(vehicles_as_4,

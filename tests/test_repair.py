@@ -271,3 +271,43 @@ def test_repair_matches_dict_detach_oracle():
         assert rep.nonmanifold_edges_after == 0
         assert rep.split_vertices == split
         checked += 1
+
+
+def mesh_arrays(m):
+    return {"vertices": m.vertices, "faces": m.faces,
+            "face_color": m.face_color, "vertex_color": m.vertex_color,
+            "face_label": m.face_label, **m.extra_face_props}
+
+
+def test_weld_and_repair_leave_input_unchanged():
+    # a three-face fan over edge (0, 1), a bow-tie at vertex 2 and a
+    # duplicate of vertex 1, with every optional column filled
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0.5, 1, 0], [0.5, -1, 0],
+                      [0.5, 0, 1], [1.5, 2, 0], [0.5, 2, 0], [1, 0, 0]],
+                     dtype=float)
+    faces = np.array([[0, 1, 2], [0, 1, 3], [0, 7, 4], [2, 5, 6]],
+                     dtype=np.int32)
+    m = TriangleMesh(vertices=verts, faces=faces,
+                     face_color=np.arange(12).reshape(4, 3),
+                     vertex_color=np.arange(24).reshape(8, 3),
+                     face_label=[0, 1, 2, 3],
+                     extra_face_props={"flag": np.arange(4, dtype=np.uint8)})
+    before = {k: v.copy() for k, v in mesh_arrays(m).items()}
+    welded, rep1 = weld_vertices(m, 1e-6)
+    out, rep2 = repair_nonmanifold(welded)
+    assert rep1.welded_vertices == 1 and rep2.split_vertices == 1
+    assert rep2.nonmanifold_edges_before == 1
+    for k, v in mesh_arrays(m).items():
+        assert np.array_equal(v, before[k]), k
+    assert np.array_equal(out.face_label, before["face_label"])
+    assert np.array_equal(out.vertex_color,
+                          before["vertex_color"][[0, 1, 2, 3, 4, 5, 6,
+                                                  0, 1, 2]])
+
+
+def test_weld_empty_mesh_returns_it():
+    m = TriangleMesh(vertices=np.zeros((0, 3)),
+                     faces=np.zeros((0, 3), dtype=np.int32))
+    out, rep = weld_vertices(m, 1e-6)
+    assert out is m
+    assert rep.welded_vertices == 0

@@ -655,6 +655,9 @@ GOOD_GRAPH = {"version": 2, "channels": ["alpha"],
               "nodes": [{"id": 0, "type": 0, "centroid": [0, 0, 0],
                          "plane": [0, 0, 1, 0], "features": [1.0]}],
               "edges": []}
+TWO_NODES = [GOOD_GRAPH["nodes"][0], {**GOOD_GRAPH["nodes"][0], "id": 1}]
+EDGE = {"a": 0, "b": 1, "types": [EDGE_PARALLEL], "offset_mean": 0.0,
+        "offset_std": 0.0}
 
 
 @pytest.mark.parametrize("text", [
@@ -668,8 +671,16 @@ GOOD_GRAPH = {"version": 2, "channels": ["alpha"],
          "offset_std": 0.0}]}),
     json.dumps({**GOOD_GRAPH, "nodes": [
         {**GOOD_GRAPH["nodes"][0], "id": 3}]}),
+    json.dumps({**GOOD_GRAPH, "nodes": TWO_NODES, "edges": [EDGE, EDGE]}),
+    *(json.dumps({**GOOD_GRAPH, "nodes": TWO_NODES,
+                  "edges": [{**EDGE, "types": types}]})
+      for types in ("exmat", [], ["ground"], [EDGE_EXMAT, EDGE_EXMAT])),
+    json.dumps({**GOOD_GRAPH, "nodes": [
+        {**GOOD_GRAPH["nodes"][0], "type": 9}]}),
 ], ids=["version-1", "truncated", "not-an-object", "missing-channels",
-        "missing-edge-key", "edge-id-out-of-range", "node-id-out-of-order"])
+        "missing-edge-key", "edge-id-out-of-range", "node-id-out-of-order",
+        "edge-listed-twice", "types-string", "types-empty", "types-unknown",
+        "types-repeated", "node-type-9"])
 def test_import_graph_rejects_bad_file(tmp_path, text):
     path = tmp_path / "graph.json"
     path.write_text(text)
@@ -685,6 +696,9 @@ def test_import_graph_reads_good_file(tmp_path):
     assert graph.channel_names == ["alpha"] and graph.n_edges == 0
     assert same_floats(graph.features[0], [1.0])
     assert edge_log_ratios(graph).shape == (0, 1)
+    path.write_text(json.dumps({**GOOD_GRAPH, "nodes": TWO_NODES,
+                                "edges": [EDGE]}))
+    assert import_graph(path).edges[0, 1].types == {EDGE_PARALLEL}
 
 
 def test_graph_counts_on_tile():
