@@ -1,7 +1,10 @@
 """Face adjacency, edge lists, segment indexes and connected components.
 
-``segment_index`` derives, once per segmentation, the ``SegmentIndex`` that
-segment features and the segment graph read every per-segment fact from.
+``build_adjacency`` builds ``AdjacencyIndex``, a mesh's edge table and face
+neighbor lists, whole. ``segment_index`` builds, whole and once per
+segmentation, the ``SegmentIndex`` that segment features and the segment
+graph read every per-segment fact from: faces, cut edges, vertices, probe
+vertices, area, circumference and face weights.
 """
 
 from __future__ import annotations
@@ -95,15 +98,21 @@ def area_table(rows, cols, n_rows: int, n_cols: int, areas) -> np.ndarray:
                        ).reshape(n_rows, n_cols)
 
 
+def segment_sums(face_segment, n_segments: int, values) -> np.ndarray:
+    """(K,) sum of a per-face value over each segment's faces, in face
+    order; faces without a segment (-1) count in no sum."""
+    member = face_segment >= 0
+    return np.bincount(face_segment[member], minlength=n_segments,
+                       weights=np.asarray(values)[member])
+
+
 def face_weights(face_segment, face_area, n_segments: int) -> np.ndarray:
     """(F,) weight of each face in its segment's means and votes: its area,
     or 1 in a segment whose area is 0, so such a segment weighs its faces
     equally. ``face_segment`` ids lie in [-1, n_segments), -1 unsegmented."""
     seg = np.asarray(face_segment).reshape(-1)
     area = np.asarray(face_area, dtype=np.float64).reshape(-1)
-    member = seg >= 0
-    seg_area = np.bincount(seg[member], weights=area[member],
-                           minlength=n_segments)
+    seg_area = segment_sums(seg, n_segments, area)
     # -1, a face without a segment, picks the appended False
     return np.where(np.append(seg_area == 0.0, False)[seg], 1.0, area)
 
@@ -121,8 +130,8 @@ class AdjacencyIndex:
     edge_vertices: np.ndarray          # (E, 2) int32, sorted pairs
     edge_faces: np.ndarray             # (E, 2) int32, -1 = border
     edge_length: np.ndarray            # (E,) float64 meters
-    _face_off: np.ndarray = field(repr=False, default=None)
-    _face_flat: np.ndarray = field(repr=False, default=None)
+    _face_off: np.ndarray = field(repr=False)     # (F + 1,) int64
+    _face_flat: np.ndarray = field(repr=False)    # neighbor lists, int32
 
     def face_neighbors(self, f: int) -> np.ndarray:
         return self._face_flat[self._face_off[f]:self._face_off[f + 1]]
@@ -155,9 +164,8 @@ def build_adjacency(mesh: TriangleMesh) -> AdjacencyIndex:
 
     length = np.linalg.norm(mesh.vertices[uniq[:, 1]] - mesh.vertices[uniq[:, 0]], axis=1)
 
-    idx = AdjacencyIndex(nf, nv, uniq.astype(np.int32), edge_faces, length)
-    idx._face_off, idx._face_flat = _csr(edge_faces[second], nf)
-    return idx
+    return AdjacencyIndex(nf, nv, uniq.astype(np.int32), edge_faces, length,
+                          *_csr(edge_faces[second], nf))
 
 
 def _grouped(owner, ids, n_groups: int, n_ids: int) -> list:
@@ -173,34 +181,35 @@ def _grouped(owner, ids, n_groups: int, n_ids: int) -> list:
 class SegmentIndex:
     """The per-segment facts of one face segmentation.
 
-    ``edge_side`` (E, 2) holds the segment on each side of every edge: -1
-    for an unsegmented face, -2 for the open side of a border edge. An edge
-    is cut when its two sides differ; it is then in the cut list of each
-    segment on either side. ``faces[k]``, ``cuts[k]`` and ``vertices[k]``
-    are segment k's ascending face, cut edge and vertex ids (int64).
-    ``area`` is ``sums(mesh.face_area)``. ``mean`` weighs each face by
-    ``weight``, from ``face_weights``. ``weight_sum`` is ``sums(weight)``.
+    The two sides of an edge are the segments of its faces: -1 for an
+    unsegmented face, -2 for the open side of a border edge. An edge is cut
+    when its sides differ; it is then in the cut list of each segment on
+    either side. ``faces[k]``, ``cuts[k]``, ``vertices[k]`` and
+    ``probes[k]`` are segment k's ascending face, cut edge, vertex and probe
+    vertex ids (int64); its probes are the vertices of its cut edges, or all
+    its vertices when it has none. ``circumference`` sums ``edge_length``
+    over each segment's cut edges. ``area`` is ``sums(mesh.face_area)``.
+    ``mean`` weighs each face by ``weight``, from ``face_weights``.
+    ``weight_sum`` is ``sums(weight)``.
     """
 
     face_segment: np.ndarray           # (F,) segment id per face, -1 none
-    edge_side: np.ndarray              # (E, 2)
     faces: list
     cuts: list
     vertices: list
-    area: np.ndarray = None            # (K,) float64 m^2
-    weight: np.ndarray = None          # (F,) float64
-    weight_sum: np.ndarray = None      # (K,) float64
+    probes: list
+    area: np.ndarray                   # (K,) float64 m^2
+    circumference: np.ndarray          # (K,) float64 m
+    weight: np.ndarray                 # (F,) float64
+    weight_sum: np.ndarray             # (K,) float64
 
     @property
     def n_segments(self) -> int:
         return len(self.faces)
 
     def sums(self, values) -> np.ndarray:
-        """(K,) sum of a per-face value over each segment's faces, in face
-        order; faces without a segment count in no sum."""
-        member = self.face_segment >= 0
-        return np.bincount(self.face_segment[member], minlength=len(self.faces),
-                           weights=np.asarray(values)[member])
+        """``segment_sums`` of a per-face value."""
+        return segment_sums(self.face_segment, len(self.faces), values)
 
     def mean(self, *factors) -> np.ndarray:
         """(K,) weighted mean over each segment's faces of the product of
@@ -218,25 +227,29 @@ def segment_index(mesh: TriangleMesh, adjacency: AdjacencyIndex, face_segment,
         raise ValueError("face_segment length does not match face count")
     if len(seg) and not -1 <= seg.min() <= seg.max() < n_segments:
         raise ValueError(f"segment ids must lie in [-1, {n_segments})")
-    f0 = adjacency.edge_faces[:, 0]
-    f1 = adjacency.edge_faces[:, 1]
-    edge_side = np.column_stack(
-        [seg[f0], np.where(f1 >= 0, seg[np.maximum(f1, 0)], -2)])
+    f0, f1 = adjacency.edge_faces.T
+    edge_side = np.column_stack([seg[f0], np.where(f1 >= 0, seg[f1], -2)])
 
     member = np.flatnonzero(seg >= 0)
     cut = np.flatnonzero(edge_side[:, 0] != edge_side[:, 1])
+    # each cut edge once per segment side: the first sides, then the second
     owner = edge_side[cut].T.ravel()
     keep = owner >= 0
-    index = SegmentIndex(
-        seg, edge_side, _grouped(seg[member], member, n_segments, len(seg)),
-        _grouped(owner[keep], np.tile(cut, 2)[keep], n_segments,
-                 len(edge_side)),
-        _grouped(np.repeat(seg[member], 3), mesh.faces[member].ravel(),
-                 n_segments, mesh.n_vertices))
-    index.area = index.sums(mesh.face_area)
-    index.weight = face_weights(seg, mesh.face_area, n_segments)
-    index.weight_sum = index.sums(index.weight)
-    return index
+    owner, cut = owner[keep], np.tile(cut, 2)[keep]
+    vertices = _grouped(np.repeat(seg[member], 3), mesh.faces[member].ravel(),
+                        n_segments, mesh.n_vertices)
+    probes = _grouped(np.repeat(owner, 2),
+                      adjacency.edge_vertices[cut].ravel(), n_segments,
+                      mesh.n_vertices)
+    weight = face_weights(seg, mesh.face_area, n_segments)
+    return SegmentIndex(
+        seg, _grouped(seg[member], member, n_segments, len(seg)),
+        _grouped(owner, cut, n_segments, len(f0)), vertices,
+        [p if len(p) else v for p, v in zip(probes, vertices)],
+        segment_sums(seg, n_segments, mesh.face_area),
+        np.bincount(owner, weights=adjacency.edge_length[cut],
+                    minlength=n_segments),
+        weight, segment_sums(seg, n_segments, weight))
 
 
 def face_connected_components(mesh: TriangleMesh, adjacency: AdjacencyIndex,

@@ -201,7 +201,7 @@ def cmd_eval_semantic(args) -> int:
     cfg = resolved_config(args)
     _require(cfg, "output_dir")
     gt = _load_labeled(args.gt)
-    if Path(args.pred).suffix == ".csv":
+    if Path(args.pred).suffix.lower() == ".csv":
         pred = load_face_predictions(args.pred)
     else:
         pred = load_mesh(args.pred).face_label

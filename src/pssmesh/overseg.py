@@ -14,15 +14,17 @@ into a closed-form rule. The tests check it against enumeration and against
 an exact max-flow min-cut on the star graph.
 
 Faces labeled 1 are "visited" for the current region only and reconsidered by
-later regions. The region plane comes from an incremental second-moment
-accumulator over the region's unique vertices, taken about the first vertex
-added: a georeferenced mesh lies millions of metres from the coordinate
-origin, where raw sums would cancel every digit of the scatter. Only the
-frontier labeling reads the plane, so it is refit once after the seed and
-once after each step that accepted faces. A refit after every accepted face
-would give the same plane up to rounding: a superset's scatter is never
-smaller than a subset's, so, short of a step that lengthens the region a
-millionfold, a step that ends degenerate had no good refit on the way.
+later regions. A joining face takes its region's id in ``face_segment``, the
+one membership record, and is never a frontier face again. The region plane
+comes from an incremental second-moment accumulator over the region's unique
+vertices, taken about the first vertex added: a georeferenced mesh lies
+millions of metres from the coordinate origin, where raw sums would cancel
+every digit of the scatter. Only the frontier labeling reads the plane, so
+it is refit once after the seed and once after each step that accepted
+faces. A refit after every accepted face would give the same plane up to
+rounding: a superset's scatter is never smaller than a subset's, so, short
+of a step that lengthens the region a millionfold, a step that ends
+degenerate had no good refit on the way.
 """
 
 from __future__ import annotations
@@ -67,8 +69,6 @@ class PlaneAccumulator:
 @dataclass
 class RegionState:
     region_type: int                      # PLANAR or NONPLANAR
-    members: list = field(default_factory=list)
-    member_set: set = field(default_factory=set)
     vertex_set: set = field(default_factory=set)
     acc: PlaneAccumulator = field(default_factory=PlaneAccumulator)
     normal_sum: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -116,11 +116,9 @@ def refit_plane(region: RegionState) -> None:
 
 
 def _add_faces(region: RegionState, mesh: TriangleMesh, faces: list) -> None:
-    """Make ``faces`` members; add their vertices new to the region, once
-    each in order of first appearance, to the accumulator in one update and
-    their area-weighted normals face by face. ``refit_plane`` refits."""
-    region.members.extend(faces)
-    region.member_set.update(faces)
+    """Add the vertices of joining ``faces`` new to the region, once each in
+    order of first appearance, to the accumulator in one update and their
+    area-weighted normals face by face. ``refit_plane`` refits."""
     fresh = [v for v in dict.fromkeys(mesh.faces[faces].ravel().tolist())
              if v not in region.vertex_set]
     if fresh:
@@ -136,7 +134,7 @@ def unary_cost(face, region: RegionState, mesh: TriangleMesh,
 
     ``face`` is one face id or an array of them; the costs have its shape.
     """
-    if not region.members:
+    if region.acc.n == 0:
         raise ValueError("region has no member faces")
     config = config or PipelineConfig()
     face = np.asarray(face)
@@ -183,12 +181,14 @@ def label_frontier(region: RegionState, frontier, mesh: TriangleMesh,
 
 def grow_region(seed: int, mesh: TriangleMesh, adjacency: AdjacencyIndex,
                 probmap, config: PipelineConfig | None,
-                assigned: np.ndarray) -> RegionState:
+                face_segment: np.ndarray) -> RegionState:
     """Grow one region from a seed face until a step adds nothing.
 
-    Faces set in ``assigned`` (a bool per face) belong to earlier regions
-    and are never frontier faces.
+    ``face_segment[seed]`` holds the new region's id, and every face that
+    joins takes it. A face that holds an id (>= 0) belongs to this or an
+    earlier region and is never a frontier face.
     """
+    region_id = face_segment[seed]
     region = RegionState(region_type=int(probmap.label[seed]))
     _add_faces(region, mesh, [seed])
     refit_plane(region)
@@ -202,14 +202,15 @@ def grow_region(seed: int, mesh: TriangleMesh, adjacency: AdjacencyIndex,
     while front:
         cand = {nb for f in front
                 for nb in adjacency.face_neighbors(f).tolist()}
-        frontier = sorted(f for f in cand if f not in region.member_set
-                          and f not in region.visited and not assigned[f])
+        frontier = sorted(f for f in cand if face_segment[f] < 0
+                          and f not in region.visited)
         if not frontier:
             break
         labels = label_frontier(region, frontier, mesh, probmap, config)
         front = [f for f, lab in zip(frontier, labels) if lab == 0]
         region.visited.update(f for f, lab in zip(frontier, labels) if lab)
         if front:
+            face_segment[front] = region_id
             _add_faces(region, mesh, front)
             refit_plane(region)
     return region
@@ -225,16 +226,14 @@ def oversegment(mesh: TriangleMesh, adjacency: AdjacencyIndex, probmap,
     config = config or PipelineConfig()
     nf = mesh.n_faces
     face_segment = np.full(nf, -1, dtype=np.int32)
-    assigned = np.zeros(nf, dtype=bool)
     order = np.lexsort((np.arange(nf), -np.asarray(probmap.planar_prob)))
     types, planes = [], []
     for seed in order:
-        if assigned[seed]:
+        if face_segment[seed] >= 0:
             continue
+        face_segment[seed] = len(types)
         region = grow_region(int(seed), mesh, adjacency, probmap, config,
-                             assigned)
-        face_segment[region.members] = len(types)
-        assigned[region.members] = True
+                             face_segment)
         types.append(region.region_type)
         planes.append(np.append(region.normal, region.offset))
     segment_type = np.asarray(types, dtype=np.int8)

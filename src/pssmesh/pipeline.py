@@ -389,8 +389,7 @@ def run_pipeline(config: PipelineConfig, mesh=None,
 
         if "graph" in wanted:
             tick("graph")
-            graph = build_segment_graph(mesh2, adjacency, seg, index, sf,
-                                        config)
+            graph = build_segment_graph(mesh2, seg, index, sf, config)
             result.graph = graph
             emit("graph.json", lambda p: export_graph(graph, p))
             tock("graph")

@@ -3,10 +3,10 @@
 Each segment gets weighted channel statistics, a handful of shape
 descriptors (compactness, shape index, boundary straightness, plane fit
 distance), global size measures, and a weighted HSV color histogram.
-Faces, cut edges, vertices and face weights come from the segmentation's
-``adjacency.SegmentIndex``. The layout is fixed; ``segment_channel_names``
-names its columns, and a model keeps those names so that
-``forest.check_channels`` refuses features in another layout.
+Faces, cut edges, vertices, area, circumference and face weights come from
+the segmentation's ``adjacency.SegmentIndex``. The layout is fixed;
+``segment_channel_names`` names its columns, and a model keeps those names
+so that ``forest.check_channels`` refuses features in another layout.
 """
 
 import numpy as np
@@ -109,15 +109,6 @@ def compute_segment_features(mesh: TriangleMesh, adjacency: AdjacencyIndex,
     stds = np.column_stack([np.sqrt(np.maximum(index.mean(d, d), 0.0))
                             for d in (x_face - means[face_segment]).T])
 
-    # boundary length: a cut edge counts for the segment on each side, the
-    # other side being another segment, an unsegmented face or the border
-    edge_side = index.edge_side
-    cut = np.flatnonzero(edge_side[:, 0] != edge_side[:, 1])
-    side = edge_side[cut].T.ravel()
-    on = side >= 0
-    circumference = np.bincount(
-        side[on], weights=np.tile(adjacency.edge_length[cut], 2)[on],
-        minlength=n_seg)
     straightness = np.array([_straightness(_boundary_loops(
         adjacency.edge_vertices[cuts], mesh.vertices)) for cuts in index.cuts])
     pts = [mesh.vertices[v] for v in index.vertices]
@@ -126,9 +117,10 @@ def compute_segment_features(mesh: TriangleMesh, adjacency: AdjacencyIndex,
 
     # isoperimetric ratio; curved or near-closed segments can exceed the
     # planar bound, so clip into (0, 1] with boundary-free segments maximal
-    compactness = np.where(circumference == 0.0, 1.0, np.minimum(
-        4.0 * np.pi * index.area / np.maximum(circumference, _EPS) ** 2, 1.0))
-    shape_index = circumference / np.maximum(index.area, _EPS) ** 0.25
+    circ = index.circumference
+    compactness = np.where(circ == 0.0, 1.0, np.minimum(
+        4.0 * np.pi * index.area / np.maximum(circ, _EPS) ** 2, 1.0))
+    shape_index = circ / np.maximum(index.area, _EPS) ** 0.25
 
     hist = np.zeros((n_seg, HIST_BINS ** 3))
     if not face_features.color_missing:
@@ -148,7 +140,7 @@ def compute_segment_features(mesh: TriangleMesh, adjacency: AdjacencyIndex,
     values = np.column_stack([
         means, stds,
         compactness, shape_index, straightness, plane_dist,
-        index.area, circumference, vertical,
+        index.area, circ, vertical,
         hist,
     ])
     names = segment_channel_names(list(face_features.channel_names))

@@ -2,7 +2,8 @@
 
 Nodes are the segments of one ``adjacency.SegmentIndex``; ``SegmentGraph``
 holds them as arrays indexed by segment id (type, plane, centroid, feature
-row). Edges come from four independent constructors: near-parallel planar
+row), and every per-segment fact the graph reads comes from that index.
+Edges come from four independent constructors: near-parallel planar
 pairs, segment-to-local-ground links, exterior medial-ball bridges, and
 spatial proximity (k nearest neighbors, the one proximity rule). Each
 constructor computes its segment pairs as one (M, 2) id array and records
@@ -26,7 +27,7 @@ from functools import cache
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .adjacency import AdjacencyIndex, SegmentIndex, pair_keys, unique_ints
+from .adjacency import SegmentIndex, pair_keys, unique_ints
 from .config import (ConfigError, PipelineConfig, load_versioned_json,
                      save_json)
 from .medial import shrinking_ball_transform
@@ -96,16 +97,6 @@ class SegmentGraph:
 # ------------------------------------------------------------- construction
 
 
-def segment_probes(index: SegmentIndex, adjacency: AdjacencyIndex) -> list:
-    """Probe vertex ids of every segment of ``index``, ascending.
-
-    A segment's probes are the vertices on its cut edges; boundary-free
-    (closed) segments fall back to all their vertices.
-    """
-    return [unique_ints(adjacency.edge_vertices[cuts]) if len(cuts) else v
-            for cuts, v in zip(index.cuts, index.vertices)]
-
-
 def build_nodes(mesh: TriangleMesh, index: SegmentIndex) -> np.ndarray:
     """(K, 3) mean face centroid of every segment, weighted as
     ``SegmentIndex.mean`` weighs faces (by area, or equally if none)."""
@@ -127,29 +118,27 @@ def parallelism_edges(graph: SegmentGraph, angle_deg: float) -> int:
 
 
 def connecting_ground_edges(graph: SegmentGraph, mesh: TriangleMesh,
-                            index: SegmentIndex, probes,
-                            radius: float) -> int:
+                            index: SegmentIndex, radius: float) -> int:
     """Link every segment to its local ground plane.
 
-    ``probes`` are ``segment_probes(index, ...)``. The candidates of a
-    segment are the other planar segments with any vertex within ``radius``
-    (inclusive) in xy of any probe (boundary vertex) of the segment. Its
-    local ground is the candidate with the lowest mean face-centroid z,
-    then the larger area, then the lower id. Segments with no candidate
-    are recorded in metadata as groundless.
+    The candidates of a segment are the other planar segments with any
+    vertex within ``radius`` (inclusive) in xy of any of the segment's
+    ``index.probes`` (its boundary vertices). Its local ground is the
+    candidate with the lowest mean face-centroid z, then the larger area,
+    then the lower id. Segments with no candidate are recorded in metadata
+    as groundless.
     """
     n_seg = index.n_segments
     mean_z = (index.sums(mesh.face_centroid[:, 2])
               / np.maximum([len(f) for f in index.faces], 1))
-    seg_area = index.area
-    probe_seg = np.repeat(np.arange(n_seg), [len(p) for p in probes])
-    probe_xy = mesh.vertices[np.concatenate([np.zeros(0, np.int64), *probes]),
-                             :2]
+    probe_seg = np.repeat(np.arange(n_seg), [len(p) for p in index.probes])
+    probe_xy = mesh.vertices[
+        np.concatenate([np.zeros(0, np.int64), *index.probes]), :2]
 
     planar = np.flatnonzero(graph.segment_type == PLANAR)
     ground = np.full(n_seg, -1, dtype=np.int64)
     # visit the planar segments in preference order; the first hit wins
-    for g in planar[np.lexsort((planar, -seg_area[planar], mean_z[planar]))]:
+    for g in planar[np.lexsort((planar, -index.area[planar], mean_z[planar]))]:
         open_ = (ground[probe_seg] < 0) & (probe_seg != g)
         if not open_.any():
             break
@@ -163,7 +152,7 @@ def connecting_ground_edges(graph: SegmentGraph, mesh: TriangleMesh,
                            EDGE_GROUND)
 
 
-def exmat_edges(graph: SegmentGraph, mesh: TriangleMesh, segmentation,
+def exmat_edges(graph: SegmentGraph, mesh: TriangleMesh, index: SegmentIndex,
                 density: float, seed: int) -> int:
     """Link segments bridged by exterior medial balls.
 
@@ -177,7 +166,7 @@ def exmat_edges(graph: SegmentGraph, mesh: TriangleMesh, segmentation,
         return 0
     balls = shrinking_ball_transform(sample.positions, sample.normals,
                                      orientation="exterior")
-    point_seg = np.ravel(segmentation.face_segment)[sample.source_face]
+    point_seg = index.face_segment[sample.source_face]
     i = np.flatnonzero(balls.kept & (balls.touch_index >= 0))
     pairs = np.column_stack([point_seg[i], point_seg[balls.touch_index[i]]])
     keep = (pairs[:, 0] != pairs[:, 1]) & (pairs >= 0).all(axis=1)
@@ -223,8 +212,8 @@ def knn_pairs(points, tags, k: int, cutoff_factor: float) -> np.ndarray:
     return _unique_pairs(rows[near], idx[near], len(points))
 
 
-def proximity_edges(graph: SegmentGraph, mesh: TriangleMesh, segmentation,
-                    k: int, cutoff_factor: float) -> int:
+def proximity_edges(graph: SegmentGraph, mesh: TriangleMesh,
+                    index: SegmentIndex, k: int, cutoff_factor: float) -> int:
     """Link segments whose points are spatial neighbors.
 
     The point set is the mesh vertices plus face centroids, each tagged
@@ -232,8 +221,7 @@ def proximity_edges(graph: SegmentGraph, mesh: TriangleMesh, segmentation,
     k-nearest-neighbor graph, cut off at ``cutoff_factor`` times the median
     nearest-neighbor spacing. Returns the number of cross-segment pairs.
     """
-    face_segment = np.asarray(segmentation.face_segment).reshape(-1)
-    points, tags = _proximity_points(mesh, face_segment)
+    points, tags = _proximity_points(mesh, index.face_segment)
     if len(points) < 2:
         return 0
     pairs = knn_pairs(points, tags, k, cutoff_factor)
@@ -276,28 +264,27 @@ def edge_log_ratios(graph: SegmentGraph) -> np.ndarray:
 
 
 def compute_edge_features(graph: SegmentGraph, mesh: TriangleMesh,
-                          probes) -> None:
+                          index: SegmentIndex) -> None:
     """Fill per-edge boundary offset statistics.
 
     Records the channels ``shifted_feature_matrix`` shifts in metadata.
     Offsets are closest-point distances from each probe of the lower-id
-    segment to the higher-id segment's probes (``segment_probes``: its
+    segment to the higher-id segment's probes (``index.probes``: its
     boundary vertices, or all its vertices when it has no boundary).
     """
     _, shifted = shifted_feature_matrix(graph)
     if shifted:
         graph.metadata["shifted_channels"] = shifted
-    tree_of = cache(lambda k: cKDTree(mesh.vertices[probes[k]]))
+    tree_of = cache(lambda k: cKDTree(mesh.vertices[index.probes[k]]))
 
     for (a, b), edge in sorted(graph.edges.items()):
-        dists, _ = tree_of(b).query(mesh.vertices[probes[a]])
+        dists, _ = tree_of(b).query(mesh.vertices[index.probes[a]])
         dists = np.atleast_1d(dists)
         edge.offset_mean = float(dists.mean())
         edge.offset_std = float(dists.std())
 
 
-def build_segment_graph(mesh: TriangleMesh, adjacency: AdjacencyIndex,
-                        segmentation, index: SegmentIndex,
+def build_segment_graph(mesh: TriangleMesh, segmentation, index: SegmentIndex,
                         seg_features: SegmentFeatures,
                         config: PipelineConfig | None = None) -> SegmentGraph:
     """Run all four edge constructors and the edge feature pass.
@@ -308,7 +295,6 @@ def build_segment_graph(mesh: TriangleMesh, adjacency: AdjacencyIndex,
     ``config.seed``.
     """
     config = config or PipelineConfig()
-    probes = segment_probes(index, adjacency)
     graph = SegmentGraph(
         segment_type=np.asarray(segmentation.segment_type),
         planes=np.asarray(segmentation.planes, dtype=np.float64),
@@ -316,12 +302,11 @@ def build_segment_graph(mesh: TriangleMesh, adjacency: AdjacencyIndex,
         features=np.asarray(seg_features.values, dtype=np.float64),
         channel_names=list(seg_features.channel_names))
     parallelism_edges(graph, config.parallel_angle_deg)
-    connecting_ground_edges(graph, mesh, index, probes, config.ground_radius)
-    exmat_edges(graph, mesh, segmentation, config.sampling_density,
-                config.seed)
-    proximity_edges(graph, mesh, segmentation, config.knn_k,
+    connecting_ground_edges(graph, mesh, index, config.ground_radius)
+    exmat_edges(graph, mesh, index, config.sampling_density, config.seed)
+    proximity_edges(graph, mesh, index, config.knn_k,
                     config.knn_cutoff_factor)
-    compute_edge_features(graph, mesh, probes)
+    compute_edge_features(graph, mesh, index)
     return graph
 
 
@@ -349,8 +334,9 @@ def import_graph(path) -> SegmentGraph:
     """Rebuild a graph written by export_graph.
 
     Bad content (invalid JSON, not an object, another version, a missing
-    key, malformed values, node ids out of order, a node type other than
-    PLANAR or NONPLANAR, a node whose centroid, plane or features do not
+    key, malformed values, a node id, node type or edge end that is not a
+    JSON integer, node ids out of order, a node type other than PLANAR or
+    NONPLANAR, a node whose centroid, plane or features do not
     hold 3, 4 or one value per channel, an edge that is not a (lower,
     higher) pair of node ids or is listed twice, edge types that are not a
     non-empty list of distinct ``EDGE_FAMILIES`` names) raises ConfigError
@@ -365,15 +351,22 @@ def import_graph(path) -> SegmentGraph:
             return np.array([n[key] for n in nodes],
                             np.float64).reshape(len(nodes), width)
 
-        if [int(n["id"]) for n in nodes] != list(range(len(nodes))):
+        def ints(values, what):
+            if any(type(v) is not int for v in values):
+                raise ValueError(f"{what} must be integers, not {values}")
+            return values
+
+        if ints([n["id"] for n in nodes], "node ids") \
+                != list(range(len(nodes))):
             raise ValueError("node ids are not 0, 1, 2, ... in order")
-        node_types = [int(n["type"]) for n in nodes]
+        node_types = ints([n["type"] for n in nodes], "node types")
         if not set(node_types) <= {PLANAR, NONPLANAR}:
             raise ValueError(f"node types must be {PLANAR} (planar) or "
                              f"{NONPLANAR} (non-planar)")
         edges = {}
         for e in doc["edges"]:
-            pair, families = (int(e["a"]), int(e["b"])), e["types"]
+            pair = ints((e["a"], e["b"]), "edge ends")
+            families = e["types"]
             if pair in edges:
                 raise ValueError(f"edge {pair} is listed twice")
             if not (isinstance(families, list) and families

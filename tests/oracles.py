@@ -9,7 +9,10 @@ face's neighbours with one ``query_pairs`` over the whole cloud, as
 ``eigen_shape_features`` once did. ``bincount_weighted_covariance`` sums
 each owner's pairs with ``np.bincount``, as ``features._weighted_covariance``
 once did. ``copy_build_tree`` copies all feature columns of a node's samples
-at every node, as ``forest._build_tree`` once did.
+at every node, as ``forest._build_tree`` once did. ``set_oversegment`` keeps
+each region's members in a list and a set and the faces of finished regions
+in a bool ``assigned`` array, as ``overseg.grow_region`` and
+``overseg.oversegment`` once did.
 """
 
 from collections import defaultdict
@@ -19,6 +22,8 @@ import numpy as np
 from pssmesh import features
 from pssmesh.adjacency import face_edges
 from pssmesh.forest import Tree, _entropy
+from pssmesh.overseg import (NONPLANAR, RegionState, Segmentation,
+                             _add_faces, label_frontier, refit_plane)
 
 
 def vertex_neighbors(adjacency):
@@ -220,3 +225,59 @@ def copy_build_tree(X, y, sw, n_classes, config, rng):
                 np.asarray(threshold, dtype=np.float64),
                 np.asarray(left, dtype=np.int32),
                 np.asarray(right, dtype=np.int32), pr)
+
+
+def set_grow_region(seed, mesh, adjacency, probmap, config, assigned):
+    """(region, members) of the region grown from ``seed``; faces set in
+    ``assigned`` belong to earlier regions and are never frontier faces."""
+    region = RegionState(region_type=int(probmap.label[seed]))
+    members, member_set = [seed], {seed}
+    _add_faces(region, mesh, [seed])
+    refit_plane(region)
+    if region.plane_degenerate:
+        n = mesh.face_normal[seed]
+        if np.any(n):
+            region.normal = n.copy()
+            region.offset = -float(n @ mesh.face_centroid[seed])
+    front = [seed]
+    while front:
+        cand = {nb for f in front
+                for nb in adjacency.face_neighbors(f).tolist()}
+        frontier = sorted(f for f in cand if f not in member_set
+                          and f not in region.visited and not assigned[f])
+        if not frontier:
+            break
+        labels = label_frontier(region, frontier, mesh, probmap, config)
+        front = [f for f, lab in zip(frontier, labels) if lab == 0]
+        region.visited.update(f for f, lab in zip(frontier, labels) if lab)
+        if front:
+            members.extend(front)
+            member_set.update(front)
+            _add_faces(region, mesh, front)
+            refit_plane(region)
+    return region, members
+
+
+def set_oversegment(mesh, adjacency, probmap, config=None):
+    """``Segmentation`` of ``set_grow_region`` regions, seeded in
+    ``overseg.oversegment``'s order, zero-area segments NONPLANAR."""
+    nf = mesh.n_faces
+    face_segment = np.full(nf, -1, dtype=np.int32)
+    assigned = np.zeros(nf, dtype=bool)
+    order = np.lexsort((np.arange(nf), -np.asarray(probmap.planar_prob)))
+    types, planes = [], []
+    for seed in order:
+        if assigned[seed]:
+            continue
+        region, members = set_grow_region(int(seed), mesh, adjacency,
+                                          probmap, config, assigned)
+        face_segment[members] = len(types)
+        assigned[members] = True
+        types.append(region.region_type)
+        planes.append(np.append(region.normal, region.offset))
+    segment_type = np.asarray(types, dtype=np.int8)
+    segment_type[np.bincount(face_segment, mesh.face_area,
+                             len(types)) == 0] = NONPLANAR
+    return Segmentation(face_segment=face_segment, segment_type=segment_type,
+                        planes=np.asarray(planes,
+                                          dtype=np.float64).reshape(-1, 4))

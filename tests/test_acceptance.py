@@ -245,13 +245,15 @@ def test_criterion_04_energy_optimality():
         seed = int(rng.integers(0, n_faces))
         region = RegionState(region_type=int(pm.label[seed]))
         _add_faces(region, mesh, [seed])
+        members = [seed]
         for nb in map(int, adj.face_neighbors(seed)):
-            if len(region.members) < 3 and rng.random() < 0.5:
+            if len(members) < 3 and rng.random() < 0.5:
                 _add_faces(region, mesh, [nb])
+                members.append(nb)
         refit_plane(region)
-        frontier = sorted({int(x) for f in region.members
+        frontier = sorted({int(x) for f in members
                            for x in adj.face_neighbors(f)}
-                          - region.member_set)[:12]
+                          - set(members))[:12]
         if not frontier:
             continue
         cfg = PipelineConfig(lambda_d=float(rng.choice([0.6, 1.2, 2.4])),

@@ -137,13 +137,12 @@ def test_segment_index_matches_brute_force():
     seg[7] = -1
     adj = build_adjacency(m)
     index = segment_index(m, adj, seg, 5)
-    edge_side, faces, cuts = index.edge_side, index.faces, index.cuts
+    faces, cuts = index.faces, index.cuts
 
     f0, f1 = adj.edge_faces[:, 0], adj.edge_faces[:, 1]
     s0 = seg[f0]
     s1 = np.where(f1 >= 0, seg[np.maximum(f1, 0)], -2)
-    assert np.array_equal(edge_side, np.column_stack([s0, s1]))
-    assert {-1, -2} <= set(edge_side.ravel().tolist())
+    assert {-1, -2} <= set(s0.tolist() + s1.tolist())
     assert len(faces) == len(cuts) == 5
     for k in range(5):
         assert np.array_equal(faces[k], np.flatnonzero(seg == k))
@@ -151,6 +150,42 @@ def test_segment_index_matches_brute_force():
         assert np.array_equal(cuts[k], want)
     assert len(cuts[4]) == 0
     assert index.n_segments == 5 and np.array_equal(index.face_segment, seg)
+
+
+def test_segment_circumference_and_probes_match_definition():
+    # the open grid has border edges and one unsegmented face; the closed
+    # icosahedron is segment 4, without cut edges; segment 5 owns no face
+    grid, ico = grid_mesh(5, 4), icosahedron()
+    m = TriangleMesh(vertices=np.vstack([grid.vertices, ico.vertices + 10.0]),
+                     faces=np.vstack([grid.faces, ico.faces + grid.n_vertices]))
+    rng = np.random.default_rng(4)
+    seg = np.concatenate([rng.integers(0, 4, grid.n_faces),
+                          np.full(ico.n_faces, 4)])
+    seg[7] = -1
+    index = segment_index(m, build_adjacency(m), seg, 6)
+
+    faces_of = {}
+    for f, (a, b, c) in enumerate(m.faces.tolist()):
+        for u, v in ((a, b), (b, c), (c, a)):
+            faces_of.setdefault((min(u, v), max(u, v)), []).append(f)
+    circumference = np.zeros(6)
+    probes = [set() for _ in range(6)]
+    border = 0
+    for (u, v), fs in faces_of.items():
+        sides = [int(seg[f]) for f in fs] + [-2] * (2 - len(fs))
+        border += len(fs) == 1
+        for k in set(sides) - {-1, -2} if sides[0] != sides[1] else ():
+            circumference[k] += np.linalg.norm(m.vertices[u] - m.vertices[v])
+            probes[k] |= {u, v}
+    probes[4] = set(m.faces[seg == 4].ravel().tolist())
+    assert border > 0
+    assert np.allclose(index.circumference, circumference, rtol=1e-12,
+                       atol=0.0)
+    assert index.circumference[4] == index.circumference[5] == 0.0
+    for k in range(6):
+        assert index.probes[k].tolist() == sorted(probes[k]), k
+    assert len(index.probes[4]) == ico.n_vertices
+    assert len(index.probes[5]) == 0
 
 
 def test_segment_vertices_match_per_segment_unique():

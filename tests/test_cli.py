@@ -273,6 +273,17 @@ def test_eval_semantic_csv(ws, tmp_path, capsys):
     assert (tmp_path / "semantic_metrics.json").is_file()
 
 
+def test_eval_semantic_upper_case_csv_suffix(ws, tmp_path):
+    lower = ws["run"] / "face_predictions.csv"
+    upper = tmp_path / "PRED.CSV"
+    upper.write_bytes(lower.read_bytes())
+    for pred, out in ((lower, "lower"), (upper, "upper")):
+        assert main(["eval-semantic", "--pred", str(pred), "--gt",
+                     str(ws["tile"]), "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "upper" / "semantic_metrics.json").read_bytes() \
+        == (tmp_path / "lower" / "semantic_metrics.json").read_bytes()
+
+
 def test_eval_semantic_mesh_pred(ws, tmp_path, capsys):
     code = main(["eval-semantic", "--pred", str(ws["run"] / "labeled.ply"),
                  "--gt", str(ws["tile"]), "--out", str(tmp_path)])

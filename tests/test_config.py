@@ -174,11 +174,11 @@ def test_stages_read_the_config():
     seg = components_segmentation(mesh, adj)
     index = index_of(mesh, adj, seg)
     feats = compute_segment_features(mesh, adj, index, fake_features(mesh))
-    graph = build_segment_graph(mesh, adj, seg, index, feats, cfg)
+    graph = build_segment_graph(mesh, seg, index, feats, cfg)
     for family, add in ((EDGE_EXMAT, lambda g: exmat_edges(
-                            g, mesh, seg, cfg.sampling_density, cfg.seed)),
+                            g, mesh, index, cfg.sampling_density, cfg.seed)),
                         (EDGE_PROXIMITY, lambda g: proximity_edges(
-                            g, mesh, seg, cfg.knn_k,
+                            g, mesh, index, cfg.knn_k,
                             cfg.knn_cutoff_factor))):
         fresh = SegmentGraph(segment_type=graph.segment_type,
                              planes=graph.planes, centroids=graph.centroids,

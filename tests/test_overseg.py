@@ -7,6 +7,7 @@ from pssmesh.adjacency import build_adjacency
 from pssmesh.forest import ProbabilityMap
 from pssmesh.repair import weld_vertices
 from pssmesh.config import PipelineConfig
+from pssmesh.synth import CLASS_VEGETATION, TileParams, synth_tile
 from pssmesh.overseg import (RegionState, PlaneAccumulator,
                              Segmentation, refit_plane, unary_cost,
                              pairwise_cost, frontier_decision, label_frontier,
@@ -14,6 +15,7 @@ from pssmesh.overseg import (RegionState, PlaneAccumulator,
 
 from conftest import grid_mesh
 from mincut import min_cut_binary
+from oracles import set_oversegment
 
 
 def flat_probmap(n, planar=True, g_hat=0.5):
@@ -25,8 +27,7 @@ def flat_probmap(n, planar=True, g_hat=0.5):
 
 def region_with_plane(normal, offset, region_type=0):
     r = RegionState(region_type=region_type)
-    r.members = [0]
-    r.member_set = {0}
+    r.acc.add(np.zeros(3))                  # the vertex of a member face
     r.normal = np.asarray(normal, dtype=float)
     r.offset = float(offset)
     return r
@@ -284,13 +285,21 @@ def test_refit_orientation_follows_face_normals():
     assert r.offset == pytest.approx(2.0)
 
 
+def seeded(n_faces):
+    """``face_segment`` before growth from face 0, which holds id 0."""
+    face_segment = np.full(n_faces, -1, dtype=np.int32)
+    face_segment[0] = 0
+    return face_segment
+
+
 def test_grow_coplanar_patch():
     m = grid_mesh(5, 1)
     adj = build_adjacency(m)
     pm = flat_probmap(m.n_faces)
+    face_segment = seeded(m.n_faces)
     region = grow_region(0, m, adj, pm, PipelineConfig(lambda_m=0.0),
-                         np.zeros(m.n_faces, bool))
-    assert len(region.members) == m.n_faces == 10
+                         face_segment)
+    assert (face_segment == 0).sum() == m.n_faces == 10
     d = region.plane_distance(m.vertices)
     assert d.max() < 1e-9
 
@@ -305,17 +314,26 @@ def test_grow_stops_at_wall():
     m, _ = weld_vertices(TriangleMesh(vertices=verts, faces=faces.astype(np.int32)), 1e-9)
     adj = build_adjacency(m)
     pm = flat_probmap(m.n_faces)
-    region = grow_region(0, m, adj, pm, PipelineConfig(),
-                         np.zeros(m.n_faces, bool))
-    ground_faces = set(range(16))
-    assert set(region.members) == ground_faces
+    face_segment = seeded(m.n_faces)
+    grow_region(0, m, adj, pm, PipelineConfig(), face_segment)
+    assert np.flatnonzero(face_segment == 0).tolist() == list(range(16))
 
 
 def test_grow_single_face():
     m = TriangleMesh(vertices=np.eye(3), faces=np.array([[0, 1, 2]]))
-    region = grow_region(0, m, build_adjacency(m), flat_probmap(1),
-                         PipelineConfig(), np.zeros(1, bool))
-    assert region.members == [0]
+    face_segment = seeded(1)
+    grow_region(0, m, build_adjacency(m), flat_probmap(1), PipelineConfig(),
+                face_segment)
+    assert face_segment.tolist() == [0]
+
+
+def test_grow_skips_faces_of_earlier_regions():
+    m = grid_mesh(5, 1)
+    # faces 0-3 belong to region 3; the seed, face 4, starts region 7
+    face_segment = np.array([3] * 4 + [7] + [-1] * 5, dtype=np.int32)
+    grow_region(4, m, build_adjacency(m), flat_probmap(m.n_faces),
+                PipelineConfig(lambda_m=0.0), face_segment)
+    assert face_segment.tolist() == [3] * 4 + [7] * 6
 
 
 def test_oversegment_two_parallel_planes():
@@ -370,8 +388,9 @@ def test_oversegment_partition_and_connectivity():
 
 
 def grow_region_per_face_refit(seed, mesh, adjacency, probmap, cfg,
-                               assigned):
+                               face_segment):
     """``grow_region`` with the plane refit after every accepted face."""
+    region_id = face_segment[seed]
     region = RegionState(region_type=int(probmap.label[seed]))
     _add_faces(region, mesh, [seed])
     refit_plane(region)
@@ -383,14 +402,15 @@ def grow_region_per_face_refit(seed, mesh, adjacency, probmap, cfg,
     front = [seed]
     while front:
         cand = {int(nb) for f in front for nb in adjacency.face_neighbors(f)}
-        cand -= region.member_set | region.visited
-        frontier = sorted([f for f in cand if not assigned[f]])
+        cand -= region.visited
+        frontier = sorted([f for f in cand if face_segment[f] < 0])
         if not frontier:
             break
         labels = label_frontier(region, frontier, mesh, probmap, cfg)
         front = []
         for f, lab in zip(frontier, labels):
             if lab == 0:
+                face_segment[f] = region_id
                 _add_faces(region, mesh, [f])
                 refit_plane(region)
                 front.append(f)
@@ -407,6 +427,15 @@ def same_segmentation(a, b):
                              (a.segment_type, b.segment_type)))
             and a.planes.shape == b.planes.shape
             and np.allclose(a.planes, b.planes, rtol=0.0, atol=1e-9))
+
+
+def byte_equal(a, b):
+    """Equal face segments, types and planes, dtype and bytes alike."""
+    return all(x.dtype == y.dtype and x.shape == y.shape
+               and x.tobytes() == y.tobytes()
+               for x, y in ((a.face_segment, b.face_segment),
+                            (a.segment_type, b.segment_type),
+                            (a.planes, b.planes)))
 
 
 def collinear_strips(rng, n_strips):
@@ -446,6 +475,7 @@ def test_step_refit_equals_per_face_refit_on_noisy_grids(monkeypatch):
             mp.setattr(overseg, "grow_region", grow_region_per_face_refit)
             want = oversegment(m, adj, pm, cfg)
         assert same_segmentation(got, want)
+        assert byte_equal(got, set_oversegment(m, adj, pm, cfg))
         assert got.n_segments < m.n_faces
 
 
@@ -465,6 +495,20 @@ def test_step_refit_equals_per_face_refit_on_far_off_strips(monkeypatch):
         want = oversegment(m, adj, pm)
     assert got.n_segments == 150
     assert same_segmentation(got, want)
+    assert byte_equal(got, set_oversegment(m, adj, pm))
+
+
+def test_oversegment_equals_set_based_growth_on_tile():
+    mesh = synth_tile(TileParams(seed=1, ground_res=16, n_boxes=2, n_trees=1,
+                                 n_vehicles=1))
+    adj = build_adjacency(mesh)
+    rng = np.random.default_rng(8)
+    g = rng.random(mesh.n_faces)
+    pm = ProbabilityMap(g_hat=g, planar_prob=1.0 - g, label=(
+        mesh.face_label == CLASS_VEGETATION).astype(np.int32))
+    got = oversegment(mesh, adj, pm)
+    assert 1 < got.n_segments < mesh.n_faces
+    assert byte_equal(got, set_oversegment(mesh, adj, pm))
 
 
 def test_oversegment_same_at_georeferenced_offset():

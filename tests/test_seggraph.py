@@ -30,7 +30,6 @@ from pssmesh.seggraph import (
     knn_pairs,
     parallelism_edges,
     proximity_edges,
-    segment_probes,
 )
 from pssmesh.synth import TileParams, synth_tile
 
@@ -63,11 +62,6 @@ def components_segmentation(mesh, adjacency, planar_mask=None):
 def index_of(mesh, adjacency, seg):
     """The segment index of a Segmentation."""
     return segment_index(mesh, adjacency, seg.face_segment, seg.n_segments)
-
-
-def index_and_probes(mesh, adjacency, seg):
-    index = index_of(mesh, adjacency, seg)
-    return index, segment_probes(index, adjacency)
 
 
 def graph_of(nodes, **kwargs):
@@ -179,7 +173,7 @@ def test_box_links_to_ground():
     g = graph_of([(PLANAR, np.zeros(3), seg.planes[k], np.ones(2))
                   for k in range(seg.n_segments)])
     added = connecting_ground_edges(g, mesh,
-                                    *index_and_probes(mesh, adj, seg),
+                                    index_of(mesh, adj, seg),
                                     radius=30.0)
     assert added >= 1
     assert (0, 1) in g.edges and EDGE_GROUND in g.edges[(0, 1)].types
@@ -207,7 +201,7 @@ def test_stacked_slabs_pick_lowest():
     seg = components_segmentation(mesh, adj)
     g = graph_of([(PLANAR, np.zeros(3), seg.planes[k], np.ones(2))
                   for k in range(seg.n_segments)])
-    connecting_ground_edges(g, mesh, *index_and_probes(mesh, adj, seg),
+    connecting_ground_edges(g, mesh, index_of(mesh, adj, seg),
                             radius=30.0)
     # the top slab must attach to the lowest slab, not the middle one
     assert (0, 2) in g.edges
@@ -220,7 +214,7 @@ def test_groundless_when_no_planar_candidates():
              for k in range(seg.n_segments)]
     g = graph_of(nodes)
     assert connecting_ground_edges(g, mesh,
-                                   *index_and_probes(mesh, adj, seg),
+                                   index_of(mesh, adj, seg),
                                    radius=30.0) == 0
     assert g.metadata["groundless"] == [0, 1]
 
@@ -307,7 +301,7 @@ def test_ground_matches_brute_force():
         g = graph_of([(int(seg.segment_type[k]), np.zeros(3), np.zeros(4),
                        np.ones(2)) for k in range(n_seg)])
         added = connecting_ground_edges(g, mesh,
-                                        *index_and_probes(mesh, adj, seg),
+                                        index_of(mesh, adj, seg),
                                         radius=5.0)
         ground, t = brute_ground(mesh, adj, face_segment, planar, 5.0)
         ties |= t
@@ -366,7 +360,8 @@ def test_exmat_bridges_facing_walls():
     seg = components_segmentation(mesh, adj)
     g = graph_of([(PLANAR, np.zeros(3), seg.planes[k], np.ones(2))
                   for k in range(seg.n_segments)])
-    added = exmat_edges(g, mesh, seg, density=10.0, seed=0)
+    added = exmat_edges(g, mesh, index_of(mesh, adj, seg), density=10.0,
+                        seed=0)
     assert added > 0
     assert (0, 1) in g.edges and EDGE_EXMAT in g.edges[(0, 1)].types
 
@@ -404,7 +399,8 @@ def test_exmat_isolated_sphere_no_edges():
                        planes=np.zeros((2, 4)))
     g = graph_of([(NONPLANAR, np.zeros(3), np.zeros(4), np.ones(2))
                   for k in range(2)])
-    exmat_edges(g, mesh, seg, density=10.0, seed=0)
+    exmat_edges(g, mesh, index_of(mesh, build_adjacency(mesh), seg),
+                density=10.0, seed=0)
     # exterior balls of a convex body never contact a second surface point,
     # so nothing bridges the two hemispheres
     assert g.n_edges == 0
@@ -417,7 +413,8 @@ def test_exmat_single_segment_no_edges():
                        segment_type=np.array([PLANAR], dtype=np.int8),
                        planes=np.array([[0.0, 0.0, 1.0, 0.0]]))
     g = graph_of([(PLANAR, np.zeros(3), seg.planes[0], np.ones(2))])
-    assert exmat_edges(g, mesh, seg, density=10.0, seed=0) == 0
+    assert exmat_edges(g, mesh, index_of(mesh, adj, seg), density=10.0,
+                       seed=0) == 0
     assert g.n_edges == 0
 
 
@@ -434,7 +431,8 @@ def test_proximity_shared_edge():
                        planes=np.tile([0.0, 0.0, 1.0, 0.0], (2, 1)))
     g = graph_of([(PLANAR, np.zeros(3), seg.planes[k], np.ones(2))
                   for k in range(2)])
-    assert proximity_edges(g, mesh, seg, k=16, cutoff_factor=16.0) > 0
+    index = index_of(mesh, build_adjacency(mesh), seg)
+    assert proximity_edges(g, mesh, index, k=16, cutoff_factor=16.0) > 0
     assert set(g.edges) == {(0, 1)}
     assert g.metadata == {}
 
@@ -454,7 +452,8 @@ def test_proximity_knn_cutoff_blocks_distant_clusters():
     # cutoff is what must reject the 1 km pairs
     g = graph_of([(PLANAR, np.zeros(3), seg.planes[k], np.ones(2))
                   for k in range(2)])
-    proximity_edges(g, mesh, seg, k=16, cutoff_factor=16.0)
+    proximity_edges(g, mesh, index_of(mesh, build_adjacency(mesh), seg),
+                    k=16, cutoff_factor=16.0)
     assert (0, 1) not in g.edges
 
 
@@ -531,7 +530,7 @@ def test_edge_features_log_ratio_and_offsets():
         (PLANAR, np.zeros(3), seg.planes[1], np.array([1.0, 1.0])),
     ], channel_names=["alpha", "beta"])
     g.add_pairs([[0, 1]], EDGE_PROXIMITY)
-    compute_edge_features(g, mesh, index_and_probes(mesh, adj, seg)[1])
+    compute_edge_features(g, mesh, index_of(mesh, adj, seg))
     (ratio,) = edge_log_ratios(g)
     assert abs(ratio[0] - np.log((2.0 + 1e-6) / (1.0 + 1e-6))) < 1e-12
     assert ratio[1] == 0.0
@@ -548,7 +547,7 @@ def test_edge_offset_zero_for_enclosed_segment():
     # the pair key is (min, max); offsets run from segment 1's boundary,
     # which is entirely shared with segment 0, only when 1 is the lower id.
     # Here the lower id is 0, whose boundary includes the outer border.
-    compute_edge_features(g, mesh, index_and_probes(mesh, adj, seg)[1])
+    compute_edge_features(g, mesh, index_of(mesh, adj, seg))
     assert g.edges[(0, 1)].offset_mean > 0.0
 
     # flip roles: make the enclosed cell the lower id
@@ -557,7 +556,7 @@ def test_edge_offset_zero_for_enclosed_segment():
     g2 = SegmentGraph(segment_type=g.segment_type, planes=g.planes,
                       centroids=g.centroids, features=g.features)
     g2.add_pairs([[0, 1]], EDGE_PROXIMITY)
-    compute_edge_features(g2, mesh, index_and_probes(mesh, adj, seg2)[1])
+    compute_edge_features(g2, mesh, index_of(mesh, adj, seg2))
     assert g2.edges[(0, 1)].offset_mean == 0.0
     assert g2.edges[(0, 1)].offset_std == 0.0
 
@@ -569,7 +568,7 @@ def test_negative_channel_shifted_and_flagged():
         (PLANAR, np.zeros(3), seg.planes[1], np.array([0.5, 2.0])),
     ], channel_names=["mean_greenness", "area"])
     g.add_pairs([[0, 1]], EDGE_PROXIMITY)
-    compute_edge_features(g, mesh, index_and_probes(mesh, adj, seg)[1])
+    compute_edge_features(g, mesh, index_of(mesh, adj, seg))
     assert g.metadata["shifted_channels"] == ["mean_greenness"]
     (ratio,) = edge_log_ratios(g)
     expected = np.log((0.0 + 1e-6 + 1e-6) / (1.0 + 1e-6 + 1e-6))
@@ -640,7 +639,7 @@ def test_export_roundtrip(tmp_path):
     ], channel_names=["alpha", "beta"])
     g.add_pairs([[0, 1]], EDGE_PROXIMITY)
     g.add_pairs([[0, 1]], EDGE_PARALLEL)
-    compute_edge_features(g, mesh, index_and_probes(mesh, adj, seg)[1])
+    compute_edge_features(g, mesh, index_of(mesh, adj, seg))
     path = tmp_path / "graph.json"
     export_graph(g, path)
     assert graphs_equal(g, import_graph(path))
@@ -677,10 +676,19 @@ EDGE = {"a": 0, "b": 1, "types": [EDGE_PARALLEL], "offset_mean": 0.0,
       for types in ("exmat", [], ["ground"], [EDGE_EXMAT, EDGE_EXMAT])),
     json.dumps({**GOOD_GRAPH, "nodes": [
         {**GOOD_GRAPH["nodes"][0], "type": 9}]}),
+    json.dumps({**GOOD_GRAPH, "nodes": [
+        {**GOOD_GRAPH["nodes"][0], "id": 0.9}]}),
+    json.dumps({**GOOD_GRAPH, "nodes": [
+        {**GOOD_GRAPH["nodes"][0], "type": True}]}),
+    json.dumps({**GOOD_GRAPH, "nodes": TWO_NODES,
+                "edges": [{**EDGE, "a": 0.2}]}),
+    json.dumps({**GOOD_GRAPH, "nodes": TWO_NODES,
+                "edges": [{**EDGE, "b": "1"}]}),
 ], ids=["version-1", "truncated", "not-an-object", "missing-channels",
         "missing-edge-key", "edge-id-out-of-range", "node-id-out-of-order",
         "edge-listed-twice", "types-string", "types-empty", "types-unknown",
-        "types-repeated", "node-type-9"])
+        "types-repeated", "node-type-9", "node-id-float", "node-type-true",
+        "edge-end-float", "edge-end-string"])
 def test_import_graph_rejects_bad_file(tmp_path, text):
     path = tmp_path / "graph.json"
     path.write_text(text)
@@ -714,7 +722,7 @@ def test_graph_counts_on_tile():
     seg = components_segmentation(mesh, adj, planar_mask=planar)
     index = index_of(mesh, adj, seg)
     feats = compute_segment_features(mesh, adj, index, fake_features(mesh))
-    graph = build_segment_graph(mesh, adj, seg, index, feats,
+    graph = build_segment_graph(mesh, seg, index, feats,
                                 PipelineConfig(sampling_density=2.0))
     assert graph.n_nodes == seg.n_segments
     assert graph.n_edges > 0
@@ -732,7 +740,7 @@ def test_rebuild_after_segment_removal():
     seg = components_segmentation(mesh, adj)
     index = index_of(mesh, adj, seg)
     feats = compute_segment_features(mesh, adj, index, fake_features(mesh))
-    g_full = build_segment_graph(mesh, adj, seg, index, feats)
+    g_full = build_segment_graph(mesh, seg, index, feats)
     drop = 2
     keep = seg.face_segment != drop
     sub_faces = mesh.faces[keep]
@@ -747,6 +755,6 @@ def test_rebuild_after_segment_removal():
     index2 = index_of(mesh2, adj2, seg2)
     feats2 = compute_segment_features(mesh2, adj2, index2,
                                       fake_features(mesh2))
-    g_sub = build_segment_graph(mesh2, adj2, seg2, index2, feats2)
+    g_sub = build_segment_graph(mesh2, seg2, index2, feats2)
     assert g_sub.n_nodes == g_full.n_nodes - 1
     assert all(drop not in key for key in g_sub.edges)

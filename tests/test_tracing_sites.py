@@ -13,8 +13,7 @@ from pssmesh.overseg import Segmentation
 from pssmesh.segfeatures import SegmentFeatures, compute_segment_features
 from pssmesh.seggraph import (SegmentGraph,
                               connecting_ground_edges, exmat_edges,
-                              parallelism_edges, proximity_edges,
-                              segment_probes)
+                              parallelism_edges, proximity_edges)
 from pssmesh.synth import TileParams, synth_tile
 
 from test_seggraph import (components_segmentation, fake_features, graph_of,
@@ -50,8 +49,7 @@ def test_traced_graph_counts_match_graph():
     tracer = tracing.Tracer()
     restore = tracing.install(tracer)
     try:
-        graph = pipeline.build_segment_graph(mesh, adj, seg, index, feats,
-                                             cfg)
+        graph = pipeline.build_segment_graph(mesh, seg, index, feats, cfg)
     finally:
         restore()
     spans = {s[0] for s in tracer.spans}
@@ -68,11 +66,9 @@ def test_traced_graph_counts_match_graph():
     fresh = SegmentGraph(segment_type=graph.segment_type, planes=graph.planes,
                          centroids=graph.centroids, features=graph.features)
     added = (parallelism_edges(fresh, cfg.parallel_angle_deg)
-             + connecting_ground_edges(fresh, mesh, index,
-                                       segment_probes(index, adj),
-                                       cfg.ground_radius)
-             + exmat_edges(fresh, mesh, seg, cfg.sampling_density, cfg.seed)
-             + proximity_edges(fresh, mesh, seg, cfg.knn_k,
+             + connecting_ground_edges(fresh, mesh, index, cfg.ground_radius)
+             + exmat_edges(fresh, mesh, index, cfg.sampling_density, cfg.seed)
+             + proximity_edges(fresh, mesh, index, cfg.knn_k,
                                cfg.knn_cutoff_factor))
     assert c["seggraph.added"] == added
     assert {k: e.types for k, e in fresh.edges.items()} \
