@@ -4,10 +4,10 @@ Every subcommand but ``synth`` resolves its settings the same way:
 built-in defaults, then an optional JSON config file, then explicit flags.
 Each takes one flag per ``PipelineConfig`` field and ignores those its
 stages never read, as it ignores such keys in a config file. All outputs
-land under the run directory given by ``--out`` with fixed filenames, and
-every result is byte-identical to calling the library directly with the
-same configuration. Exit codes: 0 success, 1 internal error, 2 usage or
-input error.
+land under ``--out`` with fixed filenames, byte-identical to calling the
+library with the same configuration; the eval commands prepare their mesh
+and write their scores through ``pipeline``, as a run does. Exit codes: 0
+success, 1 internal error, 2 usage or input error.
 """
 
 import argparse
@@ -16,15 +16,15 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .adjacency import build_adjacency
 from .config import (DEFAULTS, ConfigError, PipelineConfig, load_config,
                      override_config)
 from .forest import save_model
 from .meshio import MeshParseError, load_mesh, save_mesh
-from .metrics import max_achievable, overseg_report, semantic_metrics
 from .pipeline import (StageError, check_classes, file_sha256,
-                       load_face_predictions, load_segmentation, run_pipeline,
-                       save_json, save_metrics_row, train_models)
+                       load_face_predictions, load_segmentation, prepare_mesh,
+                       run_pipeline, save_json, train_models,
+                       write_overseg_scores, write_semantic_scores,
+                       write_upper_bound)
 from .synth import TileParams, expected_component_count, synth_tile
 
 # config fields whose flag is not "--" plus the field name with dashes
@@ -75,6 +75,11 @@ def _out_dir(cfg) -> Path:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _emit(cfg):
+    """The score writers' ``emit``: each file goes under ``--out``."""
+    return lambda name, writer: writer(_out_dir(cfg) / name)
 
 
 def _print_overseg(report, n_segments):
@@ -176,24 +181,21 @@ def _check_coindexed(n, what, mesh) -> None:
 
 
 def _labeled_segmentation(args):
-    """Config, labeled input mesh and the segmentation co-indexed with it."""
+    """Config, labeled input mesh (checked, then prepared), its adjacency
+    and the segmentation co-indexed with it."""
     cfg = resolved_config(args)
     _require(cfg, "input_path", "output_dir")
     mesh = _load_labeled(cfg.input_path)
     seg = load_segmentation(args.segmentation)
     _check_coindexed(len(seg.face_segment), "segment entries", mesh)
-    return cfg, mesh, seg
+    mesh, _, adjacency = prepare_mesh(mesh, cfg)
+    return cfg, mesh, adjacency, seg
 
 
 def cmd_eval_overseg(args) -> int:
-    cfg, mesh, seg = _labeled_segmentation(args)
-    adjacency = build_adjacency(mesh)
-    report = overseg_report(mesh, adjacency, seg.face_segment,
-                            mesh.face_label, rings=cfg.boundary_rings)
-    out = _out_dir(cfg)
-    save_json(report.as_dict(), out / "overseg_metrics.json")
-    save_metrics_row(seg.n_segments, report, out / "metrics_row.csv")
-    _print_overseg(report, seg.n_segments)
+    cfg, mesh, adjacency, seg = _labeled_segmentation(args)
+    _print_overseg(write_overseg_scores(_emit(cfg), mesh, adjacency, seg, cfg),
+                   seg.n_segments)
     return 0
 
 
@@ -211,19 +213,15 @@ def cmd_eval_semantic(args) -> int:
     for path, labels, what in ((args.gt, gt.face_label, "ground-truth label"),
                                (args.pred, pred, "predicted label")):
         check_classes(labels[labels >= 0].tolist(), cfg, path, what)
-    report = semantic_metrics(pred, gt.face_label, gt.face_area,
-                              classes=sorted(cfg.classes))
-    save_json(report.as_dict(), _out_dir(cfg) / "semantic_metrics.json")
-    _print_semantic("semantic", report)
+    gt, _, _ = prepare_mesh(gt, cfg)
+    _print_semantic("semantic",
+                    write_semantic_scores(_emit(cfg), pred, gt, cfg))
     return 0
 
 
 def cmd_upper_bound(args) -> int:
-    cfg, mesh, seg = _labeled_segmentation(args)
-    report, _ = max_achievable(seg.face_segment, mesh.face_label,
-                               mesh.face_area)
-    save_json(report.as_dict(), _out_dir(cfg) / "upper_bound.json")
-    _print_semantic("upper bound", report)
+    cfg, mesh, _, seg = _labeled_segmentation(args)
+    _print_semantic("upper bound", write_upper_bound(_emit(cfg), mesh, seg))
     return 0
 
 

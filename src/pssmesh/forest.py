@@ -22,6 +22,7 @@ import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import zip_longest
+from pathlib import Path
 
 import numpy as np
 
@@ -334,8 +335,10 @@ def load_model(path) -> ForestModel:
     last tree, a tree without nodes, an internal node whose feature id is
     not in [0, n_features) or whose child ids do not lie after it inside
     the tree, a leaf whose ids are not all -1) raises ConfigError naming
-    the path, the tree and the byte offset of the bad field.
-    """
+    the path, the tree and the byte offset of the bad field, and a missing
+    file FileNotFoundError."""
+    if not Path(path).is_file():
+        raise FileNotFoundError(f"model file not found: {path}")
     with open(path, "rb") as fh:
         buf = fh.read()
     pos = 0

@@ -10,6 +10,10 @@ same directory first deletes the earlier manifest, the outputs it lists and
 the ``<name>.partial`` of every name in ``ARTIFACTS``, so no manifest is left
 beside files it does not describe.
 
+``train_models`` and the CLI's eval commands prepare meshes as a run does
+(``prepare_mesh``), and the eval commands write through the run's score
+writers (``write_*``), so every score refers to the repaired mesh.
+
 Two face-scale tables no stage reads back, ``face_features.npy`` and
 ``planarity.npy``, are binary ``.npy`` files holding one structured array
 with a named field per column (``features.write_npy``); every other table
@@ -206,6 +210,35 @@ def save_metrics_row(n_segments: int, report, path) -> None:
               [[int(n_segments), report.op, report.bp, report.br]])
 
 
+def write_overseg_scores(emit, mesh, adjacency, segmentation, config):
+    """Write OP, BP and BR within ``config.boundary_rings`` through
+    ``emit(name, writer)``, which calls ``writer(path)``; return them."""
+    report = overseg_report(mesh, adjacency, segmentation.face_segment,
+                            mesh.face_label, rings=config.boundary_rings)
+    emit("overseg_metrics.json", lambda p: save_json(report.as_dict(), p))
+    emit("metrics_row.csv",
+         lambda p: save_metrics_row(segmentation.n_segments, report, p))
+    return report
+
+
+def write_upper_bound(emit, mesh, segmentation):
+    """Write the best scores of a labeling constant on each segment through
+    ``emit``; return the report."""
+    report, _ = max_achievable(segmentation.face_segment, mesh.face_label,
+                               mesh.face_area)
+    emit("upper_bound.json", lambda p: save_json(report.as_dict(), p))
+    return report
+
+
+def write_semantic_scores(emit, face_classes, mesh, config):
+    """Write the area-weighted scores of ``face_classes`` over
+    ``config.classes`` through ``emit``; return the report."""
+    report = semantic_metrics(face_classes, mesh.face_label, mesh.face_area,
+                              classes=sorted(config.classes))
+    emit("semantic_metrics.json", lambda p: save_json(report.as_dict(), p))
+    return report
+
+
 # ------------------------------------------------------------------- runner
 
 
@@ -239,6 +272,16 @@ def check_classes(ids, config: PipelineConfig, source, what) -> None:
                           f"config's classes {sorted(config.classes)}")
 
 
+def prepare_mesh(mesh, config: PipelineConfig):
+    """``(mesh, RepairReport, AdjacencyIndex)``: ``mesh`` welded within
+    ``config.weld_epsilon`` and repaired, its faces in order with their
+    labels, and the repaired mesh's adjacency."""
+    welded, weld_report = weld_vertices(mesh, config.weld_epsilon)
+    repaired, repair_report = repair_nonmanifold(welded)
+    return (repaired, weld_report.combined(repair_report),
+            build_adjacency(repaired))
+
+
 @dataclass
 class PipelineResult:
     config: PipelineConfig
@@ -265,17 +308,18 @@ def run_pipeline(config: PipelineConfig, mesh=None,
 
     ``mesh`` bypasses the input file but not the input checks;
     ``stop_after`` names the last stage to run. The planarity model is
-    required from the oversegmentation stage on; the semantic model and
+    required from the planarity stage on; the semantic model and
     ground-truth labels are optional and their stages are skipped with a
     manifest note when absent; a label column without a label >= 0 counts
     as absent (``TriangleMesh.has_ground_truth``). Both models and the mesh
-    are checked before the first stage, so a bad model file or mesh raises
-    ConfigError, MeshParseError or MeshError and writes nothing. A model whose channel
-    names differ from the ones the config gives (``check_channels``) and a
-    semantic model class outside ``config.classes`` are such input errors,
-    and so is a ground-truth label >= 0 outside it when the semantic
-    metrics will run. The segment features and the graph read one
-    ``adjacency.segment_index``, built right after oversegmentation.
+    are checked before the first stage, so a missing or bad model file or
+    mesh raises FileNotFoundError, ConfigError, MeshParseError or MeshError
+    and writes nothing. A model whose channel names differ from the ones
+    the config gives (``check_channels``) and a semantic model class
+    outside ``config.classes`` are such input errors, and so is a
+    ground-truth label >= 0 outside it when the semantic metrics will run.
+    The segment features and the graph read one ``adjacency.segment_index``,
+    built right after oversegmentation.
     """
     if stop_after is not None and stop_after not in STAGES:
         raise ValueError(f"unknown stage {stop_after!r}")
@@ -283,20 +327,11 @@ def run_pipeline(config: PipelineConfig, mesh=None,
         raise ConfigError("output_dir is required")
     wanted = STAGES if stop_after is None \
         else STAGES[:STAGES.index(stop_after) + 1]
-    needs_model = "oversegment" in wanted
-    if needs_model:
-        if config.planarity_model is None:
-            raise ConfigError("planarity_model is required to segment")
-        if not Path(config.planarity_model).is_file():
-            raise FileNotFoundError(
-                f"planarity model not found: {config.planarity_model}")
-    if "classify" in wanted and config.semantic_model is not None \
-            and not Path(config.semantic_model).is_file():
-        raise FileNotFoundError(
-            f"semantic model not found: {config.semantic_model}")
     model = sem_model = None
     face_names = face_channel_names(config)
-    if "planarity" in wanted and config.planarity_model:
+    if "planarity" in wanted:
+        if config.planarity_model is None:
+            raise ConfigError("planarity_model is required for planarity")
         model = load_model(config.planarity_model)
         check_channels(model, face_names, config.planarity_model)
     if "classify" in wanted and config.semantic_model is not None:
@@ -327,75 +362,57 @@ def run_pipeline(config: PipelineConfig, mesh=None,
     written = []
     stage_seconds = {}
     notes = []
-    current = "preprocess"
+    current, started = None, 0.0
 
     def emit(name, writer):
         path = run_dir / name
         writer(path)
         written.append(path)
 
-    def tick(name):
-        nonlocal current
-        current = name
-        stage_seconds[name] = time.perf_counter()
-
-    def tock(name):
-        stage_seconds[name] = time.perf_counter() - stage_seconds[name]
+    def stage(name):
+        """Stop the running stage's clock; start ``name``'s if it runs."""
+        nonlocal current, started
+        now = time.perf_counter()
+        if current is not None:
+            stage_seconds[current] = now - started
+        current, started = (name if name in wanted else None), now
+        return current is not None
 
     try:
-        tick("preprocess")
-        welded, rep1 = weld_vertices(mesh, config.weld_epsilon)
-        mesh2, rep2 = repair_nonmanifold(welded)
+        stage("preprocess")
+        mesh2, result.repair_report, adjacency = prepare_mesh(mesh, config)
         result.mesh = mesh2
-        result.repair_report = rep1.combined(rep2)
-        adjacency = build_adjacency(mesh2)
         emit("repaired.ply", lambda p: save_mesh(mesh2, p))
         emit("repair_report.json",
              lambda p: save_json(result.repair_report.as_dict(), p))
-        tock("preprocess")
 
-        if "face_features" in wanted:
-            tick("face_features")
+        if stage("face_features"):
             feats = compute_face_features(mesh2, config)
             result.face_features = feats
             emit("face_features.npy", feats.to_npy)
-            tock("face_features")
 
-        if "planarity" in wanted:
-            tick("planarity")
-            if model is None:
-                notes.append("planarity skipped: no model")
-            else:
-                result.probmap = planarity_map(model, feats)
-                emit("planarity.npy",
-                     lambda p: save_planarity(result.probmap, p))
-            tock("planarity")
+        if stage("planarity"):
+            result.probmap = planarity_map(model, feats)
+            emit("planarity.npy", lambda p: save_planarity(result.probmap, p))
 
-        if "oversegment" in wanted:
-            tick("oversegment")
+        if stage("oversegment"):
             seg = oversegment(mesh2, adjacency, result.probmap, config)
             result.segmentation = seg
             index = segment_index(mesh2, adjacency, seg.face_segment,
                                   seg.n_segments)
             emit("segmentation.json", lambda p: save_segmentation(seg, p))
-            tock("oversegment")
 
-        if "segment_features" in wanted:
-            tick("segment_features")
+        if stage("segment_features"):
             sf = compute_segment_features(mesh2, adjacency, index, feats)
             result.segment_features = sf
             emit("segment_features.csv", sf.to_csv)
-            tock("segment_features")
 
-        if "graph" in wanted:
-            tick("graph")
+        if stage("graph"):
             graph = build_segment_graph(mesh2, seg, index, sf, config)
             result.graph = graph
             emit("graph.json", lambda p: export_graph(graph, p))
-            tock("graph")
 
-        if "classify" in wanted:
-            tick("classify")
+        if stage("classify"):
             if sem_model is None:
                 notes.append("classification skipped: no semantic model")
             else:
@@ -411,35 +428,18 @@ def run_pipeline(config: PipelineConfig, mesh=None,
                      lambda p: save_face_predictions(face_cls, p))
                 labeled = replace(mesh2, face_label=face_cls)
                 emit("labeled.ply", lambda p: save_mesh(labeled, p))
-            tock("classify")
 
-        if "metrics" in wanted:
-            tick("metrics")
+        if stage("metrics"):
             if not mesh2.has_ground_truth:
                 notes.append("metrics skipped: no ground-truth labels")
             else:
-                areas = mesh2.face_area
-                rep = overseg_report(mesh2, adjacency, seg.face_segment,
-                                     mesh2.face_label,
-                                     rings=config.boundary_rings)
-                result.overseg = rep
-                emit("overseg_metrics.json",
-                     lambda p: save_json(rep.as_dict(), p))
-                emit("metrics_row.csv",
-                     lambda p: save_metrics_row(seg.n_segments, rep, p))
-                ub, _ = max_achievable(seg.face_segment, mesh2.face_label,
-                                       areas)
-                result.upper_bound = ub
-                emit("upper_bound.json",
-                     lambda p: save_json(ub.as_dict(), p))
+                result.overseg = write_overseg_scores(emit, mesh2, adjacency,
+                                                      seg, config)
+                result.upper_bound = write_upper_bound(emit, mesh2, seg)
                 if result.face_classes is not None:
-                    sem = semantic_metrics(result.face_classes,
-                                           mesh2.face_label, areas,
-                                           classes=sorted(config.classes))
-                    result.semantic = sem
-                    emit("semantic_metrics.json",
-                         lambda p: save_json(sem.as_dict(), p))
-            tock("metrics")
+                    result.semantic = write_semantic_scores(
+                        emit, result.face_classes, mesh2, config)
+        stage(None)
     except Exception as exc:
         for path in written:
             path.rename(path.with_name(path.name + ".partial"))
@@ -482,7 +482,7 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
     side of ``config.nonplanar_classes``, or one majority label on every
     kept segment.
 
-    The meshes are prepared (weld, repair, adjacency, face features) and,
+    The meshes are prepared (``prepare_mesh``, then face features) and,
     once the planarity forest is fitted, segmented by ``parallel_map`` in
     ``resolve_threads(config.threads)`` forked worker processes, the pool
     the forests' trees are built in. Each pass hands its inputs to the
@@ -511,13 +511,11 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
 
     n_jobs = resolve_threads(config.threads)
 
-    def prepare(mesh):
-        welded, _ = weld_vertices(mesh, config.weld_epsilon)
-        mesh2, _ = repair_nonmanifold(welded)
-        adjacency = build_adjacency(mesh2)
+    def featurize(mesh):
+        mesh2, _, adjacency = prepare_mesh(mesh, config)
         return mesh2, adjacency, compute_face_features(mesh2, config)
 
-    prepared = parallel_map(n_jobs, prepare, loaded)
+    prepared = parallel_map(n_jobs, featurize, loaded)
     X_face = np.vstack([feats.values for _, _, feats in prepared])
     y_face = np.concatenate([
         np.isin(mesh2.face_label, config.nonplanar_classes).astype(np.int32)

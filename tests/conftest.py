@@ -53,6 +53,30 @@ def two_triangle_strip():
     return TriangleMesh(vertices=verts, faces=faces)
 
 
+def unwelded(mesh):
+    """``mesh`` with three vertices of its own per face, as a mesh exported
+    face by face is; welding joins them again."""
+    return TriangleMesh(vertices=mesh.vertices[mesh.faces].reshape(-1, 3),
+                        faces=np.arange(3 * mesh.n_faces).reshape(-1, 3),
+                        face_color=mesh.face_color, face_label=mesh.face_label)
+
+
+def with_fin(mesh):
+    """``mesh`` plus one upright face, labelled like face 0, on the lowest
+    edge that two faces share: a non-manifold edge of three faces."""
+    e = np.sort(mesh.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    edges, counts = np.unique(e, axis=0, return_counts=True)
+    a, b = edges[np.argmax(counts == 2)]
+    top = mesh.vertices[[a, b]].mean(axis=0) + [0.0, 0.0, 1.0]
+    return TriangleMesh(
+        vertices=np.vstack([mesh.vertices, top]),
+        faces=np.vstack([mesh.faces, [a, b, mesh.n_vertices]]),
+        face_color=None if mesh.face_color is None
+        else np.vstack([mesh.face_color, mesh.face_color[:1]]),
+        face_label=None if mesh.face_label is None
+        else np.append(mesh.face_label, mesh.face_label[0]))
+
+
 def brute_force_adjacency(mesh):
     """O(F^2) shared-edge scan; returns set of unordered face pairs."""
     def edges(f):

@@ -11,8 +11,11 @@ from pssmesh.config import DEFAULTS, PipelineConfig
 from pssmesh.mesh import TriangleMesh
 from pssmesh.meshio import load_mesh, save_mesh
 from pssmesh.overseg import NONPLANAR
-from pssmesh.pipeline import run_pipeline
+from pssmesh.pipeline import (load_segmentation, prepare_mesh, run_pipeline,
+                              write_overseg_scores, write_upper_bound)
 from pssmesh.synth import TileParams, synth_tile
+
+from conftest import unwelded, with_fin
 
 
 @pytest.fixture(scope="module")
@@ -335,6 +338,70 @@ def test_upper_bound_cmd(ws, tmp_path, capsys):
     assert code == 0
     assert "upper bound:" in capsys.readouterr().out
     assert (tmp_path / "upper_bound.json").is_file()
+
+
+@pytest.fixture(scope="module")
+def scored_runs(ws):
+    """case -> (input mesh, its pipeline run) for the workspace tile, an
+    unwelded copy and a copy with a non-manifold fin."""
+    mesh = load_mesh(ws["tile"])
+    runs = {"plain": (ws["tile"], ws["run"])}
+    for case, copy in (("unwelded", unwelded(mesh)), ("fin", with_fin(mesh))):
+        path, run = ws["root"] / f"{case}.ply", ws["root"] / f"run-{case}"
+        save_mesh(copy, path)
+        assert main(["pipeline", "--input", str(path), "--out", str(run),
+                     *model_flags(ws), "--threads", "1"]) == 0
+        runs[case] = (path, run)
+    return runs
+
+
+SCORE_FILES = {"eval-overseg": ["overseg_metrics.json", "metrics_row.csv"],
+               "upper-bound": ["upper_bound.json"],
+               "eval-semantic": ["semantic_metrics.json"]}
+
+
+@pytest.mark.parametrize("source", ["input", "repaired"])
+@pytest.mark.parametrize("case", ["plain", "unwelded", "fin"])
+def test_eval_commands_write_the_run_scores(scored_runs, tmp_path, case,
+                                            source):
+    # the eval commands score the welded and repaired mesh, as the run does
+    path, run = scored_runs[case]
+    mesh = str(path if source == "input" else run / "repaired.ply")
+    seg = ["--input", mesh, "--segmentation", str(run / "segmentation.json")]
+    args = {"eval-overseg": seg, "upper-bound": seg,
+            "eval-semantic": ["--gt", mesh, "--pred",
+                              str(run / "face_predictions.csv")]}
+    for command, names in SCORE_FILES.items():
+        out = tmp_path / command
+        assert main([command, *args[command], "--out", str(out)]) == 0
+        for name in names:
+            assert (out / name).read_bytes() == (run / name).read_bytes(), \
+                (command, name)
+
+
+def test_eval_commands_take_weld_eps(ws, tmp_path):
+    # a wide weld radius moves vertices, and so face areas and scores
+    cfg = PipelineConfig(weld_epsilon=0.3)
+    mesh, _, adjacency = prepare_mesh(load_mesh(ws["tile"]), cfg)
+    seg = load_segmentation(ws["run"] / "segmentation.json")
+    want = tmp_path / "want"
+    want.mkdir()
+
+    def emit(name, writer):
+        writer(want / name)
+
+    write_overseg_scores(emit, mesh, adjacency, seg, cfg)
+    write_upper_bound(emit, mesh, seg)
+    for command in ("eval-overseg", "upper-bound"):
+        assert main([command, "--input", str(ws["tile"]), "--segmentation",
+                     str(ws["run"] / "segmentation.json"), "--weld-eps",
+                     "0.3", "--out", str(tmp_path / "ev")]) == 0
+    for name in ("overseg_metrics.json", "metrics_row.csv",
+                 "upper_bound.json"):
+        assert (tmp_path / "ev" / name).read_bytes() \
+            == (want / name).read_bytes(), name
+    assert (want / "upper_bound.json").read_bytes() \
+        != (ws["run"] / "upper_bound.json").read_bytes()
 
 
 @pytest.fixture(scope="module")

@@ -263,6 +263,14 @@ def test_model_round_trip(tmp_path):
                           predict_proba(loaded, q).proba)
 
 
+@pytest.mark.parametrize("name", ["gone.model", "."])
+def test_missing_model_file_names_it(tmp_path, name):
+    # a directory is no model file either
+    with pytest.raises(FileNotFoundError,
+                       match=f"^model file not found: {tmp_path / name}$"):
+        load_model(tmp_path / name)
+
+
 def test_corrupt_magic(tmp_path):
     p = tmp_path / "bad.bin"
     p.write_bytes(b"NOPE" + b"\x00" * 64)

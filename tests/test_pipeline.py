@@ -29,6 +29,7 @@ from pssmesh.pipeline import (
     file_sha256,
     load_face_predictions,
     load_segmentation,
+    prepare_mesh,
     resolve_threads,
     run_pipeline,
     save_face_predictions,
@@ -44,6 +45,7 @@ from pssmesh.segfeatures import SegmentFeatures
 from pssmesh.seggraph import import_graph
 from pssmesh.synth import TileParams, synth_tile
 
+from conftest import unwelded, with_fin
 from test_seggraph import graphs_equal
 
 SMALL = TileParams(seed=0, ground_res=16, n_boxes=2, n_trees=1, n_vehicles=1)
@@ -141,6 +143,43 @@ def test_planarity_model_required_for_segmentation(tile_path, trained,
     cfg = make_config(tile_path, trained, tmp_path, planarity_model=None)
     with pytest.raises(ConfigError, match="planarity_model"):
         run_pipeline(cfg)
+
+
+def test_planarity_model_required_for_planarity_stage(tile_path, trained,
+                                                      tmp_path):
+    cfg = make_config(tile_path, trained, tmp_path / "run",
+                      planarity_model=None)
+    with pytest.raises(ConfigError, match="planarity_model"):
+        run_pipeline(cfg, stop_after="planarity")
+    assert not (tmp_path / "run").exists()
+
+
+def test_missing_semantic_model_names_file(tile_path, trained, tmp_path):
+    cfg = make_config(tile_path, trained, tmp_path / "run",
+                      semantic_model=str(tmp_path / "gone.model"))
+    with pytest.raises(FileNotFoundError,
+                       match=f"model file not found: {tmp_path}/gone.model"):
+        run_pipeline(cfg)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("build", [unwelded, with_fin])
+def test_repaired_mesh_is_prepare_mesh(tile_path, trained, tmp_path, build):
+    # the copies give welding and the non-manifold repair work to do
+    path = tmp_path / "input.ply"
+    save_mesh(build(load_mesh(tile_path)), path)
+    cfg = make_config(path, trained, tmp_path / "run")
+    result = run_pipeline(cfg, stop_after="preprocess")
+    rep = result.repair_report
+    if build is unwelded:
+        assert rep.welded_vertices > 0
+    else:
+        assert rep.nonmanifold_edges_before == 1
+    repaired, report, _ = prepare_mesh(load_mesh(path), cfg)
+    save_mesh(repaired, tmp_path / "want.ply")
+    assert (result.run_dir / "repaired.ply").read_bytes() \
+        == (tmp_path / "want.ply").read_bytes()
+    assert report == rep
 
 
 def test_semantic_model_optional(tile_path, trained, tmp_path):
