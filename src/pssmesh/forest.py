@@ -2,7 +2,9 @@
 
 Each node draws k = ceil(sqrt(d)) of the d features as candidates, one
 uniform random threshold per candidate inside the node's value range, and
-keeps the candidate with the best weighted information gain. Trees see the full sample (no bootstrap).
+keeps the candidate with the best weighted information gain. Trees see
+the full sample (no bootstrap) and read it one feature column at a time,
+so column-major samples are read without a copy.
 Per-tree randomness derives from ``seed ^ tree_index``, so training is
 reproducible bit for bit.
 
@@ -112,47 +114,41 @@ def _build_tree(X, y, sw, n_classes, config: PipelineConfig, rng) -> Tree:
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        proba.append(None)
+        proba.append(np.zeros(n_classes))
         return len(feature) - 1
-
-    def make_leaf(node, yi, si):
-        w = np.bincount(yi, weights=si, minlength=n_classes)
-        proba[node] = w / w.sum()
 
     root = new_node()
     stack = [(np.arange(len(X)), 0, root)]
     while stack:
         idx, depth, node = stack.pop()
         yi, si = y[idx], sw[idx]
-        if (depth >= config.max_depth or len(idx) < 2 * config.min_leaf
-                or yi.min() == yi.max()):
-            make_leaf(node, yi, si)
-            continue
-
-        cand = rng.choice(X.shape[1], size=k, replace=False)
+        # class weights are > 0: the classes present are the nonzero sums
         parent_w = np.bincount(yi, weights=si, minlength=n_classes)
-        parent_h = _entropy(parent_w)
-        parent_sum = parent_w.sum()
         best = None
-        for f in cand:
-            col = X[idx, f]
-            lo, hi = col.min(), col.max()
-            if hi <= lo:
-                continue
-            t = rng.uniform(lo, hi)
-            go_left = col <= t
-            nl = int(go_left.sum())
-            if nl < config.min_leaf or len(idx) - nl < config.min_leaf:
-                continue
-            wl = np.bincount(yi[go_left], weights=si[go_left],
-                             minlength=n_classes)
-            wr = parent_w - wl
-            gain = parent_h - (wl.sum() * _entropy(wl)
-                               + wr.sum() * _entropy(wr)) / parent_sum
-            if best is None or gain > best[0]:
-                best = (gain, int(f), float(t), go_left)
+        if not (depth >= config.max_depth or len(idx) < 2 * config.min_leaf
+                or np.count_nonzero(parent_w) < 2):
+            cand = rng.choice(X.shape[1], size=k, replace=False)
+            parent_h = _entropy(parent_w)
+            parent_sum = parent_w.sum()
+            for f in cand:
+                col = X[:, f][idx]
+                lo, hi = col.min(), col.max()
+                if hi <= lo:
+                    continue
+                t = rng.uniform(lo, hi)
+                go_left = col <= t
+                nl = np.count_nonzero(go_left)
+                if nl < config.min_leaf or len(idx) - nl < config.min_leaf:
+                    continue
+                wl = np.bincount(yi, weights=si * go_left,
+                                 minlength=n_classes)
+                wr = parent_w - wl
+                gain = parent_h - (wl.sum() * _entropy(wl)
+                                   + wr.sum() * _entropy(wr)) / parent_sum
+                if best is None or gain > best[0]:
+                    best = (gain, int(f), float(t), go_left)
         if best is None:
-            make_leaf(node, yi, si)
+            proba[node] = parent_w / parent_w.sum()
             continue
 
         _, f, t, go_left = best
@@ -164,14 +160,10 @@ def _build_tree(X, y, sw, n_classes, config: PipelineConfig, rng) -> Tree:
         stack.append((idx[~go_left], depth + 1, rnode))
         stack.append((idx[go_left], depth + 1, lnode))
 
-    pr = np.zeros((len(feature), n_classes))
-    for i, p in enumerate(proba):
-        if p is not None:
-            pr[i] = p
     return Tree(np.asarray(feature, dtype=np.int32),
                 np.asarray(threshold, dtype=np.float64),
                 np.asarray(left, dtype=np.int32),
-                np.asarray(right, dtype=np.int32), pr)
+                np.asarray(right, dtype=np.int32), np.array(proba))
 
 
 # (fn, items) of the running parallel_map, inherited by its forked workers;
@@ -225,14 +217,16 @@ def train_forest(samples: np.ndarray, labels: np.ndarray, channel_names,
     them so ``check_channels`` can refuse features in another layout.
     ``config`` gives ``trees``, ``min_leaf``, ``max_depth`` and ``seed``.
 
-    Each sample is weighted by its class's ``class_weights``, sqrt(N/n_c).
-    Raises on single-class input and on NaN features.
+    Each sample is weighted by its class's ``class_weights``, sqrt(N/n_c),
+    which ``_build_tree`` needs > 0: a node is pure when one class weighs.
+    ``samples`` is taken column-major; a Fortran-ordered float64 matrix
+    is not copied. Raises on single-class input and on NaN features.
     ``n_jobs`` > 1 builds trees in that many forked worker processes
     (``parallel_map``); each tree seeds its own generator from
     ``seed ^ tree_index`` and the trees are combined in tree order, so the
     model is identical at any worker count.
     """
-    X = np.asarray(samples, dtype=np.float64)
+    X = np.asfortranarray(samples, dtype=np.float64)
     y_raw = np.asarray(labels).reshape(-1)
     if X.ndim != 2 or len(X) != len(y_raw):
         raise ValueError("samples must be (N, d) with one label per row")
@@ -331,12 +325,12 @@ def load_model(path) -> ForestModel:
     """Read a model written by ``save_model``.
 
     Bad content (bad magic, another version, channel names that are not
-    UTF-8 or not one per feature, a file that ends early, bytes after the
-    last tree, a tree without nodes, an internal node whose feature id is
-    not in [0, n_features) or whose child ids do not lie after it inside
-    the tree, a leaf whose ids are not all -1) raises ConfigError naming
-    the path, the tree and the byte offset of the bad field, and a missing
-    file FileNotFoundError."""
+    UTF-8 or not one per feature, fewer than two classes, no trees, a file
+    that ends early, bytes after the last tree, a tree without nodes, an
+    internal node whose feature id is not in [0, n_features) or whose
+    child ids do not lie after it inside the tree, a leaf whose ids are
+    not all -1) raises ConfigError naming the path, the tree and the byte
+    offset of the bad field, and a missing file FileNotFoundError."""
     if not Path(path).is_file():
         raise FileNotFoundError(f"model file not found: {path}")
     with open(path, "rb") as fh:
@@ -372,12 +366,16 @@ def load_model(path) -> ForestModel:
     names = text.split("\n") if text else []
     seed = int(take("<i8")[0])
     ncls = int(take("<u4")[0])
+    if ncls < 2:
+        raise bad(f"{ncls} classes (a forest needs at least 2)", pos - 4)
     classes = take("<i4", ncls)
     nfeat = int(take("<u4")[0])
     if nfeat != len(names):
         raise bad(f"{len(names)} channel names for {nfeat} features",
                   pos - 4)
     ntrees = int(take("<u4")[0])
+    if ntrees == 0:
+        raise bad("no trees", pos - 4)
     trees = []
     for t in range(ntrees):
         n = int(take("<u4")[0])

@@ -68,8 +68,13 @@ class StageError(RuntimeError):
 
 
 def resolve_threads(requested: int) -> int:
-    """Worker count: ``requested`` if > 0, else the CPU count."""
-    return requested if requested > 0 else os.cpu_count() or 1
+    """Worker count: ``requested`` if > 0, else the number of CPUs this
+    process may run on (its affinity mask where the platform has one)."""
+    if requested > 0:
+        return requested
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def file_sha256(path) -> str:
@@ -516,7 +521,10 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
         return mesh2, adjacency, compute_face_features(mesh2, config)
 
     prepared = parallel_map(n_jobs, featurize, loaded)
-    X_face = np.vstack([feats.values for _, _, feats in prepared])
+    # column-major, so the trees read each feature column without a copy
+    face_rows = [feats.values for _, _, feats in prepared]
+    X_face = np.concatenate(face_rows, out=np.empty(
+        (sum(map(len, face_rows)), face_rows[0].shape[1]), order="F"))
     y_face = np.concatenate([
         np.isin(mesh2.face_label, config.nonplanar_classes).astype(np.int32)
         for mesh2, _, _ in prepared])

@@ -9,10 +9,11 @@ face's neighbours with one ``query_pairs`` over the whole cloud, as
 ``eigen_shape_features`` once did. ``bincount_weighted_covariance`` sums
 each owner's pairs with ``np.bincount``, as ``features._weighted_covariance``
 once did. ``copy_build_tree`` copies all feature columns of a node's samples
-at every node, as ``forest._build_tree`` once did. ``set_oversegment`` keeps
-each region's members in a list and a set and the faces of finished regions
-in a bool ``assigned`` array, as ``overseg.grow_region`` and
-``overseg.oversegment`` once did.
+at every node, tests purity with ``np.unique`` and counts each side's class
+weights over copied labels, as ``forest._build_tree`` once did.
+``set_oversegment`` keeps each region's members in a list and a set and the
+faces of finished regions in a bool ``assigned`` array, as
+``overseg.grow_region`` and ``overseg.oversegment`` once did.
 """
 
 from collections import defaultdict
@@ -157,8 +158,10 @@ def bincount_weighted_covariance(owner, nb, xyz, areas, n):
 
 
 def copy_build_tree(X, y, sw, n_classes, config, rng):
-    """One extremely randomized tree; each node copies ``X[idx]`` whole and
-    tests purity with ``np.unique``."""
+    """One extremely randomized tree; each node copies ``X[idx]`` whole,
+    tests purity with ``np.unique``, counts its class weights again for a
+    leaf, and counts a candidate's left weights over ``y[idx[go_left]]``.
+    Leaves fill their probability rows after the tree is grown."""
     k = int(np.ceil(np.sqrt(X.shape[1])))
     feature, threshold, left, right, proba = [], [], [], [], []
 

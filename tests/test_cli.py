@@ -1,13 +1,16 @@
 """Command-line interface tests; every call runs in-process via main()."""
 
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pssmesh.cli import build_parser, main, resolved_config
 from pssmesh.config import DEFAULTS, PipelineConfig
+from pssmesh.forest import load_model, save_model
 from pssmesh.mesh import TriangleMesh
 from pssmesh.meshio import load_mesh, save_mesh
 from pssmesh.overseg import NONPLANAR
@@ -132,6 +135,21 @@ def set_tree0(good, field, value):
     return good[:at] + value.to_bytes(4, "little", signed=True) + good[at + 4:]
 
 
+def resaved(good, change):
+    """The model file ``good``, loaded, passed through ``change`` and saved
+    again: a model ``save_model`` writes but ``train_forest`` never makes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.model"
+        path.write_bytes(good)
+        save_model(change(load_model(path)), path)
+        return path.read_bytes()
+
+
+def one_class(model):
+    return replace(model, classes=model.classes[:1], trees=[
+        replace(t, proba=np.ones((len(t.feature), 1))) for t in model.trees])
+
+
 BAD_MODELS = {
     "child-out-of-tree": lambda good: set_tree0(good, "left", 10**6),
     "feature-out-of-range": lambda good: set_tree0(good, "feature", 10**6),
@@ -142,6 +160,10 @@ BAD_MODELS = {
     "wrong-version": lambda good: good[:4] + (99).to_bytes(4, "little")
     + good[8:],
     "trailing-bytes": lambda good: good + b"\x00",
+    # a planarity model without trees made every g_hat NaN, and a
+    # one-class semantic model gave every segment its class
+    "no-trees": lambda good: resaved(good, lambda m: replace(m, trees=[])),
+    "one-class": lambda good: resaved(good, one_class),
 }
 
 

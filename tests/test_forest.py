@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -305,6 +306,25 @@ def test_every_cut_or_extended_model_names_file_and_offset(tmp_path):
         assert str(info.value).startswith(f"{bad}: ")
 
 
+@pytest.mark.parametrize("classes, trees, field", [
+    ((0, 1), 0, "ntrees"), ((4,), 1, "ncls"), ((), 1, "ncls")],
+    ids=["no-trees", "one-class", "no-class"])
+def test_model_train_forest_never_writes_names_count_offset(
+        tmp_path, classes, trees, field):
+    model = ForestModel([leaf_tree(np.ones(len(classes)))] * trees,
+                        np.array(classes, dtype=np.int32), ["x0", "x1"], 0)
+    p = tmp_path / "m.bin"
+    save_model(model, p)
+    # magic, version, name length, "x0\nx1", seed; then the class count,
+    # the class ids, the feature count and the tree count
+    at = {"ncls": 4 + 4 + 4 + 5 + 8,
+          "ntrees": 4 + 4 + 4 + 5 + 8 + 4 + 4 * len(classes) + 4}[field]
+    what = "no trees" if field == "ntrees" else f"{len(classes)} classes"
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}: {what}"
+                                          f".* at byte offset {at}$"):
+        load_model(p)
+
+
 def test_planarity_map_requires_binary():
     model = make_model([[0.2, 0.3, 0.5]], classes=(0, 1, 2))
 
@@ -412,6 +432,8 @@ def tree_cases():
     y3 = np.where(X[:, 0] > 0.8, 2, (X[:, 1] > 0.5).astype(np.int64))
     X3 = np.vstack([X, X[:10]])
     yield "single-class nodes", X3, np.append(y3, (y3[:10] + 1) % 3)
+    # H3D's 11 classes: more than numpy's 8-element pairwise sum block
+    yield "11 classes", X, (X[:, 0] * 7 + X[:, 3] * 4).astype(np.int64)
 
 
 @pytest.mark.parametrize("min_leaf, max_depth", [(1, 40), (5, 40), (7, 3),
@@ -422,8 +444,23 @@ def test_build_tree_matches_copy_per_node_reference(min_leaf, max_depth):
         sw = class_weights(y)[y]
         n_classes = int(y.max()) + 1
         for seed in range(3):
-            got = _build_tree(X, y, sw, n_classes, config,
-                              np.random.default_rng(seed))
             want = copy_build_tree(X, y, sw, n_classes, config,
                                    np.random.default_rng(seed))
-            assert tree_bytes(got) == tree_bytes(want), (name, seed)
+            for order in "CF":
+                got = _build_tree(np.asarray(X, order=order), y, sw,
+                                  n_classes, config,
+                                  np.random.default_rng(seed))
+                assert tree_bytes(got) == tree_bytes(want), \
+                    (name, seed, order)
+
+
+def test_model_same_for_either_memory_order(tmp_path):
+    config = PipelineConfig(trees=3, min_leaf=2, seed=4)
+    for name, X, y in tree_cases():
+        files = []
+        for order in "CF":
+            path = tmp_path / f"{order}.bin"
+            save_model(train_forest(np.asarray(X, order=order), y, names(X),
+                                    config), path)
+            files.append(path.read_bytes())
+        assert files[0] == files[1], name

@@ -653,10 +653,34 @@ def test_face_predictions_header_check(tmp_path):
 
 def test_resolve_threads(monkeypatch):
     assert resolve_threads(3) == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: 5)
-    assert resolve_threads(0) == 5
+    # the CPUs this process may run on, not all the machine has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert resolve_threads(0) == 3
+    # a platform without affinity masks
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert resolve_threads(0) == 8
     monkeypatch.setattr(os, "cpu_count", lambda: None)   # unknown count
     assert resolve_threads(0) == 1
+
+
+def test_train_models_gives_column_major_face_samples(monkeypatch):
+    meshes = [synth_tile(SMALL), synth_tile(HELD_OUT)]
+    config = PipelineConfig(trees=3, threads=1)
+    samples = []
+
+    def recording(X, *args, **kwargs):
+        samples.append(X)
+        return train_forest(X, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_forest", recording)
+    train_models(config, meshes)
+    want = np.vstack([compute_face_features(prepare_mesh(m, config)[0],
+                                            config).values for m in meshes])
+    # the planarity matrix, then the semantic one
+    assert len(samples) == 2 and samples[0].flags.f_contiguous
+    assert np.array_equal(samples[0], want)
 
 
 def test_train_report_contents(trained):
