@@ -1,15 +1,16 @@
 """Face adjacency, edge lists, segment indexes and connected components.
 
-``build_adjacency`` builds ``AdjacencyIndex``, a mesh's edge table and face
-neighbor lists, whole. ``segment_index`` builds, whole and once per
-segmentation, the ``SegmentIndex`` that segment features and the segment
-graph read every per-segment fact from: faces, cut edges, vertices, probe
-vertices, area, circumference and face weights.
+``build_adjacency`` builds ``AdjacencyIndex``, a mesh's edge table and its
+(F, 3) face neighbor table, whole, from one sort of the face edges.
+``segment_index`` builds, whole and once per segmentation, the
+``SegmentIndex`` that segment features and the segment graph read every
+per-segment fact from: faces, cut edges, vertices, probe vertices, area,
+circumference and face weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -17,20 +18,6 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .mesh import TriangleMesh, MeshError
-
-
-def _csr(pairs, n):
-    """Build (offsets, flat) adjacency from symmetric (a, b) int pairs."""
-    if len(pairs) == 0:
-        return np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int32)
-    a = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    b = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    order = np.lexsort((b, a))
-    a, b = a[order], b[order]
-    counts = np.bincount(a, minlength=n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets, b.astype(np.int32)
 
 
 def label_components(n: int, i, j) -> np.ndarray:
@@ -122,7 +109,9 @@ class AdjacencyIndex:
     """Symmetric face adjacency over shared edges plus the edge table itself.
 
     ``edge_faces`` holds (face, face) per edge with -1 for the open side of a
-    border edge. Neighbor lists are ascending.
+    border edge. Row f of ``face_neighbors`` holds the faces across f's
+    corner pairs (0, 1), (1, 2) and (2, 0), in that order: -1 across a
+    border edge and on every side of a collapsed face, which has no edges.
     """
 
     n_faces: int
@@ -130,18 +119,14 @@ class AdjacencyIndex:
     edge_vertices: np.ndarray          # (E, 2) int32, sorted pairs
     edge_faces: np.ndarray             # (E, 2) int32, -1 = border
     edge_length: np.ndarray            # (E,) float64 meters
-    _face_off: np.ndarray = field(repr=False)     # (F + 1,) int64
-    _face_flat: np.ndarray = field(repr=False)    # neighbor lists, int32
-
-    def face_neighbors(self, f: int) -> np.ndarray:
-        return self._face_flat[self._face_off[f]:self._face_off[f + 1]]
+    face_neighbors: np.ndarray         # (F, 3) int32, -1 = none
 
 
 def build_adjacency(mesh: TriangleMesh) -> AdjacencyIndex:
     """Shared-edge face adjacency; raises on edges with >2 incident faces.
 
-    Collapsed faces (repeated indices) contribute no edges and get empty
-    neighbor lists.
+    Collapsed faces (repeated indices) contribute no edges, so their
+    neighbor rows are all -1.
     """
     nf, nv = mesh.n_faces, mesh.n_vertices
     e, owner = face_edges(mesh.faces)
@@ -162,10 +147,17 @@ def build_adjacency(mesh: TriangleMesh) -> AdjacencyIndex:
     edge_faces[:, 0] = fo[starts]
     edge_faces[second, 1] = fo[starts[second] + 1]
 
+    # the face across each face-edge row is the end of its edge that is not
+    # the row's owner; a border edge's other end is -1
+    ends = edge_faces[inverse]
+    neighbors = np.full((nf, 3), -1, dtype=np.int32)
+    neighbors[owner[::3]] = np.where(ends[:, 0] == owner, ends[:, 1],
+                                     ends[:, 0]).reshape(-1, 3)
+
     length = np.linalg.norm(mesh.vertices[uniq[:, 1]] - mesh.vertices[uniq[:, 0]], axis=1)
 
     return AdjacencyIndex(nf, nv, uniq.astype(np.int32), edge_faces, length,
-                          *_csr(edge_faces[second], nf))
+                          neighbors)
 
 
 def _grouped(owner, ids, n_groups: int, n_ids: int) -> list:

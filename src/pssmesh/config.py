@@ -24,18 +24,37 @@ class ConfigError(ValueError):
     """Bad configuration content; maps to the usage-error exit code."""
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of the file at ``path``.
+
+    A directory, and bytes that are not UTF-8, raise ConfigError with the
+    path in front of the message; for bad bytes it names their line and
+    byte offset.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except IsADirectoryError:
+        raise ConfigError(f"{path}: is a directory, not a file") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}: line {line}: not UTF-8 text (byte "
+                          f"offset {exc.start})") from None
+
+
 def load_versioned_json(path, version: int, kind: str) -> dict:
     """The JSON object in ``path``, whose ``version`` must be ``version``.
 
-    Invalid JSON or text encoding, a value that is not an object and another
-    version raise ConfigError with the path in front of the message; ``kind``
-    names the file in the version message.
+    ``read_text``'s errors, invalid JSON, a value that is not an object and
+    another version raise ConfigError with the path in front of the
+    message; ``kind`` names the file in the version message.
     """
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:           # invalid JSON or text encoding
-            raise ConfigError(f"{path}: {exc}") from None
+    text = read_text(path)
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: not a JSON object")
     if doc.get("version") != version:
@@ -180,8 +199,9 @@ def load_config(path) -> PipelineConfig:
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
+    text = read_text(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

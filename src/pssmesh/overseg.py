@@ -1,8 +1,10 @@
 """Planarity-sensible over-segmentation by incremental MRF region growing.
 
 Regions grow one at a time from the unassigned face with the highest planar
-probability. Each growth step labels the frontier (neighbors of the current
-growth front) with a tiny binary MRF whose region label is fixed to 0:
+probability. Each growth step labels the frontier (the distinct faces in the
+``face_neighbors`` rows of the current growth front that belong to no
+region and were not visited, ascending) with a tiny binary MRF whose region
+label is fixed to 0:
 
     energy = lambda_d * sum_i unary(x_i) + lambda_m * sum_i pairwise * [x_i != 0]
 
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjacency import AdjacencyIndex
+from .adjacency import AdjacencyIndex, unique_ints
 from .config import PipelineConfig
 from .mesh import TriangleMesh
 
@@ -200,10 +202,10 @@ def grow_region(seed: int, mesh: TriangleMesh, adjacency: AdjacencyIndex,
             region.offset = -float(n @ mesh.face_centroid[seed])
     front = [seed]
     while front:
-        cand = {nb for f in front
-                for nb in adjacency.face_neighbors(f).tolist()}
-        frontier = sorted(f for f in cand if face_segment[f] < 0
-                          and f not in region.visited)
+        cand = unique_ints(adjacency.face_neighbors[front])
+        cand = cand[cand >= 0]
+        frontier = [f for f in cand[face_segment[cand] < 0].tolist()
+                    if f not in region.visited]
         if not frontier:
             break
         labels = label_frontier(region, frontier, mesh, probmap, config)

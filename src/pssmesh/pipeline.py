@@ -22,6 +22,7 @@ is CSV.
 
 import csv
 import hashlib
+import io
 import json
 import os
 import time
@@ -33,7 +34,7 @@ import numpy as np
 from . import __version__
 from .adjacency import build_adjacency, segment_index
 from .config import (ConfigError, PipelineConfig, load_versioned_json,
-                     save_json)
+                     read_text, save_json)
 # the writers that a traced run times call the untraced name: one span each
 from .config import save_json as _save_json
 from .features import (compute_face_features, face_channel_names, write_csv,
@@ -184,15 +185,17 @@ def save_face_predictions(face_classes, path) -> None:
 def load_face_predictions(path) -> np.ndarray:
     """Read a face prediction table written by ``save_face_predictions``.
 
-    A wrong header, a cell that is not an integer, and a face id outside
-    [0, rows) or listed twice raise ConfigError naming the path and row.
+    A directory or text that is not UTF-8 (see ``read_text``), a wrong
+    header, a cell that is not an integer, a face id outside [0, rows) or
+    listed twice and a class id outside int64 raise ConfigError naming the
+    path and, where it has one, the row.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
     if not rows or rows[0][:2] != ["face", "class"]:
         raise ConfigError(f"{path} is not a face prediction table")
     out = np.full(len(rows) - 1, -1, dtype=np.int64)
     seen = np.zeros(len(out), dtype=bool)
+    i64 = np.iinfo(out.dtype)
     for line, cells in enumerate(rows[1:], start=2):
         try:
             face, cls = (int(c) for c in cells[:2])
@@ -204,6 +207,9 @@ def load_face_predictions(path) -> np.ndarray:
                               f"[0, {len(out)})")
         if seen[face]:
             raise ConfigError(f"{path}: row {line}: face id {face} repeated")
+        if not i64.min <= cls <= i64.max:
+            raise ConfigError(f"{path}: row {line}: class id {cls} outside "
+                              f"int64")
         seen[face] = True
         out[face] = cls
     return out

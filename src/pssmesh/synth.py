@@ -18,13 +18,6 @@ CLASS_BUILDING = 1
 CLASS_VEGETATION = 2
 CLASS_VEHICLE = 3
 
-CLASS_NAMES = {
-    CLASS_TERRAIN: "terrain",
-    CLASS_BUILDING: "building",
-    CLASS_VEGETATION: "high_vegetation",
-    CLASS_VEHICLE: "vehicle",
-}
-
 # base face color per class; per-face jitter is added on top
 _CLASS_COLOR = {
     CLASS_TERRAIN: (120, 110, 96),

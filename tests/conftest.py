@@ -94,10 +94,17 @@ def brute_force_adjacency(mesh):
     return pairs
 
 
+def neighbor_list(adj, f):
+    """Face f's neighbors across its edges, ascending and with repeats
+    kept, as ``oracles.csr_neighbor_lists`` lists them."""
+    row = adj.face_neighbors[f]
+    return np.sort(row[row >= 0])
+
+
 def adjacency_pairs(adj):
     pairs = set()
     for f in range(adj.n_faces):
-        for nb in adj.face_neighbors(f):
+        for nb in neighbor_list(adj, f):
             pairs.add(tuple(sorted((f, int(nb)))))
     return pairs
 

@@ -14,6 +14,8 @@ weights over copied labels, as ``forest._build_tree`` once did.
 ``set_oversegment`` keeps each region's members in a list and a set and the
 faces of finished regions in a bool ``assigned`` array, as
 ``overseg.grow_region`` and ``overseg.oversegment`` once did.
+``csr_neighbor_lists`` sorts both directions of every interior face pair
+into per-face neighbor lists, as ``adjacency.build_adjacency`` once did.
 """
 
 from collections import defaultdict
@@ -25,6 +27,24 @@ from pssmesh.adjacency import face_edges
 from pssmesh.forest import Tree, _entropy
 from pssmesh.overseg import (NONPLANAR, RegionState, Segmentation,
                              _add_faces, label_frontier, refit_plane)
+
+from conftest import neighbor_list
+
+
+def csr_neighbor_lists(pairs, n):
+    """(offsets, flat) of the symmetric (a, b) face pairs among n faces:
+    face f's neighbors are ``flat[offsets[f]:offsets[f + 1]]``, ascending,
+    one entry per pair that holds f."""
+    if len(pairs) == 0:
+        return np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int32)
+    a = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    b = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    counts = np.bincount(a, minlength=n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets, b.astype(np.int32)
 
 
 def vertex_neighbors(adjacency):
@@ -245,7 +265,7 @@ def set_grow_region(seed, mesh, adjacency, probmap, config, assigned):
     front = [seed]
     while front:
         cand = {nb for f in front
-                for nb in adjacency.face_neighbors(f).tolist()}
+                for nb in neighbor_list(adjacency, f).tolist()}
         frontier = sorted(f for f in cand if f not in member_set
                           and f not in region.visited and not assigned[f])
         if not frontier:

@@ -45,7 +45,7 @@ from pssmesh.synth import (
     synth_tile,
 )
 
-from conftest import grid_mesh
+from conftest import grid_mesh, neighbor_list
 from mincut import binary_energy, min_cut_binary
 
 
@@ -246,13 +246,13 @@ def test_criterion_04_energy_optimality():
         region = RegionState(region_type=int(pm.label[seed]))
         _add_faces(region, mesh, [seed])
         members = [seed]
-        for nb in map(int, adj.face_neighbors(seed)):
+        for nb in map(int, neighbor_list(adj, seed)):
             if len(members) < 3 and rng.random() < 0.5:
                 _add_faces(region, mesh, [nb])
                 members.append(nb)
         refit_plane(region)
         frontier = sorted({int(x) for f in members
-                           for x in adj.face_neighbors(f)}
+                           for x in neighbor_list(adj, f)}
                           - set(members))[:12]
         if not frontier:
             continue

@@ -7,20 +7,20 @@ from pssmesh.adjacency import (build_adjacency, face_connected_components,
 from pssmesh.metrics import BoundarySet, match_boundaries
 
 from conftest import (grid_mesh, icosahedron, two_triangle_strip,
-                      brute_force_adjacency, adjacency_pairs)
-from oracles import bfs_rings, vertex_neighbors
+                      brute_force_adjacency, adjacency_pairs, neighbor_list)
+from oracles import bfs_rings, csr_neighbor_lists, vertex_neighbors
 
 
 def test_single_face_empty_adjacency():
     m = TriangleMesh(vertices=np.eye(3), faces=np.array([[0, 1, 2]]))
     adj = build_adjacency(m)
-    assert adj.face_neighbors(0).size == 0
+    assert neighbor_list(adj, 0).size == 0
     assert len(adj.edge_vertices) == 3
     assert (adj.edge_faces[:, 1] < 0).all()
 
 
 def face_degrees(adj):
-    return np.array([len(adj.face_neighbors(f)) for f in range(adj.n_faces)])
+    return np.array([len(neighbor_list(adj, f)) for f in range(adj.n_faces)])
 
 
 def test_quad_grid_interior_face_has_3_neighbors(quad_grid):
@@ -51,6 +51,56 @@ def test_edge_lengths(quad_grid):
     v = quad_grid.vertices
     for (a, b), ln in zip(adj.edge_vertices, adj.edge_length):
         assert ln == pytest.approx(np.linalg.norm(v[a] - v[b]))
+
+
+def odd_welded_mesh(seed):
+    """(mesh, twins, collapsed): a noisy grid with holes (so border edges),
+    two faces on the same three vertices (each shares all its edges with
+    the other) and two collapsed faces, with faces and vertices shuffled
+    and each face's corners rotated."""
+    rng = np.random.default_rng(seed)
+    m = grid_mesh(*rng.integers(2, 7, size=2))
+    nv = m.n_vertices
+    faces = np.vstack([m.faces[rng.random(m.n_faces) < 0.8],
+                       [[nv, nv + 1, nv + 2], [nv, nv + 2, nv + 1]],
+                       [[0, 0, 1], [nv, nv, nv]]])
+    order = rng.permutation(len(faces))
+    shift = rng.integers(0, 3, len(faces))[:, None]
+    faces = faces[order][np.arange(len(faces))[:, None],
+                         (np.arange(3) + shift) % 3]
+    verts = np.vstack([m.vertices + rng.standard_normal(m.vertices.shape)
+                       * 0.1, rng.random((3, 3))])
+    perm = rng.permutation(nv + 3)
+    shuffled = np.empty_like(verts)
+    shuffled[perm] = verts
+    inv = np.argsort(order)
+    n = len(faces)
+    mesh = TriangleMesh(vertices=shuffled, faces=perm[faces].astype(np.int32))
+    return mesh, inv[[n - 4, n - 3]], inv[[n - 2, n - 1]]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_neighbor_table_matches_csr_lists(seed):
+    m, twins, collapsed = odd_welded_mesh(seed)
+    adj = build_adjacency(m)
+    table = adj.face_neighbors
+    assert table.shape == (m.n_faces, 3) and table.dtype == np.int32
+    assert (adj.edge_faces[:, 1] < 0).any()
+    interior = adj.edge_faces[adj.edge_faces[:, 1] >= 0]
+    offsets, flat = csr_neighbor_lists(interior, m.n_faces)
+    for f in range(m.n_faces):
+        # the same faces as the old lists, repeats included
+        assert (neighbor_list(adj, f).tolist()
+                == flat[offsets[f]:offsets[f + 1]].tolist())
+        # entry j lies across corners j and j + 1
+        for j, g in enumerate(table[f].tolist()):
+            if g >= 0:
+                assert g != f
+                assert {m.faces[f, j], m.faces[f, (j + 1) % 3]} \
+                    <= set(m.faces[g].tolist())
+    a, b = twins
+    assert table[a].tolist() == [b] * 3 and table[b].tolist() == [a] * 3
+    assert (table[collapsed] == -1).all()
 
 
 # Vertex rings live in metrics.match_boundaries: the zone of a candidate
@@ -288,7 +338,7 @@ def test_components_checkerboard_strip():
             comp2[s] = nid
             while stack:
                 f = stack.pop()
-                for g in adj.face_neighbors(f):
+                for g in neighbor_list(adj, f):
                     if comp2[g] < 0 and labels[g] == labels[f]:
                         comp2[g] = nid
                         stack.append(int(g))

@@ -695,6 +695,43 @@ def test_bad_face_predictions_exit_2(tmp_path, capsys, rows):
     assert f"{pred}: row 3" in capsys.readouterr().err
 
 
+# an input file the command cannot read -> (file name, the bytes it holds
+# or None for a directory, command, what the message names after the path)
+UNREADABLE = {
+    "config-not-utf8": ("run.json", b'{"lambda_d": 1.0,\n "trees": "\xff"}',
+                        "segment", ": line 2: not UTF-8"),
+    "pred-not-utf8": ("pred.csv", b"face,class\n0,1\n1,\xff\n",
+                      "eval-semantic", ": line 3: not UTF-8"),
+    "pred-class-beyond-int64": ("pred.csv",
+                                b"face,class\n0,1\n1,99999999999999999999\n",
+                                "eval-semantic", ": row 3: class id"),
+    "segmentation-directory": ("seg.json", None, "eval-overseg",
+                               ": is a directory"),
+    "pred-directory": ("pred.csv", None, "eval-semantic", ": is a directory"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE))
+def test_unreadable_input_file_exit_2(tmp_path, capsys, case):
+    name, data, command, message = UNREADABLE[case]
+    gt = tmp_path / "gt.ply"
+    save_mesh(TriangleMesh(vertices=np.eye(4, 3), faces=[[0, 1, 2], [1, 3, 2]],
+                           face_label=np.array([1, 3], dtype=np.int32)), gt)
+    bad = tmp_path / name
+    if data is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(data)
+    flag = {"segment": ["--config", str(bad), "--input", str(gt)],
+            "eval-semantic": ["--pred", str(bad), "--gt", str(gt)],
+            "eval-overseg": ["--segmentation", str(bad), "--input", str(gt)]}
+    out = tmp_path / "out"
+    code = main([command, *flag[command], "--out", str(out)])
+    assert code == 2
+    assert f"{bad}{message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, seed", [
     ("train", "-1"), ("train", str(2 ** 63)), ("pipeline", "-1"),
     ("pipeline", str(2 ** 63)), ("synth", "-1"),

@@ -9,7 +9,7 @@ from pssmesh.meshio import load_mesh, save_mesh, MeshParseError
 from pssmesh.adjacency import build_adjacency
 from pssmesh.mesh import TriangleMesh
 
-from conftest import grid_mesh
+from conftest import grid_mesh, neighbor_list
 
 
 SINGLE_TRI_PLY = """ply
@@ -68,8 +68,8 @@ def test_binary_two_faces_adjacent(tmp_path):
     save_mesh(m, p)
     m2 = load_mesh(p)
     adj = build_adjacency(m2)
-    assert adj.face_neighbors(0).tolist() == [1]
-    assert adj.face_neighbors(1).tolist() == [0]
+    assert neighbor_list(adj, 0).tolist() == [1]
+    assert neighbor_list(adj, 1).tolist() == [0]
 
 
 def test_round_trip_full(tmp_path):

@@ -13,7 +13,7 @@ from pssmesh.overseg import (RegionState, PlaneAccumulator,
                              pairwise_cost, frontier_decision, label_frontier,
                              grow_region, oversegment, _add_faces)
 
-from conftest import grid_mesh
+from conftest import grid_mesh, neighbor_list
 from mincut import min_cut_binary
 from oracles import set_oversegment
 
@@ -153,7 +153,7 @@ def test_label_frontier_direct_equals_mincut():
     region = RegionState(region_type=0)
     _add_faces(region, m, [30])
     refit_plane(region)
-    frontier = sorted(int(x) for x in adj.face_neighbors(30))
+    frontier = sorted(int(x) for x in neighbor_list(adj, 30))
     n = len(frontier)
     for lm in (0.0, 0.1, 1.0):
         cfg = PipelineConfig(lambda_m=lm)
@@ -380,7 +380,7 @@ def test_oversegment_partition_and_connectivity():
         stack = [int(faces[0])]
         while stack:
             f = stack.pop()
-            for nb in adj.face_neighbors(f):
+            for nb in neighbor_list(adj, f):
                 if int(nb) in set(faces.tolist()) and int(nb) not in seen:
                     seen.add(int(nb))
                     stack.append(int(nb))
@@ -401,7 +401,7 @@ def grow_region_per_face_refit(seed, mesh, adjacency, probmap, cfg,
             region.offset = -float(n @ mesh.face_centroid[seed])
     front = [seed]
     while front:
-        cand = {int(nb) for f in front for nb in adjacency.face_neighbors(f)}
+        cand = {int(nb) for f in front for nb in neighbor_list(adjacency, f)}
         cand -= region.visited
         frontier = sorted([f for f in cand if face_segment[f] < 0])
         if not frontier:

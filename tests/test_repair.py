@@ -4,7 +4,8 @@ from pssmesh.mesh import TriangleMesh
 from pssmesh.repair import weld_vertices, repair_nonmanifold, count_nonmanifold_edges
 from pssmesh.adjacency import build_adjacency
 
-from conftest import grid_mesh, brute_force_adjacency, adjacency_pairs
+from conftest import (grid_mesh, brute_force_adjacency, adjacency_pairs,
+                      neighbor_list)
 from oracles import dict_detach_overshared
 
 
@@ -34,7 +35,7 @@ def test_weld_eps_zero_merges_exact_duplicates():
     assert rep.welded_vertices == 2
     assert out.n_vertices == 4
     adj = build_adjacency(out)
-    assert adj.face_neighbors(0).tolist() == [1]
+    assert neighbor_list(adj, 0).tolist() == [1]
 
 
 def test_weld_seam_makes_quads_adjacent():
