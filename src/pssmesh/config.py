@@ -24,17 +24,31 @@ class ConfigError(ValueError):
     """Bad configuration content; maps to the usage-error exit code."""
 
 
-def read_text(path) -> str:
-    """The UTF-8 text of the file at ``path``.
+def read_bytes(path, kind: str) -> bytes:
+    """The bytes of the input file at ``path``; ``kind`` names the file.
 
-    A directory, and bytes that are not UTF-8, raise ConfigError with the
-    path in front of the message; for bad bytes it names their line and
-    byte offset.
+    A missing file raises FileNotFoundError "<kind> file not found:
+    <path>". A directory, and any other OSError, raise ConfigError with the
+    path in front of the message.
     """
     try:
-        data = Path(path).read_bytes()
+        return Path(path).read_bytes()
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{kind} file not found: {path}") from None
     except IsADirectoryError:
         raise ConfigError(f"{path}: is a directory, not a file") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") \
+            from None
+
+
+def read_text(path, kind: str) -> str:
+    """The UTF-8 text of the input file at ``path``.
+
+    Raises ``read_bytes``'s errors; bytes that are not UTF-8 raise
+    ConfigError naming the path, their line and byte offset.
+    """
+    data = read_bytes(path, kind)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -50,7 +64,7 @@ def load_versioned_json(path, version: int, kind: str) -> dict:
     another version raise ConfigError with the path in front of the
     message; ``kind`` names the file in the version message.
     """
-    text = read_text(path)
+    text = read_text(path, kind)
     try:
         doc = json.loads(text)
     except ValueError as exc:
@@ -197,9 +211,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
 
 def load_config(path) -> PipelineConfig:
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"config file not found: {path}")
-    text = read_text(path)
+    text = read_text(path, "config")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -12,7 +12,9 @@ ball around each face (``dx*dx + dy*dy + dz*dz <= r*r``, the face itself
 included). Faces are searched one block at a time, at the largest eigen
 radius or ``DENSITY_RADIUS``, whichever is larger; that one search gives
 every eigen radius and the face density, and each face's neighbours are
-summed in ascending index order.
+summed in ascending index order. Each block turns its covariances into
+channels before the next block starts, so memory follows the block, not
+faces x radii.
 ``elevation_rel`` is relative to the scene-wide lowest centroid; the _rNN
 variants subtract the lowest centroid inside a vertical cylinder of that
 radius, found exactly on an xy grid of per-cell minima (``cylinder_min_z``).
@@ -145,16 +147,17 @@ def eigen_shape_features(centroids, areas, tree, radii):
     neighbour. Faces are processed in blocks of ``EIGEN_FACE_BLOCK``: one
     ``sparse_distance_matrix`` between the block and ``tree`` at the
     largest of ``radii`` and ``DENSITY_RADIUS`` finds the block's
-    neighbours, so memory follows the block's pairs, not all pairs. Each
-    face's neighbours are summed in ascending index order, the order
-    ``query_ball_point`` lists them in.
+    neighbours, and the block's covariances become its channels before the
+    next block starts, so memory follows the block's pairs, not all pairs
+    and not faces x radii. Each face's neighbours are summed in ascending
+    index order, the order ``query_ball_point`` lists them in.
     """
     nf = len(centroids)
     xyz = [np.ascontiguousarray(centroids[:, a], dtype=np.float64)
            for a in range(3)]
     search = max(*radii, DENSITY_RADIUS)
-    cov = np.zeros((len(radii), nf, 3, 3))
-    counts = np.zeros((len(radii), nf), dtype=np.int64)
+    out = np.zeros((nf, 5 * len(radii)))
+    flagged = np.zeros((nf, len(radii)), dtype=bool)
     ball = np.zeros(nf, dtype=np.int64)
     for f0 in range(0, nf, EIGEN_FACE_BLOCK):
         f1 = min(f0 + EIGEN_FACE_BLOCK, nf)
@@ -170,13 +173,9 @@ def eigen_shape_features(centroids, areas, tree, radii):
             owner[d2 <= DENSITY_RADIUS * DENSITY_RADIUS], minlength=f1 - f0)
         for j, r in enumerate(radii):
             near = d2 <= r * r
-            cov[j, f0:f1], counts[j, f0:f1] = _weighted_covariance(
-                owner[near], nb[near], xyz, areas, f1 - f0)
-    out = np.zeros((nf, 5 * len(radii)))
-    flagged = np.zeros((nf, len(radii)), dtype=bool)
-    for j in range(len(radii)):
-        out[:, 5 * j:5 * j + 5], flagged[:, j] = _shape_channels(cov[j],
-                                                                 counts[j])
+            out[f0:f1, 5 * j:5 * j + 5], flagged[f0:f1, j] = _shape_channels(
+                *_weighted_covariance(owner[near], nb[near], xyz, areas,
+                                      f1 - f0))
     return out, flagged, ball
 
 
@@ -405,44 +404,30 @@ def compute_face_features(mesh: TriangleMesh,
     config = config or PipelineConfig()
     names = face_channel_names(config)
     nf = mesh.n_faces
-    vals = np.zeros((nf, len(names)))
-    if nf == 0:
-        return FaceFeatures(vals, names)
+    if nf == 0:                         # z.min() needs a face
+        return FaceFeatures(np.zeros((0, len(names))), names)
 
     cent = mesh.face_centroid
-    areas = mesh.face_area
-    tree = cKDTree(cent)
-
-    col = 5 * len(config.eigen_radii)
-    vals[:, :col], _, ball = eigen_shape_features(cent, areas, tree,
-                                                  config.eigen_radii)
-
+    eigen, _, ball = eigen_shape_features(cent, mesh.face_area, cKDTree(cent),
+                                          config.eigen_radii)
     z = cent[:, 2]
-    vals[:, col] = z
-    col += 1
-    vals[:, col] = z - z.min()
-    col += 1
-    n_elev = len(config.elevation_radii)
-    vals[:, col:col + n_elev] = elevation_context(mesh, config.elevation_radii)
-    col += n_elev
-
-    vals[:, col] = inmat_radii(mesh)
-    col += 1
-    vtree = cKDTree(mesh.vertices)
+    vertex_ball = cKDTree(mesh.vertices).query_ball_point(
+        cent, DENSITY_RADIUS, return_length=True)
     disc_area = np.pi * DENSITY_RADIUS ** 2
-    vals[:, col] = vtree.query_ball_point(cent, DENSITY_RADIUS,
-                                          return_length=True) / disc_area
-    col += 1
-    vals[:, col] = ball / disc_area
-    col += 1
 
     rgb = None
     if mesh.face_color is not None:
         rgb = mesh.face_color.astype(np.float64)
     elif mesh.vertex_color is not None:
         rgb = mesh.vertex_color[mesh.faces].astype(np.float64).mean(axis=1)
-    if rgb is not None:                 # else the four color channels stay 0
+    color = np.zeros((nf, 4))           # stays 0 without a color
+    if rgb is not None:
         r8, g8, b8 = rgb[:, 0], rgb[:, 1], rgb[:, 2]
-        vals[:, col] = np.clip((2.0 * g8 - r8 - b8) / 510.0, -1.0, 1.0)
-        vals[:, col + 1:col + 4] = np.column_stack(rgb_to_hsv_deg(rgb))
-    return FaceFeatures(vals, names, color_missing=rgb is None)
+        color = np.column_stack((
+            np.clip((2.0 * g8 - r8 - b8) / 510.0, -1.0, 1.0),
+            *rgb_to_hsv_deg(rgb)))
+
+    values = np.column_stack((
+        eigen, z, z - z.min(), elevation_context(mesh, config.elevation_radii),
+        inmat_radii(mesh), vertex_ball / disc_area, ball / disc_area, color))
+    return FaceFeatures(values, names, color_missing=rgb is None)

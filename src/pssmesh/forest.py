@@ -24,11 +24,10 @@ import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, PipelineConfig
+from .config import ConfigError, PipelineConfig, read_bytes
 
 PROB_EPS = 1e-6
 MODEL_MAGIC = b"PSSF"
@@ -330,11 +329,9 @@ def load_model(path) -> ForestModel:
     internal node whose feature id is not in [0, n_features) or whose
     child ids do not lie after it inside the tree, a leaf whose ids are
     not all -1) raises ConfigError naming the path, the tree and the byte
-    offset of the bad field, and a missing file FileNotFoundError."""
-    if not Path(path).is_file():
-        raise FileNotFoundError(f"model file not found: {path}")
-    with open(path, "rb") as fh:
-        buf = fh.read()
+    offset of the bad field; a file it cannot read raises as
+    ``config.read_bytes`` says."""
+    buf = read_bytes(path, "model")
     pos = 0
 
     def bad(message, at):

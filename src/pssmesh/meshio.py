@@ -13,11 +13,13 @@ Binary round-trips are bit-exact because vertices are stored as doubles.
 
 from __future__ import annotations
 
+import io
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from .config import read_bytes
 from .mesh import MeshError, TriangleMesh
 
 
@@ -268,8 +270,7 @@ def _mesh_from_ply(elements, data):
                         face_label=face_label, extra_face_props=extra)
 
 
-def _load_ply(path: Path) -> TriangleMesh:
-    raw = path.read_bytes()
+def _load_ply(raw: bytes) -> TriangleMesh:
     end = raw.find(b"end_header")
     if end < 0:
         raise MeshParseError("unexpected end of file inside PLY header")
@@ -292,12 +293,13 @@ def _load_ply(path: Path) -> TriangleMesh:
     return _mesh_from_ply(elements, data)
 
 
-def _load_obj(path: Path) -> TriangleMesh:
+def _load_obj(raw: bytes) -> TriangleMesh:
     verts = []
     faces = []
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            tok = raw.split()
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
+                          errors="replace") as fh:
+        for ln, line in enumerate(fh, start=1):
+            tok = line.split()
             if not tok or tok[0].startswith("#"):
                 continue
             if tok[0] == "v":
@@ -330,17 +332,17 @@ def load_mesh(path) -> TriangleMesh:
     The file extension picks the format. Per-face ``label`` and
     ``red/green/blue`` PLY properties map to ``face_label``/``face_color``.
     Bad input, non-finite vertex coordinates and a mesh without faces
-    included, raises MeshParseError with the path in front of the message.
+    included, raises MeshParseError with the path in front of the message;
+    a file it cannot read raises as ``config.read_bytes`` says.
     """
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"mesh file not found: {path}")
+    raw = read_bytes(path, "mesh")
     fmt = path.suffix.lstrip(".").lower()
     try:
         if fmt == "ply":
-            mesh = _load_ply(path)
+            mesh = _load_ply(raw)
         elif fmt == "obj":
-            mesh = _load_obj(path)
+            mesh = _load_obj(raw)
         else:
             raise MeshParseError(
                 f"unsupported mesh format {fmt!r} (expected ply or obj)")

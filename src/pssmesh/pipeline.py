@@ -188,9 +188,11 @@ def load_face_predictions(path) -> np.ndarray:
     A directory or text that is not UTF-8 (see ``read_text``), a wrong
     header, a cell that is not an integer, a face id outside [0, rows) or
     listed twice and a class id outside int64 raise ConfigError naming the
-    path and, where it has one, the row.
+    path and, where it has one, the row; a missing file raises
+    FileNotFoundError.
     """
-    rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
+    text = read_text(path, "prediction")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows or rows[0][:2] != ["face", "class"]:
         raise ConfigError(f"{path} is not a face prediction table")
     out = np.full(len(rows) - 1, -1, dtype=np.int64)

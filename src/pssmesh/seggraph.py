@@ -22,7 +22,6 @@ node features determine them.
 """
 
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -87,10 +86,7 @@ class SegmentGraph:
             raise ValueError(f"node id outside [0, {self.n_nodes})")
         for a, b in _unique_pairs(pairs[:, 0], pairs[:, 1],
                                   self.n_nodes).tolist():
-            edge = self.edges.get((a, b))
-            if edge is None:
-                edge = self.edges[(a, b)] = GraphEdge()
-            edge.types.add(edge_type)
+            self.edges.setdefault((a, b), GraphEdge()).types.add(edge_type)
         return len(pairs)
 
 
@@ -270,18 +266,24 @@ def compute_edge_features(graph: SegmentGraph, mesh: TriangleMesh,
     Records the channels ``shifted_feature_matrix`` shifts in metadata.
     Offsets are closest-point distances from each probe of the lower-id
     segment to the higher-id segment's probes (``index.probes``: its
-    boundary vertices, or all its vertices when it has no boundary).
+    boundary vertices, or all its vertices when it has no boundary), one
+    k-d tree query per higher-id segment for all its lower-id ends at once.
     """
     _, shifted = shifted_feature_matrix(graph)
     if shifted:
         graph.metadata["shifted_channels"] = shifted
-    tree_of = cache(lambda k: cKDTree(mesh.vertices[index.probes[k]]))
-
-    for (a, b), edge in sorted(graph.edges.items()):
-        dists, _ = tree_of(b).query(mesh.vertices[index.probes[a]])
-        dists = np.atleast_1d(dists)
-        edge.offset_mean = float(dists.mean())
-        edge.offset_std = float(dists.std())
+    lower_ends = {}
+    for a, b in graph.edges:
+        lower_ends.setdefault(b, []).append(a)
+    for b, ends in lower_ends.items():
+        probes = [index.probes[a] for a in ends]
+        dists, _ = cKDTree(mesh.vertices[index.probes[b]]).query(
+            mesh.vertices[np.concatenate(probes)])
+        splits = np.cumsum([len(p) for p in probes[:-1]])
+        for a, d in zip(ends, np.split(dists, splits)):
+            edge = graph.edges[(a, b)]
+            edge.offset_mean = float(d.mean())
+            edge.offset_std = float(d.std())
 
 
 def build_segment_graph(mesh: TriangleMesh, segmentation, index: SegmentIndex,

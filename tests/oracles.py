@@ -16,11 +16,14 @@ faces of finished regions in a bool ``assigned`` array, as
 ``overseg.grow_region`` and ``overseg.oversegment`` once did.
 ``csr_neighbor_lists`` sorts both directions of every interior face pair
 into per-face neighbor lists, as ``adjacency.build_adjacency`` once did.
+``per_edge_offsets`` queries a k-d tree of the higher-id segment's probes
+once per edge, as ``seggraph.compute_edge_features`` once did.
 """
 
 from collections import defaultdict
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from pssmesh import features
 from pssmesh.adjacency import face_edges
@@ -304,3 +307,14 @@ def set_oversegment(mesh, adjacency, probmap, config=None):
     return Segmentation(face_segment=face_segment, segment_type=segment_type,
                         planes=np.asarray(planes,
                                           dtype=np.float64).reshape(-1, 4))
+
+
+def per_edge_offsets(graph, mesh, index):
+    """{(a, b): (offset_mean, offset_std)} of every edge, each from its own
+    query of segment a's probes against a k-d tree of segment b's."""
+    out = {}
+    for a, b in sorted(graph.edges):
+        dists, _ = cKDTree(mesh.vertices[index.probes[b]]).query(
+            mesh.vertices[index.probes[a]])
+        out[(a, b)] = (float(dists.mean()), float(dists.std()))
+    return out

@@ -696,39 +696,86 @@ def test_bad_face_predictions_exit_2(tmp_path, capsys, rows):
 
 
 # an input file the command cannot read -> (file name, the bytes it holds
-# or None for a directory, command, what the message names after the path)
+# or None for a directory, command and the flag that names the file, what
+# the message names after the path)
 UNREADABLE = {
     "config-not-utf8": ("run.json", b'{"lambda_d": 1.0,\n "trees": "\xff"}',
-                        "segment", ": line 2: not UTF-8"),
+                        "segment --config", ": line 2: not UTF-8"),
     "pred-not-utf8": ("pred.csv", b"face,class\n0,1\n1,\xff\n",
-                      "eval-semantic", ": line 3: not UTF-8"),
+                      "eval-semantic --pred", ": line 3: not UTF-8"),
     "pred-class-beyond-int64": ("pred.csv",
                                 b"face,class\n0,1\n1,99999999999999999999\n",
-                                "eval-semantic", ": row 3: class id"),
-    "segmentation-directory": ("seg.json", None, "eval-overseg",
+                                "eval-semantic --pred", ": row 3: class id"),
+    "segmentation-directory": ("seg.json", None, "eval-overseg --segmentation",
                                ": is a directory"),
-    "pred-directory": ("pred.csv", None, "eval-semantic", ": is a directory"),
+    "pred-directory": ("pred.csv", None, "eval-semantic --pred",
+                       ": is a directory"),
+    "config-directory": ("run.json", None, "segment --config",
+                         ": is a directory"),
+    "mesh-directory": ("tile.ply", None, "preprocess --input",
+                       ": is a directory"),
+    "model-directory": ("planarity.model", None, "segment --planarity-model",
+                        ": is a directory"),
 }
+
+
+def run_with_input(tmp_path, bad, call):
+    """Exit code of ``call``, a command and the flag given ``bad``, with a
+    labeled mesh for its other inputs, and the ``--out`` path it got."""
+    gt = tmp_path / "gt.ply"
+    save_mesh(TriangleMesh(vertices=np.eye(4, 3), faces=[[0, 1, 2], [1, 3, 2]],
+                           face_label=np.array([1, 3], dtype=np.int32)), gt)
+    command, flag = call.split()
+    others = {"--config": ["--input", str(gt)], "--pred": ["--gt", str(gt)],
+              "--segmentation": ["--input", str(gt)], "--input": [],
+              "--planarity-model": ["--input", str(gt)]}[flag]
+    out = tmp_path / "out"
+    return main([command, flag, str(bad), *others, "--out", str(out)]), out
 
 
 @pytest.mark.parametrize("case", list(UNREADABLE))
 def test_unreadable_input_file_exit_2(tmp_path, capsys, case):
-    name, data, command, message = UNREADABLE[case]
-    gt = tmp_path / "gt.ply"
-    save_mesh(TriangleMesh(vertices=np.eye(4, 3), faces=[[0, 1, 2], [1, 3, 2]],
-                           face_label=np.array([1, 3], dtype=np.int32)), gt)
+    name, data, call, message = UNREADABLE[case]
     bad = tmp_path / name
     if data is None:
         bad.mkdir()
     else:
         bad.write_bytes(data)
-    flag = {"segment": ["--config", str(bad), "--input", str(gt)],
-            "eval-semantic": ["--pred", str(bad), "--gt", str(gt)],
-            "eval-overseg": ["--segmentation", str(bad), "--input", str(gt)]}
-    out = tmp_path / "out"
-    code = main([command, *flag[command], "--out", str(out)])
+    code, out = run_with_input(tmp_path, bad, call)
     assert code == 2
     assert f"{bad}{message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_input_file_without_read_permission_exit_2(tmp_path, capsys,
+                                                   monkeypatch):
+    # file modes do not stop every user from reading, so the error is made
+    bad = tmp_path / "run.json"
+    bad.write_text("{}")
+    read_bytes = Path.read_bytes
+
+    def denied(self):
+        if self == bad:
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", denied)
+    code, out = run_with_input(tmp_path, bad, "segment --config")
+    assert code == 2
+    assert f"{bad}: cannot read: Permission denied" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("call, kind", [
+    ("eval-overseg --segmentation", "segmentation"),
+    ("eval-semantic --pred", "prediction"),
+], ids=["segmentation", "pred"])
+def test_missing_input_file_named_exit_2(tmp_path, capsys, call, kind):
+    # named like any missing input, not by the operating system's error text
+    bad = tmp_path / "missing.csv"
+    code, out = run_with_input(tmp_path, bad, call)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {kind} file not found: {bad}\n"
     assert not out.exists()
 
 

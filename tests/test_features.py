@@ -258,6 +258,23 @@ def test_eigen_peak_memory_does_not_follow_pair_count(monkeypatch):
     assert peaks[1] - peaks[0] < 2 * (pairs[1] - pairs[0])
 
 
+
+def test_eigen_peak_memory_follows_the_block():
+    # each block turns its covariances into channels before the next one:
+    # nothing of 80 bytes per face and radius is held for the whole mesh,
+    # only the blocks and the three coordinate columns (24 bytes per face)
+    rng = np.random.default_rng(5)
+    n = 20000
+    cent = rng.random((n, 3)) * np.array([200.0, 200.0, 1.0])
+    areas = rng.random(n) + 0.1
+    tree = cKDTree(cent)
+    tracemalloc.start()
+    out, flagged, ball = eigen_shape_features(cent, areas, tree,
+                                              (0.5, 1.0, 2.0))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak - (out.nbytes + flagged.nbytes + ball.nbytes) < 64 * n
+
 def test_hemisphere_sphericity():
     rng = np.random.default_rng(1)
     n = 400
@@ -439,6 +456,34 @@ def test_color_channels_pure_green():
     assert np.allclose(ff.channel("color_v"), 1.0)
     assert not ff.color_missing
 
+
+
+def test_vertex_colors_give_face_colors():
+    # a mesh with vertex colours only: each face takes its corners' mean
+    m = grid_mesh(3, 3)
+    vc = np.random.default_rng(2).integers(0, 256, (m.n_vertices, 3))
+    ff = compute_face_features(replace(m, vertex_color=vc))
+    rgb = vc[m.faces].astype(np.float64).mean(axis=1)
+    green = np.clip((2.0 * rgb[:, 1] - rgb[:, 0] - rgb[:, 2]) / 510.0,
+                    -1.0, 1.0)
+    want = np.column_stack((green, *rgb_to_hsv_deg(rgb)))
+    assert ff.values[:, -4:].tobytes() == want.tobytes()
+    assert want.any() and not ff.color_missing
+
+
+def test_no_elevation_radii_drops_only_their_channels():
+    ground = grid_mesh(12, 12, dx=0.5)
+    roof = grid_mesh(4, 4, dx=0.5, z=3.0)
+    m = TriangleMesh(vertices=np.vstack([ground.vertices, roof.vertices]),
+                     faces=np.vstack([ground.faces,
+                                      roof.faces + ground.n_vertices]))
+    full = compute_face_features(m)
+    bare = compute_face_features(m, PipelineConfig(elevation_radii=()))
+    keep = [i for i, name in enumerate(full.channel_names)
+            if not name.startswith("elevation_rel_")]
+    assert len(keep) == 24 and bare.values.shape == (m.n_faces, 24)
+    assert bare.channel_names == [full.channel_names[i] for i in keep]
+    assert bare.values.tobytes() == full.values[:, keep].tobytes()
 
 def test_missing_color_flagged():
     m = grid_mesh(2, 2)

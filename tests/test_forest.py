@@ -264,12 +264,16 @@ def test_model_round_trip(tmp_path):
                           predict_proba(loaded, q).proba)
 
 
-@pytest.mark.parametrize("name", ["gone.model", "."])
-def test_missing_model_file_names_it(tmp_path, name):
-    # a directory is no model file either
-    with pytest.raises(FileNotFoundError,
-                       match=f"^model file not found: {tmp_path / name}$"):
-        load_model(tmp_path / name)
+@pytest.mark.parametrize("name, error, message", [
+    ("gone.model", FileNotFoundError, "model file not found: {path}"),
+    (".", ConfigError, "{path}: is a directory, not a file"),
+], ids=["gone.model", "."])
+def test_missing_model_file_names_it(tmp_path, name, error, message):
+    # a directory exists, so it is named as a directory, not as missing
+    path = tmp_path / name
+    message = re.escape(message.format(path=path))
+    with pytest.raises(error, match=f"^{message}$"):
+        load_model(path)
 
 
 def test_corrupt_magic(tmp_path):

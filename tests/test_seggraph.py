@@ -34,6 +34,7 @@ from pssmesh.seggraph import (
 from pssmesh.synth import TileParams, synth_tile
 
 from conftest import grid_mesh
+from oracles import per_edge_offsets
 
 
 def fit_plane(points):
@@ -560,6 +561,35 @@ def test_edge_offset_zero_for_enclosed_segment():
     assert g2.edges[(0, 1)].offset_mean == 0.0
     assert g2.edges[(0, 1)].offset_std == 0.0
 
+
+
+def test_edge_offsets_match_per_edge_queries():
+    # a noisy 8 m ground cut into 2 m cells (segments 1-16) and a closed
+    # octahedron above it (segment 0): it has no cut edge, so its probes
+    # are all its vertices; every pair is an edge, so 16 end in segment 16
+    ground = grid_mesh(16, 16, dx=0.5)
+    octahedron = np.vstack([np.eye(3), -np.eye(3)])[[0, 3, 1, 4, 2, 5]]
+    verts = np.vstack([octahedron + [4.0, 4.0, 3.0], ground.vertices])
+    verts[6:, 2] += np.random.default_rng(4).normal(0.0, 0.05,
+                                                    ground.n_vertices)
+    shell = [[0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4],
+             [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5]]
+    mesh = TriangleMesh(vertices=verts,
+                        faces=np.vstack([shell, ground.faces + 6]))
+    cent = mesh.face_centroid
+    cell = np.floor(cent[:, 0] / 2.0) * 4 + np.floor(cent[:, 1] / 2.0) + 1
+    face_segment = np.where(np.arange(mesh.n_faces) < 8, 0,
+                            cell).astype(np.int32)
+    index = segment_index(mesh, build_adjacency(mesh), face_segment, 17)
+    assert len(index.cuts[0]) == 0 and len(index.probes[0]) == 6
+    g = graph_of([plane_node([0, 0, 1])] * 17)
+    g.add_pairs(np.column_stack(np.triu_indices(17, 1)), EDGE_PROXIMITY)
+    assert g.n_edges == 136
+    compute_edge_features(g, mesh, index)
+    want = per_edge_offsets(g, mesh, index)
+    got = {key: (e.offset_mean, e.offset_std) for key, e in g.edges.items()}
+    assert np.array(sorted(got.items())).tobytes() \
+        == np.array(sorted(want.items())).tobytes()
 
 def test_negative_channel_shifted_and_flagged():
     mesh, adj, seg = surrounded_cell_scene()
