@@ -42,18 +42,29 @@ class Tree:
     right: np.ndarray          # (n,) int32
     proba: np.ndarray          # (n, C) float64, zeros on internal nodes
 
+    def leaves(self, X: np.ndarray) -> np.ndarray:
+        """(N,) leaf node of every row of X.
+
+        Walks the tree node by node, each node splitting the row indices
+        that reach it by ``X[idx, f] <= threshold`` (NaN goes right).
+        """
+        leaf = np.zeros(len(X), dtype=np.int32)
+        stack = [(0, np.arange(len(X)))]
+        while stack:
+            node, idx = stack.pop()
+            f = self.feature[node]
+            if f < 0:
+                leaf[idx] = node
+                continue
+            go_left = X[idx, f] <= self.threshold[node]
+            for child, rows in ((self.left[node], idx[go_left]),
+                                (self.right[node], idx[~go_left])):
+                if len(rows):
+                    stack.append((child, rows))
+        return leaf
+
     def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(len(X), dtype=np.int32)
-        while True:
-            feat = self.feature[node]
-            act = np.flatnonzero(feat >= 0)
-            if len(act) == 0:
-                break
-            cur = node[act]
-            x = X[act, feat[act]]
-            go_left = x <= self.threshold[cur]
-            node[act] = np.where(go_left, self.left[cur], self.right[cur])
-        return self.proba[node]
+        return self.proba[self.leaves(X)]
 
 
 @dataclass
@@ -259,7 +270,7 @@ def predict_proba(model: ForestModel, samples: np.ndarray) -> ForestPrediction:
     T = len(model.trees)
     logsum = np.zeros((len(X), model.n_classes))
     for tree in model.trees:
-        logsum += np.log(np.maximum(tree.predict(X), PROB_EPS))
+        logsum += np.log(np.maximum(tree.proba, PROB_EPS))[tree.leaves(X)]
     geo = np.exp(logsum / T)
     proba = geo / geo.sum(axis=1, keepdims=True)
     return ForestPrediction(proba, geo)

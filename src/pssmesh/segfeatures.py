@@ -98,6 +98,8 @@ def compute_segment_features(mesh: TriangleMesh, adjacency: AdjacencyIndex,
 
     ``index`` is the segmentation's ``adjacency.segment_index``; channel
     means, deviations and the color histogram weigh faces by its weight.
+    Deviations from the segment means are taken one channel at a time, so
+    no (faces, channels) temporary is held.
     """
     face_segment = index.face_segment
     if not (face_segment >= 0).any():
@@ -106,8 +108,10 @@ def compute_segment_features(mesh: TriangleMesh, adjacency: AdjacencyIndex,
 
     x_face = face_features.values
     means = np.column_stack([index.mean(x) for x in x_face.T])
-    stds = np.column_stack([np.sqrt(np.maximum(index.mean(d, d), 0.0))
-                            for d in (x_face - means[face_segment]).T])
+    stds = np.empty_like(means)
+    for c, x in enumerate(x_face.T):
+        d = x - means[face_segment, c]
+        stds[:, c] = np.sqrt(np.maximum(index.mean(d, d), 0.0))
 
     straightness = np.array([_straightness(_boundary_loops(
         adjacency.edge_vertices[cuts], mesh.vertices)) for cuts in index.cuts])

@@ -36,6 +36,7 @@ from .sampling import sample_points
 from .segfeatures import SegmentFeatures
 
 RATIO_EPS = 1e-6
+KNN_BLOCK = 2048        # points queried at once by knn_pairs
 
 EDGE_PARALLEL = "parallelism"
 EDGE_GROUND = "connecting_ground"
@@ -194,18 +195,30 @@ def knn_pairs(points, tags, k: int, cutoff_factor: float) -> np.ndarray:
     """Symmetric k-nearest-neighbor pairs of points with different ``tags``
     (an array) within a spacing-scaled cutoff.
 
-    Returns the distinct pairs as an ascending (M, 2) int64 array, each row
-    (lower, higher).
+    Each of the N >= 2 points is paired with its ``k`` nearest points after
+    the first, those no farther than ``cutoff_factor`` times the median
+    distance to the second nearest point. Returns the distinct pairs as an
+    ascending (M, 2) int64 array, each row (lower, higher).
+
+    The median comes from one query of two neighbours per point. The
+    ``k + 1`` neighbours are then queried ``KNN_BLOCK`` points at a time
+    and each block keeps only its pairs that pass, so memory follows the
+    block and the pairs kept, not N x (k + 1) distances and indices.
     """
     points = np.asarray(points, dtype=np.float64)
+    n = len(points)
     tree = cKDTree(points)
-    kq = min(k + 1, len(points))
-    dist, idx = tree.query(points, k=kq)
-    cutoff = cutoff_factor * float(np.median(dist[:, 1]))
-    idx = idx[:, 1:]
-    near = (dist[:, 1:] <= cutoff) & (tags[idx] != tags[:, None])
-    rows = np.broadcast_to(np.arange(len(points))[:, None], near.shape)
-    return _unique_pairs(rows[near], idx[near], len(points))
+    cutoff = cutoff_factor * float(np.median(tree.query(points, k=[2])[0]))
+    kq = min(k + 1, n)
+    rows, nbrs = [], []
+    for p0 in range(0, n, KNN_BLOCK):
+        block = slice(p0, p0 + KNN_BLOCK)
+        dist, idx = tree.query(points[block], k=kq)
+        idx = idx[:, 1:]
+        near = (dist[:, 1:] <= cutoff) & (tags[idx] != tags[block, None])
+        rows.append(np.nonzero(near)[0] + p0)
+        nbrs.append(idx[near])
+    return _unique_pairs(np.concatenate(rows), np.concatenate(nbrs), n)
 
 
 def proximity_edges(graph: SegmentGraph, mesh: TriangleMesh,

@@ -18,6 +18,12 @@ faces of finished regions in a bool ``assigned`` array, as
 into per-face neighbor lists, as ``adjacency.build_adjacency`` once did.
 ``per_edge_offsets`` queries a k-d tree of the higher-id segment's probes
 once per edge, as ``seggraph.compute_edge_features`` once did.
+``one_query_knn_pairs`` queries the ``k + 1`` neighbours of all points at
+once and takes the cutoff from those (N, k + 1) distances, as
+``seggraph.knn_pairs`` once did. ``stacked_segment_stds`` subtracts the
+segment means from the whole (F, C) face table at once, as
+``segfeatures.compute_segment_features`` once did. ``level_predict`` moves
+every row one tree level per step, as ``forest.Tree.predict`` once did.
 """
 
 from collections import defaultdict
@@ -30,6 +36,7 @@ from pssmesh.adjacency import face_edges
 from pssmesh.forest import Tree, _entropy
 from pssmesh.overseg import (NONPLANAR, RegionState, Segmentation,
                              _add_faces, label_frontier, refit_plane)
+from pssmesh.seggraph import _unique_pairs
 
 from conftest import neighbor_list
 
@@ -318,3 +325,39 @@ def per_edge_offsets(graph, mesh, index):
             mesh.vertices[index.probes[a]])
         out[(a, b)] = (float(dists.mean()), float(dists.std()))
     return out
+
+
+def one_query_knn_pairs(points, tags, k, cutoff_factor):
+    """``seggraph.knn_pairs`` from one query of k + 1 neighbours per point."""
+    points = np.asarray(points, dtype=np.float64)
+    tree = cKDTree(points)
+    kq = min(k + 1, len(points))
+    dist, idx = tree.query(points, k=kq)
+    cutoff = cutoff_factor * float(np.median(dist[:, 1]))
+    idx = idx[:, 1:]
+    near = (dist[:, 1:] <= cutoff) & (tags[idx] != tags[:, None])
+    rows = np.broadcast_to(np.arange(len(points))[:, None], near.shape)
+    return _unique_pairs(rows[near], idx[near], len(points))
+
+
+def stacked_segment_stds(index, x_face):
+    """(K, C) weighted standard deviation of every channel per segment,
+    from one (F, C) table of deviations from the segment means."""
+    means = np.column_stack([index.mean(x) for x in x_face.T])
+    return np.column_stack([np.sqrt(np.maximum(index.mean(d, d), 0.0))
+                            for d in (x_face - means[index.face_segment]).T])
+
+
+def level_predict(tree, X):
+    """(N, C) leaf probabilities of every row, all rows one level a step."""
+    node = np.zeros(len(X), dtype=np.int32)
+    while True:
+        feat = tree.feature[node]
+        act = np.flatnonzero(feat >= 0)
+        if len(act) == 0:
+            break
+        cur = node[act]
+        x = X[act, feat[act]]
+        go_left = x <= tree.threshold[cur]
+        node[act] = np.where(go_left, tree.left[cur], tree.right[cur])
+    return tree.proba[node]

@@ -275,6 +275,35 @@ def test_eigen_peak_memory_follows_the_block():
     tracemalloc.stop()
     assert peak - (out.nbytes + flagged.nbytes + ball.nbytes) < 64 * n
 
+def eigen_scratch_peak(cent, areas, tree):
+    """Traced peak of ``eigen_shape_features`` at the default radii, less
+    its three outputs."""
+    tracemalloc.start()
+    out, flagged, ball = eigen_shape_features(cent, areas, tree,
+                                              (0.5, 1.0, 2.0))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak - (out.nbytes + flagged.nbytes + ball.nbytes)
+
+
+def test_eigen_peak_memory_follows_a_block_of_64_faces(monkeypatch):
+    # a dense slab, 190 to 820 centroids within 2 m of each: the scratch
+    # arrays of one block take about 104 bytes per pair, so a block of 64
+    # faces stays under 128 bytes per pair that 64 of the densest faces
+    # hold, and a block of 256 faces does not
+    rng = np.random.default_rng(13)
+    n = 4000
+    cent = rng.random((n, 3)) * np.array([8.0, 8.0, 1.0])
+    areas = rng.random(n) + 0.1
+    tree = cKDTree(cent)
+    most = tree.query_ball_point(cent, 2.0, return_length=True).max()
+    assert most > 500
+    bound = 128 * 64 * most
+    assert eigen_scratch_peak(cent, areas, tree) < bound
+    monkeypatch.setattr(features, "EIGEN_FACE_BLOCK", 256)
+    assert eigen_scratch_peak(cent, areas, tree) > bound
+
+
 def test_hemisphere_sphericity():
     rng = np.random.default_rng(1)
     n = 400

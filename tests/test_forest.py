@@ -15,7 +15,7 @@ from pssmesh.forest import (ForestModel, Tree, train_forest,
                             class_weights, save_model, load_model, PROB_EPS,
                             _build_tree, parallel_map)
 
-from oracles import copy_build_tree
+from oracles import copy_build_tree, level_predict
 
 
 def leaf_tree(proba):
@@ -203,6 +203,31 @@ def test_argmax_geometric_equals_argmax_log():
     pred = predict_proba(model, q)
     assert np.array_equal(np.argmax(pred.geometric, 1),
                           np.argmax(log_average, 1))
+
+
+def test_node_walk_matches_level_walk():
+    # each tree's leaves come from splitting the rows node by node; the
+    # probabilities equal those of moving all rows one level per step, NaN
+    # features (they go right) and an empty query included
+    X, y = separable_data(seed=9)
+    model = train_forest(X, y, names(X), PipelineConfig(trees=6, seed=5))
+    q = np.random.default_rng(3).random((300, 4)) * 1.4 - 0.2
+    q[::11, 1] = np.nan
+    for t in model.trees:                   # rows exactly at a threshold
+        split = np.flatnonzero(t.feature >= 0)
+        q[split, t.feature[split]] = t.threshold[split]
+    logsum = 0.0
+    for t in model.trees:
+        assert len(t.feature) > 3
+        want = level_predict(t, q)
+        assert t.predict(q).tobytes() == want.tobytes()
+        logsum = logsum + np.log(np.maximum(want, PROB_EPS))
+        assert t.leaves(q[:0]).shape == (0,)
+    geo = np.exp(logsum / len(model.trees))
+    pred = predict_proba(model, q)
+    assert pred.geometric.tobytes() == geo.tobytes()
+    assert pred.proba.tobytes() \
+        == (geo / geo.sum(axis=1, keepdims=True)).tobytes()
 
 
 def test_depth_monotone_training_accuracy():

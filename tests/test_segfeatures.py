@@ -16,6 +16,7 @@ from pssmesh.segfeatures import (
 )
 
 from conftest import grid_mesh, two_triangle_strip
+from oracles import stacked_segment_stds
 
 
 def fake_face_features(mesh, rng=None, color_missing=False):
@@ -110,6 +111,25 @@ def test_aggregation_matches_brute_force():
             var = (w * (x - mu) ** 2).sum() / w.sum()
             assert abs(sf.channel(f"mean_{name}")[k] - mu) < 1e-9
             assert abs(sf.channel(f"std_{name}")[k] - np.sqrt(var)) < 1e-9
+
+
+@pytest.mark.parametrize("unsegmented", [False, True])
+def test_stds_match_stacked_deviations(unsegmented):
+    # one channel at a time gives the bytes of the (F, C) deviation table,
+    # faces outside every segment (id -1) included
+    rng = np.random.default_rng(9)
+    mesh = grid_mesh(6, 5, dx=0.5)
+    adj = build_adjacency(mesh)
+    feats = fake_face_features(mesh, rng)
+    seg = rng.integers(0, 5, mesh.n_faces)
+    if unsegmented:
+        seg[::4] = -1
+    index = segment_index(mesh, adj, seg, 5)
+    sf = compute_segment_features(mesh, adj, index, feats)
+    stds = sf.values[:, [sf.channel_names.index(f"std_{n}")
+                         for n in feats.channel_names]]
+    want = stacked_segment_stds(index, feats.values)
+    assert stds.tobytes() == want.tobytes()
 
 
 def test_histogram_normalized_and_placed():

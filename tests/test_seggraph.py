@@ -12,6 +12,7 @@ from pssmesh.features import FaceFeatures, face_channel_names
 from pssmesh.mesh import TriangleMesh
 from pssmesh.overseg import NONPLANAR, PLANAR, Segmentation
 from pssmesh.segfeatures import compute_segment_features
+from pssmesh import seggraph
 from pssmesh.seggraph import (
     EDGE_EXMAT,
     EDGE_GROUND,
@@ -34,7 +35,7 @@ from pssmesh.seggraph import (
 from pssmesh.synth import TileParams, synth_tile
 
 from conftest import grid_mesh
-from oracles import per_edge_offsets
+from oracles import one_query_knn_pairs, per_edge_offsets
 
 
 def fit_plane(points):
@@ -485,6 +486,55 @@ def test_knn_pairs_match_distance_matrix():
         cross = pairs[tags[pairs[:, 0]] != tags[pairs[:, 1]]]
         assert knn_pairs(pts, tags, k=k, cutoff_factor=factor).tobytes() \
             == cross.tobytes()
+
+
+def knn_inputs(case):
+    """(points, tags, k, cutoff factor) of one blocked-query edge case."""
+    rng = np.random.default_rng(12)
+    if case == "ragged-last-block":         # 41 points: 7 does not divide
+        pts = rng.random((41, 3)) * [8.0, 8.0, 2.0]
+        return pts, rng.integers(0, 4, 41), 6, 3.0
+    if case == "few-points":                # N <= k + 1
+        pts = rng.random((9, 3))
+        return pts, rng.integers(0, 3, 9), 16, 16.0
+    if case == "two-points":
+        return rng.random((2, 3)), np.array([0, 1]), 4, 2.0
+    if case == "duplicates":                # ties at distance 0 and beyond
+        pts = np.repeat(rng.integers(0, 4, (15, 3)).astype(float), 3, axis=0)
+        return pts, rng.integers(0, 3, len(pts)), 5, 1.5
+    if case == "single-tag":
+        pts = rng.random((30, 3))
+        return pts, np.zeros(30, dtype=np.int64), 4, 16.0
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("case", ["ragged-last-block", "few-points",
+                                  "two-points", "duplicates", "single-tag"])
+@pytest.mark.parametrize("block", [None, 1, 7])
+def test_knn_pairs_blocked_match_one_query(case, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(seggraph, "KNN_BLOCK", block)
+    pts, tags, k, factor = knn_inputs(case)
+    got = knn_pairs(pts, tags, k=k, cutoff_factor=factor)
+    want = one_query_knn_pairs(pts, tags, k, factor)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if case == "single-tag":
+        assert got.shape == (0, 2)
+    elif case == "duplicates":
+        assert len(got) > 0
+
+
+def test_knn_pairs_blocked_match_one_query_on_a_tile():
+    # the points of a tile's proximity pass, more than one default block
+    mesh = synth_tile(TileParams(ground_size=12.0, ground_res=24, n_boxes=1,
+                                 n_trees=1, n_vehicles=1, seed=3))
+    seg = face_connected_components(mesh, build_adjacency(mesh),
+                                    mesh.face_label)
+    pts, tags = _proximity_points(mesh, seg)
+    assert len(pts) > seggraph.KNN_BLOCK and len(pts) % seggraph.KNN_BLOCK
+    got = knn_pairs(pts, tags, k=16, cutoff_factor=2.0)
+    assert got.tobytes() == one_query_knn_pairs(pts, tags, 16, 2.0).tobytes()
+    assert len(got) > 0
 
 
 def test_proximity_points_take_lowest_segmented_face():
