@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .mesh import TriangleMesh, MeshError
 
@@ -23,16 +21,36 @@ from .mesh import TriangleMesh, MeshError
 def label_components(n: int, i, j) -> np.ndarray:
     """Connected components of the undirected graph on nodes 0..n-1.
 
-    ``i`` and ``j`` hold the two ends of each edge. Every node gets the
-    lowest node id of its component, so isolated nodes label themselves.
+    ``i`` and ``j`` hold the two ends of each edge (lists or int arrays).
+    Every node gets the lowest node id of its component as int64, so
+    isolated nodes label themselves.
+
+    Each node points at a lower node or at itself (a root), so
+    ``label[x] <= x`` throughout. Every round hooks the two roots of each
+    edge whose roots differ to the lower of the two (``np.minimum.at``):
+    each root with a lower neighbouring root hooks, and only roots that
+    are local minima stay roots. Pointers then jump (``label[label]``,
+    over all n nodes) until every node points at its root, and only the
+    edges whose roots still differ stay, as root pairs. The loop ends once
+    no edge joins two trees; each tree's root is then its lowest id.
     """
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    graph = coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
-    _, comp = connected_components(graph, directed=False)
-    # np.unique's first index of a component is its lowest member
-    _, lowest = np.unique(comp, return_index=True)
-    return lowest[comp]
+    label = np.arange(n, dtype=np.int64)
+    i = np.asarray(i, dtype=np.int64)
+    j = np.asarray(j, dtype=np.int64)
+    while True:
+        li, lj = label[i], label[j]
+        differ = li != lj
+        if not differ.any():
+            return label
+        i, j = li[differ], lj[differ]
+        lo = np.minimum(i, j)
+        np.minimum.at(label, i, lo)
+        np.minimum.at(label, j, lo)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
 def face_edges(faces):

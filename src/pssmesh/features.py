@@ -74,10 +74,16 @@ def write_npy(path, columns) -> None:
     the row index. Read it back with ``np.load(path, allow_pickle=False)``
     and a column with ``table[name]``, or the whole table as a matrix with
     ``numpy.lib.recfunctions.structured_to_unstructured``.
+
+    Columns that are not 1-D and of one length are a ValueError, so a
+    one-row column does not broadcast.
     """
     columns = [(name, np.asarray(col)) for name, col in columns]
-    rec = np.empty(len(columns[0][1]),
-                   dtype=[(name, col.dtype) for name, col in columns])
+    n = len(columns[0][1])
+    if any(col.shape != (n,) for _, col in columns):
+        raise ValueError("write_npy: columns differ in shape: " + ", ".join(
+            f"{name} {col.shape}" for name, col in columns))
+    rec = np.empty(n, dtype=[(name, col.dtype) for name, col in columns])
     for name, col in columns:
         rec[name] = col
     with open(path, "wb") as fh:

@@ -24,11 +24,17 @@ once and takes the cutoff from those (N, k + 1) distances, as
 segment means from the whole (F, C) face table at once, as
 ``segfeatures.compute_segment_features`` once did. ``level_predict`` moves
 every row one tree level per step, as ``forest.Tree.predict`` once did.
+``csgraph_label_components`` labels components with
+``scipy.sparse.csgraph.connected_components``, as
+``adjacency.label_components`` once did; the library no longer imports
+``csgraph``.
 """
 
 from collections import defaultdict
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from pssmesh import features
@@ -55,6 +61,18 @@ def csr_neighbor_lists(pairs, n):
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return offsets, b.astype(np.int32)
+
+
+def csgraph_label_components(n, i, j):
+    """Lowest node id of each node's component in the undirected graph on
+    nodes 0..n-1 with edges (i[k], j[k]), by ``csgraph``."""
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    graph = coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+    _, comp = connected_components(graph, directed=False)
+    # np.unique's first index of a component is its lowest member
+    _, lowest = np.unique(comp, return_index=True)
+    return lowest[comp]
 
 
 def vertex_neighbors(adjacency):

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from pssmesh import repair
 from pssmesh.mesh import TriangleMesh
 from pssmesh.adjacency import (build_adjacency, face_connected_components,
                                label_components, segment_index, unique_ints)
 from pssmesh.metrics import BoundarySet, match_boundaries
+from pssmesh.synth import TileParams, synth_tile
 
 from conftest import (grid_mesh, icosahedron, two_triangle_strip,
                       brute_force_adjacency, adjacency_pairs, neighbor_list)
-from oracles import bfs_rings, csr_neighbor_lists, vertex_neighbors
+from oracles import (bfs_rings, csgraph_label_components, csr_neighbor_lists,
+                     vertex_neighbors)
 
 
 def test_single_face_empty_adjacency():
@@ -404,15 +407,76 @@ def bfs_components(n, pairs, labels):
     return np.array(comp)
 
 
+def bfs_lowest(n, i, j):
+    """Lowest node id of each node's component, by ``bfs_components``."""
+    comp = bfs_components(n, zip(np.asarray(i).tolist(),
+                                 np.asarray(j).tolist()), np.zeros(n))
+    # components are numbered in the order of their lowest node
+    _, lowest = np.unique(comp, return_index=True)
+    return lowest[comp]
+
+
+def assert_lowest_ids(n, i, j):
+    got = label_components(n, i, j)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, csgraph_label_components(n, i, j))
+    assert np.array_equal(got, bfs_lowest(n, i, j))
+    return got
+
+
 def test_label_components_matches_bfs():
     rng = np.random.default_rng(31)
     for _ in range(100):
         n = int(rng.integers(1, 30))
-        i, j = rng.integers(0, n, (2, int(rng.integers(0, 2 * n))))
-        comp = bfs_components(n, zip(i.tolist(), j.tolist()), np.zeros(n))
-        lowest = np.array([np.flatnonzero(comp == c)[0] for c in comp])
-        assert np.array_equal(label_components(n, i, j), lowest)
+        edges = int(rng.integers(0, 2 * n))
+        assert_lowest_ids(n, *rng.integers(0, n, (2, edges)))
     assert len(label_components(0, [], [])) == 0
+
+
+def test_label_components_matches_csgraph_and_bfs():
+    rng = np.random.default_rng(33)
+    n = 10_000
+    up = np.arange(n - 1)
+    shuffled = rng.permutation(n - 1)
+    ids = rng.permutation(n)
+    cases = {
+        "path, ascending edges": (n, up, up + 1),
+        "path, descending edges": (n, up[::-1] + 1, up[::-1]),
+        "path, shuffled edges": (n, up[shuffled], up[shuffled] + 1),
+        "path through shuffled ids": (n, ids[:-1], ids[1:]),
+        "star": (n, np.full(n - 1, 4321), np.delete(np.arange(n), 4321)),
+        "self loops": (6, [0, 3, 3, 5], [0, 3, 4, 5]),
+        "duplicate edges": (5, [4, 1, 4, 1, 2], [1, 4, 1, 4, 2]),
+        "isolated nodes": (9, [7, 2], [2, 8]),
+        "no edges": (4, [], []),
+        "int32 arrays": (n, up[shuffled].astype(np.int32),
+                         (up[shuffled] + 1).astype(np.int32)),
+    }
+    for name, (size, i, j) in cases.items():
+        got = assert_lowest_ids(size, i, j)
+        assert len(got) == size, name
+    assert (label_components(n, up, up + 1) == 0).all()
+    assert label_components(9, [7, 2], [2, 8]).tolist() == [
+        0, 1, 2, 3, 4, 5, 6, 2, 2]
+    assert label_components(0, np.zeros(0, np.int32), []).dtype == np.int64
+
+
+def test_label_components_on_a_tile_fan_corner_graph(monkeypatch):
+    graphs = []
+
+    def recorded(n, i, j):
+        graphs.append((n, np.array(i), np.array(j)))
+        return label_components(n, i, j)
+
+    monkeypatch.setattr(repair, "label_components", recorded)
+    mesh = synth_tile(TileParams(ground_size=16.0, ground_res=32, n_boxes=2,
+                                 n_trees=2, n_vehicles=1, seed=0))
+    welded, _ = repair.weld_vertices(mesh, 1e-6)
+    repair.repair_nonmanifold(welded)
+    n, i, j = graphs[-1]                        # _fan_corners' corner graph
+    assert n == 3 * mesh.n_faces and len(i) > n // 2
+    for n, i, j in graphs:
+        assert_lowest_ids(n, i, j)
 
 
 def test_components_match_bfs_with_unlabeled():

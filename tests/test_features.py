@@ -551,3 +551,13 @@ def test_npy_export(tmp_path):
     assert table.dtype.names == tuple(face_channel_names())
     assert table.dtype.names[0] == "linearity_r0.5"
     assert len(table) == m.n_faces
+
+
+def test_write_npy_rejects_unequal_columns(tmp_path):
+    path = tmp_path / "table.npy"
+    for columns in ([("a", np.zeros(3)), ("b", np.zeros(1))],   # no broadcast
+                    [("a", np.zeros(1)), ("b", np.zeros(3))],
+                    [("a", np.zeros(3)), ("b", np.zeros((3, 2)))]):
+        with pytest.raises(ValueError, match="columns differ"):
+            features.write_npy(path, columns)
+        assert not path.exists()

@@ -6,9 +6,18 @@ the scratch arrays of one eigen block once set both peaks, at 20.8 and
 19.1 MB with 256-face blocks; with 64-face blocks, blocked k-NN queries
 and segment deviations taken one channel at a time they are near 6.7 and
 6.1 MB.
+
+Every ``pssmesh`` process pays for the modules it imports: a fresh
+interpreter that imports the command line and runs the pipeline must not
+load ``scipy.sparse.csgraph`` (once 3.2 MB resident, for a single call).
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -56,3 +65,31 @@ def test_pipeline_peak_memory(trained_16m, tmp_path):
     _, peak = traced_peak(run_pipeline, config, mesh)
     assert (tmp_path / "run" / "graph.json").is_file()
     assert peak <= PEAK_BOUND, peak
+
+
+def test_run_does_not_import_csgraph(trained_16m, tmp_path):
+    # a fresh interpreter: test oracles import csgraph into this one
+    models, _ = trained_16m
+    code = textwrap.dedent(f"""
+        import sys
+        import pssmesh.cli
+        from pssmesh.config import PipelineConfig
+        from pssmesh.pipeline import run_pipeline
+        from pssmesh.synth import TileParams, synth_tile
+        assert "scipy.sparse.csgraph" not in sys.modules, "on import"
+        config = PipelineConfig(
+            threads=1, output_dir={str(tmp_path / "run")!r},
+            planarity_model={str(models / "planarity.model")!r},
+            semantic_model={str(models / "semantic.model")!r})
+        run_pipeline(config, synth_tile(TileParams(
+            ground_size=12.0, ground_res=12, n_boxes=1, n_trees=1,
+            n_vehicles=0, seed=2)))
+        assert "scipy.sparse.csgraph" not in sys.modules, "after a run"
+        """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "run" / "graph.json").is_file()
