@@ -212,7 +212,7 @@ def cmd_eval_semantic(args) -> int:
     _check_coindexed(len(pred), "predictions", gt)
     for path, labels, what in ((args.gt, gt.face_label, "ground-truth label"),
                                (args.pred, pred, "predicted label")):
-        check_classes(labels[labels >= 0].tolist(), cfg, path, what)
+        check_classes(labels[labels >= 0], cfg, path, what)
     gt, _, _ = prepare_mesh(gt, cfg)
     _print_semantic("semantic",
                     write_semantic_scores(_emit(cfg), pred, gt, cfg))

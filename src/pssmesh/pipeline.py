@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adjacency import build_adjacency, segment_index
+from .adjacency import build_adjacency, segment_index, unique_ints
 from .config import (ConfigError, PipelineConfig, load_versioned_json,
                      read_text, save_json)
 # the writers that a traced run times call the untraced name: one span each
@@ -45,7 +45,8 @@ from .meshio import load_mesh, save_mesh
 from .metrics import majority_labels, max_achievable, overseg_report, \
     semantic_metrics
 from .overseg import NONPLANAR, PLANAR, Segmentation, oversegment
-from .repair import repair_nonmanifold, weld_vertices
+from .repair import (RepairReport, count_nonmanifold_edges,
+                     repair_nonmanifold, weld_vertices)
 from .segfeatures import compute_segment_features, segment_channel_names
 from .seggraph import build_segment_graph, export_graph
 
@@ -278,9 +279,11 @@ def clear_previous_run(run_dir: Path) -> None:
 
 
 def check_classes(ids, config: PipelineConfig, source, what) -> None:
-    """ConfigError naming ``source`` unless every id is in config.classes."""
-    unknown = sorted(set(ids) - set(config.classes))
-    if unknown:
+    """ConfigError naming ``source`` and the lowest unknown id unless every
+    id (an int array or sequence) is in config.classes."""
+    ids = unique_ints(ids)
+    unknown = ids[~np.isin(ids, list(config.classes))]
+    if len(unknown):
         raise ConfigError(f"{source}: {what} {unknown[0]} is not in the "
                           f"config's classes {sorted(config.classes)}")
 
@@ -288,11 +291,16 @@ def check_classes(ids, config: PipelineConfig, source, what) -> None:
 def prepare_mesh(mesh, config: PipelineConfig):
     """``(mesh, RepairReport, AdjacencyIndex)``: ``mesh`` welded within
     ``config.weld_epsilon`` and repaired, its faces in order with their
-    labels, and the repaired mesh's adjacency."""
-    welded, weld_report = weld_vertices(mesh, config.weld_epsilon)
-    repaired, repair_report = repair_nonmanifold(welded)
-    return (repaired, weld_report.combined(repair_report),
-            build_adjacency(repaired))
+    labels, and the repaired mesh's adjacency. No edge of the repaired
+    mesh has more than two faces, or ``build_adjacency`` would raise."""
+    before = count_nonmanifold_edges(mesh.faces)
+    welded, welded_count = weld_vertices(mesh, config.weld_epsilon)
+    repaired, split_count = repair_nonmanifold(welded)
+    adjacency = build_adjacency(repaired)
+    return repaired, RepairReport(
+        welded_vertices=welded_count, split_vertices=split_count,
+        nonmanifold_edges_before=before, nonmanifold_edges_after=0,
+        degenerate_faces=int(repaired.degenerate_faces.sum())), adjacency
 
 
 @dataclass
@@ -351,7 +359,7 @@ def run_pipeline(config: PipelineConfig, mesh=None,
         sem_model = load_model(config.semantic_model)
         check_channels(sem_model, segment_channel_names(face_names),
                        config.semantic_model)
-        check_classes(sem_model.classes.tolist(), config,
+        check_classes(sem_model.classes, config,
                       config.semantic_model, "model class")
 
     input_sha = None
@@ -364,7 +372,7 @@ def run_pipeline(config: PipelineConfig, mesh=None,
         mesh.check_usable()
     if sem_model is not None and "metrics" in wanted \
             and mesh.has_ground_truth:
-        check_classes(mesh.face_label[mesh.face_label >= 0].tolist(), config,
+        check_classes(mesh.face_label[mesh.face_label >= 0], config,
                       config.input_path if input_sha else "input mesh",
                       "ground-truth label")
 
@@ -515,7 +523,7 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
             m = load_mesh(m)
         if not m.has_ground_truth:
             raise ConfigError(f"{source}: no ground-truth labels")
-        check_classes(m.face_label[m.face_label >= 0].tolist(), config,
+        check_classes(m.face_label[m.face_label >= 0], config,
                       source, "training label")
         loaded.append(m)
         sources.append(str(source))

@@ -2,8 +2,11 @@
 
 Both passes keep every face (faces are never deleted, only reindexed), so
 per-face labels survive repair unchanged. Faces collapsed by welding end up
-with repeated vertex indices and zero area; they are counted in the report
-and flagged through ``TriangleMesh.degenerate_faces``.
+with repeated vertex indices and zero area; they are flagged through
+``TriangleMesh.degenerate_faces``. Each pass returns its mesh and the one
+count only it knows: ``weld_vertices`` the vertices merged away,
+``repair_nonmanifold`` the vertices split. ``pipeline.prepare_mesh`` builds
+the ``RepairReport`` of the whole preparation from these.
 
 Welding and the bow-tie split are both connected-component labelings
 (``adjacency.label_components``): of vertex pairs within epsilon, and of
@@ -23,24 +26,16 @@ from .mesh import TriangleMesh
 
 @dataclass
 class RepairReport:
-    welded_vertices: int = 0
-    split_vertices: int = 0
-    nonmanifold_edges_before: int = 0
-    nonmanifold_edges_after: int = 0
-    degenerate_faces: int = 0
+    """The counts of ``repair_report.json``, from ``pipeline.prepare_mesh``."""
+
+    welded_vertices: int
+    split_vertices: int
+    nonmanifold_edges_before: int
+    nonmanifold_edges_after: int
+    degenerate_faces: int
 
     def as_dict(self):
         return asdict(self)
-
-    def combined(self, other: "RepairReport") -> "RepairReport":
-        """Report for self's pass followed by other's (weld then repair)."""
-        return RepairReport(
-            welded_vertices=self.welded_vertices + other.welded_vertices,
-            split_vertices=self.split_vertices + other.split_vertices,
-            nonmanifold_edges_before=self.nonmanifold_edges_before,
-            nonmanifold_edges_after=other.nonmanifold_edges_after,
-            degenerate_faces=other.degenerate_faces,
-        )
 
 
 def count_nonmanifold_edges(faces) -> int:
@@ -52,46 +47,38 @@ def count_nonmanifold_edges(faces) -> int:
     return int((counts > 2).sum())
 
 
-def weld_vertices(mesh: TriangleMesh, epsilon: float) -> tuple[TriangleMesh, RepairReport]:
+def weld_vertices(mesh: TriangleMesh, epsilon: float) -> tuple[TriangleMesh, int]:
     """Merge vertices within ``epsilon`` meters of each other, transitively.
 
     Each group of vertices chained by distances <= ``epsilon`` merges into
     its lowest-index member; surviving vertices keep their relative order.
-    ``epsilon == 0`` merges exact duplicates only.
+    ``epsilon == 0`` merges exact duplicates only. Returns the welded mesh
+    and the number of vertices merged away.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
     V = mesh.vertices
     n = len(V)
-    nm_before = count_nonmanifold_edges(mesh.faces)
     if n == 0:
-        rep = RepairReport(nonmanifold_edges_before=nm_before)
-        return mesh, rep
+        return mesh, 0
 
     pairs = cKDTree(V).query_pairs(epsilon, output_type="ndarray")
     roots = label_components(n, pairs[:, 0], pairs[:, 1])
     reps = np.flatnonzero(roots == np.arange(n))
     new_id = np.searchsorted(reps, roots)
 
-    return _rebuilt(mesh, reps, new_id[mesh.faces].astype(np.int32),
-                    nm_before, welded_vertices=n - len(reps))
+    return (_rebuilt(mesh, reps, new_id[mesh.faces].astype(np.int32)),
+            n - len(reps))
 
 
-def _rebuilt(mesh, source, faces, nm_before, **counts):
-    """Mesh on vertices ``mesh.vertices[source]`` with ``faces``, and its report.
+def _rebuilt(mesh, source, faces):
+    """Mesh on vertices ``mesh.vertices[source]`` with ``faces``.
 
     Face data is shared with ``mesh``; vertex colors follow ``source``.
     """
-    out = replace(mesh, vertices=mesh.vertices[source], faces=faces,
-                  vertex_color=None if mesh.vertex_color is None
-                  else mesh.vertex_color[source])
-    rep = RepairReport(
-        nonmanifold_edges_before=nm_before,
-        nonmanifold_edges_after=count_nonmanifold_edges(out.faces),
-        degenerate_faces=int(out.degenerate_faces.sum()),
-        **counts,
-    )
-    return out, rep
+    return replace(mesh, vertices=mesh.vertices[source], faces=faces,
+                   vertex_color=None if mesh.vertex_color is None
+                   else mesh.vertex_color[source])
 
 
 def _fan_corners(faces):
@@ -118,7 +105,7 @@ def _fan_corners(faces):
     return owner, f.ravel(), label_components(len(e), i, j)
 
 
-def repair_nonmanifold(mesh: TriangleMesh) -> tuple[TriangleMesh, RepairReport]:
+def repair_nonmanifold(mesh: TriangleMesh) -> tuple[TriangleMesh, int]:
     """Detach extra faces from over-shared edges and split bow-tie vertices.
 
     The faces of an edge rank by ascending face id. Every face after the
@@ -127,7 +114,8 @@ def repair_nonmanifold(mesh: TriangleMesh) -> tuple[TriangleMesh, RepairReport]:
     the over-shared edges in ascending vertex-pair order. Copies are
     private to their face, so this one pass leaves no over-shared edge.
     Afterwards a vertex whose incident fan is disconnected is split, one
-    copy per fan. No face is deleted.
+    copy per fan. No face is deleted. Returns the repaired mesh and the
+    number of vertices split.
     """
     nv = mesh.n_vertices
     faces = mesh.faces.copy()
@@ -135,7 +123,6 @@ def repair_nonmanifold(mesh: TriangleMesh) -> tuple[TriangleMesh, RepairReport]:
     keys = pair_keys(e, nv)
     order = np.argsort(keys, kind="stable")     # faces ascend within an edge
     rank = np.arange(len(order)) - np.searchsorted(keys[order], keys[order])
-    nm_before = int((rank == 2).sum())
     rows = order[rank >= 2]
     face = np.repeat(owner[rows], 2)
     old = e[rows].ravel()
@@ -160,4 +147,4 @@ def repair_nonmanifold(mesh: TriangleMesh) -> tuple[TriangleMesh, RepairReport]:
     faces[face[c], c % 3] = new_id[fan[c]]
     source = np.concatenate([source, source[vertex[moved]]])
 
-    return _rebuilt(mesh, source, faces, nm_before, split_vertices=split_count)
+    return _rebuilt(mesh, source, faces), split_count

@@ -773,6 +773,16 @@ def test_unknown_nonplanar_class_is_config_error(monkeypatch, ids):
         train_models(cfg, [synth_tile(SMALL)])
 
 
+@pytest.mark.parametrize("ids", [
+    np.array([9, 3, 7, 9, 0], dtype=np.int32), [9, 3, 7], (7, 9)])
+def test_check_classes_names_lowest_unknown_id(ids):
+    with pytest.raises(ConfigError, match=r"^labels\.ply: label 7 is not "):
+        pipeline.check_classes(ids, PipelineConfig(), "labels.ply", "label")
+    pipeline.check_classes(np.array([3, 0, 3], dtype=np.int32),
+                           PipelineConfig(), "labels.ply", "label")
+    pipeline.check_classes([], PipelineConfig(), "labels.ply", "label")
+
+
 def test_training_deterministic(tile_path, tmp_path):
     cfg = PipelineConfig(trees=5, threads=1)
     a = train_models(cfg, [tile_path])

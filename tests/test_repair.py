@@ -1,11 +1,19 @@
-import numpy as np
+from dataclasses import replace
+from functools import cached_property
 
+import numpy as np
+import pytest
+
+from pssmesh import adjacency as adjacency_module, repair as repair_module
 from pssmesh.mesh import TriangleMesh
 from pssmesh.repair import weld_vertices, repair_nonmanifold, count_nonmanifold_edges
 from pssmesh.adjacency import build_adjacency
+from pssmesh.config import PipelineConfig
+from pssmesh.pipeline import prepare_mesh
+from pssmesh.synth import TileParams, synth_tile
 
 from conftest import (grid_mesh, brute_force_adjacency, adjacency_pairs,
-                      neighbor_list)
+                      neighbor_list, unwelded, with_fin)
 from oracles import dict_detach_overshared
 
 
@@ -13,15 +21,15 @@ def test_weld_two_coincident_vertices():
     m = TriangleMesh(
         vertices=np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 0, 0]], dtype=float),
         faces=np.array([[0, 1, 2], [0, 2, 3]], dtype=np.int32))
-    out, rep = weld_vertices(m, 1e-6)
+    out, welded = weld_vertices(m, 1e-6)
     assert out.n_vertices == 3
-    assert rep.welded_vertices == 1
+    assert welded == 1
 
 
 def test_weld_eps_zero_identity():
     m = grid_mesh(3, 3)
-    out, rep = weld_vertices(m, 0.0)
-    assert rep.welded_vertices == 0
+    out, welded = weld_vertices(m, 0.0)
+    assert welded == 0
     assert np.array_equal(out.vertices, m.vertices)
     assert np.array_equal(out.faces, m.faces)
 
@@ -31,8 +39,8 @@ def test_weld_eps_zero_merges_exact_duplicates():
         vertices=np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0],
                            [0, 0, 0], [1, 0, 0], [1, -1, 0]], dtype=float),
         faces=np.array([[0, 1, 2], [3, 5, 4]], dtype=np.int32))
-    out, rep = weld_vertices(m, 0.0)
-    assert rep.welded_vertices == 2
+    out, welded = weld_vertices(m, 0.0)
+    assert welded == 2
     assert out.n_vertices == 4
     adj = build_adjacency(out)
     assert neighbor_list(adj, 0).tolist() == [1]
@@ -47,8 +55,8 @@ def test_weld_seam_makes_quads_adjacent():
     m = TriangleMesh(vertices=verts, faces=faces)
     before = adjacency_pairs(build_adjacency(m))
     assert (0, 2) not in before
-    out, rep = weld_vertices(m, 1e-6)
-    assert rep.welded_vertices == 2
+    out, welded = weld_vertices(m, 1e-6)
+    assert welded == 2
     adj = build_adjacency(out)
     assert adjacency_pairs(adj) == brute_force_adjacency(out)
     cross = {p for p in adjacency_pairs(adj) if (p[0] < 2) != (p[1] < 2)}
@@ -63,9 +71,9 @@ def test_weld_area_invariant():
     faces = np.vstack([m.faces, m.faces + m.n_vertices]).astype(np.int32)
     mm = TriangleMesh(vertices=verts, faces=faces)
     area_before = mm.face_area.sum()
-    out, rep = weld_vertices(mm, 1e-6)
+    out, welded = weld_vertices(mm, 1e-6)
     keep = ~out.degenerate_faces
-    assert rep.welded_vertices == m.n_vertices
+    assert welded == m.n_vertices
     assert abs(out.face_area[keep].sum() - area_before) <= 1e-9 * area_before
 
 
@@ -74,9 +82,9 @@ def test_weld_collapse_flags_degenerate():
     verts = np.array([[0, 0, 0], [1, 0, 0], [1, 1e-8, 0], [0, 1, 0]], dtype=float)
     faces = np.array([[0, 1, 2], [0, 2, 3]], dtype=np.int32)
     m = TriangleMesh(vertices=verts, faces=faces)
-    out, rep = weld_vertices(m, 1e-6)
+    out, _ = weld_vertices(m, 1e-6)
     assert out.n_faces == 2          # nothing dropped
-    assert rep.degenerate_faces == 1
+    assert out.degenerate_faces.sum() == 1
     assert out.degenerate_faces.tolist() == [True, False]
 
 
@@ -85,9 +93,8 @@ def test_repair_three_fan_edge():
                       [0.5, -1, 0], [0.5, 0, 1]], dtype=float)
     faces = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]], dtype=np.int32)
     m = TriangleMesh(vertices=verts, faces=faces)
-    out, rep = repair_nonmanifold(m)
-    assert rep.nonmanifold_edges_before == 1
-    assert rep.nonmanifold_edges_after == 0
+    out, _ = repair_nonmanifold(m)
+    assert prepare_mesh(m, PipelineConfig())[1].nonmanifold_edges_before == 1
     assert out.n_faces == 3
     assert count_nonmanifold_edges(out.faces) == 0
     build_adjacency(out)    # must not raise
@@ -95,9 +102,9 @@ def test_repair_three_fan_edge():
 
 def test_repair_manifold_identity():
     m = grid_mesh(4, 4)
-    out, rep = repair_nonmanifold(m)
-    assert rep.nonmanifold_edges_before == 0
-    assert rep.split_vertices == 0
+    out, split = repair_nonmanifold(m)
+    assert prepare_mesh(m, PipelineConfig())[1].nonmanifold_edges_before == 0
+    assert split == 0
     assert np.array_equal(out.faces, m.faces)
     assert out.n_vertices == m.n_vertices
 
@@ -108,8 +115,8 @@ def test_repair_bowtie_vertex_split():
                       [2, 1, 0], [1, 2, 0]], dtype=float)
     faces = np.array([[0, 1, 2], [2, 3, 4]], dtype=np.int32)
     m = TriangleMesh(vertices=verts, faces=faces)
-    out, rep = repair_nonmanifold(m)
-    assert rep.split_vertices == 1
+    out, split = repair_nonmanifold(m)
+    assert split == 1
     assert out.n_vertices == 6
     assert out.n_faces == 2
     # fans now disjoint in vertex terms but geometry unchanged
@@ -167,12 +174,12 @@ def test_weld_matches_pairwise_oracle():
         colors = rng.integers(0, 256, (n, 3))
         m = TriangleMesh(vertices=V, faces=faces, vertex_color=colors)
         for eps in (0.0, 0.1, 0.125, 0.2):
-            out, rep = weld_vertices(m, eps)
+            out, welded = weld_vertices(m, eps)
             reps, new_id = weld_oracle(m.vertices, eps)
             assert np.array_equal(out.vertices, m.vertices[reps])
             assert np.array_equal(out.vertex_color, m.vertex_color[reps])
             assert np.array_equal(out.faces, new_id[m.faces])
-            assert rep.welded_vertices == n - len(reps)
+            assert welded == n - len(reps)
 
 
 def bowtie_oracle(n_vertices, faces):
@@ -218,12 +225,12 @@ def test_bowtie_split_matches_fan_oracle():
             continue
         m = TriangleMesh(vertices=rng.standard_normal((nv, 3)), faces=faces,
                          vertex_color=rng.integers(0, 256, (nv, 3)))
-        out, rep = repair_nonmanifold(m)
+        out, got_split = repair_nonmanifold(m)
         want_faces, source, split = bowtie_oracle(nv, faces)
         assert np.array_equal(out.faces, want_faces)
         assert np.array_equal(out.vertices, m.vertices[source])
         assert np.array_equal(out.vertex_color, m.vertex_color[source])
-        assert rep.split_vertices == split
+        assert got_split == split
         checked += 1
 
 
@@ -259,7 +266,7 @@ def test_repair_matches_dict_detach_oracle():
         m = TriangleMesh(vertices=rng.standard_normal((nv, 3)), faces=faces,
                          vertex_color=rng.integers(0, 256, (nv, 3)),
                          face_label=np.arange(len(faces)))
-        out, rep = repair_nonmanifold(m)
+        out, got_split = repair_nonmanifold(m)
         detached, source = dict_detach_overshared(faces, nv)
         assert count_nonmanifold_edges(detached) == 0
         want_faces, fan_source, split = bowtie_oracle(len(source), detached)
@@ -268,9 +275,15 @@ def test_repair_matches_dict_detach_oracle():
         assert np.array_equal(out.vertices, m.vertices[source])
         assert np.array_equal(out.vertex_color, m.vertex_color[source])
         assert np.array_equal(out.face_label, m.face_label)
-        assert rep.nonmanifold_edges_before == before
-        assert rep.nonmanifold_edges_after == 0
-        assert rep.split_vertices == split
+        assert count_nonmanifold_edges(out.faces) == 0
+        assert got_split == split
+        # random vertices: welding exact duplicates only changes nothing
+        prepared, rep, _ = prepare_mesh(m, PipelineConfig(weld_epsilon=0.0))
+        assert np.array_equal(prepared.faces, out.faces)
+        assert rep.as_dict() == {
+            "welded_vertices": 0, "split_vertices": split,
+            "nonmanifold_edges_before": before, "nonmanifold_edges_after": 0,
+            "degenerate_faces": int(out.degenerate_faces.sum())}
         checked += 1
 
 
@@ -280,24 +293,27 @@ def mesh_arrays(m):
             "face_label": m.face_label, **m.extra_face_props}
 
 
-def test_weld_and_repair_leave_input_unchanged():
-    # a three-face fan over edge (0, 1), a bow-tie at vertex 2 and a
-    # duplicate of vertex 1, with every optional column filled
+def fan_mesh():
+    """A three-face fan over edge (0, 1) once vertex 7 welds into 1, and a
+    bow-tie at vertex 2."""
     verts = np.array([[0, 0, 0], [1, 0, 0], [0.5, 1, 0], [0.5, -1, 0],
                       [0.5, 0, 1], [1.5, 2, 0], [0.5, 2, 0], [1, 0, 0]],
                      dtype=float)
-    faces = np.array([[0, 1, 2], [0, 1, 3], [0, 7, 4], [2, 5, 6]],
-                     dtype=np.int32)
-    m = TriangleMesh(vertices=verts, faces=faces,
-                     face_color=np.arange(12).reshape(4, 3),
-                     vertex_color=np.arange(24).reshape(8, 3),
-                     face_label=[0, 1, 2, 3],
-                     extra_face_props={"flag": np.arange(4, dtype=np.uint8)})
+    faces = np.array([[0, 1, 2], [0, 1, 3], [0, 7, 4], [2, 5, 6]])
+    return TriangleMesh(vertices=verts, faces=faces)
+
+
+def test_weld_and_repair_leave_input_unchanged():
+    # the fan mesh with every optional column filled
+    m = replace(fan_mesh(), face_color=np.arange(12).reshape(4, 3),
+                vertex_color=np.arange(24).reshape(8, 3),
+                face_label=[0, 1, 2, 3],
+                extra_face_props={"flag": np.arange(4, dtype=np.uint8)})
     before = {k: v.copy() for k, v in mesh_arrays(m).items()}
-    welded, rep1 = weld_vertices(m, 1e-6)
-    out, rep2 = repair_nonmanifold(welded)
-    assert rep1.welded_vertices == 1 and rep2.split_vertices == 1
-    assert rep2.nonmanifold_edges_before == 1
+    welded, welded_count = weld_vertices(m, 1e-6)
+    out, split = repair_nonmanifold(welded)
+    assert welded_count == 1 and split == 1
+    assert count_nonmanifold_edges(welded.faces) == 1
     for k, v in mesh_arrays(m).items():
         assert np.array_equal(v, before[k]), k
     assert np.array_equal(out.face_label, before["face_label"])
@@ -309,6 +325,60 @@ def test_weld_and_repair_leave_input_unchanged():
 def test_weld_empty_mesh_returns_it():
     m = TriangleMesh(vertices=np.zeros((0, 3)),
                      faces=np.zeros((0, 3), dtype=np.int32))
-    out, rep = weld_vertices(m, 1e-6)
+    out, welded = weld_vertices(m, 1e-6)
     assert out is m
-    assert rep.welded_vertices == 0
+    assert welded == 0
+
+
+def collapsed_face_mesh():
+    """Three faces on edge (0, 1) in the input, a bow-tie at vertex 2 and a
+    face that welding collapses (vertex 7 duplicates 6)."""
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0.5, 1, 0], [0.5, -1, 0],
+                      [0.5, 0, 1], [1.5, 2, 0], [0.5, 2, 0], [0.5, 2, 0]],
+                     dtype=float)
+    faces = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4], [2, 5, 6], [5, 6, 7]])
+    return TriangleMesh(vertices=verts, faces=faces)
+
+
+def tile_16m():
+    return synth_tile(TileParams(seed=0, ground_size=16.0, ground_res=32,
+                                 n_boxes=2, n_trees=2, n_vehicles=1))
+
+
+@pytest.mark.parametrize("build, want", [
+    (tile_16m, (0, 0, 0, 0, 0)),
+    (lambda: unwelded(tile_16m()), (12872, 0, 0, 0, 0)),
+    (lambda: with_fin(tile_16m()), (0, 0, 1, 0, 0)),
+    (fan_mesh, (1, 1, 0, 0, 0)),
+    (collapsed_face_mesh, (1, 1, 1, 0, 1)),
+])
+def test_prepare_mesh_report(build, want):
+    # (welded, split, non-manifold before, after, degenerate)
+    _, rep, _ = prepare_mesh(build(), PipelineConfig())
+    assert tuple(rep.as_dict().values()) == want
+
+
+def test_prepare_mesh_groups_face_edges_four_times(monkeypatch):
+    # one over-shared-edge count of the input, repair's detach and fan split,
+    # and the adjacency sort; one area pass, of the repaired mesh
+    calls = {"face_edges": 0, "area": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (repair_module, adjacency_module):
+        monkeypatch.setattr(module, "face_edges",
+                            counted(adjacency_module.face_edges, "face_edges"))
+    area = cached_property(
+        counted(TriangleMesh.__dict__["_area_and_normal"].func, "area"))
+    area.__set_name__(TriangleMesh, "_area_and_normal")
+    monkeypatch.setattr(TriangleMesh, "_area_and_normal", area)
+    mesh = tile_16m()
+    calls.update(face_edges=0, area=0)
+    out, _, _ = prepare_mesh(mesh, PipelineConfig())
+    assert calls == {"face_edges": 4, "area": 1}
+    out.face_area                   # the report's areas are the mesh's
+    assert calls["area"] == 1
