@@ -445,4 +445,4 @@ def compute_face_features(mesh: TriangleMesh,
     values = np.column_stack((
         eigen, z, z - z.min(), elevation_context(mesh, config.elevation_radii),
         inmat_radii(mesh), vertex_ball / disc_area, ball / disc_area, color))
-    return FaceFeatures(values, names, color_missing=rgb is None)
+    return FaceFeatures(values, names, color_missing=not mesh.has_color)

@@ -95,6 +95,11 @@ class TriangleMesh:
         """A label column with at least one label >= 0 (-1 is unlabeled)."""
         return self.face_label is not None and bool((self.face_label >= 0).any())
 
+    @property
+    def has_color(self) -> bool:
+        """A face or a vertex color column (face features read either)."""
+        return self.face_color is not None or self.vertex_color is not None
+
     # -- derived geometry --------------------------------------------------
 
     @cached_property

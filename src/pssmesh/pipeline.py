@@ -24,6 +24,7 @@ import csv
 import hashlib
 import io
 import json
+import mmap
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -37,8 +38,8 @@ from .config import (ConfigError, PipelineConfig, load_versioned_json,
                      read_text, save_json)
 # the writers that a traced run times call the untraced name: one span each
 from .config import save_json as _save_json
-from .features import (compute_face_features, face_channel_names, write_csv,
-                       write_npy)
+from .features import (FaceFeatures, compute_face_features,
+                       face_channel_names, write_csv, write_npy)
 from .forest import (ForestModel, check_channels, classify_segments,
                      load_model, parallel_map, planarity_map, train_forest)
 from .meshio import load_mesh, save_mesh
@@ -503,11 +504,20 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
     side of ``config.nonplanar_classes``, or one majority label on every
     kept segment.
 
-    The meshes are prepared (``prepare_mesh``, then face features) and,
-    once the planarity forest is fitted, segmented by ``parallel_map`` in
-    ``resolve_threads(config.threads)`` forked worker processes, the pool
-    the forests' trees are built in. Each pass hands its inputs to the
-    workers through fork and pickles only its results back; results are
+    Faces labelled -1 are not planarity samples: the report's
+    ``n_face_samples`` counts the faces labelled >= 0.
+
+    The planarity samples live in one column-major (faces, channels)
+    matrix, allocated once over a shared anonymous ``mmap`` (so the trees
+    read each feature column without a copy). ``parallel_map`` runs two
+    passes in ``resolve_threads(config.threads)`` forked worker processes,
+    the pool the forests' trees are built in. The first prepares each mesh
+    (``prepare_mesh``, which keeps every face in order with its label),
+    computes its face features and writes them into the mesh's rows of the
+    shared matrix. Once the planarity forest is fitted, the second prepares
+    each mesh again and segments it, reading its face features from its
+    rows. So the parent holds no prepared mesh and no per-mesh feature
+    table, and only the segment samples are pickled back. Results are
     gathered in mesh order, so the models are the same at every worker
     count. No worker is left running when this returns or raises.
     """
@@ -530,31 +540,42 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
     if not loaded:
         raise ConfigError("no training meshes given")
 
-    n_jobs = resolve_threads(config.threads)
-
-    def featurize(mesh):
-        mesh2, _, adjacency = prepare_mesh(mesh, config)
-        return mesh2, adjacency, compute_face_features(mesh2, config)
-
-    prepared = parallel_map(n_jobs, featurize, loaded)
-    # column-major, so the trees read each feature column without a copy
-    face_rows = [feats.values for _, _, feats in prepared]
-    X_face = np.concatenate(face_rows, out=np.empty(
-        (sum(map(len, face_rows)), face_rows[0].shape[1]), order="F"))
-    y_face = np.concatenate([
-        np.isin(mesh2.face_label, config.nonplanar_classes).astype(np.int32)
-        for mesh2, _, _ in prepared])
+    label = np.concatenate([m.face_label for m in loaded])
+    labelled = label >= 0
+    y_face = np.isin(label[labelled],
+                     config.nonplanar_classes).astype(np.int32)
     if y_face.min() == y_face.max():
         side = "non-planar" if y_face[0] else "planar"
         raise ConfigError(
             f"{', '.join(sources)}: every face is {side} with "
             f"nonplanar_classes {list(config.nonplanar_classes)}; the "
             f"planarity forest needs both")
-    planarity = train_forest(X_face, y_face, prepared[0][2].channel_names,
-                             config, n_jobs=n_jobs)
 
-    def segment(item):
-        mesh2, adjacency, feats = item
+    n_jobs = resolve_threads(config.threads)
+    names = face_channel_names(config)
+    rows = np.cumsum([0] + [m.n_faces for m in loaded])
+    # MAP_SHARED: the rows the forked workers write are the parent's
+    X_face = np.ndarray((rows[-1], len(names)), order="F", buffer=mmap.mmap(
+        -1, int(rows[-1]) * len(names) * 8))
+
+    def featurize(i):
+        mesh2, _, _ = prepare_mesh(loaded[i], config)
+        X_face[rows[i]:rows[i + 1]] = compute_face_features(mesh2,
+                                                            config).values
+
+    parallel_map(n_jobs, featurize, range(len(loaded)))
+    samples = X_face
+    if not labelled.all():      # one column-major copy, a column at a time
+        samples = np.empty((len(y_face), len(names)), order="F")
+        for j, column in enumerate(X_face.T):
+            samples[:, j] = column[labelled]
+    planarity = train_forest(samples, y_face, names, config, n_jobs=n_jobs)
+    del samples
+
+    def segment(i):
+        mesh2, _, adjacency = prepare_mesh(loaded[i], config)
+        feats = FaceFeatures(np.ascontiguousarray(X_face[rows[i]:rows[i + 1]]),
+                             names, color_missing=not mesh2.has_color)
         probmap = planarity_map(planarity, feats)
         seg = oversegment(mesh2, adjacency, probmap, config)
         index = segment_index(mesh2, adjacency, seg.face_segment,
@@ -567,7 +588,7 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
         return seg.n_segments, sf.values[keep], labels[keep]
 
     n_segs, seg_rows, seg_labels = zip(
-        *parallel_map(n_jobs, segment, prepared))
+        *parallel_map(n_jobs, segment, range(len(loaded))))
     X_seg = np.vstack(seg_rows)
     y_seg = np.concatenate(seg_labels)
     seg_classes = np.unique(y_seg).tolist()
@@ -575,9 +596,8 @@ def train_models(config: PipelineConfig, meshes) -> TrainResult:
         raise ConfigError(
             f"{', '.join(sources)}: the kept segments have majority labels "
             f"{seg_classes}; the semantic forest needs two classes")
-    semantic = train_forest(
-        X_seg, y_seg, segment_channel_names(prepared[0][2].channel_names),
-        config, n_jobs=n_jobs)
+    semantic = train_forest(X_seg, y_seg, segment_channel_names(names),
+                            config, n_jobs=n_jobs)
 
     report = {"n_meshes": len(loaded),
               "n_face_samples": int(len(y_face)),

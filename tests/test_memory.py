@@ -1,4 +1,4 @@
-"""Traced heap peaks of training and of a full run on one 16 m tile.
+"""Traced heap peaks of training and of a full run on 16 m tiles.
 
 ``tracemalloc`` counts the arrays numpy allocates, so these peaks are the
 working memory of the library's own kernels. On this tile (5,188 faces)
@@ -54,6 +54,23 @@ def trained_16m(tmp_path_factory):
 def test_training_peak_memory(trained_16m):
     _, peak = trained_16m
     assert peak <= PEAK_BOUND, peak
+
+
+def test_training_peak_does_not_grow_with_tile_count():
+    """Training on four tiles peaks near training on one.
+
+    The planarity samples of every tile live in one shared matrix, an
+    ``mmap`` outside the traced heap, so the bound covers everything else:
+    no prepared mesh or per-tile feature table outlives its worker's task.
+    Four tiles once peaked at 1.9x one, when the parent kept each prepared
+    mesh and its features and stacked them into a second copy.
+    """
+    # seeds 2 and 4 cannot place this tile's objects
+    tiles = [synth_tile(TileParams(seed=s, **TILE)) for s in (0, 1, 3, 5)]
+    config = PipelineConfig(trees=5, threads=1)
+    _, one = traced_peak(train_models, config, tiles[:1])
+    _, four = traced_peak(train_models, config, tiles)
+    assert four <= 1.25 * one, (one, four)
 
 
 def test_pipeline_peak_memory(trained_16m, tmp_path):

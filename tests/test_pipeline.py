@@ -2,6 +2,7 @@
 
 import csv
 import json
+import mmap
 import multiprocessing
 import os
 import re
@@ -678,9 +679,37 @@ def test_train_models_gives_column_major_face_samples(monkeypatch):
     train_models(config, meshes)
     want = np.vstack([compute_face_features(prepare_mesh(m, config)[0],
                                             config).values for m in meshes])
-    # the planarity matrix, then the semantic one
+    # the planarity matrix, then the semantic one; with every face
+    # labelled the forest reads the shared matrix itself
     assert len(samples) == 2 and samples[0].flags.f_contiguous
+    assert isinstance(samples[0].base, mmap.mmap)
     assert np.array_equal(samples[0], want)
+
+
+def test_unlabelled_faces_are_no_planarity_samples(monkeypatch):
+    # the first tile's vehicle faces are unlabelled (-1)
+    meshes = [synth_tile(SMALL), synth_tile(HELD_OUT)]
+    meshes[0].face_label = np.where(meshes[0].face_label == 3, -1,
+                                    meshes[0].face_label).astype(np.int32)
+    config = PipelineConfig(trees=3, threads=1)
+    fits = []
+
+    def recording(X, y, *args, **kwargs):
+        fits.append((X, y))
+        return train_forest(X, y, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_forest", recording)
+    result = train_models(config, meshes)
+    label = np.concatenate([m.face_label for m in meshes])
+    labelled = label >= 0
+    assert 0 < (~labelled).sum() < meshes[0].n_faces
+    want = np.vstack([compute_face_features(prepare_mesh(m, config)[0],
+                                            config).values for m in meshes])
+    X, y = fits[0]
+    assert X.flags.f_contiguous
+    assert np.array_equal(X, want[labelled])
+    assert np.array_equal(y, np.isin(label[labelled], (2,)))
+    assert result.report["n_face_samples"] == labelled.sum()
 
 
 def test_train_report_contents(trained):
@@ -750,9 +779,11 @@ def test_single_class_training_data_is_input_error(tile_path, monkeypatch):
             r"nonplanar_classes \[9\]")):
         train_models(cfg, [tile_path])
     assert not fits
-    # only vegetation is labeled, so every kept segment's majority is 2
+    # every 29th face is terrain and the rest vegetation: the planarity
+    # forest sees both sides, and every kept segment's majority is 2
     mesh = synth_tile(SMALL)
-    mesh.face_label = np.where(mesh.face_label == 2, 2, -1).astype(np.int32)
+    mesh.face_label = np.full(mesh.n_faces, 2, dtype=np.int32)
+    mesh.face_label[::29] = 0
     with pytest.raises(ConfigError, match=(
             r"^training mesh 0: the kept segments have majority labels "
             r"\[2\]")):

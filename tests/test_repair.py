@@ -110,11 +110,7 @@ def test_repair_manifold_identity():
 
 
 def test_repair_bowtie_vertex_split():
-    # two fans touching only at vertex 2
-    verts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0],
-                      [2, 1, 0], [1, 2, 0]], dtype=float)
-    faces = np.array([[0, 1, 2], [2, 3, 4]], dtype=np.int32)
-    m = TriangleMesh(vertices=verts, faces=faces)
+    m = bowtie_mesh()
     out, split = repair_nonmanifold(m)
     assert split == 1
     assert out.n_vertices == 6
@@ -356,6 +352,30 @@ def test_prepare_mesh_report(build, want):
     # (welded, split, non-manifold before, after, degenerate)
     _, rep, _ = prepare_mesh(build(), PipelineConfig())
     assert tuple(rep.as_dict().values()) == want
+
+
+def bowtie_mesh():
+    """Two fans touching only at vertex 2."""
+    verts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0],
+                      [2, 1, 0], [1, 2, 0]], dtype=float)
+    return TriangleMesh(vertices=verts, faces=np.array([[0, 1, 2], [2, 3, 4]]))
+
+
+@pytest.mark.parametrize("build", [
+    fan_mesh, bowtie_mesh, collapsed_face_mesh,
+    lambda: unwelded(tile_16m())])
+def test_prepare_mesh_keeps_every_face_in_order(build):
+    # training writes mesh i's face features to rows that start at the
+    # face count of the meshes before it, beside their input labels
+    mesh = build()
+    if mesh.face_label is None:
+        mesh.face_label = np.arange(mesh.n_faces, dtype=np.int32) % 4 - 1
+    eps = PipelineConfig().weld_epsilon
+    out, _, _ = prepare_mesh(mesh, PipelineConfig())
+    assert out.n_faces == mesh.n_faces
+    assert np.abs(out.vertices[out.faces]
+                  - mesh.vertices[mesh.faces]).max() <= eps
+    assert np.array_equal(out.face_label, mesh.face_label)
 
 
 def test_prepare_mesh_groups_face_edges_four_times(monkeypatch):
