@@ -25,7 +25,8 @@ from .pipeline import (StageError, check_classes, file_sha256,
                        run_pipeline, save_json, train_models,
                        write_overseg_scores, write_semantic_scores,
                        write_upper_bound)
-from .synth import TileParams, expected_component_count, synth_tile
+from .synth import (PlacementError, TileParams, expected_component_count,
+                    synth_tile)
 
 # config fields whose flag is not "--" plus the field name with dashes
 _FLAG_NAMES = {"input_path": "--input", "output_dir": "--out",
@@ -102,7 +103,7 @@ def cmd_synth(args) -> int:
                            if getattr(args, name) is not None})
     try:
         mesh = synth_tile(params)
-    except RuntimeError:                # synth._place found no free spot
+    except PlacementError:
         raise ConfigError(
             f"cannot place {params.n_boxes} boxes, {params.n_trees} trees and "
             f"{params.n_vehicles} vehicles apart on a {params.ground_size:g} "

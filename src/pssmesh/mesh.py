@@ -12,6 +12,18 @@ class MeshError(ValueError):
     """Raised for structurally invalid mesh data."""
 
 
+def triangle_area_normal(vertices, faces) -> tuple[np.ndarray, np.ndarray]:
+    """Area and unit normal of each triangle ``vertices[faces]``, without
+    caching them on a mesh; a zero-area triangle's normal is zero."""
+    tri = vertices[faces]                                    # (F, 3, 3)
+    cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    norm = np.linalg.norm(cross, axis=1)
+    normals = np.zeros_like(cross)
+    ok = norm > 0
+    normals[ok] = cross[ok] / norm[ok, None]
+    return 0.5 * norm, normals
+
+
 @dataclass
 class TriangleMesh:
     """Indexed triangle surface with optional per-face color and semantic label.
@@ -104,13 +116,7 @@ class TriangleMesh:
 
     @cached_property
     def _area_and_normal(self) -> tuple[np.ndarray, np.ndarray]:
-        tri = self.vertices[self.faces]                      # (F, 3, 3)
-        cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        norm = np.linalg.norm(cross, axis=1)
-        normals = np.zeros_like(cross)
-        ok = norm > 0
-        normals[ok] = cross[ok] / norm[ok, None]
-        return 0.5 * norm, normals
+        return triangle_area_normal(self.vertices, self.faces)
 
     @cached_property
     def face_area(self) -> np.ndarray:

@@ -48,6 +48,7 @@ from .metrics import majority_labels, max_achievable, overseg_report, \
 from .overseg import NONPLANAR, PLANAR, Segmentation, oversegment
 from .repair import (RepairReport, count_nonmanifold_edges,
                      repair_nonmanifold, weld_vertices)
+from .sampling import check_sample_size
 from .segfeatures import compute_segment_features, segment_channel_names
 from .seggraph import build_segment_graph, export_graph
 
@@ -339,7 +340,10 @@ def run_pipeline(config: PipelineConfig, mesh=None,
     and writes nothing. A model whose channel names differ from the ones
     the config gives (``check_channels``) and a semantic model class
     outside ``config.classes`` are such input errors, and so is a
-    ground-truth label >= 0 outside it when the semantic metrics will run.
+    ground-truth label >= 0 outside it when the semantic metrics will run,
+    and so is a mesh whose exmat sample would exceed
+    ``sampling.MAX_SAMPLES_PER_FACE`` points per face when the graph will
+    be built (``check_sample_size``; a mesh in millimetres, say).
     The segment features and the graph read one ``adjacency.segment_index``,
     built right after oversegmentation.
     """
@@ -371,11 +375,13 @@ def run_pipeline(config: PipelineConfig, mesh=None,
         input_sha = file_sha256(config.input_path)
     else:
         mesh.check_usable()
+    source = config.input_path if input_sha else "input mesh"
     if sem_model is not None and "metrics" in wanted \
             and mesh.has_ground_truth:
-        check_classes(mesh.face_label[mesh.face_label >= 0], config,
-                      config.input_path if input_sha else "input mesh",
+        check_classes(mesh.face_label[mesh.face_label >= 0], config, source,
                       "ground-truth label")
+    if "graph" in wanted:
+        check_sample_size(mesh, config.sampling_density, source)
 
     run_dir = Path(config.output_dir)
     run_dir.mkdir(parents=True, exist_ok=True)

@@ -2,6 +2,13 @@
 
 A sample holds each point's position, source face and that face's normal:
 the exterior medial balls of ``seggraph.exmat_edges`` need nothing else.
+
+The density is in points per square metre, so a mesh in another unit
+asks for another number of points: one in millimetres, 1e6 times as many.
+``check_sample_size`` rejects a mesh whose sample would exceed
+``MAX_SAMPLES_PER_FACE`` (1,000) points per face; the synthetic tiles take
+about 1.2 at the default density, and a 16 m tile in millimetres 1.2
+million.
 """
 
 from __future__ import annotations
@@ -10,7 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TriangleMesh
+from .config import ConfigError
+from .mesh import TriangleMesh, triangle_area_normal
+
+MAX_SAMPLES_PER_FACE = 1000
 
 
 @dataclass
@@ -42,6 +52,25 @@ def _apportion(weights: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
+def sample_size(total_area: float, density: float) -> int:
+    """Points ``sample_points`` draws from a mesh of ``total_area``."""
+    return int(round(total_area * density))
+
+
+def check_sample_size(mesh: TriangleMesh, density: float, source) -> None:
+    """ConfigError naming ``source``, its area and ``density`` when
+    ``sample_points`` would draw more than ``MAX_SAMPLES_PER_FACE`` points
+    per face of ``mesh``. Caches no geometry on ``mesh``."""
+    area = float(triangle_area_normal(mesh.vertices, mesh.faces)[0].sum())
+    n = sample_size(area, density)
+    if n > MAX_SAMPLES_PER_FACE * mesh.n_faces:
+        raise ConfigError(
+            f"{source}: area {area:g} m^2 at sampling_density {density:g} "
+            f"per m^2 gives {n} exmat samples for {mesh.n_faces} faces, "
+            f"more than {MAX_SAMPLES_PER_FACE} per face; is the mesh in "
+            f"metres?")
+
+
 def sample_points(mesh: TriangleMesh, density: float, seed: int) -> PointSample:
     """Sample round(total_area * density) points, per-face counts by area.
 
@@ -51,8 +80,7 @@ def sample_points(mesh: TriangleMesh, density: float, seed: int) -> PointSample:
     if density <= 0:
         raise ValueError("density must be > 0")
     areas = mesh.face_area
-    total_area = float(areas.sum())
-    n_total = int(round(total_area * density))
+    n_total = sample_size(float(areas.sum()), density)
     if n_total == 0:
         empty3 = np.zeros((0, 3))
         return PointSample(empty3, np.zeros(0, dtype=np.int64), empty3.copy())

@@ -26,6 +26,8 @@ _CLASS_COLOR = {
     CLASS_VEHICLE: (70, 90, 170),
 }
 
+LAYOUT_ATTEMPTS = 100       # layouts tried before a tile counts as too full
+
 
 @dataclass
 class TileParams:
@@ -190,6 +192,10 @@ def noisy_sphere(radius, center, sigma, rng, subdivisions=3):
     return verts, faces
 
 
+class PlacementError(RuntimeError):
+    """No free spot for an object on the tile."""
+
+
 def _place(rng, placed, half_extent, size, margin=1.0, tries=1000):
     """Rejection-sample an object center keeping discs disjoint."""
     for _ in range(tries):
@@ -198,14 +204,32 @@ def _place(rng, placed, half_extent, size, margin=1.0, tries=1000):
                for p, r in placed):
             placed.append((c, half_extent))
             return c
-    raise RuntimeError("could not place object without overlap; "
-                       "reduce object counts or grow the tile")
+    raise PlacementError("could not place object without overlap; "
+                         "reduce object counts or grow the tile")
 
 
 def synth_tile(params: TileParams | None = None) -> TriangleMesh:
-    """Build one labeled tile; identical parameters give identical meshes."""
+    """Build one labeled tile; identical parameters give identical meshes.
+
+    A layout whose objects cannot all be placed starts again from an empty
+    tile, drawing on from the same generator, up to ``LAYOUT_ATTEMPTS``
+    times; a tile laid out at the first attempt never draws again.
+    """
     params = params or TileParams()
     rng = np.random.default_rng(params.seed)
+    for _ in range(LAYOUT_ATTEMPTS):
+        try:
+            b = _layout(params, rng)
+        except PlacementError:
+            continue
+        return b.build(rng)
+    raise PlacementError(f"could not place the objects without overlap in "
+                         f"{LAYOUT_ATTEMPTS} layouts; reduce object counts "
+                         f"or grow the tile")
+
+
+def _layout(params: TileParams, rng) -> _Builder:
+    """Ground and objects of one layout attempt, drawn from ``rng``."""
     b = _Builder()
     b.add(*ground_grid(params.ground_size, params.ground_res),
           CLASS_TERRAIN)
@@ -228,7 +252,7 @@ def synth_tile(params: TileParams | None = None) -> TriangleMesh:
         h = rng.uniform(1.4, 1.8)
         c = _place(rng, placed, max(w, d) / 2.0, params.ground_size)
         b.add(*box_shell(c, (w, d, h)), CLASS_VEHICLE)
-    return b.build(rng)
+    return b
 
 
 def expected_component_count(params: TileParams) -> int:

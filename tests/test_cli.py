@@ -106,6 +106,40 @@ def test_missing_input_exit_2(ws, tmp_path, capsys):
     assert "/nope/mesh.ply" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def millimetre_tile(tmp_path_factory):
+    """A 16 m tile with its vertices in millimetres: 5,188 faces asking
+    for about 6.1e9 exmat samples at the default density."""
+    mesh = synth_tile(TileParams(ground_size=16.0, ground_res=32, n_boxes=2,
+                                 n_trees=2, n_vehicles=1, seed=0))
+    path = tmp_path_factory.mktemp("mm") / "tile-mm.ply"
+    save_mesh(replace(mesh, vertices=mesh.vertices * 1e3), path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["pipeline", "graph"])
+def test_mesh_in_millimetres_exit_2(ws, millimetre_tile, tmp_path, capsys,
+                                    command):
+    # rejected with the input checks, before any stage runs, not by the
+    # graph stage's request for 6e9 sample points
+    code = main([command, "--input", str(millimetre_tile),
+                 "--out", str(tmp_path / "run"),
+                 "--planarity-model", str(ws["models"] / "planarity.model")])
+    assert code == 2
+    err = capsys.readouterr().err
+    area = load_mesh(millimetre_tile).face_area.sum()
+    assert str(millimetre_tile) in err and f"area {area:g} m^2" in err
+    assert "sampling_density 10 per m^2" in err and "is the mesh in metres" \
+        in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_mesh_in_millimetres_preprocesses(millimetre_tile, tmp_path):
+    # the check guards the graph stage only: preprocess draws no sample
+    assert main(["preprocess", "--input", str(millimetre_tile),
+                 "--out", str(tmp_path / "run")]) == 0
+
+
 def test_missing_model_exit_2(ws, tmp_path, capsys):
     code = main(["segment", "--input", str(ws["tile"]),
                  "--out", str(tmp_path),

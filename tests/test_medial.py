@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -142,14 +144,17 @@ def cube_lattice(n=8, spacing=0.5):
     return pts[first], nrm[first]
 
 
+def two_cube_lattice():
+    """Two cube lattices 1 m apart: interior balls and exterior balls in
+    the gap meet points on lattice planes."""
+    pts, nrm = cube_lattice()
+    return np.vstack([pts, pts + [4.5, 0.0, 0.0]]), np.vstack([nrm, nrm])
+
+
 @pytest.mark.parametrize("orientation", ["interior", "exterior"])
 def test_leaf_size_matches_leafsize_16_on_exact_ties(orientation,
                                                      monkeypatch):
-    # two cubes 1 m apart: interior balls and exterior balls in the gap
-    # meet points on lattice planes
-    pts, nrm = cube_lattice()
-    pts = np.vstack([pts, pts + [4.5, 0.0, 0.0]])
-    nrm = np.vstack([nrm, nrm])
+    pts, nrm = two_cube_lattice()
     got = shrinking_ball_transform(pts, nrm, orientation)
     monkeypatch.setattr(medial, "LEAF_SIZE", 16)
     ref = shrinking_ball_transform(pts, nrm, orientation)
@@ -165,3 +170,58 @@ def test_leaf_size_matches_leafsize_16_on_exact_ties(orientation,
     # the lattice has such ties: many balls touch several points at once
     d_all = ((pts[None, :, :] - c[:, None, :]) ** 2).sum(axis=2)
     assert ((d_all == d_ref[:, None]).sum(axis=1) > 1).sum() > 50
+
+
+def noisy_slab(n, seed=0):
+    """``n`` points near the plane z = 0 with upward normals."""
+    rng = np.random.default_rng(seed)
+    side = np.sqrt(n / 50.0)            # about 50 points per square metre
+    pts = np.column_stack([rng.uniform(0.0, side, (n, 2)),
+                           rng.normal(0.0, 0.02, n)])
+    nrm = np.zeros((n, 3))
+    nrm[:, 2] = 1.0
+    return pts, nrm
+
+
+def random_cloud(n=600, seed=3):
+    rng = np.random.default_rng(seed)
+    nrm = rng.normal(size=(n, 3))
+    return rng.uniform(-2.0, 2.0, (n, 3)), \
+        nrm / np.linalg.norm(nrm, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("cloud", [two_cube_lattice, random_cloud])
+@pytest.mark.parametrize("orientation", ["interior", "exterior"])
+def test_shrink_blocks_change_nothing(cloud, orientation, monkeypatch):
+    # every block queries the same tree, so even the touching point picked
+    # among exact ties is the same
+    pts, nrm = cloud()
+    ref = shrinking_ball_transform(pts, nrm, orientation)
+    assert ref.kept.any()
+    for block in (1, 7, len(pts)):
+        monkeypatch.setattr(medial, "SHRINK_BLOCK", block)
+        got = shrinking_ball_transform(pts, nrm, orientation)
+        for name in ("centers", "radii", "touch_index", "converged",
+                     "discarded"):
+            assert getattr(got, name).tobytes() \
+                == getattr(ref, name).tobytes(), (block, name)
+
+
+def shrink_scratch_peak(pts, nrm, orientation):
+    """Traced peak of the shrink, less its five result arrays."""
+    tracemalloc.start()
+    balls = shrinking_ball_transform(pts, nrm, orientation)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak - sum(getattr(balls, name).nbytes for name in (
+        "centers", "radii", "touch_index", "converged", "discarded"))
+
+
+@pytest.mark.parametrize("orientation", ["interior", "exterior"])
+def test_shrink_peak_memory_follows_the_block(orientation):
+    # a round holds about 330 bytes of scratch per active point: once over
+    # every point, 4x the points took about 4x the scratch; a block's
+    # scratch does not grow with the input
+    small = shrink_scratch_peak(*noisy_slab(8000), orientation)
+    large = shrink_scratch_peak(*noisy_slab(32000), orientation)
+    assert large < 2.0 * small, (small, large)

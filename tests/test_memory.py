@@ -65,7 +65,6 @@ def test_training_peak_does_not_grow_with_tile_count():
     Four tiles once peaked at 1.9x one, when the parent kept each prepared
     mesh and its features and stacked them into a second copy.
     """
-    # seeds 2 and 4 cannot place this tile's objects
     tiles = [synth_tile(TileParams(seed=s, **TILE)) for s in (0, 1, 3, 5)]
     config = PipelineConfig(trees=5, threads=1)
     _, one = traced_peak(train_models, config, tiles[:1])

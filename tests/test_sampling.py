@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from pssmesh.config import ConfigError
 from pssmesh.mesh import TriangleMesh
-from pssmesh.sampling import sample_points, _apportion
+from pssmesh.sampling import (MAX_SAMPLES_PER_FACE, _apportion,
+                              check_sample_size, sample_points)
 
 from conftest import grid_mesh
 
@@ -11,6 +13,16 @@ def test_count_area_times_density():
     m = grid_mesh(5, 2)    # area 10
     s = sample_points(m, 10.0, seed=0)
     assert len(s) == 100
+
+
+def test_sample_size_check_at_the_limit():
+    m = grid_mesh(5, 2)    # area 10, 20 faces: the limit is 20,000 points
+    limit = MAX_SAMPLES_PER_FACE * m.n_faces
+    check_sample_size(m, limit / 10.0, "grid")
+    with pytest.raises(ConfigError, match="grid: area 10 m\\^2 at "
+                                          "sampling_density 2000.1"):
+        check_sample_size(m, (limit + 1) / 10.0, "grid")
+    assert "face_area" not in vars(m)     # the check caches no geometry
 
 
 def test_small_face_rounding():
