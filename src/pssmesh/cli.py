@@ -143,10 +143,9 @@ def cmd_run(args) -> int:
         _require(cfg, "planarity_model")
     result = run_pipeline(cfg, stop_after=args.stop_after)
     rep = result.repair_report
-    print(f"welded {rep.welded_vertices} vertices, "
-          f"split {rep.split_vertices}, "
-          f"non-manifold edges {rep.nonmanifold_edges_before} -> "
-          f"{rep.nonmanifold_edges_after}")
+    print(f"welded {rep.welded_vertices} vertices, repaired "
+          f"{rep.nonmanifold_edges} non-manifold edges, "
+          f"split {rep.split_vertices}")
     for stage, secs in result.manifest.stage_seconds.items():
         print(f"{stage}: {secs:.2f}s")
     for note in result.manifest.notes:

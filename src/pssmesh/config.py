@@ -77,6 +77,18 @@ def load_versioned_json(path, version: int, kind: str) -> dict:
     return doc
 
 
+def json_numbers(value, what: str):
+    """``value`` if it is a JSON number or a (nested) array of them, the
+    ``NaN`` and ``Infinity`` tokens included; any other entry (``null``, a
+    string, a bool, an object) raises ValueError naming ``what``."""
+    if isinstance(value, list):
+        for v in value:
+            json_numbers(v, what)
+    elif type(value) not in (int, float):
+        raise ValueError(f"{what}: {json.dumps(value)} is not a JSON number")
+    return value
+
+
 def save_json(data, path) -> None:
     """Write ``data`` as JSON, indented by one space, and a final newline."""
     with open(path, "w") as fh:

@@ -23,7 +23,8 @@ against 0.43 s on that tile, 0.20 against 0.18 s on a 16 m one); 32-face
 blocks were 15-20% slower than 64.
 ``elevation_rel`` is relative to the scene-wide lowest centroid; the _rNN
 variants subtract the lowest centroid inside a vertical cylinder of that
-radius, found exactly on an xy grid of per-cell minima (``cylinder_min_z``).
+radius around the face, the face itself included, found exactly on an xy
+grid of per-cell minima (``cylinder_min_z``).
 ``inmat_radius`` is the interior shrinking-ball radius of each face centroid
 (``medial``, with its fixed denoise angle and the bounding-box diagonal as
 the first radius). Densities are vertex and centroid counts within a
@@ -144,7 +145,7 @@ def face_channel_names(config: PipelineConfig | None = None) -> list:
     return names
 
 
-def eigen_shape_features(centroids, areas, tree, radii):
+def eigen_shape_features(centroids, areas, radii):
     """Eigen channels, their flags and ball counts of every face.
 
     Returns (F, 5 * len(radii)) channels, (F, len(radii)) flags and (F,)
@@ -159,14 +160,15 @@ def eigen_shape_features(centroids, areas, tree, radii):
     Face j is a neighbour of face i at radius r when dx*dx + dy*dy + dz*dz
     <= r*r (the rule ``cKDTree`` applies itself); every face is its own
     neighbour. Faces are processed in blocks of ``EIGEN_FACE_BLOCK``: one
-    ``sparse_distance_matrix`` between the block and ``tree`` at the
-    largest of ``radii`` and ``DENSITY_RADIUS`` finds the block's
+    ``sparse_distance_matrix`` between the block and a tree of all faces at
+    the largest of ``radii`` and ``DENSITY_RADIUS`` finds the block's
     neighbours, and the block's covariances become its channels before the
     next block starts, so memory follows the block's pairs, not all pairs
     and not faces x radii. Each face's neighbours are summed in ascending
     index order, the order ``query_ball_point`` lists them in.
     """
     nf = len(centroids)
+    tree = cKDTree(centroids)
     xyz = [np.ascontiguousarray(centroids[:, a], dtype=np.float64)
            for a in range(3)]
     search = max(*radii, DENSITY_RADIUS)
@@ -260,47 +262,43 @@ def _shape_channels(cov, counts):
     return out, flagged
 
 
-def cylinder_min_z(points_xy, points_z, query_xy, radius):
-    """Exact min z among points whose XY distance to each query is <= radius.
+def cylinder_min_z(points_xy, points_z, radius):
+    """Exact min z among the points within XY ``radius`` of each point.
 
-    A point is in range when dx*dx + dy*dy <= radius*radius, with dx and dy
-    the query's minus the point's coordinates. Queries with no point in
-    range yield +inf.
+    Point j is in range of point i when dx*dx + dy*dy <= radius*radius,
+    with dx and dy point i's minus point j's coordinates. Every point is in
+    its own range, so no result is +inf.
 
     Points are binned into square cells of side ``radius /
     CELLS_PER_RADIUS``; only non-empty cells are indexed, as sorted int64
     cell keys with each cell's points in ascending z, so memory follows the
-    number of points however far apart they lie. A cell that lies inside
-    the disc wherever a query sits in its own cell answers with its lowest
-    z: per column of the stencil those cells form one key range, read with
-    one range minimum. A cell that may cross the circle is visited nearest
-    first, and only its points below the lowest z found so far are checked
-    point by point, in batches of about ``RIM_BATCH`` point checks. Points
-    and queries spread over more than 2**62 cells (2.7e6 km square at
-    radius 10) raise ValueError.
+    number of points however far apart they lie. Each point answers from
+    its own cell. A cell that lies inside the disc wherever a point sits in
+    its own cell answers with its lowest z: per column of the stencil those
+    cells form one key range, read with one range minimum. A cell that may
+    cross the circle is visited nearest first, and only its points below
+    the lowest z found so far are checked point by point, in batches of
+    about ``RIM_BATCH`` point checks. Points spread over more than 2**62
+    cells (2.7e6 km square at radius 10) raise ValueError.
     """
     pxy = np.asarray(points_xy, dtype=np.float64)
     pz = np.asarray(points_z, dtype=np.float64)
-    qxy = np.asarray(query_xy, dtype=np.float64)
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"cylinder radius must be finite and > 0: {radius}")
-    if len(pz) == 0 or len(qxy) == 0:
-        return np.full(len(qxy), np.inf)
+    if len(pz) == 0:
+        return np.zeros(0)
     r2 = radius * radius
     cell = radius / CELLS_PER_RADIUS
-    # no point in range lies more than `reach` cells from the query's cell
+    # no point in range lies more than `reach` cells from the point's cell
     reach = int(np.ceil(radius / cell)) + 1
-    lo = np.minimum(pxy.min(axis=0), qxy.min(axis=0))
-    pc = np.floor((pxy - lo) / cell) + reach
-    qc = np.floor((qxy - lo) / cell) + reach
-    nx, ny = np.maximum(pc.max(axis=0), qc.max(axis=0)) + reach + 1
+    pc = np.floor((pxy - pxy.min(axis=0)) / cell) + reach
+    nx, ny = pc.max(axis=0) + reach + 1
     if nx * ny >= 2.0 ** 62:
-        raise ValueError(f"points and queries span too many cells of "
-                         f"radius / {CELLS_PER_RADIUS} for radius {radius}")
+        raise ValueError(f"points span too many cells of radius / "
+                         f"{CELLS_PER_RADIUS} for radius {radius}")
     ny = int(ny)
     # slack for rounding in the cell assignment and in the distances
-    tol = 1e-9 * (radius + max(float(np.abs(pxy).max()),
-                               float(np.abs(qxy).max())))
+    tol = 1e-9 * (radius + float(np.abs(pxy).max()))
 
     # key x * ny + y: the cells of one stencil column are one key range
     pkey = pc[:, 0].astype(np.int64) * ny + pc[:, 1].astype(np.int64)
@@ -313,11 +311,10 @@ def cylinder_min_z(points_xy, points_z, query_xy, radius):
     # `rank` grows along the sorted points, so one search finds the points
     # of a cell below a given z: cell index * (n + 1) + points with lower z
     zs = np.sort(pz)
-    rank = (np.repeat(np.arange(len(keys)), np.diff(start)) * (len(pz) + 1)
-            + np.searchsorted(zs, pz))
-
-    qkey = qc[:, 0].astype(np.int64) * ny + qc[:, 1].astype(np.int64)
-    qcells, qinv = np.unique(qkey, return_inverse=True)
+    own = np.repeat(np.arange(len(keys)), np.diff(start))   # cell index
+    rank = own * (len(pz) + 1) + np.searchsorted(zs, pz)
+    point_cell = np.empty(len(pz), dtype=np.int64)  # own, in input order
+    point_cell[order] = own
 
     # per-axis distance bounds between points of two cells `a` cells apart
     a = np.arange(-reach, reach + 1)
@@ -327,25 +324,25 @@ def cylinder_min_z(points_xy, points_z, query_xy, radius):
     gap2 = near[:, None] ** 2 + near[None, :] ** 2
     rim = (gap2 <= r2) & ~inside
 
-    cell_best = np.full(len(qcells), np.inf)
+    cell_best = np.full(len(keys), np.inf)
     for col, n_inside in zip(a, inside.sum(axis=1)):
         if n_inside == 0:
             continue
         half = n_inside // 2                    # inside: |row| <= half
-        base = qcells + col * ny
+        base = keys + col * ny
         i0 = np.searchsorted(keys, base - half)
         i1 = np.searchsorted(keys, base + half, side="right")
         span = np.minimum.reduceat(cell_min, np.column_stack((i0, i1)).ravel())
         np.minimum(cell_best, np.where(i1 > i0, span[::2], np.inf),
                    out=cell_best)
-    best = cell_best[qinv]
+    best = cell_best[point_cell]
 
     rim_offsets = (a[:, None] * ny + a[None, :])[rim]
     for off in rim_offsets[np.argsort(gap2[rim], kind="stable")]:
-        want = qcells + off
+        want = keys + off
         t = np.searchsorted(keys, want)
         t[keys[np.minimum(t, len(keys) - 1)] != want] = len(keys)  # empty
-        t = t[qinv]
+        t = t[point_cell]
         sel = np.flatnonzero(cell_min[t] < best)
         if len(sel) == 0:
             continue
@@ -362,8 +359,8 @@ def cylinder_min_z(points_xy, points_z, query_xy, radius):
             group = np.cumsum(c) - c
             q = np.repeat(sel[i:j], c)
             p = np.repeat(first[i:j] - group, c) + np.arange(int(c.sum()))
-            dx = qxy[q, 0] - px[p]
-            dy = qxy[q, 1] - py[p]
+            dx = pxy[q, 0] - px[p]
+            dy = pxy[q, 1] - py[p]
             z = np.where(dx * dx + dy * dy <= r2, pz[p], np.inf)
             best[sel[i:j]] = np.minimum(best[sel[i:j]],
                                         np.minimum.reduceat(z, group))
@@ -396,7 +393,7 @@ def elevation_context(mesh: TriangleMesh, radii) -> np.ndarray:
     cent = mesh.face_centroid
     out = np.zeros((mesh.n_faces, len(radii)))
     for j, r in enumerate(radii):
-        local_min = cylinder_min_z(cent[:, :2], cent[:, 2], cent[:, :2], r)
+        local_min = cylinder_min_z(cent[:, :2], cent[:, 2], r)
         out[:, j] = cent[:, 2] - local_min
     return out
 
@@ -423,7 +420,7 @@ def compute_face_features(mesh: TriangleMesh,
         return FaceFeatures(np.zeros((0, len(names))), names)
 
     cent = mesh.face_centroid
-    eigen, _, ball = eigen_shape_features(cent, mesh.face_area, cKDTree(cent),
+    eigen, _, ball = eigen_shape_features(cent, mesh.face_area,
                                           config.eigen_radii)
     z = cent[:, 2]
     vertex_ball = cKDTree(mesh.vertices).query_ball_point(

@@ -101,10 +101,9 @@ class ProbabilityMap:
         return len(self.g_hat)
 
 
-def class_weights(labels: np.ndarray) -> np.ndarray:
-    """w_c = sqrt(N / n_c) per class, ordered like np.unique(labels)."""
-    _, counts = np.unique(labels, return_counts=True)
-    return np.sqrt(len(labels) / counts)
+def class_weights(y: np.ndarray) -> np.ndarray:
+    """w_c = sqrt(N / n_c) of each class index c in 0..y.max()."""
+    return np.sqrt(len(y) / np.bincount(y))
 
 
 def _entropy(wcounts: np.ndarray) -> float:
@@ -250,7 +249,7 @@ def train_forest(samples: np.ndarray, labels: np.ndarray, channel_names,
     classes, y = np.unique(y_raw, return_inverse=True)
     if len(classes) < 2:
         raise ValueError("training data contains a single class")
-    sw = class_weights(y_raw)[y]
+    sw = class_weights(y)[y]
 
     config = config or PipelineConfig()
 

@@ -34,8 +34,8 @@ import numpy as np
 
 from . import __version__
 from .adjacency import build_adjacency, segment_index, unique_ints
-from .config import (ConfigError, PipelineConfig, load_versioned_json,
-                     read_text, save_json)
+from .config import (ConfigError, PipelineConfig, json_numbers,
+                     load_versioned_json, read_text, save_json)
 # the writers that a traced run times call the untraced name: one span each
 from .config import save_json as _save_json
 from .features import (FaceFeatures, compute_face_features,
@@ -46,8 +46,7 @@ from .meshio import load_mesh, save_mesh
 from .metrics import majority_labels, max_achievable, overseg_report, \
     semantic_metrics
 from .overseg import NONPLANAR, PLANAR, Segmentation, oversegment
-from .repair import (RepairReport, count_nonmanifold_edges,
-                     repair_nonmanifold, weld_vertices)
+from .repair import RepairReport, repair_nonmanifold, weld_vertices
 from .sampling import check_sample_size
 from .segfeatures import compute_segment_features, segment_channel_names
 from .seggraph import build_segment_graph, export_graph
@@ -130,8 +129,8 @@ def load_segmentation(path) -> Segmentation:
     Bad content (invalid JSON, a missing key, another version, ids that are
     not integers, a ``segment_type`` other than PLANAR or NONPLANAR, a
     ``face_segment`` id outside [-1, K) or a ``planes`` table that is not K
-    rows of 4, for the K entries of ``segment_type``) raises ConfigError
-    with the path in front of the message.
+    rows of 4 JSON numbers, for the K entries of ``segment_type``) raises
+    ConfigError with the path in front of the message.
     """
     def bad(message):
         return ConfigError(f"{path}: {message}")
@@ -151,7 +150,8 @@ def load_segmentation(path) -> Segmentation:
         seg = Segmentation(
             face_segment=np.asarray(doc["face_segment"], dtype=np.int32),
             segment_type=np.asarray(doc["segment_type"], dtype=np.int8),
-            planes=np.asarray(doc["planes"], dtype=np.float64))
+            planes=np.asarray(json_numbers(doc["planes"], "planes"),
+                              dtype=np.float64))
     except (ValueError, TypeError, OverflowError) as exc:
         raise bad(exc) from None
     k, ids = seg.n_segments, seg.face_segment
@@ -295,13 +295,12 @@ def prepare_mesh(mesh, config: PipelineConfig):
     ``config.weld_epsilon`` and repaired, its faces in order with their
     labels, and the repaired mesh's adjacency. No edge of the repaired
     mesh has more than two faces, or ``build_adjacency`` would raise."""
-    before = count_nonmanifold_edges(mesh.faces)
     welded, welded_count = weld_vertices(mesh, config.weld_epsilon)
-    repaired, split_count = repair_nonmanifold(welded)
+    repaired, nonmanifold, split_count = repair_nonmanifold(welded)
     adjacency = build_adjacency(repaired)
     return repaired, RepairReport(
-        welded_vertices=welded_count, split_vertices=split_count,
-        nonmanifold_edges_before=before, nonmanifold_edges_after=0,
+        welded_vertices=welded_count, nonmanifold_edges=nonmanifold,
+        split_vertices=split_count,
         degenerate_faces=int(repaired.degenerate_faces.sum())), adjacency
 
 

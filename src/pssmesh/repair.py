@@ -3,10 +3,10 @@
 Both passes keep every face (faces are never deleted, only reindexed), so
 per-face labels survive repair unchanged. Faces collapsed by welding end up
 with repeated vertex indices and zero area; they are flagged through
-``TriangleMesh.degenerate_faces``. Each pass returns its mesh and the one
-count only it knows: ``weld_vertices`` the vertices merged away,
-``repair_nonmanifold`` the vertices split. ``pipeline.prepare_mesh`` builds
-the ``RepairReport`` of the whole preparation from these.
+``TriangleMesh.degenerate_faces``. Each pass returns its mesh and the
+counts only it knows: ``weld_vertices`` the vertices merged away,
+``repair_nonmanifold`` the over-shared edges and the vertices split.
+``pipeline.prepare_mesh`` builds the ``RepairReport`` from these.
 
 Welding and the bow-tie split are both connected-component labelings
 (``adjacency.label_components``): of vertex pairs within epsilon, and of
@@ -29,22 +29,12 @@ class RepairReport:
     """The counts of ``repair_report.json``, from ``pipeline.prepare_mesh``."""
 
     welded_vertices: int
+    nonmanifold_edges: int
     split_vertices: int
-    nonmanifold_edges_before: int
-    nonmanifold_edges_after: int
     degenerate_faces: int
 
     def as_dict(self):
         return asdict(self)
-
-
-def count_nonmanifold_edges(faces) -> int:
-    """Edges shared by more than two of the non-collapsed ``faces``."""
-    e, _ = face_edges(faces)
-    if len(e) == 0:
-        return 0
-    _, counts = np.unique(pair_keys(e, int(e.max()) + 1), return_counts=True)
-    return int((counts > 2).sum())
 
 
 def weld_vertices(mesh: TriangleMesh, epsilon: float) -> tuple[TriangleMesh, int]:
@@ -105,7 +95,7 @@ def _fan_corners(faces):
     return owner, f.ravel(), label_components(len(e), i, j)
 
 
-def repair_nonmanifold(mesh: TriangleMesh) -> tuple[TriangleMesh, int]:
+def repair_nonmanifold(mesh: TriangleMesh) -> tuple[TriangleMesh, int, int]:
     """Detach extra faces from over-shared edges and split bow-tie vertices.
 
     The faces of an edge rank by ascending face id. Every face after the
@@ -114,8 +104,8 @@ def repair_nonmanifold(mesh: TriangleMesh) -> tuple[TriangleMesh, int]:
     the over-shared edges in ascending vertex-pair order. Copies are
     private to their face, so this one pass leaves no over-shared edge.
     Afterwards a vertex whose incident fan is disconnected is split, one
-    copy per fan. No face is deleted. Returns the repaired mesh and the
-    number of vertices split.
+    copy per fan. No face is deleted. Returns the repaired mesh, the number
+    of over-shared edges of ``mesh`` and the number of vertices split.
     """
     nv = mesh.n_vertices
     faces = mesh.faces.copy()
@@ -147,4 +137,5 @@ def repair_nonmanifold(mesh: TriangleMesh) -> tuple[TriangleMesh, int]:
     faces[face[c], c % 3] = new_id[fan[c]]
     source = np.concatenate([source, source[vertex[moved]]])
 
-    return _rebuilt(mesh, source, faces), split_count
+    return (_rebuilt(mesh, source, faces), int((rank == 2).sum()),
+            split_count)

@@ -27,8 +27,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .adjacency import SegmentIndex, pair_keys, unique_ints
-from .config import (ConfigError, PipelineConfig, load_versioned_json,
-                     save_json)
+from .config import (ConfigError, PipelineConfig, json_numbers,
+                     load_versioned_json, save_json)
 from .medial import shrinking_ball_transform
 from .mesh import TriangleMesh
 from .overseg import NONPLANAR, PLANAR
@@ -351,11 +351,12 @@ def import_graph(path) -> SegmentGraph:
     Bad content (invalid JSON, not an object, another version, a missing
     key, malformed values, a node id, node type or edge end that is not a
     JSON integer, node ids out of order, a node type other than PLANAR or
-    NONPLANAR, a node whose centroid, plane or features do not
-    hold 3, 4 or one value per channel, an edge that is not a (lower,
-    higher) pair of node ids or is listed twice, edge types that are not a
-    non-empty list of distinct ``EDGE_FAMILIES`` names) raises ConfigError
-    with the path in front of the message.
+    NONPLANAR, a node whose centroid, plane or features are not 3, 4 or
+    one JSON number per channel, an edge offset that is not a JSON number,
+    an edge that is not a (lower, higher) pair of node ids or is listed
+    twice, edge types that are not a non-empty list of distinct
+    ``EDGE_FAMILIES`` names) raises ConfigError with the path in front of
+    the message.
     """
     doc = load_versioned_json(path, 2, "graph")
     try:
@@ -363,7 +364,7 @@ def import_graph(path) -> SegmentGraph:
         channels = list(doc["channels"])
 
         def rows(key, width):
-            return np.array([n[key] for n in nodes],
+            return np.array(json_numbers([n[key] for n in nodes], key),
                             np.float64).reshape(len(nodes), width)
 
         def ints(values, what):
@@ -389,9 +390,10 @@ def import_graph(path) -> SegmentGraph:
                     and set(families) <= set(EDGE_FAMILIES)):
                 raise ValueError(f"edge {pair}: types must be a non-empty "
                                  f"list of distinct names of {EDGE_FAMILIES}")
-            edges[pair] = GraphEdge(types=set(families),
-                                    offset_mean=float(e["offset_mean"]),
-                                    offset_std=float(e["offset_std"]))
+            mean, std = (float(json_numbers(e[k], k))
+                         for k in ("offset_mean", "offset_std"))
+            edges[pair] = GraphEdge(types=set(families), offset_mean=mean,
+                                    offset_std=std)
         graph = SegmentGraph(
             segment_type=np.array(node_types, dtype=np.int64),
             planes=rows("plane", 4),
@@ -406,6 +408,6 @@ def import_graph(path) -> SegmentGraph:
                                  f"node ids in [0, {graph.n_nodes})")
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return graph

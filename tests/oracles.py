@@ -2,7 +2,11 @@
 
 ``bfs_match_boundaries`` grows every candidate edge's vertex zone with a
 breadth-first search over vertex neighbour sets, as ``match_boundaries``
-once did. ``dict_detach_overshared`` detaches the extra faces of
+once did. ``count_nonmanifold_edges`` counts the edges of more than two
+faces with one ``np.unique`` over the face-edge pair keys, as
+``pipeline.prepare_mesh`` once did before welding; ``repair_nonmanifold``
+now counts them on the welded mesh from its own edge ranks.
+``dict_detach_overshared`` detaches the extra faces of
 over-shared edges round by round through a dict of edge -> faces, as
 ``repair_nonmanifold`` once did. ``global_eigen_shape_features`` finds every
 face's neighbours with one ``query_pairs`` over the whole cloud, as
@@ -38,7 +42,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from pssmesh import features
-from pssmesh.adjacency import face_edges
+from pssmesh.adjacency import face_edges, pair_keys
 from pssmesh.forest import Tree, _entropy
 from pssmesh.overseg import (NONPLANAR, RegionState, Segmentation,
                              _add_faces, label_frontier, refit_plane)
@@ -116,6 +120,15 @@ def bfs_match_boundaries(candidates, reference, adjacency, rings):
     return matched
 
 
+def count_nonmanifold_edges(faces):
+    """Edges shared by more than two of the non-collapsed ``faces``."""
+    e, _ = face_edges(faces)
+    if len(e) == 0:
+        return 0
+    _, counts = np.unique(pair_keys(e, int(e.max()) + 1), return_counts=True)
+    return int((counts > 2).sum())
+
+
 def dict_detach_overshared(faces, n_vertices):
     """(faces, source) after detaching the extra faces of over-shared edges.
 
@@ -146,7 +159,7 @@ def dict_detach_overshared(faces, n_vertices):
     return faces, np.asarray(source, dtype=np.int64)
 
 
-def global_eigen_shape_features(centroids, areas, tree, radii):
+def global_eigen_shape_features(centroids, areas, radii):
     """(channels, flags) from one ``query_pairs`` key array of all faces.
 
     Both directions of every pair plus the self pairs, as ascending
@@ -156,7 +169,7 @@ def global_eigen_shape_features(centroids, areas, tree, radii):
     nf = len(centroids)
     xyz = [np.ascontiguousarray(centroids[:, a], dtype=np.float64)
            for a in range(3)]
-    pairs = tree.query_pairs(max(radii), output_type="ndarray")
+    pairs = cKDTree(centroids).query_pairs(max(radii), output_type="ndarray")
     keys = np.concatenate([pairs[:, 0] * nf + pairs[:, 1],
                            pairs[:, 1] * nf + pairs[:, 0],
                            np.arange(nf, dtype=np.int64) * (nf + 1)])

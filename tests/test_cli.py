@@ -18,7 +18,7 @@ from pssmesh.pipeline import (load_segmentation, prepare_mesh, run_pipeline,
                               write_overseg_scores, write_upper_bound)
 from pssmesh.synth import TileParams, synth_tile
 
-from conftest import unwelded, with_fin
+from conftest import grid_mesh, unwelded, with_fin
 
 
 @pytest.fixture(scope="module")
@@ -240,7 +240,7 @@ def test_preprocess_manifold_unchanged(ws, tmp_path, capsys):
                  "--out", str(tmp_path / "run")])
     out = capsys.readouterr().out
     assert code == 0
-    assert "welded 0 vertices" in out
+    assert "welded 0 vertices, repaired 0 non-manifold edges, split 0" in out
     before = load_mesh(ws["tile"])
     after = load_mesh(tmp_path / "run" / "repaired.ply")
     assert after.n_faces == before.n_faces
@@ -702,9 +702,12 @@ def test_bad_mesh_input_exit_2(tmp_path, capsys, name, text):
     '"planes": [[0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 0, 1]]}',
     '{"version": 1, "face_segment": [0, 1], "segment_type": [0, 2], '
     '"planes": [[0, 0, 1, 0], [0, 0, 1, 0]]}',
+    # a plane value must be a JSON number: null, "0" and true are not
+    *('{"version": 1, "face_segment": [0], "segment_type": [0], '
+      f'"planes": [[{v}, 0, 1, 0]]}}' for v in ("null", '"0"', "true")),
 ], ids=["truncated", "missing-key", "version", "non-integer",
         "ids-beyond-types", "planes-not-one-per-type", "planes-rows-of-3",
-        "segment-type-2"])
+        "segment-type-2", "plane-null", "plane-string", "plane-true"])
 def test_bad_segmentation_exit_2(ws, tmp_path, capsys, command, text):
     bad = tmp_path / "seg.json"
     bad.write_text(text)
@@ -712,6 +715,36 @@ def test_bad_segmentation_exit_2(ws, tmp_path, capsys, command, text):
                  "--segmentation", str(bad), "--out", str(tmp_path / "ev")])
     assert code == 2
     assert str(bad) in capsys.readouterr().err
+
+
+def test_eval_overseg_scores_move_with_the_segmentation(tmp_path, capsys):
+    # an 8 x 8 grid of 0.5 m quads whose 4 x 4-quad corner block is label 1:
+    # a ground truth with a boundary, which no synthetic tile has (each of
+    # its objects is a shell of its own)
+    quad = np.arange(64)
+    labels = np.repeat(((quad // 8 < 4) & (quad % 8 < 4)).astype(int), 2)
+    sheet = tmp_path / "sheet.ply"
+    save_mesh(grid_mesh(8, 8, dx=0.5, labels=labels), sheet)
+
+    def scores(name, face_segment):
+        k = int(face_segment.max()) + 1
+        seg = tmp_path / f"{name}.json"
+        seg.write_text(json.dumps({
+            "version": 1, "face_segment": face_segment.tolist(),
+            "segment_type": [0] * k, "planes": [[0, 0, 1, 0]] * k}))
+        assert main(["eval-overseg", "--input", str(sheet), "--segmentation",
+                     str(seg), "--out", str(tmp_path / name)]) == 0
+        return json.loads(
+            (tmp_path / name / "overseg_metrics.json").read_text())
+
+    truth = scores("truth", labels)
+    merged = scores("merged", np.zeros(128, dtype=int))
+    faces = scores("faces", np.arange(128))
+    assert (truth["op"], truth["bp"], truth["br"]) == (1.0, 1.0, 1.0)
+    assert "empty_gt_boundary" not in truth["flags"]
+    assert merged["op"] < truth["op"] and merged["br"] < truth["br"]
+    assert faces["bp"] < truth["bp"]
+    assert faces["op"] == faces["br"] == 1.0
 
 
 @pytest.mark.parametrize("rows", [

@@ -72,9 +72,8 @@ def test_eigen_matches_brute_force_covariance():
     rng = np.random.default_rng(3)
     cent = rng.random((40, 3)) * 2
     areas = rng.random(40) + 0.1
-    tree = cKDTree(cent)
     radius = 0.9
-    out, flagged, _ = eigen_shape_features(cent, areas, tree, (radius,))
+    out, flagged, _ = eigen_shape_features(cent, areas, (radius,))
     assert out.shape == (40, 5) and flagged.shape == (40, 1)
     flagged = flagged[:, 0]
     for i in range(40):
@@ -170,7 +169,7 @@ def test_eigen_matches_query_ball_point_reference(cloud, block, monkeypatch):
     cent, areas = cloud()
     tree = cKDTree(cent)
     radii = (0.5, 1.0, 2.0)
-    out, flagged, _ = eigen_shape_features(cent, areas, tree, radii)
+    out, flagged, _ = eigen_shape_features(cent, areas, radii)
     assert out.shape == (len(cent), 15) and flagged.shape == (len(cent), 3)
     for j, r in enumerate(radii):
         ref, ref_flagged = eigen_reference(cent, areas, tree, r)
@@ -179,7 +178,7 @@ def test_eigen_matches_query_ball_point_reference(cloud, block, monkeypatch):
         if cloud is lattice_cloud:          # neighbours exactly at r exist
             assert len(tree.query_pairs(r)) > len(tree.query_pairs(r * 0.999))
     # the kernel that searched all faces at once gives the same bytes
-    want, want_flagged = global_eigen_shape_features(cent, areas, tree, radii)
+    want, want_flagged = global_eigen_shape_features(cent, areas, radii)
     assert out.tobytes() == want.tobytes()
     assert flagged.tobytes() == want_flagged.tobytes()
 
@@ -221,7 +220,7 @@ def test_ball_counts_match_query_ball_point(radii, count_radius,
     tree = cKDTree(cent)
     assert len(tree.query_pairs(count_radius)) \
         > len(tree.query_pairs(count_radius * 0.999))
-    _, _, ball = eigen_shape_features(cent, areas, tree, radii)
+    _, _, ball = eigen_shape_features(cent, areas, radii)
     want = tree.query_ball_point(cent, count_radius, return_length=True)
     assert ball.astype(np.int64).tobytes() == want.astype(np.int64).tobytes()
 
@@ -251,7 +250,7 @@ def test_eigen_peak_memory_does_not_follow_pair_count(monkeypatch):
     for radius in (0.5, 1.0):
         pairs.append(len(tree.query_pairs(radius, output_type="ndarray")))
         tracemalloc.start()
-        eigen_shape_features(cent, areas, tree, (radius,))
+        eigen_shape_features(cent, areas, (radius,))
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert pairs[1] > 5 * pairs[0]
@@ -267,20 +266,17 @@ def test_eigen_peak_memory_follows_the_block():
     n = 20000
     cent = rng.random((n, 3)) * np.array([200.0, 200.0, 1.0])
     areas = rng.random(n) + 0.1
-    tree = cKDTree(cent)
     tracemalloc.start()
-    out, flagged, ball = eigen_shape_features(cent, areas, tree,
-                                              (0.5, 1.0, 2.0))
+    out, flagged, ball = eigen_shape_features(cent, areas, (0.5, 1.0, 2.0))
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak - (out.nbytes + flagged.nbytes + ball.nbytes) < 64 * n
 
-def eigen_scratch_peak(cent, areas, tree):
+def eigen_scratch_peak(cent, areas):
     """Traced peak of ``eigen_shape_features`` at the default radii, less
     its three outputs."""
     tracemalloc.start()
-    out, flagged, ball = eigen_shape_features(cent, areas, tree,
-                                              (0.5, 1.0, 2.0))
+    out, flagged, ball = eigen_shape_features(cent, areas, (0.5, 1.0, 2.0))
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return peak - (out.nbytes + flagged.nbytes + ball.nbytes)
@@ -299,9 +295,9 @@ def test_eigen_peak_memory_follows_a_block_of_64_faces(monkeypatch):
     most = tree.query_ball_point(cent, 2.0, return_length=True).max()
     assert most > 500
     bound = 128 * 64 * most
-    assert eigen_scratch_peak(cent, areas, tree) < bound
+    assert eigen_scratch_peak(cent, areas) < bound
     monkeypatch.setattr(features, "EIGEN_FACE_BLOCK", 256)
-    assert eigen_scratch_peak(cent, areas, tree) > bound
+    assert eigen_scratch_peak(cent, areas) > bound
 
 
 def test_hemisphere_sphericity():
@@ -311,8 +307,7 @@ def test_hemisphere_sphericity():
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     v[:, 2] = np.abs(v[:, 2])
     areas = np.ones(n)
-    tree = cKDTree(v)
-    out, _, _ = eigen_shape_features(v, areas, tree, (3.0,))
+    out, _, _ = eigen_shape_features(v, areas, (3.0,))
     assert out[:, 2].min() > 0.2      # sphericity
     assert out[:, 0].max() < 0.3      # linearity
 
@@ -320,8 +315,7 @@ def test_hemisphere_sphericity():
 def test_small_neighborhood_flagged():
     cent = np.array([[0, 0, 0], [10, 0, 0], [20, 0, 0]], dtype=float)
     areas = np.ones(3)
-    tree = cKDTree(cent)
-    out, flagged, _ = eigen_shape_features(cent, areas, tree, (0.5,))
+    out, flagged, _ = eigen_shape_features(cent, areas, (0.5,))
     assert flagged.all()
     assert np.all(out == 0)
 
@@ -343,23 +337,20 @@ def test_eigen_invariance_under_z_rotation_and_translation():
 def test_cylinder_min_z_exact():
     rng = np.random.default_rng(2)
     pts = rng.random((300, 3)) * np.array([20, 20, 5])
-    queries = pts[:50, :2]
     r = 3.0
-    got = cylinder_min_z(pts[:, :2], pts[:, 2], queries, r)
-    for i, q in enumerate(queries):
+    got = cylinder_min_z(pts[:, :2], pts[:, 2], r)
+    for i, q in enumerate(pts[:, :2]):
         mask = np.linalg.norm(pts[:, :2] - q, axis=1) <= r
         assert got[i] == pts[mask, 2].min()
 
 
-def cylinder_oracle(pxy, pz, qxy, radius):
-    """O(n * q) definition: lowest z with dx*dx + dy*dy <= radius**2."""
-    out = np.full(len(qxy), np.inf)
-    for i, q in enumerate(qxy):
+def cylinder_oracle(pxy, pz, radius):
+    """O(n * n) definition: lowest z with dx*dx + dy*dy <= radius**2."""
+    out = np.empty(len(pxy))
+    for i, q in enumerate(pxy):
         dx = q[0] - pxy[:, 0]
         dy = q[1] - pxy[:, 1]
-        hit = dx * dx + dy * dy <= radius * radius
-        if hit.any():
-            out[i] = pz[hit].min()
+        out[i] = pz[dx * dx + dy * dy <= radius * radius].min()
     return out
 
 
@@ -376,29 +367,28 @@ def hilly_cloud(n=3000, size=30.0, seed=4):
 def test_cylinder_min_z_matches_oracle(radius, shift):
     xy, z = hilly_cloud()
     rng = np.random.default_rng(int(radius * 10))
-    # input points, free positions inside the tile and around it
-    free = rng.random((300, 2)) * 50.0 - 10.0
-    queries = np.vstack([xy[::7], free, [[-200.0, 5.0], [15.0, 900.0]]])
-    xy, queries = xy + shift, queries + shift
-    got = cylinder_min_z(xy, z, queries, radius)
-    want = cylinder_oracle(xy, z, queries, radius)
-    assert got.tobytes() == want.tobytes()
-    if radius < 30:
-        assert np.isinf(want).any() and np.isfinite(want).any()
+    # the hills, free points inside the tile and around it, and two far off
+    free = np.vstack([rng.random((300, 2)) * 50.0 - 10.0,
+                      [[-200.0, 5.0], [15.0, 900.0]]])
+    xy = np.vstack([xy, free]) + shift
+    z = np.append(z, rng.random(len(free)) * 8.0 - 5.0)
+    got = cylinder_min_z(xy, z, radius)
+    assert got.tobytes() == cylinder_oracle(xy, z, radius).tobytes()
+    assert np.all(got <= z) and (got < z).any()
+    if radius < 30:                     # some points are their own minimum
+        assert (got == z).any()
 
 
-def test_cylinder_min_z_sparse_and_empty_discs():
+def test_cylinder_min_z_sparse_points():
     rng = np.random.default_rng(6)
     xy = rng.random((40, 2)) * 200.0        # about 30 m between points
     z = rng.random(40)
-    queries = rng.random((500, 2)) * 240.0 - 20.0
     for radius in (2.0, 15.0, 60.0):
-        got = cylinder_min_z(xy, z, queries, radius)
-        want = cylinder_oracle(xy, z, queries, radius)
-        assert got.tobytes() == want.tobytes()
-    assert np.isinf(cylinder_min_z(xy, z, queries, 2.0)).sum() > 400
-    assert np.all(cylinder_min_z(xy[:0], z[:0], queries, 5.0) == np.inf)
-    assert cylinder_min_z(xy, z, queries[:0], 5.0).shape == (0,)
+        got = cylinder_min_z(xy, z, radius)
+        assert got.tobytes() == cylinder_oracle(xy, z, radius).tobytes()
+    # at 2 m all but one point find no other point in range
+    assert (cylinder_min_z(xy, z, 2.0) == z).sum() == 39
+    assert cylinder_min_z(xy[:0], z[:0], 5.0).shape == (0,)
 
 
 @pytest.mark.parametrize("radius", [1.0, 10.0, 40.0])
@@ -410,11 +400,11 @@ def test_cylinder_min_z_far_outlier_keeps_cells_small(radius):
     z = np.append(z, -50.0)
     tracemalloc.start()
     t0 = time.perf_counter()
-    got = cylinder_min_z(xy, z, xy, radius)
+    got = cylinder_min_z(xy, z, radius)
     seconds = time.perf_counter() - t0
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert got.tobytes() == cylinder_oracle(xy, z, xy, radius).tobytes()
+    assert got.tobytes() == cylinder_oracle(xy, z, radius).tobytes()
     assert got[-1] == -50.0 and np.all(got[:-1] > -50.0)
     assert peak < 32 * 2 ** 20
     assert seconds < 10.0
@@ -423,33 +413,32 @@ def test_cylinder_min_z_far_outlier_keeps_cells_small(radius):
 def test_cylinder_min_z_rim_batches(monkeypatch):
     # batches of a few point checks give the same minima as one batch
     xy, z = hilly_cloud(n=1500, size=12.0)
-    want = cylinder_oracle(xy, z, xy, 2.5)
+    want = cylinder_oracle(xy, z, 2.5)
     monkeypatch.setattr(features, "RIM_BATCH", 5)
-    assert cylinder_min_z(xy, z, xy, 2.5).tobytes() == want.tobytes()
+    assert cylinder_min_z(xy, z, 2.5).tobytes() == want.tobytes()
 
 
 def test_cylinder_min_z_rejects_unbounded_grid():
     xy = np.array([[0.0, 0.0], [1.0e20, 1.0e20]])
     with pytest.raises(ValueError, match="cells"):
-        cylinder_min_z(xy, np.zeros(2), xy, 1.0)
+        cylinder_min_z(xy, np.zeros(2), 1.0)
 
 
 def test_cylinder_min_z_point_exactly_at_radius():
     # (3, 4) is exactly 5 m from (0, 0) and from (6, 8); the point 1e-9 m
-    # above it is just outside the first disc and just inside the second
-    pxy = np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 4.0 + 1e-9]])
-    pz = np.array([5.0, -1.0, -2.0])
-    q = np.array([[0.0, 0.0], [6.0, 8.0], [0.0, 10.0]])
-    assert cylinder_min_z(pxy, pz, q, 5.0).tolist() == [-1.0, -2.0, np.inf]
-    assert cylinder_min_z(pxy, pz, q, 5.0 - 1e-12).tolist() \
-        == [5.0, -2.0, np.inf]
+    # above it is just outside the disc of (0, 0) and just inside that of
+    # (6, 8)
+    pxy = np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 4.0 + 1e-9], [6.0, 8.0]])
+    pz = np.array([5.0, -1.0, -2.0, 0.0])
+    assert cylinder_min_z(pxy, pz, 5.0).tolist() == [-1.0, -2.0, -2.0, -2.0]
+    assert cylinder_min_z(pxy, pz, 5.0 - 1e-12).tolist() \
+        == [5.0, -2.0, -2.0, -2.0]
 
 
 def test_cylinder_min_z_rejects_bad_radius():
     for radius in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="radius"):
-            cylinder_min_z(np.zeros((1, 2)), np.zeros(1), np.zeros((1, 2)),
-                           radius)
+            cylinder_min_z(np.zeros((1, 2)), np.zeros(1), radius)
 
 
 def test_elevation_roof():

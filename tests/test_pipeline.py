@@ -175,7 +175,7 @@ def test_repaired_mesh_is_prepare_mesh(tile_path, trained, tmp_path, build):
     if build is unwelded:
         assert rep.welded_vertices > 0
     else:
-        assert rep.nonmanifold_edges_before == 1
+        assert rep.nonmanifold_edges == 1
     repaired, report, _ = prepare_mesh(load_mesh(path), cfg)
     save_mesh(repaired, tmp_path / "want.ply")
     assert (result.run_dir / "repaired.ply").read_bytes() \
@@ -517,6 +517,16 @@ def test_segmentation_of_no_segments_loads(tmp_path):
     assert seg.n_segments == 0 and seg.planes.shape == (0, 4)
 
 
+def test_segmentation_reads_nan_and_infinity_planes(tmp_path):
+    # the tokens json writes for those floats are JSON numbers here
+    path = tmp_path / "seg.json"
+    path.write_text('{"version": 1, "face_segment": [0, 1], '
+                    '"segment_type": [0, 1], "planes": '
+                    '[[0, 0, 1, -Infinity], [NaN, NaN, NaN, NaN]]}')
+    planes = load_segmentation(path).planes
+    assert planes[0, 3] == -np.inf and np.isnan(planes[1]).all()
+
+
 def test_face_predictions_round_trip(tmp_path):
     path = tmp_path / "pred.csv"
     save_face_predictions(np.array([3, 1, 0, 2]), path)
@@ -725,7 +735,7 @@ def test_trained_planarity_generalizes(trained):
     mesh = synth_tile(HELD_OUT)
     from pssmesh.repair import repair_nonmanifold, weld_vertices
     mesh, _ = weld_vertices(mesh, 1e-6)
-    mesh, _ = repair_nonmanifold(mesh)
+    mesh, _, _ = repair_nonmanifold(mesh)
     feats = compute_face_features(mesh)
     pm = planarity_map(trained["result"].planarity, feats)
     truth = np.isin(mesh.face_label, (2,)).astype(np.int64)

@@ -6,7 +6,7 @@ import pytest
 
 from pssmesh import adjacency as adjacency_module, repair as repair_module
 from pssmesh.mesh import TriangleMesh
-from pssmesh.repair import weld_vertices, repair_nonmanifold, count_nonmanifold_edges
+from pssmesh.repair import weld_vertices, repair_nonmanifold
 from pssmesh.adjacency import build_adjacency
 from pssmesh.config import PipelineConfig
 from pssmesh.pipeline import prepare_mesh
@@ -14,7 +14,7 @@ from pssmesh.synth import TileParams, synth_tile
 
 from conftest import (grid_mesh, brute_force_adjacency, adjacency_pairs,
                       neighbor_list, unwelded, with_fin)
-from oracles import dict_detach_overshared
+from oracles import count_nonmanifold_edges, dict_detach_overshared
 
 
 def test_weld_two_coincident_vertices():
@@ -93,8 +93,9 @@ def test_repair_three_fan_edge():
                       [0.5, -1, 0], [0.5, 0, 1]], dtype=float)
     faces = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]], dtype=np.int32)
     m = TriangleMesh(vertices=verts, faces=faces)
-    out, _ = repair_nonmanifold(m)
-    assert prepare_mesh(m, PipelineConfig())[1].nonmanifold_edges_before == 1
+    out, edges, _ = repair_nonmanifold(m)
+    assert edges == count_nonmanifold_edges(m.faces) == 1
+    assert prepare_mesh(m, PipelineConfig())[1].nonmanifold_edges == 1
     assert out.n_faces == 3
     assert count_nonmanifold_edges(out.faces) == 0
     build_adjacency(out)    # must not raise
@@ -102,16 +103,16 @@ def test_repair_three_fan_edge():
 
 def test_repair_manifold_identity():
     m = grid_mesh(4, 4)
-    out, split = repair_nonmanifold(m)
-    assert prepare_mesh(m, PipelineConfig())[1].nonmanifold_edges_before == 0
-    assert split == 0
+    out, edges, split = repair_nonmanifold(m)
+    assert prepare_mesh(m, PipelineConfig())[1].nonmanifold_edges == 0
+    assert edges == 0 and split == 0
     assert np.array_equal(out.faces, m.faces)
     assert out.n_vertices == m.n_vertices
 
 
 def test_repair_bowtie_vertex_split():
     m = bowtie_mesh()
-    out, split = repair_nonmanifold(m)
+    out, _, split = repair_nonmanifold(m)
     assert split == 1
     assert out.n_vertices == 6
     assert out.n_faces == 2
@@ -221,8 +222,9 @@ def test_bowtie_split_matches_fan_oracle():
             continue
         m = TriangleMesh(vertices=rng.standard_normal((nv, 3)), faces=faces,
                          vertex_color=rng.integers(0, 256, (nv, 3)))
-        out, got_split = repair_nonmanifold(m)
+        out, edges, got_split = repair_nonmanifold(m)
         want_faces, source, split = bowtie_oracle(nv, faces)
+        assert edges == 0
         assert np.array_equal(out.faces, want_faces)
         assert np.array_equal(out.vertices, m.vertices[source])
         assert np.array_equal(out.vertex_color, m.vertex_color[source])
@@ -262,7 +264,8 @@ def test_repair_matches_dict_detach_oracle():
         m = TriangleMesh(vertices=rng.standard_normal((nv, 3)), faces=faces,
                          vertex_color=rng.integers(0, 256, (nv, 3)),
                          face_label=np.arange(len(faces)))
-        out, got_split = repair_nonmanifold(m)
+        out, got_edges, got_split = repair_nonmanifold(m)
+        assert got_edges == before
         detached, source = dict_detach_overshared(faces, nv)
         assert count_nonmanifold_edges(detached) == 0
         want_faces, fan_source, split = bowtie_oracle(len(source), detached)
@@ -277,8 +280,8 @@ def test_repair_matches_dict_detach_oracle():
         prepared, rep, _ = prepare_mesh(m, PipelineConfig(weld_epsilon=0.0))
         assert np.array_equal(prepared.faces, out.faces)
         assert rep.as_dict() == {
-            "welded_vertices": 0, "split_vertices": split,
-            "nonmanifold_edges_before": before, "nonmanifold_edges_after": 0,
+            "welded_vertices": 0, "nonmanifold_edges": before,
+            "split_vertices": split,
             "degenerate_faces": int(out.degenerate_faces.sum())}
         checked += 1
 
@@ -307,8 +310,8 @@ def test_weld_and_repair_leave_input_unchanged():
                 extra_face_props={"flag": np.arange(4, dtype=np.uint8)})
     before = {k: v.copy() for k, v in mesh_arrays(m).items()}
     welded, welded_count = weld_vertices(m, 1e-6)
-    out, split = repair_nonmanifold(welded)
-    assert welded_count == 1 and split == 1
+    out, edges, split = repair_nonmanifold(welded)
+    assert welded_count == 1 and edges == 1 and split == 1
     assert count_nonmanifold_edges(welded.faces) == 1
     for k, v in mesh_arrays(m).items():
         assert np.array_equal(v, before[k]), k
@@ -342,16 +345,21 @@ def tile_16m():
 
 
 @pytest.mark.parametrize("build, want", [
-    (tile_16m, (0, 0, 0, 0, 0)),
-    (lambda: unwelded(tile_16m()), (12872, 0, 0, 0, 0)),
-    (lambda: with_fin(tile_16m()), (0, 0, 1, 0, 0)),
-    (fan_mesh, (1, 1, 0, 0, 0)),
-    (collapsed_face_mesh, (1, 1, 1, 0, 1)),
+    (tile_16m, (0, 0, 0, 0)),
+    (lambda: unwelded(tile_16m()), (12872, 0, 0, 0)),
+    (lambda: with_fin(tile_16m()), (0, 1, 0, 0)),
+    (fan_mesh, (1, 1, 1, 0)),
+    (collapsed_face_mesh, (1, 1, 1, 1)),
 ])
 def test_prepare_mesh_report(build, want):
-    # (welded, split, non-manifold before, after, degenerate)
-    _, rep, _ = prepare_mesh(build(), PipelineConfig())
+    # (welded, non-manifold edges, split, degenerate); the fan mesh's
+    # over-shared edge exists only once vertex 7 welds into 1
+    mesh = build()
+    config = PipelineConfig()
+    _, rep, _ = prepare_mesh(mesh, config)
     assert tuple(rep.as_dict().values()) == want
+    welded, _ = weld_vertices(mesh, config.weld_epsilon)
+    assert rep.nonmanifold_edges == count_nonmanifold_edges(welded.faces)
 
 
 def bowtie_mesh():
@@ -378,9 +386,9 @@ def test_prepare_mesh_keeps_every_face_in_order(build):
     assert np.array_equal(out.face_label, mesh.face_label)
 
 
-def test_prepare_mesh_groups_face_edges_four_times(monkeypatch):
-    # one over-shared-edge count of the input, repair's detach and fan split,
-    # and the adjacency sort; one area pass, of the repaired mesh
+def test_prepare_mesh_groups_face_edges_three_times(monkeypatch):
+    # repair's detach, which also counts the over-shared edges, its fan
+    # split, and the adjacency sort; one area pass, of the repaired mesh
     calls = {"face_edges": 0, "area": 0}
 
     def counted(fn, key):
@@ -399,6 +407,6 @@ def test_prepare_mesh_groups_face_edges_four_times(monkeypatch):
     mesh = tile_16m()
     calls.update(face_edges=0, area=0)
     out, _, _ = prepare_mesh(mesh, PipelineConfig())
-    assert calls == {"face_edges": 4, "area": 1}
+    assert calls == {"face_edges": 3, "area": 1}
     out.face_area                   # the report's areas are the mesh's
     assert calls["area"] == 1

@@ -764,11 +764,27 @@ EDGE = {"a": 0, "b": 1, "types": [EDGE_PARALLEL], "offset_mean": 0.0,
                 "edges": [{**EDGE, "a": 0.2}]}),
     json.dumps({**GOOD_GRAPH, "nodes": TWO_NODES,
                 "edges": [{**EDGE, "b": "1"}]}),
+    # node and edge floats must be JSON numbers
+    json.dumps({**GOOD_GRAPH, "nodes": [
+        {**GOOD_GRAPH["nodes"][0], "centroid": [None, 0, 0]}]}),
+    json.dumps({**GOOD_GRAPH, "nodes": [
+        {**GOOD_GRAPH["nodes"][0], "plane": [0, 0, "1", 0]}]}),
+    json.dumps({**GOOD_GRAPH, "nodes": [
+        {**GOOD_GRAPH["nodes"][0], "features": [True]}]}),
+    json.dumps({**GOOD_GRAPH, "nodes": TWO_NODES,
+                "edges": [{**EDGE, "offset_mean": "2.5"}]}),
+    json.dumps({**GOOD_GRAPH, "nodes": TWO_NODES,
+                "edges": [{**EDGE, "offset_std": None}]}),
+    # a JSON integer beyond any float
+    json.dumps({**GOOD_GRAPH, "nodes": [
+        {**GOOD_GRAPH["nodes"][0], "features": [10 ** 400]}]}),
 ], ids=["version-1", "truncated", "not-an-object", "missing-channels",
         "missing-edge-key", "edge-id-out-of-range", "node-id-out-of-order",
         "edge-listed-twice", "types-string", "types-empty", "types-unknown",
         "types-repeated", "node-type-9", "node-id-float", "node-type-true",
-        "edge-end-float", "edge-end-string"])
+        "edge-end-float", "edge-end-string", "centroid-null",
+        "plane-string", "features-true", "offset-mean-string",
+        "offset-std-null", "features-beyond-float"])
 def test_import_graph_rejects_bad_file(tmp_path, text):
     path = tmp_path / "graph.json"
     path.write_text(text)
@@ -787,6 +803,14 @@ def test_import_graph_reads_good_file(tmp_path):
     path.write_text(json.dumps({**GOOD_GRAPH, "nodes": TWO_NODES,
                                 "edges": [EDGE]}))
     assert import_graph(path).edges[0, 1].types == {EDGE_PARALLEL}
+    # the NaN and Infinity tokens json writes for those floats are numbers
+    nan_node = {**GOOD_GRAPH["nodes"][0], "id": 1, "features": [np.nan]}
+    path.write_text(json.dumps({
+        **GOOD_GRAPH, "nodes": [GOOD_GRAPH["nodes"][0], nan_node],
+        "edges": [{**EDGE, "offset_mean": np.inf}]}))
+    graph = import_graph(path)
+    assert np.isnan(graph.features[1, 0])
+    assert graph.edges[0, 1].offset_mean == np.inf
 
 
 def test_graph_counts_on_tile():
